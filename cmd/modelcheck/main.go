@@ -36,6 +36,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"wormnet/internal/deadlock"
 	"wormnet/internal/modelcheck"
@@ -149,18 +150,25 @@ func main() {
 	if err != nil {
 		fatal(2, err)
 	}
+	before, start := x.Report().States, time.Now()
 	rep, err := x.Run()
 	if err != nil {
 		fatal(2, err)
 	}
+	// The rate counts this run's states only (a resumed exploration starts
+	// with the journal's); it goes to stderr under -json so stdout stays JSON.
+	elapsed := time.Since(start)
+	timing := fmt.Sprintf("timing: %d states in %.2fs (%.0f states/s)\n",
+		rep.States-before, elapsed.Seconds(), float64(rep.States-before)/elapsed.Seconds())
 	if *jsonOut {
 		out, err := rep.JSON()
 		if err != nil {
 			fatal(2, err)
 		}
 		fmt.Printf("%s\n", out)
+		fmt.Fprint(os.Stderr, timing)
 	} else {
-		fmt.Print(rep.Format())
+		fmt.Print(rep.Format(), timing)
 	}
 	if rep.Failed() {
 		os.Exit(1)

@@ -44,10 +44,41 @@ func (o Options) journalEvery() int {
 	return 2000
 }
 
+// sched is a schedule — the catalog indices injected before each executed
+// Step — as a list linked towards the root: a successor shares its parent's
+// cycles instead of copying them. nil is the empty schedule.
+type sched struct {
+	prev   *sched
+	inject []int
+	depth  int // cycles up to and including this one
+}
+
+// then returns s extended by one cycle injecting inject.
+func (s *sched) then(inject []int) *sched {
+	return &sched{prev: s, inject: inject, depth: s.len() + 1}
+}
+
+func (s *sched) len() int {
+	if s == nil {
+		return 0
+	}
+	return s.depth
+}
+
+// slice materialises the schedule in execution order, for the places that
+// persist or replay it (journal, counterexamples).
+func (s *sched) slice() [][]int {
+	out := make([][]int, s.len())
+	for ; s != nil; s = s.prev {
+		out[s.depth-1] = s.inject
+	}
+	return out
+}
+
 // entry is one frontier state awaiting expansion.
 type entry struct {
 	snap     *sim.Snapshot
-	schedule [][]int // catalog indices injected before each executed Step
+	schedule *sched
 	used     uint32  // catalog entries already injected
 	gt       []int64 // ground-truth deadlocked message IDs at this state
 	inFlight int64
@@ -64,6 +95,11 @@ type Explorer struct {
 	stack        []*entry
 	rep          *Report
 	sinceJournal int
+
+	// work and aux are the engines Run restores states into (built on first
+	// use, dropped when it returns): work executes the actions, aux takes the
+	// checks that must not disturb it (round trip, probe, minimisation).
+	work, aux *sim.Engine
 }
 
 // New prepares an exploration of spec from the initial (empty) state.
@@ -76,6 +112,7 @@ func New(spec Spec, opt Options) (*Explorer, error) {
 	if err != nil {
 		return nil, err
 	}
+	x.digest = root.snap.Config
 	h, err := root.snap.CanonicalHash()
 	if err != nil {
 		return nil, err
@@ -91,14 +128,9 @@ func newExplorer(spec Spec, opt Options) (*Explorer, error) {
 	if err != nil {
 		return nil, err
 	}
-	digest, err := sim.ConfigDigest(cfg)
-	if err != nil {
-		return nil, err
-	}
 	return &Explorer{
 		spec:    spec,
 		cfg:     cfg,
-		digest:  digest,
 		opt:     opt,
 		visited: make(map[[32]byte]struct{}),
 		rep:     &Report{Spec: spec, Threshold: spec.Threshold},
@@ -114,18 +146,20 @@ func (x *Explorer) materialize(schedule [][]int) (*entry, error) {
 	}
 	defer e.Close()
 	var used uint32
+	var done *sched
 	for _, inj := range schedule {
 		for _, i := range inj {
 			x.spec.inject(e, i)
 			used |= 1 << uint(i)
 		}
 		e.Step()
+		done = done.then(inj)
 	}
-	return x.entryFrom(e, schedule, used)
+	return x.entryFrom(e, done, used)
 }
 
 // entryFrom captures a live engine as a frontier entry.
-func (x *Explorer) entryFrom(e *sim.Engine, schedule [][]int, used uint32) (*entry, error) {
+func (x *Explorer) entryFrom(e *sim.Engine, schedule *sched, used uint32) (*entry, error) {
 	snap, err := e.Snapshot()
 	if err != nil {
 		return nil, err
@@ -144,6 +178,7 @@ func (x *Explorer) entryFrom(e *sim.Engine, schedule [][]int, used uint32) (*ent
 // Run explores until the frontier drains or the state budget is hit, then
 // returns the report. It may be called once per Explorer.
 func (x *Explorer) Run() (*Report, error) {
+	defer func() { x.work, x.aux = nil, nil }()
 	allUsed := uint32(1)<<uint(len(x.spec.Messages)) - 1
 	for len(x.stack) > 0 {
 		if x.rep.States >= x.spec.MaxStates {
@@ -165,7 +200,6 @@ func (x *Explorer) Run() (*Report, error) {
 			return nil, err
 		}
 	}
-	x.rep.finish()
 	return x.rep, nil
 }
 
@@ -180,7 +214,7 @@ func (x *Explorer) expand(parent *entry, allUsed uint32) error {
 		x.rep.Terminals++
 		return nil
 	}
-	depth := len(parent.schedule)
+	depth := parent.schedule.len()
 	if int64(depth) >= x.spec.MaxCycles {
 		x.rep.HorizonTruncated++
 		return nil
@@ -215,11 +249,10 @@ func (x *Explorer) expand(parent *entry, allUsed uint32) error {
 // step executes one action (inject the given catalog entries, Step once)
 // from parent, running the per-state check battery if the successor is new.
 func (x *Explorer) step(parent *entry, inject []int) error {
-	e, err := sim.RestoreEngine(x.cfg, parent.snap) // restore runs CheckInvariants
+	e, err := x.restore(&x.work, parent.snap) // restore runs CheckInvariants
 	if err != nil {
-		return fmt.Errorf("modelcheck: restore at depth %d: %w", len(parent.schedule), err)
+		return fmt.Errorf("modelcheck: restore at depth %d: %w", parent.schedule.len(), err)
 	}
-	defer e.Close()
 	used := parent.used
 	for _, i := range inject {
 		x.spec.inject(e, i)
@@ -247,7 +280,7 @@ func (x *Explorer) step(parent *entry, inject []int) error {
 		}
 	}
 
-	child, err := x.entryFrom(e, appendSchedule(parent.schedule, inject), used)
+	child, err := x.entryFrom(e, parent.schedule.then(inject), used)
 	if err != nil {
 		return err
 	}
@@ -294,14 +327,24 @@ func (x *Explorer) step(parent *entry, inject []int) error {
 	return nil
 }
 
+// restore loads snap into the scratch engine *slot, building the engine the
+// first time the slot is used.
+func (x *Explorer) restore(slot **sim.Engine, snap *sim.Snapshot) (*sim.Engine, error) {
+	if *slot != nil {
+		return *slot, (*slot).Restore(snap)
+	}
+	e, err := sim.RestoreEngine(x.cfg, snap)
+	*slot = e
+	return e, err
+}
+
 // checkRoundTrip asserts restore identity: loading the child snapshot into
-// a fresh engine and re-snapshotting reproduces the canonical hash.
+// another engine and re-snapshotting reproduces the canonical hash.
 func (x *Explorer) checkRoundTrip(child *entry, want [32]byte) error {
-	r, err := sim.RestoreEngine(x.cfg, child.snap)
+	r, err := x.restore(&x.aux, child.snap)
 	if err != nil {
 		return err
 	}
-	defer r.Close()
 	rs, err := r.Snapshot()
 	if err != nil {
 		return err
@@ -325,11 +368,11 @@ func (x *Explorer) checkRoundTrip(child *entry, want [32]byte) error {
 // right without a human).
 func (x *Explorer) probe(state *entry) error {
 	x.rep.Probes++
-	e, err := sim.RestoreEngine(x.cfg, state.snap)
+	e, err := x.restore(&x.aux, state.snap)
 	if err != nil {
 		return err
 	}
-	defer e.Close()
+	defer func() { e.SetListener(nil) }()
 	var detected, unsoundID int64 = -1, -1
 	intervened := false
 	e.SetListener(trace.Func(func(ev trace.Event) {
@@ -372,7 +415,7 @@ func (x *Explorer) probe(state *entry) error {
 
 // violation records a fatal per-state check failure and dumps the state.
 func (x *Explorer) violation(state *entry, kind, detail string) {
-	x.rep.Violations = append(x.rep.Violations, fmt.Sprintf("%s at depth %d: %s", kind, len(state.schedule), detail))
+	x.rep.Violations = append(x.rep.Violations, fmt.Sprintf("%s at depth %d: %s", kind, state.schedule.len(), detail))
 	if err := x.emitCounterexample(state, CxKind(kind), detail); err != nil {
 		x.rep.Violations = append(x.rep.Violations, fmt.Sprintf("counterexample dump failed: %v", err))
 	}
@@ -386,7 +429,7 @@ func (x *Explorer) emitCounterexample(state *entry, kind CxKind, detail string) 
 		Detail:   detail,
 		Digest:   x.digest,
 		Spec:     x.spec,
-		Schedule: state.schedule,
+		Schedule: state.schedule.slice(),
 		GT:       state.gt,
 		Snap:     state.snap,
 	}
@@ -452,11 +495,11 @@ func (x *Explorer) stillMisses(schedule [][]int) []int64 {
 	if err != nil || len(st.gt) == 0 {
 		return nil
 	}
-	e, err := sim.RestoreEngine(x.cfg, st.snap)
+	e, err := x.restore(&x.aux, st.snap)
 	if err != nil {
 		return nil
 	}
-	defer e.Close()
+	defer func() { e.SetListener(nil) }()
 	detected := false
 	e.SetListener(trace.Func(func(ev trace.Event) {
 		if ev.Kind == trace.KindDeadlock && containsID(st.gt, ev.Msg) {
@@ -501,7 +544,7 @@ func (x *Explorer) writeJournal() error {
 	}
 	js.Frontier = make([]journalEntry, len(x.stack))
 	for i, en := range x.stack {
-		js.Frontier[i] = journalEntry{Schedule: en.schedule, Used: en.used}
+		js.Frontier[i] = journalEntry{Schedule: en.schedule.slice(), Used: en.used}
 	}
 	return checkpoint.WriteFileValue(x.opt.Journal, js)
 }
@@ -515,6 +558,9 @@ func Resume(path string, opt Options) (*Explorer, error) {
 	}
 	x, err := newExplorer(js.Spec, opt)
 	if err != nil {
+		return nil, err
+	}
+	if x.digest, err = sim.ConfigDigest(x.cfg); err != nil {
 		return nil, err
 	}
 	if x.digest != js.Digest {
@@ -545,13 +591,6 @@ func containsID(ids []int64, id int64) bool {
 		}
 	}
 	return false
-}
-
-func appendSchedule(schedule [][]int, inject []int) [][]int {
-	out := make([][]int, len(schedule)+1)
-	copy(out, schedule)
-	out[len(schedule)] = inject
-	return out
 }
 
 func cloneSchedule(s [][]int) [][]int {

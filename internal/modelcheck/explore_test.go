@@ -1,8 +1,11 @@
 package modelcheck
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"wormnet/internal/checkpoint"
@@ -140,6 +143,56 @@ func TestSyntheticMissSelfTest(t *testing.T) {
 	}
 	if injections == 0 || injections > len(cx.Spec.Messages) {
 		t.Errorf("minimized schedule has %d injections (catalog %d)", injections, len(cx.Spec.Messages))
+	}
+}
+
+// TestSchedMatchesSlices pins the linked schedule against the [][]int it
+// replaced: cycle by cycle it materialises to the same slices and to the same
+// journal bytes, and siblings extending one parent do not disturb each other.
+func TestSchedMatchesSlices(t *testing.T) {
+	encode := func(s [][]int) []byte {
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(journalEntry{Schedule: s, Used: 5}); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	var s *sched
+	var want [][]int
+	if s.len() != 0 || !bytes.Equal(encode(s.slice()), encode(nil)) {
+		t.Fatalf("empty schedule: len %d, slice %v", s.len(), s.slice())
+	}
+	for i, inj := range [][]int{{0, 1}, nil, {2}, nil, nil, {3}} {
+		s, want = s.then(inj), append(want, inj)
+		if s.len() != i+1 || !reflect.DeepEqual(s.slice(), want) {
+			t.Fatalf("after %d cycles: len %d, slice %v, want %v", i+1, s.len(), s.slice(), want)
+		}
+		if !bytes.Equal(encode(s.slice()), encode(want)) {
+			t.Fatalf("after %d cycles: journal bytes differ", i+1)
+		}
+	}
+	a, b := s.then([]int{4}), s.then(nil)
+	if got := a.slice(); !reflect.DeepEqual(got[:6], want) || !reflect.DeepEqual(got[6], []int{4}) || b.slice()[6] != nil {
+		t.Fatalf("siblings disturbed each other: %v / %v", a.slice(), b.slice())
+	}
+}
+
+// TestScratchEnginesLiveOnlyDuringRun pins the explorer's engine budget: New
+// builds none beyond the root it materialises, and Run drops the two it
+// restores into.
+func TestScratchEnginesLiveOnlyDuringRun(t *testing.T) {
+	x, err := New(boundedRing(400), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.work != nil || x.aux != nil {
+		t.Fatal("New built a scratch engine")
+	}
+	if _, err := x.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if x.work != nil || x.aux != nil {
+		t.Fatal("Run kept a scratch engine")
 	}
 }
 

@@ -54,9 +54,6 @@ func (r *Report) Failed() bool {
 	return r.FalseNegatives > 0 || r.OracleUnsound > 0 || len(r.Violations) > 0
 }
 
-// finish derives nothing today but keeps a seam for summary fields.
-func (r *Report) finish() {}
-
 // Format renders the report for humans.
 func (r *Report) Format() string {
 	var b strings.Builder

@@ -317,6 +317,9 @@ type Engine struct {
 	aborted int64
 	retried int64
 	dropped int64
+
+	// digest caches ConfigDigest(cfg) from its first use (configDigest).
+	digest string
 }
 
 // New builds a simulation engine from cfg. It validates the configuration

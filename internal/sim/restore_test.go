@@ -1,0 +1,558 @@
+package sim
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"wormnet/internal/baseline"
+	"wormnet/internal/metrics"
+	"wormnet/internal/stats"
+	"wormnet/internal/trace"
+)
+
+// restoreScenario is one configuration of the in-place restore suite, with
+// the cycle the snapshot is taken at and the cycle the reused engine is driven
+// to first.
+type restoreScenario struct {
+	cfg             Config
+	snapAt, dirtyAt int64
+}
+
+// restoreScenarios cover no limiter, ALO over bursty sources, the two
+// stateful limiters, a fault schedule with epoch flips on both sides of the
+// snapshot (and more of them on the reused engine's side, so the liveness
+// masks differ and the candidate table must be rebuilt), and the adversary
+// classes over a flapping link.
+func restoreScenarios() map[string]restoreScenario {
+	eq := equivalenceConfigs()
+	withLimiter := func(name string) Config {
+		c := QuickConfig()
+		c.Rate = 2.0
+		return c.WithLimiter(name, baseline.Factories()[name])
+	}
+	return map[string]restoreScenario{
+		// One cycle apart: the reused engine's push rings were last stamped
+		// with exactly the cycle the restore rewinds the clock to.
+		"none":        {eq["saturated-recovery"], 3000, 3001},
+		"alo-bursty":  {eq["bursty-alo"], 3000, 2100},
+		"lf":          {withLimiter("lf"), 3000, 3700},
+		"dril":        {withLimiter("dril"), 3000, 3700},
+		"faults":      {eq["faults-retry"], 4500, 5100}, // flips at 2200, 3000 | 4800, 6500
+		"adversarial": {eq["adversarial"], 3000, 3700},  // flips at 2000, 2600 | 3400, 4000
+	}
+}
+
+// dirtyEngine builds an engine at the given worker count and drives it down a
+// trajectory of its own, with every attachable observer attached: the state
+// an in-place restore has to shed completely.
+func dirtyEngine(t *testing.T, cfg Config, workers int, until int64) *Engine {
+	t.Helper()
+	cfg.Workers = workers
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	e.EnableMetrics(reg, 64)
+	e.EnableSpans(reg, 4, nil)
+	e.SetListener(&eventTap{})
+	e.SetSampleHook(func(int64) {})
+	e.SetReconfigHook(func(uint64) {})
+	e.Collector().EnableDeliverySeries(100, 50)
+	for e.Now() < until {
+		if e.Now()%500 == 250 && (e.live == nil || e.live.RouterAlive(2)) {
+			e.Inject(2, 9, 5)
+		}
+		e.Step()
+	}
+	e.StopSources()
+	return e
+}
+
+// runOn steps e for n cycles and returns everything observable about where it
+// ended: the summary, the per-class split, the all-time counters, the event
+// stream and the final snapshot.
+func runOn(t *testing.T, e *Engine, n int) (stats.Result, []stats.ClassResult, [6]int64, []trace.Event, *Snapshot) {
+	t.Helper()
+	tap := &eventTap{}
+	e.SetListener(tap)
+	for i := 0; i < n; i++ {
+		e.Step()
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatalf("invariants after %d further cycles: %v", n, err)
+	}
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := [6]int64{e.Generated(), e.Delivered(), e.Recovered(), e.Aborted(), e.Retried(), e.Dropped()}
+	return e.Collector().Result(), e.Collector().ClassResults(), counters, tap.events, snap
+}
+
+// TestRestoreInPlaceEquivalence is the Restore contract: loading snapshot S
+// into an engine that has run a different trajectory gives the engine a fresh
+// RestoreEngine(cfg, S) gives — the same snapshot and canonical hash at once,
+// and the same results, counters, events and state 500 cycles on — whichever
+// worker count took the snapshot and whichever one restores it.
+func TestRestoreInPlaceEquivalence(t *testing.T) {
+	for name, sc := range restoreScenarios() {
+		sc := sc
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			for _, w := range []struct{ snap, restore int }{{1, 2}, {2, 1}, {2, 2}} {
+				snap := snapshotAt(t, sc.cfg, w.snap, sc.snapAt, &eventTap{})
+				cfg := sc.cfg
+				cfg.Workers = w.restore
+				fresh, err := RestoreEngine(cfg, snap)
+				if err != nil {
+					t.Fatalf("%d->%d: fresh restore: %v", w.snap, w.restore, err)
+				}
+				reused := dirtyEngine(t, sc.cfg, w.restore, sc.dirtyAt)
+				if err := reused.Restore(snap); err != nil {
+					t.Fatalf("%d->%d: in-place restore: %v", w.snap, w.restore, err)
+				}
+				if reused.listener != nil || reused.met != nil || reused.metReg != nil ||
+					reused.onSample != nil || reused.spans != nil || reused.onReconfig != nil {
+					t.Errorf("%d->%d: Restore left an observer attached", w.snap, w.restore)
+				}
+				if reused.Collector().DeliverySeries() != nil {
+					t.Errorf("%d->%d: Restore kept a delivery series the snapshot does not carry", w.snap, w.restore)
+				}
+				if err := reused.CheckReconfiguration(); err != nil {
+					t.Errorf("%d->%d: restored routing state: %v", w.snap, w.restore, err)
+				}
+				compareSnapshots(t, reused, fresh)
+
+				// Same liveness masks again: the candidate table must be kept.
+				table := reused.cand
+				if err := reused.Restore(snap); err != nil {
+					t.Fatalf("%d->%d: second in-place restore: %v", w.snap, w.restore, err)
+				}
+				if reused.cand != table {
+					t.Errorf("%d->%d: candidate table rebuilt under unchanged liveness masks", w.snap, w.restore)
+				}
+
+				fRes, fCls, fCnt, fEv, fSnap := runOn(t, fresh, 500)
+				rRes, rCls, rCnt, rEv, rSnap := runOn(t, reused, 500)
+				if rRes != fRes || !reflect.DeepEqual(rCls, fCls) || rCnt != fCnt {
+					t.Errorf("%d->%d: 500 cycles on, results diverged:\n reused %+v %+v %v\n fresh  %+v %+v %v",
+						w.snap, w.restore, rRes, rCls, rCnt, fRes, fCls, fCnt)
+				}
+				if !reflect.DeepEqual(rEv, fEv) {
+					t.Errorf("%d->%d: event streams diverged (%d vs %d events)", w.snap, w.restore, len(rEv), len(fEv))
+				}
+				if !reflect.DeepEqual(rSnap, fSnap) {
+					t.Errorf("%d->%d: final snapshots differ", w.snap, w.restore)
+				}
+				if !sc.cfg.Faults.Empty() && (snap.Epoch == 0 || fresh.Epoch() == snap.Epoch) {
+					t.Errorf("%d->%d: epoch %d at the snapshot, %d after the continuation; want a flip on either side",
+						w.snap, w.restore, snap.Epoch, fresh.Epoch())
+				}
+				fresh.Close()
+				reused.Close()
+			}
+		})
+	}
+}
+
+// compareSnapshots requires two engines to snapshot deep-equal and hash
+// equal.
+func compareSnapshots(t *testing.T, got, want *Engine) {
+	t.Helper()
+	gs, err := got.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := want.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gs, ws) {
+		t.Errorf("snapshots differ after restore")
+	}
+	gh, err := gs.CanonicalHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wh, err := ws.CanonicalHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gh != wh {
+		t.Errorf("canonical hashes differ after restore: %x vs %x", gh[:8], wh[:8])
+	}
+}
+
+// TestRestoreReattach pins what Restore does to an instrumented engine: it
+// detaches metrics and spans like everything else, and re-attaching them the
+// way RestoreEngine's callers do (EnableMetrics, Registry.Restore, then run)
+// ends with the deterministic series of the uninterrupted run.
+func TestRestoreReattach(t *testing.T) {
+	cfg := equivalenceConfigs()["bursty-alo"]
+	const snapAt = 2048
+
+	golden := metrics.NewRegistry()
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.EnableMetrics(golden, 64)
+	var snap *Snapshot
+	for g.Now() < cfg.TotalCycles() {
+		if g.Now() == snapAt {
+			if snap, err = g.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g.Step()
+	}
+	g.FlushMetrics()
+
+	e := dirtyEngine(t, cfg, 1, 3300)
+	if err := e.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	e.EnableMetrics(reg, 64)
+	if err := reg.Restore(snap.Metrics); err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	compareSamples(t, reg, golden)
+}
+
+// TestRestoreDeliverySeriesFollowsSnapshot pins the one piece of collector
+// state a snapshot may or may not carry: a reused engine ends up with the
+// snapshot's delivery series, not the one it was recording (the equivalence
+// suite covers the snapshot carrying none).
+func TestRestoreDeliverySeriesFollowsSnapshot(t *testing.T) {
+	cfg := equivalenceConfigs()["bursty-alo"]
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Collector().EnableDeliverySeries(250, 22)
+	for a.Now() < 900 {
+		a.Step()
+	}
+	snap, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := dirtyEngine(t, cfg, 1, 1300) // records a 100x50 series of its own
+	if err := e.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	got := e.Collector().DeliverySeries()
+	if got == nil || !reflect.DeepEqual(got.State(), a.Collector().DeliverySeries().State()) {
+		t.Fatalf("restored delivery series %+v, want the snapshot's", got)
+	}
+	compareSnapshots(t, e, a)
+}
+
+// TestRestoreConfigMismatchLeavesEngine pins the other failure mode: a
+// snapshot of another configuration is refused before anything is touched.
+func TestRestoreConfigMismatchLeavesEngine(t *testing.T) {
+	cfg := equivalenceConfigs()["bursty-alo"]
+	e := dirtyEngine(t, cfg, 1, 700)
+	before, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := cfg
+	other.Seed++
+	foreign := snapshotAt(t, other, 1, 300, &eventTap{})
+	if err := e.Restore(foreign); !errors.Is(err, ErrSnapshotConfig) {
+		t.Fatalf("got %v, want ErrSnapshotConfig", err)
+	}
+	after, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) || e.met == nil || e.listener == nil {
+		t.Errorf("a refused restore changed the engine")
+	}
+}
+
+// hostileMutations are the semantic corruptions FuzzRestoreInPlace applies: a
+// snapshot that still decodes and has every slice the right shape, but lies.
+// Each returns false when the snapshot offers nothing to corrupt that way.
+var hostileMutations = []func(s *Snapshot, a, b int) bool{
+	func(s *Snapshot, a, b int) bool { // unknown message reference in a buffer
+		vc := &s.Nodes[a%len(s.Nodes)].In[b%len(s.Nodes[0].In)]
+		vc.Flits = append(vc.Flits, SnapFlit{Msg: 1 << 40})
+		return true
+	},
+	func(s *Snapshot, a, b int) bool { // unknown message reference elsewhere
+		n := &s.Nodes[a%len(s.Nodes)]
+		switch b % 5 {
+		case 0:
+			n.Queue = append(n.Queue, -7)
+		case 1:
+			n.OutOwner[b%len(n.OutOwner)] = 1 << 41
+		case 2:
+			n.Inj[0].Msg = 1 << 42
+		case 3:
+			n.Ej[0].Msg = 1 << 43
+		case 4:
+			n.Retry = append(n.Retry, SnapPending{Msg: 1 << 44})
+		}
+		return true
+	},
+	func(s *Snapshot, a, b int) bool { // overflowing buffer
+		for i := range s.Nodes {
+			n := &s.Nodes[(a+i)%len(s.Nodes)]
+			for c := range n.In {
+				if f := n.In[c].Flits; len(f) > 0 {
+					for len(n.In[c].Flits) <= 8+b%8 {
+						n.In[c].Flits = append(n.In[c].Flits, f[0])
+					}
+					return true
+				}
+			}
+		}
+		return false
+	},
+	func(s *Snapshot, a, b int) bool { // bad arbiter pointer
+		n := &s.Nodes[a%len(s.Nodes)]
+		n.ArbNext[b%len(n.ArbNext)] = int32(1000 + b)
+		if b%2 == 0 {
+			n.ArbNext[b%len(n.ArbNext)] = -1
+		}
+		return true
+	},
+	func(s *Snapshot, a, b int) bool { // out-of-range path entry
+		if len(s.Messages) == 0 {
+			return false
+		}
+		m := &s.Messages[a%len(s.Messages)]
+		bad := []SnapPath{{Node: 1 << 20}, {Node: -1}, {Port: 99}, {Port: -1}, {VC: 77}, {VC: -1}}
+		m.Path = append(m.Path, bad[b%len(bad)])
+		return true
+	},
+	func(s *Snapshot, a, b int) bool { // wrong liveness sizes
+		faulty := s.LinksUp != nil // the last two only lie to a fault-capable engine
+		switch b % 4 {
+		case 0:
+			s.LinksUp = append(s.LinksUp, true)
+		case 1:
+			s.RoutersUp = append(s.RoutersUp, false)
+		case 2:
+			s.LinksUp, s.RoutersUp = nil, nil
+			return faulty
+		case 3:
+			s.FaultIdx = -1 - a
+			return faulty
+		}
+		return true
+	},
+	func(s *Snapshot, a, b int) bool { // route naming channels the router lacks
+		n := &s.Nodes[a%len(s.Nodes)]
+		bad := []SnapRoute{{Valid: true, OutPort: 99}, {Valid: true, OutPort: -1}, {Valid: true, OutVC: 50},
+			{Valid: true, Eject: true, EjCh: 9}, {Valid: true, Eject: true, EjCh: -1}}
+		n.In[b%len(n.In)].Route = bad[b%len(bad)]
+		return true
+	},
+	func(s *Snapshot, a, b int) bool { // a routed channel stamped with a foreign epoch
+		for i := range s.Nodes {
+			n := &s.Nodes[(a+i)%len(s.Nodes)]
+			for c := range n.In {
+				if n.In[c].Route.Valid {
+					n.In[c].Route.Epoch ^= 0x5555
+					return true
+				}
+			}
+		}
+		return false
+	},
+	func(s *Snapshot, a, b int) bool { // a phantom flit of a real message in an empty buffer
+		if len(s.Messages) == 0 {
+			return false
+		}
+		for i := range s.Nodes {
+			n := &s.Nodes[(a+i)%len(s.Nodes)]
+			for c := range n.In {
+				if len(n.In[c].Flits) == 0 {
+					n.In[c].Flits = []SnapFlit{{Msg: s.Messages[b%len(s.Messages)].ID}}
+					return true
+				}
+			}
+		}
+		return false
+	},
+	func(s *Snapshot, a, b int) bool { // collector state of another shape
+		switch b % 4 {
+		case 0:
+			s.Stats.Hist.Buckets = s.Stats.Hist.Buckets[:len(s.Stats.Hist.Buckets)/2]
+		case 1:
+			s.Stats.Fairness.Counts = append(s.Stats.Fairness.Counts, 1)
+		case 2:
+			s.Stats.DeliveredSeries = &stats.TimeSeriesState{Interval: int64(a%3) - 1}
+		case 3:
+			if s.Stats.Classes != nil {
+				s.Stats.Classes = nil
+			} else {
+				s.Stats.Classes = &stats.ClassesState{Names: []string{"x"}, ClassOf: make([]uint8, a%40)}
+			}
+		}
+		return true
+	},
+	func(s *Snapshot, a, b int) bool { // per-node words of the wrong kind
+		n := &s.Nodes[a%len(s.Nodes)]
+		switch b % 3 {
+		case 0:
+			n.Gen.PCG = n.Gen.PCG[:len(n.Gen.PCG)/2]
+		case 1:
+			n.Gen.Script = true
+		case 2:
+			if n.Limiter == nil {
+				n.Limiter = []uint64{1, 2, 3}
+			} else {
+				n.Limiter = n.Limiter[:1]
+			}
+		}
+		return true
+	},
+}
+
+// FuzzRestoreInPlace feeds semantically inconsistent snapshots to a reused
+// engine. Every one must come back as ErrSnapshotInvalid — never a panic,
+// never a quietly wrong engine — and must leave nothing behind: the good
+// snapshot restored next has to reproduce its hash and deep-equal a fresh
+// restore, run after run on the same engine.
+func FuzzRestoreInPlace(f *testing.F) {
+	type target struct {
+		cfg  Config
+		good *Snapshot
+		hash [32]byte
+		e    *Engine
+	}
+	var targets []*target
+	for _, name := range []string{"faults", "adversarial", "dril"} {
+		sc := restoreScenarios()[name]
+		t := &target{cfg: sc.cfg}
+		e, err := New(sc.cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for e.Now() < sc.snapAt {
+			e.Step()
+		}
+		if t.good, err = e.Snapshot(); err != nil {
+			f.Fatal(err)
+		}
+		if t.hash, err = t.good.CanonicalHash(); err != nil {
+			f.Fatal(err)
+		}
+		for e.Now() < sc.dirtyAt {
+			e.Step()
+		}
+		t.e = e
+		targets = append(targets, t)
+	}
+	for m := range hostileMutations {
+		for v := 0; v < 6; v++ {
+			f.Add(uint8(v), uint8(m), uint16(7*v+m), uint16(v))
+		}
+	}
+	f.Fuzz(func(t *testing.T, which, mutation uint8, a, b uint16) {
+		tg := targets[int(which)%len(targets)]
+		bad := gobRoundTrip(t, tg.good)
+		if !hostileMutations[int(mutation)%len(hostileMutations)](bad, int(a), int(b)) {
+			t.Skip("nothing to corrupt this way")
+		}
+		if err := tg.e.Restore(bad); !errors.Is(err, ErrSnapshotInvalid) {
+			t.Fatalf("hostile snapshot: got %v, want ErrSnapshotInvalid", err)
+		}
+		if tg.e.Now() != 0 || tg.e.InFlight() != 0 {
+			t.Fatalf("failed restore left cycle %d, %d in flight; want a reset engine", tg.e.Now(), tg.e.InFlight())
+		}
+		if err := tg.e.Restore(tg.good); err != nil {
+			t.Fatalf("good snapshot after a hostile one: %v", err)
+		}
+		snap, err := tg.e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, err := snap.CanonicalHash(); err != nil || h != tg.hash {
+			t.Fatalf("good snapshot hashes %x after a hostile one, want %x (err %v)", h[:8], tg.hash[:8], err)
+		}
+		if !reflect.DeepEqual(snap, tg.good) {
+			t.Fatalf("state leaked from the hostile snapshot into the next restore")
+		}
+	})
+}
+
+// modelEngine is the model checker's engine — the 2-ary 2-cube with two
+// opposing 6-flit worms under way — plus a snapshot of it.
+func modelEngine(t *testing.T) (*Engine, *Snapshot) {
+	t.Helper()
+	cfg := tinyManualConfig()
+	cfg.MsgLen = 6
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Inject(0, 3, 6)
+	e.Inject(3, 0, 6)
+	for i := 0; i < 6; i++ {
+		e.Step()
+	}
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, snap
+}
+
+// TestRestoreAllocCeiling pins the per-state cost the explorer pays: one
+// in-place Restore, one Snapshot and one CanonicalHash of the model engine.
+// The ceiling has a little headroom over the measured 62; building an engine
+// per restore, or a digest per snapshot, costs several times as much.
+func TestRestoreAllocCeiling(t *testing.T) {
+	e, snap := modelEngine(t)
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := e.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		s, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.CanonicalHash(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const ceiling = 70
+	if allocs > ceiling {
+		t.Errorf("Restore+Snapshot+CanonicalHash: %.0f allocations, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestConfigDigestComputedOnce pins that an engine builds its config digest
+// once: every snapshot carries the very same string (same backing bytes, so
+// Manifest was not walked again), it equals the exported ConfigDigest, and
+// asking again allocates nothing.
+func TestConfigDigestComputedOnce(t *testing.T) {
+	e, first := modelEngine(t)
+	second, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ConfigDigest(e.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Config != want || second.Config != want {
+		t.Fatalf("snapshot digests %q / %q, ConfigDigest says %q", first.Config, second.Config, want)
+	}
+	if unsafe.StringData(first.Config) != unsafe.StringData(second.Config) {
+		t.Errorf("second snapshot rebuilt the config digest")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = e.configDigest() }); n != 0 {
+		t.Errorf("configDigest allocates %.0f times per call once computed", n)
+	}
+}

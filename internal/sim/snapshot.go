@@ -231,16 +231,21 @@ func loadRoute(s SnapRoute) routeInfo {
 	return routeInfo{valid: s.Valid, eject: s.Eject, outPort: topology.Port(s.OutPort), outVC: s.OutVC, ejCh: s.EjCh, epoch: s.Epoch}
 }
 
+// routeInRange reports whether a serialized route names channels the router
+// has; load refuses the rest before anything indexes by them.
+func (e *Engine) routeInRange(s SnapRoute) bool {
+	if s.Eject {
+		return !s.Valid || s.EjCh >= 0 && int(s.EjCh) < e.cfg.EjChannels
+	}
+	return !s.Valid || s.OutPort >= 0 && int(s.OutPort) < e.numPhys && s.OutVC >= 0 && int(s.OutVC) < e.cfg.VCs
+}
+
 // Snapshot captures the engine's complete state. It must be called between
 // Step calls (never from inside a listener or sample hook). The engine is
 // not modified; the returned snapshot shares nothing with it.
 func (e *Engine) Snapshot() (*Snapshot, error) {
-	digest, err := ConfigDigest(e.cfg)
-	if err != nil {
-		return nil, err
-	}
 	s := &Snapshot{
-		Config:         digest,
+		Config:         e.configDigest(),
 		Now:            e.now,
 		NextID:         int64(e.nextID),
 		Generated:      e.generated,
@@ -415,35 +420,114 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	return s, nil
 }
 
+// configDigest returns ConfigDigest(e.cfg), built on first use and kept: the
+// configuration is immutable after New, and the string is costly to rebuild.
+func (e *Engine) configDigest() string {
+	if e.digest == "" {
+		// cfg passed validate in New, the only way ConfigDigest fails.
+		e.digest, _ = ConfigDigest(e.cfg)
+	}
+	return e.digest
+}
+
 // RestoreEngine builds a fresh engine from cfg and loads snap into it,
 // returning an engine that continues the snapshotted run bit-identically.
 // cfg must describe the same run as the snapshotting engine's config
-// (ConfigDigest equality); only Workers may differ. Trace listeners, metrics
-// and sample hooks are not restored — re-attach them on the returned engine
-// (and Registry.Restore snap.Metrics after EnableMetrics to continue
-// mirrored totals).
+// (ConfigDigest equality); only Workers may differ. It is exactly New
+// followed by Restore.
 func RestoreEngine(cfg Config, snap *Snapshot) (*Engine, error) {
 	e, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	digest, err := ConfigDigest(e.cfg)
-	if err != nil {
-		return nil, err
-	}
-	if digest != snap.Config {
-		e.Close()
-		return nil, fmt.Errorf("%w: snapshot taken with config %q, restoring into %q",
-			ErrSnapshotConfig, snap.Config, digest)
-	}
-	if err := e.load(snap); err != nil {
+	if err := e.Restore(snap); err != nil {
 		e.Close()
 		return nil, err
 	}
 	return e, nil
 }
 
-// load populates a freshly constructed engine from snap.
+// Restore loads snap into e in place, between Step calls, whatever e has run
+// so far: afterwards e is indistinguishable from RestoreEngine(e.Config(),
+// snap). Listener, metrics, sample hook, spans and reconfiguration hook are
+// detached, as on a fresh engine — re-attach them afterwards (Registry.Restore
+// snap.Metrics after EnableMetrics continues mirrored totals). A config
+// mismatch (ErrSnapshotConfig) leaves e untouched; an invalid snapshot
+// (ErrSnapshotInvalid) leaves it reset: empty, to be restored before stepping.
+func (e *Engine) Restore(snap *Snapshot) error {
+	if d := e.configDigest(); d != snap.Config {
+		return fmt.Errorf("%w: snapshot taken with config %q, restoring into %q",
+			ErrSnapshotConfig, snap.Config, d)
+	}
+	e.reset()
+	if err := e.load(snap); err != nil {
+		e.reset()
+		return err
+	}
+	return nil
+}
+
+// reset empties the engine in place, back to what New leaves behind (on a new
+// engine it changes nothing): cycle 0, no messages anywhere, nothing attached.
+// It covers the durable router state and all that derives from it. What load
+// overwrites wholesale — liveness and the candidate table that follows it,
+// generator, limiter, blockage, arbiter and collector words — is left alone,
+// as is the message pool, whose contents are unobservable.
+func (e *Engine) reset() {
+	e.now, e.nextID, e.faultIdx, e.epoch = 0, 0, 0, 0
+	e.generated, e.delivered, e.recovered, e.aborted, e.retried, e.dropped = 0, 0, 0, 0, 0, 0
+	e.sourcesStopped = false
+	e.moves = e.moves[:0]
+	e.listener, e.onReconfig, e.spans = nil, nil, nil
+	e.met, e.metReg, e.onSample = nil, nil, nil
+	e.col.DropDeliverySeries() // load brings back the snapshot's, if any
+	allVCs := uint32(1)<<uint(e.cfg.VCs) - 1
+	for i := range e.nodes {
+		nd := &e.nodes[i]
+		for c := range nd.in {
+			for !nd.in[c].buf.Empty() {
+				nd.in[c].buf.Pop()
+			}
+			nd.in[c].owner, nd.in[c].dst = nil, 0
+			nd.routes[c] = routeInfo{}
+			nd.swDesc[c] = 0
+			nd.outVCs[c].Release()
+			nd.lastTx[c] = -1
+		}
+		for p := range nd.freeMask {
+			nd.freeMask[p], nd.inEmpty[p] = allVCs, allVCs
+			nd.inFull[p], nd.routed[p], nd.fresh[p] = 0, 0, 0
+		}
+		nd.freshInj = 0
+		clear(nd.inj)
+		clear(nd.ej)
+		nd.occVCs, nd.busyInj = 0, 0
+		nd.queue.Clear()
+		clear(nd.recovery)
+		nd.recovery = nd.recovery[:0]
+		clear(nd.retry)
+		nd.retry = nd.retry[:0]
+	}
+	if e.par != nil {
+		e.par.reset()
+	}
+}
+
+// reset clears what the sharded runtime carries between cycles. The ring stamps
+// encode the cycle: a restore may rewind the clock to one a consumer has seen.
+func (p *parRuntime) reset() {
+	for i := range p.rings {
+		p.rings[i].pub.Store(0)
+		p.rings[i].seen = 0
+	}
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.moves = sh.moves[:0]
+		sh.busyNS, sh.ringMax, sh.ringPushes = 0, 0, 0
+	}
+}
+
+// load populates a reset engine from snap.
 func (e *Engine) load(snap *Snapshot) error {
 	nVC := e.numPhys * e.cfg.VCs
 	if len(snap.Nodes) != len(e.nodes) {
@@ -467,22 +551,25 @@ func (e *Engine) load(snap *Snapshot) error {
 			return fmt.Errorf("%w: liveness masks sized %d/%d, want %d/%d",
 				ErrSnapshotInvalid, len(snap.LinksUp), len(snap.RoutersUp), len(e.nodes)*nPorts, len(e.nodes))
 		}
-		for n := range e.nodes {
-			id := topology.NodeID(n)
-			e.live.SetRouter(id, snap.RoutersUp[n])
-			for p := 0; p < nPorts; p++ {
-				e.live.SetLink(id, topology.Port(p), snap.LinksUp[n*nPorts+p])
-			}
-		}
 		if snap.FaultIdx < 0 || snap.FaultIdx > len(e.faultEvents) {
 			return fmt.Errorf("%w: fault index %d of %d events", ErrSnapshotInvalid, snap.FaultIdx, len(e.faultEvents))
 		}
 		e.faultIdx = snap.FaultIdx
 		e.epoch = snap.Epoch
-		// The candidate table built at construction assumed an all-alive
-		// mask; rebuild it under the restored liveness so routing decisions
-		// continue exactly where the snapshotted engine left off.
-		e.cand = buildCandTable(e.alg, e.topo.Nodes())
+		changed := false
+		for n := range e.nodes {
+			id := topology.NodeID(n)
+			changed = e.live.SetRouter(id, snap.RoutersUp[n]) || changed
+			for p := 0; p < nPorts; p++ {
+				changed = e.live.SetLink(id, topology.Port(p), snap.LinksUp[n*nPorts+p]) || changed
+			}
+		}
+		// The candidate table is a pure function of the liveness mask and
+		// always matches the engine's current one (all-alive after New,
+		// rebuilt at every epoch flip): rebuild it only if the mask moved.
+		if changed {
+			e.cand = buildCandTable(e.alg, e.topo.Nodes())
+		}
 	} else if len(snap.LinksUp) != 0 || len(snap.RoutersUp) != 0 {
 		return fmt.Errorf("%w: snapshot carries liveness state but faults are off", ErrSnapshotInvalid)
 	}
@@ -568,6 +655,9 @@ func (e *Engine) load(snap *Snapshot) error {
 				ivc.owner = owner
 				ivc.dst = owner.Dst
 			}
+			if !e.routeInRange(sv.Route) {
+				return fmt.Errorf("%w: node %d vc %d route out of range", ErrSnapshotInvalid, i, c)
+			}
 			if sv.Route.Valid {
 				r := loadRoute(sv.Route)
 				nd.routes[c] = r
@@ -599,6 +689,9 @@ func (e *Engine) load(snap *Snapshot) error {
 			m, err := get(si.Msg)
 			if err != nil {
 				return err
+			}
+			if !e.routeInRange(si.Route) {
+				return fmt.Errorf("%w: node %d inj %d route out of range", ErrSnapshotInvalid, i, j)
 			}
 			nd.inj[j] = injChannel{
 				msg:   m,
@@ -697,6 +790,15 @@ func (e *Engine) load(snap *Snapshot) error {
 		}
 	}
 
+	// Class accounting follows the adversary config: a collector must never
+	// adopt it from a snapshot, or it would outlive this load. Refuse that
+	// and the class-map and series shapes Restore would index or build by.
+	st := &snap.Stats
+	if (st.Classes != nil) != e.cfg.Adversary.Enabled() ||
+		(st.Classes != nil && len(st.Classes.ClassOf) != len(e.nodes)) ||
+		(st.DeliveredSeries != nil && (st.DeliveredSeries.Interval < 1 || len(st.DeliveredSeries.Buckets) < 1)) {
+		return fmt.Errorf("%w: collector state does not fit this engine", ErrSnapshotInvalid)
+	}
 	if err := e.col.Restore(snap.Stats); err != nil {
 		return fmt.Errorf("%w: %v", ErrSnapshotInvalid, err)
 	}

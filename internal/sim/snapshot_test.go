@@ -278,8 +278,15 @@ func TestSnapshotMetricsContinuity(t *testing.T) {
 	}
 	e2.Run()
 
-	want := deterministicSamples(goldenReg.Snapshot())
-	got := deterministicSamples(reg.Snapshot())
+	compareSamples(t, reg, goldenReg)
+}
+
+// compareSamples requires the deterministic series of two registries to be
+// equal, sample by sample.
+func compareSamples(t *testing.T, gotReg, wantReg *metrics.Registry) {
+	t.Helper()
+	want := deterministicSamples(wantReg.Snapshot())
+	got := deterministicSamples(gotReg.Snapshot())
 	if len(got) != len(want) {
 		t.Fatalf("metric inventories differ: %d vs %d deterministic samples", len(got), len(want))
 	}

@@ -258,6 +258,9 @@ func (c *Collector) EnableDeliverySeries(interval int64, n int) *TimeSeries {
 	return c.deliveredSeries
 }
 
+// DropDeliverySeries stops recording the delivery series and forgets it.
+func (c *Collector) DropDeliverySeries() { c.deliveredSeries = nil }
+
 // DeliverySeries returns the per-interval delivered-flit series, or nil if
 // not enabled.
 func (c *Collector) DeliverySeries() *TimeSeries { return c.deliveredSeries }
