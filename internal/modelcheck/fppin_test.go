@@ -1,6 +1,9 @@
 package modelcheck
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestFalsePositivePin pins FC3D's exact verdict counts on the ring model
 // at a fixed 8000-state budget — the regression fingerprint of the
@@ -52,6 +55,34 @@ func TestFalsePositivePin(t *testing.T) {
 	}
 }
 
+// exhaustTwoWorm exhausts the CI-pinned model — the 2-ary 2-cube with two
+// opposing diagonal worms, 40-cycle horizon — on engines of the given worker
+// count and returns the report.
+func exhaustTwoWorm(t *testing.T, workers int) *Report {
+	t.Helper()
+	spec := DefaultSpec()
+	spec.Messages = spec.Messages[:2] // 0->3 and 3->0
+	spec.MaxCycles = 40
+	spec.MaxStates = 25000
+	x, err := New(spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x.cfg.Workers = workers // the config digest excludes the worker count
+	rep, err := x.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed() {
+		t.Fatalf("workers=%d: exploration failed:\n%s", workers, rep.Format())
+	}
+	if !rep.Exhausted || rep.BudgetTruncated {
+		t.Fatalf("workers=%d: state space not exhausted: %d states, budget-truncated=%v",
+			workers, rep.States, rep.BudgetTruncated)
+	}
+	return rep
+}
+
 // TestExhaustiveTwoWormModel pins the one fully exhausted state space in
 // the suite: the 2-ary 2-cube with two opposing diagonal worms has exactly
 // 18 921 reachable states within the 40-cycle horizon, every one visited
@@ -61,28 +92,30 @@ func TestExhaustiveTwoWormModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full exhaustion is covered by the CI modelcheck-smoke job")
 	}
-	spec := DefaultSpec()
-	spec.Messages = spec.Messages[:2] // 0->3 and 3->0
-	spec.MaxCycles = 40
-	spec.MaxStates = 25000
-	x, err := New(spec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := x.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed() {
-		t.Fatalf("exploration failed:\n%s", rep.Format())
-	}
-	if !rep.Exhausted || rep.BudgetTruncated {
-		t.Fatalf("state space not exhausted: %d states, budget-truncated=%v", rep.States, rep.BudgetTruncated)
-	}
+	rep := exhaustTwoWorm(t, 1)
 	if rep.States != 18921 {
 		t.Errorf("exhausted space has %d states, pinned 18921", rep.States)
 	}
 	if rep.DeadlockStates != 0 {
 		t.Errorf("%d deadlock states in the 2-ary 2-cube; both-directions-minimal escape should prevent all", rep.DeadlockStates)
+	}
+}
+
+// TestExhaustiveTwoWormModelSharded exhausts the same model on two-shard
+// engines (two 2-node shards: the push rings, the deferred commits and the
+// in-place Restore of a sharded runtime run on every one of the states), so
+// the exhaustion certifies the sharded schedule and not only its one-shard
+// case: the same canonical states, edges, verdict and probe counts.
+func TestExhaustiveTwoWormModelSharded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full exhaustions")
+	}
+	one, two := exhaustTwoWorm(t, 1), exhaustTwoWorm(t, 2)
+	if two.States != 18921 || two.Edges != 18920 {
+		t.Errorf("workers=2 exhausted %d states over %d edges, pinned 18921 over 18920", two.States, two.Edges)
+	}
+	one.Spec, two.Spec = Spec{}, Spec{} // slices: compared through the counts below
+	if fmt.Sprintf("%+v", *one) != fmt.Sprintf("%+v", *two) {
+		t.Errorf("reports differ between worker counts:\n workers=1 %+v\n workers=2 %+v", *one, *two)
 	}
 }

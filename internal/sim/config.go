@@ -117,12 +117,13 @@ type Config struct {
 	Seed uint64
 
 	// Workers is the number of goroutines the engine shards each cycle
-	// across. 0 and 1 select the serial path; higher values partition the
-	// node arenas into Workers contiguous shards and run the engine phases
-	// shard-parallel with barriers in between. Results are bit-identical to
-	// serial for any worker count (see TestGoldenParallelEquivalence); an
-	// engine with Workers > 1 owns background goroutines and should be
-	// released with Engine.Close when the run is done.
+	// across. 0 and 1 run the cycle schedule over one shard on the calling
+	// goroutine; higher values partition the node arenas into Workers
+	// contiguous shards and run the same schedule shard-parallel with
+	// barriers in between. Results are bit-identical for any worker count
+	// (see TestGoldenParallelEquivalence); an engine with Workers > 1 owns
+	// background goroutines and should be released with Engine.Close when
+	// the run is done.
 	Workers int
 }
 

@@ -2,18 +2,21 @@ package sim
 
 import (
 	"math/bits"
+	"time"
 
 	"wormnet/internal/message"
 	"wormnet/internal/topology"
-	"wormnet/internal/trace"
 )
 
 // Step advances the simulation by one cycle, running the five phases in
 // order: generation, injection, virtual-channel allocation (with deadlock
-// detection), switch allocation, and flit movement. When fault injection
-// is active a fault phase runs first, applying scheduled failures at the
-// cycle boundary; without a fault schedule the extra phase reduces to one
-// nil check and the cycle is exactly the seed simulator's.
+// detection), switch allocation, and flit movement — as the sections and
+// commit points of the cycle schedule (parallel.go), over however many
+// shards the engine has. When fault injection is active, scheduled failures
+// apply first, serially at the cycle boundary (they are rare and inherently
+// global — teardowns cross shards), so a failure at cycle t is visible to
+// every decision of cycle t; without a fault schedule that reduces to one
+// nil check.
 //
 // Every phase is active-set scheduled: nodes with no buffered flits, no
 // streaming injection channel and no pending source work are skipped
@@ -22,168 +25,52 @@ import (
 // have changed any state, including arbiter pointers — so results are
 // bit-for-bit identical to exhaustive iteration (see TestGoldenDeterminism).
 func (e *Engine) Step() {
-	if e.par != nil {
-		e.stepParallel()
-		return
-	}
-	if e.metricsSampled() {
-		// Sampling cycles run the identical phases with per-phase timers
-		// and a gauge sample appended (metrics.go); results are unchanged.
-		e.stepSerialSampled()
-		e.now++
-		return
+	p := e.par
+	// Latch the sampling decision for the shards before any worker wakes:
+	// the channel send (or the inline call) orders the store. Sampled
+	// cycles run the identical schedule with the cycle clocks on and a
+	// gauge sample appended (metrics.go); results are unchanged.
+	p.sampled = e.metricsSampled()
+	var t0 time.Time
+	if p.sampled {
+		t0 = time.Now()
 	}
 	if e.live != nil {
-		e.phaseFaults()
+		e.applyDueFaults()
 	}
-	e.phaseGenerate()
-	e.phaseInject()
-	e.phaseAllocate()
-	e.phaseSwitch()
-	e.phaseMove()
+	if p.inline {
+		e.cycleInline(p)
+	} else {
+		// All shards — the caller acting as shard 0 — execute the cycle in
+		// lockstep; the final barrier doubles as the completion signal.
+		for _, ch := range p.wake {
+			ch <- struct{}{}
+		}
+		e.cycleShard(p, 0)
+	}
 	if e.met != nil {
-		e.met.flits.Add(int64(len(e.moves)))
+		e.recordCycle(p, t0)
 	}
 	e.now++
 }
 
-// phaseGenerate polls every node's traffic source and appends fresh
-// messages to the source queues. Nodes whose source cannot fire yet
-// (cached NextAt) are skipped without touching the source.
-func (e *Engine) phaseGenerate() {
-	if e.sourcesStopped {
-		return
-	}
-	for i := range e.nodes {
-		nd := &e.nodes[i]
-		if e.now < nd.nextGen {
-			continue // Poll is guaranteed a no-op before nextGen
-		}
-		if e.live != nil && !e.live.RouterAlive(nd.id) {
-			continue // a dead router generates nothing
-		}
-		e.genScratch = nd.src.Poll(e.now, e.genScratch[:0])
-		nd.nextGen = nd.src.NextAt()
-		for _, g := range e.genScratch {
-			m := e.newMessage(nd.id, g.Dst, g.Length)
-			m.Measured = e.col.OnGenerated(e.now, int(nd.id))
-			nd.queue.Push(m)
-			e.emit(trace.KindGenerated, m, nd.id)
-		}
-	}
-}
-
-// phaseInject runs the per-node limiter tick, then assigns free injection
-// channels: recovered messages first (they bypass the limiter — draining
-// them relieves the congestion that deadlocked them), then source-queue
-// messages in FIFO order, each gated by the injection limiter. A denied
-// queue head blocks the messages behind it, preserving the paper's
-// "pending messages have higher priority than newer ones".
-func (e *Engine) phaseInject() {
-	for i := range e.nodes {
-		nd := &e.nodes[i]
-		if e.live != nil {
-			if !e.live.RouterAlive(nd.id) {
-				continue // a dead router injects nothing
-			}
-			// Shed head-of-line messages whose destination router died:
-			// they can never be delivered, and letting them enter would
-			// only wedge traffic near the failure.
-			for len(nd.recovery) > 0 && nd.recovery[0].readyAt <= e.now &&
-				!e.live.RouterAlive(nd.recovery[0].msg.Dst) {
-				m := nd.recovery[0].msg
-				nd.recovery[0] = pendingRecovery{}
-				nd.recovery = nd.recovery[1:]
-				e.drop(m, nd.id, message.DropUnreachable)
-			}
-			for !nd.queue.Empty() && !e.live.RouterAlive(nd.queue.Front().Dst) {
-				e.drop(nd.queue.PopFront(), nd.id, message.DropUnreachable)
-			}
-		}
-		// Nothing to tick and nothing to inject: skip. Limiters with a
-		// per-cycle hook (DRIL's window counter) must tick every cycle, so
-		// their nodes never take this fast path.
-		if nd.limObs == nil && nd.queue.Empty() && len(nd.recovery) == 0 {
-			continue
-		}
-		if nd.limObs != nil {
-			nd.limObs.Tick(nd.view, e.now)
-		}
-		for c := range nd.inj {
-			ic := &nd.inj[c]
-			if ic.msg != nil {
-				continue
-			}
-			if len(nd.recovery) > 0 && nd.recovery[0].readyAt <= e.now {
-				ic.msg = nd.recovery[0].msg
-				nd.recovery[0] = pendingRecovery{}
-				nd.recovery = nd.recovery[1:]
-				ic.msg.State = message.StateInjecting
-				ic.route = routeInfo{}
-				ic.left = int32(ic.msg.Length)
-				ic.len = ic.left
-				ic.dst = ic.msg.Dst
-				nd.busyInj++
-				if e.spans != nil {
-					e.spanClaim(ic.msg, nd.id)
-				}
-				continue
-			}
-			if nd.queue.Empty() {
-				continue
-			}
-			m := nd.queue.Front()
-			// Rogue nodes (Config.Adversary) never consult the limiter:
-			// bypassing it is the whole attack.
-			if !nd.rogue && !nd.limiter.Allow(nd.view, m.Dst) {
-				if e.met != nil {
-					e.noteDeny(nd, m.Dst)
-				}
-				if e.spans != nil {
-					e.spanDeny(nd, m)
-				}
-				e.emit(trace.KindThrottled, m, nd.id)
-				break // FIFO: do not bypass a throttled queue head
-			}
-			if e.met != nil {
-				e.met.admitted.Inc()
-			}
-			nd.queue.PopFront()
-			ic.msg = m
-			ic.route = routeInfo{}
-			ic.left = int32(m.Length)
-			ic.len = ic.left
-			ic.dst = m.Dst
-			nd.busyInj++
-			m.State = message.StateInjecting
-			if e.spans != nil {
-				e.spanClaim(m, nd.id)
-			}
-		}
-	}
-}
-
-// phaseAllocate routes header flits: every input virtual channel whose
-// front flit is an unrouted header executes the routing function and tries
-// to claim an output virtual channel (or an ejection channel at the
-// destination); injection channels do the same for messages about to enter
-// the network. Headers that fail allocation feed the deadlock detector.
+// allocRange runs the allocation phase for nodes [lo, hi): every input
+// virtual channel whose front flit is an unrouted header executes the
+// routing function and tries to claim an output virtual channel (or an
+// ejection channel at the destination); injection channels do the same for
+// messages about to enter the network. Headers that fail allocation feed the
+// deadlock detector.
+//
+// Every read outside the node itself — neighbour empty-status words, the
+// candidate table — is stable for the duration of the phase, and every write
+// lands on the node's own state, so disjoint ranges commute (see
+// parallel.go for the full argument, including why recovery and fault kills
+// never run while several shards allocate).
 //
 // The rotating start index is derived from the cycle counter rather than
 // stored per node: the per-node pointer advanced by exactly one every
 // cycle regardless of activity, so it always equalled now % nAgents —
 // deriving it makes skipping idle nodes free of state drift.
-func (e *Engine) phaseAllocate() {
-	e.allocRange(0, len(e.nodes))
-}
-
-// allocRange runs the allocation phase for nodes [lo, hi). It is the whole
-// phase on the serial path and one shard's slice of it on the parallel path:
-// every read outside the node itself — neighbour empty-status words, the
-// candidate table — is stable for the duration of the phase, and every write
-// lands on the node's own state, so disjoint ranges commute (see
-// parallel.go for the full argument, including why recovery and fault kills
-// never run inside a parallel allocation phase).
 func (e *Engine) allocRange(lo, hi int) {
 	nVC := e.numPhys * e.cfg.VCs
 	start := int(e.now % int64(nVC))
@@ -407,20 +294,13 @@ func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID) (ro
 	return routeInfo{valid: true, outPort: bestPort, outVC: bestVC, epoch: uint16(e.epoch)}, true, true, false
 }
 
-// phaseSwitch performs separable switch allocation per node — at most one
-// flit per input port and per output port per cycle, round-robin at both
-// stages — and plans the cycle's flit moves against start-of-cycle buffer
-// state.
-func (e *Engine) phaseSwitch() {
-	e.moves = e.switchRange(0, len(e.nodes), e.reqsFlat, e.moves[:0])
-}
-
-// switchRange runs switch allocation for nodes [lo, hi), appending the
-// planned moves to moves and returning it. reqsFlat is the caller's request
-// scratch (the engine's own on the serial path, per-shard on the parallel
-// path, where concurrent shards must not share it). Arbiters and status
-// words are all per-node state; the only outside reads are the downstream
-// full-status words, which no one writes during the phase.
+// switchRange performs separable switch allocation for nodes [lo, hi) — at
+// most one flit per input port and per output port per cycle, round-robin at
+// both stages — and plans the cycle's flit moves against start-of-cycle
+// buffer state, appending them to moves and returning it. reqsFlat is the
+// calling shard's request scratch (concurrent shards must not share it).
+// Arbiters and status words are all per-node state; the only outside reads
+// are the downstream full-status words, which no one writes during the phase.
 func (e *Engine) switchRange(lo, hi int, reqsFlat []int32, moves []move) []move {
 	// Hot engine state hoisted into locals: the loop bodies below call no
 	// function that could change any of it, and keeping the values out of
@@ -432,7 +312,7 @@ func (e *Engine) switchRange(lo, hi int, reqsFlat []int32, moves []move) []move 
 	fullArena := e.fullArena
 	// reqLen[o] counts the requests collected for output port o of the node
 	// currently under allocation; the requests themselves sit in the flat
-	// per-engine scratch at reqsFlat[o*nAgents:], each packed as
+	// per-shard scratch at reqsFlat[o*nAgents:], each packed as
 	// agent<<16 | outVC<<8 | crossbar-input-port. Port and output VC are
 	// known for free at collection time, so the grant stage below runs on
 	// the packed words alone — no route or injection-channel loads per
@@ -547,126 +427,6 @@ func (e *Engine) switchRange(lo, hi int, reqsFlat []int32, moves []move) []move 
 		}
 	}
 	return moves
-}
-
-// The credit condition for a forward move is that the receiving
-// virtual-channel buffer (node.down[port*VCs+vc]) has a slot free at the
-// start of the cycle: a one-cycle credit loop. Each buffer has a single
-// upstream sender and one grant per output port, so the check is exact.
-
-// phaseMove applies the planned flit transfers: pops from input buffers or
-// injection channels, pushes into downstream buffers or ejection sinks, and
-// performs all the bookkeeping that head and tail flits trigger (channel
-// release, path tracking, delivery accounting, active-set counters).
-func (e *Engine) phaseMove() {
-	// Hot engine state hoisted into locals (no callee below mutates any of
-	// it), so the compiler need not reload the fields across calls.
-	vcs := e.cfg.VCs
-	nVC := e.numPhys * vcs
-	now := e.now
-	portTab := e.portTab
-	vcBit := e.vcBit
-	vcOf := e.vcOf
-	emptyArena := e.emptyArena
-	fullArena := e.fullArena
-	for _, mv := range e.moves {
-		nd := &e.nodes[mv.node]
-		var flit message.Flit
-
-		if a := int(mv.agent); a < nVC {
-			ivc := &nd.in[a]
-			flit = ivc.buf.Pop()
-			p := portTab[a]
-			bit := vcBit[a]
-			nd.inFull[p] &^= bit
-			if ivc.buf.Empty() {
-				nd.inEmpty[p] |= bit
-				nd.occVCs--
-			}
-			if flit.Tail {
-				nd.routes[a] = routeInfo{}
-				nd.routed[p] &^= bit
-				nd.blocked.Progress(a)
-				e.removePathLoc(flit.Msg, pathLoc{
-					Node: nd.id, Port: topology.Port(p), VC: vcOf[a],
-				})
-			}
-		} else {
-			// The flit is built from the channel's cached counters, and the
-			// message's FlitsSent is settled when the tail leaves: body
-			// flits never touch the (cold) message struct.
-			ic := &nd.inj[a-nVC]
-			m := ic.msg
-			seq := ic.len - ic.left
-			flit = message.Flit{Msg: m, Seq: seq, Head: seq == 0, Tail: ic.left == 1}
-			ic.left--
-			if flit.Head && m.InjectTime < 0 {
-				m.InjectTime = now
-				e.col.OnInjected(int(nd.id), now)
-				e.emit(trace.KindInjected, m, nd.id)
-				if e.spans != nil {
-					e.spanInject(m)
-				}
-			}
-			if flit.Tail {
-				m.FlitsSent = int(ic.len)
-				ic.msg = nil
-				ic.route = routeInfo{}
-				nd.busyInj--
-				m.State = message.StateInNetwork
-			}
-		}
-
-		m := flit.Msg
-		if mv.eject {
-			// Body flits charge the ejection channel's pending counter;
-			// the message is debited once, when the tail arrives — so
-			// consuming a flit touches only this hot little struct.
-			ej := &nd.ej[mv.ejCh]
-			if !flit.Tail {
-				ej.pending++
-				continue
-			}
-			m.FlitsEjected += int(ej.pending) + 1
-			ej.pending = 0
-			ej.msg = nil
-			m.State = message.StateDelivered
-			m.DeliverTime = now
-			e.delivered++
-			m.Path = m.Path[:0]
-			e.col.OnDelivered(now, m.GenTime, m.InjectTime, m.Length, m.Measured, int(m.Src))
-			e.emit(trace.KindDelivered, m, nd.id)
-			if e.spans != nil {
-				e.spanDeliver(m)
-			}
-			e.releaseMessage(m)
-			continue
-		}
-
-		nd.lastTx[int(mv.outPort)*vcs+int(mv.outVC)] = now
-		bit := uint32(1) << uint(mv.outVC)
-		if flit.Tail && nd.out[mv.outPort].VCs[mv.outVC].ReleaseIfOwner(m) {
-			nd.freeMask[mv.outPort] |= bit
-		}
-		dvc := nd.down[int(mv.outPort)*vcs+int(mv.outVC)]
-		if dvc.buf.Empty() {
-			nd.nbr[mv.outPort].occVCs++
-			emptyArena[nd.downWord[mv.outPort]] &^= bit
-		}
-		if flit.Head {
-			// The buffer holds one message at a time, so the owner/dst
-			// caches only need (re-)writing when a new head moves in.
-			dvc.owner = m
-			dvc.dst = m.Dst
-			if e.spans != nil {
-				e.spanHopArrive(m, nd.nbr[mv.outPort].id)
-			}
-		}
-		dvc.buf.Push(flit)
-		if dvc.buf.Full() {
-			fullArena[nd.downWord[mv.outPort]] |= bit
-		}
-	}
 }
 
 // removePathLoc drops one location from a message's tracked path. The tail

@@ -233,15 +233,6 @@ type Engine struct {
 	// callers may keep pointers to them.
 	pool []*message.Message
 
-	// moves is the per-cycle plan, rebuilt each cycle.
-	moves []move
-	// reqsFlat is the switch-allocation scratch of the node currently being
-	// arbitrated (reused across nodes and cycles): the requester list for
-	// output port o occupies reqsFlat[o*agentCount():], with the live
-	// lengths kept in a stack array inside phaseSwitch. One flat array
-	// avoids the per-port slice headers and stamp bookkeeping.
-	reqsFlat []int32
-
 	// emptyArena and fullArena are the dense input-buffer status words of
 	// the whole network: every node's inEmpty/inFull slices are subslices
 	// of them, and a node reaches its *downstream* words by index
@@ -257,11 +248,8 @@ type Engine struct {
 	vcBit   []uint32
 	vcOf    []int8
 
-	// genScratch reuses the traffic-generation slice.
-	genScratch []traffic.Generated
-
-	// par is the sharded parallel runtime (see parallel.go); nil selects
-	// the serial path. Parallel and serial execution are bit-identical.
+	// par is the sharded runtime that runs the cycle (see parallel.go): one
+	// shard at Workers <= 1. Results are bit-identical for any partition.
 	par *parRuntime
 
 	// sourcesStopped suppresses traffic generation (see StopSources).
@@ -422,7 +410,6 @@ func New(cfg Config) (*Engine, error) {
 			e.portTab[a] = int32(e.numPhys + (a - nVC))
 		}
 	}
-	e.reqsFlat = make([]int32, numOut*nAgents)
 
 	// Contiguous arenas for the hot per-virtual-channel state: input VCs
 	// (with one shared flit arena), output VC ownership, transmission
@@ -522,9 +509,7 @@ func New(cfg Config) (*Engine, error) {
 			}
 		}
 	}
-	if cfg.Workers > 1 {
-		e.par = newParRuntime(e, cfg.Workers)
-	}
+	e.par = newParRuntime(e, partition(nNodes, cfg.Workers, alignNodes(e.numPhys)))
 	return e, nil
 }
 

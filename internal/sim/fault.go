@@ -26,29 +26,15 @@ import (
 // buffer still holds flits. processKills sorts and deduplicates, so the
 // collection order never leaks into simulation state.
 
-// phaseFaults applies every scheduled fault event whose cycle has arrived,
-// then promotes fault retries whose backoff has expired back to the front
-// of their source queues. It runs before traffic generation, so a failure
-// at cycle t is visible to every decision of cycle t. The parallel path
-// splits the two halves: applyDueFaults stays serial (teardowns cross
-// shards) while the promotion walk runs sharded (promoteRetriesRange).
-func (e *Engine) phaseFaults() {
-	e.applyDueFaults()
-	for i := range e.nodes {
-		nd := &e.nodes[i]
-		if len(nd.retry) > 0 {
-			e.promoteRetries(nd)
-		}
-	}
-}
-
 // applyDueFaults executes the scheduled fault events that have come due.
 // Each state-changing event bumps the routing epoch; when the batch changed
 // anything, the engine reconfigures once before the cycle's phases: the
 // candidate table is rebuilt under the new mask and surviving routes are
-// revalidated to the new epoch. On the parallel path this runs serially in
-// stepParallel before the shards wake, so epoch flips are bit-identical at
-// any worker count.
+// revalidated to the new epoch. Step runs this serially before the cycle's
+// sections start, so a failure at cycle t is visible to every decision of
+// cycle t and epoch flips are bit-identical at any worker count. (The other
+// half of the fault phase, promoting expired retries, runs per shard:
+// promoteRetriesRange.)
 func (e *Engine) applyDueFaults() {
 	before := e.epoch
 	for e.faultIdx < len(e.faultEvents) && e.faultEvents[e.faultIdx].Cycle <= e.now {
@@ -255,25 +241,4 @@ func (e *Engine) drop(m *message.Message, at topology.NodeID, reason message.Dro
 		e.spanDiscard(m)
 	}
 	e.releaseMessage(m)
-}
-
-// promoteRetries moves retries whose backoff expired to the front of the
-// source queue (oldest first — retried traffic keeps the paper's
-// pending-before-new priority), dropping any whose destination died while
-// they waited.
-func (e *Engine) promoteRetries(nd *node) {
-	var ready []*message.Message
-	rest := nd.retry[:0]
-	for _, pr := range nd.retry {
-		switch {
-		case pr.readyAt > e.now:
-			rest = append(rest, pr)
-		case !e.live.RouterAlive(pr.msg.Dst):
-			e.drop(pr.msg, nd.id, message.DropUnreachable)
-		default:
-			ready = append(ready, pr.msg)
-		}
-	}
-	nd.retry = rest
-	nd.queue.PushFront(ready)
 }

@@ -187,29 +187,28 @@ func (e *Engine) CheckInvariants() error {
 			return fmt.Errorf("msg %d delivered but still has %d buffered flits", m.ID, n)
 		}
 	}
-	if p := e.par; p != nil {
-		// Between cycles every parallel deferral buffer must be drained:
-		// generation records and globally-ordered events are committed
-		// within the cycle that produced them, and every planned cross-shard
-		// push is applied by the destination shard before the cycle ends
-		// (the consumer's seen stamp must have caught up with every
-		// published ring batch).
-		for i := range p.shards {
-			sh := &p.shards[i]
-			if len(sh.gen) != 0 {
-				return fmt.Errorf("shard %d: %d uncommitted generation records", i, len(sh.gen))
-			}
-			if len(sh.events) != 0 {
-				return fmt.Errorf("shard %d: %d uncommitted deferred events", i, len(sh.events))
-			}
+	p := e.par
+	// Between cycles every deferral buffer of the schedule must be drained:
+	// generation records and globally-ordered events are committed
+	// within the cycle that produced them, and every planned cross-shard
+	// push is applied by the destination shard before the cycle ends
+	// (the consumer's seen stamp must have caught up with every
+	// published ring batch).
+	for i := range p.shards {
+		sh := &p.shards[i]
+		if len(sh.gen) != 0 {
+			return fmt.Errorf("shard %d: %d uncommitted generation records", i, len(sh.gen))
 		}
-		n := len(p.shards)
-		for i := range p.rings {
-			r := &p.rings[i]
-			if v := r.pub.Load(); v != 0 && r.seen != v {
-				return fmt.Errorf("ring %d->%d: published batch (stamp %d, %d pushes) not drained (seen %d)",
-					i/n, i%n, v>>32, uint32(v), r.seen)
-			}
+		if len(sh.events) != 0 {
+			return fmt.Errorf("shard %d: %d uncommitted deferred events", i, len(sh.events))
+		}
+	}
+	n := len(p.shards)
+	for i := range p.rings {
+		r := &p.rings[i]
+		if v := r.pub.Load(); v != 0 && r.seen != v {
+			return fmt.Errorf("ring %d->%d: published batch (stamp %d, %d pushes) not drained (seen %d)",
+				i/n, i%n, v>>32, uint32(v), r.seen)
 		}
 	}
 	// Epoch consistency: every valid route carries the current routing

@@ -3,8 +3,8 @@ package sim
 // Live-metrics instrumentation of the engine. The layer is strictly
 // observational: it reads engine state and never writes any, so a run
 // produces bit-identical message-level results and counters with metrics
-// enabled or disabled (TestMetricsDeterminism pins this), serial and
-// parallel alike. A disabled engine (e.met == nil) pays one nil check per
+// enabled or disabled (TestMetricsDeterminism pins this), at any worker
+// count. A disabled engine (e.met == nil) pays one nil check per
 // instrumentation site and allocates nothing — the CI bench job gates
 // allocs/op == 0 on exactly that path.
 //
@@ -18,7 +18,6 @@ package sim
 
 import (
 	"math/bits"
-	"time"
 
 	"wormnet/internal/metrics"
 	"wormnet/internal/topology"
@@ -68,17 +67,16 @@ type engineMetrics struct {
 	queueHist *metrics.Histogram
 	occHist   *metrics.Histogram
 
-	// Per-phase wall-clock timing, sampled cycles only.
-	phaseGenerate *metrics.Histogram
-	phaseInject   *metrics.Histogram
-	phaseRoute    *metrics.Histogram
-	phaseSwitch   *metrics.Histogram
-	phaseMove     *metrics.Histogram
-	cycleTime     *metrics.Histogram // whole cycle (the parallel path times this)
+	// Per-phase wall-clock timing, sampled cycles only: the time the
+	// coordinating goroutine spent in each phase (cycleClock), indexed
+	// phGenerate..phMove — every shard's under the inline driver, shard 0's
+	// own sections under the pool, barrier waits excluded.
+	phase     [numPhases]*metrics.Histogram
+	cycleTime *metrics.Histogram // whole cycle
 
-	// Parallel-engine sync profile, sampled cycles only. Barrier waits and
-	// shard busy time come from the worker-pool path (the inline single-P
-	// schedule has no waits to measure); the ring series cover both paths.
+	// Sync profile, sampled cycles only. Barrier waits and shard busy time
+	// come from the worker-pool driver (the inline driver has no waits to
+	// measure); the ring series cover both.
 	barrierWait    [4]*metrics.Histogram // per-shard wait at B1..B4
 	shardBusy      *metrics.Histogram    // per-shard cycle time minus barrier waits
 	shardImbalance *metrics.Gauge        // (max-min)/max shard busy on the sampled cycle
@@ -121,12 +119,14 @@ func newEngineMetrics(reg *metrics.Registry) *engineMetrics {
 		occHist: h("sim_node_occupied_vcs", "per-node occupied input VCs at sample time",
 			[]float64{0, 1, 2, 4, 8, 12, 16, 24}),
 
-		phaseGenerate: h("sim_phase_generate_ns", "generation-phase wall time (sampled cycles)", phaseTimingBounds),
-		phaseInject:   h("sim_phase_inject_ns", "injection-phase wall time (sampled cycles)", phaseTimingBounds),
-		phaseRoute:    h("sim_phase_route_ns", "VC-allocation/routing-phase wall time (sampled cycles)", phaseTimingBounds),
-		phaseSwitch:   h("sim_phase_switch_ns", "switch-allocation-phase wall time (sampled cycles)", phaseTimingBounds),
-		phaseMove:     h("sim_phase_move_ns", "flit-movement-phase wall time (sampled cycles)", phaseTimingBounds),
-		cycleTime:     h("sim_cycle_ns", "whole-cycle wall time (sampled cycles)", phaseTimingBounds),
+		phase: [numPhases]*metrics.Histogram{
+			phGenerate: h("sim_phase_generate_ns", "generation-phase wall time (sampled cycles)", phaseTimingBounds),
+			phInject:   h("sim_phase_inject_ns", "injection-phase wall time (sampled cycles)", phaseTimingBounds),
+			phRoute:    h("sim_phase_route_ns", "VC-allocation/routing-phase wall time (sampled cycles)", phaseTimingBounds),
+			phSwitch:   h("sim_phase_switch_ns", "switch-allocation-phase wall time (sampled cycles)", phaseTimingBounds),
+			phMove:     h("sim_phase_move_ns", "flit-movement-phase wall time (sampled cycles)", phaseTimingBounds),
+		},
+		cycleTime: h("sim_cycle_ns", "whole-cycle wall time (sampled cycles)", phaseTimingBounds),
 	}
 	m.barrierWait = [4]*metrics.Histogram{
 		h("sim_barrier_wait_b1_ns", "per-shard wait at barrier B1 (generation commit; sampled cycles)", phaseTimingBounds),
@@ -184,7 +184,7 @@ func (e *Engine) metricsSampled() bool {
 
 // noteDeny records a limiter denial and, when the limiter exposes the
 // paper's rule decomposition, which rule(s) failed. Runs on the node's own
-// goroutine in parallel mode; counters are atomic, and the classification
+// goroutine under the worker pool; counters are atomic, and the classification
 // touches only the node's own scratch state.
 func (e *Engine) noteDeny(nd *node, dst topology.NodeID) {
 	e.met.denied.Inc()
@@ -242,39 +242,4 @@ func (e *Engine) sampleMetrics() {
 	if e.onSample != nil {
 		e.onSample(e.now)
 	}
-}
-
-// stepSerialSampled is the serial Step body of a sampling cycle: the same
-// five phases in the same order, wrapped in wall-clock timers, followed by
-// the gauge sample. Split from Step so the common path carries no timer
-// reads at all.
-func (e *Engine) stepSerialSampled() {
-	m := e.met
-	t0 := time.Now()
-	if e.live != nil {
-		e.phaseFaults()
-	}
-	t := time.Now()
-	e.phaseGenerate()
-	t = observePhase(m.phaseGenerate, t)
-	e.phaseInject()
-	t = observePhase(m.phaseInject, t)
-	e.phaseAllocate()
-	t = observePhase(m.phaseRoute, t)
-	e.phaseSwitch()
-	t = observePhase(m.phaseSwitch, t)
-	e.phaseMove()
-	observePhase(m.phaseMove, t)
-	m.cycleTime.Observe(float64(time.Since(t0).Nanoseconds()))
-
-	m.flits.Add(int64(len(e.moves)))
-	m.flitsSampled.SetInt(int64(len(e.moves)))
-	e.sampleMetrics()
-}
-
-// observePhase records the time since t into h and returns a fresh mark.
-func observePhase(h *metrics.Histogram, t time.Time) time.Time {
-	now := time.Now()
-	h.Observe(float64(now.Sub(t).Nanoseconds()))
-	return now
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"wormnet/internal/metrics"
@@ -43,8 +45,8 @@ func runObserved(t *testing.T, cfg Config, workers int) (stats.Result, []trace.E
 // TestMetricsDeterminism is the observability layer's core contract: a run
 // with metrics, sampling and export hooks enabled produces bit-identical
 // results — summary statistics, all-time counters, and the full trace event
-// stream — to the same run without any of it, on the serial path and on the
-// sharded parallel path alike. The metrics layer may read the simulation;
+// stream — to the same run without any of it, on one shard and on four
+// alike. The metrics layer may read the simulation;
 // it must never steer it.
 func TestMetricsDeterminism(t *testing.T) {
 	for name, cfg := range equivalenceConfigs() {
@@ -98,12 +100,24 @@ func metricValue(t *testing.T, reg *metrics.Registry, name string) float64 {
 // saturated ALO run: mirrored totals match the engine counters, the limiter
 // denial counters fire (with ALO a denial means both rules failed, so the
 // per-rule counters equal the total), and the sampled gauges and timing
-// histograms are non-trivial.
+// histograms — all five phase timers included — are non-trivial: on one
+// shard, and on two shards under both drivers.
 func TestMetricsPopulated(t *testing.T) {
+	restore := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(restore)
+	for _, tc := range []struct{ workers, procs int }{{1, restore}, {2, 1}, {2, 2}} {
+		t.Run(fmt.Sprintf("workers=%d/GOMAXPROCS=%d", tc.workers, tc.procs), func(t *testing.T) {
+			runtime.GOMAXPROCS(tc.procs)
+			testMetricsPopulated(t, tc.workers)
+		})
+	}
+}
+
+func testMetricsPopulated(t *testing.T, workers int) {
 	cfg := QuickConfig()
 	cfg.Rate = 1.5 // past saturation: ALO must throttle
 	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 500, 2000, 200
-	_, _, counters, reg := runObserved(t, cfg, 1)
+	_, _, counters, reg := runObserved(t, cfg, workers)
 
 	if got := metricValue(t, reg, "sim_messages_generated_total"); int64(got) != counters[0] {
 		t.Errorf("generated mirror = %v, engine counter %d", got, counters[0])
@@ -130,16 +144,19 @@ func TestMetricsPopulated(t *testing.T) {
 	if occ := metricValue(t, reg, "sim_input_vc_occupancy_ratio"); occ < 0 || occ > 1 {
 		t.Errorf("occupancy ratio %v outside [0,1]", occ)
 	}
-	if n := metricValue(t, reg, "sim_phase_inject_ns"); n == 0 {
-		t.Error("per-phase timing histogram empty on a serial run")
+	samples := metricValue(t, reg, "sim_cycle_ns")
+	for _, ph := range []string{"generate", "inject", "route", "switch", "move"} {
+		if n := metricValue(t, reg, "sim_phase_"+ph+"_ns"); n == 0 || n != samples {
+			t.Errorf("sim_phase_%s_ns holds %v samples, sim_cycle_ns %v", ph, n, samples)
+		}
 	}
 	if n := metricValue(t, reg, "sim_node_queue_depth"); n == 0 {
 		t.Error("per-node queue-depth histogram empty")
 	}
 }
 
-// TestMetricsParallelCycleTiming checks the parallel path records whole-cycle
-// wall time (it has no serial phase boundaries to time individually).
+// TestMetricsParallelCycleTiming checks a sharded run records whole-cycle
+// wall time and flit movement.
 func TestMetricsParallelCycleTiming(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 200, 800, 100

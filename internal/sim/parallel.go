@@ -1,19 +1,23 @@
 package sim
 
-// Deterministic sharded parallel execution of the cycle engine.
+// The cycle schedule: deterministic sharded execution of the cycle engine.
 //
-// The node arena is partitioned into Config.Workers contiguous shards, one
-// goroutine each, and the cycle runs as four fused parallel sections with
-// one barrier after each (a fifth barrier appears only on the rare cycles
-// where a recovery or fault kill could fire — see the trigger pre-scan
-// below). Results are bit-identical to the serial path for any worker
-// count. The scheme rests on three rules:
+// The node arena is partitioned into contiguous shards and every cycle runs
+// as four fused sections, each ending in a commit point (a fifth commit
+// point appears only on the rare cycles where a recovery or fault kill could
+// fire — see the trigger pre-scan below). There is one copy of every phase,
+// written as a range function over a shard; the engine built with Workers=1
+// is simply the one-shard case. Two drivers walk the schedule: cycleInline,
+// one goroutine over all shards in ascending order (one shard, or a host
+// with a single P), and cycleShard, one goroutine per shard with a barrier
+// at each commit point. Results are bit-identical for any partition and
+// either driver. The scheme rests on three rules:
 //
-//  1. Own-node writes only. Inside a parallel section a shard writes nothing
-//     but the state of its own nodes. The one phase that naturally crosses
-//     shards — flit movement into a neighbour's input buffer — applies
-//     pushes whose destination is inside the shard directly (serial style,
-//     fused with the pop pass) and routes the rest through a preallocated
+//  1. Own-node writes only. Inside a section a shard writes nothing but the
+//     state of its own nodes. The one phase that naturally crosses shards —
+//     flit movement into a neighbour's input buffer — applies pushes whose
+//     destination is inside the shard directly (fused with the pop pass)
+//     and routes the rest through a preallocated
 //     single-producer/single-consumer ring per ordered shard pair: the
 //     source shard fills its rings while popping, publishes each ring once
 //     with a cycle-stamped atomic store, and the destination shard drains
@@ -25,45 +29,48 @@ package sim
 //     lets pass 1 and pass 2 of the move phase share a single section with
 //     no barrier between them.
 //
-//  2. Phase-stable cross-shard reads. The only remote state a parallel
-//     section reads — the downstream empty words during allocation, the
-//     downstream full words during switch allocation, the liveness mask —
-//     is written by no one during that section: the empty/full arenas are
-//     written only by the move phase (and by teardowns, which run under
-//     barrier-arrival exclusivity), the liveness mask only by the serial
-//     fault application before the cycle starts. This is also why
-//     generation, injection, allocation and switch allocation fuse into so
-//     few sections: none of them writes anything another node's slice of
-//     the same section reads.
+//  2. Section-stable cross-shard reads. The only remote state a section
+//     reads — the downstream empty words during allocation, the downstream
+//     full words during switch allocation, the liveness mask — is written
+//     by no one during that section: the empty/full arenas are written only
+//     by the move phase (and by teardowns, which run at a commit point),
+//     the liveness mask only by the serial fault application before the
+//     cycle starts. This is also why generation, injection, allocation and
+//     switch allocation fuse into so few sections: none of them writes
+//     anything another node's slice of the same section reads.
 //
-//  3. Serial commits at barrier arrival. Everything globally ordered —
+//  3. Serial commits at the commit points. Everything globally ordered —
 //     message id assignment and pooling, collector hooks, trace emission,
 //     drop accounting — is deferred into per-shard buffers during the
-//     parallel sections and committed by the *last shard to arrive* at the
-//     next barrier, before it releases the generation. The atomic arrival
-//     counter orders every shard's buffered writes before the commit, and
-//     the generation release publishes the commit to every waiter, so no
-//     dedicated commit barriers are needed. Commits walk shards in
-//     ascending order; shards are contiguous ascending node ranges, so the
-//     commit order equals the serial engine's node/move order and the event
-//     stream, the RNG-independent counters and the message pool all evolve
-//     identically to serial. Per-node RNG streams (splitSeed) make
-//     generation itself partition-independent.
+//     sections and committed once every shard has finished the section: by
+//     the one goroutine of the inline driver, or by the *last shard to
+//     arrive* at the barrier, before it releases the generation. The atomic
+//     arrival counter orders every shard's buffered writes before the
+//     commit, and the generation release publishes the commit to every
+//     waiter, so no dedicated commit barriers are needed. Commits walk
+//     shards in ascending order; shards are contiguous ascending node
+//     ranges, so the commit order is node order (move order in the move
+//     phase) whatever the partition, and the event stream, the
+//     RNG-independent counters and the message pool evolve identically.
+//     Per-node RNG streams (splitSeed) make generation itself
+//     partition-independent.
 //
 // Deadlock recovery and fault kills tear state out of arbitrary nodes, so
-// they never run inside a parallel section. Instead of serialising whole
-// cycles, each shard pre-scans its own nodes after injection for the two
-// exact trigger conditions — a blockage counter at Threshold-1 (counters
-// grow by at most one per cycle; see deadlock.BlockTracker.SetWatermark)
-// or, on fault runs, an unrouted header whose candidate set faults have
-// emptied (candidate sets depend only on the liveness mask, which is
-// stable for the whole cycle) — and the allocation phase splits at the
-// first flagged node: the prefix, where no trigger can fire, allocates
-// shard-parallel; the suffix runs the exact serial allocation code (with
-// its inline teardowns) under barrier-arrival exclusivity. Fault
-// application itself stays serial before the cycle (it is rare and
-// inherently global); the fault-retry promotion walk runs shard-parallel
-// with drops deferred.
+// they never run inside a section that several shards share. Each shard
+// pre-scans its own nodes after injection for the two exact trigger
+// conditions — a blockage counter at Threshold-1 (counters grow by at most
+// one per cycle; see deadlock.BlockTracker.SetWatermark) or, on fault runs,
+// an unrouted header whose candidate set faults have emptied (candidate
+// sets depend only on the liveness mask, which is stable for the whole
+// cycle) — and the allocation phase splits at the first flagged node: the
+// prefix, where no trigger can fire, allocates per shard; the suffix runs
+// the same allocation code over [cut, n) with its inline teardowns at a
+// commit point of its own. With one shard the whole allocation phase is one
+// goroutine walking [0, n) in node order, where the cut cannot matter, so
+// the pre-scan and the watermark are armed only at two shards or more.
+// Fault application itself stays serial before the cycle (it is rare and
+// inherently global); the fault-retry promotion walk runs per shard with
+// drops deferred.
 
 import (
 	"math/bits"
@@ -86,7 +93,7 @@ type genRec struct {
 }
 
 // deferredEvent is one globally-ordered side effect recorded during a
-// parallel section and committed serially.
+// section and committed at its commit point.
 type deferredEvent struct {
 	kind   uint8
 	reason message.DropReason
@@ -128,8 +135,8 @@ type pushRing struct {
 	_    [3]uint64     // pad: neighbouring rings' pub words off this line
 }
 
-// parShard is one worker's slice of the network plus its private scratch
-// and deferral buffers.
+// parShard is one shard: a contiguous slice of the network plus its private
+// scratch and deferral buffers.
 type parShard struct {
 	lo, hi   int    // node range [lo, hi)
 	localGen uint32 // barriers passed so far
@@ -150,11 +157,13 @@ type parShard struct {
 	// len(nodes) when none can (see injectRange).
 	allocCut int32
 
-	// Sync-profile scratch, shard-private: busyNS is the last sampled
-	// cycle's elapsed time minus barrier waits (written before the B4
-	// arrival, read by the coordinator after it), ringMax the sampled
-	// cycle's push-ring batch high watermark, ringPushes the running
-	// cross-shard push total (accumulated whenever metrics are on).
+	// Sampled-cycle scratch, shard-private: clk times the cycle's phases,
+	// busyNS is their total up to the B4 arrival (the cycle minus barrier
+	// waits; written before that arrival, read by the coordinator after
+	// it), ringMax the sampled cycle's push-ring batch high watermark,
+	// ringPushes the running cross-shard push total (accumulated whenever
+	// metrics are on).
+	clk        cycleClock
 	busyNS     int64
 	ringMax    int32
 	ringPushes int64
@@ -162,13 +171,55 @@ type parShard struct {
 	_ [64]byte // pad: adjacent shards' hot fields on separate cache lines
 }
 
+// The five timed phases of a cycle (engineMetrics.phase, cycleClock.ns).
+const (
+	phGenerate = iota
+	phInject
+	phRoute
+	phSwitch
+	phMove
+	numPhases
+)
+
+// cycleClock attributes a goroutine's time within one sampled cycle to the
+// phase it was spent in: lap charges the time since the previous mark to a
+// phase, and sync steps the mark over barrier waits, so the phases sum to the
+// goroutine's busy time. A commit is charged to the phase it ends, on
+// whichever goroutine runs it. Off (unsampled cycles) it reads no clock.
+type cycleClock struct {
+	on   bool
+	mark time.Time
+	ns   [numPhases]int64
+}
+
+func (c *cycleClock) begin(on bool) {
+	*c = cycleClock{on: on}
+	if on {
+		c.mark = time.Now()
+	}
+}
+
+func (c *cycleClock) lap(ph int) {
+	if c.on {
+		now := time.Now()
+		c.ns[ph] += now.Sub(c.mark).Nanoseconds()
+		c.mark = now
+	}
+}
+
+func (c *cycleClock) busy() (ns int64) {
+	for _, v := range c.ns {
+		ns += v
+	}
+	return ns
+}
+
 // phaseBarrier is a reusable centralized barrier, split into arrival and
 // release so the last arriver can run the cycle's serial commits between
-// the two without any closure indirection (arrival actions are inlined at
-// the call sites in cycleShard). Waiters spin briefly and then yield; the
-// spin budget is chosen at construction from GOMAXPROCS — on a single-P
-// host no amount of spinning can make another shard arrive, so waiters go
-// straight to runtime.Gosched.
+// the two (see sync). Waiters spin briefly and then yield; the spin budget
+// is chosen at construction from GOMAXPROCS — on a single-P host no amount
+// of spinning can make another shard arrive, so waiters go straight to
+// runtime.Gosched.
 type phaseBarrier struct {
 	n     int32
 	spin  int32
@@ -220,9 +271,9 @@ func barrierSpin(s int) int32 {
 	}
 }
 
-// parRuntime is the parallel mode of one engine: the shard partition, the
-// push rings and the worker pool. It exists only when Config.Workers > 1
-// resolves to at least two shards.
+// parRuntime is the sharded runtime of one engine: the shard partition, the
+// push rings and, under the barrier driver, the worker pool. Every engine
+// has one; Workers=1 builds a single shard.
 type parRuntime struct {
 	shards  []parShard
 	shardOf []int32 // node -> shard index
@@ -233,33 +284,34 @@ type parRuntime struct {
 	bar   phaseBarrier
 	wake  []chan struct{} // one per non-coordinator worker, buffered
 
-	// inline, latched at construction when GOMAXPROCS is 1, replaces the
-	// worker pool with cycleInline: goroutines on a single-P host can only
-	// time-slice one core, and their barrier switches shred the allocation
-	// phase's cache locality (measured ~8% per-cycle overhead; inline mode
-	// reduces the cost to the deferral buffers and rings alone). The
-	// schedule, commit points and therefore results are identical.
+	// inline, latched at construction, selects the cycleInline driver over
+	// the worker pool: with one shard there is nothing to run concurrently,
+	// and on a single-P host goroutines can only time-slice one core while
+	// their barrier switches shred the allocation phase's cache locality
+	// (measured ~8% per-cycle overhead; inline mode reduces the cost to the
+	// deferral buffers and rings alone). The schedule, commit points and
+	// therefore results are identical.
 	inline bool
 
 	// sampled mirrors the coordinator's metricsSampled decision for the
-	// current cycle: latched in stepParallel before the workers wake (the
-	// channel send orders the write), it tells every shard whether to run
-	// the sync-profile timers this cycle.
+	// current cycle: latched in Step before the workers wake (the channel
+	// send orders the write), it tells every shard whether to run its
+	// cycleClock this cycle.
 	sampled bool
 
-	// allocCut, written by the last arriver at the post-injection barrier
-	// and read by every shard after it, is the global minimum of the
-	// per-shard trigger pre-scans: allocation runs shard-parallel for
-	// nodes below it and serially (under barrier-arrival exclusivity,
-	// where teardowns are safe) from it onward. len(nodes) on the — vastly
-	// dominant — cycles where no trigger can fire.
+	// allocCut, written by the B2 commit and read by every shard after it,
+	// is the global minimum of the per-shard trigger pre-scans: allocation
+	// runs per shard for nodes below it and at a commit point of its own
+	// (where teardowns are safe) from it onward. len(nodes) on the — vastly
+	// dominant — cycles where no trigger can fire, and always with one
+	// shard.
 	allocCut int32
 	// watermarked records that the detector is armed with the Threshold-1
-	// watermark (threshold >= 2), making BlockTracker.Hot an exact
-	// one-cycle-ahead recovery predictor.
+	// watermark (threshold >= 2, two shards or more), making
+	// BlockTracker.Hot an exact one-cycle-ahead recovery predictor.
 	watermarked bool
-	// alwaysSerialAlloc forces allocCut to 0 for configurations whose
-	// detection threshold is too low for the watermark gate (< 2).
+	// alwaysSerialAlloc forces allocCut to 0 for multi-shard configurations
+	// whose detection threshold is too low for the watermark gate (< 2).
 	alwaysSerialAlloc bool
 }
 
@@ -276,20 +328,35 @@ func alignNodes(numPhys int) int {
 	return 64 / g // lcm(stride, 64) / stride
 }
 
-// newParRuntime partitions the engine into at most workers shards and
-// starts the worker goroutines — or, on a single-P host, selects the
-// inline schedule and starts none. It returns nil when the partition would
-// leave fewer than two shards (the serial path is then used). The
-// GOMAXPROCS decisions (spin budget, inline mode) are latched here, once.
-func newParRuntime(e *Engine, workers int) *parRuntime {
+// partition splits n nodes into at most shards contiguous non-empty ranges
+// and returns their boundaries: range i is [b[i], b[i+1]), b[0] = 0 and the
+// last entry is n. Interior boundaries are rounded to multiples of alignUnit
+// (plain i*n/s split when n is too small to keep every range non-empty after
+// rounding).
+func partition(n, shards, alignUnit int) []int {
+	s := max(1, min(shards, n))
+	b := make([]int, s+1)
+	aligned := true
+	for i := 1; i < s; i++ {
+		b[i] = min((i*n/s+alignUnit/2)/alignUnit*alignUnit, n)
+		aligned = aligned && b[i] > b[i-1]
+	}
+	b[s] = n
+	if !aligned || b[s-1] >= n {
+		for i := 1; i < s; i++ {
+			b[i] = i * n / s
+		}
+	}
+	return b
+}
+
+// newParRuntime builds the runtime for the shard boundaries bounds (see
+// partition) and, unless the inline driver is selected — one shard, or a
+// single-P host — starts the worker goroutines. The GOMAXPROCS decisions
+// (spin budget, inline mode) are latched here, once.
+func newParRuntime(e *Engine, bounds []int) *parRuntime {
 	n := len(e.nodes)
-	s := workers
-	if s > n {
-		s = n
-	}
-	if s < 2 {
-		return nil
-	}
+	s := len(bounds) - 1
 	p := &parRuntime{
 		shards:  make([]parShard, s),
 		shardOf: make([]int32, n),
@@ -297,42 +364,11 @@ func newParRuntime(e *Engine, workers int) *parRuntime {
 	}
 	p.bar.n = int32(s)
 	p.bar.spin = barrierSpin(s)
-	// Cache-line-aligned shard boundaries (plain n/s split when the node
-	// count is too small to keep every shard non-empty after rounding).
-	unit := alignNodes(e.numPhys)
-	for i := 0; i <= s; i++ {
-		b := i * n / s
-		if r := b % unit; r != 0 {
-			if r*2 >= unit {
-				b += unit - r
-			} else {
-				b -= r
-			}
-		}
-		if b > n {
-			b = n
-		}
-		if i < s {
-			p.shards[i].lo = b
-		}
-		if i > 0 {
-			p.shards[i-1].hi = b
-		}
-	}
-	p.shards[0].lo, p.shards[s-1].hi = 0, n
-	for i := range p.shards {
-		if p.shards[i].lo >= p.shards[i].hi { // alignment emptied a shard
-			for j := range p.shards {
-				p.shards[j].lo = j * n / s
-				p.shards[j].hi = (j + 1) * n / s
-			}
-			break
-		}
-	}
 	numOut := e.numPhys + e.cfg.EjChannels
 	nAgents := e.agentCount()
 	for i := range p.shards {
 		sh := &p.shards[i]
+		sh.lo, sh.hi = bounds[i], bounds[i+1]
 		sh.reqsFlat = make([]int32, numOut*nAgents)
 		sh.ringN = make([]int32, s)
 		sh.allocCut = int32(n)
@@ -363,15 +399,17 @@ func newParRuntime(e *Engine, workers int) *parRuntime {
 			p.shards[dst].inSrcs = append(p.shards[dst].inSrcs, int32(src))
 		}
 	}
-	p.alwaysSerialAlloc = e.det.Enabled() && e.det.Threshold < 2
-	p.watermarked = e.det.Enabled() && e.det.Threshold >= 2
-	if p.watermarked {
-		for i := range e.nodes {
-			e.nodes[i].blocked.SetWatermark(e.det.Threshold - 1)
+	if s > 1 { // one shard never consults the allocation cut
+		p.alwaysSerialAlloc = e.det.Enabled() && e.det.Threshold < 2
+		p.watermarked = e.det.Enabled() && e.det.Threshold >= 2
+		if p.watermarked {
+			for i := range e.nodes {
+				e.nodes[i].blocked.SetWatermark(e.det.Threshold - 1)
+			}
 		}
 	}
-	if runtime.GOMAXPROCS(0) == 1 {
-		p.inline = true
+	p.inline = s == 1 || runtime.GOMAXPROCS(0) == 1
+	if p.inline {
 		return p
 	}
 	p.wake = make([]chan struct{}, s-1)
@@ -382,17 +420,22 @@ func newParRuntime(e *Engine, workers int) *parRuntime {
 	return p
 }
 
-// Close releases the engine's worker goroutines (a no-op on serial
-// engines). The engine stays usable afterwards: the state between cycles is
-// identical to serial, so further Steps simply run the serial path.
+// Close releases the engine's worker goroutines by re-partitioning to one
+// shard (a no-op on an engine that already has one). The engine stays usable
+// afterwards: the state between cycles does not depend on the partition, so
+// further Steps continue the same run.
 func (e *Engine) Close() {
-	if e.par == nil {
+	old := e.par
+	if len(old.shards) == 1 {
 		return
 	}
-	for _, ch := range e.par.wake {
+	for _, ch := range old.wake {
 		close(ch)
 	}
-	e.par = nil
+	e.par = newParRuntime(e, []int{0, len(e.nodes)})
+	for i := range old.shards { // the mirrored all-time total stays monotone
+		e.par.shards[0].ringPushes += old.shards[i].ringPushes
+	}
 }
 
 // parWorker is the body of one non-coordinator worker: run the shard's
@@ -405,60 +448,30 @@ func (e *Engine) parWorker(p *parRuntime, id int) {
 	}
 }
 
-// stepParallel is the parallel Step: scheduled fault events (rare,
-// inherently global — teardowns cross shards) apply serially up front,
-// then all shards — the caller acting as shard 0 — execute the cycle in
-// lockstep. The final barrier inside cycleShard doubles as the completion
-// signal.
-func (e *Engine) stepParallel() {
-	sampled := e.metricsSampled()
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
-	}
-	if e.live != nil {
-		e.applyDueFaults()
-	}
-	p := e.par
-	// Latch the sampling decision for the shards before any worker wakes:
-	// the channel send (or the inline call) orders the store.
-	p.sampled = sampled
-	if p.inline {
-		e.cycleInline(p)
-	} else {
-		for _, ch := range p.wake {
-			ch <- struct{}{}
-		}
-		e.cycleShard(p, 0)
-	}
-	if e.met != nil {
-		// The shards' move plans survive until next cycle's reslice, so the
-		// coordinator can total them here, after all workers are done.
-		var flits int64
-		for i := range p.shards {
-			flits += int64(len(p.shards[i].moves))
-		}
-		e.met.flits.Add(flits)
-		if sampled {
-			// The lockstep cycle has no serial per-phase boundaries to time,
-			// so parallel runs record whole-cycle wall time only.
-			e.met.cycleTime.Observe(float64(time.Since(t0).Nanoseconds()))
-			e.met.flitsSampled.SetInt(flits)
-			e.sampleSyncProfile(p)
-			e.sampleMetrics()
-		}
-	}
-	e.now++
-}
-
-// sampleSyncProfile folds the shards' sync-profile scratch into the
-// registry after a sampled parallel cycle: per-shard busy time and the
-// busy-imbalance gauge (worker-pool path only — the inline schedule has no
-// concurrent shards to balance), the push-ring batch high watermark, and
-// the mirrored cross-shard push total. Runs on the coordinator after the
-// final barrier, so every shard's writes are visible.
-func (e *Engine) sampleSyncProfile(p *parRuntime) {
+// recordCycle is Step's metrics tail: the moved-flit total every cycle and,
+// on a sampled cycle that began at t0, the whole-cycle and per-phase timers
+// (the coordinator's clock: shard 0 under the pool, every shard inline), the
+// sync profile and the gauge sample. It runs on the coordinator after the
+// cycle's last commit point, so every shard's writes are visible.
+func (e *Engine) recordCycle(p *parRuntime, t0 time.Time) {
 	m := e.met
+	// The shards' move plans survive until next cycle's reslice.
+	var flits int64
+	for i := range p.shards {
+		flits += int64(len(p.shards[i].moves))
+	}
+	m.flits.Add(flits)
+	if !p.sampled {
+		return
+	}
+	m.cycleTime.Observe(float64(time.Since(t0).Nanoseconds()))
+	for ph, ns := range p.shards[0].clk.ns {
+		m.phase[ph].Observe(float64(ns))
+	}
+	m.flitsSampled.SetInt(flits)
+	// Sync profile: the push-ring batch high watermark, the mirrored
+	// cross-shard push total and, under the pool (the inline driver has no
+	// concurrent shards to balance), per-shard busy time and its imbalance.
 	var pushes int64
 	var hw int32
 	for i := range p.shards {
@@ -471,236 +484,156 @@ func (e *Engine) sampleSyncProfile(p *parRuntime) {
 	}
 	m.ringHW.SetInt(int64(hw))
 	m.ringPushes.Set(pushes)
-	if p.inline {
-		return
-	}
-	minB, maxB := int64(-1), int64(0)
-	for i := range p.shards {
-		b := p.shards[i].busyNS
-		m.shardBusy.Observe(float64(b))
-		if minB < 0 || b < minB {
-			minB = b
-		}
-		if b > maxB {
-			maxB = b
-		}
-	}
-	if maxB > 0 {
-		m.shardImbalance.Set(float64(maxB-minB) / float64(maxB))
-	}
-}
-
-// cycleShard runs one shard's slice of a cycle: four fused sections, one
-// barrier after each. The serial commits run inline at barrier arrival —
-// whichever shard arrives last executes them before releasing the
-// generation (they walk all shards in ascending order, so the executor's
-// identity is irrelevant to the result).
-func (e *Engine) cycleShard(p *parRuntime, id int) {
-	sh := &p.shards[id]
-	gen := sh.localGen
-	n := len(e.nodes)
-	// Sync profile (sampled cycles with metrics on): time each barrier wait
-	// and derive the shard's busy time — elapsed to the B4 arrival minus the
-	// waits. The timers read the clock only on the waiter branch, so the
-	// last arriver (whose "wait" is the commit work itself) records nothing.
-	timed := p.sampled && e.met != nil
-	var start time.Time
-	var waitNS int64
-	if timed {
-		start = time.Now()
-	}
-
-	// Section 1 — fault-retry promotion (fault runs; drops deferred) and
-	// traffic-generation polling (per-node RNG streams; creation deferred).
-	if e.live != nil {
-		e.promoteRetriesRange(sh)
-	}
-	if !e.sourcesStopped {
-		e.pollRange(sh)
-	}
-	// B1: commit the deferred retry drops, then create the polled messages,
-	// both in node order — the serial engine's fault-phase/generate order.
-	gen++
-	if p.bar.arrive() {
-		e.commitEvents(p)
-		e.commitGenerate(p)
-		p.bar.release(gen)
-	} else {
-		waitNS += e.timedWait(p, gen, timed, 0)
-	}
-
-	// Section 2 — injection (pure own-node work; drops and throttle traces
-	// deferred) with the trigger pre-scan for the allocation split fused
-	// into the same node walk.
-	e.injectRange(p, sh)
-	// B2: commit the injection-phase events (they precede any allocation
-	// event in the serial stream) and resolve the global allocation cut.
-	gen++
-	if p.bar.arrive() {
-		e.commitEvents(p)
-		cut := int32(n)
-		if p.alwaysSerialAlloc {
-			cut = 0
-		} else {
-			for i := range p.shards {
-				if c := p.shards[i].allocCut; c < cut {
-					cut = c
-				}
+	if !p.inline {
+		minB, maxB := int64(-1), int64(0)
+		for i := range p.shards {
+			b := p.shards[i].busyNS
+			m.shardBusy.Observe(float64(b))
+			if minB < 0 || b < minB {
+				minB = b
+			}
+			if b > maxB {
+				maxB = b
 			}
 		}
-		p.allocCut = cut
-		p.bar.release(gen)
-	} else {
-		waitNS += e.timedWait(p, gen, timed, 1)
-	}
-
-	// Section 3 — allocation and switch allocation. Allocation of disjoint
-	// nodes commutes (own-node writes; the downstream empty words are
-	// move-phase state), and switch allocation reads only its own nodes'
-	// routes/status plus downstream full words, none of which allocation
-	// writes — so on trigger-free cycles the whole section is barrier-free.
-	// On trigger cycles the prefix below the cut allocates in parallel and
-	// the suffix — where recoveries and fault kills fire, with their
-	// cross-shard teardowns — runs the exact serial code at the extra
-	// barrier's arrival.
-	cut := int(p.allocCut)
-	lo, hi := sh.lo, sh.hi
-	if cut < n {
-		if ahi := min(hi, cut); lo < ahi {
-			e.allocRange(lo, ahi)
+		if maxB > 0 {
+			m.shardImbalance.Set(float64(maxB-minB) / float64(maxB))
 		}
-		gen++
-		if p.bar.arrive() {
-			e.allocRange(cut, n)
-			p.bar.release(gen)
-		} else {
-			p.bar.wait(gen)
-		}
-	} else {
-		e.allocRange(lo, hi)
 	}
-	sh.moves = e.switchRange(lo, hi, sh.reqsFlat, sh.moves[:0])
-	// B3: movement writes the empty/full words the switch phase reads.
-	gen++
-	if p.bar.arrive() {
-		p.bar.release(gen)
-	} else {
-		waitNS += e.timedWait(p, gen, timed, 2)
-	}
+	e.sampleMetrics()
+}
 
-	// Section 4 — movement, fused: pop own moves (cross-shard pushes into
-	// the rings, published once per ring), then drain the rings addressed
-	// to this shard. Pushes commute (at most one per buffer per cycle, all
-	// effects consumer-local), so no barrier separates the passes; the
-	// cycle-stamp check makes each consumer wait exactly for its producers.
+// The schedule, written once as the section and commit functions below and
+// walked by the two drivers:
+//
+//	section 1  promoteRetriesRange, pollRange     B1   commitGenerate
+//	section 2  injectRange (+ trigger pre-scan)   B2   commitInject
+//	section 3  allocRange below the cut          (B2a  allocSuffix, trigger cycles only)
+//	           switchRange                        B3   —
+//	section 4  moveSourceRange, moveDrainRings    B4   commitEvents
+//
+// Allocation of disjoint nodes commutes (own-node writes; the downstream
+// empty words are move-phase state), and switch allocation reads only its
+// own nodes' routes/status plus downstream full words, none of which
+// allocation writes — so on trigger-free cycles section 3 needs no commit
+// point inside it. B3 exists because movement writes the empty/full words
+// the switch phase reads. In section 4 pushes commute (at most one per
+// buffer per cycle, all effects consumer-local), so no commit point
+// separates the passes; the rings' cycle stamps make each consumer wait
+// exactly for its producers.
+
+// cycleShard is the barrier driver: one shard's slice of a cycle, with a
+// barrier at each commit point. The commit runs at barrier arrival —
+// whichever shard arrives last executes it before releasing the generation
+// (commits walk all shards in ascending order, so the executor's identity
+// is irrelevant to the result).
+func (e *Engine) cycleShard(p *parRuntime, id int) {
+	sh := &p.shards[id]
+	sh.clk.begin(p.sampled)
+
+	e.generateRange(sh)
+	e.sync(p, sh, 0, phGenerate, (*Engine).commitGenerate)
+
+	e.injectRange(p, sh)
+	e.sync(p, sh, 1, phInject, (*Engine).commitInject)
+
+	if cut := int(p.allocCut); cut < len(e.nodes) {
+		e.allocRange(sh.lo, min(sh.hi, cut))
+		e.sync(p, sh, 1, phRoute, (*Engine).allocSuffix)
+	} else {
+		e.allocRange(sh.lo, sh.hi)
+		sh.clk.lap(phRoute)
+	}
+	sh.moves = e.switchRange(sh.lo, sh.hi, sh.reqsFlat, sh.moves[:0])
+	e.sync(p, sh, 2, phSwitch, nil)
+
 	e.moveSourceRange(p, sh, id)
 	e.moveDrainRings(p, sh, id)
-	// B4: commit the deferred injection-head and delivery events in shard
-	// (= serial move) order.
-	gen++
-	if timed {
-		// Written before the B4 arrival, so the atomic arrival counter (and
-		// the generation release behind it) orders this store before the
-		// coordinator's post-cycle read.
-		sh.busyNS = time.Since(start).Nanoseconds() - waitNS
-	}
+	// Written before the B4 arrival, so the atomic arrival counter (and the
+	// generation release behind it) orders this store before the
+	// coordinator's post-cycle read.
+	sh.clk.lap(phMove)
+	sh.busyNS = sh.clk.busy()
+	e.sync(p, sh, 3, phMove, (*Engine).commitEvents)
+}
+
+// sync ends a section of the barrier driver at barrier b (0..3 = B1..B4;
+// B2a shares B2's slot): the last shard to arrive runs commit and releases
+// the rest, everyone else waits. On sampled cycles the section's time —
+// the commit included, for the shard that ran it — is charged to phase ph
+// and a waiter's wait to barrier b's histogram, never to a phase.
+func (e *Engine) sync(p *parRuntime, sh *parShard, b, ph int, commit func(*Engine, *parRuntime)) {
+	sh.localGen++
 	if p.bar.arrive() {
-		e.commitEvents(p)
-		p.bar.release(gen)
-	} else {
-		e.timedWait(p, gen, timed, 3)
+		if commit != nil {
+			commit(e, p)
+		}
+		p.bar.release(sh.localGen)
+		sh.clk.lap(ph)
+		return
 	}
-
-	sh.localGen = gen
+	sh.clk.lap(ph)
+	p.bar.wait(sh.localGen)
+	if sh.clk.on {
+		now := time.Now()
+		e.met.barrierWait[b].Observe(float64(now.Sub(sh.clk.mark).Nanoseconds()))
+		sh.clk.mark = now
+	}
 }
 
-// timedWait waits out barrier generation gen; when timing is on it also
-// records the wait into the sync-profile histogram of barrier b and returns
-// the nanoseconds waited (0 untimed).
-func (e *Engine) timedWait(p *parRuntime, gen uint32, timed bool, b int) int64 {
-	if !timed {
-		p.bar.wait(gen)
-		return 0
-	}
-	t := time.Now()
-	p.bar.wait(gen)
-	w := time.Since(t).Nanoseconds()
-	e.met.barrierWait[b].Observe(float64(w))
-	return w
-}
-
-// cycleInline is the single-P form of cycleShard: the same four fused
-// sections with the same commit points, run over every shard in ascending
-// order by the one goroutine there is. Each section is an interleaving the
-// barrier schedule already admits (shard work within a section commutes;
-// the commits sit exactly where the barrier arrivals run them), so the
-// results are bit-identical to both the worker pool and the serial engine.
-// Within section 3 the switch pass runs per shard right after its
-// allocation pass — legal because switch allocation never reads what
-// allocation writes (see cycleShard) — which keeps the shard's node arena
-// hot across the two walks. The barrier generation counter still ticks
-// once per fused barrier so the synchronisation budget stays observable.
+// cycleInline is the single-goroutine driver: the same sections with the
+// same commit points, run over every shard in ascending order. Each section
+// is an interleaving the barrier schedule already admits (shard work within
+// a section commutes; the commits sit exactly where the barrier arrivals
+// run them), so the results are bit-identical to the worker pool. On
+// trigger-free cycles the switch pass runs per shard right after its
+// allocation pass, which keeps the shard's node arena hot across the two
+// walks. The barrier generation counter still ticks once per commit point
+// so the synchronisation budget stays observable.
 func (e *Engine) cycleInline(p *parRuntime) {
-	n := len(e.nodes)
 	shards := p.shards
+	clk := &shards[0].clk
+	clk.begin(p.sampled)
 
-	// Section 1 + B1.
 	for i := range shards {
-		sh := &shards[i]
-		if e.live != nil {
-			e.promoteRetriesRange(sh)
-		}
-		if !e.sourcesStopped {
-			e.pollRange(sh)
-		}
+		e.generateRange(&shards[i])
 	}
-	e.commitEvents(p)
 	e.commitGenerate(p)
 	p.bar.gen.Add(1)
+	clk.lap(phGenerate)
 
-	// Section 2 + B2.
 	for i := range shards {
 		e.injectRange(p, &shards[i])
 	}
-	e.commitEvents(p)
-	cut := int32(n)
-	if p.alwaysSerialAlloc {
-		cut = 0
-	} else {
-		for i := range shards {
-			if c := shards[i].allocCut; c < cut {
-				cut = c
-			}
-		}
-	}
-	p.allocCut = cut
+	e.commitInject(p)
 	p.bar.gen.Add(1)
+	clk.lap(phInject)
 
-	// Section 3 (+ B2a on trigger cycles) + B3.
-	if int(cut) < n {
+	if cut := int(p.allocCut); cut < len(e.nodes) {
 		for i := range shards {
-			sh := &shards[i]
-			if ahi := min(sh.hi, int(cut)); sh.lo < ahi {
-				e.allocRange(sh.lo, ahi)
-			}
+			e.allocRange(shards[i].lo, min(shards[i].hi, cut))
 		}
-		e.allocRange(int(cut), n)
+		e.allocSuffix(p)
 		p.bar.gen.Add(1)
+		clk.lap(phRoute)
 		for i := range shards {
 			sh := &shards[i]
 			sh.moves = e.switchRange(sh.lo, sh.hi, sh.reqsFlat, sh.moves[:0])
 		}
+		clk.lap(phSwitch)
 	} else {
 		for i := range shards {
 			sh := &shards[i]
 			e.allocRange(sh.lo, sh.hi)
+			clk.lap(phRoute)
 			sh.moves = e.switchRange(sh.lo, sh.hi, sh.reqsFlat, sh.moves[:0])
+			clk.lap(phSwitch)
 		}
 	}
 	p.bar.gen.Add(1)
 
-	// Section 4 + B4. Every ring is published before any is drained, so the
-	// drain pass never waits.
+	// Every ring is published before any is drained, so the drain pass
+	// never waits.
 	for i := range shards {
 		e.moveSourceRange(p, &shards[i], i)
 	}
@@ -709,11 +642,26 @@ func (e *Engine) cycleInline(p *parRuntime) {
 	}
 	e.commitEvents(p)
 	p.bar.gen.Add(1)
+	clk.lap(phMove)
 }
 
-// promoteRetriesRange is the shard-parallel fault-retry promotion walk:
-// identical to promoteRetries over the shard's own nodes, except that
-// drops (globally-ordered accounting) are deferred to the next commit.
+// generateRange is section 1 over one shard: fault-retry promotion (fault
+// runs; drops deferred), then traffic-generation polling (per-node RNG
+// streams; creation deferred).
+func (e *Engine) generateRange(sh *parShard) {
+	if e.live != nil {
+		e.promoteRetriesRange(sh)
+	}
+	if !e.sourcesStopped {
+		e.pollRange(sh)
+	}
+}
+
+// promoteRetriesRange moves the shard's fault retries whose backoff expired
+// to the front of their source queues (oldest first — retried traffic keeps
+// the paper's pending-before-new priority). Retries whose destination died
+// while they waited are dropped; drops are globally-ordered accounting, so
+// they are deferred to the next commit.
 func (e *Engine) promoteRetriesRange(sh *parShard) {
 	for i := sh.lo; i < sh.hi; i++ {
 		nd := &e.nodes[i]
@@ -740,9 +688,10 @@ func (e *Engine) promoteRetriesRange(sh *parShard) {
 	}
 }
 
-// pollRange is the parallel half of phaseGenerate: drain each source's due
-// events into the shard's buffer. Message creation waits for the commit —
-// ids, the pool and the collector are global.
+// pollRange is the per-shard half of generation: drain each source's due
+// events into the shard's buffer, skipping nodes whose source cannot fire yet
+// (cached NextAt) without touching the source. Message creation waits for
+// the commit — ids, the pool and the collector are global.
 func (e *Engine) pollRange(sh *parShard) {
 	for i := sh.lo; i < sh.hi; i++ {
 		nd := &e.nodes[i]
@@ -760,9 +709,10 @@ func (e *Engine) pollRange(sh *parShard) {
 	}
 }
 
-// commitGenerate creates the polled messages in node order — bit-identical
-// to phaseGenerate's serial loop.
+// commitGenerate is the B1 commit: the deferred retry drops, then the polled
+// messages, created and queued in node order.
 func (e *Engine) commitGenerate(p *parRuntime) {
+	e.commitEvents(p)
 	for si := range p.shards {
 		sh := &p.shards[si]
 		for _, g := range sh.gen {
@@ -776,14 +726,37 @@ func (e *Engine) commitGenerate(p *parRuntime) {
 	}
 }
 
-// injectRange is the parallel variant of phaseInject over the shard's
-// nodes, with the trigger pre-scan for the allocation split fused into the
-// same walk. The injection body mirrors the serial one exactly, except
-// that drops and throttle traces are deferred (their accounting is
-// global); the queue and recovery-list pops themselves happen inline, so
-// the injection decisions are identical.
+// commitInject is the B2 commit: the injection-phase events (they precede any
+// allocation event in the stream), then the global allocation cut, the
+// minimum of the shards' pre-scans.
+func (e *Engine) commitInject(p *parRuntime) {
+	e.commitEvents(p)
+	cut := int32(len(e.nodes))
+	if p.alwaysSerialAlloc {
+		cut = 0
+	}
+	for i := range p.shards {
+		cut = min(cut, p.shards[i].allocCut)
+	}
+	p.allocCut = cut
+}
+
+// allocSuffix is the B2a commit of a trigger cycle: allocation from the cut
+// onward, where recoveries and fault kills fire with their cross-shard
+// teardowns, on one goroutine while every other shard waits.
+func (e *Engine) allocSuffix(p *parRuntime) {
+	e.allocRange(int(p.allocCut), len(e.nodes))
+}
+
+// injectRange is the injection phase over the shard's nodes, with the
+// trigger pre-scan for the allocation split fused into the same walk. On
+// fault runs it first sheds head-of-line messages whose destination router
+// died: they can never be delivered, and letting them enter would only
+// wedge traffic near the failure. Drops and throttle traces are deferred
+// (their accounting is global); the queue and recovery-list pops themselves
+// happen inline.
 //
-// The fused pre-scan records in sh.allocCut the first own node at which
+// The fused pre-scan (two shards or more) records in sh.allocCut the first own node at which
 // the upcoming allocation phase could fire a recovery or a fault kill (or
 // len(nodes) when none can). Both predicates are exact one-cycle-ahead
 // predictions, and both are per-node over state that later nodes'
@@ -802,12 +775,12 @@ func (e *Engine) commitGenerate(p *parRuntime) {
 //     post-injection unrouted headers (their set only shrinks during
 //     allocation; teardowns run after the cut) is exact.
 //
-// A node below the cut therefore allocates exactly as it would serially;
-// conservative-only flagging (a flagged node need not actually fire) costs
-// serial suffix width, never correctness.
+// A node below the cut therefore allocates exactly as it would in one
+// whole-network walk; conservative-only flagging (a flagged node need not
+// actually fire) costs suffix width, never correctness.
 func (e *Engine) injectRange(p *parRuntime, sh *parShard) {
 	faults := e.live != nil
-	scan := p.watermarked || faults
+	scan := len(p.shards) > 1 && (p.watermarked || faults)
 	cut := int32(len(e.nodes))
 	for i := sh.lo; i < sh.hi; i++ {
 		nd := &e.nodes[i]
@@ -833,6 +806,9 @@ func (e *Engine) injectRange(p *parRuntime, sh *parShard) {
 				}
 			}
 		}
+		// Nothing to tick and nothing to inject: skip. Limiters with a
+		// per-cycle hook (DRIL's window counter) must tick every cycle, so
+		// their nodes always inject.
 		if alive && (nd.limObs != nil || !nd.queue.Empty() || len(nd.recovery) > 0) {
 			e.injectNode(nd, sh)
 		}
@@ -848,9 +824,13 @@ func (e *Engine) injectRange(p *parRuntime, sh *parShard) {
 	sh.allocCut = cut
 }
 
-// injectNode runs one node's injection-limitation decisions and channel
-// claims — the per-node body of the serial injection phase, with drop and
-// throttle traces deferred to the shard's event buffer.
+// injectNode runs one node's limiter tick, then assigns its free injection
+// channels: recovered messages first (they bypass the limiter — draining
+// them relieves the congestion that deadlocked them), then source-queue
+// messages in FIFO order, each gated by the injection limiter. A denied
+// queue head blocks the messages behind it, preserving the paper's
+// "pending messages have higher priority than newer ones". Throttle traces
+// are deferred to the shard's event buffer.
 func (e *Engine) injectNode(nd *node, sh *parShard) {
 	if nd.limObs != nil {
 		nd.limObs.Tick(nd.view, e.now)
@@ -879,7 +859,8 @@ func (e *Engine) injectNode(nd *node, sh *parShard) {
 			continue
 		}
 		m := nd.queue.Front()
-		// Rogue bypass, mirroring the serial injection gate exactly.
+		// Rogue nodes (Config.Adversary) never consult the limiter:
+		// bypassing it is the whole attack.
 		if !nd.rogue && !nd.limiter.Allow(nd.view, m.Dst) {
 			// Deny metrics update inline: the counters are commutative
 			// atomics, so the totals are worker-order-independent.
@@ -953,18 +934,26 @@ func (e *Engine) deadEnd(nd *node) bool {
 	return false
 }
 
-// moveSourceRange is pass 1 of the fused move phase over the shard's own
-// moves: identical to phaseMove except that pushes into another shard's
-// nodes are recorded into the per-destination rings instead of applied,
-// and delivery/injection accounting is deferred. Pushes staying inside the
-// shard touch only own-node state and commute with the shard's remaining
-// pops (a push was planned against start-of-cycle credit, so it fits
-// whether the destination buffer's own pop has run yet or not), so they
-// apply directly in serial phaseMove's fused single-pass style — no
-// round-trip through a staging buffer. Each ring is published exactly
-// once, after the walk, so the destination shard sees the complete batch
-// or nothing.
+// The credit condition for a forward move is that the receiving
+// virtual-channel buffer (node.down[port*VCs+vc]) has a slot free at the
+// start of the cycle: a one-cycle credit loop. Each buffer has a single
+// upstream sender and one grant per output port, so the check is exact.
+
+// moveSourceRange is pass 1 of the fused move phase: it applies the shard's
+// planned flit transfers — pops from input buffers or injection channels,
+// pushes into downstream buffers or ejection sinks — with all the
+// bookkeeping that head and tail flits trigger (channel release, path
+// tracking, active-set counters); delivery/injection accounting is
+// deferred. Pushes staying inside the shard touch only own-node state and
+// commute with the shard's remaining pops (a push was planned against
+// start-of-cycle credit, so it fits whether the destination buffer's own
+// pop has run yet or not), so they apply directly, fused with the pop pass;
+// pushes into another shard's nodes are recorded into the per-destination
+// rings instead. Each ring is published exactly once, after the walk, so
+// the destination shard sees the complete batch or nothing.
 func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
+	// Hot engine state hoisted into locals (no callee below mutates any of
+	// it), so the compiler need not reload the fields across calls.
 	vcs := e.cfg.VCs
 	nVC := e.numPhys * vcs
 	now := e.now
@@ -974,6 +963,10 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 	emptyArena := e.emptyArena
 	fullArena := e.fullArena
 	nShards := len(p.shards)
+	// The shard's slice of the status-word arenas (numPhys words per node)
+	// tells a push into another shard from the downstream word index alone.
+	wordLo := uint32(sh.lo * e.numPhys)
+	wordSpan := uint32((sh.hi - sh.lo) * e.numPhys)
 	for _, mv := range sh.moves {
 		nd := &e.nodes[mv.node]
 		var flit message.Flit
@@ -997,6 +990,9 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 				})
 			}
 		} else {
+			// The flit is built from the channel's cached counters, and the
+			// message's FlitsSent is settled when the tail leaves: body
+			// flits never touch the (cold) message struct.
 			ic := &nd.inj[a-nVC]
 			m := ic.msg
 			seq := ic.len - ic.left
@@ -1022,6 +1018,9 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 
 		m := flit.Msg
 		if mv.eject {
+			// Body flits charge the ejection channel's pending counter;
+			// the message is debited once, when the tail arrives — so
+			// consuming a flit touches only this hot little struct.
 			ej := &nd.ej[mv.ejCh]
 			if !flit.Tail {
 				ej.pending++
@@ -1044,34 +1043,33 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 		if flit.Tail && nd.out[mv.outPort].VCs[mv.outVC].ReleaseIfOwner(m) {
 			nd.freeMask[mv.outPort] |= bit
 		}
-		nb := nd.nbr[mv.outPort]
-		if d := p.shardOf[nb.id]; int(d) != id {
-			r := &p.rings[id*nShards+int(d)]
-			r.buf[sh.ringN[d]] = outFlit{
-				dvc:  nd.down[int(mv.outPort)*vcs+int(mv.outVC)],
-				nbr:  nb,
-				word: nd.downWord[mv.outPort],
-				bit:  bit,
-				flit: flit,
+		word := nd.downWord[mv.outPort]
+		dvc := nd.down[int(mv.outPort)*vcs+int(mv.outVC)]
+		if uint32(word)-wordLo >= wordSpan { // the downstream node is another shard's
+			nb := nd.nbr[mv.outPort]
+			d := p.shardOf[nb.id]
+			p.rings[id*nShards+int(d)].buf[sh.ringN[d]] = outFlit{
+				dvc: dvc, nbr: nb, word: word, bit: bit, flit: flit,
 			}
 			sh.ringN[d]++
 			continue
 		}
-		dvc := nd.down[int(mv.outPort)*vcs+int(mv.outVC)]
 		if dvc.buf.Empty() {
-			nb.occVCs++
-			emptyArena[nd.downWord[mv.outPort]] &^= bit
+			nd.nbr[mv.outPort].occVCs++
+			emptyArena[word] &^= bit
 		}
 		if flit.Head {
+			// The buffer holds one message at a time, so the owner/dst
+			// caches only need (re-)writing when a new head moves in.
 			dvc.owner = m
 			dvc.dst = m.Dst
 			if e.spans != nil {
-				e.spanHopArrive(m, nb.id)
+				e.spanHopArrive(m, nd.nbr[mv.outPort].id)
 			}
 		}
 		dvc.buf.Push(flit)
 		if dvc.buf.Full() {
-			fullArena[nd.downWord[mv.outPort]] |= bit
+			fullArena[word] |= bit
 		}
 	}
 	// Publish every outbound ring — including empty ones, so consumers
@@ -1158,9 +1156,9 @@ func (e *Engine) applyPushes(bucket []outFlit) {
 	}
 }
 
-// commitEvents applies the deferred side effects of the last parallel
-// section in shard order — equal to the serial engine's node (fault and
-// inject phases) or move (move phase) order.
+// commitEvents applies the deferred side effects of the last section in
+// shard order — node order (fault and inject phases) or move order (move
+// phase) whatever the partition. It is the whole of the B4 commit.
 func (e *Engine) commitEvents(p *parRuntime) {
 	for si := range p.shards {
 		sh := &p.shards[si]

@@ -5,9 +5,10 @@ import (
 	"testing"
 
 	"wormnet/internal/baseline"
+	"wormnet/internal/metrics"
 )
 
-// TestBarrierBudget pins the synchronisation cost of the parallel cycle:
+// TestBarrierBudget pins the synchronisation cost of a multi-shard cycle:
 // a steady-state cycle (no recovery or fault trigger possible) must cross
 // exactly 4 barriers, and even a trigger cycle — where the allocation
 // phase splits around the serial suffix — at most 5. The barrier
@@ -61,6 +62,47 @@ func TestBarrierBudget(t *testing.T) {
 	}
 }
 
+// TestTriggerBarrierWaitTimed pins where the worker pool books the wait at
+// the allocation-split barrier of a trigger cycle: in B2's wait histogram,
+// like every other barrier wait, not in the shard's busy time. With every
+// cycle sampled, each barrier leaves one wait sample per shard but the last
+// to arrive, so B2's histogram must hold exactly one B1-sized batch per
+// cycle plus one per trigger cycle.
+func TestTriggerBarrierWaitTimed(t *testing.T) {
+	restore := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(restore)
+	runtime.GOMAXPROCS(2)
+
+	cfg := equivalenceConfigs()["saturated-recovery"]
+	cfg.Workers = 4
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	reg := metrics.NewRegistry()
+	e.EnableMetrics(reg, 1)
+	const cycles = 3000
+	triggers := 0
+	for c := 0; c < cycles; c++ {
+		before := e.par.bar.gen.Load()
+		e.Step()
+		if e.par.bar.gen.Load()-before == 5 {
+			triggers++
+		}
+	}
+	if triggers == 0 {
+		t.Fatal("saturated run never took the trigger path; scenario is vacuous")
+	}
+	waiters := float64(len(e.par.shards) - 1)
+	if got, want := metricValue(t, reg, "sim_barrier_wait_b1_ns"), waiters*cycles; got != want {
+		t.Errorf("B1 holds %v wait samples, want %v", got, want)
+	}
+	if got, want := metricValue(t, reg, "sim_barrier_wait_b2_ns"), waiters*float64(cycles+triggers); got != want {
+		t.Errorf("B2 holds %v wait samples, want %v (%d trigger cycles)", got, want, triggers)
+	}
+}
+
 // TestBarrierSpinAdaptive checks that the barrier's spin budget is chosen
 // from GOMAXPROCS at construction: a single-P host gets no spin at all
 // (spinning can never make another shard arrive there), oversubscribed
@@ -108,7 +150,7 @@ func TestParallelGoroutinePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probe.par == nil || probe.par.inline || len(probe.par.wake) == 0 {
+	if probe.par.inline || len(probe.par.wake) == 0 {
 		probe.Close()
 		t.Fatal("GOMAXPROCS=2 engine did not take the worker-pool path")
 	}
@@ -145,7 +187,7 @@ func TestDefaultWorkersClamp(t *testing.T) {
 	}
 
 	// An engine built at each clamped count must start, step and Close
-	// cleanly — including workers=1, where no parallel runtime exists and
+	// cleanly — including workers=1, where the runtime has one shard and
 	// Close is a no-op.
 	for _, procs := range []int{1, 3, 16} {
 		runtime.GOMAXPROCS(procs)
@@ -160,7 +202,7 @@ func TestDefaultWorkersClamp(t *testing.T) {
 			e.Step()
 		}
 		e.Close()
-		e.Step() // serial continuation after Close
+		e.Step() // one-shard continuation after Close
 		if err := e.CheckInvariants(); err != nil {
 			t.Errorf("procs=%d (workers=%d): %v", procs, cfg.Workers, err)
 		}

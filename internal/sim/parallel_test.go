@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"wormnet/internal/baseline"
@@ -136,51 +137,25 @@ func equivalenceConfigs() map[string]Config {
 }
 
 // TestGoldenParallelEquivalence is the determinism contract of the sharded
-// parallel engine: for every scenario, every worker count must reproduce the
-// serial run bit for bit — the same summary statistics, the same all-time
-// counters, and the *same trace event stream*, event by event in the same
-// order. The event stream is the strongest practical probe of message-level
-// equality: it pins the id, source, destination, cycle and location of every
-// generation, injection, throttle, deadlock, recovery, fault kill, retry,
-// drop and delivery of the run.
+// engine: for every scenario, every worker count — one shard included — must
+// reproduce the recorded serial reference (reference_test.go) bit for bit:
+// the same summary statistics, the same all-time counters, and the *same
+// trace event stream*, event by event in the same order. The event stream is
+// the strongest practical probe of message-level equality: it pins the id,
+// source, destination, cycle and location of every generation, injection,
+// throttle, deadlock, recovery, fault kill, retry, drop and delivery of the
+// run.
 func TestGoldenParallelEquivalence(t *testing.T) {
+	ref := serialReference(t)
 	for name, cfg := range equivalenceConfigs() {
-		cfg := cfg
+		cfg, want := cfg, ref[name]
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			baseRes, baseClasses, baseEvents, baseCounters := runTraced(t, cfg, 1)
-			if len(baseEvents) == 0 {
-				t.Fatal("serial run emitted no events; scenario is vacuous")
+			if want.Events == 0 {
+				t.Fatal("reference run emitted no events; scenario is vacuous")
 			}
-			for _, workers := range []int{2, 3, 4, 7} {
-				res, classes, events, counters := runTraced(t, cfg, workers)
-				if res != baseRes {
-					t.Errorf("workers=%d: result diverged:\n got  %+v\n want %+v", workers, res, baseRes)
-				}
-				if len(classes) != len(baseClasses) {
-					t.Errorf("workers=%d: %d class results, serial has %d", workers, len(classes), len(baseClasses))
-				} else {
-					for i := range classes {
-						if classes[i] != baseClasses[i] {
-							t.Errorf("workers=%d: class %d diverged:\n got  %+v\n want %+v",
-								workers, i, classes[i], baseClasses[i])
-						}
-					}
-				}
-				if counters != baseCounters {
-					t.Errorf("workers=%d: counters diverged: got %v want %v", workers, counters, baseCounters)
-				}
-				if len(events) != len(baseEvents) {
-					t.Errorf("workers=%d: %d events, serial emitted %d", workers, len(events), len(baseEvents))
-					continue
-				}
-				for i := range events {
-					if events[i] != baseEvents[i] {
-						t.Errorf("workers=%d: event %d diverged:\n got  %+v\n want %+v",
-							workers, i, events[i], baseEvents[i])
-						break
-					}
-				}
+			for _, workers := range []int{1, 2, 3, 4, 7} {
+				runReference(t, fmt.Sprintf("workers=%d", workers), cfg, workers, want)
 			}
 		})
 	}
@@ -234,40 +209,47 @@ func TestParallelWorkerClamp(t *testing.T) {
 	}
 }
 
-// TestParallelCloseMidRun closes the worker pool halfway through a run and
-// finishes on the serial path: between cycles the parallel engine's state is
-// exactly the serial engine's state, so the mixed run must reproduce the
-// all-serial result bit for bit.
+// TestParallelCloseMidRun closes the worker pool at cycle 1 000 of a
+// four-shard run and finishes on the one shard Close re-partitions to — the
+// second time with an in-place Snapshot/Restore 1 000 cycles later. Between
+// cycles the engine's state does not depend on the partition, so the mixed
+// run must reproduce the recorded serial reference bit for bit.
 func TestParallelCloseMidRun(t *testing.T) {
-	cfg := QuickConfig()
-	cfg.Rate = 2.0
-	cfg.Limiter = baseline.Factories()["none"]
-	cfg.LimiterName = "none"
-	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 500, 2000, 500
-
-	serial, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := serial.Run()
-
+	const row = "faults-storm"
+	cfg, want := equivalenceConfigs()[row], serialReference(t)[row]
 	cfg.Workers = 4
-	mixed, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, viaSnapshot := range []bool{false, true} {
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tap := &eventTap{}
+		e.SetListener(tap)
+		for e.Now() < 1000 {
+			e.Step()
+		}
+		if len(e.par.shards) != 4 {
+			t.Fatalf("engine started on %d shards, want 4", len(e.par.shards))
+		}
+		e.Close()
+		closed := e.par
+		e.Close() // idempotent: the one-shard runtime stays
+		if e.par != closed || len(closed.shards) != 1 || closed.wake != nil {
+			t.Fatalf("after Close: %d shards, %d workers, runtime replaced by second Close = %v",
+				len(e.par.shards), len(e.par.wake), e.par != closed)
+		}
+		for e.Now() < 2000 {
+			e.Step()
+		}
+		if viaSnapshot {
+			snap, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+		finishReference(t, fmt.Sprintf("close mid-run (snapshot=%v)", viaSnapshot), e, tap, want)
 	}
-	half := cfg.TotalCycles() / 2
-	for mixed.Now() < half {
-		mixed.Step()
-	}
-	mixed.Close()
-	var got stats.Result
-	for mixed.Now() < cfg.TotalCycles() {
-		mixed.Step()
-	}
-	got = mixed.Collector().Result()
-	if got != want {
-		t.Errorf("serial continuation after Close diverged:\n got  %+v\n want %+v", got, want)
-	}
-	mixed.Close() // second Close is a no-op
 }

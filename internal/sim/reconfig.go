@@ -30,9 +30,8 @@ import (
 // from a stale epoch.
 //
 // Determinism: reconfiguration runs where fault application runs — serially
-// at the cycle boundary, before any phase, on both the serial and the
-// sharded path (stepParallel applies due faults before waking workers) — so
-// epoch flips, table rebuilds and revalidation sweeps are bit-identical at
+// at the cycle boundary, before any phase (Step applies due faults before
+// the schedule starts or any worker wakes) — so epoch flips, table rebuilds and revalidation sweeps are bit-identical at
 // any worker count.
 
 // Epoch returns the current routing epoch: the number of liveness-changing

@@ -8,7 +8,7 @@ package sim
 // influences future simulation behaviour, so that RestoreEngine continues
 // with bit-identical results, counters and event streams — at any Workers
 // count, which may differ from the snapshotting engine's. That works
-// because the parallel engine is itself bit-identical to serial, and every
+// because results do not depend on the shard partition, and every
 // piece of state that depends on the worker count (shard scratch buffers,
 // the BlockTracker watermark/hot pair) is either transient between cycles
 // or recomputed on restore.
@@ -193,9 +193,9 @@ type Snapshot struct {
 }
 
 // ConfigDigest returns a canonical one-line description of everything in
-// cfg that influences simulation results, EXCLUDING the worker count (the
-// parallel engine is bit-identical to serial, so a checkpoint may be resumed
-// at any parallelism). Func-typed fields are represented by their names; the
+// cfg that influences simulation results, EXCLUDING the worker count
+// (results are bit-identical for any partition, so a checkpoint may be
+// resumed at any parallelism). Func-typed fields are represented by their names; the
 // fault schedule and retry policy are spelled out event by event.
 func ConfigDigest(cfg Config) (string, error) {
 	if err := cfg.validate(); err != nil {
@@ -477,7 +477,6 @@ func (e *Engine) reset() {
 	e.now, e.nextID, e.faultIdx, e.epoch = 0, 0, 0, 0
 	e.generated, e.delivered, e.recovered, e.aborted, e.retried, e.dropped = 0, 0, 0, 0, 0, 0
 	e.sourcesStopped = false
-	e.moves = e.moves[:0]
 	e.listener, e.onReconfig, e.spans = nil, nil, nil
 	e.met, e.metReg, e.onSample = nil, nil, nil
 	e.col.DropDeliverySeries() // load brings back the snapshot's, if any
@@ -508,9 +507,7 @@ func (e *Engine) reset() {
 		clear(nd.retry)
 		nd.retry = nd.retry[:0]
 	}
-	if e.par != nil {
-		e.par.reset()
-	}
+	e.par.reset()
 }
 
 // reset clears what the sharded runtime carries between cycles. The ring stamps

@@ -15,7 +15,7 @@ package sim
 // on every path, so "ID % every == 0" selects the same messages — and
 // produces the same records in the same order — for any worker count.
 //
-// Concurrency (parallel engine): the live-record map is mutated only in
+// Concurrency (worker pool): the live-record map is mutated only in
 // serial contexts — generation commits, delivery/drop commits, recovery and
 // retry teardowns, all of which run at barrier arrival or between cycles.
 // The parallel sections only *read* the map and write fields of the looked-up
@@ -100,7 +100,7 @@ func (e *Engine) EnableSpans(reg *metrics.Registry, sampleEvery int64, sink trac
 }
 
 // spanGenerate starts a span for m if its ID selects it. Serial contexts
-// only (phaseGenerate, commitGenerate, Inject).
+// only (commitGenerate, Inject).
 func (e *Engine) spanGenerate(m *message.Message) {
 	s := e.spans
 	if int64(m.ID)%s.every != 0 {
@@ -204,8 +204,8 @@ func (e *Engine) spanTeardown(m *message.Message) {
 }
 
 // spanDeliver finishes m's span at delivery: aggregate, hand to the sink,
-// recycle. Serial contexts only (serial phaseMove, parallel commitEvents),
-// so sinks see spans in delivery order on every path.
+// recycle. Serial contexts only (commitEvents), so sinks see spans in
+// delivery order at any worker count.
 func (e *Engine) spanDeliver(m *message.Message) {
 	s := e.spans
 	rec, ok := s.live[m.ID]
