@@ -109,6 +109,41 @@ func TestRestoreThroughFile(t *testing.T) {
 	}
 }
 
+// TestRestoreParentWrittenCheckpoint reads a checkpoint written by the last
+// commit whose engine kept every buffered flit as a record (PR 13; shortConfig
+// at cycle 700, the run midRunSnapshot repeats). Buffers are runs now and the
+// flits in a snapshot are derived from them, but the wire format is the same
+// and so is the run: today's engine must write that file byte for byte, and
+// must finish the run from it exactly as if it had never stopped.
+func TestRestoreParentWrittenCheckpoint(t *testing.T) {
+	const fixture = "testdata/written_by_pr13.wncp"
+	raw, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeBytes(t, midRunSnapshot(t)), raw) {
+		t.Error("the same run at the same cycle no longer encodes to the bytes the parent commit wrote")
+	}
+	snap, err := ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := shortConfig()
+	golden, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer golden.Close()
+	e, err := sim.RestoreEngine(cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if got, want := e.Run(), golden.Run(); got != want {
+		t.Errorf("resumed result diverged:\n got  %+v\n want %+v", got, want)
+	}
+}
+
 // TestWriteFileAtomic pins the no-torn-file contract: WriteFile replaces an
 // existing checkpoint in place and leaves no temporary files behind.
 func TestWriteFileAtomic(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package message defines the unit of communication of the wormhole
-// simulator: multi-flit messages and the per-flit buffer entries the router
-// model stores.
+// simulator: multi-flit messages and the flits the router model moves from
+// buffer to buffer.
 //
 // A wormhole message is a header flit followed by data flits and a tail flit
 // (a 1-flit message is both head and tail). The simulator does not carry
@@ -218,10 +218,11 @@ func (m *Message) String() string {
 }
 
 // Flit is one buffer-entry's worth of a message. Flits are small values
-// copied between buffers; they carry no payload. The struct is kept at 16
-// bytes (four flits per cache line) because buffer pops and pushes dominate
-// the simulator's flit-movement phase; Seq is an int32 accordingly, which
-// bounds messages at 2^31 flits.
+// handed from buffer to buffer; they carry no payload, and a buffer does not
+// store them — it keeps the run they form and derives each one on the way
+// out (router.Buffer). The struct is kept at 16 bytes for the records that do
+// hold flits (the sharded engine's push rings); Seq is an int32 accordingly,
+// which bounds messages at 2^31 flits.
 type Flit struct {
 	Msg  *Message
 	Seq  int32 // 0-based flit index within the message

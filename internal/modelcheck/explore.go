@@ -178,7 +178,14 @@ func (x *Explorer) entryFrom(e *sim.Engine, schedule *sched, used uint32) (*entr
 // Run explores until the frontier drains or the state budget is hit, then
 // returns the report. It may be called once per Explorer.
 func (x *Explorer) Run() (*Report, error) {
-	defer func() { x.work, x.aux = nil, nil }()
+	defer func() {
+		for _, e := range []*sim.Engine{x.work, x.aux} {
+			if e != nil {
+				e.Close() // a sharded engine owns worker goroutines
+			}
+		}
+		x.work, x.aux = nil, nil
+	}()
 	allUsed := uint32(1)<<uint(len(x.spec.Messages)) - 1
 	for len(x.stack) > 0 {
 		if x.rep.States >= x.spec.MaxStates {

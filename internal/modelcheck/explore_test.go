@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"wormnet/internal/checkpoint"
 )
@@ -178,21 +180,33 @@ func TestSchedMatchesSlices(t *testing.T) {
 }
 
 // TestScratchEnginesLiveOnlyDuringRun pins the explorer's engine budget: New
-// builds none beyond the root it materialises, and Run drops the two it
-// restores into.
+// builds none beyond the root it materialises, and Run closes and drops the
+// two it restores into — with them, at Workers 2, their worker goroutines.
 func TestScratchEnginesLiveOnlyDuringRun(t *testing.T) {
-	x, err := New(boundedRing(400), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x.work != nil || x.aux != nil {
-		t.Fatal("New built a scratch engine")
-	}
-	if _, err := x.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if x.work != nil || x.aux != nil {
-		t.Fatal("Run kept a scratch engine")
+	for _, workers := range []int{1, 2} {
+		x, err := New(boundedRing(400), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x.work != nil || x.aux != nil {
+			t.Fatal("New built a scratch engine")
+		}
+		x.cfg.Workers = workers // the config digest excludes the worker count
+		before := runtime.NumGoroutine()
+		if _, err := x.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if x.work != nil || x.aux != nil {
+			t.Fatal("Run kept a scratch engine")
+		}
+		// Close has the pool's workers return; it does not wait for them.
+		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d goroutines before Run, %d after: the scratch engines' workers leaked",
+					workers, before, runtime.NumGoroutine())
+			}
+			runtime.Gosched()
+		}
 	}
 }
 

@@ -14,15 +14,21 @@ import (
 	"wormnet/internal/message"
 )
 
-// Buffer is a fixed-capacity FIFO of flits: one virtual-channel buffer.
+// Buffer is a fixed-capacity FIFO of flits: one virtual-channel buffer. It
+// stores a run, not flits: wormhole switching gives a virtual channel to one
+// message from head to tail, and a channel is only allocated while its
+// buffer is empty, so the contents are always consecutive flits of a single
+// message — owner, first sequence number, length, and whether the last flit
+// is the tail. Push enforces exactly that; Front, Pop and At derive the flit.
 // The zero value is not usable; construct with NewBuffer, or initialise a
 // value in place with Init (the simulation engine stores buffers by value
 // in one contiguous slice per node, so the hot path walks them linearly).
 type Buffer struct {
-	flits []message.Flit
-	head  int32 // index of front element
-	tail  int32 // index one past the back element (mod capacity)
+	msg   *message.Message // owner of the run; stale while size == 0
+	first int32            // sequence number of the front flit
 	size  int32
+	cap   int32
+	tail  bool // the last buffered flit is the message's tail
 }
 
 // NewBuffer returns an empty buffer holding at most capacity flits.
@@ -32,28 +38,19 @@ func NewBuffer(capacity int) *Buffer {
 	return b
 }
 
-// Init (re-)initialises b in place as an empty buffer of the given
-// capacity, allocating only the flit storage.
+// Init (re-)initialises b in place as an empty buffer of the given capacity.
 func (b *Buffer) Init(capacity int) {
 	if capacity < 1 {
 		panic(fmt.Sprintf("router: buffer capacity %d < 1", capacity))
 	}
-	*b = Buffer{flits: make([]message.Flit, capacity)}
+	*b = Buffer{cap: int32(capacity)}
 }
 
-// InitOver (re-)initialises b in place as an empty buffer whose flit
-// storage is the caller-provided slice; its length is the capacity. The
-// simulation engine uses it to pack every buffer of a run into one
-// contiguous arena.
-func (b *Buffer) InitOver(storage []message.Flit) {
-	if len(storage) < 1 {
-		panic("router: buffer storage must hold at least one flit")
-	}
-	*b = Buffer{flits: storage}
-}
+// Reset empties the buffer, keeping its capacity.
+func (b *Buffer) Reset() { *b = Buffer{cap: b.cap} }
 
 // Cap returns the buffer capacity in flits.
-func (b *Buffer) Cap() int { return len(b.flits) }
+func (b *Buffer) Cap() int { return int(b.cap) }
 
 // Len returns the number of buffered flits.
 func (b *Buffer) Len() int { return int(b.size) }
@@ -62,82 +59,78 @@ func (b *Buffer) Len() int { return int(b.size) }
 func (b *Buffer) Empty() bool { return b.size == 0 }
 
 // Full reports whether the buffer is at capacity.
-func (b *Buffer) Full() bool { return int(b.size) == len(b.flits) }
+func (b *Buffer) Full() bool { return b.size == b.cap }
 
-// Push appends a flit at the back. It panics if the buffer is full; the
-// simulator's credit check must prevent that.
+// Push appends a flit at the back. It panics if the buffer is full (the
+// simulator's credit check must prevent that), if the flit's Head flag
+// disagrees with Seq == 0, or if the flit does not extend the buffered run:
+// another message's flit, a sequence number other than the next one, or any
+// flit behind the tail. Tail is taken on trust — checking it against the
+// message length would touch the message on every push — so whoever builds
+// flits from outside data (a snapshot) validates it first.
 func (b *Buffer) Push(f message.Flit) {
-	if b.Full() {
+	if b.size == b.cap {
 		panic("router: push into full buffer")
 	}
-	b.flits[b.tail] = f
-	b.tail++
-	if int(b.tail) == len(b.flits) {
-		b.tail = 0
+	if f.Head != (f.Seq == 0) {
+		panic("router: pushed flit's Head flag disagrees with its sequence number")
 	}
+	if b.size == 0 {
+		b.msg, b.first = f.Msg, f.Seq
+	} else if f.Msg != b.msg || f.Seq != b.first+b.size || b.tail {
+		panic("router: pushed flit does not extend the buffered run")
+	}
+	b.tail = f.Tail
 	b.size++
 }
 
 // Front returns the flit at the front. It panics if the buffer is empty.
 func (b *Buffer) Front() message.Flit {
-	if b.Empty() {
+	if b.size == 0 {
 		panic("router: front of empty buffer")
 	}
-	return b.flits[b.head]
+	return message.Flit{Msg: b.msg, Seq: b.first, Head: b.first == 0, Tail: b.tail && b.size == 1}
 }
 
 // Pop removes and returns the front flit. It panics if the buffer is empty.
-// The vacated slot is not cleared: slots outside [head, head+size) are never
-// read, and the stale *Message reference keeps nothing extra alive — the
-// simulator pools and reuses messages rather than freeing them.
+// The owner is not cleared when the last flit leaves: it is never read while
+// the buffer is empty, and the stale reference keeps nothing extra alive —
+// the simulator pools and reuses messages rather than freeing them.
 func (b *Buffer) Pop() message.Flit {
 	f := b.Front()
-	b.head++
-	if int(b.head) == len(b.flits) {
-		b.head = 0
-	}
+	b.first++
 	b.size--
 	return f
 }
 
 // RemoveMessage removes every flit belonging to message id and returns how
 // many were removed. It is used by deadlock recovery, which tears a
-// presumed-deadlocked message out of the network. Because a virtual-channel
-// buffer only ever holds flits of a single message at a time (allocation
-// requires an empty buffer), this either empties the buffer or removes
-// nothing; the implementation nevertheless handles interleavings defensively.
+// presumed-deadlocked message out of the network. A buffer holds flits of
+// one message, so this either empties it or removes nothing.
 func (b *Buffer) RemoveMessage(id message.ID) int {
-	removed := 0
-	n := int(b.size)
-	for i := 0; i < n; i++ {
-		f := b.Pop()
-		if f.Msg.ID == id {
-			removed++
-			continue
-		}
-		b.Push(f)
+	if b.size == 0 || b.msg.ID != id {
+		return 0
 	}
-	return removed
+	n := int(b.size)
+	b.size = 0
+	return n
 }
 
 // At returns the i-th buffered flit counting from the front (0 = front),
-// without removing it. It panics if i is out of range. Snapshot support:
-// the engine walks buffer contents in FIFO order without mutating them.
+// without removing it. It panics if i is out of range. Snapshots and the
+// invariant checker walk buffer contents with it, in FIFO order.
 func (b *Buffer) At(i int) message.Flit {
 	if i < 0 || int32(i) >= b.size {
-		panic(fmt.Sprintf("router: buffer index %d out of range [0,%d)", i, b.size))
+		panic("router: buffer index out of range")
 	}
-	j := b.head + int32(i)
-	if j >= int32(len(b.flits)) {
-		j -= int32(len(b.flits))
-	}
-	return b.flits[j]
+	seq := b.first + int32(i)
+	return message.Flit{Msg: b.msg, Seq: seq, Head: seq == 0, Tail: b.tail && int32(i) == b.size-1}
 }
 
-// FrontMessage returns the message owning the front flit, or nil if empty.
+// FrontMessage returns the message owning the buffered flits, or nil if empty.
 func (b *Buffer) FrontMessage() *message.Message {
-	if b.Empty() {
+	if b.size == 0 {
 		return nil
 	}
-	return b.flits[b.head].Msg
+	return b.msg
 }

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -55,25 +56,51 @@ func TestBufferWrapAround(t *testing.T) {
 	}
 }
 
-func TestBufferPanics(t *testing.T) {
-	check := func(name string, f func()) {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		})
-	}
-	check("cap", func() { NewBuffer(0) })
-	check("push full", func() {
-		b := NewBuffer(1)
-		b.Push(message.MakeFlit(msg(1, 2), 0))
-		b.Push(message.MakeFlit(msg(1, 2), 1))
+// mustPanic runs f as a subtest that fails unless f panics.
+func mustPanic(t *testing.T, name string, f func()) {
+	t.Run(name, func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("expected panic")
+			}
+		}()
+		f()
 	})
-	check("pop empty", func() { NewBuffer(1).Pop() })
-	check("front empty", func() { NewBuffer(1).Front() })
+}
+
+func TestBufferPanics(t *testing.T) {
+	// holding returns a buffer of four holding flits [from, to) of m.
+	holding := func(m *message.Message, from, to int) *Buffer {
+		b := NewBuffer(4)
+		for s := from; s < to; s++ {
+			b.Push(message.MakeFlit(m, s))
+		}
+		return b
+	}
+	m := msg(1, 6)
+	mustPanic(t, "cap", func() { NewBuffer(0) })
+	mustPanic(t, "push full", func() {
+		b := NewBuffer(1)
+		b.Push(message.MakeFlit(m, 0))
+		b.Push(message.MakeFlit(m, 1))
+	})
+	mustPanic(t, "pop empty", func() { NewBuffer(1).Pop() })
+	mustPanic(t, "front empty", func() { NewBuffer(1).Front() })
+	mustPanic(t, "at negative", func() { holding(m, 0, 2).At(-1) })
+	mustPanic(t, "at past the back", func() { holding(m, 0, 2).At(2) })
+	// One row per way a flit can fail to extend the buffered run.
+	mustPanic(t, "second message", func() { holding(m, 0, 2).Push(message.MakeFlit(msg(2, 6), 2)) })
+	mustPanic(t, "same id, other message", func() { holding(m, 0, 2).Push(message.MakeFlit(msg(1, 6), 2)) })
+	mustPanic(t, "sequence gap", func() { holding(m, 0, 2).Push(message.MakeFlit(m, 3)) })
+	mustPanic(t, "sequence repeated", func() { holding(m, 0, 2).Push(message.MakeFlit(m, 1)) })
+	mustPanic(t, "sequence descending", func() { holding(m, 2, 4).Push(message.MakeFlit(m, 1)) })
+	mustPanic(t, "flit behind the tail", func() {
+		holding(m, 4, 6).Push(message.Flit{Msg: m, Seq: 6})
+	})
+	mustPanic(t, "head flag on a body flit", func() {
+		holding(m, 0, 2).Push(message.Flit{Msg: m, Seq: 2, Head: true})
+	})
+	mustPanic(t, "no head flag on flit 0", func() { NewBuffer(4).Push(message.Flit{Msg: m, Seq: 0}) })
 }
 
 func TestBufferFrontMessage(t *testing.T) {
@@ -91,70 +118,115 @@ func TestBufferFrontMessage(t *testing.T) {
 	}
 }
 
+// A buffer used to accept interleaved flits of two messages, and
+// RemoveMessage picked one message's out from between the other's. That
+// state no longer exists: the interleaving is refused where it would arise,
+// at Push, and RemoveMessage is all or nothing.
 func TestBufferRemoveMessage(t *testing.T) {
 	b := NewBuffer(4)
-	m1, m2 := msg(1, 2), msg(2, 2)
+	m1, m2 := msg(1, 4), msg(2, 2)
 	b.Push(message.MakeFlit(m1, 0))
-	b.Push(message.MakeFlit(m2, 0))
+	mustPanic(t, "second message's flit behind the first's", func() { b.Push(message.MakeFlit(m2, 0)) })
 	b.Push(message.MakeFlit(m1, 1))
-	b.Push(message.MakeFlit(m2, 1))
+	if got := b.RemoveMessage(2); got != 0 || b.Len() != 2 {
+		t.Fatalf("removing a message the buffer does not hold: removed %d, Len=%d", got, b.Len())
+	}
+	if f := b.Front(); f.Msg != m1 || f.Seq != 0 {
+		t.Fatalf("front flit disturbed: %v", f)
+	}
 	if got := b.RemoveMessage(1); got != 2 {
 		t.Fatalf("removed %d want 2", got)
 	}
-	if b.Len() != 2 {
-		t.Fatalf("Len=%d want 2", b.Len())
+	if !b.Empty() || b.FrontMessage() != nil {
+		t.Fatalf("Len=%d after removing the owner", b.Len())
 	}
-	// Remaining flits keep order and belong to m2.
-	if f := b.Pop(); f.Msg.ID != 2 || f.Seq != 0 {
-		t.Fatalf("wrong flit %v", f)
-	}
-	if f := b.Pop(); f.Msg.ID != 2 || f.Seq != 1 {
-		t.Fatalf("wrong flit %v", f)
-	}
-	if got := b.RemoveMessage(9); got != 0 {
+	if got := b.RemoveMessage(1); got != 0 {
 		t.Fatalf("removed %d from empty", got)
+	}
+	// The torn-out message left mid-run; the next one starts cleanly.
+	b.Push(message.MakeFlit(m2, 0))
+	b.Push(message.MakeFlit(m2, 1))
+	if f := b.Pop(); f.Msg != m2 || !f.Head || f.Tail {
+		t.Fatalf("wrong flit %v", f)
+	}
+	if f := b.Pop(); f.Msg != m2 || f.Head || !f.Tail {
+		t.Fatalf("wrong flit %v", f)
 	}
 }
 
-// Property: a Buffer behaves exactly like a slice-based FIFO queue under
-// arbitrary interleavings of push/pop.
+// Property: the run-length Buffer is indistinguishable from the per-flit
+// ring it replaced (ring_reference_test.go) over everything the simulator
+// can do to a virtual-channel buffer: a message streams through — pushes
+// and pops interleaved, the buffer draining and refilling mid-message —
+// its tail leaves and another message moves in, or recovery tears it out
+// and the channel is reused. Every observer is compared after every step.
 func TestBufferMatchesModel(t *testing.T) {
-	f := func(ops []bool) bool {
-		b := NewBuffer(4)
-		var model []message.Flit
-		m := msg(1, 1<<20)
-		seq := 0
-		for _, push := range ops {
-			if push {
-				if b.Full() {
-					continue
+	for capacity := 1; capacity <= 8; capacity++ {
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		b, ref := NewBuffer(capacity), newRingBuffer(capacity)
+		nextID := message.ID(1)
+		m, seq := msg(nextID, 1+rng.Intn(12)), 0
+		for step := 0; step < 4000; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4: // the upstream sends the next flit, credit allowing
+				if seq == m.Length && b.Empty() {
+					nextID++
+					m, seq = msg(nextID, 1+rng.Intn(12)), 0
 				}
-				fl := message.MakeFlit(m, seq)
-				seq++
-				b.Push(fl)
-				model = append(model, fl)
-			} else {
-				if b.Empty() {
-					if len(model) != 0 {
-						return false
+				if seq < m.Length && !b.Full() {
+					f := message.MakeFlit(m, seq)
+					seq++
+					b.Push(f)
+					ref.Push(f)
+				}
+			case op < 8:
+				if !b.Empty() {
+					if got, want := b.Pop(), ref.Pop(); got != want {
+						t.Fatalf("cap %d step %d: Pop %v, ring says %v", capacity, step, got, want)
 					}
-					continue
 				}
-				got := b.Pop()
-				want := model[0]
-				model = model[1:]
-				if got != want {
-					return false
+			case op == 8: // recovery looks for a message the buffer does not hold
+				if got, want := b.RemoveMessage(nextID+1), ref.RemoveMessage(nextID+1); got != want {
+					t.Fatalf("cap %d step %d: RemoveMessage(other) %d, ring says %d", capacity, step, got, want)
 				}
+			default: // recovery tears the message out; the channel starts over
+				if got, want := b.RemoveMessage(m.ID), ref.RemoveMessage(m.ID); got != want {
+					t.Fatalf("cap %d step %d: RemoveMessage %d, ring says %d", capacity, step, got, want)
+				}
+				seq = m.Length
 			}
-			if b.Len() != len(model) {
-				return false
+			if b.Len() != ref.Len() || b.Cap() != ref.Cap() || b.Empty() != ref.Empty() || b.Full() != ref.Full() {
+				t.Fatalf("cap %d step %d: Len/Cap/Empty/Full %d/%d/%v/%v, ring says %d/%d/%v/%v", capacity, step,
+					b.Len(), b.Cap(), b.Empty(), b.Full(), ref.Len(), ref.Cap(), ref.Empty(), ref.Full())
+			}
+			if b.FrontMessage() != ref.FrontMessage() {
+				t.Fatalf("cap %d step %d: FrontMessage %v, ring says %v", capacity, step, b.FrontMessage(), ref.FrontMessage())
+			}
+			if !b.Empty() && b.Front() != ref.Front() {
+				t.Fatalf("cap %d step %d: Front %v, ring says %v", capacity, step, b.Front(), ref.Front())
+			}
+			for i := 0; i < ref.Len(); i++ {
+				if got, want := b.At(i), ref.At(i); got != want {
+					t.Fatalf("cap %d step %d: At(%d) %v, ring says %v", capacity, step, i, got, want)
+				}
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+}
+
+// Reset empties a buffer whatever it held and keeps its capacity.
+func TestBufferReset(t *testing.T) {
+	b := NewBuffer(3)
+	m := msg(1, 2)
+	b.Push(message.MakeFlit(m, 0))
+	b.Push(message.MakeFlit(m, 1)) // tail buffered
+	b.Reset()
+	if !b.Empty() || b.Cap() != 3 || b.FrontMessage() != nil {
+		t.Fatalf("after Reset: Len=%d Cap=%d", b.Len(), b.Cap())
+	}
+	b.Push(message.MakeFlit(msg(2, 4), 0))
+	if f := b.Front(); f.Msg.ID != 2 || !f.Head || f.Tail {
+		t.Fatalf("wrong flit after Reset: %v", f)
 	}
 }
 

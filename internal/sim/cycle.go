@@ -146,10 +146,9 @@ func (e *Engine) allocateVC(nd *node, a int) {
 		return
 	}
 	// An unrouted, non-empty VC fronts the message's header flit (routes
-	// outlive the message's traversal of the buffer), so the owner cache
-	// identifies it without touching flit storage, and the dst cache spares
+	// outlive the message's traversal of the buffer); the dst cache spares
 	// the allocator the message dereference entirely.
-	m := ivc.owner
+	m := ivc.buf.FrontMessage()
 	route, ok, vital, unroutable := e.allocate(nd, m, ivc.dst)
 	if ok {
 		nd.routes[a] = route

@@ -42,14 +42,12 @@ type routeInfo struct {
 // routes alone, four to a cache line, without pulling in buffer state.
 type inVC struct {
 	buf router.Buffer
-	// owner caches the message whose flits the buffer holds (buffers are
-	// exclusive to one message). It is written when a head flit is pushed
-	// and only read while the buffer is non-empty, so it needs no
-	// clearing; the allocator reads the blocked header from it without
-	// touching flit storage. dst mirrors owner.Dst so allocation retries
-	// never touch the (cold) message struct at all.
-	owner *message.Message
-	dst   topology.NodeID
+	// dst mirrors the Dst of the message whose flits the buffer holds (the
+	// buffer itself names that message), so allocation retries never touch
+	// the (cold) message struct at all. It is written when a head flit is
+	// pushed and only read while the buffer is non-empty, so it needs no
+	// clearing.
+	dst topology.NodeID
 }
 
 // injChannel is one of the node's injection channels: a message being
@@ -412,10 +410,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 
 	// Contiguous arenas for the hot per-virtual-channel state: input VCs
-	// (with one shared flit arena), output VC ownership, transmission
-	// timestamps and arbiters.
+	// (run-length buffers, so no flit storage behind them), output VC
+	// ownership, transmission timestamps and arbiters.
 	inArena := make([]inVC, nNodes*nVC)
-	flitArena := make([]message.Flit, nNodes*nVC*cfg.BufDepth)
 	outArena := make([]router.OutVC, nNodes*nVC)
 	outPortArena := make([]router.OutPort, nNodes*e.numPhys)
 	lastTxArena := make([]int64, nNodes*nVC)
@@ -441,8 +438,7 @@ func New(cfg Config) (*Engine, error) {
 		nd.in = inArena[i*nVC : (i+1)*nVC : (i+1)*nVC]
 		nd.routes = routeArena[i*nVC : (i+1)*nVC : (i+1)*nVC]
 		for c := range nd.in {
-			base := (i*nVC + c) * cfg.BufDepth
-			nd.in[c].buf.InitOver(flitArena[base : base+cfg.BufDepth : base+cfg.BufDepth])
+			nd.in[c].buf.Init(cfg.BufDepth)
 		}
 		nd.outVCs = outArena[i*nVC : (i+1)*nVC : (i+1)*nVC]
 		nd.out = outPortArena[i*e.numPhys : (i+1)*e.numPhys : (i+1)*e.numPhys]

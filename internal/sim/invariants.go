@@ -9,14 +9,16 @@ import (
 
 // CheckInvariants validates the global consistency of the simulation state.
 // It is O(network size) and intended for tests, which interleave it with
-// Step calls; it returns the first violation found.
+// Step calls; it returns the first violation found. It only reads: the state
+// it has checked is bit for bit the state it was given.
 //
 // Checked invariants:
 //  1. Flit conservation: for every message with flits in the network, the
 //     flits buffered across all routers equal FlitsSent - FlitsEjected.
 //  2. Buffer exclusivity: a virtual-channel buffer only holds flits of a
-//     single message, in ascending sequence order, and the buffer's owner
-//     cache names that message.
+//     single message, in ascending sequence order (router.Buffer cannot hold
+//     anything else; asserted all the same), and the buffer's owner cache
+//     names that message.
 //  3. Path tracking: every buffer holding flits of a message appears in the
 //     message's tracked path (message.Message.Path), and path entries never
 //     point at buffers holding another message's flits.
@@ -89,8 +91,7 @@ func (e *Engine) CheckInvariants() error {
 			var owner *message.Message
 			prevSeq := int32(-1)
 			for j := 0; j < ivc.buf.Len(); j++ {
-				f := ivc.buf.Pop()
-				ivc.buf.Push(f) // rotate through
+				f := ivc.buf.At(j)
 				if owner == nil {
 					owner = f.Msg
 				} else if owner != f.Msg {
@@ -105,9 +106,9 @@ func (e *Engine) CheckInvariants() error {
 			}
 			if owner != nil {
 				occ++
-				if ivc.owner != owner {
-					return fmt.Errorf("node %d in[%d][%d]: owner cache holds msg %v but flits belong to msg %d",
-						nd.id, p, v, ivc.owner, owner.ID)
+				if ivc.dst != owner.Dst {
+					return fmt.Errorf("node %d in[%d][%d]: dst cache holds node %d but flits belong to msg %d bound for %d",
+						nd.id, p, v, ivc.dst, owner.ID, owner.Dst)
 				}
 				if inPath[loc] != owner {
 					return fmt.Errorf("node %d in[%d][%d]: holds msg %d flits but path tracks %v",

@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"wormnet/internal/baseline"
 	"wormnet/internal/message"
+	"wormnet/internal/router"
 )
 
 // The invariant checker is itself load-bearing for the test suite, so these
@@ -19,7 +22,7 @@ func TestInvariantCatchesUntrackedFlit(t *testing.T) {
 	m.FlitsSent = 1
 	// A flit parked in a buffer with no path entry.
 	e.nodes[3].in[0].buf.Push(message.MakeFlit(m, 0))
-	e.nodes[3].in[0].owner = m
+	e.nodes[3].in[0].dst = m.Dst
 	e.nodes[3].occVCs++
 	e.nodes[3].inEmpty[0] &^= 1
 	err := e.CheckInvariants()
@@ -31,21 +34,54 @@ func TestInvariantCatchesUntrackedFlit(t *testing.T) {
 	}
 }
 
-func TestInvariantCatchesMixedBuffer(t *testing.T) {
+// runRefused checks the two places a virtual-channel buffer that is not one
+// message's run is stopped today. The buffer cannot represent it, so the
+// corruption the invariant checker used to look for is refused where it would
+// arise: Buffer.Push panics inside a running engine (push must), and load
+// answers ErrSnapshotInvalid for a snapshot whose flit list spells it out
+// (corrupt is applied to a channel holding at least two flits of a saturated
+// network's snapshot).
+func runRefused(t *testing.T, push func(buf *router.Buffer), corrupt func(s *Snapshot, vc *SnapVC)) {
+	t.Helper()
 	e := idle(t, nil)
+	buf := &e.nodes[3].in[0].buf
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Push accepted the corruption")
+			}
+		}()
+		push(buf)
+	}()
+
+	cfg := equivalenceConfigs()["saturated-recovery"]
+	snap := snapshotAt(t, cfg, 1, 400, &eventTap{})
+	vc := occupiedVC(snap, 0, 2)
+	if vc == nil {
+		t.Fatal("no buffer of the saturated network holds two flits")
+	}
+	corrupt(snap, vc)
+	_, err := RestoreEngine(cfg, snap)
+	if !errors.Is(err, ErrSnapshotInvalid) || !strings.Contains(err.Error(), "one message's run") {
+		t.Fatalf("load: got %v, want ErrSnapshotInvalid naming the run", err)
+	}
+}
+
+func TestInvariantCatchesMixedBuffer(t *testing.T) {
 	m1 := message.New(1, 0, 5, 4, 0)
 	m2 := message.New(2, 0, 5, 4, 0)
-	m1.Path = []pathLoc{{Node: 3, Port: 0, VC: 0}}
-	buf := &e.nodes[3].in[0].buf
-	buf.Push(message.MakeFlit(m1, 0))
-	buf.Push(message.MakeFlit(m2, 0))
-	e.nodes[3].in[0].owner = m1
-	e.nodes[3].occVCs++
-	e.nodes[3].inEmpty[0] &^= 1
-	err := e.CheckInvariants()
-	if err == nil || !strings.Contains(err.Error(), "share a buffer") {
-		t.Fatalf("mixed buffer not caught: %v", err)
-	}
+	runRefused(t, func(buf *router.Buffer) {
+		buf.Push(message.MakeFlit(m1, 0))
+		buf.Push(message.MakeFlit(m2, 0))
+	}, func(s *Snapshot, vc *SnapVC) {
+		for _, sm := range s.Messages {
+			if sm.ID != vc.Flits[0].Msg {
+				vc.Flits[1].Msg = sm.ID
+				return
+			}
+		}
+		t.Fatal("snapshot holds a single message")
+	})
 }
 
 func TestInvariantCatchesFlitCountMismatch(t *testing.T) {
@@ -54,7 +90,7 @@ func TestInvariantCatchesFlitCountMismatch(t *testing.T) {
 	m.FlitsSent = 3 // three sent, only one buffered
 	m.Path = []pathLoc{{Node: 3, Port: 0, VC: 0}}
 	e.nodes[3].in[0].buf.Push(message.MakeFlit(m, 0))
-	e.nodes[3].in[0].owner = m
+	e.nodes[3].in[0].dst = m.Dst
 	e.nodes[3].occVCs++
 	e.nodes[3].inEmpty[0] &^= 1
 	err := e.CheckInvariants()
@@ -64,20 +100,15 @@ func TestInvariantCatchesFlitCountMismatch(t *testing.T) {
 }
 
 func TestInvariantCatchesNonAscendingSeq(t *testing.T) {
-	e := idle(t, nil)
 	m := message.New(1, 0, 5, 8, 0)
-	m.FlitsSent = 2
-	m.Path = []pathLoc{{Node: 3, Port: 0, VC: 0}}
-	buf := &e.nodes[3].in[0].buf
-	buf.Push(message.MakeFlit(m, 2))
-	buf.Push(message.MakeFlit(m, 1)) // out of order
-	e.nodes[3].in[0].owner = m
-	e.nodes[3].occVCs++
-	e.nodes[3].inEmpty[0] &^= 1
-	err := e.CheckInvariants()
-	if err == nil || !strings.Contains(err.Error(), "ascending") {
-		t.Fatalf("sequence violation not caught: %v", err)
-	}
+	runRefused(t, func(buf *router.Buffer) {
+		buf.Push(message.MakeFlit(m, 2))
+		buf.Push(message.MakeFlit(m, 1)) // out of order
+	}, func(s *Snapshot, vc *SnapVC) {
+		vc.Flits[0].Seq, vc.Flits[1].Seq = vc.Flits[1].Seq, vc.Flits[0].Seq
+		vc.Flits[0].Head, vc.Flits[1].Head = vc.Flits[1].Head, vc.Flits[0].Head
+		vc.Flits[0].Tail, vc.Flits[1].Tail = vc.Flits[1].Tail, vc.Flits[0].Tail
+	})
 }
 
 func TestInvariantCatchesDeliveredOwner(t *testing.T) {
@@ -129,7 +160,7 @@ func TestInvariantCatchesRouteOwnershipMismatch(t *testing.T) {
 	m1.FlitsSent = 1
 	nd := &e.nodes[3]
 	nd.in[0].buf.Push(message.MakeFlit(m1, 0))
-	nd.in[0].owner = m1
+	nd.in[0].dst = m1.Dst
 	nd.occVCs++
 	nd.inEmpty[0] &^= 1
 	// Route on the VC points at an output channel owned by a different
@@ -154,6 +185,54 @@ func TestInvariantCatchesCounterDrift(t *testing.T) {
 	e.nodes[5].busyInj = 1 // no injection channel is busy
 	if err := e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "busyInj") {
 		t.Fatalf("busyInj drift not caught: %v", err)
+	}
+}
+
+// The checker used to rotate every buffer through Pop/Push to look inside,
+// leaving the ring indices of the state it had just approved somewhere else.
+// It reads with At now: every input channel is bit for bit what it was.
+func TestCheckInvariantsReadOnly(t *testing.T) {
+	e, err := New(equivalenceConfigs()["saturated-recovery"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e.Now() < 400 {
+		e.Step()
+	}
+	var before []inVC
+	for i := range e.nodes {
+		before = append(before, e.nodes[i].in...)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	k, occupied := 0, 0
+	for i := range e.nodes {
+		for c := range e.nodes[i].in {
+			if e.nodes[i].in[c] != before[k] {
+				t.Fatalf("node %d channel %d: %+v before the check, %+v after", i, c, before[k], e.nodes[i].in[c])
+			}
+			if !before[k].buf.Empty() {
+				occupied++
+			}
+			k++
+		}
+	}
+	if occupied == 0 {
+		t.Fatal("no buffer held a flit: nothing was checked")
+	}
+}
+
+// Per-flit storage must not creep back. An input virtual channel is a run
+// (owner, first sequence number, length, capacity, tail flag: 24 bytes) plus
+// the allocator's destination cache: 32 bytes, two to a cache line, eighteen
+// to a node of the 8-ary 3-cube. The move and allocation phases stream
+// through all of them every cycle, and what made them faster than the
+// per-flit ring (56 bytes here plus 16 per buffered flit elsewhere) is that
+// size, not an instruction count. A field added here needs a benchmark.
+func TestInVCStaysSmall(t *testing.T) {
+	if got := unsafe.Sizeof(inVC{}); got > 32 {
+		t.Errorf("inVC is %d bytes, ceiling 32", got)
 	}
 }
 

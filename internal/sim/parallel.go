@@ -1059,9 +1059,8 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 			emptyArena[word] &^= bit
 		}
 		if flit.Head {
-			// The buffer holds one message at a time, so the owner/dst
-			// caches only need (re-)writing when a new head moves in.
-			dvc.owner = m
+			// The buffer holds one message at a time, so the dst cache
+			// only needs (re-)writing when a new head moves in.
 			dvc.dst = m.Dst
 			if e.spans != nil {
 				e.spanHopArrive(m, nd.nbr[mv.outPort].id)
@@ -1139,7 +1138,6 @@ func (e *Engine) applyPushes(bucket []outFlit) {
 			emptyArena[rec.word] &^= rec.bit
 		}
 		if rec.flit.Head {
-			dvc.owner = rec.flit.Msg
 			dvc.dst = rec.flit.Msg.Dst
 			if e.spans != nil {
 				// The hop-append is exclusive: this consumer owns the

@@ -400,6 +400,93 @@ var hostileMutations = []func(s *Snapshot, a, b int) bool{
 		}
 		return true
 	},
+	// The families below lie about one virtual channel's flit list, which
+	// load turns back into a run: each breaks one rule of a run and nothing
+	// else about the snapshot's shape.
+	func(s *Snapshot, a, b int) bool { // flits of two messages in one buffer
+		vc := occupiedVC(s, a, 2)
+		if vc == nil {
+			return false
+		}
+		for i := range s.Messages {
+			if id := s.Messages[(b+i)%len(s.Messages)].ID; id != vc.Flits[0].Msg {
+				vc.Flits[1+b%(len(vc.Flits)-1)].Msg = id
+				return true
+			}
+		}
+		return false
+	},
+	func(s *Snapshot, a, b int) bool { // sequence numbers that do not count up by one
+		vc := occupiedVC(s, a, 2)
+		if vc == nil {
+			return false
+		}
+		last := len(vc.Flits) - 1
+		switch b % 4 {
+		case 0: // a gap
+			vc.Flits[last].Seq++
+		case 1: // a repeat
+			vc.Flits[last].Seq = vc.Flits[last-1].Seq
+		case 2: // out of order
+			vc.Flits[0].Seq, vc.Flits[last].Seq = vc.Flits[last].Seq, vc.Flits[0].Seq
+		case 3: // descending
+			vc.Flits[last].Seq = vc.Flits[last-1].Seq - 1
+		}
+		return true
+	},
+	func(s *Snapshot, a, b int) bool { // a flit behind the tail
+		if b%2 == 0 { // the front flit claims to be the tail
+			vc := occupiedVC(s, a, 2)
+			if vc == nil {
+				return false
+			}
+			vc.Flits[0].Tail = true
+			return true
+		}
+		for i := range s.Nodes { // one more flit follows the real tail
+			n := &s.Nodes[(a+i)%len(s.Nodes)]
+			for c := range n.In {
+				if f := n.In[c].Flits; len(f) > 0 && f[len(f)-1].Tail {
+					n.In[c].Flits = append(f, SnapFlit{Msg: f[0].Msg, Seq: f[len(f)-1].Seq + 1})
+					return true
+				}
+			}
+		}
+		return false
+	},
+	func(s *Snapshot, a, b int) bool { // Head flag that disagrees with the sequence number
+		vc := occupiedVC(s, a, 1)
+		if vc == nil {
+			return false
+		}
+		f := &vc.Flits[b%len(vc.Flits)]
+		f.Head = !f.Head
+		return true
+	},
+	func(s *Snapshot, a, b int) bool { // a run outside the message: Seq not in [0, Length)
+		vc := occupiedVC(s, a, 1)
+		if vc == nil {
+			return false
+		}
+		shift := int32(1 << 20) // past any message's length
+		if b%2 == 0 {
+			shift = -vc.Flits[len(vc.Flits)-1].Seq - 1 - int32(b%5) // the whole run below zero
+		}
+		for i := range vc.Flits {
+			vc.Flits[i].Seq += shift
+			vc.Flits[i].Head = vc.Flits[i].Seq == 0
+		}
+		return true
+	},
+	func(s *Snapshot, a, b int) bool { // Tail flag that disagrees with the message length
+		vc := occupiedVC(s, a, 1)
+		if vc == nil {
+			return false
+		}
+		f := &vc.Flits[len(vc.Flits)-1]
+		f.Tail = !f.Tail
+		return true
+	},
 	func(s *Snapshot, a, b int) bool { // per-node words of the wrong kind
 		n := &s.Nodes[a%len(s.Nodes)]
 		switch b % 3 {
@@ -416,6 +503,20 @@ var hostileMutations = []func(s *Snapshot, a, b int) bool{
 		}
 		return true
 	},
+}
+
+// occupiedVC returns the first virtual channel, scanning from node a, whose
+// buffer holds at least n flits; nil if the snapshot has none.
+func occupiedVC(s *Snapshot, a, n int) *SnapVC {
+	for i := range s.Nodes {
+		nd := &s.Nodes[(a+i)%len(s.Nodes)]
+		for c := range nd.In {
+			if len(nd.In[c].Flits) >= n {
+				return &nd.In[c]
+			}
+		}
+	}
+	return nil
 }
 
 // FuzzRestoreInPlace feeds semantically inconsistent snapshots to a reused

@@ -484,10 +484,8 @@ func (e *Engine) reset() {
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		for c := range nd.in {
-			for !nd.in[c].buf.Empty() {
-				nd.in[c].buf.Pop()
-			}
-			nd.in[c].owner, nd.in[c].dst = nil, 0
+			nd.in[c].buf.Reset()
+			nd.in[c].dst = 0
 			nd.routes[c] = routeInfo{}
 			nd.swDesc[c] = 0
 			nd.outVCs[c].Release()
@@ -632,13 +630,22 @@ func (e *Engine) load(snap *Snapshot) error {
 			ivc := &nd.in[c]
 			p := int(e.portTab[c])
 			bit := e.vcBit[c]
-			for _, sf := range sv.Flits {
+			for j, sf := range sv.Flits {
 				m, err := get(sf.Msg)
 				if err != nil {
 					return err
 				}
 				if ivc.buf.Full() {
 					return fmt.Errorf("%w: node %d vc %d overflows its buffer", ErrSnapshotInvalid, i, c)
+				}
+				// A buffer stores a run and Push panics on anything else: the
+				// list must be consecutive flits of one message, the flags
+				// what the position says (so nothing follows a tail either).
+				if sf.Seq < 0 || int(sf.Seq) >= m.Length ||
+					sf.Head != (sf.Seq == 0) || sf.Tail != (int(sf.Seq) == m.Length-1) ||
+					(j > 0 && (sf.Msg != sv.Flits[j-1].Msg || sf.Seq != sv.Flits[j-1].Seq+1)) {
+					return fmt.Errorf("%w: node %d vc %d flit %d is not the next flit of one message's run",
+						ErrSnapshotInvalid, i, c, j)
 				}
 				ivc.buf.Push(message.Flit{Msg: m, Seq: sf.Seq, Head: sf.Head, Tail: sf.Tail})
 			}
@@ -648,9 +655,7 @@ func (e *Engine) load(snap *Snapshot) error {
 				if ivc.buf.Full() {
 					nd.inFull[p] |= bit
 				}
-				owner := ivc.buf.FrontMessage()
-				ivc.owner = owner
-				ivc.dst = owner.Dst
+				ivc.dst = ivc.buf.FrontMessage().Dst
 			}
 			if !e.routeInRange(sv.Route) {
 				return fmt.Errorf("%w: node %d vc %d route out of range", ErrSnapshotInvalid, i, c)
@@ -766,12 +771,12 @@ func (e *Engine) load(snap *Snapshot) error {
 		}
 	}
 
-	// The input-VC owner/dst caches follow message *paths*, not buffer
-	// contents: a channel the head has already left but whose tail is still
-	// upstream has an empty buffer yet stays owned — its route is live and
-	// the body flits that keep arriving never carry the Head flag that
-	// rewrites the cache. Restore the caches from each message's path so
-	// drained-but-owned channels don't come back ownerless.
+	// The input-VC dst cache follows message *paths*, not buffer contents: a
+	// channel the head has already left but whose tail is still upstream has
+	// an empty buffer yet stays owned — its route is live and the body flits
+	// that keep arriving never carry the Head flag that rewrites the cache.
+	// Restore it from each message's path so drained-but-owned channels
+	// don't come back with a stale destination.
 	for _, sm := range snap.Messages {
 		m := msgs[sm.ID]
 		for _, loc := range m.Path {
@@ -781,9 +786,7 @@ func (e *Engine) load(snap *Snapshot) error {
 				return fmt.Errorf("%w: message %d path entry (%d,%d,%d) out of range",
 					ErrSnapshotInvalid, m.ID, loc.Node, loc.Port, loc.VC)
 			}
-			ivc := &e.nodes[loc.Node].in[e.inVCIndex(loc.Port, loc.VC)]
-			ivc.owner = m
-			ivc.dst = m.Dst
+			e.nodes[loc.Node].in[e.inVCIndex(loc.Port, loc.VC)].dst = m.Dst
 		}
 	}
 

@@ -322,12 +322,14 @@ func deterministicSamples(in []metrics.Sample) []metrics.Sample {
 // equivalence combos can miss: an input virtual channel whose head flit has
 // moved on while the tail is still upstream has an *empty* buffer but a live
 // route and a live owner — the body flits that keep arriving never carry the
-// Head flag that rewrites the owner cache, so a restore that derived owners
+// Head flag that rewrites the channel's caches, so a restore that derived them
 // only from buffer fronts brought such channels back ownerless (the sweep
-// chaos self-test caught this as a post-resume invariant violation). The test
-// scans a saturated run for the first cycle exhibiting the hazard, snapshots
-// exactly there, and demands the restored engine carries the owners and
-// finishes bit-identical to the uninterrupted run.
+// chaos self-test caught this as a post-resume invariant violation). The
+// buffer names its own message now — a run's first flit to arrive does that,
+// head or not — and only the destination cache is left to restore from the
+// path. The test scans a saturated run for the first cycle exhibiting the
+// hazard, snapshots exactly there, and demands the restored engine carries
+// the caches and finishes bit-identical to the uninterrupted run.
 func TestSnapshotRestoresDrainedChannelOwner(t *testing.T) {
 	cfg := equivalenceConfigs()["saturated-recovery"]
 	goldRes, _, goldEvents, goldCtr := runTraced(t, cfg, 1)
@@ -351,7 +353,7 @@ func TestSnapshotRestoresDrainedChannelOwner(t *testing.T) {
 				if !nd.routes[a].valid || nd.routes[a].eject || !nd.in[a].buf.Empty() {
 					continue
 				}
-				m := nd.in[a].owner
+				m := nd.out[nd.routes[a].outPort].VCs[nd.routes[a].outVC].Owner() // the routed message
 				if m == nil {
 					continue
 				}
@@ -393,13 +395,8 @@ func TestSnapshotRestoresDrainedChannelOwner(t *testing.T) {
 	defer r.Close()
 	for _, loc := range locs {
 		ivc := &r.nodes[loc.Node].in[r.inVCIndex(loc.Port, loc.VC)]
-		want := e.nodes[loc.Node].in[e.inVCIndex(loc.Port, loc.VC)].owner
-		if ivc.owner == nil {
-			t.Fatalf("cycle %d: restored channel %v lost its owner (msg %d)", snapAt, loc, want.ID)
-		}
-		if ivc.owner.ID != want.ID || ivc.dst != want.Dst {
-			t.Fatalf("cycle %d: restored channel %v owned by msg %d dst %d, want msg %d dst %d",
-				snapAt, loc, ivc.owner.ID, ivc.dst, want.ID, want.Dst)
+		if want := e.nodes[loc.Node].in[e.inVCIndex(loc.Port, loc.VC)].dst; ivc.dst != want {
+			t.Fatalf("cycle %d: restored channel %v caches destination %d, want %d", snapAt, loc, ivc.dst, want)
 		}
 	}
 

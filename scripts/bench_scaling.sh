@@ -8,8 +8,9 @@
 # Usage: scripts/bench_scaling.sh [out-dir] [count] [benchtime]
 #
 # Raw `go test -bench` output lands in <out-dir>/scaling-raw.txt, the
-# summary on stdout. These are the measurements BENCH_pr7.json records;
-# rerun this script on a new host to regenerate them.
+# summary on stdout. The end-to-end ledger is `bash bench/run.sh` (its
+# knee-serial and knee-workers2 workloads are this operating point); this
+# script adds the worker-count curve and the barrier microbenchmark.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
