@@ -50,6 +50,9 @@ type candTable struct {
 	setID  []int32    // per (cur*n+dst): index into setOff
 	setOff []int32    // per set id: [setOff[id], setOff[id+1]) in pool
 	pool   []portCand // deduplicated candidate sets, back to back
+	// port[i] is pool[i].port: each set's physical ports as the slice the
+	// injection limiters' channel view hands out.
+	port []topology.Port
 }
 
 // buildCandTable evaluates alg for every (current, destination) pair of an
@@ -81,6 +84,9 @@ func buildCandTable(alg routing.Algorithm, n int) *candTable {
 				id = int32(len(t.setOff) - 1)
 				seen[string(key)] = id
 				t.pool = append(t.pool, packed...)
+				for _, pc := range packed {
+					t.port = append(t.port, pc.port)
+				}
 				t.setOff = append(t.setOff, int32(len(t.pool)))
 			}
 			t.setID[cur*n+dst] = id
@@ -93,4 +99,10 @@ func buildCandTable(alg routing.Algorithm, n int) *candTable {
 func (t *candTable) get(cur, dst topology.NodeID) []portCand {
 	id := t.setID[int(cur)*t.n+int(dst)]
 	return t.pool[t.setOff[id]:t.setOff[id+1]:t.setOff[id+1]]
+}
+
+// ports returns the physical ports of that candidate set, one each.
+func (t *candTable) ports(cur, dst topology.NodeID) []topology.Port {
+	id := t.setID[int(cur)*t.n+int(dst)]
+	return t.port[t.setOff[id]:t.setOff[id+1]:t.setOff[id+1]]
 }

@@ -53,13 +53,16 @@ type inVC struct {
 // injChannel is one of the node's injection channels: a message being
 // streamed into the network flit by flit. left caches the flits still to
 // send (Length - FlitsSent), so the switch phase's done-streaming check
-// never dereferences the message.
+// never dereferences the message. A channel is busy while len != 0: the
+// injection section claims it for a queue record by filling left, len and dst,
+// and msg follows at the section's commit, where the object is built — so
+// within that section msg is still nil on a channel claimed in it.
 type injChannel struct {
 	msg   *message.Message
 	route routeInfo
 	left  int32
-	len   int32           // msg.Length, cached when the channel is claimed
-	dst   topology.NodeID // msg.Dst, cached when the channel is claimed
+	len   int32           // the message's length; 0 on an idle channel
+	dst   topology.NodeID // the message's destination, cached at the claim
 }
 
 // ejChannel is one of the node's ejection channels. pending counts flits
@@ -109,7 +112,7 @@ type node struct {
 	occVCs  int
 	busyInj int
 
-	queue    msgFIFO           // source queue (FIFO; paper: older first)
+	queue    srcQueue          // source queue: a chain in Engine.waiting
 	recovery []pendingRecovery // software-recovery queue (priority)
 	retry    []pendingRetry    // fault-retry queue (backoff; faults only)
 
@@ -180,9 +183,6 @@ type node struct {
 	// outArb arbitrates each output port (physical + ejection) among the
 	// node's input agents.
 	outArb []router.RoundRobin
-
-	// scratchPorts is a buffer reused by the limiter's channel view.
-	scratchPorts []topology.Port
 }
 
 // agent indices: input VCs first (flat channel id), then injection channels.
@@ -225,10 +225,20 @@ type Engine struct {
 	// fly (fault runs, where liveness changes them mid-run).
 	cand *candTable
 
+	// waiting is the record arena behind every node's source queue, and built
+	// the objects of the few waiting messages that already have one (by id;
+	// see queued). A generated message is a record there until an injection
+	// channel admits it.
+	waiting recordArena
+	built   map[message.ID]*message.Message
+
 	// pool is the free list of recycled messages: a delivered or dropped
-	// pool-born message is reset and reused, so steady-state traffic
-	// allocates nothing. Messages handed out by Inject are not pooled —
-	// callers may keep pointers to them.
+	// pool-born message is reset and reused. A message is an object only from
+	// admission to delivery, and the network bounds how many are, so the pool
+	// reaches a fixed point at any load and steady-state traffic allocates
+	// nothing. It is engine-global — the sum of per-node peaks is far above
+	// the network's — and so only serial contexts touch it. Messages handed
+	// out by Inject are not pooled: callers may keep pointers to them.
 	pool []*message.Message
 
 	// emptyArena and fullArena are the dense input-buffer status words of
@@ -358,6 +368,7 @@ func New(cfg Config) (*Engine, error) {
 		det:     deadlock.NewDetector(threshold),
 		col:     stats.NewCollector(topo.Nodes(), cfg.WarmupCycles, cfg.WarmupCycles+cfg.MeasureCycles),
 		numPhys: topo.NumPorts(),
+		built:   make(map[message.ID]*message.Message),
 	}
 	if !cfg.Faults.Empty() {
 		e.live = topology.NewLiveness(topo)
@@ -527,25 +538,40 @@ func (e *Engine) candidates(nd *node, dst topology.NodeID) []portCand {
 	return e.cand.get(nd.id, dst)
 }
 
-// newMessage builds a message for traffic generation, recycling a pooled
-// message when one is free.
-func (e *Engine) newMessage(src, dst topology.NodeID, length int) *message.Message {
+// materialise turns the record in slot i, popped from node src's queue, into
+// its message and frees the slot: the object a caller of Inject or an earlier
+// injection attempt already built, or else one from the pool. This is where a
+// generated message becomes an object. Serial contexts only.
+func (e *Engine) materialise(src topology.NodeID, i int32) *message.Message {
+	r := e.waiting.recs[i]
+	e.waiting.release(i)
+	if r.built {
+		m := e.built[r.id]
+		delete(e.built, r.id)
+		return m
+	}
 	var m *message.Message
 	if n := len(e.pool); n > 0 {
 		m = e.pool[n-1]
 		e.pool[n-1] = nil
 		e.pool = e.pool[:n-1]
-		m.Reuse(e.nextID, src, dst, length, e.now)
+		m.Reuse(r.id, src, r.dst, int(r.length), r.gen)
 	} else {
-		m = message.New(e.nextID, src, dst, length, e.now)
+		m = message.New(r.id, src, r.dst, int(r.length), r.gen)
 		m.Pooled = true
 	}
-	e.nextID++
-	e.generated++
-	if e.spans != nil {
-		e.spanGenerate(m)
-	}
+	m.Measured = r.measured
 	return m
+}
+
+// recordOf returns the queue record standing for the existing message m and
+// files m where materialise will find it. Serial contexts only.
+func (e *Engine) recordOf(m *message.Message) queued {
+	e.built[m.ID] = m
+	return queued{
+		id: m.ID, gen: m.GenTime, dst: m.Dst, length: int32(m.Length),
+		measured: m.Measured, built: true,
+	}
 }
 
 // releaseMessage returns a finished (delivered or permanently dropped)
@@ -611,19 +637,18 @@ func (e *Engine) Run() stats.Result {
 // nil to detach. Tracing costs one branch per event when detached.
 func (e *Engine) SetListener(l trace.Listener) { e.listener = l }
 
-// emit publishes a lifecycle event if a listener is attached.
+// emit publishes a lifecycle event of message m if a listener is attached.
 func (e *Engine) emit(kind trace.Kind, m *message.Message, at topology.NodeID) {
+	e.emitRecord(kind, m.ID, m.Src, m.Dst, int32(m.Length), at)
+}
+
+// emitRecord is emit for a message that may not be an object (yet).
+func (e *Engine) emitRecord(kind trace.Kind, id message.ID, src, dst topology.NodeID, length int32, at topology.NodeID) {
 	if e.listener == nil {
 		return
 	}
 	e.listener.Emit(trace.Event{
-		Cycle: e.now,
-		Kind:  kind,
-		Msg:   int64(m.ID),
-		Src:   m.Src,
-		Dst:   m.Dst,
-		Node:  at,
-		Len:   int32(m.Length),
+		Cycle: e.now, Kind: kind, Msg: int64(id), Src: src, Dst: dst, Node: at, Len: length,
 	})
 }
 
@@ -648,10 +673,10 @@ func (e *Engine) Inject(src, dst topology.NodeID, length int) *message.Message {
 	m := message.New(e.nextID, src, dst, length, e.now)
 	e.nextID++
 	m.Measured = e.col.OnGenerated(e.now, int(src))
-	e.nodes[src].queue.Push(m)
+	e.waiting.push(&e.nodes[src].queue, e.recordOf(m))
 	e.generated++
 	if e.spans != nil {
-		e.spanGenerate(m)
+		e.spanGenerate(m.ID, src, dst, length)
 	}
 	return m
 }

@@ -167,10 +167,9 @@ func (e *Engine) killOnRouter(n topology.NodeID) {
 
 	// The dead node's own backlog is lost with it.
 	nd := &e.nodes[n]
-	for i := 0; i < nd.queue.Len(); i++ {
-		e.drop(nd.queue.At(i), n, message.DropSourceFailed)
+	for !nd.queue.Empty() {
+		e.drop(e.materialise(n, nd.queue.pop(e.waiting.recs)), n, message.DropSourceFailed)
 	}
-	nd.queue.Clear()
 	for _, pr := range nd.recovery {
 		e.drop(pr.msg, n, message.DropSourceFailed)
 	}

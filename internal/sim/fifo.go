@@ -1,86 +1,115 @@
 package sim
 
-import "wormnet/internal/message"
+import (
+	"wormnet/internal/message"
+	"wormnet/internal/topology"
+)
 
-// msgFIFO is the per-node source queue: a FIFO of message pointers with an
-// explicit head index, so popping the front does not re-slice (the old
-// queue[1:] idiom kept the backing array's dead prefix alive and forced a
-// fresh allocation every time the queue refilled). The buffer rewinds
-// whenever the queue empties and compacts when the dead prefix dominates,
-// so steady-state traffic reuses one backing array indefinitely.
-type msgFIFO struct {
-	buf  []*message.Message
-	head int
+// queued is one message waiting in a source queue. Beyond saturation nearly
+// every live message is one of these, and all that ever looks at it is the
+// injection gate reading the head's destination — so a waiting message is a
+// small pointer-free record, and the message.Message it stands for is built
+// only when an injection channel admits it (Engine.materialise). A record
+// whose object already exists (Engine.Inject, a fault retry coming back
+// through the queue) says so with built; Engine.built holds the object.
+type queued struct {
+	id     message.ID
+	gen    int64 // generation cycle
+	dst    topology.NodeID
+	length int32
+	// next links the records of one queue front to back — and the free slots
+	// of the arena to each other. It is what lets every queue of the engine
+	// share one slice: memory follows the number of waiting messages, not the
+	// sum of each node's burst peak.
+	next     int32
+	measured bool // generated inside the measurement window
+	built    bool
 }
 
-// Len returns the number of queued messages.
-func (q *msgFIFO) Len() int { return len(q.buf) - q.head }
-
-// Empty reports whether the queue holds no messages.
-func (q *msgFIFO) Empty() bool { return q.head == len(q.buf) }
-
-// Front returns the oldest queued message. It panics if the queue is empty.
-func (q *msgFIFO) Front() *message.Message { return q.buf[q.head] }
-
-// At returns the i-th queued message (0 = front).
-func (q *msgFIFO) At(i int) *message.Message { return q.buf[q.head+i] }
-
-// Push appends a message at the back.
-func (q *msgFIFO) Push(m *message.Message) {
-	if q.head == len(q.buf) {
-		// Empty: rewind so the backing array is reused from the start.
-		q.buf = q.buf[:0]
-		q.head = 0
-	} else if q.head > 32 && 2*q.head >= len(q.buf) {
-		// The dead prefix dominates: compact in place.
-		n := copy(q.buf, q.buf[q.head:])
-		for i := n; i < len(q.buf); i++ {
-			q.buf[i] = nil
-		}
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
-	q.buf = append(q.buf, m)
+// srcQueue is one node's source queue (FIFO; the paper: pending messages
+// before newer ones): the ends and length of its chain in the record arena.
+// head and tail mean nothing while n is 0.
+type srcQueue struct {
+	head, tail, n int32
 }
 
-// PopFront removes and returns the oldest queued message. It panics if the
-// queue is empty.
-func (q *msgFIFO) PopFront() *message.Message {
-	m := q.buf[q.head]
-	q.buf[q.head] = nil // release the reference
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return m
+// Len returns the number of waiting messages.
+func (q *srcQueue) Len() int { return int(q.n) }
+
+// Empty reports whether no message waits.
+func (q *srcQueue) Empty() bool { return q.n == 0 }
+
+// pop unlinks the front record and returns its slot. It only reads recs, so
+// a shard section may pop its own nodes' queues; the slot stays allocated
+// until a serial context hands it back (recordArena.release).
+func (q *srcQueue) pop(recs []queued) int32 {
+	i := q.head
+	q.head = recs[i].next
+	q.n--
+	return i
 }
 
-// PushFront prepends ms before the current front, preserving ms's order
-// (ms[0] becomes the new front). The retry machinery uses it to give
-// recovered traffic priority over newer messages.
-func (q *msgFIFO) PushFront(ms []*message.Message) {
-	if len(ms) == 0 {
-		return
-	}
-	if len(ms) <= q.head {
-		// Fits in the dead prefix: place in front of head in place.
-		q.head -= len(ms)
-		copy(q.buf[q.head:], ms)
-		return
-	}
-	merged := make([]*message.Message, 0, len(ms)+q.Len())
-	merged = append(merged, ms...)
-	merged = append(merged, q.buf[q.head:]...)
-	q.buf = merged
-	q.head = 0
+// recordArena holds the records of every source queue of an engine. It is
+// engine-global: everything but reading recs belongs to serial contexts.
+type recordArena struct {
+	recs []queued
+	free int32 // 1 + the first free slot (chained through next), 0 when none
 }
 
-// Clear drops every queued message reference.
-func (q *msgFIFO) Clear() {
-	for i := q.head; i < len(q.buf); i++ {
-		q.buf[i] = nil
+func (a *recordArena) alloc(r queued) int32 {
+	if a.free == 0 {
+		a.recs = append(a.recs, r)
+		return int32(len(a.recs) - 1)
 	}
-	q.buf = q.buf[:0]
-	q.head = 0
+	i := a.free - 1
+	a.free = a.recs[i].next + 1
+	a.recs[i] = r
+	return i
+}
+
+// release returns slot i, popped from its queue earlier, to the free list.
+func (a *recordArena) release(i int32) {
+	a.recs[i].next = a.free - 1
+	a.free = i + 1
+}
+
+// push appends r at the back of q.
+func (a *recordArena) push(q *srcQueue, r queued) {
+	i := a.alloc(r)
+	if q.n == 0 {
+		q.head = i
+	} else {
+		a.recs[q.tail].next = i
+	}
+	q.tail = i
+	q.n++
+}
+
+// pushFront makes r the new front of q: retried traffic goes ahead of
+// everything that was generated after it.
+func (a *recordArena) pushFront(q *srcQueue, r queued) {
+	r.next = q.head
+	i := a.alloc(r)
+	if q.n == 0 {
+		q.tail = i
+	}
+	q.head = i
+	q.n++
+}
+
+// front returns the oldest record of the non-empty queue q.
+func (a *recordArena) front(q *srcQueue) *queued { return &a.recs[q.head] }
+
+// each calls f on every record of q, front to back.
+func (a *recordArena) each(q *srcQueue, f func(*queued)) {
+	for i, k := q.head, int32(0); k < q.n; k++ {
+		f(&a.recs[i])
+		i = a.recs[i].next
+	}
+}
+
+// reset empties the arena; every queue over it must be zeroed as well.
+func (a *recordArena) reset() {
+	a.recs = a.recs[:0]
+	a.free = 0
 }

@@ -29,7 +29,9 @@ import (
 //     in-flight message.
 //  6. Active-set counters: each node's occVCs equals its count of non-empty
 //     input virtual-channel buffers and busyInj its count of busy injection
-//     channels (the phase-skipping optimisation depends on these).
+//     channels (the phase-skipping optimisation depends on these); a channel
+//     has a message exactly when its cached length says busy; and the source
+//     queues' records that claim an existing object are the filed objects.
 //  7. Fault consistency (only with fault injection active): no flit sits in
 //     a buffer fed by a dead channel or anywhere on a dead router, no
 //     route or sender-side allocation crosses a dead channel, a dead
@@ -80,8 +82,14 @@ func (e *Engine) CheckInvariants() error {
 	}
 
 	buffered := make(map[*message.Message]int)
+	built := 0
 	for i := range e.nodes {
 		nd := &e.nodes[i]
+		e.waiting.each(&nd.queue, func(r *queued) {
+			if m := e.built[r.id]; r.built && m != nil && m.Dst == r.dst && int32(m.Length) == r.length {
+				built++
+			}
+		})
 		occ := 0
 		for a := range nd.in {
 			ivc := &nd.in[a]
@@ -130,8 +138,11 @@ func (e *Engine) CheckInvariants() error {
 		}
 		busy := 0
 		for c := range nd.inj {
-			if nd.inj[c].msg != nil {
+			if nd.inj[c].len != 0 {
 				busy++
+			}
+			if (nd.inj[c].msg != nil) != (nd.inj[c].len != 0) {
+				return fmt.Errorf("node %d inj[%d]: message %v on a channel of cached length %d", nd.id, c, nd.inj[c].msg, nd.inj[c].len)
 			}
 		}
 		if busy != nd.busyInj {
@@ -187,6 +198,9 @@ func (e *Engine) CheckInvariants() error {
 		if m.State == message.StateDelivered {
 			return fmt.Errorf("msg %d delivered but still has %d buffered flits", m.ID, n)
 		}
+	}
+	if built != len(e.built) {
+		return fmt.Errorf("%d objects filed for waiting messages, %d queue records stand for one", len(e.built), built)
 	}
 	p := e.par
 	// Between cycles every deferral buffer of the schedule must be drained:

@@ -157,7 +157,7 @@ func (e *Engine) VerifyInjectionProperty() error {
 		if !ok {
 			continue
 		}
-		dst := nd.queue.Front().Dst
+		dst := e.waiting.front(&nd.queue).dst
 		// Ground truth straight from the output-VC ownership state.
 		ruleA, ruleB := true, false
 		for p := range useful {

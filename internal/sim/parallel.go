@@ -40,9 +40,10 @@ package sim
 //     anything another node's slice of the same section reads.
 //
 //  3. Serial commits at the commit points. Everything globally ordered —
-//     message id assignment and pooling, collector hooks, trace emission,
-//     drop accounting — is deferred into per-shard buffers during the
-//     sections and committed once every shard has finished the section: by
+//     message id assignment, the record arena and the message pool (so also
+//     turning an admitted queue record into its object), collector hooks,
+//     trace emission, drop accounting — is deferred into per-shard buffers
+//     during the sections and committed once every shard has finished: by
 //     the one goroutine of the inline driver, or by the *last shard to
 //     arrive* at the barrier, before it releases the generation. The atomic
 //     arrival counter orders every shard's buffered writes before the
@@ -84,8 +85,8 @@ import (
 	"wormnet/internal/traffic"
 )
 
-// genRec is one deferred traffic-generation event: the message is created
-// (id assignment, pooling, collector hook) at commit time, in node order.
+// genRec is one deferred traffic-generation event: the message's queue record
+// is created (id assignment, collector hook) at commit time, in node order.
 type genRec struct {
 	node   topology.NodeID
 	dst    topology.NodeID
@@ -93,17 +94,23 @@ type genRec struct {
 }
 
 // deferredEvent is one globally-ordered side effect recorded during a
-// section and committed at its commit point.
+// section and committed at its commit point. A message the section took off
+// node's source queue is named by its arena slot (m is nil): the commit
+// builds the object.
 type deferredEvent struct {
 	kind   uint8
+	ch     int8 // evClaim: the injection channel
 	reason message.DropReason
 	node   topology.NodeID
+	slot   int32
 	m      *message.Message
 }
 
 const (
 	evDrop      uint8 = iota // unreachable-destination drop (fault/inject phases)
-	evThrottle               // limiter denial (inject phase, listener only)
+	evRequeue                // fault retry rejoining the front of node's queue (fault phase)
+	evThrottle               // limiter denial of node's queue head (inject phase, listener only)
+	evClaim                  // queue record admitted to injection channel ch (inject phase)
 	evInjected               // head flit entered the network (move phase)
 	evDelivered              // tail flit consumed at destination (move phase)
 )
@@ -660,8 +667,8 @@ func (e *Engine) generateRange(sh *parShard) {
 // promoteRetriesRange moves the shard's fault retries whose backoff expired
 // to the front of their source queues (oldest first — retried traffic keeps
 // the paper's pending-before-new priority). Retries whose destination died
-// while they waited are dropped; drops are globally-ordered accounting, so
-// they are deferred to the next commit.
+// while they waited are dropped. Both are deferred to the next commit: drops
+// are globally-ordered accounting and the queues' arena is engine-global.
 func (e *Engine) promoteRetriesRange(sh *parShard) {
 	for i := sh.lo; i < sh.hi; i++ {
 		nd := &e.nodes[i]
@@ -683,15 +690,18 @@ func (e *Engine) promoteRetriesRange(sh *parShard) {
 			}
 		}
 		nd.retry = rest
-		nd.queue.PushFront(ready)
+		// Each requeue lands in front of the one before it.
+		for j := len(ready) - 1; j >= 0; j-- {
+			sh.events = append(sh.events, deferredEvent{kind: evRequeue, node: nd.id, m: ready[j]})
+		}
 		sh.retryScratch = ready[:0]
 	}
 }
 
 // pollRange is the per-shard half of generation: drain each source's due
 // events into the shard's buffer, skipping nodes whose source cannot fire yet
-// (cached NextAt) without touching the source. Message creation waits for
-// the commit — ids, the pool and the collector are global.
+// (cached NextAt) without touching the source. Queueing waits for the
+// commit — ids, the record arena and the collector are global.
 func (e *Engine) pollRange(sh *parShard) {
 	for i := sh.lo; i < sh.hi; i++ {
 		nd := &e.nodes[i]
@@ -709,26 +719,34 @@ func (e *Engine) pollRange(sh *parShard) {
 	}
 }
 
-// commitGenerate is the B1 commit: the deferred retry drops, then the polled
-// messages, created and queued in node order.
+// commitGenerate is the B1 commit: the deferred retry drops and requeues,
+// then the polled messages, queued in node order — as records: a generated
+// message gets its id here and its object when a channel admits it.
 func (e *Engine) commitGenerate(p *parRuntime) {
 	e.commitEvents(p)
 	for si := range p.shards {
 		sh := &p.shards[si]
 		for _, g := range sh.gen {
-			nd := &e.nodes[g.node]
-			m := e.newMessage(nd.id, g.dst, int(g.length))
-			m.Measured = e.col.OnGenerated(e.now, int(nd.id))
-			nd.queue.Push(m)
-			e.emit(trace.KindGenerated, m, nd.id)
+			id := e.nextID
+			e.nextID++
+			e.generated++
+			if e.spans != nil {
+				e.spanGenerate(id, g.node, g.dst, int(g.length))
+			}
+			e.waiting.push(&e.nodes[g.node].queue, queued{
+				id: id, gen: e.now, dst: g.dst, length: g.length,
+				measured: e.col.OnGenerated(e.now, int(g.node)),
+			})
+			e.emitRecord(trace.KindGenerated, id, g.node, g.dst, g.length, g.node)
 		}
 		sh.gen = sh.gen[:0]
 	}
 }
 
 // commitInject is the B2 commit: the injection-phase events (they precede any
-// allocation event in the stream), then the global allocation cut, the
-// minimum of the shards' pre-scans.
+// allocation event in the stream) — the claims among them, so every busy
+// channel has its message before allocation looks — then the global
+// allocation cut, the minimum of the shards' pre-scans.
 func (e *Engine) commitInject(p *parRuntime) {
 	e.commitEvents(p)
 	cut := int32(len(e.nodes))
@@ -752,9 +770,10 @@ func (e *Engine) allocSuffix(p *parRuntime) {
 // trigger pre-scan for the allocation split fused into the same walk. On
 // fault runs it first sheds head-of-line messages whose destination router
 // died: they can never be delivered, and letting them enter would only
-// wedge traffic near the failure. Drops and throttle traces are deferred
-// (their accounting is global); the queue and recovery-list pops themselves
-// happen inline.
+// wedge traffic near the failure. Drops, throttle traces and the objects of
+// admitted records are deferred (their accounting, the pool and the arena's
+// free list are global); the queue and recovery-list pops themselves happen
+// inline.
 //
 // The fused pre-scan (two shards or more) records in sh.allocCut the first own node at which
 // the upcoming allocation phase could fire a recovery or a fault kill (or
@@ -791,17 +810,14 @@ func (e *Engine) injectRange(p *parRuntime, sh *parShard) {
 			} else {
 				for len(nd.recovery) > 0 && nd.recovery[0].readyAt <= e.now &&
 					!e.live.RouterAlive(nd.recovery[0].msg.Dst) {
-					m := nd.recovery[0].msg
-					nd.recovery[0] = pendingRecovery{}
-					nd.recovery = nd.recovery[1:]
 					sh.events = append(sh.events, deferredEvent{
-						kind: evDrop, reason: message.DropUnreachable, node: nd.id, m: m,
+						kind: evDrop, reason: message.DropUnreachable, node: nd.id, m: nd.popRecovery(),
 					})
 				}
-				for !nd.queue.Empty() && !e.live.RouterAlive(nd.queue.Front().Dst) {
+				for !nd.queue.Empty() && !e.live.RouterAlive(e.waiting.front(&nd.queue).dst) {
 					sh.events = append(sh.events, deferredEvent{
 						kind: evDrop, reason: message.DropUnreachable, node: nd.id,
-						m: nd.queue.PopFront(),
+						slot: nd.queue.pop(e.waiting.recs),
 					})
 				}
 			}
@@ -830,20 +846,20 @@ func (e *Engine) injectRange(p *parRuntime, sh *parShard) {
 // messages in FIFO order, each gated by the injection limiter. A denied
 // queue head blocks the messages behind it, preserving the paper's
 // "pending messages have higher priority than newer ones". Throttle traces
-// are deferred to the shard's event buffer.
+// are deferred to the shard's event buffer, and so is the object of an
+// admitted record: the section fills the channel's counters (which is what
+// makes it busy) and the B2 commit attaches the message.
 func (e *Engine) injectNode(nd *node, sh *parShard) {
 	if nd.limObs != nil {
 		nd.limObs.Tick(nd.view, e.now)
 	}
 	for c := range nd.inj {
 		ic := &nd.inj[c]
-		if ic.msg != nil {
+		if ic.len != 0 {
 			continue
 		}
 		if len(nd.recovery) > 0 && nd.recovery[0].readyAt <= e.now {
-			ic.msg = nd.recovery[0].msg
-			nd.recovery[0] = pendingRecovery{}
-			nd.recovery = nd.recovery[1:]
+			ic.msg = nd.popRecovery()
 			ic.msg.State = message.StateInjecting
 			ic.route = routeInfo{}
 			ic.left = int32(ic.msg.Length)
@@ -858,49 +874,60 @@ func (e *Engine) injectNode(nd *node, sh *parShard) {
 		if nd.queue.Empty() {
 			continue
 		}
-		m := nd.queue.Front()
+		r := e.waiting.front(&nd.queue)
 		// Rogue nodes (Config.Adversary) never consult the limiter:
 		// bypassing it is the whole attack.
-		if !nd.rogue && !nd.limiter.Allow(nd.view, m.Dst) {
+		if !nd.rogue && !nd.limiter.Allow(nd.view, r.dst) {
 			// Deny metrics update inline: the counters are commutative
 			// atomics, so the totals are worker-order-independent.
 			if e.met != nil {
-				e.noteDeny(nd, m.Dst)
+				e.noteDeny(nd, r.dst)
 			}
-			// Span deny counts are inline too: the record is exclusive to
+			// Span deny counts are inline too: the span is exclusive to
 			// this shard for the whole injection section (the message sits
 			// in an own-node source queue).
 			if e.spans != nil {
-				e.spanDeny(nd, m)
+				e.spanDeny(nd, r.id, r.dst)
 			}
+			// The commit reads the trace's fields off the queue: a denied
+			// head is still the front there.
 			if e.listener != nil {
-				sh.events = append(sh.events, deferredEvent{
-					kind: evThrottle, node: nd.id, m: m,
-				})
+				sh.events = append(sh.events, deferredEvent{kind: evThrottle, node: nd.id})
 			}
 			break // FIFO: do not bypass a throttled queue head
 		}
 		if e.met != nil {
 			e.met.admitted.Inc()
 		}
-		nd.queue.PopFront()
-		ic.msg = m
 		ic.route = routeInfo{}
-		ic.left = int32(m.Length)
-		ic.len = ic.left
-		ic.dst = m.Dst
+		ic.left = r.length
+		ic.len = r.length
+		ic.dst = r.dst
 		nd.busyInj++
-		m.State = message.StateInjecting
-		if e.spans != nil {
-			e.spanClaim(m, nd.id)
-		}
+		sh.events = append(sh.events, deferredEvent{
+			kind: evClaim, ch: int8(c), node: nd.id, slot: nd.queue.pop(e.waiting.recs),
+		})
 	}
+}
+
+// popRecovery removes and returns the front of the node's recovery list. The
+// list is a handful of entries at most; shifting it down keeps its backing
+// array, where re-slicing past the front would give it up entry by entry and
+// allocate again at the next refill.
+func (nd *node) popRecovery() *message.Message {
+	m := nd.recovery[0].msg
+	n := copy(nd.recovery, nd.recovery[1:])
+	nd.recovery[n] = pendingRecovery{}
+	nd.recovery = nd.recovery[:n]
+	return m
 }
 
 // deadEnd reports whether any header that allocation will route at nd this
 // cycle has an empty candidate set (fault runs only: minimal routing
 // otherwise always yields candidates). Ejection-bound headers never kill —
 // the destination router's liveness was already checked at injection.
+// Injection channels are tested by len: the pre-scan runs inside the injection
+// section, where a channel claimed this cycle has no msg yet.
 func (e *Engine) deadEnd(nd *node) bool {
 	vcs := e.cfg.VCs
 	vcsMask := uint32(1)<<uint(vcs) - 1
@@ -923,7 +950,7 @@ func (e *Engine) deadEnd(nd *node) bool {
 	if nd.busyInj > 0 {
 		for c := range nd.inj {
 			ic := &nd.inj[c]
-			if ic.msg == nil || ic.route.valid || ic.left < ic.len || ic.dst == nd.id {
+			if ic.len == 0 || ic.route.valid || ic.left < ic.len || ic.dst == nd.id {
 				continue
 			}
 			if len(e.candidates(nd, ic.dst)) == 0 {
@@ -1010,6 +1037,7 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 			if flit.Tail {
 				m.FlitsSent = int(ic.len)
 				ic.msg = nil
+				ic.len = 0
 				ic.route = routeInfo{}
 				nd.busyInj--
 				m.State = message.StateInNetwork
@@ -1162,11 +1190,25 @@ func (e *Engine) commitEvents(p *parRuntime) {
 		sh := &p.shards[si]
 		for i := range sh.events {
 			ev := &sh.events[i]
+			nd := &e.nodes[ev.node]
 			switch ev.kind {
 			case evDrop:
+				if ev.m == nil {
+					ev.m = e.materialise(ev.node, ev.slot)
+				}
 				e.drop(ev.m, ev.node, ev.reason)
+			case evRequeue:
+				e.waiting.pushFront(&nd.queue, e.recordOf(ev.m))
 			case evThrottle:
-				e.emit(trace.KindThrottled, ev.m, ev.node)
+				r := e.waiting.front(&nd.queue)
+				e.emitRecord(trace.KindThrottled, r.id, ev.node, r.dst, r.length, ev.node)
+			case evClaim:
+				m := e.materialise(ev.node, ev.slot)
+				m.State = message.StateInjecting
+				nd.inj[ev.ch].msg = m
+				if e.spans != nil {
+					e.spanClaim(m, ev.node)
+				}
 			case evInjected:
 				e.col.OnInjected(int(ev.node), e.now)
 				e.emit(trace.KindInjected, ev.m, ev.node)

@@ -56,6 +56,12 @@ func equivalenceConfigs() map[string]Config {
 	saturated.Limiter = baseline.Factories()["none"]
 	saturated.LimiterName = "none"
 
+	// The paper's regime: uniform traffic far beyond saturation under ALO, so
+	// every source queue backs up and the gate denies hundreds of heads a
+	// cycle (40 333 throttle events in the reference).
+	saturatedALO := QuickConfig()
+	saturatedALO.Rate = 2.0
+
 	bursty := QuickConfig()
 	bursty.Rate = 1.2
 	bursty.Burst = traffic.BurstProfile{OnMean: 200, OffMean: 400}
@@ -128,6 +134,7 @@ func equivalenceConfigs() map[string]Config {
 
 	return map[string]Config{
 		"saturated-recovery": saturated,
+		"saturated-alo":      saturatedALO,
 		"bursty-alo":         bursty,
 		"faults-retry":       faulty,
 		"faults-storm":       storm,

@@ -61,6 +61,7 @@ func (e *Engine) teardown(m *message.Message) {
 		// how much of the message it had streamed.
 		m.FlitsSent = int(ic.len - ic.left)
 		ic.msg = nil
+		ic.len = 0
 		ic.route = routeInfo{}
 		inj.freshInj &^= 1 << uint(i)
 		inj.busyInj--

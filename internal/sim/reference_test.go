@@ -20,12 +20,14 @@ import (
 // one-shard case of the sharded schedule — so its output is kept as data:
 // testdata/serial_reference.json holds, for every equivalenceConfigs row,
 // what the Workers=1 engine of commit e4a0c17 (the last one with the serial
-// phase bodies) produced. A bug common to every worker count therefore still
+// phase bodies) produced — the saturated-alo row, added later, what the
+// Workers=1 engine of acd27e9 (PR 14, the last one whose source queues held
+// message objects) did. A bug common to every worker count therefore still
 // fails the suite.
 
 // referenceDigest pins one run: a SHA-256 of the full event stream, the
 // summary and per-class results (printed with %+v, which round-trips floats
-// exactly), the six all-time counters, and — for the row recorded with span
+// exactly), the six all-time counters, and — for the rows recorded with span
 // tracking on — the finished-span stream.
 type referenceDigest struct {
 	Events    int      `json:"events"`
@@ -37,9 +39,9 @@ type referenceDigest struct {
 	SpansSHA  string   `json:"spans_sha256,omitempty"`
 }
 
-// spanReferenceRow is the row whose span stream (runSpanned's settings) is
-// pinned too: kills, retries and recoveries all reset and re-grow hop lists.
-const spanReferenceRow = "faults-storm"
+// The rows whose span stream (runSpanned's settings) is pinned too are
+// faults-storm — kills, retries and recoveries all reset and re-grow hop
+// lists — and saturated-alo, where the denials are.
 
 // digestRun digests a finished run of e: its summary res, per-class results
 // and all-time counters, and the event stream a listener recorded.

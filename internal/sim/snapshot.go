@@ -33,14 +33,20 @@ package sim
 //     that node, which keeps the node in the active set through the switch
 //     phase, and the switch phase unconditionally clears the masks of every
 //     active node (teardown clears the bits of routes it releases);
+//   - whether a waiting message is still a queue record or already an
+//     object: a record is written as the message it will become, and load
+//     takes every message that reads as one back as a record, so a restored
+//     engine has the shape of the one that never stopped;
 //   - the message pool: a recycled message is indistinguishable from a
 //     freshly allocated one (Reuse == New up to the Pooled flag and Path
 //     backing array, neither observable), so restored runs simply allocate
 //     where the original recycled.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -223,6 +229,46 @@ func ConfigDigest(cfg Config) (string, error) {
 	return strings.TrimSpace(b.String()), nil
 }
 
+// message builds the object sm describes.
+func (sm *SnapMessage) message() *message.Message {
+	m := &message.Message{
+		ID:           message.ID(sm.ID),
+		Src:          topology.NodeID(sm.Src),
+		Dst:          topology.NodeID(sm.Dst),
+		Length:       int(sm.Length),
+		GenTime:      sm.GenTime,
+		InjectTime:   sm.InjectTime,
+		DeliverTime:  sm.DeliverTime,
+		State:        message.State(sm.State),
+		Injector:     topology.NodeID(sm.Injector),
+		FlitsSent:    int(sm.FlitsSent),
+		FlitsEjected: int(sm.FlitsEjected),
+		Recoveries:   int(sm.Recoveries),
+		Retries:      int(sm.Retries),
+		DropReason:   message.DropReason(sm.DropReason),
+		Measured:     sm.Measured,
+		Pooled:       sm.Pooled,
+	}
+	if len(sm.Path) > 0 {
+		m.Path = make([]message.PathLoc, len(sm.Path))
+		for j, pl := range sm.Path {
+			m.Path[j] = message.PathLoc{Node: topology.NodeID(pl.Node), Port: topology.Port(pl.Port), VC: pl.VC}
+		}
+	}
+	return m
+}
+
+// waitingAt reports whether sm is what a record waiting in node n's source
+// queue serializes as (Engine.Snapshot): generated there by the traffic source
+// and never admitted, so nothing about it needs an object.
+func (sm *SnapMessage) waitingAt(n topology.NodeID) bool {
+	return sm.Pooled && sm.State == int8(message.StateQueued) &&
+		sm.Src == int32(n) && sm.Injector == sm.Src &&
+		sm.InjectTime == -1 && sm.DeliverTime == -1 &&
+		sm.FlitsSent == 0 && sm.FlitsEjected == 0 && sm.Recoveries == 0 && sm.Retries == 0 &&
+		sm.DropReason == "" && len(sm.Path) == 0
+}
+
 func snapRoute(r routeInfo) SnapRoute {
 	return SnapRoute{Valid: r.valid, Eject: r.eject, OutPort: int8(r.outPort), OutVC: r.outVC, EjCh: r.ejCh, Epoch: r.epoch}
 }
@@ -277,6 +323,7 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 
 	// Collect every reachable message exactly once, then serialize the
 	// per-node state referencing them by ID.
+	s.Messages = slices.Grow(s.Messages, int(e.InFlight())) // every live message is reachable
 	seen := make(map[*message.Message]struct{})
 	var msgs []*message.Message
 	add := func(m *message.Message) {
@@ -349,13 +396,23 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 			sn.Ej[j] = se
 		}
 
+		// A waiting message that is still only a record serializes as exactly
+		// the message it will become.
 		if n := nd.queue.Len(); n > 0 {
-			sn.Queue = make([]int64, n)
-			for j := 0; j < n; j++ {
-				m := nd.queue.At(j)
-				add(m)
-				sn.Queue[j] = int64(m.ID)
-			}
+			sn.Queue = make([]int64, 0, n)
+			e.waiting.each(&nd.queue, func(r *queued) {
+				sn.Queue = append(sn.Queue, int64(r.id))
+				if r.built {
+					add(e.built[r.id])
+					return
+				}
+				s.Messages = append(s.Messages, SnapMessage{
+					ID: int64(r.id), Src: int32(nd.id), Dst: int32(r.dst), Length: r.length,
+					GenTime: r.gen, InjectTime: -1, DeliverTime: -1,
+					State: int8(message.StateQueued), Injector: int32(nd.id),
+					Measured: r.measured, Pooled: true,
+				})
+			})
 		}
 		for _, pr := range nd.recovery {
 			add(pr.msg)
@@ -388,9 +445,7 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		}
 	}
 
-	sort.Slice(msgs, func(a, b int) bool { return msgs[a].ID < msgs[b].ID })
-	s.Messages = make([]SnapMessage, len(msgs))
-	for i, m := range msgs {
+	for _, m := range msgs {
 		sm := SnapMessage{
 			ID:           int64(m.ID),
 			Src:          int32(m.Src),
@@ -415,8 +470,9 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 				sm.Path[j] = SnapPath{Node: int32(pl.Node), Port: int8(pl.Port), VC: pl.VC}
 			}
 		}
-		s.Messages[i] = sm
+		s.Messages = append(s.Messages, sm)
 	}
+	slices.SortFunc(s.Messages, func(a, b SnapMessage) int { return cmp.Compare(a.ID, b.ID) })
 	return s, nil
 }
 
@@ -472,7 +528,8 @@ func (e *Engine) Restore(snap *Snapshot) error {
 // It covers the durable router state and all that derives from it. What load
 // overwrites wholesale — liveness and the candidate table that follows it,
 // generator, limiter, blockage, arbiter and collector words — is left alone,
-// as is the message pool, whose contents are unobservable.
+// as are the message pool and the record arena's capacity, whose contents are
+// unobservable.
 func (e *Engine) reset() {
 	e.now, e.nextID, e.faultIdx, e.epoch = 0, 0, 0, 0
 	e.generated, e.delivered, e.recovered, e.aborted, e.retried, e.dropped = 0, 0, 0, 0, 0, 0
@@ -499,12 +556,14 @@ func (e *Engine) reset() {
 		clear(nd.inj)
 		clear(nd.ej)
 		nd.occVCs, nd.busyInj = 0, 0
-		nd.queue.Clear()
+		nd.queue = srcQueue{}
 		clear(nd.recovery)
 		nd.recovery = nd.recovery[:0]
 		clear(nd.retry)
 		nd.retry = nd.retry[:0]
 	}
+	e.waiting.reset()
+	clear(e.built)
 	e.par.reset()
 }
 
@@ -569,48 +628,40 @@ func (e *Engine) load(snap *Snapshot) error {
 		return fmt.Errorf("%w: snapshot carries liveness state but faults are off", ErrSnapshotInvalid)
 	}
 
-	// Rebuild the message table.
-	msgs := make(map[int64]*message.Message, len(snap.Messages))
+	// The message table. Snapshot writes it in ascending id order (the
+	// canonical encoding depends on that too), so a reference is resolved by
+	// binary search, and a message becomes an object when the first reference
+	// that needs one is: a source queue takes the messages that are exactly what
+	// a waiting record serializes as back as records.
+	objs := make([]*message.Message, len(snap.Messages))
 	for i := range snap.Messages {
 		sm := &snap.Messages[i]
-		if _, dup := msgs[sm.ID]; dup {
-			return fmt.Errorf("%w: duplicate message %d", ErrSnapshotInvalid, sm.ID)
+		if i > 0 && sm.ID <= snap.Messages[i-1].ID {
+			return fmt.Errorf("%w: message %d out of order or duplicated", ErrSnapshotInvalid, sm.ID)
 		}
 		if sm.Length < 1 {
 			return fmt.Errorf("%w: message %d length %d", ErrSnapshotInvalid, sm.ID, sm.Length)
 		}
-		m := &message.Message{
-			ID:           message.ID(sm.ID),
-			Src:          topology.NodeID(sm.Src),
-			Dst:          topology.NodeID(sm.Dst),
-			Length:       int(sm.Length),
-			GenTime:      sm.GenTime,
-			InjectTime:   sm.InjectTime,
-			DeliverTime:  sm.DeliverTime,
-			State:        message.State(sm.State),
-			Injector:     topology.NodeID(sm.Injector),
-			FlitsSent:    int(sm.FlitsSent),
-			FlitsEjected: int(sm.FlitsEjected),
-			Recoveries:   int(sm.Recoveries),
-			Retries:      int(sm.Retries),
-			DropReason:   message.DropReason(sm.DropReason),
-			Measured:     sm.Measured,
-			Pooled:       sm.Pooled,
+	}
+	find := func(id int64) (int, error) {
+		i := sort.Search(len(snap.Messages), func(i int) bool { return snap.Messages[i].ID >= id })
+		if i == len(snap.Messages) || snap.Messages[i].ID != id {
+			return 0, fmt.Errorf("%w: reference to unknown message %d", ErrSnapshotInvalid, id)
 		}
-		if len(sm.Path) > 0 {
-			m.Path = make([]message.PathLoc, len(sm.Path))
-			for j, pl := range sm.Path {
-				m.Path[j] = message.PathLoc{Node: topology.NodeID(pl.Node), Port: topology.Port(pl.Port), VC: pl.VC}
-			}
+		return i, nil
+	}
+	obj := func(i int) *message.Message {
+		if objs[i] == nil {
+			objs[i] = snap.Messages[i].message()
 		}
-		msgs[sm.ID] = m
+		return objs[i]
 	}
 	get := func(id int64) (*message.Message, error) {
-		m, ok := msgs[id]
-		if !ok {
-			return nil, fmt.Errorf("%w: reference to unknown message %d", ErrSnapshotInvalid, id)
+		i, err := find(id)
+		if err != nil {
+			return nil, err
 		}
-		return m, nil
+		return obj(i), nil
 	}
 
 	for i := range e.nodes {
@@ -718,11 +769,18 @@ func (e *Engine) load(snap *Snapshot) error {
 		}
 
 		for _, id := range sn.Queue {
-			m, err := get(id)
+			j, err := find(id)
 			if err != nil {
 				return err
 			}
-			nd.queue.Push(m)
+			if sm := &snap.Messages[j]; objs[j] == nil && sm.waitingAt(nd.id) {
+				e.waiting.push(&nd.queue, queued{
+					id: message.ID(sm.ID), gen: sm.GenTime, dst: topology.NodeID(sm.Dst),
+					length: sm.Length, measured: sm.Measured,
+				})
+				continue
+			}
+			e.waiting.push(&nd.queue, e.recordOf(obj(j)))
 		}
 		for _, sp := range sn.Recovery {
 			m, err := get(sp.Msg)
@@ -777,16 +835,16 @@ func (e *Engine) load(snap *Snapshot) error {
 	// that keep arriving never carry the Head flag that rewrites the cache.
 	// Restore it from each message's path so drained-but-owned channels
 	// don't come back with a stale destination.
-	for _, sm := range snap.Messages {
-		m := msgs[sm.ID]
-		for _, loc := range m.Path {
+	for i := range snap.Messages {
+		sm := &snap.Messages[i]
+		for _, loc := range sm.Path {
 			if loc.Node < 0 || int(loc.Node) >= len(e.nodes) ||
 				loc.Port < 0 || int(loc.Port) >= e.numPhys ||
 				loc.VC < 0 || int(loc.VC) >= e.cfg.VCs {
 				return fmt.Errorf("%w: message %d path entry (%d,%d,%d) out of range",
-					ErrSnapshotInvalid, m.ID, loc.Node, loc.Port, loc.VC)
+					ErrSnapshotInvalid, sm.ID, loc.Node, loc.Port, loc.VC)
 			}
-			e.nodes[loc.Node].in[e.inVCIndex(loc.Port, loc.VC)].dst = m.Dst
+			e.nodes[loc.Node].in[e.inVCIndex(topology.Port(loc.Port), loc.VC)].dst = topology.NodeID(sm.Dst)
 		}
 	}
 

@@ -20,8 +20,8 @@ package sim
 // retry teardowns, all of which run at barrier arrival or between cycles.
 // The parallel sections only *read* the map and write fields of the looked-up
 // record, and every such write is exclusive for the cycle: deny/admit run on
-// the message's source-node shard, allocation on the shard holding its
-// header, and the head flit (a single flit) arrives at most once per cycle —
+// the message's source-node shard (or at its commit), allocation on the shard
+// holding its header, and the head flit (a single flit) arrives at most once per cycle —
 // its cross-shard hop-append is ordered behind the ring publish the
 // consumer's acquire-load synchronizes with.
 
@@ -99,11 +99,11 @@ func (e *Engine) EnableSpans(reg *metrics.Registry, sampleEvery int64, sink trac
 	e.spans = s
 }
 
-// spanGenerate starts a span for m if its ID selects it. Serial contexts
-// only (commitGenerate, Inject).
-func (e *Engine) spanGenerate(m *message.Message) {
+// spanGenerate starts a span for the message just generated if its ID
+// selects it. Serial contexts only (commitGenerate, Inject).
+func (e *Engine) spanGenerate(id message.ID, src, dst topology.NodeID, length int) {
 	s := e.spans
-	if int64(m.ID)%s.every != 0 {
+	if int64(id)%s.every != 0 {
 		return
 	}
 	var rec *trace.SpanRecord
@@ -115,19 +115,19 @@ func (e *Engine) spanGenerate(m *message.Message) {
 		rec = &trace.SpanRecord{}
 	}
 	rec.Reset()
-	rec.ID = int64(m.ID)
-	rec.Src, rec.Dst, rec.Len = m.Src, m.Dst, m.Length
+	rec.ID = int64(id)
+	rec.Src, rec.Dst, rec.Len = src, dst, length
 	rec.Gen = e.now
-	s.live[m.ID] = rec
+	s.live[id] = rec
 	if s.sampled != nil {
 		s.sampled.Inc()
 	}
 }
 
-// spanDeny charges one limiter denial (with ALO rule attribution) to m's
-// span. Runs on the source node's shard; map read only.
-func (e *Engine) spanDeny(nd *node, m *message.Message) {
-	rec, ok := e.spans.live[m.ID]
+// spanDeny charges one limiter denial (with ALO rule attribution) to the span
+// of nd's queue head. Runs on the source node's shard; map read only.
+func (e *Engine) spanDeny(nd *node, id message.ID, dst topology.NodeID) {
+	rec, ok := e.spans.live[id]
 	if !ok {
 		return
 	}
@@ -135,7 +135,7 @@ func (e *Engine) spanDeny(nd *node, m *message.Message) {
 	if nd.limClass == nil {
 		return
 	}
-	a, b := nd.limClass.ClassifyRules(nd.view, m.Dst)
+	a, b := nd.limClass.ClassifyRules(nd.view, dst)
 	if !a {
 		rec.DeniesRuleA++
 	}
@@ -146,7 +146,8 @@ func (e *Engine) spanDeny(nd *node, m *message.Message) {
 
 // spanClaim records m leaving the source queue (or the recovery/retry queue)
 // into an injection channel: the admit time on the first claim, and the
-// source hop of the current attempt. Runs on the source node's shard.
+// source hop of the current attempt. Runs on the source node's shard
+// (recovery list) or at the injection commit (source queue).
 func (e *Engine) spanClaim(m *message.Message, at topology.NodeID) {
 	rec, ok := e.spans.live[m.ID]
 	if !ok {

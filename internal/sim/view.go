@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"wormnet/internal/topology"
 )
 
@@ -15,21 +17,16 @@ type channelView struct {
 	nd *node
 }
 
-// UsefulPorts implements core.ChannelView by executing the run's routing
-// function for a locally generated message and collapsing its candidates to
-// distinct physical ports. On fault-free runs the candidates come from the
-// precomputed table.
+// UsefulPorts implements core.ChannelView: the distinct physical ports of the
+// routing function's candidates for a locally generated message, which the
+// candidate table keeps beside each set. Callers must not write to the slice.
 func (v channelView) UsefulPorts(dst topology.NodeID) []topology.Port {
-	ports := v.nd.scratchPorts[:0]
-	for _, pc := range v.e.candidates(v.nd, dst) {
-		ports = append(ports, pc.port)
-	}
-	v.nd.scratchPorts = ports
-	return ports
+	return v.e.cand.ports(v.nd.id, dst)
 }
 
-// FreeVCs implements core.ChannelView.
-func (v channelView) FreeVCs(p topology.Port) int { return v.nd.out[p].FreeVCs() }
+// FreeVCs implements core.ChannelView: a population count of the port's word
+// of the status register.
+func (v channelView) FreeVCs(p topology.Port) int { return bits.OnesCount32(v.nd.freeMask[p]) }
 
 // VCs implements core.ChannelView.
 func (v channelView) VCs() int { return v.e.cfg.VCs }
@@ -45,5 +42,5 @@ func (v channelView) HeadWait() int64 {
 	if v.nd.queue.Empty() {
 		return 0
 	}
-	return v.e.now - v.nd.queue.Front().GenTime
+	return v.e.now - v.e.waiting.front(&v.nd.queue).gen
 }
