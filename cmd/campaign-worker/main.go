@@ -1,8 +1,8 @@
 // Command campaign-worker executes sweep points for a campaignd
 // coordinator: it pulls point leases over HTTP, runs each point under
-// internal/supervisor (reusing the exact engine + checkpoint machinery of a
-// local sweep), streams heartbeats and live metric snapshots while it runs,
-// uploads periodic WNCP checkpoints so the point stays migratable, and
+// internal/supervisor (campaign.RunWorker, the loop a plain sweep runs in
+// its own process), streams heartbeats and live metric snapshots while it
+// runs, uploads periodic WNCP checkpoints so the point stays migratable, and
 // commits the result exactly once. If the coordinator holds a migrated
 // checkpoint from a dead worker, this worker resumes it bit-identically —
 // at any -workers setting, since engine results are independent of the

@@ -1,30 +1,31 @@
 // Command sweep runs parameter sweeps beyond the paper's figures — offered
-// load, virtual-channel count, buffer depth or detection threshold — and
-// prints one CSV row per run. It is the ablation companion to cmd/figures.
-// With -jsonl the same data streams to a file as structured records (a run
-// manifest followed by one result record per point), ready for downstream
-// analysis without CSV parsing.
+// load, virtual-channel count, buffer depth, detection threshold, message
+// length or failed-link fraction — and prints one CSV row per point. It is
+// the ablation companion to cmd/figures. With -jsonl the same data goes to a
+// file as structured records (a run manifest, then one result record per
+// point).
 //
-// Sweeps are crash-resumable: with -out the sweep journals every point's
-// status to <dir>/manifest.json (atomic writes) and flushes periodic engine
-// checkpoints, so a killed or crashed campaign restarts with -resume —
-// completed points are skipped and interrupted points continue from their
-// last checkpoint, bit-identical to a never-interrupted run. Each point runs
-// under a supervisor with optional wall/stall budgets and capped-backoff
-// retries; SIGINT/SIGTERM flush a final checkpoint before exit.
+// A sweep is a campaign (internal/campaign): a coordinator journals it and a
+// worker executes its points under the supervisor — wall/stall budgets,
+// retries, periodic checkpoints, a final checkpoint on SIGINT/SIGTERM. By
+// default both halves run in this process. -connect leaves the coordinator
+// in another process (campaignd, or a sweep -serve) and runs only the
+// worker; -serve runs only the coordinator and waits for workers
+// (campaign-worker, or a sweep -connect) to finish the sweep. The rows are
+// the same bits whichever way it ran and however often it was interrupted.
 //
-// Sweeps also distribute: -serve turns this invocation into a one-shot farm
-// coordinator for exactly this sweep (workers connect and pull points;
-// results land in the same manifest.json), and -connect turns it into a
-// worker that submits the sweep to a coordinator and executes leased points.
-// Either way the output is the same CSV, bit-identical to a local run.
+// With -out the coordinator journals to <dir>/<id>/ — spec.json,
+// manifest.json (atomic writes) and one point-NNN.wncp per point in flight —
+// where <id> is derived from the spec. Running the same command again
+// therefore continues the same campaign: completed points are final, an
+// interrupted point resumes from its last checkpoint. A different spec gets
+// a different <id> and starts clean.
 //
 // Examples:
 //
 //	sweep -vary rate -values 0.1,0.2,0.3,0.4,0.5,0.6,0.7 -limiter alo
 //	sweep -vary vcs -values 1,2,3 -rate 0.5
 //	sweep -vary rate -values 0.3,0.6,0.9 -out campaign/ -checkpoint-every 2000
-//	sweep -vary rate -values 0.3,0.6,0.9 -out campaign/ -resume
 //	sweep -vary rate -values 0.3,0.6,0.9 -out campaign/ -serve 127.0.0.1:8080
 //	sweep -vary rate -values 0.3,0.6,0.9 -connect http://127.0.0.1:8080
 //	sweep -vary rate -values 0.5,2.0 -chaos      # crash-recovery self-test
@@ -34,22 +35,30 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
+	"time"
 
 	"wormnet/internal/campaign"
-	"wormnet/internal/fault"
 	"wormnet/internal/obs"
-	"wormnet/internal/stats"
-	"wormnet/internal/supervisor"
 )
 
 func main() {
 	os.Exit(run())
+}
+
+// farm is the coordinator as the sweep uses it, in this process
+// (*campaign.Coordinator) or another (*campaign.Client).
+type farm interface {
+	campaign.Transport
+	Submit(spec *campaign.Spec) (id string, created bool, err error)
+	Status(id string) (*campaign.StatusView, error)
 }
 
 func run() int {
@@ -71,18 +80,17 @@ func run() int {
 		"engine worker goroutines per run (results are identical for any count; keep 1 unless a single run dominates)")
 	flag.Float64Var(&spec.Faults, "faults", 0, "fraction of channels to fail in every run [0,1)")
 	flag.Uint64Var(&spec.FaultSeed, "fault-seed", spec.FaultSeed, "fault planner seed")
-	jsonlPath := flag.String("jsonl", "", "also stream a run manifest plus one result record per point (JSONL) to this file")
+	jsonlPath := flag.String("jsonl", "", "also write a run manifest plus one result record per point (JSONL) to this file")
 
-	out := flag.String("out", "", "campaign directory: journal point statuses to manifest.json and flush engine checkpoints there")
-	resume := flag.Bool("resume", false, "resume the campaign in -out: skip completed points, restore mid-point checkpoints")
-	flag.Int64Var(&spec.CheckpointEvery, "checkpoint-every", spec.CheckpointEvery, "cycles between periodic checkpoints of the running point (0 = final-only; needs -out)")
+	out := flag.String("out", "", "journal the campaign under <dir>/<id>/ (manifest.json, spec.json, point checkpoints); rerun the same command to continue it")
+	flag.Int64Var(&spec.CheckpointEvery, "checkpoint-every", spec.CheckpointEvery, "cycles between periodic checkpoints of the running point (0 = final-only)")
 	pointWall := flag.Duration("point-wall", 0, "wall-clock budget per point (0 = unlimited)")
 	flag.Int64Var(&spec.StallWindow, "stall-window", 0, "declare a point stalled after this many cycles without progress (0 = off)")
-	flag.IntVar(&spec.Retries, "point-retries", spec.Retries, "retry attempts for a crashed or stalled point (capped exponential backoff)")
+	flag.IntVar(&spec.Retries, "point-retries", spec.Retries, "attempts for a crashed or stalled point before it goes terminal")
 	chaos := flag.Bool("chaos", false, "run the crash-recovery self-test instead of the sweep: kill each point mid-run, resume from its checkpoint, verify bit-identical results")
-	serve := flag.String("serve", "", "serve this sweep as a one-shot farm coordinator on this address (needs -out; workers connect with -connect)")
-	connect := flag.String("connect", "", "run as a farm worker: submit this sweep to the coordinator at this URL and execute leased points")
-	leaseTTL := flag.Duration("lease-ttl", campaign.DefaultLeaseTTL, "with -serve: lease time-to-live before a point is stolen from a silent worker")
+	serve := flag.String("serve", "", "run only the coordinator, on this address, and wait for workers to finish the sweep (needs -out)")
+	connect := flag.String("connect", "", "run only the worker: submit this sweep to the coordinator at this URL and execute leased points")
+	leaseTTL := flag.Duration("lease-ttl", campaign.DefaultLeaseTTL, "lease time-to-live before a point is stolen from a silent worker")
 	flag.Parse()
 
 	fail := func(err error) int {
@@ -91,183 +99,143 @@ func run() int {
 	}
 	spec.Vary = *vary
 	spec.PointWallMS = pointWall.Milliseconds()
-	vals := strings.Split(*values, ",")
-	for i := range vals {
-		vals[i] = strings.TrimSpace(vals[i])
+	spec.Values = strings.Split(*values, ",")
+	for i := range spec.Values {
+		spec.Values[i] = strings.TrimSpace(spec.Values[i])
 	}
-	spec.Values = vals
-
 	points, err := spec.Points()
 	if err != nil {
 		return fail(err)
 	}
-
 	switch {
 	case *chaos:
 		return chaosSelfTest(points, *workers)
 	case *serve != "" && *connect != "":
 		return fail(fmt.Errorf("sweep: -serve and -connect are mutually exclusive"))
-	case *serve != "":
-		if *out == "" {
-			return fail(fmt.Errorf("sweep: -serve needs -out (the coordinator journals there)"))
-		}
-		return serveMode(*serve, *out, &spec, *leaseTTL)
-	case *connect != "":
-		return connectMode(*connect, &spec, *workers)
-	case *resume && *out == "":
-		return fail(fmt.Errorf("sweep: -resume needs -out"))
-	}
-
-	opts := &sweepOpts{
-		dir:             *out,
-		resume:          *resume,
-		workers:         *workers,
-		checkpointEvery: spec.CheckpointEvery,
-		pointWall:       *pointWall,
-		stallWindow:     spec.StallWindow,
-		retry:           fault.RetryPolicy{MaxRetries: spec.Retries, BackoffBase: 250, BackoffCap: 4000},
-		signals:         []os.Signal{os.Interrupt, syscall.SIGTERM},
-	}
-
-	// The campaign journal (shared with the farm coordinator; see
-	// internal/campaign).
-	var manifest *campaign.Manifest
-	base, err := spec.BaseConfig()
-	if err != nil {
-		return fail(err)
-	}
-	if *out != "" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			return fail(err)
-		}
-		if *resume {
-			manifest, err = campaign.LoadManifest(*out)
-			if err != nil {
-				return fail(err)
-			}
-			if err := manifest.Compatible(*vary, spec.Seed, spec.Limiter, vals); err != nil {
-				return fail(err)
-			}
-		} else {
-			manifest = campaign.NewManifest("sweep", *vary, spec.Seed, spec.Limiter, base.Manifest(), vals)
-			if err := manifest.Save(*out); err != nil {
-				return fail(err)
-			}
-		}
-	} else {
-		manifest = campaign.NewManifest("sweep", *vary, spec.Seed, spec.Limiter, base.Manifest(), vals)
-	}
-	journal := func() int {
-		if *out == "" {
-			return 0
-		}
-		if err := manifest.Save(*out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
+	case *serve != "" && *out == "":
+		return fail(fmt.Errorf("sweep: -serve needs -out (the coordinator journals there)"))
 	}
 
 	var jsonl *obs.JSONLWriter
 	if *jsonlPath != "" {
-		w, err := obs.CreateJSONL(*jsonlPath)
+		base, err := spec.BaseConfig()
 		if err != nil {
 			return fail(err)
 		}
-		defer func() { w.Close() }() //nolint:errcheck // stream already flushed per record
-		header := base.Manifest()
-		header["vary"], header["values"] = *vary, *values
-		if err := w.Write(obs.NewManifest("sweep", spec.Seed, header)); err != nil {
+		jsonl, err = obs.CreateJSONL(*jsonlPath)
+		if err != nil {
 			return fail(err)
 		}
-		jsonl = w
+		defer jsonl.Close() //nolint:errcheck // stream already flushed per record
+		header := base.Manifest()
+		header["vary"], header["values"] = *vary, *values
+		if err := jsonl.Write(obs.NewManifest("sweep", spec.Seed, header)); err != nil {
+			return fail(err)
+		}
 	}
 
-	// A signal between points (the supervisor only watches during one) still
-	// ends the sweep cleanly.
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, opts.signals...)
-	defer signal.Stop(sigCh)
-
-	emit := func(raw string, r any) int {
-		if jsonl == nil {
-			return 0
+	// Who holds which half. The coordinator is in this process unless
+	// -connect names another; the worker is in this process unless -serve
+	// leaves the points to a fleet.
+	var (
+		f     farm
+		coord *campaign.Coordinator
+	)
+	if *connect != "" {
+		f = campaign.NewClient(*connect)
+	} else {
+		coord, err = campaign.NewCoordinator(campaign.Options{Dir: *out, LeaseTTL: *leaseTTL})
+		if err != nil {
+			return fail(err)
 		}
-		if err := jsonl.Write(map[string]any{"t": "result", *vary: raw, "result": r}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
+		f = coord
 	}
+	id, created, err := f.Submit(&spec)
+	if err != nil {
+		return fail(err)
+	}
+	verb := "resumed"
+	if created {
+		verb = "created"
+	}
+	fmt.Fprintf(os.Stderr, "sweep: campaign %s %s\n", id, verb)
 
-	printHeader(*vary)
-	interrupted := false
-	for i := range points {
-		pt, rec := points[i], &manifest.Points[i]
-		if *resume && rec.Status == campaign.StatusCompleted && rec.Result != nil {
-			printRow(pt.Raw, *rec.Result)
-			if rc := emit(pt.Raw, *rec.Result); rc != 0 {
-				return rc
-			}
-			continue
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if *serve != "" {
+		srv := campaign.NewServer(coord)
+		if err := srv.Serve(*serve); err != nil {
+			return fail(err)
 		}
-		select {
-		case <-sigCh:
-			interrupted = true
-		default:
-		}
-		if interrupted {
-			break
-		}
-
-		rec.Status = campaign.StatusRunning
-		if rc := journal(); rc != 0 {
-			return rc
-		}
-		rep := executePoint(pt, rec, opts)
-		if rc := journal(); rc != 0 {
-			return rc
-		}
-		if rep.Outcome == supervisor.Interrupted {
-			interrupted = true
-			break
-		}
-		if rec.Status == campaign.StatusCompleted {
-			printRow(pt.Raw, rep.Result)
-			if rc := emit(pt.Raw, rep.Result); rc != 0 {
-				return rc
+		fmt.Fprintf(os.Stderr, "sweep: serving on http://%s (dashboard at /dash) — connect workers with:\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "sweep:   campaign-worker -connect http://%s\n", srv.Addr())
+		tick := time.NewTicker(200 * time.Millisecond)
+		defer tick.Stop()
+		for !coord.Done() && ctx.Err() == nil {
+			select {
+			case <-ctx.Done():
+			case <-tick.C:
 			}
 		}
+		srv.Shutdown(2 * time.Second) //nolint:errcheck // exiting either way
+	} else {
+		err = campaign.RunWorker(ctx, campaign.WorkerOptions{
+			Transport:    f,
+			Campaign:     id,
+			Workers:      *workers,
+			ExitWhenDone: true,
+			Signals:      []os.Signal{os.Interrupt, syscall.SIGTERM},
+		})
+	}
+	interrupted := ctx.Err() != nil || errors.Is(err, campaign.ErrWorkerInterrupted)
+	if err != nil && !interrupted {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
 
-	printStatusTable(manifest)
-	if interrupted {
-		fmt.Fprintln(os.Stderr, "sweep: interrupted; rerun with -resume to continue")
+	view, err := f.Status(id)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	completed, err := report(*vary, view.Points, jsonl)
+	switch {
+	case err != nil:
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	case interrupted:
+		fmt.Fprintln(os.Stderr, "sweep: interrupted; run the same command again to continue")
 		return 130
-	}
-	if !manifest.AllCompleted() {
+	case completed < len(view.Points):
 		return 1
 	}
 	return 0
 }
 
-// printHeader prints the CSV header row.
-func printHeader(vary string) {
+// report prints the campaign as it stands in the journal: the CSV header and
+// one row per completed point on stdout (and, with -jsonl, one result record
+// each), then every point's status on stderr. It returns how many points
+// completed.
+func report(vary string, recs []campaign.PointRecord, jsonl *obs.JSONLWriter) (completed int, err error) {
 	fmt.Printf("%s,accepted,latency,stddev,netlatency,deadlockpct,worstdev,bestdev,aborted,retried,dropped\n", vary)
-}
-
-// printRow prints one CSV result row.
-func printRow(raw string, r stats.Result) {
-	fmt.Printf("%s,%.5f,%.2f,%.2f,%.2f,%.4f,%.1f,%.1f,%d,%d,%d\n",
-		raw, r.Accepted, r.AvgLatency, r.StdLatency, r.AvgNetLatency,
-		r.DeadlockPct, r.WorstNodeDev, r.BestNodeDev,
-		r.Aborted, r.Retried, r.Dropped)
-}
-
-// printStatusTable summarises every point's terminal status on stderr.
-func printStatusTable(m *campaign.Manifest) {
+	for _, rec := range recs {
+		if rec.Status != campaign.StatusCompleted || rec.Result == nil {
+			continue
+		}
+		completed++
+		r := *rec.Result
+		fmt.Printf("%s,%.5f,%.2f,%.2f,%.2f,%.4f,%.1f,%.1f,%d,%d,%d\n",
+			rec.Value, r.Accepted, r.AvgLatency, r.StdLatency, r.AvgNetLatency,
+			r.DeadlockPct, r.WorstNodeDev, r.BestNodeDev,
+			r.Aborted, r.Retried, r.Dropped)
+		if jsonl != nil {
+			if err := jsonl.Write(map[string]any{"t": "result", vary: rec.Value, "result": r}); err != nil {
+				return completed, err
+			}
+		}
+	}
 	fmt.Fprintf(os.Stderr, "\n%-6s %-12s %-12s %-9s %s\n", "point", "value", "status", "attempts", "detail")
-	for _, rec := range m.Points {
+	for _, rec := range recs {
 		detail := rec.Outcome
 		if rec.Error != "" {
 			detail = rec.Error
@@ -278,4 +246,5 @@ func printStatusTable(m *campaign.Manifest) {
 		fmt.Fprintf(os.Stderr, "%-6d %-12s %-12s %-9d %s\n",
 			rec.Index, rec.Value, rec.Status, rec.Attempts, detail)
 	}
+	return completed, nil
 }

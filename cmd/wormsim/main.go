@@ -67,7 +67,6 @@ import (
 
 	"wormnet/internal/baseline"
 	"wormnet/internal/checkpoint"
-	"wormnet/internal/core"
 	"wormnet/internal/fault"
 	"wormnet/internal/metrics"
 	"wormnet/internal/obs"
@@ -195,7 +194,7 @@ func run() int {
 		cfg.SourceName = "replay:" + *replayPath
 	}
 
-	f, err := limiterByName(limiterName)
+	f, err := baseline.LimiterByName(limiterName)
 	if err != nil {
 		return fail(err)
 	}
@@ -544,22 +543,4 @@ func startProgress(lastCycle *atomic.Int64, reg *metrics.Registry, total, start 
 		}
 	}()
 	return func() { close(stop); <-done }
-}
-
-// limiterByName resolves the CLI limiter flag, including the ALO ablation
-// variants.
-func limiterByName(name string) (core.Factory, error) {
-	switch name {
-	case "alo-rule-a":
-		return core.NewRuleAOnly(), nil
-	case "alo-rule-b":
-		return core.NewRuleBOnly(), nil
-	case "alo-all-channels":
-		return core.NewAllChannels(), nil
-	default:
-		if f, ok := baseline.Factories()[name]; ok {
-			return f, nil
-		}
-		return nil, fmt.Errorf("unknown limiter %q", name)
-	}
 }

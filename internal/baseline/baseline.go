@@ -268,3 +268,21 @@ func Factories() map[string]core.Factory {
 		"alo":  core.NewALO(),
 	}
 }
+
+// LimiterByName resolves an injection-limiter factory from the name the
+// CLIs and campaign specs use: the four mechanisms of Factories plus the ALO
+// ablations alo-rule-a, alo-rule-b and alo-all-channels.
+func LimiterByName(name string) (core.Factory, error) {
+	switch name {
+	case "alo-rule-a":
+		return core.NewRuleAOnly(), nil
+	case "alo-rule-b":
+		return core.NewRuleBOnly(), nil
+	case "alo-all-channels":
+		return core.NewAllChannels(), nil
+	}
+	if f, ok := Factories()[name]; ok {
+		return f, nil
+	}
+	return nil, fmt.Errorf("baseline: unknown limiter %q", name)
+}

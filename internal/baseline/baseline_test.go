@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"wormnet/internal/core"
@@ -213,6 +215,27 @@ func TestFactories(t *testing.T) {
 		lim := f(0, topology.New(4, 2), 3)
 		if lim.Name() != name {
 			t.Errorf("factory %q built limiter %q", name, lim.Name())
+		}
+	}
+}
+
+// LimiterByName is the one resolver behind wormsim's -limiter and a campaign
+// spec's "limiter": every name builds the limiter that answers to it, and an
+// unknown name is an error naming it.
+func TestLimiterByName(t *testing.T) {
+	for _, name := range []string{"none", "lf", "dril", "alo", "alo-rule-a", "alo-rule-b", "alo-all-channels"} {
+		f, err := LimiterByName(name)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if got := f(0, topology.New(4, 2), 3).Name(); got != name {
+			t.Errorf("%s built limiter %q", name, got)
+		}
+	}
+	for _, name := range []string{"", "nope", "ALO", "alo-rule-c"} {
+		if _, err := LimiterByName(name); err == nil || !strings.Contains(err.Error(), strconv.Quote(name)) {
+			t.Errorf("unknown limiter %q: got %v", name, err)
 		}
 	}
 }

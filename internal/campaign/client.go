@@ -1,11 +1,12 @@
 package campaign
 
-// Client is the worker side of the dispatch protocol: thin typed wrappers
-// over the coordinator's HTTP API. Transport failures on mutating calls are
-// retried with capped exponential backoff — every mutating call is
-// idempotent or lease-guarded, so a response lost on the wire is safe to
-// replay (a replayed Complete whose first copy landed is rejected as
-// ErrLeaseLost, which callers treat as "already committed elsewhere").
+// Client is the HTTP Transport: thin typed wrappers over the coordinator's
+// HTTP API, method for method what a Coordinator offers in-process.
+// Transport failures on mutating calls are retried with capped exponential
+// backoff — every mutating call is idempotent or lease-guarded, so a
+// response lost on the wire is safe to replay (a replayed Complete whose
+// first copy landed is rejected as ErrLeaseLost, which callers treat as
+// "already committed elsewhere").
 
 import (
 	"bytes"
@@ -20,12 +21,43 @@ import (
 	"wormnet/internal/fault"
 )
 
-// ErrRejected marks a request the coordinator refused outright (version,
-// protocol or digest skew). Not retryable.
+// ErrRejected is what a client decodes HTTP 409 to: the coordinator refused
+// the request outright (ErrVersionSkew, ErrProtocolSkew or ErrDigestMismatch
+// on its side of the wire).
 var ErrRejected = errors.New("campaign: request rejected by coordinator")
 
+// refusals pairs every typed refusal with the HTTP status that carries it:
+// the server answers with the status of the first row its error matches,
+// the client decodes a status to the first row that has it. A refusal is a
+// decision, not a failure, so no row is worth replaying — whichever side of
+// the wire the caller sits on.
+var refusals = []struct {
+	err  error
+	code int
+}{
+	{ErrUnknownCampaign, http.StatusNotFound},
+	{ErrLeaseLost, http.StatusGone},
+	{ErrRejected, http.StatusConflict},
+	{ErrVersionSkew, http.StatusConflict},
+	{ErrProtocolSkew, http.StatusConflict},
+	{ErrDigestMismatch, http.StatusConflict},
+	{ErrBadCheckpoint, http.StatusUnprocessableEntity},
+	{ErrNoCheckpoint, http.StatusPreconditionFailed},
+}
+
+// retryable reports whether an error is worth replaying: transport
+// failures, 5xx and journal I/O yes; typed refusals no.
+func retryable(err error) bool {
+	for _, r := range refusals {
+		if errors.Is(err, r.err) {
+			return false
+		}
+	}
+	return true
+}
+
 // DefaultTransportRetry is the capped-backoff policy for transport errors
-// (delays read in milliseconds, like cmd/sweep's point retries).
+// (delays read in milliseconds).
 var DefaultTransportRetry = fault.RetryPolicy{MaxRetries: 6, BackoffBase: 100, BackoffCap: 2000}
 
 // Client talks to one coordinator.
@@ -68,16 +100,12 @@ func (c *Client) do(method, path, contentType string, body []byte, out any) erro
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		detail := strings.TrimSpace(string(data))
-		switch resp.StatusCode {
-		case http.StatusGone:
-			return fmt.Errorf("%w: %s", ErrLeaseLost, detail)
-		case http.StatusNotFound:
-			return fmt.Errorf("%w: %s", ErrUnknownCampaign, detail)
-		case http.StatusConflict:
-			return fmt.Errorf("%w: %s", ErrRejected, detail)
-		default:
-			return fmt.Errorf("campaign: %s %s: http %d: %s", method, path, resp.StatusCode, detail)
+		for _, r := range refusals {
+			if resp.StatusCode == r.code {
+				return fmt.Errorf("%w: %s", r.err, detail)
+			}
 		}
+		return fmt.Errorf("campaign: %s %s: http %d: %s", method, path, resp.StatusCode, detail)
 	}
 	if out != nil {
 		if raw, ok := out.(*[]byte); ok {
@@ -89,13 +117,6 @@ func (c *Client) do(method, path, contentType string, body []byte, out any) erro
 		}
 	}
 	return nil
-}
-
-// retryable reports whether an error is worth replaying: transport
-// failures and 5xx yes; typed refusals no.
-func retryable(err error) bool {
-	return !errors.Is(err, ErrLeaseLost) && !errors.Is(err, ErrUnknownCampaign) &&
-		!errors.Is(err, ErrRejected)
 }
 
 // doRetry replays do with capped backoff on retryable errors.

@@ -56,6 +56,9 @@ var (
 	ErrDigestMismatch = errors.New("campaign: config digest mismatch")
 	// ErrBadCheckpoint marks an uploaded checkpoint that does not decode.
 	ErrBadCheckpoint = errors.New("campaign: uploaded checkpoint does not decode")
+	// ErrNoCheckpoint marks a download for a point that holds no migrated
+	// checkpoint (never flushed one, or its result superseded it).
+	ErrNoCheckpoint = errors.New("campaign: no checkpoint for this point")
 )
 
 // DefaultLeaseTTL is the lease time-to-live when Options does not set one.
@@ -568,12 +571,12 @@ func (c *Coordinator) Renew(campaignID, leaseID string, req RenewRequest) error 
 	return nil
 }
 
-// StoreCheckpoint accepts a worker's WNCP checkpoint for its leased point
+// UploadCheckpoint accepts a worker's WNCP checkpoint for its leased point
 // and keeps it for migration. The bytes are validated through the real
 // decoder before acceptance — a corrupt upload is rejected, preserving the
 // previous good checkpoint. Storing also renews the lease (an upload is the
 // strongest possible heartbeat).
-func (c *Coordinator) StoreCheckpoint(campaignID, leaseID string, data []byte) error {
+func (c *Coordinator) UploadCheckpoint(campaignID, leaseID string, data []byte) error {
 	snap, err := checkpoint.Decode(bytes.NewReader(data))
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
@@ -608,19 +611,20 @@ func (c *Coordinator) StoreCheckpoint(campaignID, leaseID string, data []byte) e
 	return nil
 }
 
-// GetCheckpoint returns the migrated checkpoint bytes for a point, if any.
-func (c *Coordinator) GetCheckpoint(campaignID string, point int) ([]byte, bool, error) {
+// DownloadCheckpoint returns the migrated checkpoint bytes for a point, or
+// ErrNoCheckpoint.
+func (c *Coordinator) DownloadCheckpoint(campaignID string, point int) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st, ok := c.campaigns[campaignID]
 	if !ok {
-		return nil, false, fmt.Errorf("%w: %s", ErrUnknownCampaign, campaignID)
-	}
-	if point < 0 || point >= len(st.manifest.Points) {
-		return nil, false, fmt.Errorf("campaign: point %d out of range", point)
+		return nil, fmt.Errorf("%w: %s", ErrUnknownCampaign, campaignID)
 	}
 	data, ok := st.ckpts[point]
-	return data, ok, nil
+	if !ok {
+		return nil, fmt.Errorf("%w: point %d of %s", ErrNoCheckpoint, point, campaignID)
+	}
+	return data, nil
 }
 
 // Complete commits a finished point, exactly once: the caller must hold the
@@ -725,8 +729,9 @@ func (c *Coordinator) Fail(campaignID, leaseID string, req FailRequest) error {
 	return nil
 }
 
-// maxAttempts mirrors cmd/sweep's retry loop: fault.RetryPolicy with
-// MaxRetries=r executes max(1, r) attempts in total.
+// maxAttempts is the attempt budget of one point: point_retries = r allows
+// max(1, r) attempts in total (the meaning fault.RetryPolicy gives
+// MaxRetries), after which a failed point goes terminal.
 func maxAttempts(retries int) int {
 	if retries < 1 {
 		return 1

@@ -203,13 +203,13 @@ func TestWorkStealingWithCheckpointMigration(t *testing.T) {
 	a := respA.Assignment
 
 	ckpt := snapshotBytes(t, spec, 0, 200)
-	if err := c.StoreCheckpoint(id, a.Lease, ckpt); err != nil {
+	if err := c.UploadCheckpoint(id, a.Lease, ckpt); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt uploads are rejected and do not clobber the good checkpoint.
 	bad := append([]byte(nil), ckpt...)
 	bad[len(bad)-1] ^= 0xFF
-	if err := c.StoreCheckpoint(id, a.Lease, bad); !errors.Is(err, ErrBadCheckpoint) {
+	if err := c.UploadCheckpoint(id, a.Lease, bad); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("corrupt checkpoint accepted: %v", err)
 	}
 
@@ -223,9 +223,9 @@ func TestWorkStealingWithCheckpointMigration(t *testing.T) {
 	if b.Point != 0 || b.Attempt != 2 || !b.HasCheckpoint {
 		t.Fatalf("stolen assignment wrong: %+v", b)
 	}
-	got, ok, err := c.GetCheckpoint(id, 0)
-	if err != nil || !ok || !bytes.Equal(got, ckpt) {
-		t.Fatalf("migrated checkpoint not bit-identical (ok=%v err=%v)", ok, err)
+	got, err := c.DownloadCheckpoint(id, 0)
+	if err != nil || !bytes.Equal(got, ckpt) {
+		t.Fatalf("migrated checkpoint not bit-identical (err=%v)", err)
 	}
 
 	// A wakes up and tries to act on its dead lease.
@@ -331,7 +331,7 @@ func TestCoordinatorRestart(t *testing.T) {
 	}
 	r1, _ := c1.Acquire(acquireReq("w1"))
 	ckpt := snapshotBytes(t, spec, 1, 150)
-	if err := c1.StoreCheckpoint(id, r1.Assignment.Lease, ckpt); err != nil {
+	if err := c1.UploadCheckpoint(id, r1.Assignment.Lease, ckpt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -351,8 +351,8 @@ func TestCoordinatorRestart(t *testing.T) {
 	if resp.Assignment.Point != 1 || !resp.Assignment.HasCheckpoint {
 		t.Fatalf("restart lost the migrated checkpoint: %+v", resp.Assignment)
 	}
-	got, ok, err := c2.GetCheckpoint(id, 1)
-	if err != nil || !ok || !bytes.Equal(got, ckpt) {
+	got, err := c2.DownloadCheckpoint(id, 1)
+	if err != nil || !bytes.Equal(got, ckpt) {
 		t.Fatal("reloaded checkpoint not bit-identical")
 	}
 	// Submitting the same spec after restart resumes, not forks.

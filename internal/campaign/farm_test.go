@@ -1,17 +1,57 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http/httptest"
+	"os"
+	"os/signal"
 	"reflect"
+	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
+	"wormnet/internal/checkpoint"
 	"wormnet/internal/sim"
 	"wormnet/internal/stats"
 )
+
+// farmEnd is a coordinator as a test reaches it: the worker's Transport plus
+// submission.
+type farmEnd interface {
+	Transport
+	Submit(spec *Spec) (id string, created bool, err error)
+}
+
+// transports is every way to reach a coordinator — over HTTP, or by function
+// call in the same process (what a plain `sweep` does). The farm suite takes
+// it as one more input: every contract below holds over both.
+var transports = []struct {
+	name string
+	open func(t *testing.T, c *Coordinator) farmEnd
+}{
+	{"http", func(t *testing.T, c *Coordinator) farmEnd {
+		ts := httptest.NewServer(NewServer(c).Handler())
+		t.Cleanup(ts.Close)
+		return NewClient(ts.URL)
+	}},
+	{"inprocess", func(_ *testing.T, c *Coordinator) farmEnd { return c }},
+}
+
+// overTransports runs body once per transport; open connects the
+// coordinator the body built.
+func overTransports(t *testing.T, body func(t *testing.T, open func(*Coordinator) farmEnd)) {
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			body(t, func(c *Coordinator) farmEnd { return tr.open(t, c) })
+		})
+	}
+}
 
 // farmSpec is a two-point sweep small enough to run in-process but long
 // enough that the first periodic checkpoint lands well before the end.
@@ -50,19 +90,18 @@ func serialResults(t *testing.T, spec *Spec) []stats.Result {
 // migrated checkpoint, and finishes the campaign. Every committed result
 // must be bit-identical to a serial, never-interrupted run.
 func TestFarmChaosMigration(t *testing.T) {
+	overTransports(t, testFarmChaosMigration)
+}
+
+func testFarmChaosMigration(t *testing.T, open func(*Coordinator) farmEnd) {
 	spec := farmSpec()
 	golden := serialResults(t, spec)
-
 	coord, err := NewCoordinator(Options{Dir: t.TempDir(), LeaseTTL: 150 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(coord)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	cl := NewClient(ts.URL)
-	id, created, err := cl.Submit(spec)
+	far := open(coord)
+	id, created, err := far.Submit(spec)
 	if err != nil || !created {
 		t.Fatalf("submit: id=%s created=%v err=%v", id, created, err)
 	}
@@ -70,7 +109,7 @@ func TestFarmChaosMigration(t *testing.T) {
 	// Worker A: serial engine, hard-crashes after its first checkpoint
 	// upload. It must exit with the chaos sentinel, leaving its lease live.
 	errA := RunWorker(context.Background(), WorkerOptions{
-		URL:              ts.URL,
+		Transport:        far,
 		Name:             "chaos-a",
 		Workers:          1,
 		Poll:             20 * time.Millisecond,
@@ -92,7 +131,7 @@ func TestFarmChaosMigration(t *testing.T) {
 	// counts). It picks up the untouched point immediately, waits out A's
 	// lease, steals point 0 with its checkpoint, and drains the campaign.
 	errB := RunWorker(context.Background(), WorkerOptions{
-		URL:          ts.URL,
+		Transport:    far,
 		Name:         "mig-b",
 		Workers:      2,
 		Poll:         20 * time.Millisecond,
@@ -170,19 +209,18 @@ func TestFarmChaosMigration(t *testing.T) {
 // cancelled worker abandons cleanly and a second worker finishes the
 // campaign with results still bit-identical to serial.
 func TestFarmInterruptReleasesLease(t *testing.T) {
+	overTransports(t, testFarmInterruptReleasesLease)
+}
+
+func testFarmInterruptReleasesLease(t *testing.T, open func(*Coordinator) farmEnd) {
 	spec := farmSpec()
 	golden := serialResults(t, spec)
-
 	coord, err := NewCoordinator(Options{LeaseTTL: 150 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(coord)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	cl := NewClient(ts.URL)
-	id, _, err := cl.Submit(spec)
+	far := open(coord)
+	id, _, err := far.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,17 +232,17 @@ func TestFarmInterruptReleasesLease(t *testing.T) {
 		cancel()
 	}()
 	errA := RunWorker(ctx, WorkerOptions{
-		URL:    ts.URL,
-		Name:   "cancelled-a",
-		Poll:   20 * time.Millisecond,
-		Output: io.Discard,
+		Transport: far,
+		Name:      "cancelled-a",
+		Poll:      20 * time.Millisecond,
+		Output:    io.Discard,
 	})
 	if !errors.Is(errA, context.Canceled) {
 		t.Fatalf("worker A: want context.Canceled, got %v", errA)
 	}
 
 	errB := RunWorker(context.Background(), WorkerOptions{
-		URL:          ts.URL,
+		Transport:    far,
 		Name:         "finisher-b",
 		Poll:         20 * time.Millisecond,
 		ExitWhenDone: true,
@@ -225,4 +263,225 @@ func TestFarmInterruptReleasesLease(t *testing.T) {
 			t.Errorf("point %d diverged from serial run", i)
 		}
 	}
+}
+
+// signalOnUpload sends this process sig once, right after the first
+// checkpoint upload went through: a deterministic "operator hits ^C
+// mid-point".
+type signalOnUpload struct {
+	Transport
+	sig  syscall.Signal
+	once sync.Once
+}
+
+func (s *signalOnUpload) UploadCheckpoint(campaign, lease string, data []byte) error {
+	err := s.Transport.UploadCheckpoint(campaign, lease, data)
+	s.once.Do(func() { syscall.Kill(syscall.Getpid(), s.sig) }) //nolint:errcheck // our own pid
+	return err
+}
+
+// TestFarmSignalFlushesFinalCheckpoint is the graceful interrupt as every
+// caller wires it: the same signal in Signals and behind the context
+// (signal.NotifyContext). The supervisor's final flush must reach the
+// coordinator although that signal has cancelled the context — the stored
+// checkpoint is the cycle the worker stopped at, not the last periodic one —
+// the lease is released at once without charging an attempt, and the next
+// worker resumes from exactly that cycle to the serial result.
+func TestFarmSignalFlushesFinalCheckpoint(t *testing.T) {
+	overTransports(t, func(t *testing.T, open func(*Coordinator) farmEnd) {
+		spec := farmSpec()
+		spec.Values = []string{"0.5"}
+		spec.MeasureCycles = 40_000 // ~0.2 s: the signal lands long before the end
+		golden := serialResults(t, spec)
+		// A lease that outlives the test: worker B gets the point only if A
+		// released it.
+		coord, err := NewCoordinator(Options{LeaseTTL: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		far := open(coord)
+		id, _, err := far.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGUSR1)
+		defer stop()
+		var log bytes.Buffer
+		errA := RunWorker(ctx, WorkerOptions{
+			Transport: &signalOnUpload{Transport: far, sig: syscall.SIGUSR1},
+			Name:      "interrupted-a",
+			Signals:   []os.Signal{syscall.SIGUSR1},
+			Output:    &log,
+		})
+		if !errors.Is(errA, ErrWorkerInterrupted) {
+			t.Fatalf("worker A: want ErrWorkerInterrupted, got %v\n%s", errA, log.String())
+		}
+		var endCycle int64
+		_, tail, _ := strings.Cut(log.String(), "at cycle ")
+		if _, err := fmt.Sscanf(tail, "%d, checkpoint migrated", &endCycle); err != nil {
+			t.Fatalf("worker A did not report a migrated final checkpoint:\n%s", log.String())
+		}
+		data, err := coord.DownloadCheckpoint(id, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := checkpoint.Decode(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Now != endCycle || endCycle >= spec.MeasureCycles {
+			t.Fatalf("coordinator holds cycle %d, worker A stopped mid-point at cycle %d", snap.Now, endCycle)
+		}
+
+		errB := RunWorker(context.Background(), WorkerOptions{
+			Transport:    far,
+			Name:         "finisher-b",
+			ExitWhenDone: true,
+			Output:       io.Discard,
+		})
+		if errB != nil {
+			t.Fatalf("worker B: %v", errB)
+		}
+		man, err := coord.Manifest(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p0 := man.Points[0]
+		if p0.Status != StatusCompleted || !reflect.DeepEqual(*p0.Result, golden[0]) {
+			t.Fatalf("point 0 diverged from serial run: %+v", p0)
+		}
+		if p0.ResumedFrom != endCycle || p0.Attempts != 1 {
+			t.Errorf("point 0 resumed from %d on attempt %d, want cycle %d on attempt 1 (an interrupt is not a failure)",
+				p0.ResumedFrom, p0.Attempts, endCycle)
+		}
+	})
+}
+
+// TestLocalSweepContract is what a plain `sweep -out dir` promises, under go
+// test for the first time: a coordinator journaling to dir and a worker in
+// the same process give the serial results; killed mid-point, a *new*
+// coordinator on the same dir — the same command run again — finishes the
+// campaign from the journaled checkpoint, bit-identically.
+func TestLocalSweepContract(t *testing.T) {
+	spec := farmSpec()
+	golden := serialResults(t, spec)
+	dir := t.TempDir()
+
+	run := func(kill int) (*Coordinator, string, error) {
+		coord, err := NewCoordinator(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, _, err := coord.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return coord, id, RunWorker(context.Background(), WorkerOptions{
+			Transport:        coord,
+			Campaign:         id,
+			ExitWhenDone:     true,
+			KillAfterUploads: kill,
+			Output:           io.Discard,
+		})
+	}
+	if _, _, err := run(1); !errors.Is(err, ErrChaosKilled) {
+		t.Fatalf("first run: want chaos kill, got %v", err)
+	}
+	coord, id, err := run(0)
+	if err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	man, err := coord.Manifest(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range man.Points {
+		if rec.Status != StatusCompleted || !reflect.DeepEqual(*rec.Result, golden[i]) {
+			t.Errorf("point %d diverged from serial run: %+v", i, rec)
+		}
+	}
+	if man.Points[0].ResumedFrom <= 0 || man.Points[0].Attempts != 2 {
+		t.Errorf("point 0 did not resume from the journaled checkpoint: %+v", man.Points[0])
+	}
+	if man.Points[1].ResumedFrom != 0 {
+		t.Errorf("point 1 never ran before the kill, yet resumed from %d", man.Points[1].ResumedFrom)
+	}
+}
+
+// countAcquires counts the worker loop's acquire attempts.
+type countAcquires struct {
+	Transport
+	n int
+}
+
+func (c *countAcquires) Acquire(req AcquireRequest) (*AcquireResponse, error) {
+	c.n++
+	return c.Transport.Acquire(req)
+}
+
+// TestRefusalsOverTransports: every typed refusal of the coordinator reads
+// as a refusal — not retryable, same cause — whichever side of the wire the
+// caller is on, and a refused worker gives up at its first acquire instead
+// of backing off six times against a decision that will not change.
+func TestRefusalsOverTransports(t *testing.T) {
+	overTransports(t, func(t *testing.T, open func(*Coordinator) farmEnd) {
+		coord, err := NewCoordinator(Options{Version: "v-test"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		far := open(coord)
+		id, _, err := far.Submit(testSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		acquire := func(version string, protocol int, campaign string) (*Assignment, error) {
+			resp, err := far.Acquire(AcquireRequest{Worker: "w", Version: version, Protocol: protocol, Campaign: campaign})
+			if err != nil {
+				return nil, err
+			}
+			return resp.Assignment, nil
+		}
+		a, err := acquire("v-test", ProtocolVersion, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, versionSkew := acquire("v-other", ProtocolVersion, "")
+		_, protocolSkew := acquire("v-test", ProtocolVersion+1, "")
+		_, unknown := acquire("v-test", ProtocolVersion, "no-such-campaign")
+		_, noCheckpoint := far.DownloadCheckpoint(id, a.Point)
+
+		for _, tc := range []struct {
+			name string
+			err  error
+			want error // from the coordinator
+			wire error // what the HTTP status carrying it decodes to
+		}{
+			{"version skew", versionSkew, ErrVersionSkew, ErrRejected},
+			{"protocol skew", protocolSkew, ErrProtocolSkew, ErrRejected},
+			{"unknown campaign", unknown, ErrUnknownCampaign, ErrUnknownCampaign},
+			{"lost lease", far.Renew(id, "no-such-lease", RenewRequest{}), ErrLeaseLost, ErrLeaseLost},
+			{"digest mismatch", far.Complete(id, a.Lease, CompleteRequest{Digest: "bad"}), ErrDigestMismatch, ErrRejected},
+			{"bad checkpoint", far.UploadCheckpoint(id, a.Lease, []byte("not a checkpoint")), ErrBadCheckpoint, ErrBadCheckpoint},
+			{"no checkpoint", noCheckpoint, ErrNoCheckpoint, ErrNoCheckpoint},
+		} {
+			switch {
+			case tc.err == nil:
+				t.Errorf("%s: accepted", tc.name)
+			case retryable(tc.err):
+				t.Errorf("%s: %v would be retried", tc.name, tc.err)
+			case !errors.Is(tc.err, tc.want) && !errors.Is(tc.err, tc.wire):
+				t.Errorf("%s: got %v, want %v (%v off the wire)", tc.name, tc.err, tc.want, tc.wire)
+			case !strings.Contains(tc.err.Error(), tc.want.Error()):
+				t.Errorf("%s: %q lost the coordinator's reason %q", tc.name, tc.err, tc.want)
+			}
+		}
+
+		// This test binary's build version is not "v-test".
+		counted := &countAcquires{Transport: far}
+		err = RunWorker(context.Background(), WorkerOptions{Transport: counted, Output: io.Discard})
+		if err == nil || retryable(err) || counted.n != 1 {
+			t.Errorf("skewed worker: %d acquire(s), err %v; want one refused acquire", counted.n, err)
+		}
+	})
 }

@@ -1,14 +1,13 @@
 package campaign
 
-// The durable campaign journal, factored out of cmd/sweep (PR 5) so the
-// single-process sweep and the distributed coordinator share one format. A
-// campaign journals every point-status transition to manifest.json in its
-// campaign directory, atomically (temp file + rename), so a crashed or
-// killed campaign can be resumed: completed points are skipped, and a point
-// that left a mid-run checkpoint restarts from it instead of from cycle
-// zero. The JSON layout is exactly the PR 5 sweep manifest (see
-// TestManifestGolden); fields added since are omitempty so old journals
-// load unchanged.
+// The durable campaign journal. The coordinator journals every
+// point-status transition to manifest.json in the campaign's directory,
+// atomically (temp file + rename), so a crashed or killed campaign is
+// resumed by the next coordinator on the same directory: completed points
+// are final, and a point that left a mid-run checkpoint restarts from it
+// instead of from cycle zero. The JSON layout is exactly the PR 5 sweep
+// manifest (see TestManifestGolden); fields added since are omitempty so
+// old journals load unchanged.
 
 import (
 	"encoding/json"
@@ -52,7 +51,7 @@ type PointRecord struct {
 	Checkpoint string        `json:"checkpoint,omitempty"`
 	Result     *stats.Result `json:"result,omitempty"`
 	// Worker names the worker currently holding (or last to hold) the
-	// point's lease; empty for single-process sweeps.
+	// point's lease.
 	Worker string `json:"worker,omitempty"`
 	// ResumedFrom is the cycle a migrated checkpoint restored the point at
 	// on its final (completing) attempt; 0 when the point ran from scratch.
@@ -121,29 +120,6 @@ func LoadManifest(dir string) (*Manifest, error) {
 		return nil, fmt.Errorf("campaign: parse %s: %w", ManifestName, err)
 	}
 	return &m, nil
-}
-
-// Compatible verifies a loaded journal describes the same campaign as the
-// current invocation: same swept parameter, same seed, same limiter, same
-// point values in the same order. (Per-point engine configs are additionally
-// guarded by the checkpoint layer's config digest at restore time.)
-func (m *Manifest) Compatible(vary string, seed uint64, limiter string, values []string) error {
-	switch {
-	case m.Vary != vary:
-		return fmt.Errorf("campaign: resuming -vary %s campaign with -vary %s", m.Vary, vary)
-	case m.Seed != seed:
-		return fmt.Errorf("campaign: resuming seed %d campaign with seed %d", m.Seed, seed)
-	case m.Limiter != limiter:
-		return fmt.Errorf("campaign: resuming -limiter %s campaign with -limiter %s", m.Limiter, limiter)
-	case len(m.Points) != len(values):
-		return fmt.Errorf("campaign: resuming %d-point campaign with %d values", len(m.Points), len(values))
-	}
-	for i, v := range values {
-		if m.Points[i].Value != v {
-			return fmt.Errorf("campaign: point %d is %q in the journal but %q now", i, m.Points[i].Value, v)
-		}
-	}
-	return nil
 }
 
 // Done reports whether every point reached a terminal status.

@@ -12,12 +12,16 @@ import (
 )
 
 // TestFarmConcurrencyStress hammers one coordinator from many fronts at
-// once — goroutine workers acquiring, renewing, checkpointing, completing,
+// once, over each transport — goroutine workers acquiring, renewing, checkpointing, completing,
 // failing and silently abandoning leases, while scrapers poll the status
 // and metrics endpoints — and then checks the books balance: every point
 // terminal, completed+failed counters matching the manifest, no lease left
 // behind. Run it under -race; that is its real job.
 func TestFarmConcurrencyStress(t *testing.T) {
+	overTransports(t, testFarmConcurrencyStress)
+}
+
+func testFarmConcurrencyStress(t *testing.T, open func(*Coordinator) farmEnd) {
 	spec := testSpec()
 	spec.Values = []string{
 		"0.10", "0.15", "0.20", "0.25", "0.30", "0.35", "0.40", "0.45",
@@ -29,11 +33,12 @@ func TestFarmConcurrencyStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(coord)
-	ts := httptest.NewServer(srv.Handler())
+	// The herd goes through the transport under test; the scrapers below
+	// always read over HTTP.
+	cl := open(coord)
+	ts := httptest.NewServer(NewServer(coord).Handler())
 	defer ts.Close()
 
-	cl := NewClient(ts.URL)
 	id, _, err := cl.Submit(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -110,19 +110,16 @@ func (s *Server) Close() error {
 	return s.monitor.Close()
 }
 
-// httpError maps coordinator errors onto status codes. Workers treat 410 as
-// "lease lost, abandon the point" and 409 as "refused, do not retry".
+// httpError answers with the status the refusals table gives the error (500
+// for anything untyped). Workers treat 410 as "lease lost, abandon the
+// point" and 409 as "refused, do not retry".
 func httpError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, ErrUnknownCampaign):
-		code = http.StatusNotFound
-	case errors.Is(err, ErrLeaseLost):
-		code = http.StatusGone
-	case errors.Is(err, ErrVersionSkew), errors.Is(err, ErrProtocolSkew), errors.Is(err, ErrDigestMismatch):
-		code = http.StatusConflict
-	case errors.Is(err, ErrBadCheckpoint):
-		code = http.StatusBadRequest
+	for _, r := range refusals {
+		if errors.Is(err, r.err) {
+			code = r.code
+			break
+		}
 	}
 	http.Error(w, err.Error(), code)
 }
@@ -201,7 +198,7 @@ func (s *Server) handleUploadCheckpoint(w http.ResponseWriter, r *http.Request) 
 		http.Error(w, fmt.Sprintf("campaign: read checkpoint: %v", err), http.StatusBadRequest)
 		return
 	}
-	if err := s.coord.StoreCheckpoint(r.PathValue("id"), r.PathValue("lease"), data); err != nil {
+	if err := s.coord.UploadCheckpoint(r.PathValue("id"), r.PathValue("lease"), data); err != nil {
 		httpError(w, err)
 		return
 	}
@@ -240,13 +237,9 @@ func (s *Server) handleDownloadCheckpoint(w http.ResponseWriter, r *http.Request
 		http.Error(w, "campaign: bad point index", http.StatusBadRequest)
 		return
 	}
-	data, ok, err := s.coord.GetCheckpoint(r.PathValue("id"), point)
+	data, err := s.coord.DownloadCheckpoint(r.PathValue("id"), point)
 	if err != nil {
 		httpError(w, err)
-		return
-	}
-	if !ok {
-		http.Error(w, "campaign: no checkpoint for point", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

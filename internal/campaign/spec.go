@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"wormnet/internal/baseline"
-	"wormnet/internal/core"
 	"wormnet/internal/fault"
 	"wormnet/internal/sim"
 	"wormnet/internal/topology"
@@ -73,8 +72,7 @@ func boundConfig(cfg *sim.Config) error {
 }
 
 // Spec describes one campaign: a swept parameter over a base configuration.
-// Zero-valued fields take the defaults of DefaultSpec, which mirror
-// sim.DefaultConfig and cmd/sweep's flag defaults.
+// Fields absent from a decoded spec take the defaults of DefaultSpec.
 type Spec struct {
 	// Vary names the swept parameter: rate, vcs, buf, threshold, msglen or
 	// faults. Values holds the swept values as strings, exactly as they
@@ -142,8 +140,9 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 }
 
 // DefaultSpec returns a spec whose base configuration matches
-// sim.DefaultConfig and whose robustness knobs match cmd/sweep's defaults.
-// Vary and Values are left empty — a runnable spec must set them.
+// sim.DefaultConfig, checkpointing every 2 000 cycles with two attempts a
+// point; cmd/sweep's flags default to these values. Vary and Values are left
+// empty — a runnable spec must set them.
 func DefaultSpec() Spec {
 	cfg := sim.DefaultConfig()
 	return Spec{
@@ -195,7 +194,7 @@ func (s *Spec) Validate() error {
 // BaseConfig resolves the spec's base engine configuration (before the
 // swept value is applied).
 func (s *Spec) BaseConfig() (sim.Config, error) {
-	f, err := LimiterByName(s.Limiter)
+	f, err := baseline.LimiterByName(s.Limiter)
 	if err != nil {
 		return sim.Config{}, err
 	}
@@ -321,22 +320,4 @@ func (s *Spec) ID() string {
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:6])
-}
-
-// LimiterByName resolves an injection-limiter factory, covering the
-// baseline mechanisms (none, lf, dril, alo) and the ALO ablations.
-func LimiterByName(name string) (core.Factory, error) {
-	switch name {
-	case "alo-rule-a":
-		return core.NewRuleAOnly(), nil
-	case "alo-rule-b":
-		return core.NewRuleBOnly(), nil
-	case "alo-all-channels":
-		return core.NewAllChannels(), nil
-	default:
-		if f, ok := baseline.Factories()[name]; ok {
-			return f, nil
-		}
-		return nil, fmt.Errorf("campaign: unknown limiter %q", name)
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"wormnet/internal/baseline"
 	"wormnet/internal/sim"
 )
 
@@ -145,7 +146,7 @@ func TestSpecPointsMatchManualConfig(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.K, cfg.N = 4, 2
 	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 400, 100
-	f, err := LimiterByName("alo")
+	f, err := baseline.LimiterByName("alo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,17 +192,6 @@ func TestSpecFaultsSweep(t *testing.T) {
 	}
 	if points[0].Digest == points[1].Digest {
 		t.Fatal("fault plans did not differentiate the digests")
-	}
-}
-
-func TestLimiterByName(t *testing.T) {
-	for _, name := range []string{"none", "lf", "dril", "alo", "alo-rule-a", "alo-rule-b", "alo-all-channels"} {
-		if _, err := LimiterByName(name); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-	if _, err := LimiterByName("nope"); err == nil {
-		t.Error("unknown limiter accepted")
 	}
 }
 

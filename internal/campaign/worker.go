@@ -1,14 +1,17 @@
 package campaign
 
-// The worker is the farm's execution half: an acquire→run→commit loop around
-// internal/supervisor. Each leased point is expanded locally from the spec
-// the coordinator ships in the assignment, verified against the
-// coordinator's config digest, and — when the point carries a migrated
-// checkpoint from a dead worker — restored bit-identically before the
-// supervisor takes over. While a point runs, a heartbeat goroutine renews
-// the lease and streams the live metrics snapshot; the supervisor's
-// checkpoint hook uploads WNCP bytes to the coordinator so the point stays
-// migratable right up to the cycle it dies on.
+// The worker is the execution half of a campaign: an acquire→run→commit
+// loop around internal/supervisor, and the one place a sweep point is
+// executed — by campaign-worker and sweep -connect over HTTP, by a plain
+// sweep against a coordinator in its own process. Each leased point is
+// expanded locally from the spec the coordinator ships in the assignment,
+// verified against the coordinator's config digest, and — when the point
+// carries a migrated checkpoint from a dead worker — restored
+// bit-identically before the supervisor takes over. While a point runs, a
+// heartbeat goroutine renews the lease and streams the live metrics
+// snapshot; the supervisor's checkpoint hook uploads WNCP bytes to the
+// coordinator so the point stays migratable right up to the cycle it dies
+// on.
 
 import (
 	"bytes"
@@ -46,10 +49,25 @@ var errLeaseRevoked = errors.New("campaign: lease revoked, abandoning point")
 // the supervised run at the kill point.
 var errChaosKill = errors.New("campaign: chaos kill")
 
+// Transport is the coordinator as a worker sees it: the six calls of the
+// lease protocol. A *Coordinator satisfies it by function call, a *Client
+// over HTTP; the typed refusals (see refusals) read the same through both.
+type Transport interface {
+	Acquire(req AcquireRequest) (*AcquireResponse, error)
+	Renew(campaign, lease string, req RenewRequest) error
+	UploadCheckpoint(campaign, lease string, data []byte) error
+	DownloadCheckpoint(campaign string, point int) ([]byte, error)
+	Complete(campaign, lease string, req CompleteRequest) error
+	Fail(campaign, lease string, req FailRequest) error
+}
+
 // WorkerOptions configures RunWorker.
 type WorkerOptions struct {
 	// URL is the coordinator's base URL (e.g. "http://127.0.0.1:8080").
 	URL string
+	// Transport, if set, is used instead of an HTTP client for URL — hand
+	// it the Coordinator itself to run both halves in one process.
+	Transport Transport
 	// Name identifies this worker in leases and manifests.
 	Name string
 	// Campaign restricts the worker to one campaign id ("" = any).
@@ -77,15 +95,12 @@ type WorkerOptions struct {
 	Monitor *obs.Monitor
 	// Output receives progress lines (nil = os.Stderr).
 	Output io.Writer
-
-	// client overrides the HTTP client (tests).
-	client *Client
 }
 
 // worker is the loop state behind RunWorker.
 type worker struct {
 	opts    WorkerOptions
-	cl      *Client
+	cl      Transport
 	version string
 	uploads int // checkpoint uploads so far (chaos accounting)
 }
@@ -112,7 +127,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	if opts.Poll <= 0 {
 		opts.Poll = 500 * time.Millisecond
 	}
-	w := &worker{opts: opts, cl: opts.client, version: obs.BuildVersion()}
+	w := &worker{opts: opts, cl: opts.Transport, version: obs.BuildVersion()}
 	if w.cl == nil {
 		w.cl = NewClient(opts.URL)
 	}
@@ -130,7 +145,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 			Campaign: opts.Campaign,
 		})
 		if err != nil {
-			if errors.Is(err, ErrRejected) || errors.Is(err, ErrUnknownCampaign) {
+			if !retryable(err) {
 				return err
 			}
 			errStreak++
@@ -301,16 +316,24 @@ func (w *worker) runAssignment(ctx context.Context, a *Assignment) error {
 	}()
 
 	spec := a.Spec
+	ending := false // the supervisor left Running: the next flush is the final one
 	rep := supervisor.Run(eng, supervisor.Options{
 		WallBudget:      time.Duration(spec.PointWallMS) * time.Millisecond,
 		StallWindow:     spec.StallWindow,
 		CheckpointEvery: spec.CheckpointEvery,
 		Signals:         w.opts.Signals,
+		OnState:         func(s supervisor.State) { ending = ending || s == supervisor.Draining },
 		Checkpoint: func(e *sim.Engine) error {
 			if leaseLost.Load() {
 				return errLeaseRevoked
 			}
-			if ctx.Err() != nil {
+			// A cancelled context aborts the run at its next periodic
+			// checkpoint. The final flush of a run that is already ending
+			// goes through: callers hand us a signal.NotifyContext next to
+			// Signals, so the signal that interrupts the point has also
+			// cancelled ctx, and refusing here would drop every cycle since
+			// the last periodic checkpoint.
+			if !ending && ctx.Err() != nil {
 				return ctx.Err()
 			}
 			snap, err := e.Snapshot()
@@ -358,11 +381,16 @@ func (w *worker) runAssignment(ctx context.Context, a *Assignment) error {
 		return nil
 
 	case supervisor.Interrupted:
-		// The supervisor already flushed a final checkpoint through our hook,
-		// so the coordinator can migrate the point. Release the lease as
-		// interrupted (no retry charged) and exit.
+		// The supervisor flushed a final checkpoint through our hook, so the
+		// coordinator can migrate the point from this very cycle. Release
+		// the lease as interrupted (no retry charged) and exit.
 		w.cl.Fail(a.Campaign, a.Lease, FailRequest{Outcome: "interrupted", Error: "worker interrupted"}) //nolint:errcheck // exiting anyway
-		w.logf("point %d: interrupted by %v at cycle %d, checkpoint migrated", a.Point, rep.Signal, rep.EndCycle)
+		if rep.CheckpointErr != nil {
+			w.logf("point %d: interrupted by %v at cycle %d, final checkpoint failed (%v): the point resumes from cycle %d",
+				a.Point, rep.Signal, rep.EndCycle, rep.CheckpointErr, lastCycle.Load())
+		} else {
+			w.logf("point %d: interrupted by %v at cycle %d, checkpoint migrated", a.Point, rep.Signal, rep.EndCycle)
+		}
 		return fmt.Errorf("%w: %v", ErrWorkerInterrupted, rep.Signal)
 
 	default:

@@ -1,7 +1,6 @@
-// Command benchsummary digests `go test -bench` output from the scaling
-// lane (scripts/bench_scaling.sh, the CI scaling-smoke job): it groups
-// repeated runs of each benchmark, reports the per-benchmark minimum and
-// median ns/op, and derives the parallel engine's workers=2-vs-workers=1
+// Command benchsummary digests `go test -bench` output from the CI
+// scaling-smoke job: it groups repeated runs of each benchmark, reports the
+// per-benchmark minimum and median ns/op, and derives the parallel engine's workers=2-vs-workers=1
 // overhead from the minima. The minimum is the statistic of record on
 // shared hosts — scheduler and neighbour interference only ever add time,
 // so min-of-N converges on the machine's true cost while medians wander
@@ -11,7 +10,6 @@
 //
 //	benchsummary [-max-overhead pct] [-require-zero-allocs] [-base sub] [-candidate sub] <bench-output.txt>
 //	benchsummary -sync-profile <metrics.prom>
-//	benchsummary -procs
 //
 // With -max-overhead, exits 1 if the candidate benchmark's minimum exceeds
 // the base benchmark's minimum by more than pct percent. -base and
@@ -29,9 +27,6 @@
 // time, the shard imbalance and push-ring high-watermark gauges, and the
 // all-time cross-shard ring push count.
 //
-// -procs prints runtime.GOMAXPROCS(0) and exits — the host fact the
-// scaling numbers are meaningless without.
-//
 // Exit codes: 0 ok; 1 a gate failed; 2 usage/parse error.
 package main
 
@@ -40,7 +35,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,13 +55,8 @@ func main() {
 	base := flag.String("base", "workers=1", "benchmark name (exact preferred, else substring) of the overhead baseline")
 	candidate := flag.String("candidate", "workers=2", "benchmark name (exact preferred, else substring) gated against -base")
 	syncProfile := flag.String("sync-profile", "", "digest this Prometheus text scrape's sim_barrier_wait_*/sim_shard_*/sim_ring_* series instead of bench output")
-	procs := flag.Bool("procs", false, "print runtime.GOMAXPROCS(0) and exit")
 	flag.Parse()
 
-	if *procs {
-		fmt.Println(runtime.GOMAXPROCS(0))
-		return
-	}
 	if *syncProfile != "" {
 		os.Exit(printSyncProfile(*syncProfile))
 	}

@@ -80,14 +80,16 @@ echo "farm-smoke: worker 2 drained the campaign"
 wait "$coord_pid"
 coord_pid=""
 
-# Serial reference: the same sweep, one process, no farm.
+# Serial reference: the same sweep, coordinator and worker in one process.
+# It journals under serial/<its own id>/ (its robustness knobs differ from
+# the farm spec's, so the ids do).
 "$bin/sweep" -vary rate -values 0.5,2.0 -k 4 -n 2 \
   -warmup 200 -measure 800 -drain 300 \
   -out "$scratch/serial" >"$scratch/serial.csv"
 
 # Results must be bit-identical, and at least one farm point must have
 # resumed from a migrated checkpoint (proof the kill hit the real path).
-"$bin/manifestdiff" -require-resume "$scratch/farm/$id" "$scratch/serial"
+"$bin/manifestdiff" -require-resume "$scratch/farm/$id" "$scratch"/serial/*/
 grep -q 'resumed from migrated checkpoint\|resuming from migrated checkpoint' "$scratch/worker2.log" \
   || { echo "farm-smoke: worker 2 never logged a checkpoint resume" >&2; cat "$scratch/worker2.log" >&2; exit 1; }
 
