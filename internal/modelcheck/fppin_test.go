@@ -119,3 +119,72 @@ func TestExhaustiveTwoWormModelSharded(t *testing.T) {
 		t.Errorf("reports differ between worker counts:\n workers=1 %+v\n workers=2 %+v", *one, *two)
 	}
 }
+
+// twoVC gives a spec the router that puts several requesters on one output:
+// two virtual channels of two flits, two injection and two ejection channels.
+// The CI-pinned model above has one of each, so no output of it is ever
+// contended and no header ever weighs two candidate channels.
+func twoVC(spec Spec) Spec {
+	spec.VCs, spec.BufDepth, spec.InjChannels, spec.EjChannels = 2, 2, 2, 2
+	return spec
+}
+
+// TestExhaustiveTwoVCModel exhausts the two-worm model on that router: 15 266
+// states over 15 265 edges within the 40-cycle horizon, at one shard and at
+// two. The counts were taken with the scalar allocators (PR 16) and are
+// unchanged under the word-parallel ones — every reachable state the same, so
+// every allocation and every grant on the way to them.
+func TestExhaustiveTwoVCModel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full exhaustions; the CI modelcheck-smoke job runs one through the CLI")
+	}
+	for _, workers := range []int{1, 2} {
+		spec := twoVC(DefaultSpec())
+		spec.Messages = spec.Messages[:2] // 0->3 and 3->0
+		spec.MaxCycles = 40
+		spec.MaxStates = 60000
+		x, err := New(spec, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.cfg.Workers = workers
+		rep, err := x.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Failed() || !rep.Exhausted {
+			t.Fatalf("workers=%d: not a clean exhaustion:\n%s", workers, rep.Format())
+		}
+		if rep.States != 15266 || rep.Edges != 15265 || rep.DeadlockStates != 0 {
+			t.Errorf("workers=%d: %d states over %d edges, %d deadlocked; pinned 15266 over 15265, none",
+				workers, rep.States, rep.Edges, rep.DeadlockStates)
+		}
+	}
+}
+
+// TestTwoVCRingPin pins the same router on the 4-ary ring with its four-worm
+// catalog, which a 60 000-state budget does not exhaust: exploration is
+// deterministic, so the edge, revisit and terminal counts at the budget are a
+// fingerprint of every decision up to it (same provenance as above).
+func TestTwoVCRingPin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("60 000 states")
+	}
+	spec := twoVC(RingSpec())
+	spec.MaxStates = 60000
+	x, err := New(spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := x.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed() {
+		t.Fatalf("exploration failed:\n%s", rep.Format())
+	}
+	if rep.States != 60000 || rep.Edges != 60013 || rep.DupEdges != 14 || rep.Terminals != 4127 {
+		t.Errorf("%d states, %d edges, %d to visited states, %d terminals; pinned 60000, 60013, 14, 4127",
+			rep.States, rep.Edges, rep.DupEdges, rep.Terminals)
+	}
+}

@@ -1,14 +1,17 @@
 package router
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // RoundRobin is a rotating-priority arbiter over n requesters. Each Grant
 // call scans requesters starting one past the previous winner, so every
 // requester is eventually served regardless of contention (strong fairness
 // under persistent requests).
 type RoundRobin struct {
-	n    int
-	next int
+	n    int32
+	next int32
 }
 
 // NewRoundRobin returns an arbiter over n requesters. n must be positive.
@@ -24,17 +27,17 @@ func (a *RoundRobin) Init(n int) {
 	if n < 1 {
 		panic("router: round-robin arbiter needs at least one requester")
 	}
-	*a = RoundRobin{n: n}
+	*a = RoundRobin{n: int32(n)}
 }
 
 // Grant returns the index of the first requester i (in rotating order) for
 // which want(i) is true, advancing the priority pointer past the winner.
 // It returns -1 if no requester wants a grant.
 func (a *RoundRobin) Grant(want func(int) bool) int {
-	for off := 0; off < a.n; off++ {
-		i := (a.next + off) % a.n
+	for off := 0; off < a.N(); off++ {
+		i := (a.Next() + off) % a.N()
 		if want(i) {
-			a.next = (i + 1) % a.n
+			a.Advance(i)
 			return i
 		}
 	}
@@ -42,19 +45,17 @@ func (a *RoundRobin) Grant(want func(int) bool) int {
 }
 
 // N returns the number of requesters.
-func (a *RoundRobin) N() int { return a.n }
+func (a *RoundRobin) N() int { return int(a.n) }
 
 // Next returns the rotating priority pointer: the requester index that
-// currently has top priority. Exposed so hot callers can run the GrantFrom
-// scan inline with a specialised admissibility check instead of paying an
-// indirect call per candidate; pair with Advance to commit the grant.
-func (a *RoundRobin) Next() int { return a.next }
+// currently has top priority (snapshots save it; SetNext restores it).
+func (a *RoundRobin) Next() int { return int(a.next) }
 
 // Advance moves the priority pointer one past winner, exactly as a grant
 // does. winner must be a valid requester index. The wrap is a compare
 // rather than a modulo: this runs once per granted flit.
 func (a *RoundRobin) Advance(winner int) {
-	a.next = winner + 1
+	a.next = int32(winner) + 1
 	if a.next == a.n {
 		a.next = 0
 	}
@@ -63,10 +64,27 @@ func (a *RoundRobin) Advance(winner int) {
 // SetNext restores the rotating priority pointer (snapshot support). It
 // panics on an out-of-range index, mirroring Init's validation.
 func (a *RoundRobin) SetNext(i int) {
-	if i < 0 || i >= a.n {
+	if i < 0 || i >= a.N() {
 		panic(fmt.Sprintf("router: round-robin pointer %d out of range [0,%d)", i, a.n))
 	}
-	a.next = i
+	a.next = int32(i)
+}
+
+// GrantMask is Grant over a bit mask of requesters (bit i = requester i
+// wants; n <= 64 and no bit at or above n): the first set bit at or after the
+// pointer, else the first set bit. It returns -1, pointer unmoved, on an
+// empty mask.
+func (a *RoundRobin) GrantMask(want uint64) int {
+	if want == 0 {
+		return -1
+	}
+	w := want &^ (1<<uint(a.next) - 1)
+	if w == 0 {
+		w = want
+	}
+	i := bits.TrailingZeros64(w)
+	a.Advance(i)
+	return i
 }
 
 // GrantFrom picks, among the candidate requester indices, the admissible one
@@ -76,14 +94,14 @@ func (a *RoundRobin) SetNext(i int) {
 // switch allocator's input-port-already-granted check).
 func (a *RoundRobin) GrantFrom(cands []int32, ok func(int32) bool) int32 {
 	best := int32(-1)
-	bestDist := a.n
+	bestDist := a.N()
 	for _, c := range cands {
 		if !ok(c) {
 			continue
 		}
-		d := int(c) - a.next
+		d := int(c) - a.Next()
 		if d < 0 {
-			d += a.n
+			d += a.N()
 		}
 		if d < bestDist {
 			bestDist = d
@@ -91,7 +109,7 @@ func (a *RoundRobin) GrantFrom(cands []int32, ok func(int32) bool) int32 {
 		}
 	}
 	if best >= 0 {
-		a.next = (int(best) + 1) % a.n
+		a.Advance(int(best))
 	}
 	return best
 }

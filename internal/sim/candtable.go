@@ -33,35 +33,42 @@ func packCands(cands []routing.Candidate, out []portCand) []portCand {
 }
 
 // candTable is the packed per-(node, destination) routing candidate table.
-// On fault-free runs every routing algorithm in the simulator is a pure
-// function of (current, destination), so the candidate sets can be computed
-// once at construction and the per-header routing call becomes a slice
-// lookup.
+// Between liveness changes every routing algorithm in the simulator is a pure
+// function of (current, destination), so the candidate sets are computed once
+// per routing epoch and the per-header routing call becomes a lookup.
 //
 // Candidate sets repeat heavily: they depend on the per-dimension offsets
 // (and, for dateline schemes, which wraparounds remain), not on the quarter
 // of a million (current, destination) pairs individually, so a 512-node
 // torus has a few hundred distinct sets at most. The table therefore stores
-// each distinct set once in a pool small enough to stay cache-resident and
-// keeps only a per-pair set id — without the dedup, allocation-heavy runs
-// spend much of their time missing on megabytes of repeated portCand data.
+// each distinct set once, in a pool small enough to stay cache-resident, and
+// keeps only a per-pair set id. That id array is the one big thing here (1 MB
+// at 512 nodes, so a lookup in it is a cache miss): an input virtual channel
+// looks its header's id up once and caches it (inVC.set), and a retry costs
+// the set's word alone.
 type candTable struct {
 	n      int
-	setID  []int32    // per (cur*n+dst): index into setOff
+	setID  []int32    // per (cur*n+dst): set id, never 0 (0 = "not looked up" in the caches)
 	setOff []int32    // per set id: [setOff[id], setOff[id+1]) in pool
 	pool   []portCand // deduplicated candidate sets, back to back
+	// word[id] is set id's candidates as one word, bit port*VCs+vc: what a
+	// blocked header is tested against (allocate). Zero for the empty set.
+	word []uint64
 	// port[i] is pool[i].port: each set's physical ports as the slice the
 	// injection limiters' channel view hands out.
 	port []topology.Port
 }
 
-// buildCandTable evaluates alg for every (current, destination) pair of an
-// n-node network, deduplicating identical candidate sets.
-func buildCandTable(alg routing.Algorithm, n int) *candTable {
+// buildCandTable evaluates the routing function for every (current,
+// destination) pair under the current liveness mask, deduplicating identical
+// candidate sets.
+func (e *Engine) buildCandTable() *candTable {
+	n := e.topo.Nodes()
 	t := &candTable{
 		n:      n,
 		setID:  make([]int32, n*n),
-		setOff: []int32{0},
+		setOff: []int32{0, 0}, // id 0 is reserved and empty
+		word:   []uint64{0},
 	}
 	seen := make(map[string]int32)
 	var scratch []routing.Candidate
@@ -71,7 +78,7 @@ func buildCandTable(alg routing.Algorithm, n int) *candTable {
 		for dst := 0; dst < n; dst++ {
 			packed = packed[:0]
 			if cur != dst {
-				scratch = alg.Candidates(topology.NodeID(cur), topology.NodeID(dst), scratch[:0])
+				scratch = e.alg.Candidates(topology.NodeID(cur), topology.NodeID(dst), scratch[:0])
 				packed = packCands(scratch, packed)
 			}
 			key = key[:0]
@@ -81,12 +88,15 @@ func buildCandTable(alg routing.Algorithm, n int) *candTable {
 			}
 			id, ok := seen[string(key)]
 			if !ok {
-				id = int32(len(t.setOff) - 1)
+				id = int32(len(t.word))
 				seen[string(key)] = id
 				t.pool = append(t.pool, packed...)
+				var w uint64
 				for _, pc := range packed {
 					t.port = append(t.port, pc.port)
+					w |= uint64(pc.mask) << uint(int(pc.port)*e.cfg.VCs)
 				}
+				t.word = append(t.word, w)
 				t.setOff = append(t.setOff, int32(len(t.pool)))
 			}
 			t.setID[cur*n+dst] = id
@@ -95,14 +105,19 @@ func buildCandTable(alg routing.Algorithm, n int) *candTable {
 	return t
 }
 
-// get returns the candidate set of a header at cur addressed to dst.
-func (t *candTable) get(cur, dst topology.NodeID) []portCand {
-	id := t.setID[int(cur)*t.n+int(dst)]
+// id returns the set id of a header at cur addressed to dst.
+func (t *candTable) id(cur, dst topology.NodeID) int32 { return t.setID[int(cur)*t.n+int(dst)] }
+
+// set returns candidate set id.
+func (t *candTable) set(id int32) []portCand {
 	return t.pool[t.setOff[id]:t.setOff[id+1]:t.setOff[id+1]]
 }
 
+// get returns the candidate set of a header at cur addressed to dst.
+func (t *candTable) get(cur, dst topology.NodeID) []portCand { return t.set(t.id(cur, dst)) }
+
 // ports returns the physical ports of that candidate set, one each.
 func (t *candTable) ports(cur, dst topology.NodeID) []topology.Port {
-	id := t.setID[int(cur)*t.n+int(dst)]
+	id := t.id(cur, dst)
 	return t.port[t.setOff[id]:t.setOff[id+1]:t.setOff[id+1]]
 }

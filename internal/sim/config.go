@@ -181,6 +181,12 @@ func (c *Config) validate() error {
 	case c.Workers < 0:
 		return fmt.Errorf("sim: negative worker count %d", c.Workers)
 	}
+	// The one width limit: the allocators keep a node's crossbar inputs
+	// (input VCs, then injection channels) and its outputs (physical, then
+	// ejection) as the bits of one 64-bit word each.
+	if in, out := 2*c.N*c.VCs+c.InjChannels, 2*c.N+c.EjChannels; in > 64 || out > 64 {
+		return fmt.Errorf("sim: router too wide: 2N*VCs+InjChannels = %d crossbar inputs and 2N+EjChannels = %d outputs, at most 64 each", in, out)
+	}
 	if c.Routing == "" {
 		c.Routing = "tfar"
 	}

@@ -72,30 +72,30 @@ func (e *Engine) Step() {
 // cycle regardless of activity, so it always equalled now % nAgents —
 // deriving it makes skipping idle nodes free of state drift.
 func (e *Engine) allocRange(lo, hi int) {
-	nVC := e.numPhys * e.cfg.VCs
-	start := int(e.now % int64(nVC))
-	// The rotating agent order start, start+1, …, nVC-1, 0, …, start-1 is
-	// equivalent to: the start port's VCs from the start VC up, the
-	// remaining ports in wrapping order, then the start port's VCs below
-	// the start VC. Each port's occupied VCs come off its not-empty status
-	// word, so empty channels are never touched.
-	ps := start / e.cfg.VCs
-	vcsMask := uint32(1)<<uint(e.cfg.VCs) - 1
-	hiMask := vcsMask &^ (uint32(1)<<uint(start%e.cfg.VCs) - 1)
+	vcs := e.cfg.VCs
+	vcsMask := uint32(1)<<uint(vcs) - 1
+	below := uint64(1)<<uint(e.now%int64(e.numPhys*vcs)) - 1 // the agents before start
 	for i := lo; i < hi; i++ {
 		nd := &e.nodes[i]
 		if nd.occVCs == 0 && nd.busyInj == 0 {
 			continue
 		}
+		var w allocWords // packed by the node's first attempt, if any
 		if nd.occVCs > 0 {
-			e.allocWalk(nd, ps, hiMask)
-			for p := ps + 1; p < e.numPhys; p++ {
-				e.allocWalk(nd, p, vcsMask)
+			// The unrouted headers — occupied AND NOT routed, off the status
+			// words, so empty and routed channels are never touched — as one
+			// word of agent bits, walked in the rotating order start, …,
+			// nVC-1, 0, …, start-1. A teardown mid-walk only empties channels,
+			// and allocateVC looks again.
+			var hdr uint64
+			for p, empty := range nd.inEmpty {
+				hdr |= uint64(^empty&^nd.routed[p]&vcsMask) << uint(p*vcs)
 			}
-			for p := 0; p < ps; p++ {
-				e.allocWalk(nd, p, vcsMask)
+			for _, h := range [2]uint64{hdr &^ below, hdr & below} {
+				for ; h != 0; h &= h - 1 {
+					e.allocateVC(nd, bits.TrailingZeros64(h), &w)
+				}
 			}
-			e.allocWalk(nd, ps, vcsMask&^hiMask)
 		}
 		// Injection channels route after the network traffic.
 		if nd.busyInj > 0 {
@@ -104,42 +104,31 @@ func (e *Engine) allocRange(lo, hi int) {
 				if ic.msg == nil || ic.route.valid || ic.left < ic.len {
 					continue
 				}
-				route, ok, _, unroutable := e.allocate(nd, ic.msg, ic.dst)
+				var set int32 // looked up per attempt: an admitted header seldom waits here
+				route, ok, _, unroutable := e.allocate(nd, ic.msg, ic.dst, &set, &w)
 				switch {
 				case ok:
 					ic.route = route
+					e.setWant(nd, e.injIndex(c), route)
 					nd.freshInj |= 1 << uint(c)
 					if e.spans != nil {
 						e.spanAlloc(ic.msg)
 					}
 				case unroutable:
 					e.kill(ic.msg, nd.id)
+					w.packed = false
 				}
 			}
 		}
 	}
 }
 
-// allocWalk runs header allocation for the occupied, unrouted input VCs of
-// one port (restricted to the VCs in mask), in ascending VC order. Channels
-// that already hold a route never reach allocateVC: they are masked out by
-// the routed status word.
-func (e *Engine) allocWalk(nd *node, p int, mask uint32) {
-	w := ^nd.inEmpty[p] &^ nd.routed[p] & mask
-	base := p * e.cfg.VCs
-	for w != 0 {
-		v := bits.TrailingZeros32(w)
-		w &= w - 1
-		e.allocateVC(nd, base+v)
-	}
-}
-
 // allocateVC is one iteration of the allocation walk: route the header at
 // input virtual channel (agent index) a of node nd, feeding the deadlock
 // detector on failure.
-func (e *Engine) allocateVC(nd *node, a int) {
+func (e *Engine) allocateVC(nd *node, a int, w *allocWords) {
 	ivc := &nd.in[a]
-	// The status words are sampled at the start of each port's walk; a
+	// The status words are sampled at the start of the node's walk; a
 	// deadlock recovery triggered behind it can empty a buffer mid-walk, so
 	// the emptiness check stays live.
 	if ivc.buf.Empty() {
@@ -149,17 +138,13 @@ func (e *Engine) allocateVC(nd *node, a int) {
 	// outlive the message's traversal of the buffer); the dst cache spares
 	// the allocator the message dereference entirely.
 	m := ivc.buf.FrontMessage()
-	route, ok, vital, unroutable := e.allocate(nd, m, ivc.dst)
+	route, ok, vital, unroutable := e.allocate(nd, m, ivc.dst, &ivc.set, w)
 	if ok {
 		nd.routes[a] = route
 		p := e.portTab[a]
 		nd.routed[p] |= e.vcBit[a]
 		nd.fresh[p] |= e.vcBit[a]
-		if route.eject {
-			nd.swDesc[a] = uint16(e.numPhys+int(route.ejCh)) << 8
-		} else {
-			nd.swDesc[a] = uint16(route.outPort)<<8 | uint16(route.outVC)
-		}
+		e.setWant(nd, a, route)
 		nd.blocked.Progress(a)
 		if e.spans != nil {
 			e.spanAlloc(m)
@@ -171,6 +156,7 @@ func (e *Engine) allocateVC(nd *node, a int) {
 		// wormhole can never advance from here. Sever it and hand it back
 		// to the source-retry machinery.
 		e.kill(m, nd.id)
+		w.packed = false
 		return
 	}
 	if ivc.dst == nd.id {
@@ -189,26 +175,46 @@ func (e *Engine) allocateVC(nd *node, a int) {
 	if e.det.Deadlocked(nd.blocked.Blocked(a), false) {
 		nd.blocked.Progress(a)
 		e.recover(m, nd)
+		w.packed = false
+	}
+}
+
+// allocWords is a node's output virtual channels as two words for one cycle's
+// allocation attempts, bit port*VCs+vc like the candidate words: free has the
+// unallocated ones, avail those of them whose downstream buffer is empty too.
+// Within a node's walk only its own grants (one bit, cleared in both) and a
+// teardown (recover, kill: packed is reset and the next attempt packs again)
+// change either.
+type allocWords struct {
+	free, avail uint64
+	packed      bool
+}
+
+func (e *Engine) pack(nd *node, w *allocWords) {
+	*w = allocWords{packed: true}
+	for p, fm := range nd.freeMask {
+		w.free |= uint64(fm) << uint(p*e.cfg.VCs)
+		w.avail |= uint64(fm&e.emptyArena[nd.downWord[p]]) << uint(p*e.cfg.VCs)
 	}
 }
 
 // allocate claims an output virtual channel (or ejection channel) for
-// message m (dst is the caller's cached copy of m.Dst, so the common
-// retry path never loads the message struct) whose header is at node nd.
-// It reports whether allocation
-// succeeded, whether the candidate set shows any "vital sign" — an
-// unallocated virtual channel or one that transmitted a flit within the
-// last cycle — which vetoes the deadlock presumption, and whether faults
-// left the header with no admissible channel at all (unroutable; only ever
-// true when fault injection is active, since minimal routing otherwise
+// message m whose header is at node nd (dst is the caller's cached copy of
+// m.Dst and set its cached candidate-set id, looked up here when still 0, so
+// a retry loads neither the message nor the per-pair id array). It reports
+// whether allocation succeeded, whether the candidate set shows any "vital
+// sign" — an unallocated virtual channel or one that transmitted a flit
+// within the last cycle — which vetoes the deadlock presumption, and whether
+// faults left the header with no admissible channel at all (unroutable; only
+// ever true when fault injection is active, since minimal routing otherwise
 // always yields candidates).
 //
-// The selection runs entirely on the per-port status words: a port's
-// allocatable VCs are freeMask & candidates & downstream-empty, its first
-// admissible VC the lowest set bit (candidates are emitted in ascending VC
-// order), and its load score a popcount. The vital-sign scan — the only
-// part needing per-VC timestamps — runs only when allocation failed.
-func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID) (routeInfo, bool, bool, bool) {
+// A header that cannot be allocated — most of them, beyond saturation — is
+// decided on words: nothing is allocatable when avail AND the set's word is
+// zero, and then a free candidate (free AND the word) is the first vital
+// sign and the per-VC timestamps of the busy candidates the second. Only a
+// header that will get a channel reaches the per-port scoring loop.
+func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID, set *int32, w *allocWords) (routeInfo, bool, bool, bool) {
 	if dst == nd.id {
 		for c := range nd.ej {
 			if nd.ej[c].msg == nil {
@@ -218,15 +224,28 @@ func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID) (ro
 		}
 		return routeInfo{}, false, false, false
 	}
-	// Candidate lookup: the deduplicated table serves every lookup — the set
-	// id array is the only sizeable state it touches, and a blocked header
-	// retrying the same destination re-reads the same entry every cycle, so
-	// retries stay cache-hot. Fault-capable runs rebuild the table at every
-	// routing epoch flip, so the entry always reflects the current liveness
-	// mask; faults can leave a header with no candidates at all.
-	cands := e.cand.get(nd.id, dst)
-	if len(cands) == 0 {
-		return routeInfo{}, false, false, true
+	if *set == 0 {
+		*set = e.cand.id(nd.id, dst)
+	}
+	candW := e.cand.word[*set]
+	if candW == 0 {
+		return routeInfo{}, false, false, true // faults left no candidate
+	}
+	if !w.packed {
+		e.pack(nd, w)
+	}
+	if w.avail&candW == 0 {
+		vital := w.free&candW != 0
+		if !vital && !e.cfg.LenientDetection {
+			// Every candidate is busy: did any transmit within the last cycle?
+			for busy := candW; busy != 0; busy &= busy - 1 {
+				if nd.lastTx[bits.TrailingZeros64(busy)] >= e.now-1 {
+					vital = true
+					break
+				}
+			}
+		}
+		return routeInfo{}, false, vital, false
 	}
 
 	bestPort := topology.Port(-1)
@@ -234,19 +253,8 @@ func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID) (ro
 	bestScore := -1
 	bestPref := 1 << 30
 	rot := int(e.now) % e.numPhys // rotating tie-break among equal ports
-
-	// anyFree doubles as the first vital sign (an unallocated candidate VC):
-	// computing it here lets ports with no free candidate VC skip the
-	// downstream-status dereference, and the failure path below skip a
-	// second scan.
-	anyFree := false
-	for _, pc := range cands {
-		fm := nd.freeMask[pc.port] & pc.mask
-		if fm == 0 {
-			continue
-		}
-		anyFree = true
-		avail := fm & e.emptyArena[nd.downWord[pc.port]]
+	for _, pc := range e.cand.set(*set) {
+		avail := nd.freeMask[pc.port] & pc.mask & e.emptyArena[nd.downWord[pc.port]]
 		if avail == 0 {
 			continue
 		}
@@ -264,29 +272,10 @@ func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID) (ro
 			bestVC = int8(bits.TrailingZeros32(avail))
 		}
 	}
-	if bestPort < 0 {
-		// Nothing allocatable: the deadlock detector's remaining vital sign
-		// is a recent transmission on a busy candidate VC.
-		vital := anyFree
-		if !vital && !e.cfg.LenientDetection {
-		active:
-			for _, pc := range cands {
-				busy := pc.mask &^ nd.freeMask[pc.port]
-				base := int(pc.port) * e.cfg.VCs
-				for busy != 0 {
-					v := bits.TrailingZeros32(busy)
-					busy &= busy - 1
-					if nd.lastTx[base+v] >= e.now-1 {
-						vital = true
-						break active
-					}
-				}
-			}
-		}
-		return routeInfo{}, false, vital, false
-	}
 	nd.out[bestPort].VCs[bestVC].Allocate(m)
 	nd.freeMask[bestPort] &^= 1 << uint(bestVC)
+	bit := uint64(1) << uint(e.inVCIndex(bestPort, bestVC))
+	w.free, w.avail = w.free&^bit, w.avail&^bit
 	m.Path = append(m.Path, pathLoc{
 		Node: nd.nbr[bestPort].id, Port: topology.Opposite(bestPort), VC: bestVC,
 	})
@@ -294,133 +283,74 @@ func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID) (ro
 }
 
 // switchRange performs separable switch allocation for nodes [lo, hi) — at
-// most one flit per input port and per output port per cycle, round-robin at
-// both stages — and plans the cycle's flit moves against start-of-cycle
-// buffer state, appending them to moves and returning it. reqsFlat is the
-// calling shard's request scratch (concurrent shards must not share it).
+// most one flit per crossbar input and per output per cycle — and plans the
+// cycle's flit moves against start-of-cycle buffer state, appending them to
+// moves and returning it. Only outputs arbitrate (one round-robin pointer
+// each); an input goes to the first output, from the top, that picks it.
+//
+// Nothing is collected: who wants an output is standing state (node.want), so
+// a cycle computes one word, ready — the agents with a flit to forward: input
+// VCs occupied AND routed, but not this very cycle (fresh masks: movement
+// starts the cycle after allocation), and streaming injection channels — and
+// each wanted output grants over (its wanters with downstream credit) AND
+// ready, the winner taking its crossbar input's agents out of ready.
 // Arbiters and status words are all per-node state; the only outside reads
 // are the downstream full-status words, which no one writes during the phase.
-func (e *Engine) switchRange(lo, hi int, reqsFlat []int32, moves []move) []move {
+func (e *Engine) switchRange(lo, hi int, moves []move) []move {
 	// Hot engine state hoisted into locals: the loop bodies below call no
 	// function that could change any of it, and keeping the values out of
 	// pointer-chased fields lets the compiler hold them in registers.
 	numPhys := e.numPhys
 	vcs := e.cfg.VCs
 	nVC := numPhys * vcs
-	nAgents := e.agentCount()
 	fullArena := e.fullArena
-	// reqLen[o] counts the requests collected for output port o of the node
-	// currently under allocation; the requests themselves sit in the flat
-	// per-shard scratch at reqsFlat[o*nAgents:], each packed as
-	// agent<<16 | outVC<<8 | crossbar-input-port. Port and output VC are
-	// known for free at collection time, so the grant stage below runs on
-	// the packed words alone — no route or injection-channel loads per
-	// candidate. Re-zeroing a 32-entry stack array per active node
-	// replaces the stamped-slice bookkeeping.
-	var reqLen [32]uint16
+	injAll := uint64(1)<<uint(e.cfg.InjChannels) - 1
 	for ni := lo; ni < hi; ni++ {
 		nd := &e.nodes[ni]
-		if nd.occVCs == 0 && nd.busyInj == 0 {
-			continue // no flit anywhere: no requests, no arbiter movement
+		// No flit anywhere, or no route (so no fresh bit either): no grant, no
+		// arbiter movement.
+		if nd.wantOut == 0 || (nd.occVCs == 0 && nd.busyInj == 0) {
+			continue
 		}
-		reqLen = [32]uint16{}
-		// reqMask collects which output ports received at least one request,
-		// so the grant stage iterates exactly those instead of scanning all.
-		reqMask := uint32(0)
-
-		// Collect requests from the occupied AND routed input virtual
-		// channels, skipping ones routed this very cycle (fresh masks;
-		// movement starts the cycle after allocation): an unrouted channel
-		// has nothing to forward yet, a routed but drained one nothing to
-		// forward with. The forwarding data comes from the two-byte switch
-		// descriptors written at allocation, not the routeInfo structs.
+		var ready uint64
 		for p := 0; p < numPhys; p++ {
-			w := ^nd.inEmpty[p] & nd.routed[p] &^ nd.fresh[p]
+			ready |= uint64(^nd.inEmpty[p]&nd.routed[p]&^nd.fresh[p]) << uint(p*vcs)
 			nd.fresh[p] = 0
-			for w != 0 {
-				v := bits.TrailingZeros32(w)
-				w &= w - 1
-				a := p*vcs + v
-				d := nd.swDesc[a]
-				o := int(d >> 8)
-				if o < numPhys &&
-					fullArena[nd.downWord[o]]&(1<<uint(d&0xff)) != 0 {
-					continue // no credit: the downstream buffer is full
-				}
-				reqsFlat[o*nAgents+int(reqLen[o])] = int32(a)<<16 |
-					int32(d&0xff)<<8 | int32(p)
-				reqLen[o]++
-				reqMask |= 1 << uint(o)
-			}
 		}
-		// ... and from injection channels.
-		freshInj := nd.freshInj
+		// A routed injection channel has flits left to stream (the tail takes
+		// the route with it), and an unrouted one is nobody's wanter.
+		ready |= (injAll &^ nd.freshInj) << uint(nVC)
 		nd.freshInj = 0
-		if nd.busyInj > 0 {
-			for c := range nd.inj {
-				ic := &nd.inj[c]
-				if ic.msg == nil || !ic.route.valid || freshInj>>uint(c)&1 != 0 ||
-					ic.left <= 0 {
-					continue
-				}
-				o := int(ic.route.outPort)
-				if ic.route.eject {
-					o = numPhys + int(ic.route.ejCh)
-				} else if fullArena[nd.downWord[o]]&(1<<uint(ic.route.outVC)) != 0 {
-					continue
-				}
-				reqsFlat[o*nAgents+int(reqLen[o])] = int32(nVC+c)<<16 |
-					int32(ic.route.outVC)<<8 | int32(numPhys+c)
-				reqLen[o]++
-				reqMask |= 1 << uint(o)
-			}
-		}
-
-		// Grant one requester per output port, honouring the one-flit-per-
-		// input-port crossbar constraint (grantedMask: crossbar input ports
-		// already granted this node). Walking the request mask from the top,
-		// ejection "ports" (the highest indices) go first so that draining
-		// traffic is never starved by through traffic.
-		grantedMask := uint32(0)
-		for reqMask != 0 {
-			o := bits.Len32(reqMask) - 1
-			reqMask &^= 1 << uint(o)
-			// Inline router.RoundRobin.GrantFrom with the input-port-free
-			// admissibility check: among the candidates whose crossbar input
-			// port is still ungranted, pick the one closest after the
-			// arbiter's rotating pointer. Inlining avoids an indirect
-			// closure call per candidate on the hottest arbitration loop.
-			arb := &nd.outArb[o]
-			next := arb.Next()
-			best := int32(-1)
-			bestDist := nAgents
-			base := o * nAgents
-			for _, c := range reqsFlat[base : base+int(reqLen[o])] {
-				if grantedMask>>uint(c&0xff)&1 != 0 {
-					continue
-				}
-				d := int(c>>16) - next
-				if d < 0 {
-					d += nAgents
-				}
-				if d < bestDist {
-					bestDist = d
-					best = c
-				}
-			}
-			if best < 0 {
-				continue
-			}
-			agent := best >> 16
-			arb.Advance(int(agent))
-			grantedMask |= 1 << uint(best&0xff)
-			mv := move{node: int32(ni), agent: agent}
-			if o >= numPhys {
-				mv.eject = true
+		// Outputs from the top: ejection channels (the highest indices) go
+		// first so that draining traffic is never starved by through traffic.
+		for out := nd.wantOut; out != 0 && ready != 0; {
+			o := bits.Len64(out) - 1
+			out &^= 1 << uint(o)
+			mv := move{node: int32(ni), eject: o >= numPhys}
+			var cands uint64
+			var wants []uint8 // of a physical port's VCs
+			if mv.eject {
 				mv.ejCh = int8(o - numPhys)
+				cands = 1 << nd.want[nVC+o-numPhys]
 			} else {
 				mv.outPort = topology.Port(o)
-				mv.outVC = int8(best >> 8 & 0xff)
+				wants = nd.want[o*vcs : (o+1)*vcs]
+				// Credit: the downstream buffer has a slot free.
+				full := uint64(fullArena[nd.downWord[o]])
+				for v, a := range wants {
+					cands |= 1 << a & (full>>uint(v)&1 - 1)
+				}
+			}
+			a := nd.outArb[o].GrantMask(cands & ready)
+			if a < 0 {
+				continue
+			}
+			ready &^= e.xbarMask[a]
+			mv.agent = int32(a)
+			for v, w := range wants {
+				if int(w) == a {
+					mv.outVC = int8(v)
+				}
 			}
 			moves = append(moves, mv)
 		}

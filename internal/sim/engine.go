@@ -48,6 +48,10 @@ type inVC struct {
 	// pushed and only read while the buffer is non-empty, so it needs no
 	// clearing.
 	dst topology.NodeID
+	// set caches the candidate-set id of (this node, dst), or 0 before the
+	// header's first allocation attempt looked it up: a head moving in and
+	// every routing epoch flip zero it.
+	set int32
 }
 
 // injChannel is one of the node's injection channels: a message being
@@ -111,6 +115,9 @@ type node struct {
 	// zero, so idle regions of the network cost nothing per cycle.
 	occVCs  int
 	busyInj int
+	// wantOut has bit o set while some agent is routed to output o (physical
+	// ports, then ejection channels): the switch phase visits only those.
+	wantOut uint64
 
 	queue    srcQueue          // source queue: a chain in Engine.waiting
 	recovery []pendingRecovery // software-recovery queue (priority)
@@ -161,12 +168,13 @@ type node struct {
 	// the masks as it goes. This replaces a per-route assignment
 	// timestamp, halving routeInfo.
 	fresh    []uint32
-	freshInj uint32
-	// swDesc[a] is the packed switch descriptor of input VC a's current
-	// route — output index (ejection offset by numPhys) in the high byte,
-	// output VC in the low — written at allocation so the switch phase
-	// reads two bytes per routed channel instead of a routeInfo.
-	swDesc []uint16
+	freshInj uint64
+	// want[p*VCs+v] is the agent routed to output virtual channel (p, v) and
+	// want[numPhys*VCs+c] the one routed to ejection channel c, noAgent for
+	// none. A wormhole gives an output channel to one agent from head to
+	// tail, so this is the switch phase's standing request: written wherever
+	// a route is (setWant, clearWant), derived state like the words above.
+	want []uint8
 
 	// nbr caches the neighbouring node behind each physical output port
 	// and down[p*VCs+v] the input VC a flit sent on (p, v) lands in;
@@ -184,6 +192,10 @@ type node struct {
 	// node's input agents.
 	outArb []router.RoundRobin
 }
+
+// noAgent marks an output no agent is routed to in node.want. Shifting by it
+// yields 0 (Go defines shifts past the word), so "1 << want" needs no test.
+const noAgent = 0xFF
 
 // agent indices: input VCs first (flat channel id), then injection channels.
 func (e *Engine) agentCount() int { return e.numPhys*e.cfg.VCs + e.cfg.InjChannels }
@@ -220,9 +232,7 @@ type Engine struct {
 	nextID message.ID
 
 	// cand is the precomputed per-(node, destination) routing candidate
-	// table, built whenever the routing function is static over the run
-	// (i.e. no fault schedule). nil means candidates are computed on the
-	// fly (fault runs, where liveness changes them mid-run).
+	// table: always built, and rebuilt at every routing epoch flip.
 	cand *candTable
 
 	// waiting is the record arena behind every node's source queue, and built
@@ -251,10 +261,12 @@ type Engine struct {
 	// portTab maps an agent index to its crossbar input port; vcBit and
 	// vcOf map an input-VC agent to its status-register bit and virtual
 	// channel. Lookup tables replace the divisions the hot phases would
-	// otherwise do per flit.
-	portTab []int32
-	vcBit   []uint32
-	vcOf    []int8
+	// otherwise do per flit. xbarMask[a] is the agents sharing agent a's
+	// crossbar input (its port's VCs, or the injection channel alone).
+	portTab  []int32
+	vcBit    []uint32
+	vcOf     []int8
+	xbarMask []uint64
 
 	// par is the sharded runtime that runs the cycle (see parallel.go): one
 	// shard at Workers <= 1. Results are bit-identical for any partition.
@@ -327,14 +339,6 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.VCs > 32 {
-		return nil, fmt.Errorf("sim: at most 32 virtual channels supported (got %d)", cfg.VCs)
-	}
-	// The switch allocator tracks its requested output ports (physical +
-	// ejection) in one 32-bit mask.
-	if out := 2*cfg.N + cfg.EjChannels; out > 32 {
-		return nil, fmt.Errorf("sim: at most 32 output ports supported (got %d)", out)
-	}
 	topo := topology.New(cfg.K, cfg.N)
 	var alg routing.Algorithm
 	switch cfg.Routing {
@@ -385,7 +389,7 @@ func New(cfg Config) (*Engine, error) {
 	// runs rebuild the table at every epoch flip (reconfigure), so the table
 	// always reflects the current mask — including healed channels, which
 	// re-enter candidate sets the cycle their repair commits.
-	e.cand = buildCandTable(alg, topo.Nodes())
+	e.cand = e.buildCandTable()
 
 	nNodes := topo.Nodes()
 	nVC := e.numPhys * cfg.VCs
@@ -410,13 +414,16 @@ func New(cfg Config) (*Engine, error) {
 	e.portTab = make([]int32, nAgents)
 	e.vcBit = make([]uint32, nVC)
 	e.vcOf = make([]int8, nVC)
+	e.xbarMask = make([]uint64, nAgents)
 	for a := 0; a < nAgents; a++ {
 		if a < nVC {
 			e.portTab[a] = int32(a / cfg.VCs)
 			e.vcBit[a] = 1 << uint(a%cfg.VCs)
 			e.vcOf[a] = int8(a % cfg.VCs)
+			e.xbarMask[a] = (1<<uint(cfg.VCs) - 1) << uint(a-a%cfg.VCs)
 		} else {
 			e.portTab[a] = int32(e.numPhys + (a - nVC))
+			e.xbarMask[a] = 1 << uint(a)
 		}
 	}
 
@@ -441,7 +448,8 @@ func New(cfg Config) (*Engine, error) {
 	routedArena := make([]uint32, nNodes*e.numPhys)
 	freshArena := make([]uint32, nNodes*e.numPhys)
 	routeArena := make([]routeInfo, nNodes*nVC)
-	swDescArena := make([]uint16, nNodes*nVC)
+	nWant := nVC + cfg.EjChannels
+	wantArena := make([]uint8, nNodes*nWant)
 
 	for i := 0; i < nNodes; i++ {
 		nd := &e.nodes[i]
@@ -488,7 +496,8 @@ func New(cfg Config) (*Engine, error) {
 		nd.inFull = e.fullArena[i*e.numPhys : (i+1)*e.numPhys : (i+1)*e.numPhys]
 		nd.routed = routedArena[i*e.numPhys : (i+1)*e.numPhys : (i+1)*e.numPhys]
 		nd.fresh = freshArena[i*e.numPhys : (i+1)*e.numPhys : (i+1)*e.numPhys]
-		nd.swDesc = swDescArena[i*nVC : (i+1)*nVC : (i+1)*nVC]
+		nd.want = wantArena[i*nWant : (i+1)*nWant : (i+1)*nWant]
+		nd.wantOut, _ = e.deriveWants(nd, nd.want) // no route yet: all noAgent
 		allVCs := uint32(1)<<uint(cfg.VCs) - 1
 		for p := 0; p < e.numPhys; p++ {
 			nd.freeMask[p] = allVCs
@@ -688,3 +697,60 @@ func (e *Engine) inVCIndex(p topology.Port, vc int8) int {
 
 // injIndex returns the agent index of injection channel i.
 func (e *Engine) injIndex(i int) int { return e.numPhys*e.cfg.VCs + i }
+
+// wantSlot returns the index in node.want, and the output, that a valid route
+// names.
+func (e *Engine) wantSlot(r routeInfo) (slot, out int) {
+	if r.eject {
+		return e.numPhys*e.cfg.VCs + int(r.ejCh), e.numPhys + int(r.ejCh)
+	}
+	return e.inVCIndex(r.outPort, r.outVC), int(r.outPort)
+}
+
+// setWant and clearWant keep node.want and wantOut in step with the routes:
+// every store of a valid route r for agent a, and every drop of one, calls them.
+func (e *Engine) setWant(nd *node, a int, r routeInfo) {
+	slot, o := e.wantSlot(r)
+	nd.want[slot] = uint8(a)
+	nd.wantOut |= 1 << uint(o)
+}
+
+func (e *Engine) clearWant(nd *node, r routeInfo) {
+	slot, o := e.wantSlot(r)
+	nd.want[slot] = noAgent
+	if !r.eject {
+		for _, a := range nd.want[o*e.cfg.VCs : (o+1)*e.cfg.VCs] {
+			if a != noAgent {
+				return
+			}
+		}
+	}
+	nd.wantOut &^= 1 << uint(o)
+}
+
+// deriveWants recomputes a node's want entries into want and returns its
+// wantOut, both from the routes alone (reset, load and CheckInvariants); ok is
+// false when two agents are routed to one output channel, which neither form
+// can hold.
+func (e *Engine) deriveWants(nd *node, want []uint8) (out uint64, ok bool) {
+	for i := range want {
+		want[i] = noAgent
+	}
+	ok = true
+	add := func(a int, r routeInfo) {
+		if !r.valid {
+			return
+		}
+		slot, o := e.wantSlot(r)
+		ok = ok && want[slot] == noAgent
+		want[slot] = uint8(a)
+		out |= 1 << uint(o)
+	}
+	for a, r := range nd.routes {
+		add(a, r)
+	}
+	for c := range nd.inj {
+		add(e.injIndex(c), nd.inj[c].route)
+	}
+	return out, ok
+}

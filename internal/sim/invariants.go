@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 
 	"wormnet/internal/message"
@@ -32,6 +33,9 @@ import (
 //     channels (the phase-skipping optimisation depends on these); a channel
 //     has a message exactly when its cached length says busy; and the source
 //     queues' records that claim an existing object are the filed objects.
+//     Likewise the switch phase's standing requests (want, wantOut) are what
+//     the routes say, with no two agents on one output channel, and a cached
+//     candidate-set id is the current table's.
 //  7. Fault consistency (only with fault injection active): no flit sits in
 //     a buffer fed by a dead channel or anywhere on a dead router, no
 //     route or sender-side allocation crosses a dead channel, a dead
@@ -83,6 +87,8 @@ func (e *Engine) CheckInvariants() error {
 
 	buffered := make(map[*message.Message]int)
 	built := 0
+	var wantBuf [128]uint8 // the width limit keeps a node's entries under 64+64
+	want := wantBuf[:len(e.nodes[0].want)]
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		e.waiting.each(&nd.queue, func(r *queued) {
@@ -96,6 +102,10 @@ func (e *Engine) CheckInvariants() error {
 			p := a / e.cfg.VCs
 			v := a % e.cfg.VCs
 			loc := pathLoc{Node: nd.id, Port: topology.Port(p), VC: int8(v)}
+			if ivc.set != 0 && ivc.set != e.cand.id(nd.id, ivc.dst) {
+				return fmt.Errorf("node %d in[%d][%d]: cached candidate set %d for dst %d, table says %d",
+					nd.id, p, v, ivc.set, ivc.dst, e.cand.id(nd.id, ivc.dst))
+			}
 			var owner *message.Message
 			prevSeq := int32(-1)
 			for j := 0; j < ivc.buf.Len(); j++ {
@@ -141,12 +151,17 @@ func (e *Engine) CheckInvariants() error {
 			if nd.inj[c].len != 0 {
 				busy++
 			}
-			if (nd.inj[c].msg != nil) != (nd.inj[c].len != 0) {
-				return fmt.Errorf("node %d inj[%d]: message %v on a channel of cached length %d", nd.id, c, nd.inj[c].msg, nd.inj[c].len)
+			if ic := &nd.inj[c]; (ic.msg != nil) != (ic.len != 0) || (ic.len != 0 && (ic.left < 1 || ic.left > ic.len)) {
+				return fmt.Errorf("node %d inj[%d]: message %v on a channel of cached length %d with %d flits left", nd.id, c, ic.msg, ic.len, ic.left)
 			}
 		}
 		if busy != nd.busyInj {
 			return fmt.Errorf("node %d: busyInj=%d but %d injection channels are busy", nd.id, nd.busyInj, busy)
+		}
+		if out, ok := e.deriveWants(nd, want); !ok || out != nd.wantOut || !bytes.Equal(want, nd.want) {
+			// (want itself stays out of the message: it would escape to the heap.)
+			return fmt.Errorf("node %d: want=%v wantOut=%#x, but the routes give wantOut=%#x (one agent per output channel: %v)",
+				nd.id, nd.want, nd.wantOut, out, ok)
 		}
 		for p := range nd.out {
 			var free, empty, full, routed uint32

@@ -152,7 +152,6 @@ type parShard struct {
 	gen          []genRec
 	events       []deferredEvent
 	moves        []move
-	reqsFlat     []int32
 	retryScratch []*message.Message
 
 	ringN   []int32 // per-destination-shard fill count of this cycle's rings
@@ -371,12 +370,9 @@ func newParRuntime(e *Engine, bounds []int) *parRuntime {
 	}
 	p.bar.n = int32(s)
 	p.bar.spin = barrierSpin(s)
-	numOut := e.numPhys + e.cfg.EjChannels
-	nAgents := e.agentCount()
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.lo, sh.hi = bounds[i], bounds[i+1]
-		sh.reqsFlat = make([]int32, numOut*nAgents)
 		sh.ringN = make([]int32, s)
 		sh.allocCut = int32(n)
 		for j := sh.lo; j < sh.hi; j++ {
@@ -551,7 +547,7 @@ func (e *Engine) cycleShard(p *parRuntime, id int) {
 		e.allocRange(sh.lo, sh.hi)
 		sh.clk.lap(phRoute)
 	}
-	sh.moves = e.switchRange(sh.lo, sh.hi, sh.reqsFlat, sh.moves[:0])
+	sh.moves = e.switchRange(sh.lo, sh.hi, sh.moves[:0])
 	e.sync(p, sh, 2, phSwitch, nil)
 
 	e.moveSourceRange(p, sh, id)
@@ -625,7 +621,7 @@ func (e *Engine) cycleInline(p *parRuntime) {
 		clk.lap(phRoute)
 		for i := range shards {
 			sh := &shards[i]
-			sh.moves = e.switchRange(sh.lo, sh.hi, sh.reqsFlat, sh.moves[:0])
+			sh.moves = e.switchRange(sh.lo, sh.hi, sh.moves[:0])
 		}
 		clk.lap(phSwitch)
 	} else {
@@ -633,7 +629,7 @@ func (e *Engine) cycleInline(p *parRuntime) {
 			sh := &shards[i]
 			e.allocRange(sh.lo, sh.hi)
 			clk.lap(phRoute)
-			sh.moves = e.switchRange(sh.lo, sh.hi, sh.reqsFlat, sh.moves[:0])
+			sh.moves = e.switchRange(sh.lo, sh.hi, sh.moves[:0])
 			clk.lap(phSwitch)
 		}
 	}
@@ -1009,6 +1005,7 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 				nd.occVCs--
 			}
 			if flit.Tail {
+				e.clearWant(nd, nd.routes[a])
 				nd.routes[a] = routeInfo{}
 				nd.routed[pp] &^= bit
 				nd.blocked.Progress(a)
@@ -1038,6 +1035,7 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 				m.FlitsSent = int(ic.len)
 				ic.msg = nil
 				ic.len = 0
+				e.clearWant(nd, ic.route)
 				ic.route = routeInfo{}
 				nd.busyInj--
 				m.State = message.StateInNetwork
@@ -1089,7 +1087,7 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 		if flit.Head {
 			// The buffer holds one message at a time, so the dst cache
 			// only needs (re-)writing when a new head moves in.
-			dvc.dst = m.Dst
+			dvc.dst, dvc.set = m.Dst, 0
 			if e.spans != nil {
 				e.spanHopArrive(m, nd.nbr[mv.outPort].id)
 			}
@@ -1166,7 +1164,7 @@ func (e *Engine) applyPushes(bucket []outFlit) {
 			emptyArena[rec.word] &^= rec.bit
 		}
 		if rec.flit.Head {
-			dvc.dst = rec.flit.Msg.Dst
+			dvc.dst, dvc.set = rec.flit.Msg.Dst, 0
 			if e.spans != nil {
 				// The hop-append is exclusive: this consumer owns the
 				// receiving node, the head arrives at most once per cycle,

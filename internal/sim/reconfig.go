@@ -46,13 +46,15 @@ func (e *Engine) Epoch() uint64 { return e.epoch }
 func (e *Engine) SetReconfigHook(f func(epoch uint64)) { e.onReconfig = f }
 
 // reconfigure rebuilds the routing state after a batch of liveness changes:
-// a fresh candidate table under the new mask, then the revalidation sweep
-// stamping every surviving route to the new epoch.
+// a fresh candidate table under the new mask (whose set ids the input VCs'
+// caches must forget), then the revalidation sweep stamping every surviving
+// route to the new epoch.
 func (e *Engine) reconfigure() {
-	e.cand = buildCandTable(e.alg, e.topo.Nodes())
+	e.cand = e.buildCandTable()
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		for a := range nd.routes {
+			nd.in[a].set = 0
 			if nd.routes[a].valid {
 				nd.routes[a].epoch = uint16(e.epoch)
 			}
@@ -89,7 +91,7 @@ func (e *Engine) CheckReconfiguration() error {
 	if err := e.checkRouteEpochs(); err != nil {
 		return err
 	}
-	fresh := buildCandTable(e.alg, e.topo.Nodes())
+	fresh := e.buildCandTable()
 	for n := 0; n < e.topo.Nodes(); n++ {
 		for d := 0; d < e.topo.Nodes(); d++ {
 			got := e.cand.get(topology.NodeID(n), topology.NodeID(d))

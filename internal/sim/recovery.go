@@ -47,6 +47,7 @@ func (e *Engine) teardown(m *message.Message) {
 			continue
 		}
 		if ic.route.valid {
+			e.clearWant(inj, ic.route)
 			if ic.route.eject {
 				if ej := &inj.ej[ic.route.ejCh]; ej.msg == m {
 					m.FlitsEjected += int(ej.pending)
@@ -86,6 +87,7 @@ func (e *Engine) teardown(m *message.Message) {
 		// The buffer held only this message's flits, so a valid route on it
 		// belongs to the message: release the onward channel it claimed.
 		if rt := &nd.routes[a]; rt.valid {
+			e.clearWant(nd, *rt)
 			if rt.eject {
 				if ej := &nd.ej[rt.ejCh]; ej.msg == m {
 					m.FlitsEjected += int(ej.pending)

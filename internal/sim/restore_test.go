@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -158,8 +159,8 @@ func TestRestoreInPlaceEquivalence(t *testing.T) {
 	}
 }
 
-// compareSnapshots requires two engines to snapshot deep-equal and hash
-// equal.
+// compareSnapshots requires two engines, the first just restored, to snapshot
+// deep-equal and hash equal, and to agree on the derived words too.
 func compareSnapshots(t *testing.T, got, want *Engine) {
 	t.Helper()
 	gs, err := got.Snapshot()
@@ -183,6 +184,19 @@ func compareSnapshots(t *testing.T, got, want *Engine) {
 	}
 	if gh != wh {
 		t.Errorf("canonical hashes differ after restore: %x vs %x", gh[:8], wh[:8])
+	}
+	// What no snapshot carries is rebuilt, not kept: the switch phase's standing
+	// requests from the routes, the cached candidate-set ids forgotten.
+	for i := range got.nodes {
+		g, w := &got.nodes[i], &want.nodes[i]
+		if !bytes.Equal(g.want, w.want) || g.wantOut != w.wantOut {
+			t.Errorf("node %d: want %v %#x after restore, a new engine derives %v %#x", i, g.want, g.wantOut, w.want, w.wantOut)
+		}
+		for c := range g.in {
+			if g.in[c].set != 0 {
+				t.Errorf("node %d vc %d: candidate-set id %d survived a restore", i, c, g.in[c].set)
+			}
+		}
 	}
 }
 
@@ -486,6 +500,35 @@ var hostileMutations = []func(s *Snapshot, a, b int) bool{
 		f := &vc.Flits[len(vc.Flits)-1]
 		f.Tail = !f.Tail
 		return true
+	},
+	func(s *Snapshot, a, b int) bool { // two agents routed to one output channel: want holds one
+		for i := range s.Nodes {
+			n := &s.Nodes[(a+i)%len(s.Nodes)]
+			for c := range n.In {
+				if !n.In[c].Route.Valid {
+					continue
+				}
+				if b%3 == 0 && n.Inj[0].Msg >= 0 {
+					n.Inj[0].Route = n.In[c].Route
+				} else {
+					n.In[(c+1+b%(len(n.In)-1))%len(n.In)].Route = n.In[c].Route
+				}
+				return true
+			}
+		}
+		return false
+	},
+	func(s *Snapshot, a, b int) bool { // a busy injection channel with nothing, or too much, left to stream
+		for i := range s.Nodes {
+			n := &s.Nodes[(a+i)%len(s.Nodes)]
+			for c := range n.Inj {
+				if n.Inj[c].Msg >= 0 {
+					n.Inj[c].Left = []int32{0, -1, n.Inj[c].Len + 1}[b%3]
+					return true
+				}
+			}
+		}
+		return false
 	},
 	func(s *Snapshot, a, b int) bool { // per-node words of the wrong kind
 		n := &s.Nodes[a%len(s.Nodes)]

@@ -53,6 +53,9 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Routing = "dor"; c.VCs = 1 },
 		func(c *Config) { c.Pattern = "nope" },
 		func(c *Config) { c.K = 5; c.Pattern = "butterfly" }, // non-power-of-2
+		func(c *Config) { c.VCs, c.InjChannels = 10, 5 },     // 6*10+5 = 65 crossbar inputs
+		func(c *Config) { c.EjChannels = 59 },                // 6+59 = 65 outputs
+		func(c *Config) { c.N, c.K, c.VCs = 1, 4, 33 },       // wider than a status word too
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()
@@ -60,6 +63,25 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+	// The widest router the allocators' words hold: 6*10+4 = 64 crossbar
+	// inputs, the last injection channel on bit 63.
+	wide := DefaultConfig()
+	wide.K, wide.VCs, wide.Rate = 4, 10, 0.9
+	we, err := New(wide)
+	if err != nil {
+		t.Fatalf("64 crossbar inputs refused: %v", err)
+	}
+	for i := 0; i < 300; i++ {
+		we.Step()
+		if i%20 == 0 {
+			if err := we.CheckInvariants(); err != nil {
+				t.Fatalf("64 crossbar inputs, cycle %d: %v", i, err)
+			}
+		}
+	}
+	if we.Delivered() == 0 {
+		t.Error("64 crossbar inputs: nothing delivered in 300 cycles")
 	}
 	// Defaults resolve.
 	cfg := DefaultConfig()

@@ -24,9 +24,9 @@ package sim
 //
 // What is deliberately NOT serialized, and why that is sound:
 //   - derived state (occVCs/busyInj, the inEmpty/inFull/freeMask/routed
-//     status words, swDesc, input-VC owner/dst caches, nextGen): recomputed
-//     exactly from the durable state;
-//   - per-cycle scratch (moves, reqsFlat, genScratch, killScratch, shard
+//     status words, want/wantOut, input-VC dst and set-id caches, nextGen):
+//     recomputed exactly from the durable state;
+//   - per-cycle scratch (moves, genScratch, killScratch, shard
 //     buffers): dead between cycles;
 //   - the fresh masks and freshInj: provably zero between cycles — a set
 //     fresh bit implies a non-empty routed VC (or busy injection channel) on
@@ -542,9 +542,8 @@ func (e *Engine) reset() {
 		nd := &e.nodes[i]
 		for c := range nd.in {
 			nd.in[c].buf.Reset()
-			nd.in[c].dst = 0
+			nd.in[c].dst, nd.in[c].set = 0, 0
 			nd.routes[c] = routeInfo{}
-			nd.swDesc[c] = 0
 			nd.outVCs[c].Release()
 			nd.lastTx[c] = -1
 		}
@@ -556,6 +555,7 @@ func (e *Engine) reset() {
 		clear(nd.inj)
 		clear(nd.ej)
 		nd.occVCs, nd.busyInj = 0, 0
+		nd.wantOut, _ = e.deriveWants(nd, nd.want)
 		nd.queue = srcQueue{}
 		clear(nd.recovery)
 		nd.recovery = nd.recovery[:0]
@@ -622,7 +622,7 @@ func (e *Engine) load(snap *Snapshot) error {
 		// always matches the engine's current one (all-alive after New,
 		// rebuilt at every epoch flip): rebuild it only if the mask moved.
 		if changed {
-			e.cand = buildCandTable(e.alg, e.topo.Nodes())
+			e.cand = e.buildCandTable()
 		}
 	} else if len(snap.LinksUp) != 0 || len(snap.RoutersUp) != 0 {
 		return fmt.Errorf("%w: snapshot carries liveness state but faults are off", ErrSnapshotInvalid)
@@ -712,14 +712,8 @@ func (e *Engine) load(snap *Snapshot) error {
 				return fmt.Errorf("%w: node %d vc %d route out of range", ErrSnapshotInvalid, i, c)
 			}
 			if sv.Route.Valid {
-				r := loadRoute(sv.Route)
-				nd.routes[c] = r
+				nd.routes[c] = loadRoute(sv.Route)
 				nd.routed[p] |= bit
-				if r.eject {
-					nd.swDesc[c] = uint16(e.numPhys+int(r.ejCh)) << 8
-				} else {
-					nd.swDesc[c] = uint16(r.outPort)<<8 | uint16(r.outVC)
-				}
 			}
 		}
 
@@ -754,6 +748,10 @@ func (e *Engine) load(snap *Snapshot) error {
 				dst:   topology.NodeID(si.Dst),
 			}
 			nd.busyInj++
+		}
+		var ok bool
+		if nd.wantOut, ok = e.deriveWants(nd, nd.want); !ok {
+			return fmt.Errorf("%w: node %d routes two agents to one output channel", ErrSnapshotInvalid, i)
 		}
 
 		for j := range nd.ej {
