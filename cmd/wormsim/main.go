@@ -377,12 +377,12 @@ func run() int {
 	}
 	if *ckptPath != "" {
 		opts.CheckpointEvery = *ckptEvery
+		var snap sim.Snapshot // checkpoints are serial and written out before the next: one storage
 		opts.Checkpoint = func(e *sim.Engine) error {
-			s, err := e.Snapshot()
-			if err != nil {
+			if err := e.SnapshotInto(&snap); err != nil {
 				return err
 			}
-			return checkpoint.WriteFile(*ckptPath, s)
+			return checkpoint.WriteFile(*ckptPath, &snap)
 		}
 	}
 	rep := supervisor.Run(e, opts)

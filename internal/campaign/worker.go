@@ -316,7 +316,8 @@ func (w *worker) runAssignment(ctx context.Context, a *Assignment) error {
 	}()
 
 	spec := a.Spec
-	ending := false // the supervisor left Running: the next flush is the final one
+	ending := false       // the supervisor left Running: the next flush is the final one
+	var snap sim.Snapshot // every checkpoint's storage: they are serial, and encoded before the hook returns
 	rep := supervisor.Run(eng, supervisor.Options{
 		WallBudget:      time.Duration(spec.PointWallMS) * time.Millisecond,
 		StallWindow:     spec.StallWindow,
@@ -336,13 +337,12 @@ func (w *worker) runAssignment(ctx context.Context, a *Assignment) error {
 			if !ending && ctx.Err() != nil {
 				return ctx.Err()
 			}
-			snap, err := e.Snapshot()
-			if err != nil {
+			if err := e.SnapshotInto(&snap); err != nil {
 				return err
 			}
 			snap.Metrics = reg.Snapshot()
 			var buf bytes.Buffer
-			if err := checkpoint.Encode(&buf, snap); err != nil {
+			if err := checkpoint.Encode(&buf, &snap); err != nil {
 				return err
 			}
 			if err := w.cl.UploadCheckpoint(a.Campaign, a.Lease, buf.Bytes()); err != nil {

@@ -144,6 +144,55 @@ func TestRestoreParentWrittenCheckpoint(t *testing.T) {
 	}
 }
 
+// TestSnapshotIntoParentWrittenCheckpoint holds the storing form of Snapshot to
+// the same fixture: restored from the file, the engine snapshots into dirty
+// storage — here a later, larger state of the same run — to the very bytes a
+// new Snapshot encodes to, which are the file's.
+func TestSnapshotIntoParentWrittenCheckpoint(t *testing.T) {
+	const fixture = "testdata/written_by_pr13.wncp"
+	raw, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := sim.RestoreEngine(shortConfig(), snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < 400; i++ {
+		e.Step()
+	}
+	var dirty sim.Snapshot
+	if err := e.SnapshotInto(&dirty); err != nil {
+		t.Fatal(err)
+	}
+	later := len(encodeBytes(t, &dirty))
+	if err := e.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SnapshotInto(&dirty); err != nil {
+		t.Fatal(err)
+	}
+	got := encodeBytes(t, &dirty)
+	if later <= len(got) {
+		t.Fatalf("the dirtying state (%d bytes) is no larger than the fixture's (%d)", later, len(got))
+	}
+	if !bytes.Equal(got, encodeBytes(t, fresh)) {
+		t.Error("SnapshotInto dirty storage and Snapshot encode the restored fixture differently")
+	}
+	if !bytes.Equal(got, raw) {
+		t.Error("SnapshotInto of the restored fixture no longer encodes to the bytes the parent commit wrote")
+	}
+}
+
 // TestWriteFileAtomic pins the no-torn-file contract: WriteFile replaces an
 // existing checkpoint in place and leaves no temporary files behind.
 func TestWriteFileAtomic(t *testing.T) {

@@ -102,9 +102,9 @@ func (t *BlockTracker) Progress(i int) {
 // Count returns channel i's current consecutive-blockage count.
 func (t *BlockTracker) Count(i int) int32 { return t.counters[i] }
 
-// Counters returns a copy of all per-channel counters (snapshot support).
-func (t *BlockTracker) Counters() []int32 {
-	return append([]int32(nil), t.counters...)
+// AppendCounters appends all per-channel counters to dst (snapshot support).
+func (t *BlockTracker) AppendCounters(dst []int32) []int32 {
+	return append(dst, t.counters...)
 }
 
 // RestoreCounters overwrites the per-channel counters and recomputes hot

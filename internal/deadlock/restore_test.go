@@ -14,7 +14,7 @@ func TestBlockTrackerRestore(t *testing.T) {
 		src.Blocked(3)
 	}
 	src.Blocked(3) // counters: [0 4 0 5 0 0]
-	saved := src.Counters()
+	saved := src.AppendCounters(nil)
 
 	// Restore into an armed tracker: hot counts entries >= its watermark.
 	armed := NewBlockTracker(6)

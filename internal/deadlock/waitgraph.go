@@ -1,6 +1,6 @@
 package deadlock
 
-import "sort"
+import "slices"
 
 // WaitGraph is the ground-truth deadlock oracle: an explicit channel-wait
 // graph over the in-flight messages of a network state, with the OR
@@ -25,30 +25,39 @@ import "sort"
 // deterministic continuation (see internal/modelcheck), so a bug here is
 // caught as an "oracle unsound" counterexample rather than trusted.
 type WaitGraph struct {
-	msgs  map[int64]*wgMsg
-	order []int64 // insertion order, for deterministic iteration
+	index    map[int64]int32 // message ID -> position in msgs
+	msgs     []wgMsg         // insertion order, for deterministic iteration
+	blockers []int64         // the blockers of every option, back to back
 }
 
 // wgMsg is one in-flight message in the graph.
 type wgMsg struct {
+	id      int64
 	live    bool
-	blocked bool      // registered via AddBlocked
-	opts    [][]int64 // each option: message IDs blocking it (empty = free)
+	blocked bool       // registered via AddBlocked
+	opts    [][2]int32 // each option: its range of blockers (empty = free)
 }
 
 // NewWaitGraph returns an empty wait graph.
 func NewWaitGraph() *WaitGraph {
-	return &WaitGraph{msgs: make(map[int64]*wgMsg)}
+	return &WaitGraph{index: make(map[int64]int32)}
+}
+
+// Reset empties the graph, keeping its storage for the next state's.
+func (g *WaitGraph) Reset() {
+	clear(g.index)
+	g.msgs, g.blockers = g.msgs[:0], g.blockers[:0]
 }
 
 func (g *WaitGraph) get(id int64) *wgMsg {
-	m, ok := g.msgs[id]
+	i, ok := g.index[id]
 	if !ok {
-		m = &wgMsg{}
-		g.msgs[id] = m
-		g.order = append(g.order, id)
+		i = int32(len(g.msgs))
+		g.index[id] = i
+		g.msgs = slices.Grow(g.msgs, 1)[:i+1] // a slot an earlier graph used keeps its opts storage
+		g.msgs[i] = wgMsg{id: id, opts: g.msgs[i].opts[:0]}
 	}
-	return m
+	return &g.msgs[i]
 }
 
 // AddLive registers message id as able to make progress on its own: its
@@ -73,33 +82,35 @@ func (g *WaitGraph) AddOption(id int64, blockers ...int64) {
 		m.live = true
 		return
 	}
-	m.opts = append(m.opts, append([]int64(nil), blockers...))
+	lo := int32(len(g.blockers))
+	g.blockers = append(g.blockers, blockers...)
+	m.opts = append(m.opts, [2]int32{lo, int32(len(g.blockers))})
 }
 
 // Len returns the number of messages in the graph.
-func (g *WaitGraph) Len() int { return len(g.order) }
+func (g *WaitGraph) Len() int { return len(g.msgs) }
 
 // Deadlocked computes the liveness fixpoint and returns the IDs of the
 // messages that can never advance, in ascending order. An empty result
 // means the state is deadlock-free.
 func (g *WaitGraph) Deadlocked() []int64 {
 	isLive := func(id int64) bool {
-		m, ok := g.msgs[id]
-		return !ok || m.live
+		i, ok := g.index[id]
+		return !ok || g.msgs[i].live
 	}
 	// Propagate liveness to a fixpoint: a blocked message becomes live as
 	// soon as one of its options is blocked only by live messages. The
 	// graph is tiny (bounded messages), so the quadratic sweep is fine.
 	for changed := true; changed; {
 		changed = false
-		for _, id := range g.order {
-			m := g.msgs[id]
+		for i := range g.msgs {
+			m := &g.msgs[i]
 			if m.live {
 				continue
 			}
 			for _, opt := range m.opts {
 				ok := true
-				for _, b := range opt {
+				for _, b := range g.blockers[opt[0]:opt[1]] {
 					if !isLive(b) {
 						ok = false
 						break
@@ -114,12 +125,12 @@ func (g *WaitGraph) Deadlocked() []int64 {
 		}
 	}
 	var dead []int64
-	for _, id := range g.order {
-		if m := g.msgs[id]; m.blocked && !m.live {
-			dead = append(dead, id)
+	for i := range g.msgs {
+		if m := &g.msgs[i]; m.blocked && !m.live {
+			dead = append(dead, m.id)
 		}
 	}
-	sort.Slice(dead, func(a, b int) bool { return dead[a] < dead[b] })
+	slices.Sort(dead)
 	return dead
 }
 
@@ -129,20 +140,20 @@ func (g *WaitGraph) HasDeadlock() bool { return len(g.Deadlocked()) > 0 }
 // WaitsOn returns, for a blocked message, the union of messages blocking
 // any of its options (diagnostics for counterexample reports), ascending.
 func (g *WaitGraph) WaitsOn(id int64) []int64 {
-	m, ok := g.msgs[id]
+	i, ok := g.index[id]
 	if !ok {
 		return nil
 	}
 	seen := make(map[int64]struct{})
 	var out []int64
-	for _, opt := range m.opts {
-		for _, b := range opt {
+	for _, opt := range g.msgs[i].opts {
+		for _, b := range g.blockers[opt[0]:opt[1]] {
 			if _, dup := seen[b]; !dup {
 				seen[b] = struct{}{}
 				out = append(out, b)
 			}
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }

@@ -100,6 +100,19 @@ type Explorer struct {
 	// use, dropped when it returns): work executes the actions, aux takes the
 	// checks that must not disturb it (round trip, probe, minimisation).
 	work, aux *sim.Engine
+
+	// A visited state is stored, not allocated. A snapshot has one owner, which
+	// alone writes it: a frontier entry, until expanded or found a duplicate; then
+	// the spare list entryFrom draws from; roundTrip, checkRoundTrip's scratch; or
+	// a Counterexample, which keeps the one it reports (emitCounterexample gives
+	// its entry a fresh one). canon, recovered, onDeadlock: hashing and step scratch.
+	spare      []*sim.Snapshot
+	roundTrip  sim.Snapshot
+	canon      sim.CanonBuf
+	recovered  []int64
+	onDeadlock trace.Listener
+	// onCounterexample is a test hook: it sees each counterexample as emitted.
+	onCounterexample func(*Counterexample)
 }
 
 // New prepares an exploration of spec from the initial (empty) state.
@@ -113,7 +126,7 @@ func New(spec Spec, opt Options) (*Explorer, error) {
 		return nil, err
 	}
 	x.digest = root.snap.Config
-	h, err := root.snap.CanonicalHash()
+	h, err := x.canon.Hash(root.snap)
 	if err != nil {
 		return nil, err
 	}
@@ -158,10 +171,15 @@ func (x *Explorer) materialize(schedule [][]int) (*entry, error) {
 	return x.entryFrom(e, done, used)
 }
 
-// entryFrom captures a live engine as a frontier entry.
+// entryFrom captures a live engine as a frontier entry (in a spare snapshot).
 func (x *Explorer) entryFrom(e *sim.Engine, schedule *sched, used uint32) (*entry, error) {
-	snap, err := e.Snapshot()
-	if err != nil {
+	var snap *sim.Snapshot
+	if n := len(x.spare); n > 0 {
+		snap, x.spare = x.spare[n-1], x.spare[:n-1]
+	} else {
+		snap = new(sim.Snapshot)
+	}
+	if err := e.SnapshotInto(snap); err != nil {
 		return nil, err
 	}
 	src, rec := e.QueueLengths()
@@ -186,6 +204,11 @@ func (x *Explorer) Run() (*Report, error) {
 		}
 		x.work, x.aux = nil, nil
 	}()
+	x.onDeadlock = trace.Func(func(ev trace.Event) {
+		if ev.Kind == trace.KindDeadlock {
+			x.recovered = append(x.recovered, ev.Msg)
+		}
+	})
 	allUsed := uint32(1)<<uint(len(x.spec.Messages)) - 1
 	for len(x.stack) > 0 {
 		if x.rep.States >= x.spec.MaxStates {
@@ -198,6 +221,7 @@ func (x *Explorer) Run() (*Report, error) {
 		if err := x.expand(parent, allUsed); err != nil {
 			return nil, err
 		}
+		x.spare = append(x.spare, parent.snap) // expanded: nothing restores it again
 	}
 	if len(x.stack) == 0 {
 		x.rep.Exhausted = true
@@ -265,12 +289,8 @@ func (x *Explorer) step(parent *entry, inject []int) error {
 		x.spec.inject(e, i)
 		used |= 1 << uint(i)
 	}
-	var recovered []int64
-	e.SetListener(trace.Func(func(ev trace.Event) {
-		if ev.Kind == trace.KindDeadlock {
-			recovered = append(recovered, ev.Msg)
-		}
-	}))
+	x.recovered = x.recovered[:0]
+	e.SetListener(x.onDeadlock)
 	e.Step()
 	e.SetListener(nil)
 	x.rep.Edges++
@@ -279,7 +299,7 @@ func (x *Explorer) step(parent *entry, inject []int) error {
 	// messages are true positives, the rest false positives. The parent's
 	// ground truth still applies — boundary injections only touch source
 	// queues, never in-network state.
-	for _, id := range recovered {
+	for _, id := range x.recovered {
 		if containsID(parent.gt, id) {
 			x.rep.TruePositives++
 		} else {
@@ -291,12 +311,13 @@ func (x *Explorer) step(parent *entry, inject []int) error {
 	if err != nil {
 		return err
 	}
-	h, err := child.snap.CanonicalHash()
+	h, err := x.canon.Hash(child.snap)
 	if err != nil {
 		return err
 	}
 	if _, dup := x.visited[h]; dup {
 		x.rep.DupEdges++
+		x.spare = append(x.spare, child.snap)
 		return nil
 	}
 	x.visited[h] = struct{}{}
@@ -352,16 +373,16 @@ func (x *Explorer) checkRoundTrip(child *entry, want [32]byte) error {
 	if err != nil {
 		return err
 	}
-	rs, err := r.Snapshot()
-	if err != nil {
+	if err := r.SnapshotInto(&x.roundTrip); err != nil {
 		return err
 	}
-	got, err := rs.CanonicalHash()
+	got, err := x.canon.Hash(&x.roundTrip)
 	if err != nil {
 		return err
 	}
 	if got != want {
-		return fmt.Errorf("restored state hashes %x, original %x", got[:8], want[:8])
+		// Whole hashes: slicing them here would move both to the heap on every call.
+		return fmt.Errorf("restored state hashes %x, original %x", got, want)
 	}
 	return nil
 }
@@ -440,10 +461,20 @@ func (x *Explorer) emitCounterexample(state *entry, kind CxKind, detail string) 
 		GT:       state.gt,
 		Snap:     state.snap,
 	}
+	// cx keeps the snapshot: the entry, to be expanded and then recycled, gets a
+	// fresh one by replay, as a resumed frontier does.
+	fresh, err := x.materialize(cx.Schedule)
+	if err != nil {
+		return err
+	}
+	state.snap = fresh.snap
 	if kind == CxFalseNegative {
 		x.minimize(cx)
 	}
 	x.rep.Counterexamples = append(x.rep.Counterexamples, fmt.Sprintf("%s: %s", kind, cx.Detail))
+	if x.onCounterexample != nil {
+		x.onCounterexample(cx)
+	}
 	if x.opt.CounterexampleDir == "" {
 		return nil
 	}

@@ -328,6 +328,17 @@ type Engine struct {
 
 	// digest caches ConfigDigest(cfg) from its first use (configDigest).
 	digest string
+	// Scratch of the state walks, nil until first used, touched only by their
+	// caller's goroutine: seen and reach collect the reachable messages
+	// (SnapshotInto; BuildWaitGraph sorts reach instead), waitGraph and headers are
+	// BuildWaitGraph's, loadObjs is load's table, loaded what loadedMessage recycles.
+	seen       map[*message.Message]struct{}
+	reach      []*message.Message
+	waitGraph  *deadlock.WaitGraph
+	headers    map[*message.Message]headerSite
+	loadObjs   []*message.Message
+	loaded     []*message.Message
+	loadedUsed int
 }
 
 // New builds a simulation engine from cfg. It validates the configuration

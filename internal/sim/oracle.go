@@ -6,15 +6,23 @@ package sim
 // read-only over engine state and must be called between Step calls.
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"wormnet/internal/core"
 	"wormnet/internal/deadlock"
 	"wormnet/internal/message"
 	"wormnet/internal/topology"
 )
+
+// headerSite is where a message's header flit sits.
+type headerSite struct {
+	nd    *node
+	agent int // input VC index, or injection-channel index when inj
+	inj   bool
+}
 
 // BuildWaitGraph constructs the channel-wait graph of the current state:
 // every in-flight message classified at the site of its header flit. A
@@ -24,33 +32,25 @@ import (
 // per admissible output virtual channel — blocked by the channel's owner,
 // or by the message whose flits still occupy the (otherwise free)
 // channel's downstream buffer. See deadlock.WaitGraph for the liveness
-// fixpoint that turns this into the ground-truth deadlocked set.
+// fixpoint that turns this into the ground-truth deadlocked set. The graph
+// is the engine's own, rebuilt in place: it is valid until the next call.
 func (e *Engine) BuildWaitGraph() *deadlock.WaitGraph {
-	g := deadlock.NewWaitGraph()
-	type headerSite struct {
-		nd    *node
-		agent int // input VC index, or injection-channel index when inj
-		inj   bool
+	if e.waitGraph == nil {
+		e.waitGraph, e.headers = deadlock.NewWaitGraph(), make(map[*message.Message]headerSite)
 	}
+	g, headers, msgs := e.waitGraph, e.headers, e.reach[:0]
+	g.Reset()
+	clear(headers)
 	// Collect every in-flight message and locate its header flit. Messages
 	// waiting in source/recovery/retry queues hold no network resources and
 	// are outside the graph.
-	headers := make(map[*message.Message]headerSite)
-	seen := make(map[*message.Message]struct{})
-	var msgs []*message.Message
-	add := func(m *message.Message) {
-		if _, ok := seen[m]; !ok {
-			seen[m] = struct{}{}
-			msgs = append(msgs, m)
-		}
-	}
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		for a := range nd.in {
 			b := &nd.in[a].buf
 			for j := 0; j < b.Len(); j++ {
 				f := b.At(j)
-				add(f.Msg)
+				msgs = append(msgs, f.Msg)
 				if f.Head {
 					headers[f.Msg] = headerSite{nd: nd, agent: a}
 				}
@@ -61,7 +61,7 @@ func (e *Engine) BuildWaitGraph() *deadlock.WaitGraph {
 			if ic.msg == nil {
 				continue
 			}
-			add(ic.msg)
+			msgs = append(msgs, ic.msg)
 			if ic.left == ic.len {
 				// The head flit has not been streamed yet: the header is
 				// the injection channel itself.
@@ -70,16 +70,19 @@ func (e *Engine) BuildWaitGraph() *deadlock.WaitGraph {
 		}
 		for c := range nd.ej {
 			if m := nd.ej[c].msg; m != nil {
-				add(m)
+				msgs = append(msgs, m)
 			}
 		}
 		for v := range nd.outVCs {
 			if m := nd.outVCs[v].Owner(); m != nil {
-				add(m)
+				msgs = append(msgs, m)
 			}
 		}
 	}
-	sort.Slice(msgs, func(a, b int) bool { return msgs[a].ID < msgs[b].ID })
+	// Every reference was collected: sorting by ID puts one message's together.
+	slices.SortFunc(msgs, func(a, b *message.Message) int { return cmp.Compare(a.ID, b.ID) })
+	msgs = slices.Compact(msgs)
+	e.reach = msgs
 
 	for _, m := range msgs {
 		id := int64(m.ID)

@@ -566,18 +566,21 @@ func occupiedVC(s *Snapshot, a, n int) *SnapVC {
 // engine. Every one must come back as ErrSnapshotInvalid — never a panic,
 // never a quietly wrong engine — and must leave nothing behind: the good
 // snapshot restored next has to reproduce its hash and deep-equal a fresh
-// restore, run after run on the same engine.
+// restore, run after run on the same engine. Each accepted restore is then
+// snapshotted into the storage of the iteration before — the hostile snapshot,
+// overlong lists, lying paths and all — and must hash like the good one again.
 func FuzzRestoreInPlace(f *testing.F) {
 	type target struct {
 		cfg  Config
 		good *Snapshot
 		hash [32]byte
 		e    *Engine
+		prev *Snapshot // the previous iteration's hostile snapshot: dirty storage
 	}
 	var targets []*target
 	for _, name := range []string{"faults", "adversarial", "dril"} {
 		sc := restoreScenarios()[name]
-		t := &target{cfg: sc.cfg}
+		t := &target{cfg: sc.cfg, prev: new(Snapshot)}
 		e, err := New(sc.cfg)
 		if err != nil {
 			f.Fatal(err)
@@ -627,6 +630,16 @@ func FuzzRestoreInPlace(f *testing.F) {
 		if !reflect.DeepEqual(snap, tg.good) {
 			t.Fatalf("state leaked from the hostile snapshot into the next restore")
 		}
+		if err := tg.e.SnapshotInto(tg.prev); err != nil {
+			t.Fatal(err)
+		}
+		if h, err := tg.prev.CanonicalHash(); err != nil || h != tg.hash {
+			t.Fatalf("snapshot into the previous iteration's storage hashes %x, want %x (err %v)", h[:8], tg.hash[:8], err)
+		}
+		if into, want := gobRoundTrip(t, tg.prev), gobRoundTrip(t, tg.good); !reflect.DeepEqual(into, want) {
+			t.Fatalf("snapshot into the previous iteration's storage decodes to another state")
+		}
+		tg.prev = bad
 	})
 }
 
@@ -652,12 +665,33 @@ func modelEngine(t *testing.T) (*Engine, *Snapshot) {
 	return e, snap
 }
 
-// TestRestoreAllocCeiling pins the per-state cost the explorer pays: one
-// in-place Restore, one Snapshot and one CanonicalHash of the model engine.
-// The ceiling has a little headroom over the measured 62; building an engine
-// per restore, or a digest per snapshot, costs several times as much.
+// TestRestoreAllocCeiling pins the per-state cost the explorer pays — one
+// in-place Restore, one snapshot and one canonical hash of the model engine —
+// in both forms: stored (SnapshotInto kept storage, hashed through a kept
+// CanonBuf: the four PCG marshals and nothing else) and allocated (Snapshot
+// and CanonicalHash anew: measured 45, with a little headroom). Building an
+// engine per restore, or a digest per snapshot, costs several times as much.
 func TestRestoreAllocCeiling(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector allocates: counts are pinned on the plain build")
+	}
 	e, snap := modelEngine(t)
+	var dst Snapshot
+	var canon CanonBuf
+	stored := testing.AllocsPerRun(200, func() {
+		if err := e.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SnapshotInto(&dst); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := canon.Hash(&dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if ceiling := float64(len(e.nodes)); stored > ceiling {
+		t.Errorf("Restore+SnapshotInto+CanonBuf.Hash: %.0f allocations, ceiling %.0f (one per node)", stored, ceiling)
+	}
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := e.Restore(snap); err != nil {
 			t.Fatal(err)
@@ -670,7 +704,7 @@ func TestRestoreAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const ceiling = 70
+	const ceiling = 50
 	if allocs > ceiling {
 		t.Errorf("Restore+Snapshot+CanonicalHash: %.0f allocations, ceiling %d", allocs, ceiling)
 	}

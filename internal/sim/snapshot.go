@@ -229,9 +229,22 @@ func ConfigDigest(cfg Config) (string, error) {
 	return strings.TrimSpace(b.String()), nil
 }
 
-// message builds the object sm describes.
-func (sm *SnapMessage) message() *message.Message {
-	m := &message.Message{
+// loadedMessage builds the object sm describes. One that is not pool-born
+// (Inject's: every message of a model-checker state) is only ever referenced by
+// the engine — never handed out, never in the pool — so reset frees them all
+// and the next load overwrites them, Path storage kept, instead of allocating.
+func (e *Engine) loadedMessage(sm *SnapMessage) *message.Message {
+	var m *message.Message
+	if sm.Pooled {
+		m = new(message.Message)
+	} else {
+		if e.loadedUsed == len(e.loaded) {
+			e.loaded = append(e.loaded, new(message.Message))
+		}
+		m = e.loaded[e.loadedUsed]
+		e.loadedUsed++
+	}
+	*m = message.Message{
 		ID:           message.ID(sm.ID),
 		Src:          topology.NodeID(sm.Src),
 		Dst:          topology.NodeID(sm.Dst),
@@ -248,12 +261,10 @@ func (sm *SnapMessage) message() *message.Message {
 		DropReason:   message.DropReason(sm.DropReason),
 		Measured:     sm.Measured,
 		Pooled:       sm.Pooled,
+		Path:         slices.Grow(m.Path[:0], len(sm.Path)),
 	}
-	if len(sm.Path) > 0 {
-		m.Path = make([]message.PathLoc, len(sm.Path))
-		for j, pl := range sm.Path {
-			m.Path[j] = message.PathLoc{Node: topology.NodeID(pl.Node), Port: topology.Port(pl.Port), VC: pl.VC}
-		}
+	for _, pl := range sm.Path {
+		m.Path = append(m.Path, message.PathLoc{Node: topology.NodeID(pl.Node), Port: topology.Port(pl.Port), VC: pl.VC})
 	}
 	return m
 }
@@ -286,11 +297,35 @@ func (e *Engine) routeInRange(s SnapRoute) bool {
 	return !s.Valid || s.OutPort >= 0 && int(s.OutPort) < e.numPhys && s.OutVC >= 0 && int(s.OutVC) < e.cfg.VCs
 }
 
-// Snapshot captures the engine's complete state. It must be called between
-// Step calls (never from inside a listener or sample hook). The engine is
-// not modified; the returned snapshot shares nothing with it.
+// Snapshot is SnapshotInto a new, zero Snapshot.
 func (e *Engine) Snapshot() (*Snapshot, error) {
-	s := &Snapshot{
+	s := new(Snapshot)
+	return s, e.SnapshotInto(s)
+}
+
+// resize returns s with length n, reusing its storage; callers overwrite every element.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// addMessage appends sm to s.Messages and returns it there, with the Path
+// storage an earlier snapshot left in that slot, emptied.
+func (s *Snapshot) addMessage(sm SnapMessage) *SnapMessage {
+	n := len(s.Messages)
+	if n < cap(s.Messages) {
+		sm.Path = s.Messages[:n+1][n].Path[:0]
+	}
+	s.Messages = append(s.Messages, sm)
+	return &s.Messages[n]
+}
+
+// SnapshotInto captures the engine's complete state in s: the one walk over its
+// durable state. s may hold anything — an earlier snapshot's slices, nested ones
+// included, are overwritten and reused, and one left empty stands for the nil of
+// a new snapshot (gob and the canonical form write both alike). Call it between
+// Step calls (never from a listener or sample hook), on one goroutine at a time,
+// while nothing reads s. The engine is not modified, the result shares no memory
+// with it, and an error leaves s half-written.
+func (e *Engine) SnapshotInto(s *Snapshot) error {
+	*s = Snapshot{
 		Config:         e.configDigest(),
 		Now:            e.now,
 		NextID:         int64(e.nextID),
@@ -303,12 +338,17 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		SourcesStopped: e.sourcesStopped,
 		FaultIdx:       e.faultIdx,
 		Epoch:          e.epoch,
-		Stats:          e.col.State(),
+		LinksUp:        s.LinksUp[:0],
+		RoutersUp:      s.RoutersUp[:0],
+		Messages:       s.Messages[:0],
+		Nodes:          resize(s.Nodes, len(e.nodes)),
+		Stats:          s.Stats,
 	}
+	e.col.StateInto(&s.Stats)
 	if e.live != nil {
 		nPorts := e.topo.NumPorts()
-		s.LinksUp = make([]bool, len(e.nodes)*nPorts)
-		s.RoutersUp = make([]bool, len(e.nodes))
+		s.LinksUp = resize(s.LinksUp, len(e.nodes)*nPorts)
+		s.RoutersUp = resize(s.RoutersUp, len(e.nodes))
 		for n := range e.nodes {
 			id := topology.NodeID(n)
 			s.RoutersUp[n] = e.live.RouterAlive(id)
@@ -324,100 +364,86 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	// Collect every reachable message exactly once, then serialize the
 	// per-node state referencing them by ID.
 	s.Messages = slices.Grow(s.Messages, int(e.InFlight())) // every live message is reachable
-	seen := make(map[*message.Message]struct{})
-	var msgs []*message.Message
+	if e.seen == nil {
+		e.seen = make(map[*message.Message]struct{})
+	}
+	clear(e.seen)
+	msgs := e.reach[:0]
 	add := func(m *message.Message) {
-		if m == nil {
-			return
+		if _, ok := e.seen[m]; !ok && m != nil {
+			e.seen[m] = struct{}{}
+			msgs = append(msgs, m)
 		}
-		if _, ok := seen[m]; ok {
-			return
-		}
-		seen[m] = struct{}{}
-		msgs = append(msgs, m)
 	}
 	nVC := e.numPhys * e.cfg.VCs
-	s.Nodes = make([]SnapNode, len(e.nodes))
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		sn := &s.Nodes[i]
 
-		sn.In = make([]SnapVC, nVC)
+		sn.In = resize(sn.In, nVC)
 		for c := 0; c < nVC; c++ {
 			ivc := &nd.in[c]
 			n := ivc.buf.Len()
-			if n > 0 {
-				flits := make([]SnapFlit, n)
-				for j := 0; j < n; j++ {
-					f := ivc.buf.At(j)
-					add(f.Msg)
-					flits[j] = SnapFlit{Msg: int64(f.Msg.ID), Seq: f.Seq, Head: f.Head, Tail: f.Tail}
-				}
-				sn.In[c].Flits = flits
+			flits := slices.Grow(sn.In[c].Flits[:0], n)
+			for j := 0; j < n; j++ {
+				f := ivc.buf.At(j)
+				add(f.Msg)
+				flits = append(flits, SnapFlit{Msg: int64(f.Msg.ID), Seq: f.Seq, Head: f.Head, Tail: f.Tail})
 			}
-			sn.In[c].Route = snapRoute(nd.routes[c])
+			sn.In[c] = SnapVC{Flits: flits, Route: snapRoute(nd.routes[c])}
 		}
 
-		sn.OutOwner = make([]int64, nVC)
+		sn.OutOwner = resize(sn.OutOwner, nVC)
 		for v := 0; v < nVC; v++ {
+			sn.OutOwner[v] = -1
 			if m := nd.outVCs[v].Owner(); m != nil {
 				add(m)
 				sn.OutOwner[v] = int64(m.ID)
-			} else {
-				sn.OutOwner[v] = -1
 			}
 		}
 
-		sn.Inj = make([]SnapInj, len(nd.inj))
+		sn.Inj = resize(sn.Inj, len(nd.inj))
 		for j := range nd.inj {
 			ic := &nd.inj[j]
-			si := SnapInj{Msg: -1}
+			sn.Inj[j] = SnapInj{Msg: -1}
 			if ic.msg != nil {
 				add(ic.msg)
-				si = SnapInj{
-					Msg:   int64(ic.msg.ID),
-					Route: snapRoute(ic.route),
-					Left:  ic.left,
-					Len:   ic.len,
-					Dst:   int32(ic.dst),
-				}
+				sn.Inj[j] = SnapInj{Msg: int64(ic.msg.ID), Route: snapRoute(ic.route), Left: ic.left, Len: ic.len, Dst: int32(ic.dst)}
 			}
-			sn.Inj[j] = si
 		}
 
-		sn.Ej = make([]SnapEj, len(nd.ej))
+		sn.Ej = resize(sn.Ej, len(nd.ej))
 		for j := range nd.ej {
 			ec := &nd.ej[j]
-			se := SnapEj{Msg: -1}
+			sn.Ej[j] = SnapEj{Msg: -1}
 			if ec.msg != nil {
 				add(ec.msg)
-				se = SnapEj{Msg: int64(ec.msg.ID), Pending: ec.pending}
+				sn.Ej[j] = SnapEj{Msg: int64(ec.msg.ID), Pending: ec.pending}
 			}
-			sn.Ej[j] = se
 		}
 
 		// A waiting message that is still only a record serializes as exactly
 		// the message it will become.
-		if n := nd.queue.Len(); n > 0 {
-			sn.Queue = make([]int64, 0, n)
-			e.waiting.each(&nd.queue, func(r *queued) {
-				sn.Queue = append(sn.Queue, int64(r.id))
-				if r.built {
-					add(e.built[r.id])
-					return
-				}
-				s.Messages = append(s.Messages, SnapMessage{
-					ID: int64(r.id), Src: int32(nd.id), Dst: int32(r.dst), Length: r.length,
-					GenTime: r.gen, InjectTime: -1, DeliverTime: -1,
-					State: int8(message.StateQueued), Injector: int32(nd.id),
-					Measured: r.measured, Pooled: true,
-				})
+		sn.Queue = slices.Grow(sn.Queue[:0], nd.queue.Len())
+		e.waiting.each(&nd.queue, func(r *queued) {
+			sn.Queue = append(sn.Queue, int64(r.id))
+			if r.built {
+				add(e.built[r.id])
+				return
+			}
+			s.addMessage(SnapMessage{
+				ID: int64(r.id), Src: int32(nd.id), Dst: int32(r.dst), Length: r.length,
+				GenTime: r.gen, InjectTime: -1, DeliverTime: -1,
+				State: int8(message.StateQueued), Injector: int32(nd.id),
+				Measured: r.measured, Pooled: true,
 			})
-		}
+		})
+		sn.Recovery = sn.Recovery[:0]
 		for _, pr := range nd.recovery {
 			add(pr.msg)
 			sn.Recovery = append(sn.Recovery, SnapPending{Msg: int64(pr.msg.ID), ReadyAt: pr.readyAt})
 		}
+		sn.Retry = sn.Retry[:0]
 		for _, pr := range nd.retry {
 			add(pr.msg)
 			sn.Retry = append(sn.Retry, SnapPending{Msg: int64(pr.msg.ID), ReadyAt: pr.readyAt})
@@ -425,28 +451,30 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 
 		gen, ok := nd.src.(traffic.Stateful)
 		if !ok {
-			return nil, fmt.Errorf("sim: generator %T is not snapshot-capable", nd.src)
+			return fmt.Errorf("sim: generator %T is not snapshot-capable", nd.src)
 		}
 		gs, err := gen.SaveState()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		sn.Gen = gs
 
+		sn.Limiter = nil
 		if sl, ok := nd.limiter.(core.StatefulLimiter); ok {
 			sn.Limiter = sl.SaveState()
 		}
 
-		sn.Blocked = nd.blocked.Counters()
-		sn.LastTx = append([]int64(nil), nd.lastTx...)
-		sn.ArbNext = make([]int32, len(nd.outArb))
+		sn.Blocked = nd.blocked.AppendCounters(sn.Blocked[:0])
+		sn.LastTx = append(sn.LastTx[:0], nd.lastTx...)
+		sn.ArbNext = resize(sn.ArbNext, len(nd.outArb))
 		for j := range nd.outArb {
 			sn.ArbNext[j] = int32(nd.outArb[j].Next())
 		}
 	}
 
+	e.reach = msgs
 	for _, m := range msgs {
-		sm := SnapMessage{
+		sm := s.addMessage(SnapMessage{
 			ID:           int64(m.ID),
 			Src:          int32(m.Src),
 			Dst:          int32(m.Dst),
@@ -463,17 +491,14 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 			DropReason:   string(m.DropReason),
 			Measured:     m.Measured,
 			Pooled:       m.Pooled,
+		})
+		sm.Path = slices.Grow(sm.Path, len(m.Path))
+		for _, pl := range m.Path {
+			sm.Path = append(sm.Path, SnapPath{Node: int32(pl.Node), Port: int8(pl.Port), VC: pl.VC})
 		}
-		if len(m.Path) > 0 {
-			sm.Path = make([]SnapPath, len(m.Path))
-			for j, pl := range m.Path {
-				sm.Path[j] = SnapPath{Node: int32(pl.Node), Port: int8(pl.Port), VC: pl.VC}
-			}
-		}
-		s.Messages = append(s.Messages, sm)
 	}
 	slices.SortFunc(s.Messages, func(a, b SnapMessage) int { return cmp.Compare(a.ID, b.ID) })
-	return s, nil
+	return nil
 }
 
 // configDigest returns ConfigDigest(e.cfg), built on first use and kept: the
@@ -564,6 +589,7 @@ func (e *Engine) reset() {
 	}
 	e.waiting.reset()
 	clear(e.built)
+	e.loadedUsed = 0
 	e.par.reset()
 }
 
@@ -633,7 +659,9 @@ func (e *Engine) load(snap *Snapshot) error {
 	// binary search, and a message becomes an object when the first reference
 	// that needs one is: a source queue takes the messages that are exactly what
 	// a waiting record serializes as back as records.
-	objs := make([]*message.Message, len(snap.Messages))
+	objs := resize(e.loadObjs, len(snap.Messages))
+	clear(objs)
+	e.loadObjs = objs
 	for i := range snap.Messages {
 		sm := &snap.Messages[i]
 		if i > 0 && sm.ID <= snap.Messages[i-1].ID {
@@ -652,7 +680,7 @@ func (e *Engine) load(snap *Snapshot) error {
 	}
 	obj := func(i int) *message.Message {
 		if objs[i] == nil {
-			objs[i] = snap.Messages[i].message()
+			objs[i] = e.loadedMessage(&snap.Messages[i])
 		}
 		return objs[i]
 	}

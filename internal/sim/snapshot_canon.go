@@ -84,9 +84,28 @@ func (w *canonWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
 // encoding, so callers comparing across configs must pin the digest
 // separately.
 func (s *Snapshot) CanonicalBytes() ([]byte, error) {
+	var c CanonBuf
+	err := c.encode(s)
+	return c.b, err
+}
+
+// CanonBuf is the storage the canonical encoding is built in, for a caller that
+// hashes many snapshots to keep (the zero value is ready; one goroutine at a time).
+type CanonBuf struct {
+	b       []byte
+	canon   map[int64]int32
+	byCanon []*SnapMessage
+}
+
+// encode leaves the canonical encoding of s in c.b.
+func (c *CanonBuf) encode(s *Snapshot) error {
 	// Pass 1: assign dense canonical indices to message IDs in the fixed
 	// traversal order.
-	canon := make(map[int64]int32, len(s.Messages))
+	if c.canon == nil {
+		c.canon, c.b = make(map[int64]int32, len(s.Messages)), make([]byte, 0, 1024)
+	}
+	canon := c.canon
+	clear(canon)
 	assign := func(id int64) {
 		if id < 0 {
 			return
@@ -134,7 +153,8 @@ func (s *Snapshot) CanonicalBytes() ([]byte, error) {
 		return canon[id]
 	}
 
-	w := &canonWriter{b: make([]byte, 0, 1024)}
+	// A local writer: appends go to the stack, not through c and its write barriers.
+	w := &canonWriter{b: c.b[:0]}
 	w.str("wncanon2") // format tag, bump on layout change
 	w.i64(s.Now)
 	w.boolean(s.SourcesStopped)
@@ -150,19 +170,21 @@ func (s *Snapshot) CanonicalBytes() ([]byte, error) {
 	}
 
 	// Messages in canonical order.
-	byCanon := make([]*SnapMessage, len(canon))
+	byCanon := resize(c.byCanon, len(canon))
+	clear(byCanon)
+	c.byCanon = byCanon
 	for i := range s.Messages {
 		sm := &s.Messages[i]
 		ci, ok := canon[sm.ID]
 		if !ok {
-			return nil, fmt.Errorf("%w: message %d in table but unreferenced", ErrSnapshotInvalid, sm.ID)
+			return fmt.Errorf("%w: message %d in table but unreferenced", ErrSnapshotInvalid, sm.ID)
 		}
 		byCanon[ci] = sm
 	}
 	w.i32(int32(len(byCanon)))
 	for ci, sm := range byCanon {
 		if sm == nil {
-			return nil, fmt.Errorf("%w: reference to message missing from table (canonical index %d)", ErrSnapshotInvalid, ci)
+			return fmt.Errorf("%w: reference to message missing from table (canonical index %d)", ErrSnapshotInvalid, ci)
 		}
 		w.i32(sm.Src)
 		w.i32(sm.Dst)
@@ -274,15 +296,20 @@ func (s *Snapshot) CanonicalBytes() ([]byte, error) {
 			w.i32(nx)
 		}
 	}
-	return w.b, nil
+	c.b = w.b
+	return nil
 }
 
 // CanonicalHash returns the SHA-256 of CanonicalBytes — the visited-set key
 // of the model checker.
 func (s *Snapshot) CanonicalHash() ([32]byte, error) {
-	b, err := s.CanonicalBytes()
-	if err != nil {
+	return new(CanonBuf).Hash(s)
+}
+
+// Hash is s.CanonicalHash() through c's storage.
+func (c *CanonBuf) Hash(s *Snapshot) ([32]byte, error) {
+	if err := c.encode(s); err != nil {
 		return [32]byte{}, err
 	}
-	return sha256.Sum256(b), nil
+	return sha256.Sum256(c.b), nil
 }

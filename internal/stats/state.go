@@ -33,11 +33,11 @@ type HistogramState struct {
 	Total   int64
 }
 
-// State exports the histogram.
-func (h *Histogram) State() HistogramState {
-	return HistogramState{
+// StateInto exports the histogram into dst, reusing dst's bucket storage.
+func (h *Histogram) StateInto(dst *HistogramState) {
+	*dst = HistogramState{
 		Width:   h.width,
-		Buckets: append([]int64(nil), h.buckets...),
+		Buckets: append(dst.Buckets[:0], h.buckets...),
 		Over:    h.over,
 		Total:   h.total,
 	}
@@ -60,9 +60,9 @@ type FairnessState struct {
 	Counts []int64
 }
 
-// State exports the tracker.
-func (f *Fairness) State() FairnessState {
-	return FairnessState{Counts: append([]int64(nil), f.counts...)}
+// StateInto exports the tracker into dst, reusing dst's storage.
+func (f *Fairness) StateInto(dst *FairnessState) {
+	dst.Counts = append(dst.Counts[:0], f.counts...)
 }
 
 // Restore loads a previously exported state. The node count must match.
@@ -146,14 +146,21 @@ type CollectorState struct {
 }
 
 // State exports the collector.
-func (c *Collector) State() CollectorState {
-	s := CollectorState{
+func (c *Collector) State() (s CollectorState) {
+	c.StateInto(&s)
+	return s
+}
+
+// StateInto exports the collector into dst, whatever dst held: its histogram
+// and fairness storage is reused, and the result shares no memory with c.
+func (c *Collector) StateInto(dst *CollectorState) {
+	*dst = CollectorState{
 		Nodes:          c.nodes,
 		WinStart:       c.winStart,
 		WinEnd:         c.winEnd,
 		Latency:        c.Latency.State(),
 		NetLatency:     c.NetLatency.State(),
-		Hist:           c.Hist.State(),
+		Hist:           dst.Hist,
 		GeneratedMsgs:  c.generatedMsgs,
 		DeliveredMsgs:  c.deliveredMsgs,
 		DeliveredFlits: c.deliveredFlits,
@@ -163,12 +170,14 @@ func (c *Collector) State() CollectorState {
 		AbortedMsgs:    c.abortedMsgs,
 		RetriedMsgs:    c.retriedMsgs,
 		DroppedMsgs:    c.droppedMsgs,
-		Fairness:       c.fairness.State(),
+		Fairness:       dst.Fairness,
 		Runs:           c.runs,
 	}
+	c.Hist.StateInto(&dst.Hist)
+	c.fairness.StateInto(&dst.Fairness)
 	if c.deliveredSeries != nil {
 		ts := c.deliveredSeries.State()
-		s.DeliveredSeries = &ts
+		dst.DeliveredSeries = &ts
 	}
 	if c.classes != nil {
 		cs := ClassesState{
@@ -186,9 +195,8 @@ func (c *Collector) State() CollectorState {
 				Latency:        a.latency.State(),
 			}
 		}
-		s.Classes = &cs
+		dst.Classes = &cs
 	}
-	return s
 }
 
 // Restore loads a previously exported state into c. The collector's geometry
