@@ -68,7 +68,15 @@ type BlockTracker struct {
 
 // NewBlockTracker returns a tracker for n input virtual channels.
 func NewBlockTracker(n int) *BlockTracker {
-	return &BlockTracker{counters: make([]int32, n)}
+	t := TrackerOver(make([]int32, n))
+	return &t
+}
+
+// TrackerOver returns a tracker, by value, whose counters are the zeroed slice
+// it is given: a caller with many trackers keeps them in one slice and cuts
+// their counters from one array. Use it through its address, never a copy.
+func TrackerOver(counters []int32) BlockTracker {
+	return BlockTracker{counters: counters}
 }
 
 // SetWatermark arms hot-counter tracking at the given level (<= 0 disables).

@@ -150,15 +150,15 @@ func SerialExecutor(cfg sim.Config) *sim.Engine {
 	return e
 }
 
-// mechanisms returns the paper's §4.2 comparison set in presentation order.
-func mechanisms() []struct {
+// mechanism is a named injection limiter.
+type mechanism struct {
 	name string
 	f    core.Factory
-} {
-	return []struct {
-		name string
-		f    core.Factory
-	}{
+}
+
+// mechanisms returns the paper's §4.2 comparison set in presentation order.
+func mechanisms() []mechanism {
+	return []mechanism{
 		{"none", baseline.NewNone()},
 		{"lf", baseline.NewLF()},
 		{"dril", baseline.NewDRIL()},
@@ -166,20 +166,33 @@ func mechanisms() []struct {
 	}
 }
 
-// runAll executes every config through exec, at most runtime.GOMAXPROCS(0)
-// at a time, preserving order.
+// runAll executes every config through exec on runtime.GOMAXPROCS(0) workers
+// and returns the engines in input order. The workers take the configs by
+// descending offered rate — a point's cost grows with its load, and starting
+// the longest first leaves the short ones to fill the tail, where an order
+// left to the scheduler can end on one core running the most expensive point
+// alone.
 func runAll(cfgs []sim.Config, exec Executor) []*sim.Engine {
 	engines := make([]*sim.Engine, len(cfgs))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	order := make([]int, len(cfgs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return cfgs[order[a]].Rate > cfgs[order[b]].Rate })
+	work := make(chan int, len(order))
+	for _, i := range order {
+		work <- i
+	}
+	close(work)
 	var wg sync.WaitGroup
-	for i, cfg := range cfgs {
+	for w := min(runtime.GOMAXPROCS(0), len(cfgs)); w > 0; w-- {
 		wg.Add(1)
-		go func(i int, cfg sim.Config) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			engines[i] = exec(cfg)
-		}(i, cfg)
+			for i := range work {
+				engines[i] = exec(cfgs[i])
+			}
+		}()
 	}
 	wg.Wait()
 	return engines
@@ -207,18 +220,25 @@ func replicate(cfg sim.Config, replicas int, exec Executor) *stats.Collector {
 	return col
 }
 
-// sweep runs one mechanism over a rate grid and returns its series.
-func sweep(base sim.Config, name string, f core.Factory, rates []float64, exec Executor) Series {
-	cfgs := make([]sim.Config, len(rates))
-	for i, r := range rates {
-		cfgs[i] = base.WithLimiter(name, f).WithRate(r)
+// sweep runs every mechanism over a rate grid, all points in one fan-out, and
+// returns a series for each.
+func sweep(base sim.Config, mechs []mechanism, rates []float64, exec Executor) []Series {
+	cfgs := make([]sim.Config, 0, len(mechs)*len(rates))
+	for _, m := range mechs {
+		for _, r := range rates {
+			cfgs = append(cfgs, base.WithLimiter(m.name, m.f).WithRate(r))
+		}
 	}
 	engines := runAll(cfgs, exec)
-	ser := Series{Name: name}
-	for i, e := range engines {
-		ser.Points = append(ser.Points, Point{Offered: rates[i], Result: e.Collector().Result()})
+	series := make([]Series, len(mechs))
+	for i, m := range mechs {
+		series[i].Name = m.name
+		for j, r := range rates {
+			e := engines[i*len(rates)+j]
+			series[i].Points = append(series[i].Points, Point{Offered: r, Result: e.Collector().Result()})
+		}
 	}
-	return ser
+	return series
 }
 
 // All returns every experiment in paper order. The "deadlocks" experiment
@@ -345,8 +365,8 @@ func Fig1() Experiment {
 		run: func(s Scale, exec Executor) Report {
 			base := s.baseConfig()
 			base.Pattern, base.MsgLen = "uniform", 16
-			ser := sweep(base, "none", baseline.NewNone(), s.Rates, exec)
-			return Report{ID: "fig1", Title: "Figure 1", Series: []Series{ser}}
+			none := []mechanism{{"none", baseline.NewNone()}}
+			return Report{ID: "fig1", Title: "Figure 1", Series: sweep(base, none, s.Rates, exec)}
 		},
 	}
 }
@@ -425,11 +445,7 @@ func latencyFigure(id, pattern string, msgLen int, perm bool) Experiment {
 			if perm {
 				rates = s.PermRates
 			}
-			rep := Report{ID: id, Title: title}
-			for _, m := range mechanisms() {
-				rep.Series = append(rep.Series, sweep(base, m.name, m.f, rates, exec))
-			}
-			return rep
+			return Report{ID: id, Title: title, Series: sweep(base, mechanisms(), rates, exec)}
 		},
 	}
 }

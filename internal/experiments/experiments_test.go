@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"wormnet/internal/sim"
@@ -258,6 +261,51 @@ func TestLatencyFigureAllMechanisms(t *testing.T) {
 	}
 	if got := strings.Count(csv, "\n"); got != 1+4*2 {
 		t.Errorf("CSV rows: %d", got)
+	}
+}
+
+// TestRunAllOrderAndOnce pins runAll's contract — engine i belongs to config i,
+// and exec ran once per config — at one worker and at four, and at one worker
+// the dispatch order too: descending rate, ties in input order.
+func TestRunAllOrderAndOnce(t *testing.T) {
+	rates := []float64{0.2, 0.9, 0.5, 0.9, 0.65, 0.2, 1.1}
+	cfgs := make([]sim.Config, len(rates))
+	for i, r := range rates {
+		cfgs[i] = tinyScale().baseConfig().WithRate(r)
+		cfgs[i].Seed = uint64(100 + i) // names the config in the engine it comes back as
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		var mu sync.Mutex
+		var calls []uint64
+		engines := runAll(cfgs, func(cfg sim.Config) *sim.Engine {
+			mu.Lock()
+			calls = append(calls, cfg.Seed)
+			mu.Unlock()
+			e, err := sim.New(cfg)
+			if err != nil {
+				t.Error(err)
+			}
+			return e
+		})
+		runtime.GOMAXPROCS(prev)
+		if len(engines) != len(cfgs) {
+			t.Fatalf("procs=%d: %d engines for %d configs", procs, len(engines), len(cfgs))
+		}
+		for i, e := range engines {
+			if e == nil || e.Config().Seed != cfgs[i].Seed || e.Config().Rate != rates[i] {
+				t.Errorf("procs=%d: engine %d is not config %d's", procs, i, i)
+			}
+		}
+		if procs == 1 {
+			if want := []uint64{106, 101, 103, 104, 102, 100, 105}; !slices.Equal(calls, want) {
+				t.Errorf("dispatch order %v, want longest first %v", calls, want)
+			}
+		}
+		slices.Sort(calls)
+		if want := []uint64{100, 101, 102, 103, 104, 105, 106}; !slices.Equal(calls, want) {
+			t.Errorf("procs=%d: exec saw configs %v, want each once", procs, calls)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"sync"
+
 	"wormnet/internal/routing"
 	"wormnet/internal/topology"
 )
@@ -60,10 +63,11 @@ type candTable struct {
 }
 
 // buildCandTable evaluates the routing function for every (current,
-// destination) pair under the current liveness mask, deduplicating identical
-// candidate sets.
-func (e *Engine) buildCandTable() *candTable {
-	n := e.topo.Nodes()
+// destination) pair under alg's current liveness mask, deduplicating identical
+// candidate sets. Set ids are handed out in first-seen order, so two builds of
+// the same function number their sets alike.
+func buildCandTable(topo *topology.Torus, alg routing.Algorithm, vcs int) *candTable {
+	n := topo.Nodes()
 	t := &candTable{
 		n:      n,
 		setID:  make([]int32, n*n),
@@ -78,7 +82,7 @@ func (e *Engine) buildCandTable() *candTable {
 		for dst := 0; dst < n; dst++ {
 			packed = packed[:0]
 			if cur != dst {
-				scratch = e.alg.Candidates(topology.NodeID(cur), topology.NodeID(dst), scratch[:0])
+				scratch = alg.Candidates(topology.NodeID(cur), topology.NodeID(dst), scratch[:0])
 				packed = packCands(scratch, packed)
 			}
 			key = key[:0]
@@ -94,7 +98,7 @@ func (e *Engine) buildCandTable() *candTable {
 				var w uint64
 				for _, pc := range packed {
 					t.port = append(t.port, pc.port)
-					w |= uint64(pc.mask) << uint(int(pc.port)*e.cfg.VCs)
+					w |= uint64(pc.mask) << uint(int(pc.port)*vcs)
 				}
 				t.word = append(t.word, w)
 				t.setOff = append(t.setOff, int32(len(t.pool)))
@@ -120,4 +124,84 @@ func (t *candTable) get(cur, dst topology.NodeID) []portCand { return t.set(t.id
 func (t *candTable) ports(cur, dst topology.NodeID) []topology.Port {
 	id := t.id(cur, dst)
 	return t.port[t.setOff[id]:t.setOff[id+1]:t.setOff[id+1]]
+}
+
+// shapeKey is everything a network's immutable half depends on.
+type shapeKey struct {
+	k, n, vcs int
+	routing   string
+}
+
+// shape is what every engine of one network has in common and none of them
+// writes: the torus and the candidate table of the network with nothing down.
+// An engine at routing epoch 0, or healed back to all-alive, reads cand in
+// place; a liveness change makes the engine build a table of its own (retable),
+// so nothing ever writes this one.
+type shape struct {
+	key   shapeKey
+	build sync.Once
+	topo  *topology.Torus
+	cand  *candTable
+}
+
+// maxShapes bounds the process-wide shape cache: a figure, a sweep or a test
+// battery works on one or two networks at a time, and the oldest entry beyond
+// the bound is dropped (engines still using it keep it alive).
+const maxShapes = 8
+
+var shapes struct {
+	sync.Mutex
+	list []*shape // oldest first
+}
+
+// newAlgorithm returns a fresh instance of a routing function validate admits.
+func newAlgorithm(name string, topo *topology.Torus, vcs int) routing.Algorithm {
+	switch name {
+	case "tfar":
+		return routing.NewTFAR(topo, vcs)
+	case "dor":
+		return routing.NewDOR(topo, vcs)
+	case "duato":
+		return routing.NewDuato(topo, vcs)
+	}
+	panic(fmt.Sprintf("sim: unknown routing %q", name))
+}
+
+// shapeOf returns the shape of a validated configuration's network, built on
+// first use from the key alone, by a routing instance of its own that never
+// sees a liveness mask. Concurrent callers of one new key get one shape, built
+// once; the lock is not held while it builds.
+func shapeOf(cfg *Config) *shape {
+	key := shapeKey{cfg.K, cfg.N, cfg.VCs, cfg.Routing}
+	shapes.Lock()
+	var s *shape
+	for _, c := range shapes.list {
+		if c.key == key {
+			s = c
+		}
+	}
+	if s == nil {
+		if len(shapes.list) == maxShapes {
+			shapes.list = append(shapes.list[:0], shapes.list[1:]...)
+		}
+		s = &shape{key: key}
+		shapes.list = append(shapes.list, s)
+	}
+	shapes.Unlock()
+	s.build.Do(func() {
+		s.topo = topology.New(key.k, key.n)
+		s.cand = buildCandTable(s.topo, newAlgorithm(key.routing, s.topo, key.vcs), key.vcs)
+	})
+	return s
+}
+
+// retable makes e.cand the table of a fault-capable engine's current liveness
+// mask: the shape's when nothing is down, else one built now. Callers zero the
+// set-id caches.
+func (e *Engine) retable() {
+	if e.live.AllAlive() {
+		e.cand = e.shape.cand
+		return
+	}
+	e.cand = buildCandTable(e.topo, e.alg, e.cfg.VCs)
 }

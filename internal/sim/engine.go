@@ -143,7 +143,7 @@ type node struct {
 
 	// blocked tracks consecutive cycles each input VC's header failed to
 	// obtain an output virtual channel (deadlock detection input).
-	blocked *deadlock.BlockTracker
+	blocked deadlock.BlockTracker
 	// lastTx records, per output virtual channel (flat channel id), the
 	// last cycle a flit was transmitted through it. The FC3D-style
 	// detector uses it to distinguish a dead knot (no movement anywhere
@@ -231,9 +231,13 @@ type Engine struct {
 
 	nextID message.ID
 
-	// cand is the precomputed per-(node, destination) routing candidate
-	// table: always built, and rebuilt at every routing epoch flip.
-	cand *candTable
+	// cand is the precomputed per-(node, destination) routing candidate table
+	// of the current liveness mask: shape's, shared and read-only, while nothing
+	// is down, and one this engine built at the last epoch flip otherwise
+	// (retable) — so a lookup always equals a routing call under the mask,
+	// healed channels included from the cycle their repair commits.
+	shape *shape
+	cand  *candTable
 
 	// waiting is the record arena behind every node's source queue, and built
 	// the objects of the few waiting messages that already have one (by id;
@@ -248,7 +252,8 @@ type Engine struct {
 	// reaches a fixed point at any load and steady-state traffic allocates
 	// nothing. It is engine-global — the sum of per-node peaks is far above
 	// the network's — and so only serial contexts touch it. Messages handed
-	// out by Inject are not pooled: callers may keep pointers to them.
+	// out by Inject are not pooled: callers may keep pointers to them. An
+	// empty pool is refilled a slab at a time (newSlab).
 	pool []*message.Message
 
 	// emptyArena and fullArena are the dense input-buffer status words of
@@ -350,18 +355,9 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	topo := topology.New(cfg.K, cfg.N)
-	var alg routing.Algorithm
-	switch cfg.Routing {
-	case "tfar":
-		alg = routing.NewTFAR(topo, cfg.VCs)
-	case "dor":
-		alg = routing.NewDOR(topo, cfg.VCs)
-	case "duato":
-		alg = routing.NewDuato(topo, cfg.VCs)
-	default:
-		return nil, fmt.Errorf("sim: unknown routing %q", cfg.Routing)
-	}
+	sh := shapeOf(&cfg)
+	topo := sh.topo
+	alg := newAlgorithm(cfg.Routing, topo, cfg.VCs) // the engine's own: SetLiveness mutates it
 	pattern, err := traffic.ByName(cfg.Pattern, topo)
 	if err != nil {
 		return nil, err
@@ -380,6 +376,8 @@ func New(cfg Config) (*Engine, error) {
 		cfg:     cfg,
 		topo:    topo,
 		alg:     alg,
+		shape:   sh,
+		cand:    sh.cand,
 		det:     deadlock.NewDetector(threshold),
 		col:     stats.NewCollector(topo.Nodes(), cfg.WarmupCycles, cfg.WarmupCycles+cfg.MeasureCycles),
 		numPhys: topo.NumPorts(),
@@ -394,14 +392,6 @@ func New(cfg Config) (*Engine, error) {
 		}
 		fa.SetLiveness(e.live)
 	}
-	// The routing function is a pure function of (current, destination)
-	// between liveness changes: precompute every candidate set once and turn
-	// the per-header routing call into a packed table lookup. Fault-capable
-	// runs rebuild the table at every epoch flip (reconfigure), so the table
-	// always reflects the current mask — including healed channels, which
-	// re-enter candidate sets the cycle their repair commits.
-	e.cand = e.buildCandTable()
-
 	nNodes := topo.Nodes()
 	nVC := e.numPhys * cfg.VCs
 	e.nodes = make([]node, nNodes)
@@ -461,22 +451,35 @@ func New(cfg Config) (*Engine, error) {
 	routeArena := make([]routeInfo, nNodes*nVC)
 	nWant := nVC + cfg.EjChannels
 	wantArena := make([]uint8, nNodes*nWant)
+	// The rest of what a node owns, cut from engine-wide arrays the same way:
+	// building a network allocates per engine, not per node.
+	injArena := make([]injChannel, nNodes*cfg.InjChannels)
+	ejArena := make([]ejChannel, nNodes*cfg.EjChannels)
+	viewArena := make([]channelView, nNodes)
+	blockedArena := make([]int32, nNodes*nVC)
+	nbrArena := make([]*node, nNodes*e.numPhys)
+	downArena := make([]*inVC, nNodes*nVC)
+	downWordArena := make([]int32, nNodes*e.numPhys)
+	var srcArena []traffic.Source // the steady Poisson sources, by value
+	if cfg.Sources == nil && !cfg.Burst.Enabled() {
+		srcArena = make([]traffic.Source, nNodes)
+	}
 
 	for i := 0; i < nNodes; i++ {
 		nd := &e.nodes[i]
 		nd.id = topology.NodeID(i)
-		nd.in = inArena[i*nVC : (i+1)*nVC : (i+1)*nVC]
-		nd.routes = routeArena[i*nVC : (i+1)*nVC : (i+1)*nVC]
+		nd.in = cut(inArena, i, nVC)
+		nd.routes = cut(routeArena, i, nVC)
 		for c := range nd.in {
 			nd.in[c].buf.Init(cfg.BufDepth)
 		}
-		nd.outVCs = outArena[i*nVC : (i+1)*nVC : (i+1)*nVC]
-		nd.out = outPortArena[i*e.numPhys : (i+1)*e.numPhys : (i+1)*e.numPhys]
+		nd.outVCs = cut(outArena, i, nVC)
+		nd.out = cut(outPortArena, i, e.numPhys)
 		for p := range nd.out {
 			nd.out[p] = router.OutPortOver(nd.outVCs[p*cfg.VCs : (p+1)*cfg.VCs : (p+1)*cfg.VCs])
 		}
-		nd.inj = make([]injChannel, cfg.InjChannels)
-		nd.ej = make([]ejChannel, cfg.EjChannels)
+		nd.inj = cut(injArena, i, cfg.InjChannels)
+		nd.ej = cut(ejArena, i, cfg.EjChannels)
 		switch {
 		case rogueMask != nil && rogueMask[i]:
 			nd.rogue = true
@@ -493,28 +496,30 @@ func New(cfg Config) (*Engine, error) {
 			nd.src = traffic.NewBurstySource(nd.id, pattern, cfg.Rate, cfg.MsgLen,
 				cfg.Burst, cfg.Seed, splitSeed(cfg.Seed, uint64(i)))
 		default:
-			nd.src = traffic.NewSource(nd.id, pattern, cfg.Rate, cfg.MsgLen,
+			srcArena[i].Init(nd.id, pattern, cfg.Rate, cfg.MsgLen,
 				cfg.Seed, splitSeed(cfg.Seed, uint64(i)))
+			nd.src = &srcArena[i]
 		}
 		nd.limiter = cfg.Limiter(nd.id, topo, cfg.VCs)
 		nd.limObs, _ = nd.limiter.(core.CycleObserver)
 		nd.limClass, _ = nd.limiter.(core.RuleClassifier)
-		nd.view = &channelView{e: e, nd: nd}
-		nd.blocked = deadlock.NewBlockTracker(nVC)
-		nd.lastTx = lastTxArena[i*nVC : (i+1)*nVC : (i+1)*nVC]
-		nd.freeMask = freeArena[i*e.numPhys : (i+1)*e.numPhys : (i+1)*e.numPhys]
-		nd.inEmpty = e.emptyArena[i*e.numPhys : (i+1)*e.numPhys : (i+1)*e.numPhys]
-		nd.inFull = e.fullArena[i*e.numPhys : (i+1)*e.numPhys : (i+1)*e.numPhys]
-		nd.routed = routedArena[i*e.numPhys : (i+1)*e.numPhys : (i+1)*e.numPhys]
-		nd.fresh = freshArena[i*e.numPhys : (i+1)*e.numPhys : (i+1)*e.numPhys]
-		nd.want = wantArena[i*nWant : (i+1)*nWant : (i+1)*nWant]
+		viewArena[i] = channelView{e: e, nd: nd}
+		nd.view = &viewArena[i]
+		nd.blocked = deadlock.TrackerOver(cut(blockedArena, i, nVC))
+		nd.lastTx = cut(lastTxArena, i, nVC)
+		nd.freeMask = cut(freeArena, i, e.numPhys)
+		nd.inEmpty = cut(e.emptyArena, i, e.numPhys)
+		nd.inFull = cut(e.fullArena, i, e.numPhys)
+		nd.routed = cut(routedArena, i, e.numPhys)
+		nd.fresh = cut(freshArena, i, e.numPhys)
+		nd.want = cut(wantArena, i, nWant)
 		nd.wantOut, _ = e.deriveWants(nd, nd.want) // no route yet: all noAgent
 		allVCs := uint32(1)<<uint(cfg.VCs) - 1
 		for p := 0; p < e.numPhys; p++ {
 			nd.freeMask[p] = allVCs
 			nd.inEmpty[p] = allVCs
 		}
-		nd.outArb = arbArena[i*numOut : (i+1)*numOut : (i+1)*numOut]
+		nd.outArb = cut(arbArena, i, numOut)
 		for p := range nd.outArb {
 			nd.outArb[p].Init(nAgents)
 		}
@@ -522,9 +527,9 @@ func New(cfg Config) (*Engine, error) {
 	// Wire the neighbour and downstream caches once all routers exist.
 	for i := range e.nodes {
 		nd := &e.nodes[i]
-		nd.nbr = make([]*node, e.numPhys)
-		nd.down = make([]*inVC, nVC)
-		nd.downWord = make([]int32, e.numPhys)
+		nd.nbr = cut(nbrArena, i, e.numPhys)
+		nd.down = cut(downArena, i, nVC)
+		nd.downWord = cut(downWordArena, i, e.numPhys)
 		for p := 0; p < e.numPhys; p++ {
 			nbID := topo.Neighbor(nd.id, topology.Port(p))
 			nb := &e.nodes[nbID]
@@ -539,6 +544,10 @@ func New(cfg Config) (*Engine, error) {
 	e.par = newParRuntime(e, partition(nNodes, cfg.Workers, alignNodes(e.numPhys)))
 	return e, nil
 }
+
+// cut returns the i-th run of n elements of arena, capped so that nothing can
+// grow into the next one.
+func cut[T any](arena []T, i, n int) []T { return arena[i*n : (i+1)*n : (i+1)*n] }
 
 // splitSeed derives a per-node stream seed from the run seed
 // (SplitMix64-style mixing).
@@ -570,18 +579,32 @@ func (e *Engine) materialise(src topology.NodeID, i int32) *message.Message {
 		delete(e.built, r.id)
 		return m
 	}
-	var m *message.Message
-	if n := len(e.pool); n > 0 {
-		m = e.pool[n-1]
-		e.pool[n-1] = nil
-		e.pool = e.pool[:n-1]
-		m.Reuse(r.id, src, r.dst, int(r.length), r.gen)
-	} else {
-		m = message.New(r.id, src, r.dst, int(r.length), r.gen)
-		m.Pooled = true
+	if len(e.pool) == 0 {
+		e.newSlab()
 	}
+	n := len(e.pool) - 1
+	m := e.pool[n]
+	e.pool[n] = nil
+	e.pool = e.pool[:n]
+	m.Reuse(r.id, src, r.dst, int(r.length), r.gen)
 	m.Measured = r.measured
 	return m
+}
+
+// newSlab refills the empty pool with one array of messages and one of path
+// locations, each Path cut to hold the longest minimal route (an input VC per
+// hop, the next claimed before the oldest is left) and capped there: a longer
+// one reallocates on its own, never into its neighbour. The slab is sized from
+// the network, so a four-node model does not own 64 messages it cannot use.
+func (e *Engine) newSlab() {
+	pathCap := e.cfg.N*(e.cfg.K/2) + 1
+	msgs := make([]message.Message, min(64, len(e.nodes)))
+	locs := make([]pathLoc, len(msgs)*pathCap)
+	for i := range msgs {
+		msgs[i].Pooled = true
+		msgs[i].Path = cut(locs, i, pathCap)[:0]
+		e.pool = append(e.pool, &msgs[i])
+	}
 }
 
 // recordOf returns the queue record standing for the existing message m and

@@ -11,11 +11,12 @@ import (
 // due-event batch changed anything, the engine reconfigures in place,
 // without draining the network:
 //
-//   - The packed candidate table is rebuilt under the new mask. This is what
-//     re-admits healed capacity: a repaired link's virtual channels re-enter
-//     candidate sets (and thereby the limiters' useful-channel views) the
-//     very cycle the repair commits, instead of staying invisible until the
-//     next run.
+//   - The packed candidate table is rebuilt under the new mask (or, when the
+//     batch healed the last fault, the shape's all-alive table is taken back:
+//     retable). This is what re-admits healed capacity: a repaired link's
+//     virtual channels re-enter candidate sets (and thereby the limiters'
+//     useful-channel views) the very cycle the repair commits, instead of
+//     staying invisible until the next run.
 //   - Surviving routes are revalidated to the new epoch (drain-or-reroute):
 //     a route whose output channel is still alive keeps its claim and drains
 //     under the new epoch — wormholes never switch channels mid-flight, so
@@ -46,11 +47,11 @@ func (e *Engine) Epoch() uint64 { return e.epoch }
 func (e *Engine) SetReconfigHook(f func(epoch uint64)) { e.onReconfig = f }
 
 // reconfigure rebuilds the routing state after a batch of liveness changes:
-// a fresh candidate table under the new mask (whose set ids the input VCs'
-// caches must forget), then the revalidation sweep stamping every surviving
-// route to the new epoch.
+// the candidate table of the new mask (whose set ids the input VCs' caches
+// must forget), then the revalidation sweep stamping every surviving route to
+// the new epoch.
 func (e *Engine) reconfigure() {
-	e.cand = e.buildCandTable()
+	e.retable()
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		for a := range nd.routes {
@@ -91,7 +92,7 @@ func (e *Engine) CheckReconfiguration() error {
 	if err := e.checkRouteEpochs(); err != nil {
 		return err
 	}
-	fresh := e.buildCandTable()
+	fresh := buildCandTable(e.topo, e.alg, e.cfg.VCs)
 	for n := 0; n < e.topo.Nodes(); n++ {
 		for d := 0; d < e.topo.Nodes(); d++ {
 			got := e.cand.get(topology.NodeID(n), topology.NodeID(d))

@@ -102,7 +102,10 @@ func TestReconfigurationInvariants(t *testing.T) {
 // TestHealedLinkReadmission pins the online repair semantics: a failed
 // channel leaves every candidate set the cycle its failure applies, and
 // re-enters them the cycle its repair applies — without constructing a new
-// engine.
+// engine. The table is the shape's shared one exactly while nothing is down —
+// a healed network takes it back instead of rebuilding an equal one — and
+// that holds for a mask a snapshot brings as for one a repair does, with
+// CheckReconfiguration's fresh-rebuild diff run on the shared table each time.
 func TestHealedLinkReadmission(t *testing.T) {
 	up := topology.PortFor(0, topology.Plus)
 	cfg := QuickConfig()
@@ -130,6 +133,9 @@ func TestHealedLinkReadmission(t *testing.T) {
 	if !uses() {
 		t.Fatal("healthy table lacks the direct port; test premise broken")
 	}
+	if e.cand != e.shape.cand {
+		t.Error("epoch 0: engine does not read the shape's table")
+	}
 	for e.Now() <= 20 {
 		e.Step()
 	}
@@ -139,18 +145,46 @@ func TestHealedLinkReadmission(t *testing.T) {
 	if e.Epoch() != 1 {
 		t.Errorf("epoch %d after failure, want 1", e.Epoch())
 	}
+	if e.cand == e.shape.cand {
+		t.Error("a link is down and the engine still reads the shared table")
+	}
+	faulted, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for e.Now() <= 120 {
 		e.Step()
 	}
-	if !uses() {
-		t.Errorf("cycle %d (epoch %d): healed channel not re-admitted", e.Now(), e.Epoch())
+	healed := func(when string) {
+		t.Helper()
+		if !uses() {
+			t.Errorf("%s, cycle %d (epoch %d): healed channel not re-admitted", when, e.Now(), e.Epoch())
+		}
+		if e.Epoch() != 2 {
+			t.Errorf("%s: epoch %d, want 2", when, e.Epoch())
+		}
+		if e.cand != e.shape.cand {
+			t.Errorf("%s: nothing is down and the engine reads a table of its own", when)
+		}
+		if err := e.CheckReconfiguration(); err != nil {
+			t.Errorf("%s: %v", when, err)
+		}
 	}
-	if e.Epoch() != 2 {
-		t.Errorf("epoch %d after repair, want 2", e.Epoch())
+	healed("after the repair")
+	whole, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := e.CheckReconfiguration(); err != nil {
-		t.Error(err)
+	if err := e.Restore(faulted); err != nil {
+		t.Fatal(err)
 	}
+	if uses() || e.cand == e.shape.cand {
+		t.Error("restored under a mask with a link down: table does not follow it")
+	}
+	if err := e.Restore(whole); err != nil {
+		t.Fatal(err)
+	}
+	healed("restored to the healed snapshot")
 }
 
 // TestReconfigRecovery is the end-to-end recovery contract: after the final

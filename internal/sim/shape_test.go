@@ -1,0 +1,275 @@
+package sim
+
+import (
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+
+	"wormnet/internal/fault"
+	"wormnet/internal/message"
+	"wormnet/internal/topology"
+)
+
+// freshTable is the oracle of the shape tests: the table buildCandTable makes
+// now for cfg's network, with an algorithm instance nothing else has seen.
+func freshTable(cfg Config) *candTable {
+	topo := topology.New(cfg.K, cfg.N)
+	return buildCandTable(topo, newAlgorithm(cfg.Routing, topo, cfg.VCs), cfg.VCs)
+}
+
+// TestShapeTableEqualsFreshBuild compares the cached table of every routing
+// function on four networks and three channel counts with a fresh build, field
+// by field (set ids included: they are handed out in first-seen order, which is
+// why a snapshot's bytes do not depend on which of the two an engine read). The
+// two dozen admissible shapes also walk the cache past its bound.
+func TestShapeTableEqualsFreshBuild(t *testing.T) {
+	nets := []struct{ k, n int }{{2, 2}, {4, 1}, {4, 2}, {8, 3}}
+	shapesSeen := 0
+	for _, routing := range []string{"tfar", "dor", "duato"} {
+		for _, net := range nets {
+			for vcs := 1; vcs <= 3; vcs++ {
+				cfg := DefaultConfig()
+				cfg.K, cfg.N, cfg.VCs, cfg.Routing = net.k, net.n, vcs, routing
+				if cfg.validate() != nil {
+					continue // dor below two channels on a ring, duato below three
+				}
+				shapesSeen++
+				name := fmt.Sprintf("%s/%d-ary %d-cube/%d VCs", routing, net.k, net.n, vcs)
+				e, err := New(cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if e.cand != e.shape.cand || e.topo != e.shape.topo {
+					t.Errorf("%s: a new engine does not read its shape", name)
+				}
+				if !reflect.DeepEqual(e.cand, freshTable(cfg)) {
+					t.Errorf("%s: cached table differs from a fresh build", name)
+				}
+				e.Close()
+			}
+		}
+	}
+	if shapesSeen <= maxShapes {
+		t.Fatalf("only %d shapes built: the cache bound of %d was never reached", shapesSeen, maxShapes)
+	}
+	shapes.Lock()
+	n := len(shapes.list)
+	shapes.Unlock()
+	if n > maxShapes {
+		t.Errorf("cache holds %d shapes, bound is %d", n, maxShapes)
+	}
+}
+
+// forgetShape drops key from the cache, so the next shapeOf of it is a miss.
+func forgetShape(key shapeKey) {
+	shapes.Lock()
+	defer shapes.Unlock()
+	kept := shapes.list[:0]
+	for _, s := range shapes.list {
+		if s.key != key {
+			kept = append(kept, s)
+		}
+	}
+	clear(shapes.list[len(kept):])
+	shapes.list = kept
+}
+
+// TestConcurrentNewBuildsOneShape has 16 goroutines call New on a network the
+// cache does not hold. All of them must come back with the same shape and the
+// same table, and the cache must hold that key once: a shape builds under its
+// own sync.Once, so one shape is one build. Meant for -race.
+func TestConcurrentNewBuildsOneShape(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.K, cfg.N, cfg.VCs = 5, 2, 2 // no other test's network
+	key := shapeKey{cfg.K, cfg.N, cfg.VCs, cfg.Routing}
+	forgetShape(key)
+
+	const callers = 16
+	engines := make([]*Engine, callers)
+	errs := make([]error, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			engines[i], errs[i] = New(cfg)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, e := range engines {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		defer e.Close()
+		if e.shape != engines[0].shape || e.cand != engines[0].cand || e.cand == nil {
+			t.Errorf("caller %d: shape %p table %p, caller 0 has %p and %p",
+				i, e.shape, e.cand, engines[0].shape, engines[0].cand)
+		}
+	}
+	held := 0
+	shapes.Lock()
+	for _, s := range shapes.list {
+		if s.key == key {
+			held++
+		}
+	}
+	shapes.Unlock()
+	if held != 1 {
+		t.Errorf("cache holds the key %d times, want once", held)
+	}
+	if !reflect.DeepEqual(engines[0].cand, freshTable(cfg)) {
+		t.Error("concurrently built table differs from a fresh build")
+	}
+}
+
+// TestFaultsNeverWriteTheSharedTable runs a flap storm — a dozen epoch flips,
+// each replacing the table — on one engine, then builds a fault-free engine of
+// the same network: it reads the shape the first one started from, and that
+// table still equals a fresh build.
+func TestFaultsNeverWriteTheSharedTable(t *testing.T) {
+	sched, err := fault.Plan(topology.New(4, 2), fault.Profile{
+		LinkFraction: 0.08, RouterFraction: 0.05, At: 400, Stagger: 300,
+		TransientFraction: 1.0, RepairAfter: 250, FlapCount: 2, FlapPeriod: 700, Seed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := QuickConfig()
+	cfg.Rate = 0.8
+	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 500, 2500, 500
+	cfg.Faults = sched
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	private := 0
+	a.SetReconfigHook(func(uint64) {
+		if a.cand != a.shape.cand {
+			private++
+		}
+	})
+	a.Run()
+	if private == 0 {
+		t.Fatal("no flip left the engine on a table of its own; scenario is vacuous")
+	}
+
+	cfg.Faults = nil
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if b.cand != a.shape.cand {
+		t.Error("second engine of the shape does not read the first one's shared table")
+	}
+	if !reflect.DeepEqual(b.cand, freshTable(cfg)) {
+		t.Error("shared table differs from a fresh build after a flap storm on another engine")
+	}
+}
+
+// TestSlabNeighboursDoNotShareGrowth fills the Path of one slab message to its
+// capacity and pushes its neighbour's past it: the long one must move to
+// storage of its own, and the full one must read back what was written.
+func TestSlabNeighboursDoNotShareGrowth(t *testing.T) {
+	e, err := New(QuickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.newSlab()
+	if len(e.pool) != min(64, len(e.nodes)) {
+		t.Fatalf("slab of %d messages on %d nodes", len(e.pool), len(e.nodes))
+	}
+	long, full := e.pool[0], e.pool[1] // adjacent in both slab arrays
+	pathCap := cap(long.Path)
+	if want := e.cfg.N*(e.cfg.K/2) + 1; pathCap != want || cap(full.Path) != want {
+		t.Fatalf("path capacities %d and %d, want diameter+1 = %d", pathCap, cap(full.Path), want)
+	}
+	loc := func(owner, i int) message.PathLoc {
+		return message.PathLoc{Node: topology.NodeID(owner), Port: topology.Port(i % 4), VC: int8(i)}
+	}
+	for i := 0; i < pathCap; i++ {
+		full.Path = append(full.Path, loc(2, i))
+	}
+	slabStart := &long.Path[:1][0]
+	for i := 0; i < pathCap+3; i++ {
+		long.Path = append(long.Path, loc(1, i))
+		if i < pathCap && &long.Path[0] != slabStart {
+			t.Fatalf("path reallocated at length %d, inside its capacity %d", i+1, pathCap)
+		}
+	}
+	if &long.Path[0] == slabStart {
+		t.Error("over-long path still lives in the slab")
+	}
+	for i, got := range long.Path {
+		if got != loc(1, i) {
+			t.Fatalf("long path entry %d is %+v", i, got)
+		}
+	}
+	if len(full.Path) != pathCap {
+		t.Fatalf("neighbour's path has length %d, want %d", len(full.Path), pathCap)
+	}
+	for i, got := range full.Path {
+		if got != loc(2, i) {
+			t.Fatalf("neighbour's path entry %d overwritten: %+v", i, got)
+		}
+	}
+}
+
+// TestNewAllocs pins what building an engine of a cached shape allocates:
+// arenas, the collector, the sharded runtime — a count that does not follow
+// the number of nodes (512 here; 45 measured). ALO and the no-limiter factory
+// hand every node the same stateless value; LF and DRIL keep per-node state and
+// add one object a node.
+func TestNewAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector allocates: counts are pinned on the plain build")
+	}
+	cfg := DefaultConfig()
+	build := func() {
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+	}
+	build() // warm the shape cache
+	if allocs := testing.AllocsPerRun(5, build); allocs > 150 {
+		t.Errorf("New on a warm cache: %.0f allocations, want at most 150", allocs)
+	}
+}
+
+// TestFirstMessagesAllocs pins what a fresh engine's first messages cost: the
+// pool fills by slabs, so 2 000 cycles at the knee allocate a fraction of an
+// object per admitted message, not the message and the doublings of its Path
+// (147 objects for 41 129 admissions measured, New's 45 included).
+func TestFirstMessagesAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector allocates: counts are pinned on the plain build")
+	}
+	cfg := DefaultConfig()
+	cfg.Rate, cfg.WarmupCycles = 0.65, 0
+	var admitted int64
+	allocs := testing.AllocsPerRun(1, func() {
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		for e.Now() < 2000 {
+			e.Step()
+		}
+		admitted = e.Collector().Result().Injected
+	})
+	if admitted < 10000 {
+		t.Fatalf("only %d messages admitted; the run is not the knee", admitted)
+	}
+	if per := allocs / float64(admitted); per > 0.2 {
+		t.Errorf("%.0f allocations for %d admitted messages: %.2f each, want at most 0.2", allocs, admitted, per)
+	}
+}

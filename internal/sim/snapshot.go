@@ -646,9 +646,9 @@ func (e *Engine) load(snap *Snapshot) error {
 		}
 		// The candidate table is a pure function of the liveness mask and
 		// always matches the engine's current one (all-alive after New,
-		// rebuilt at every epoch flip): rebuild it only if the mask moved.
+		// replaced at every epoch flip): replace it only if the mask moved.
 		if changed {
-			e.cand = e.buildCandTable()
+			e.retable()
 		}
 	} else if len(snap.LinksUp) != 0 || len(snap.RoutersUp) != 0 {
 		return fmt.Errorf("%w: snapshot carries liveness state but faults are off", ErrSnapshotInvalid)
