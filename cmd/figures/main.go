@@ -40,7 +40,7 @@ func run() (code int) {
 	csvPath := flag.String("csv", "", "also append CSV rows to this file")
 	jsonlPath := flag.String("jsonl", "", "also stream a manifest plus one record per measured point (JSONL) to this file")
 	workers := flag.Int("workers", 1,
-		"engine worker goroutines per run (results are identical for any count; the runner already parallelises across runs, so raise this only when single runs dominate)")
+		"engine worker goroutines per run (results are identical for any count; the runner already keeps every CPU busy with one run each, so raise this only for a figure of fewer runs than CPUs)")
 	flag.Parse()
 
 	fail := func(err error) int {

@@ -47,6 +47,7 @@ import (
 
 	"wormnet/internal/campaign"
 	"wormnet/internal/obs"
+	"wormnet/internal/sim"
 )
 
 func main() {
@@ -76,8 +77,8 @@ func run() int {
 	flag.Int64Var(&spec.MeasureCycles, "measure", spec.MeasureCycles, "measurement cycles")
 	flag.Int64Var(&spec.DrainCycles, "drain", spec.DrainCycles, "drain cycles")
 	flag.Uint64Var(&spec.Seed, "seed", spec.Seed, "random seed")
-	workers := flag.Int("workers", 1,
-		"engine worker goroutines per run (results are identical for any count; keep 1 unless a single run dominates)")
+	workers := flag.Int("workers", 0,
+		"engine worker goroutines per run (results are identical for any count; 0 = one per CPU for a local sweep, which runs one point at a time, and 1 with -connect, where the fleet is the parallelism)")
 	flag.Float64Var(&spec.Faults, "faults", 0, "fraction of channels to fail in every run [0,1)")
 	flag.Uint64Var(&spec.FaultSeed, "fault-seed", spec.FaultSeed, "fault planner seed")
 	jsonlPath := flag.String("jsonl", "", "also write a run manifest plus one result record per point (JSONL) to this file")
@@ -106,6 +107,12 @@ func run() int {
 	points, err := spec.Points()
 	if err != nil {
 		return fail(err)
+	}
+	if *workers == 0 {
+		*workers = 1
+		if *connect == "" {
+			*workers = sim.DefaultWorkers()
+		}
 	}
 	switch {
 	case *chaos:

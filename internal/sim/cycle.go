@@ -26,8 +26,8 @@ import (
 // bit-for-bit identical to exhaustive iteration (see TestGoldenDeterminism).
 func (e *Engine) Step() {
 	p := e.par
-	// Latch the sampling decision for the shards before any worker wakes:
-	// the channel send (or the inline call) orders the store. Sampled
+	// Latch the sampling decision for the shards before any worker starts:
+	// the cycle stamp (or the inline call) orders the store. Sampled
 	// cycles run the identical schedule with the cycle clocks on and a
 	// gauge sample appended (metrics.go); results are unchanged.
 	p.sampled = e.metricsSampled()
@@ -43,8 +43,8 @@ func (e *Engine) Step() {
 	} else {
 		// All shards — the caller acting as shard 0 — execute the cycle in
 		// lockstep; the final barrier doubles as the completion signal.
-		for _, ch := range p.wake {
-			ch <- struct{}{}
+		for i := range p.workers {
+			p.workers[i].signal()
 		}
 		e.cycleShard(p, 0)
 	}

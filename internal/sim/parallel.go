@@ -76,6 +76,7 @@ package sim
 import (
 	"math/bits"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -220,12 +221,58 @@ func (c *cycleClock) busy() (ns int64) {
 	return ns
 }
 
+// await returns once w holds want: the one way a goroutine of the pool waits
+// for another. It spins for spin loads of w, then calls runtime.Gosched
+// between loads, and after yieldsBeforePark of those parks on s. Barrier
+// waiters pass no slot and never park: the wait is bounded by a section.
+//
+// The park pairs with workerSlot.signal: the waiter stores parked, loads w
+// again and only then blocks; the signaller stores w and only then loads
+// parked. sync/atomic is sequentially consistent, so one of the two loads
+// sees the other side's store and no wake-up is lost; a token sent to a waiter
+// that did not block costs the next park one more turn of the loop, since w,
+// re-read after every receive, is what says a cycle is due.
+func await(w *atomic.Uint32, want uint32, spin int32, s *workerSlot) {
+	for i := int32(0); w.Load() != want; i++ {
+		switch {
+		case i < spin:
+		case s == nil || i < spin+yieldsBeforePark:
+			runtime.Gosched()
+		default:
+			s.parked.Store(true)
+			if w.Load() != want {
+				<-s.wake
+			}
+			s.parked.Store(false)
+		}
+	}
+}
+
+// workerSlot is the between-cycles hand-off to one non-coordinator worker:
+// cycle counts the cycles Step has started (plus one from Close, to deliver
+// p.closed); parked and wake are where the worker sleeps once nobody steps.
+type workerSlot struct {
+	cycle  atomic.Uint32
+	parked atomic.Bool
+	wake   chan struct{} // one slot: a token is "look at cycle again"
+	_      [48]byte      // pad: neighbouring slots' cycle words off this line
+}
+
+// signal starts the worker's next cycle, waking it only if it has parked (a
+// full channel already holds the wake-up).
+func (s *workerSlot) signal() {
+	s.cycle.Add(1)
+	if s.parked.Load() {
+		select {
+		case s.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
 // phaseBarrier is a reusable centralized barrier, split into arrival and
 // release so the last arriver can run the cycle's serial commits between
-// the two (see sync). Waiters spin briefly and then yield; the spin budget
-// is chosen at construction from GOMAXPROCS — on a single-P host no amount
-// of spinning can make another shard arrive, so waiters go straight to
-// runtime.Gosched.
+// the two (see sync). Waiters await the generation word (spin: barrierSpin).
 type phaseBarrier struct {
 	n     int32
 	spin  int32
@@ -248,32 +295,33 @@ func (b *phaseBarrier) release(target uint32) {
 	b.gen.Store(target)
 }
 
-// wait blocks until generation target is released. gen can never advance
-// past target while this caller still waits (the next barrier needs this
-// caller's arrival to complete), so the equality spin is safe, including
-// across uint32 wraparound.
-func (b *phaseBarrier) wait(target uint32) {
-	for i := int32(0); b.gen.Load() != target; i++ {
-		if i >= b.spin {
-			runtime.Gosched()
-		}
-	}
-}
+// wait blocks until generation target is released. gen cannot pass target
+// while this caller waits (the next barrier needs its arrival), so the
+// equality test is safe, including across uint32 wraparound.
+func (b *phaseBarrier) wait(target uint32) { await(&b.gen, target, b.spin, nil) }
 
-// barrierSpin picks the barrier spin budget for a partition of s shards on
-// the current GOMAXPROCS: on a single-P host a spinning waiter only delays
-// the shard it is waiting for, so yield immediately; with more shards than
-// Ps some shard is always descheduled, so spin barely; with a P per shard
-// a short spin beats the scheduler round-trip.
+// The wait budgets, from the sweeps in EXPERIMENTS.md ("What waking a worker
+// costs"): loads spun before the first yield with a P per shard and with more
+// shards than Ps, and yields (~0.1 ms) between cycles before a worker parks.
+const (
+	spinPerP           = 2000
+	spinOversubscribed = 32
+	yieldsBeforePark   = 1024
+)
+
+// barrierSpin picks the spin budget for s shards on the current GOMAXPROCS:
+// on one P a spinning waiter only delays the shard it waits for, so yield at
+// once; with more shards than Ps some shard is always descheduled, so spin
+// barely; with a P per shard a yield costs more than the rest of a section.
 func barrierSpin(s int) int32 {
 	procs := runtime.GOMAXPROCS(0)
 	switch {
 	case procs <= 1:
 		return 0
 	case s > procs:
-		return 32
+		return spinOversubscribed
 	default:
-		return 200
+		return spinPerP
 	}
 }
 
@@ -288,7 +336,11 @@ type parRuntime struct {
 	// skipped by both sides (outDsts/inSrcs index the live ones).
 	rings []pushRing
 	bar   phaseBarrier
-	wake  []chan struct{} // one per non-coordinator worker, buffered
+	// workers[i] is shard i+1's slot; exited counts the workers out, and
+	// closed, written by Close before its signal, ends the one that reads it.
+	workers []workerSlot
+	exited  sync.WaitGroup
+	closed  bool
 
 	// inline, latched at construction, selects the cycleInline driver over
 	// the worker pool: with one shard there is nothing to run concurrently,
@@ -300,9 +352,9 @@ type parRuntime struct {
 	inline bool
 
 	// sampled mirrors the coordinator's metricsSampled decision for the
-	// current cycle: latched in Step before the workers wake (the channel
-	// send orders the write), it tells every shard whether to run its
-	// cycleClock this cycle.
+	// current cycle: latched in Step before the workers are signalled (the
+	// stamp's atomic add orders the write), it tells every shard whether to
+	// run its cycleClock this cycle.
 	sampled bool
 
 	// allocCut, written by the B2 commit and read by every shard after it,
@@ -415,26 +467,29 @@ func newParRuntime(e *Engine, bounds []int) *parRuntime {
 	if p.inline {
 		return p
 	}
-	p.wake = make([]chan struct{}, s-1)
-	for i := range p.wake {
-		p.wake[i] = make(chan struct{}, 1)
+	p.workers = make([]workerSlot, s-1)
+	p.exited.Add(s - 1)
+	for i := range p.workers {
+		p.workers[i].wake = make(chan struct{}, 1)
 		go e.parWorker(p, i+1)
 	}
 	return p
 }
 
-// Close releases the engine's worker goroutines by re-partitioning to one
-// shard (a no-op on an engine that already has one). The engine stays usable
-// afterwards: the state between cycles does not depend on the partition, so
-// further Steps continue the same run.
+// Close stops the engine's worker goroutines, returning once every one has
+// exited, and re-partitions to one shard (a no-op on an engine that already
+// has one). The engine stays usable afterwards: the state between cycles does
+// not depend on the partition, so further Steps continue the same run.
 func (e *Engine) Close() {
 	old := e.par
 	if len(old.shards) == 1 {
 		return
 	}
-	for _, ch := range old.wake {
-		close(ch)
+	old.closed = true
+	for i := range old.workers {
+		old.workers[i].signal()
 	}
+	old.exited.Wait()
 	e.par = newParRuntime(e, []int{0, len(e.nodes)})
 	for i := range old.shards { // the mirrored all-time total stays monotone
 		e.par.shards[0].ringPushes += old.shards[i].ringPushes
@@ -442,11 +497,16 @@ func (e *Engine) Close() {
 }
 
 // parWorker is the body of one non-coordinator worker: run the shard's
-// slice of each cycle whenever woken, exit when the engine closes.
-// The runtime is passed in rather than read from e.par, which New has not
-// assigned yet when the workers start.
+// slice of each cycle Step stamps, exit at the stamp Close sends. The runtime
+// is passed in: New has not assigned e.par yet when the workers start.
 func (e *Engine) parWorker(p *parRuntime, id int) {
-	for range p.wake[id-1] {
+	defer p.exited.Done()
+	s := &p.workers[id-1]
+	for next := uint32(1); ; next++ {
+		await(&s.cycle, next, p.bar.spin, s)
+		if p.closed {
+			return
+		}
 		e.cycleShard(p, id)
 	}
 }

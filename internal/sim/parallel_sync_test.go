@@ -103,33 +103,34 @@ func TestTriggerBarrierWaitTimed(t *testing.T) {
 	}
 }
 
-// TestBarrierSpinAdaptive checks that the barrier's spin budget is chosen
-// from GOMAXPROCS at construction: a single-P host gets no spin at all
-// (spinning can never make another shard arrive there), oversubscribed
-// partitions a short one, and a P-per-shard machine the full budget.
+// TestBarrierSpinAdaptive checks that the spin budget is chosen from
+// GOMAXPROCS at construction, against the named constants and the one
+// ordering that matters: a single-P host gets no spin at all (spinning can
+// never make another shard arrive there), oversubscribed partitions a short
+// one, and a P-per-shard machine the full budget.
 func TestBarrierSpinAdaptive(t *testing.T) {
 	restore := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(restore)
 
+	if !(0 < spinOversubscribed && spinOversubscribed < spinPerP) {
+		t.Fatalf("budgets out of order: want 0 < spinOversubscribed (%d) < spinPerP (%d)",
+			spinOversubscribed, spinPerP)
+	}
 	cfg := QuickConfig()
 	cfg.Workers = 4
-	spinAt := func(procs int) int32 {
-		runtime.GOMAXPROCS(procs)
+	for _, tc := range []struct {
+		procs int
+		want  int32
+	}{{1, 0}, {2, spinOversubscribed}, {4, spinPerP}} {
+		runtime.GOMAXPROCS(tc.procs)
 		e, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer e.Close()
-		return e.par.bar.spin
-	}
-	if s := spinAt(1); s != 0 {
-		t.Errorf("GOMAXPROCS=1: spin = %d, want 0 (yield immediately)", s)
-	}
-	if s := spinAt(2); s <= 0 || s >= 200 {
-		t.Errorf("GOMAXPROCS=2, 4 shards: spin = %d, want reduced (0 < spin < 200)", s)
-	}
-	if s := spinAt(4); s != 200 {
-		t.Errorf("GOMAXPROCS=4, 4 shards: spin = %d, want full budget 200", s)
+		if got := e.par.bar.spin; got != tc.want {
+			t.Errorf("GOMAXPROCS=%d, 4 shards: spin = %d, want %d", tc.procs, got, tc.want)
+		}
+		e.Close()
 	}
 }
 
@@ -150,7 +151,7 @@ func TestParallelGoroutinePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probe.par.inline || len(probe.par.wake) == 0 {
+	if probe.par.inline || len(probe.par.workers) == 0 {
 		probe.Close()
 		t.Fatal("GOMAXPROCS=2 engine did not take the worker-pool path")
 	}

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"wormnet/internal/baseline"
 	"wormnet/internal/fault"
@@ -220,11 +222,42 @@ func TestParallelWorkerClamp(t *testing.T) {
 // four-shard run and finishes on the one shard Close re-partitions to — the
 // second time with an in-place Snapshot/Restore 1 000 cycles later. Between
 // cycles the engine's state does not depend on the partition, so the mixed
-// run must reproduce the recorded serial reference bit for bit.
+// run must reproduce the recorded serial reference bit for bit. Close returns
+// only once its workers have exited, whatever they were doing: the goroutine
+// count is back at its baseline after a Close straight after New (workers
+// spinning, yielding or not yet scheduled), mid-run, and after 50 ms of idling
+// (parked).
 func TestParallelCloseMidRun(t *testing.T) {
+	restore := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(restore)
+	runtime.GOMAXPROCS(2) // the pool, on any host
+
 	const row = "faults-storm"
 	cfg, want := equivalenceConfigs()[row], serialReference(t)[row]
 	cfg.Workers = 4
+	base := runtime.NumGoroutine()
+	closeAll := func(label string, e *Engine) {
+		t.Helper()
+		if got := runtime.NumGoroutine(); got != base+3 {
+			t.Fatalf("%s: %d goroutines before Close, want %d (three workers)", label, got, base+3)
+		}
+		e.Close()
+		// Close waits for each worker's deferred Done; the runtime retires the
+		// goroutine an instant later.
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() != base; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after Close, want the baseline %d", label, runtime.NumGoroutine(), base)
+			}
+		}
+	}
+	for _, idle := range []time.Duration{0, 50 * time.Millisecond} {
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(idle)
+		closeAll(fmt.Sprintf("unstepped, idle %v", idle), e)
+	}
 	for _, viaSnapshot := range []bool{false, true} {
 		e, err := New(cfg)
 		if err != nil {
@@ -238,12 +271,12 @@ func TestParallelCloseMidRun(t *testing.T) {
 		if len(e.par.shards) != 4 {
 			t.Fatalf("engine started on %d shards, want 4", len(e.par.shards))
 		}
-		e.Close()
+		closeAll("mid-run", e)
 		closed := e.par
 		e.Close() // idempotent: the one-shard runtime stays
-		if e.par != closed || len(closed.shards) != 1 || closed.wake != nil {
+		if e.par != closed || len(closed.shards) != 1 || closed.workers != nil {
 			t.Fatalf("after Close: %d shards, %d workers, runtime replaced by second Close = %v",
-				len(e.par.shards), len(e.par.wake), e.par != closed)
+				len(e.par.shards), len(e.par.workers), e.par != closed)
 		}
 		for e.Now() < 2000 {
 			e.Step()
