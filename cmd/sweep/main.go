@@ -62,6 +62,20 @@ type farm interface {
 	Status(id string) (*campaign.StatusView, error)
 }
 
+// defaultCheckpointEvery is the periodic checkpoint cadence of a sweep that was
+// not given -checkpoint-every: the spec's default wherever a checkpoint can
+// outlive the process that took it — a journal under -out (which -serve
+// requires), a coordinator behind -connect — or is the thing under test
+// (-chaos), and none for a local sweep without -out, which has nowhere to
+// resume from and would pay the encode and the validating decode (+4–5 % wall
+// on a short sweep) for nothing.
+func defaultCheckpointEvery(specDefault int64, out, connect string, chaos bool) int64 {
+	if out == "" && connect == "" && !chaos {
+		return 0
+	}
+	return specDefault
+}
+
 func run() int {
 	spec := campaign.DefaultSpec()
 	vary := flag.String("vary", "rate", "parameter to sweep: rate, vcs, buf, threshold, msglen, faults")
@@ -84,7 +98,7 @@ func run() int {
 	jsonlPath := flag.String("jsonl", "", "also write a run manifest plus one result record per point (JSONL) to this file")
 
 	out := flag.String("out", "", "journal the campaign under <dir>/<id>/ (manifest.json, spec.json, point checkpoints); rerun the same command to continue it")
-	flag.Int64Var(&spec.CheckpointEvery, "checkpoint-every", spec.CheckpointEvery, "cycles between periodic checkpoints of the running point (0 = final-only)")
+	flag.Int64Var(&spec.CheckpointEvery, "checkpoint-every", spec.CheckpointEvery, "cycles between periodic checkpoints of the running point (0 = final-only; a local sweep without -out defaults to 0)")
 	pointWall := flag.Duration("point-wall", 0, "wall-clock budget per point (0 = unlimited)")
 	flag.Int64Var(&spec.StallWindow, "stall-window", 0, "declare a point stalled after this many cycles without progress (0 = off)")
 	flag.IntVar(&spec.Retries, "point-retries", spec.Retries, "attempts for a crashed or stalled point before it goes terminal")
@@ -113,6 +127,11 @@ func run() int {
 		if *connect == "" {
 			*workers = sim.DefaultWorkers()
 		}
+	}
+	given := false
+	flag.Visit(func(f *flag.Flag) { given = given || f.Name == "checkpoint-every" })
+	if !given {
+		spec.CheckpointEvery = defaultCheckpointEvery(spec.CheckpointEvery, *out, *connect, *chaos)
 	}
 	switch {
 	case *chaos:

@@ -1,0 +1,31 @@
+package main
+
+import (
+	"testing"
+
+	"wormnet/internal/campaign"
+)
+
+// A sweep that was not told a cadence checkpoints periodically exactly where
+// the checkpoint can be resumed from (or is what -chaos tests).
+func TestDefaultCheckpointEvery(t *testing.T) {
+	def := campaign.DefaultSpec().CheckpointEvery
+	if def <= 0 {
+		t.Fatalf("the spec's default cadence is %d: nothing to resolve", def)
+	}
+	for _, c := range []struct {
+		name         string
+		out, connect string
+		chaos        bool
+		want         int64
+	}{
+		{"local, no journal", "", "", false, 0},
+		{"local, journalled", "runs/", "", false, def},
+		{"worker half", "", "http://127.0.0.1:1", false, def},
+		{"chaos self-test", "", "", true, def},
+	} {
+		if got := defaultCheckpointEvery(def, c.out, c.connect, c.chaos); got != c.want {
+			t.Errorf("%s: checkpoint every %d cycles, want %d", c.name, got, c.want)
+		}
+	}
+}

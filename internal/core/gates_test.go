@@ -182,3 +182,69 @@ func TestEvalViewGeometryMismatch(t *testing.T) {
 	}()
 	ck.EvalView(v, 1)
 }
+
+// TestRuleWordsExhaustive holds the word form of the rules — what a simulator
+// with a one-word status register runs in place of a ChannelView walk —
+// against the definitions it replaces, over every status register and every
+// routing output of a four-channel router at 1 to 4 virtual channels: RuleWords
+// against EvalRules and the Figure 3 circuit, and each limiter's WordRules
+// declaration against its own Allow and ClassifyRules.
+func TestRuleWordsExhaustive(t *testing.T) {
+	const ports = 4
+	family := []interface {
+		Limiter
+		RuleClassifier
+		WordGate
+	}{ALO{}, RuleAOnly{}, RuleBOnly{}, AllChannels{}}
+	for vcs := 1; vcs <= 4; vcs++ {
+		ck := NewCircuit(ports, vcs)
+		vcFree := make([]Signal, ports*vcs)
+		useful := make([]Signal, ports)
+		view := &fakeView{free: map[topology.Port]int{}, vcs: vcs, ports: ports}
+		var allPorts uint64
+		for p := 0; p < ports; p++ {
+			allPorts |= 1 << uint(p*vcs)
+		}
+		for free := uint64(0); free < 1<<(ports*vcs); free++ {
+			for i := range vcFree {
+				vcFree[i] = free>>uint(i)&1 != 0
+				if i%vcs == 0 {
+					view.free[topology.Port(i/vcs)] = 0
+				}
+				if vcFree[i] {
+					view.free[topology.Port(i/vcs)]++
+				}
+			}
+			for u := 0; u < 1<<ports; u++ {
+				var usefulWord uint64
+				view.useful = view.useful[:0]
+				for p := range useful {
+					if useful[p] = u>>uint(p)&1 != 0; useful[p] {
+						usefulWord |= 1 << uint(p*vcs)
+						view.useful = append(view.useful, topology.Port(p))
+					}
+				}
+				a, b := RuleWords(free, usefulWord, vcs)
+				if wa, wb := EvalRules(view, 0); a != wa || b != wb {
+					t.Fatalf("vcs=%d free=%b useful=%b: RuleWords=(%v,%v), EvalRules=(%v,%v)", vcs, free, u, a, b, wa, wb)
+				}
+				if got := ck.Eval(vcFree, useful); got != (a || b) {
+					t.Fatalf("vcs=%d free=%b useful=%b: circuit=%v, RuleWords=(%v,%v)", vcs, free, u, got, a, b)
+				}
+				for _, lim := range family {
+					useA, useB, all := lim.WordRules()
+					a, b := a, b
+					if all {
+						a, b = RuleWords(free, allPorts, vcs)
+					}
+					if got, want := useA && a || useB && b, lim.Allow(view, 0); got != want {
+						t.Fatalf("%s vcs=%d free=%b useful=%b: word form admits=%v, Allow=%v", lim.Name(), vcs, free, u, got, want)
+					}
+					if wa, wb := lim.ClassifyRules(view, 0); a != wa || b != wb {
+						t.Fatalf("%s vcs=%d free=%b useful=%b: word form rules (%v,%v), ClassifyRules (%v,%v)", lim.Name(), vcs, free, u, a, b, wa, wb)
+					}
+				}
+			}
+		}
+	}
+}

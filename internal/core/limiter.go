@@ -95,6 +95,34 @@ type RuleClassifier interface {
 	ClassifyRules(v ChannelView, dst topology.NodeID) (ruleA, ruleB bool)
 }
 
+// WordGate is implemented by limiters whose whole decision is the paper's two
+// rules over a channel set fixed up front: the ALO family. A simulator that
+// holds the virtual-channel status register as one word asks once, when it
+// builds the node, and from then on answers the gate with RuleWords — the
+// Figure 3 circuit's own inputs — instead of walking a ChannelView per
+// attempt. Allow and ClassifyRules stay the definition (and the test oracle).
+type WordGate interface {
+	// WordRules reports which rules admit a message (either, when both do)
+	// and whether the limiter inspects every physical channel of the node
+	// instead of the routing function's useful ones.
+	WordRules() (ruleA, ruleB, allPorts bool)
+}
+
+// RuleWords is EvalRules on a status register held as one word: bit p*vcs+v
+// of free is set while virtual channel v of physical channel p is unallocated,
+// and useful has bit p*vcs set for every channel p of the inspected set. The
+// OR (AND) of free over the vcs shifts leaves gate C (D) of channel p at bit
+// p*vcs, so each rule is one mask test. Bits of free at or above
+// (ports)*vcs must be clear.
+func RuleWords(free, useful uint64, vcs int) (ruleA, ruleB bool) {
+	some, all := free, free
+	for v := 1; v < vcs; v++ {
+		some |= free >> uint(v)
+		all &= free >> uint(v)
+	}
+	return some&useful == useful, all&useful != 0
+}
+
 // EvalRules evaluates both ALO rules over the useful channels: ruleA is
 // "every useful physical channel has at least one free virtual channel",
 // ruleB "at least one useful physical channel is completely free". It is
@@ -143,6 +171,9 @@ func (ALO) Allow(v ChannelView, dst topology.NodeID) bool {
 // Name implements Limiter.
 func (ALO) Name() string { return "alo" }
 
+// WordRules implements WordGate.
+func (ALO) WordRules() (ruleA, ruleB, allPorts bool) { return true, true, false }
+
 // ClassifyRules implements RuleClassifier.
 func (ALO) ClassifyRules(v ChannelView, dst topology.NodeID) (bool, bool) {
 	return EvalRules(v, dst)
@@ -172,6 +203,9 @@ func (RuleAOnly) Allow(v ChannelView, dst topology.NodeID) bool {
 // Name implements Limiter.
 func (RuleAOnly) Name() string { return "alo-rule-a" }
 
+// WordRules implements WordGate.
+func (RuleAOnly) WordRules() (ruleA, ruleB, allPorts bool) { return true, false, false }
+
 // ClassifyRules implements RuleClassifier.
 func (RuleAOnly) ClassifyRules(v ChannelView, dst topology.NodeID) (bool, bool) {
 	return EvalRules(v, dst)
@@ -200,6 +234,9 @@ func (RuleBOnly) Allow(v ChannelView, dst topology.NodeID) bool {
 
 // Name implements Limiter.
 func (RuleBOnly) Name() string { return "alo-rule-b" }
+
+// WordRules implements WordGate.
+func (RuleBOnly) WordRules() (ruleA, ruleB, allPorts bool) { return false, true, false }
 
 // ClassifyRules implements RuleClassifier.
 func (RuleBOnly) ClassifyRules(v ChannelView, dst topology.NodeID) (bool, bool) {
@@ -236,6 +273,9 @@ func (AllChannels) Allow(v ChannelView, _ topology.NodeID) bool {
 
 // Name implements Limiter.
 func (AllChannels) Name() string { return "alo-all-channels" }
+
+// WordRules implements WordGate.
+func (AllChannels) WordRules() (ruleA, ruleB, allPorts bool) { return true, true, true }
 
 // ClassifyRules implements RuleClassifier over all physical channels (the
 // set this ablation actually inspects).

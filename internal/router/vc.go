@@ -56,14 +56,6 @@ func NewOutPort(v int) *OutPort {
 	return &OutPort{VCs: make([]OutVC, v)}
 }
 
-// OutPortOver returns an output port whose virtual-channel state lives in
-// the caller-provided backing slice. The simulation engine uses this to
-// keep all of a node's output virtual channels in one contiguous
-// allocation.
-func OutPortOver(backing []OutVC) OutPort {
-	return OutPort{VCs: backing}
-}
-
 // FreeVCs returns the number of unallocated virtual channels.
 func (p *OutPort) FreeVCs() int {
 	n := 0

@@ -56,7 +56,11 @@ type candTable struct {
 	pool   []portCand // deduplicated candidate sets, back to back
 	// word[id] is set id's candidates as one word, bit port*VCs+vc: what a
 	// blocked header is tested against (allocate). Zero for the empty set.
-	word []uint64
+	// useful[id] has bit port*VCs for each physical port of the set: the
+	// routing output the injection gate tests the free word against
+	// (core.RuleWords).
+	word   []uint64
+	useful []uint64
 	// port[i] is pool[i].port: each set's physical ports as the slice the
 	// injection limiters' channel view hands out.
 	port []topology.Port
@@ -73,6 +77,7 @@ func buildCandTable(topo *topology.Torus, alg routing.Algorithm, vcs int) *candT
 		setID:  make([]int32, n*n),
 		setOff: []int32{0, 0}, // id 0 is reserved and empty
 		word:   []uint64{0},
+		useful: []uint64{0},
 	}
 	seen := make(map[string]int32)
 	var scratch []routing.Candidate
@@ -95,12 +100,14 @@ func buildCandTable(topo *topology.Torus, alg routing.Algorithm, vcs int) *candT
 				id = int32(len(t.word))
 				seen[string(key)] = id
 				t.pool = append(t.pool, packed...)
-				var w uint64
+				var w, u uint64
 				for _, pc := range packed {
 					t.port = append(t.port, pc.port)
 					w |= uint64(pc.mask) << uint(int(pc.port)*vcs)
+					u |= 1 << uint(int(pc.port)*vcs)
 				}
 				t.word = append(t.word, w)
+				t.useful = append(t.useful, u)
 				t.setOff = append(t.setOff, int32(len(t.pool)))
 			}
 			t.setID[cur*n+dst] = id

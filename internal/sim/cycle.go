@@ -72,9 +72,7 @@ func (e *Engine) Step() {
 // cycle regardless of activity, so it always equalled now % nAgents —
 // deriving it makes skipping idle nodes free of state drift.
 func (e *Engine) allocRange(lo, hi int) {
-	vcs := e.cfg.VCs
-	vcsMask := uint32(1)<<uint(vcs) - 1
-	below := uint64(1)<<uint(e.now%int64(e.numPhys*vcs)) - 1 // the agents before start
+	below := uint64(1)<<uint(e.now%int64(e.numPhys*e.cfg.VCs)) - 1 // the agents before start
 	for i := lo; i < hi; i++ {
 		nd := &e.nodes[i]
 		if nd.occVCs == 0 && nd.busyInj == 0 {
@@ -83,14 +81,10 @@ func (e *Engine) allocRange(lo, hi int) {
 		var w allocWords // packed by the node's first attempt, if any
 		if nd.occVCs > 0 {
 			// The unrouted headers — occupied AND NOT routed, off the status
-			// words, so empty and routed channels are never touched — as one
-			// word of agent bits, walked in the rotating order start, …,
-			// nVC-1, 0, …, start-1. A teardown mid-walk only empties channels,
-			// and allocateVC looks again.
-			var hdr uint64
-			for p, empty := range nd.inEmpty {
-				hdr |= uint64(^empty&^nd.routed[p]&vcsMask) << uint(p*vcs)
-			}
+			// words, so empty and routed channels are never touched — walked in
+			// the rotating order start, …, nVC-1, 0, …, start-1. A teardown
+			// mid-walk only empties channels, and allocateVC looks again.
+			hdr := e.inMask &^ e.empty[i] &^ nd.routed
 			for _, h := range [2]uint64{hdr &^ below, hdr & below} {
 				for ; h != 0; h &= h - 1 {
 					e.allocateVC(nd, bits.TrailingZeros64(h), &w)
@@ -104,8 +98,7 @@ func (e *Engine) allocRange(lo, hi int) {
 				if ic.msg == nil || ic.route.valid || ic.left < ic.len {
 					continue
 				}
-				var set int32 // looked up per attempt: an admitted header seldom waits here
-				route, ok, _, unroutable := e.allocate(nd, ic.msg, ic.dst, &set, &w)
+				route, ok, _, unroutable := e.allocate(nd, ic.msg, ic.dst, &ic.set, &w)
 				switch {
 				case ok:
 					ic.route = route
@@ -141,9 +134,8 @@ func (e *Engine) allocateVC(nd *node, a int, w *allocWords) {
 	route, ok, vital, unroutable := e.allocate(nd, m, ivc.dst, &ivc.set, w)
 	if ok {
 		nd.routes[a] = route
-		p := e.portTab[a]
-		nd.routed[p] |= e.vcBit[a]
-		nd.fresh[p] |= e.vcBit[a]
+		nd.routed |= 1 << uint(a)
+		nd.fresh |= 1 << uint(a)
 		e.setWant(nd, a, route)
 		nd.blocked.Progress(a)
 		if e.spans != nil {
@@ -179,23 +171,28 @@ func (e *Engine) allocateVC(nd *node, a int, w *allocWords) {
 	}
 }
 
-// allocWords is a node's output virtual channels as two words for one cycle's
-// allocation attempts, bit port*VCs+vc like the candidate words: free has the
-// unallocated ones, avail those of them whose downstream buffer is empty too.
-// Within a node's walk only its own grants (one bit, cleared in both) and a
-// teardown (recover, kill: packed is reset and the next attempt packs again)
-// change either.
+// allocWords is what one cycle's allocation attempts at a node gather from
+// its neighbours: avail has the node's unallocated output virtual channels
+// (node.free) whose downstream buffer is empty too, in the same bit order.
+// Within a node's walk only its own grants (one bit, cleared in both words)
+// and a teardown (recover, kill: packed is reset and the next attempt packs
+// again) change it.
 type allocWords struct {
-	free, avail uint64
-	packed      bool
+	avail  uint64
+	packed bool
 }
 
+// pack lines the neighbours' empty fields up with the node's output ports:
+// the buffers port p feeds are field Opposite(p) of the neighbour's word.
 func (e *Engine) pack(nd *node, w *allocWords) {
-	*w = allocWords{packed: true}
-	for p, fm := range nd.freeMask {
-		w.free |= uint64(fm) << uint(p*e.cfg.VCs)
-		w.avail |= uint64(fm&e.emptyArena[nd.downWord[p]]) << uint(p*e.cfg.VCs)
+	vcs := uint(e.cfg.VCs)
+	field := uint64(1)<<vcs - 1
+	var down uint64
+	for p, nb := range nd.nbr {
+		opp := uint(topology.Opposite(topology.Port(p)))
+		down |= (e.empty[nb] >> (opp * vcs) & field) << (uint(p) * vcs)
 	}
+	*w = allocWords{avail: nd.free & down, packed: true}
 }
 
 // allocate claims an output virtual channel (or ejection channel) for
@@ -211,7 +208,7 @@ func (e *Engine) pack(nd *node, w *allocWords) {
 //
 // A header that cannot be allocated — most of them, beyond saturation — is
 // decided on words: nothing is allocatable when avail AND the set's word is
-// zero, and then a free candidate (free AND the word) is the first vital
+// zero, and then a free candidate (node.free AND the word) is the first vital
 // sign and the per-VC timestamps of the busy candidates the second. Only a
 // header that will get a channel reaches the per-port scoring loop.
 func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID, set *int32, w *allocWords) (routeInfo, bool, bool, bool) {
@@ -224,10 +221,7 @@ func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID, set
 		}
 		return routeInfo{}, false, false, false
 	}
-	if *set == 0 {
-		*set = e.cand.id(nd.id, dst)
-	}
-	candW := e.cand.word[*set]
+	candW := e.cand.word[e.setOf(nd, dst, set)]
 	if candW == 0 {
 		return routeInfo{}, false, false, true // faults left no candidate
 	}
@@ -235,7 +229,7 @@ func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID, set
 		e.pack(nd, w)
 	}
 	if w.avail&candW == 0 {
-		vital := w.free&candW != 0
+		vital := nd.free&candW != 0
 		if !vital && !e.cfg.LenientDetection {
 			// Every candidate is busy: did any transmit within the last cycle?
 			for busy := candW; busy != 0; busy &= busy - 1 {
@@ -253,15 +247,18 @@ func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID, set
 	bestScore := -1
 	bestPref := 1 << 30
 	rot := int(e.now) % e.numPhys // rotating tie-break among equal ports
+	vcs := uint(e.cfg.VCs)
+	field := uint64(1)<<vcs - 1
 	for _, pc := range e.cand.set(*set) {
-		avail := nd.freeMask[pc.port] & pc.mask & e.emptyArena[nd.downWord[pc.port]]
+		at := uint(pc.port) * vcs
+		avail := uint32(w.avail>>at) & pc.mask
 		if avail == 0 {
 			continue
 		}
 		// Prefer the least-multiplexed useful channel (most free VCs); the
 		// paper's model assumes adaptive routing spreads virtual-channel
 		// load across physical channels this way. Ties rotate.
-		score := bits.OnesCount32(nd.freeMask[pc.port])
+		score := bits.OnesCount64(nd.free >> at & field)
 		pref := int(pc.port) - rot // rotating distance, without the division
 		if pref < 0 {
 			pref += e.numPhys
@@ -272,12 +269,11 @@ func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID, set
 			bestVC = int8(bits.TrailingZeros32(avail))
 		}
 	}
-	nd.out[bestPort].VCs[bestVC].Allocate(m)
-	nd.freeMask[bestPort] &^= 1 << uint(bestVC)
-	bit := uint64(1) << uint(e.inVCIndex(bestPort, bestVC))
-	w.free, w.avail = w.free&^bit, w.avail&^bit
+	out := e.inVCIndex(bestPort, bestVC)
+	nd.outVCs[out].Allocate(m)
+	nd.free, w.avail = nd.free&^(1<<uint(out)), w.avail&^(1<<uint(out))
 	m.Path = append(m.Path, pathLoc{
-		Node: nd.nbr[bestPort].id, Port: topology.Opposite(bestPort), VC: bestVC,
+		Node: nd.nbr[bestPort], Port: topology.Opposite(bestPort), VC: bestVC,
 	})
 	return routeInfo{valid: true, outPort: bestPort, outVC: bestVC, epoch: uint16(e.epoch)}, true, true, false
 }
@@ -290,7 +286,7 @@ func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID, set
 //
 // Nothing is collected: who wants an output is standing state (node.want), so
 // a cycle computes one word, ready — the agents with a flit to forward: input
-// VCs occupied AND routed, but not this very cycle (fresh masks: movement
+// VCs occupied AND routed, but not this very cycle (fresh words: movement
 // starts the cycle after allocation), and streaming injection channels — and
 // each wanted output grants over (its wanters with downstream credit) AND
 // ready, the winner taking its crossbar input's agents out of ready.
@@ -303,7 +299,7 @@ func (e *Engine) switchRange(lo, hi int, moves []move) []move {
 	numPhys := e.numPhys
 	vcs := e.cfg.VCs
 	nVC := numPhys * vcs
-	fullArena := e.fullArena
+	empty, full := e.empty, e.full
 	injAll := uint64(1)<<uint(e.cfg.InjChannels) - 1
 	for ni := lo; ni < hi; ni++ {
 		nd := &e.nodes[ni]
@@ -312,15 +308,10 @@ func (e *Engine) switchRange(lo, hi int, moves []move) []move {
 		if nd.wantOut == 0 || (nd.occVCs == 0 && nd.busyInj == 0) {
 			continue
 		}
-		var ready uint64
-		for p := 0; p < numPhys; p++ {
-			ready |= uint64(^nd.inEmpty[p]&nd.routed[p]&^nd.fresh[p]) << uint(p*vcs)
-			nd.fresh[p] = 0
-		}
 		// A routed injection channel has flits left to stream (the tail takes
 		// the route with it), and an unrouted one is nobody's wanter.
-		ready |= (injAll &^ nd.freshInj) << uint(nVC)
-		nd.freshInj = 0
+		ready := nd.routed&^empty[ni]&^nd.fresh | (injAll&^nd.freshInj)<<uint(nVC)
+		nd.fresh, nd.freshInj = 0, 0
 		// Outputs from the top: ejection channels (the highest indices) go
 		// first so that draining traffic is never starved by through traffic.
 		for out := nd.wantOut; out != 0 && ready != 0; {
@@ -336,9 +327,9 @@ func (e *Engine) switchRange(lo, hi int, moves []move) []move {
 				mv.outPort = topology.Port(o)
 				wants = nd.want[o*vcs : (o+1)*vcs]
 				// Credit: the downstream buffer has a slot free.
-				full := uint64(fullArena[nd.downWord[o]])
+				down := full[nd.nbr[o]] >> uint(int(topology.Opposite(mv.outPort))*vcs)
 				for v, a := range wants {
-					cands |= 1 << a & (full>>uint(v)&1 - 1)
+					cands |= 1 << a & (down>>uint(v)&1 - 1)
 				}
 			}
 			a := nd.outArb[o].GrantMask(cands & ready)

@@ -60,13 +60,16 @@ type inVC struct {
 // never dereferences the message. A channel is busy while len != 0: the
 // injection section claims it for a queue record by filling left, len and dst,
 // and msg follows at the section's commit, where the object is built — so
-// within that section msg is still nil on a channel claimed in it.
+// within that section msg is still nil on a channel claimed in it. set is
+// inVC.set for the header waiting here: the claim hands over the id the
+// injection gate looked up for the queue head (0 from the recovery list).
 type injChannel struct {
 	msg   *message.Message
 	route routeInfo
 	left  int32
 	len   int32           // the message's length; 0 on an idle channel
 	dst   topology.NodeID // the message's destination, cached at the claim
+	set   int32
 }
 
 // ejChannel is one of the node's ejection channels. pending counts flits
@@ -100,12 +103,10 @@ type node struct {
 
 	// in[p*VCs+v] is input virtual channel v of physical port p — the
 	// flat channel id doubles as the agent index of the allocation and
-	// switch phases. outVCs is the matching flat output-side state;
-	// out[p] wraps the per-port subslice of it.
+	// switch phases. outVCs is the matching flat output-side state.
 	in     []inVC
 	routes []routeInfo
 	outVCs []router.OutVC
-	out    []router.OutPort
 	inj    []injChannel
 	ej     []ejChannel
 
@@ -137,9 +138,13 @@ type node struct {
 	// ChannelView, so the injection phase performs no per-cycle interface
 	// conversions. limClass likewise caches the RuleClassifier assertion;
 	// the metrics layer consults it to attribute denials to rule (a)/(b).
+	// gate is the limiter's core.WordGate declaration, asked once at New; on
+	// is false for one that makes none (LF, DRIL, none, wrappers, custom
+	// limiters), whose gate stays Allow over view (admits).
 	limObs   core.CycleObserver
 	limClass core.RuleClassifier
 	view     *channelView
+	gate     struct{ on, ruleA, ruleB, allPorts bool }
 
 	// blocked tracks consecutive cycles each input VC's header failed to
 	// obtain an output virtual channel (deadlock detection input).
@@ -150,24 +155,23 @@ type node struct {
 	// the header could go) from plain congestion.
 	lastTx []int64
 
-	// Status registers, one word per physical port, bit v = virtual
-	// channel v. freeMask tracks which output VCs are unallocated,
-	// inEmpty/inFull which of the node's own input buffers are empty/at
-	// capacity, and routed which input VCs hold a valid forwarding
-	// decision (bit set iff routes[p*VCs+v].valid). The allocator and
-	// switch phases test whole candidate sets against these words instead
-	// of walking per-VC state: the allocation walk visits occupied AND
+	// Status registers, one word each, bit p*VCs+v = virtual channel v of
+	// physical port p — the agent index and the candidate words' bit order.
+	// free has the unallocated output VCs and routed the input VCs holding a
+	// valid forwarding decision (bit a set iff routes[a].valid); the two
+	// registers a neighbour reads, which of the node's input buffers are
+	// empty and which at capacity, are Engine.empty and Engine.full at the
+	// node's id. The gate, the allocator and the switch test whole candidate
+	// sets against these words: the allocation walk visits occupied AND
 	// unrouted channels, the switch walk occupied AND routed ones.
-	freeMask []uint32
-	inEmpty  []uint32
-	inFull   []uint32
-	routed   []uint32
+	free   uint64
+	routed uint64
 	// fresh marks input VCs (and freshInj injection channels) whose route
 	// was assigned in the current cycle: the switch phase skips them — a
 	// flit moves no earlier than the cycle after allocation — and clears
-	// the masks as it goes. This replaces a per-route assignment
+	// the words as it goes. This replaces a per-route assignment
 	// timestamp, halving routeInfo.
-	fresh    []uint32
+	fresh    uint64
 	freshInj uint64
 	// want[p*VCs+v] is the agent routed to output virtual channel (p, v) and
 	// want[numPhys*VCs+c] the one routed to ejection channel c, noAgent for
@@ -176,17 +180,15 @@ type node struct {
 	// a route is (setWant, clearWant), derived state like the words above.
 	want []uint8
 
-	// nbr caches the neighbouring node behind each physical output port
-	// and down[p*VCs+v] the input VC a flit sent on (p, v) lands in;
-	// downWord[p] is the index of the downstream node's status word for
-	// the buffers this port feeds, in the engine's dense emptyArena and
-	// fullArena (the same index addresses both). An index into a dense
-	// array beats a pointer here: the credit checks become a single
-	// dependent load off a base the compiler keeps in a register. All are
-	// precomputed at construction.
-	nbr      []*node
-	down     []*inVC
-	downWord []int32
+	// nbr[p] is the neighbouring node behind physical output port p and
+	// down[p*VCs+v] the input VC a flit sent on (p, v) lands in. The id is
+	// also the index of the neighbour's words in Engine.empty and Engine.full,
+	// where the buffers port p feeds are the field at Opposite(p)*VCs. An
+	// index into a dense array beats a pointer here: the credit checks become
+	// a single dependent load off a base the compiler keeps in a register.
+	// Both are precomputed at construction.
+	nbr  []topology.NodeID
+	down []*inVC
 
 	// outArb arbitrates each output port (physical + ejection) among the
 	// node's input agents.
@@ -256,21 +258,22 @@ type Engine struct {
 	// empty pool is refilled a slab at a time (newSlab).
 	pool []*message.Message
 
-	// emptyArena and fullArena are the dense input-buffer status words of
-	// the whole network: every node's inEmpty/inFull slices are subslices
-	// of them, and a node reaches its *downstream* words by index
-	// (node.downWord) instead of chasing pointers into neighbour structs.
-	emptyArena []uint32
-	fullArena  []uint32
+	// empty and full are the input-buffer status registers of the whole
+	// network, one word per node (bit p*VCs+v, like the node's own words):
+	// the two a neighbour reads — the allocator its downstream empty fields,
+	// the switch its downstream full fields, through node.nbr — so they sit
+	// in two dense arrays a few kilobytes each that stay cache-resident,
+	// instead of in 512 scattered node structs.
+	empty []uint64
+	full  []uint64
+	// inMask has the bit of every input VC, so the bits a status word may
+	// hold, and portsLow the low bit of every physical port's field: the
+	// useful word of a limiter that inspects all channels.
+	inMask   uint64
+	portsLow uint64
 
-	// portTab maps an agent index to its crossbar input port; vcBit and
-	// vcOf map an input-VC agent to its status-register bit and virtual
-	// channel. Lookup tables replace the divisions the hot phases would
-	// otherwise do per flit. xbarMask[a] is the agents sharing agent a's
-	// crossbar input (its port's VCs, or the injection channel alone).
-	portTab  []int32
-	vcBit    []uint32
-	vcOf     []int8
+	// xbarMask[a] is the agents sharing agent a's crossbar input (its port's
+	// VCs, or the injection channel alone).
 	xbarMask []uint64
 
 	// par is the sharded runtime that runs the cycle (see parallel.go): one
@@ -412,19 +415,11 @@ func New(cfg Config) (*Engine, error) {
 	numOut := e.numPhys + cfg.EjChannels
 
 	nAgents := e.agentCount()
-	e.portTab = make([]int32, nAgents)
-	e.vcBit = make([]uint32, nVC)
-	e.vcOf = make([]int8, nVC)
 	e.xbarMask = make([]uint64, nAgents)
-	for a := 0; a < nAgents; a++ {
+	for a := range e.xbarMask {
+		e.xbarMask[a] = 1 << uint(a)
 		if a < nVC {
-			e.portTab[a] = int32(a / cfg.VCs)
-			e.vcBit[a] = 1 << uint(a%cfg.VCs)
-			e.vcOf[a] = int8(a % cfg.VCs)
 			e.xbarMask[a] = (1<<uint(cfg.VCs) - 1) << uint(a-a%cfg.VCs)
-		} else {
-			e.portTab[a] = int32(e.numPhys + (a - nVC))
-			e.xbarMask[a] = 1 << uint(a)
 		}
 	}
 
@@ -433,21 +428,15 @@ func New(cfg Config) (*Engine, error) {
 	// ownership, transmission timestamps and arbiters.
 	inArena := make([]inVC, nNodes*nVC)
 	outArena := make([]router.OutVC, nNodes*nVC)
-	outPortArena := make([]router.OutPort, nNodes*e.numPhys)
 	lastTxArena := make([]int64, nNodes*nVC)
 	arbArena := make([]router.RoundRobin, nNodes*numOut)
 	for i := range lastTxArena {
 		lastTxArena[i] = -1
 	}
-	// The status words of the whole network pack into dense arrays a few
-	// kilobytes each, so the credit checks against *neighbour* words
-	// (indexed through node.downWord) stay cache-resident instead of
-	// chasing into 512 scattered node structs.
-	freeArena := make([]uint32, nNodes*e.numPhys)
-	e.emptyArena = make([]uint32, nNodes*e.numPhys)
-	e.fullArena = make([]uint32, nNodes*e.numPhys)
-	routedArena := make([]uint32, nNodes*e.numPhys)
-	freshArena := make([]uint32, nNodes*e.numPhys)
+	e.empty = make([]uint64, nNodes)
+	e.full = make([]uint64, nNodes)
+	e.inMask = 1<<uint(nVC) - 1
+	e.portsLow = e.inMask / (1<<uint(cfg.VCs) - 1) // numPhys all-ones fields over one
 	routeArena := make([]routeInfo, nNodes*nVC)
 	nWant := nVC + cfg.EjChannels
 	wantArena := make([]uint8, nNodes*nWant)
@@ -457,9 +446,8 @@ func New(cfg Config) (*Engine, error) {
 	ejArena := make([]ejChannel, nNodes*cfg.EjChannels)
 	viewArena := make([]channelView, nNodes)
 	blockedArena := make([]int32, nNodes*nVC)
-	nbrArena := make([]*node, nNodes*e.numPhys)
+	nbrArena := make([]topology.NodeID, nNodes*e.numPhys)
 	downArena := make([]*inVC, nNodes*nVC)
-	downWordArena := make([]int32, nNodes*e.numPhys)
 	var srcArena []traffic.Source // the steady Poisson sources, by value
 	if cfg.Sources == nil && !cfg.Burst.Enabled() {
 		srcArena = make([]traffic.Source, nNodes)
@@ -474,10 +462,6 @@ func New(cfg Config) (*Engine, error) {
 			nd.in[c].buf.Init(cfg.BufDepth)
 		}
 		nd.outVCs = cut(outArena, i, nVC)
-		nd.out = cut(outPortArena, i, e.numPhys)
-		for p := range nd.out {
-			nd.out[p] = router.OutPortOver(nd.outVCs[p*cfg.VCs : (p+1)*cfg.VCs : (p+1)*cfg.VCs])
-		}
 		nd.inj = cut(injArena, i, cfg.InjChannels)
 		nd.ej = cut(ejArena, i, cfg.EjChannels)
 		switch {
@@ -503,22 +487,17 @@ func New(cfg Config) (*Engine, error) {
 		nd.limiter = cfg.Limiter(nd.id, topo, cfg.VCs)
 		nd.limObs, _ = nd.limiter.(core.CycleObserver)
 		nd.limClass, _ = nd.limiter.(core.RuleClassifier)
+		if wg, ok := nd.limiter.(core.WordGate); ok {
+			nd.gate.on = true
+			nd.gate.ruleA, nd.gate.ruleB, nd.gate.allPorts = wg.WordRules()
+		}
 		viewArena[i] = channelView{e: e, nd: nd}
 		nd.view = &viewArena[i]
 		nd.blocked = deadlock.TrackerOver(cut(blockedArena, i, nVC))
 		nd.lastTx = cut(lastTxArena, i, nVC)
-		nd.freeMask = cut(freeArena, i, e.numPhys)
-		nd.inEmpty = cut(e.emptyArena, i, e.numPhys)
-		nd.inFull = cut(e.fullArena, i, e.numPhys)
-		nd.routed = cut(routedArena, i, e.numPhys)
-		nd.fresh = cut(freshArena, i, e.numPhys)
+		nd.free, e.empty[i] = e.inMask, e.inMask
 		nd.want = cut(wantArena, i, nWant)
 		nd.wantOut, _ = e.deriveWants(nd, nd.want) // no route yet: all noAgent
-		allVCs := uint32(1)<<uint(cfg.VCs) - 1
-		for p := 0; p < e.numPhys; p++ {
-			nd.freeMask[p] = allVCs
-			nd.inEmpty[p] = allVCs
-		}
 		nd.outArb = cut(arbArena, i, numOut)
 		for p := range nd.outArb {
 			nd.outArb[p].Init(nAgents)
@@ -529,19 +508,17 @@ func New(cfg Config) (*Engine, error) {
 		nd := &e.nodes[i]
 		nd.nbr = cut(nbrArena, i, e.numPhys)
 		nd.down = cut(downArena, i, nVC)
-		nd.downWord = cut(downWordArena, i, e.numPhys)
 		for p := 0; p < e.numPhys; p++ {
 			nbID := topo.Neighbor(nd.id, topology.Port(p))
 			nb := &e.nodes[nbID]
-			nd.nbr[p] = nb
+			nd.nbr[p] = nbID
 			opp := int(topology.Opposite(topology.Port(p)))
-			nd.downWord[p] = int32(int(nbID)*e.numPhys + opp)
 			for v := 0; v < cfg.VCs; v++ {
 				nd.down[p*cfg.VCs+v] = &nb.in[opp*cfg.VCs+v]
 			}
 		}
 	}
-	e.par = newParRuntime(e, partition(nNodes, cfg.Workers, alignNodes(e.numPhys)))
+	e.par = newParRuntime(e, partition(nNodes, cfg.Workers, alignNodes))
 	return e, nil
 }
 
@@ -558,13 +535,15 @@ func splitSeed(seed, node uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// candidates returns the admissible output virtual channels of a header at
-// nd addressed to dst, as per-port masks: always a packed table lookup. The
-// table is exact for the current routing epoch — fault-capable runs rebuild
-// it at every liveness change (reconfigure), so the lookup equals a fresh
-// routing call under the current mask.
-func (e *Engine) candidates(nd *node, dst topology.NodeID) []portCand {
-	return e.cand.get(nd.id, dst)
+// setOf returns the candidate-set id of a header at nd addressed to dst
+// through its cache (inVC.set, injChannel.set, srcQueue.set), looking it up in
+// the per-pair id array — the one cache miss of a routing decision — only
+// while the cache still holds 0.
+func (e *Engine) setOf(nd *node, dst topology.NodeID, set *int32) int32 {
+	if *set == 0 {
+		*set = e.cand.id(nd.id, dst)
+	}
+	return *set
 }
 
 // materialise turns the record in slot i, popped from node src's queue, into

@@ -107,7 +107,7 @@ func (e *Engine) killOnLink(n topology.NodeID, p topology.Port) {
 	inPort := topology.Opposite(p)
 	kills := e.killScratch[:0]
 	for v := 0; v < e.cfg.VCs; v++ {
-		if m := src.out[p].VCs[v].Owner(); m != nil {
+		if m := src.outVCs[int(p)*e.cfg.VCs+v].Owner(); m != nil {
 			kills = append(kills, m)
 		}
 		if m := down.in[int(inPort)*e.cfg.VCs+v].buf.FrontMessage(); m != nil {

@@ -28,9 +28,14 @@ type queued struct {
 
 // srcQueue is one node's source queue (FIFO; the paper: pending messages
 // before newer ones): the ends and length of its chain in the record arena.
-// head and tail mean nothing while n is 0.
+// head and tail mean nothing while n is 0. set caches the candidate-set id of
+// (this node, the front record's dst), 0 until the injection gate looks it up:
+// a denied head is decided again every cycle, and then touches neither the
+// record arena nor the per-pair id array. Whatever changes the front (pop,
+// pushFront) or the table (reconfigure) zeroes it.
 type srcQueue struct {
 	head, tail, n int32
+	set           int32
 }
 
 // Len returns the number of waiting messages.
@@ -46,6 +51,7 @@ func (q *srcQueue) pop(recs []queued) int32 {
 	i := q.head
 	q.head = recs[i].next
 	q.n--
+	q.set = 0
 	return i
 }
 
@@ -95,6 +101,7 @@ func (a *recordArena) pushFront(q *srcQueue, r queued) {
 	}
 	q.head = i
 	q.n++
+	q.set = 0
 }
 
 // front returns the oldest record of the non-empty queue q.

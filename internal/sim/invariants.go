@@ -34,8 +34,10 @@ import (
 //     has a message exactly when its cached length says busy; and the source
 //     queues' records that claim an existing object are the filed objects.
 //     Likewise the switch phase's standing requests (want, wantOut) are what
-//     the routes say, with no two agents on one output channel, and a cached
-//     candidate-set id is the current table's.
+//     the routes say, with no two agents on one output channel; the status
+//     words are what the channels say, with no bit the router has no channel
+//     for; and a cached candidate-set id (input VC, injection channel, queue
+//     head) is the current table's.
 //  7. Fault consistency (only with fault injection active): no flit sits in
 //     a buffer fed by a dead channel or anywhere on a dead router, no
 //     route or sender-side allocation crosses a dead channel, a dead
@@ -136,20 +138,26 @@ func (e *Engine) CheckInvariants() error {
 			// A valid forward route must point at a VC owned by the
 			// buffer's message (or the message that just drained it).
 			if rt := nd.routes[a]; rt.valid && !rt.eject && owner != nil {
-				oc := nd.out[rt.outPort].VCs[rt.outVC]
-				if oc.Owner() != owner {
+				if o := nd.outVCs[e.inVCIndex(rt.outPort, rt.outVC)].Owner(); o != owner {
 					return fmt.Errorf("node %d in[%d][%d]: route points at VC owned by %v, buffer holds msg %d",
-						nd.id, p, v, oc.Owner(), owner.ID)
+						nd.id, p, v, o, owner.ID)
 				}
 			}
 		}
 		if occ != nd.occVCs {
 			return fmt.Errorf("node %d: occVCs=%d but %d input buffers are non-empty", nd.id, nd.occVCs, occ)
 		}
+		if q := &nd.queue; q.set != 0 && (q.Empty() || q.set != e.cand.id(nd.id, e.waiting.front(q).dst)) {
+			return fmt.Errorf("node %d: queue of %d caches candidate set %d for its head, the table disagrees", nd.id, q.Len(), q.set)
+		}
 		busy := 0
 		for c := range nd.inj {
-			if nd.inj[c].len != 0 {
+			if ic := &nd.inj[c]; ic.len != 0 {
 				busy++
+				if ic.set != 0 && ic.set != e.cand.id(nd.id, ic.dst) {
+					return fmt.Errorf("node %d inj[%d]: cached candidate set %d for dst %d, table says %d",
+						nd.id, c, ic.set, ic.dst, e.cand.id(nd.id, ic.dst))
+				}
 			}
 			if ic := &nd.inj[c]; (ic.msg != nil) != (ic.len != 0) || (ic.len != 0 && (ic.left < 1 || ic.left > ic.len)) {
 				return fmt.Errorf("node %d inj[%d]: message %v on a channel of cached length %d with %d flits left", nd.id, c, ic.msg, ic.len, ic.left)
@@ -163,38 +171,37 @@ func (e *Engine) CheckInvariants() error {
 			return fmt.Errorf("node %d: want=%v wantOut=%#x, but the routes give wantOut=%#x (one agent per output channel: %v)",
 				nd.id, nd.want, nd.wantOut, out, ok)
 		}
-		for p := range nd.out {
-			var free, empty, full, routed uint32
-			for v := range nd.out[p].VCs {
-				if m := nd.out[p].VCs[v].Owner(); m != nil && m.State == message.StateDelivered {
-					return fmt.Errorf("node %d out[%d].vc[%d] owned by delivered msg %d", nd.id, p, v, m.ID)
-				}
-				if nd.out[p].VCs[v].Free() {
-					free |= 1 << uint(v)
-				}
-				buf := &nd.in[p*e.cfg.VCs+v].buf
-				if buf.Empty() {
-					empty |= 1 << uint(v)
-				}
-				if buf.Full() {
-					full |= 1 << uint(v)
-				}
-				if nd.routes[p*e.cfg.VCs+v].valid {
-					routed |= 1 << uint(v)
-				}
+		// The status words against what they summarise. The rebuilt words
+		// hold input-VC bits only, so a stray bit above them fails here too.
+		var free, empty, full, routed uint64
+		for a := range nd.in {
+			if m := nd.outVCs[a].Owner(); m != nil && m.State == message.StateDelivered {
+				return fmt.Errorf("node %d out[%d].vc[%d] owned by delivered msg %d", nd.id, a/e.cfg.VCs, a%e.cfg.VCs, m.ID)
 			}
-			if free != nd.freeMask[p] {
-				return fmt.Errorf("node %d port %d: freeMask=%#x but owners say %#x", nd.id, p, nd.freeMask[p], free)
+			bit := uint64(1) << uint(a)
+			if nd.outVCs[a].Free() {
+				free |= bit
 			}
-			if empty != nd.inEmpty[p] {
-				return fmt.Errorf("node %d port %d: inEmpty=%#x but buffers say %#x", nd.id, p, nd.inEmpty[p], empty)
+			if nd.in[a].buf.Empty() {
+				empty |= bit
 			}
-			if full != nd.inFull[p] {
-				return fmt.Errorf("node %d port %d: inFull=%#x but buffers say %#x", nd.id, p, nd.inFull[p], full)
+			if nd.in[a].buf.Full() {
+				full |= bit
 			}
-			if routed != nd.routed[p] {
-				return fmt.Errorf("node %d port %d: routed=%#x but routes say %#x", nd.id, p, nd.routed[p], routed)
+			if nd.routes[a].valid {
+				routed |= bit
 			}
+		}
+		for _, w := range []struct {
+			name      string
+			got, want uint64
+		}{{"free", nd.free, free}, {"empty", e.empty[i], empty}, {"full", e.full[i], full}, {"routed", nd.routed, routed}} {
+			if w.got != w.want {
+				return fmt.Errorf("node %d: status word %s=%#x but the channels say %#x", nd.id, w.name, w.got, w.want)
+			}
+		}
+		if nd.fresh&^e.inMask != 0 || nd.freshInj>>uint(len(nd.inj)) != 0 {
+			return fmt.Errorf("node %d: fresh=%#x freshInj=%#x name channels the router does not have", nd.id, nd.fresh, nd.freshInj)
 		}
 		for c := range nd.ej {
 			if m := nd.ej[c].msg; m != nil && m.State == message.StateDelivered {
@@ -301,15 +308,10 @@ func (e *Engine) checkFaultInvariants(inFlight map[*message.Message]bool) error 
 					nd.id, p, v, rt.outPort)
 			}
 		}
-		for p := range nd.out {
-			if e.live.LinkAlive(nd.id, topology.Port(p)) {
-				continue
-			}
-			for v := range nd.out[p].VCs {
-				if m := nd.out[p].VCs[v].Owner(); m != nil {
-					return fmt.Errorf("node %d out[%d].vc[%d] on a dead channel owned by msg %d",
-						nd.id, p, v, m.ID)
-				}
+		for o := range nd.outVCs {
+			if m := nd.outVCs[o].Owner(); m != nil && !e.live.LinkAlive(nd.id, topology.Port(o/e.cfg.VCs)) {
+				return fmt.Errorf("node %d out[%d].vc[%d] on a dead channel owned by msg %d",
+					nd.id, o/e.cfg.VCs, o%e.cfg.VCs, m.ID)
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"wormnet/internal/baseline"
+	"wormnet/internal/core"
 	"wormnet/internal/message"
 	"wormnet/internal/router"
 )
@@ -24,7 +25,7 @@ func TestInvariantCatchesUntrackedFlit(t *testing.T) {
 	e.nodes[3].in[0].buf.Push(message.MakeFlit(m, 0))
 	e.nodes[3].in[0].dst = m.Dst
 	e.nodes[3].occVCs++
-	e.nodes[3].inEmpty[0] &^= 1
+	e.empty[3] &^= 1
 	err := e.CheckInvariants()
 	if err == nil {
 		t.Fatal("untracked buffered flit not caught")
@@ -92,7 +93,7 @@ func TestInvariantCatchesFlitCountMismatch(t *testing.T) {
 	e.nodes[3].in[0].buf.Push(message.MakeFlit(m, 0))
 	e.nodes[3].in[0].dst = m.Dst
 	e.nodes[3].occVCs++
-	e.nodes[3].inEmpty[0] &^= 1
+	e.empty[3] &^= 1
 	err := e.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "buffered") {
 		t.Fatalf("flit conservation not caught: %v", err)
@@ -115,8 +116,8 @@ func TestInvariantCatchesDeliveredOwner(t *testing.T) {
 	e := idle(t, nil)
 	m := message.New(1, 0, 5, 4, 0)
 	m.State = message.StateDelivered
-	e.nodes[2].out[1].VCs[0].Allocate(m)
-	e.nodes[2].freeMask[1] &^= 1
+	e.nodes[2].outVCs[e.cfg.VCs].Allocate(m)
+	e.nodes[2].free &^= 1 << uint(e.cfg.VCs)
 	err := e.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "delivered") {
 		t.Fatalf("stale allocation not caught: %v", err)
@@ -143,9 +144,9 @@ func TestInvariantCatchesDuplicatePathEntry(t *testing.T) {
 	m2.Path = []pathLoc{loc}
 	// Both messages must be discoverable from network state: give each an
 	// output virtual-channel allocation.
-	e.nodes[0].out[0].VCs[0].Allocate(m1)
-	e.nodes[0].out[0].VCs[1].Allocate(m2)
-	e.nodes[0].freeMask[0] &^= 3
+	e.nodes[0].outVCs[0].Allocate(m1)
+	e.nodes[0].outVCs[1].Allocate(m2)
+	e.nodes[0].free &^= 3
 	err := e.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "both") {
 		t.Fatalf("duplicate path entry not caught: %v", err)
@@ -162,13 +163,13 @@ func TestInvariantCatchesRouteOwnershipMismatch(t *testing.T) {
 	nd.in[0].buf.Push(message.MakeFlit(m1, 0))
 	nd.in[0].dst = m1.Dst
 	nd.occVCs++
-	nd.inEmpty[0] &^= 1
+	e.empty[3] &^= 1
 	// Route on the VC points at an output channel owned by a different
 	// message.
-	nd.out[2].VCs[1].Allocate(m2)
-	nd.freeMask[2] &^= 2
+	nd.outVCs[2*e.cfg.VCs+1].Allocate(m2)
+	nd.free &^= 2 << uint(2*e.cfg.VCs)
 	nd.routes[0] = routeInfo{valid: true, outPort: 2, outVC: 1}
-	nd.routed[0] |= 1
+	nd.routed |= 1
 	err := e.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "owned by") {
 		t.Fatalf("route ownership mismatch not caught: %v", err)
@@ -185,6 +186,50 @@ func TestInvariantCatchesCounterDrift(t *testing.T) {
 	e.nodes[5].busyInj = 1 // no injection channel is busy
 	if err := e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "busyInj") {
 		t.Fatalf("busyInj drift not caught: %v", err)
+	}
+}
+
+// A status word is a whole register: a bit the router has no channel for is as
+// wrong as a flipped one, and the word-form gate and walks would act on it.
+func TestInvariantCatchesStrayStatusBit(t *testing.T) {
+	for name, corrupt := range map[string]func(e *Engine, nd *node){
+		"free":     func(e *Engine, nd *node) { nd.free |= e.inMask + 1 },
+		"empty":    func(e *Engine, nd *node) { e.empty[nd.id] |= e.inMask + 1 },
+		"full":     func(e *Engine, nd *node) { e.full[nd.id] |= 1 << 63 },
+		"routed":   func(e *Engine, nd *node) { nd.routed |= e.inMask + 1 },
+		"fresh":    func(e *Engine, nd *node) { nd.fresh |= e.inMask + 1 },
+		"freshInj": func(e *Engine, nd *node) { nd.freshInj |= 1 << uint(e.cfg.InjChannels) },
+	} {
+		e := idle(t, nil)
+		corrupt(e, &e.nodes[6])
+		if err := e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s word with a bit above the router's channels not caught: %v", name, err)
+		}
+	}
+}
+
+// The set-id caches of the injection side — the queue's, for its head, and the
+// injection channel's — are checked against the table like the input VCs'.
+func TestInvariantCatchesStaleSetCache(t *testing.T) {
+	e := idle(t, func(c *Config) { c.Limiter, c.LimiterName = core.NewALO(), "alo" })
+	e.Inject(0, 5, 4)
+	nd := &e.nodes[0]
+	nd.queue.set = e.cand.id(0, 10) // some other destination's set
+	if nd.queue.set == e.cand.id(0, 5) {
+		t.Fatal("test destinations share a candidate set")
+	}
+	if err := e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "queue") {
+		t.Fatalf("stale queue-head set id not caught: %v", err)
+	}
+	nd.queue.set = 0
+	e.Step() // the gate looks the id up, the claim hands it to the channel
+	if nd.inj[0].len == 0 || nd.inj[0].set != e.cand.id(0, 5) || nd.queue.set != 0 {
+		t.Fatalf("claimed channel %+v, queue %+v: want set id %d on the channel and none on the empty queue",
+			nd.inj[0], nd.queue, e.cand.id(0, 5))
+	}
+	nd.inj[0].set = e.cand.id(0, 10)
+	if err := e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "inj[0]") {
+		t.Fatalf("stale injection-channel set id not caught: %v", err)
 	}
 }
 

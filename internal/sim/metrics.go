@@ -20,7 +20,6 @@ import (
 	"math/bits"
 
 	"wormnet/internal/metrics"
-	"wormnet/internal/topology"
 )
 
 // DefaultMetricsSampleEvery is the default gauge-sampling period in cycles.
@@ -183,15 +182,14 @@ func (e *Engine) metricsSampled() bool {
 }
 
 // noteDeny records a limiter denial and, when the limiter exposes the
-// paper's rule decomposition, which rule(s) failed. Runs on the node's own
-// goroutine under the worker pool; counters are atomic, and the classification
-// touches only the node's own scratch state.
-func (e *Engine) noteDeny(nd *node, dst topology.NodeID) {
+// paper's rule decomposition, which rule(s) failed: a and b are what the gate
+// found (admits). Runs on the node's own goroutine under the worker pool;
+// counters are atomic.
+func (e *Engine) noteDeny(nd *node, a, b bool) {
 	e.met.denied.Inc()
 	if nd.limClass == nil {
 		return
 	}
-	a, b := nd.limClass.ClassifyRules(nd.view, dst)
 	if !a {
 		e.met.denyRuleA.Inc()
 	}
@@ -214,9 +212,7 @@ func (e *Engine) sampleMetrics() {
 		retryPend += len(nd.retry)
 		occ += nd.occVCs
 		busy += nd.busyInj
-		for p := range nd.freeMask {
-			freeOut += bits.OnesCount32(nd.freeMask[p])
-		}
+		freeOut += bits.OnesCount64(nd.free)
 		m.queueHist.Observe(float64(q))
 		m.occHist.Observe(float64(nd.occVCs))
 	}

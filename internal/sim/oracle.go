@@ -115,7 +115,7 @@ func (e *Engine) BuildWaitGraph() *deadlock.WaitGraph {
 // channel of a blocked header at nd addressed to dst.
 func (e *Engine) addWaitOptions(g *deadlock.WaitGraph, id int64, nd *node, dst topology.NodeID) {
 	vcs := e.cfg.VCs
-	for _, pc := range e.candidates(nd, dst) {
+	for _, pc := range e.cand.get(nd.id, dst) {
 		base := int(pc.port) * vcs
 		for w := pc.mask; w != 0; w &= w - 1 {
 			v := bits.TrailingZeros32(w)
@@ -141,11 +141,12 @@ func (e *Engine) addWaitOptions(g *deadlock.WaitGraph, id int64, nd *node, dst t
 // every useful physical channel has at least one free virtual channel;
 // rule (b): some useful physical channel is completely free — directly from
 // raw output-VC ownership state for every node with a queued head message,
-// and checks three implementations against it: the limiter's live Allow
-// decision, the shared EvalRules classification, and the Figure-3 gate
-// circuit evaluated on the raw status register. Nodes whose limiter is not
-// ALO are skipped. It is read-only (ALO is stateless) and must run between
-// Step calls.
+// and checks four implementations against it: the word-form gate the
+// injection phase runs (gateWords, on the free word; CheckInvariants holds the
+// queue's cached set id to the table), the limiter's Allow, the shared
+// EvalRules classification, and the Figure-3 gate circuit evaluated on the
+// raw status register. Nodes whose limiter is not ALO are skipped. It is
+// read-only (ALO is stateless) and must run between Step calls.
 func (e *Engine) VerifyInjectionProperty() error {
 	vcs := e.cfg.VCs
 	var circuit *core.Circuit
@@ -166,7 +167,7 @@ func (e *Engine) VerifyInjectionProperty() error {
 		for p := range useful {
 			useful[p] = false
 		}
-		for _, pc := range e.candidates(nd, dst) {
+		for _, pc := range e.cand.get(nd.id, dst) {
 			useful[pc.port] = true
 			free := 0
 			for v := 0; v < vcs; v++ {
@@ -182,6 +183,10 @@ func (e *Engine) VerifyInjectionProperty() error {
 			}
 		}
 		want := ruleA || ruleB
+		if ok, a, b := e.gateWords(nd, e.cand.id(nd.id, dst)); ok != want || a != ruleA || b != ruleB {
+			return fmt.Errorf("sim: node %d dst %d: the word gate says %v (a=%v b=%v) on free=%#x, state says a=%v b=%v",
+				nd.id, dst, ok, a, b, nd.free, ruleA, ruleB)
+		}
 		if got := alo.Allow(nd.view, dst); got != want {
 			return fmt.Errorf("sim: node %d dst %d: ALO.Allow=%v but rules say a=%v b=%v",
 				nd.id, dst, got, ruleA, ruleB)

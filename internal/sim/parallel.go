@@ -32,7 +32,7 @@ package sim
 //  2. Section-stable cross-shard reads. The only remote state a section
 //     reads — the downstream empty words during allocation, the downstream
 //     full words during switch allocation, the liveness mask — is written
-//     by no one during that section: the empty/full arenas are written only
+//     by no one during that section: Engine.empty and Engine.full are written only
 //     by the move phase (and by teardowns, which run at a commit point),
 //     the liveness mask only by the serial fault application before the
 //     cycle starts. This is also why generation, injection, allocation and
@@ -80,6 +80,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wormnet/internal/core"
 	"wormnet/internal/message"
 	"wormnet/internal/topology"
 	"wormnet/internal/trace"
@@ -120,9 +121,8 @@ const (
 // shard needs to apply it without touching the source node.
 type outFlit struct {
 	dvc  *inVC
-	nbr  *node
-	word int32
-	bit  uint32
+	node topology.NodeID // the receiving node
+	bit  uint64          // dvc's bit in that node's status words
 	flit message.Flit
 }
 
@@ -373,18 +373,11 @@ type parRuntime struct {
 	alwaysSerialAlloc bool
 }
 
-// alignNodes is the shard-boundary alignment quantum: boundaries are
-// rounded so every shard's slice of the per-port status-word arenas
-// (numPhys uint32 words per node) starts on its own 64-byte cache line,
-// eliminating false sharing between adjacent shards' hottest writes.
-func alignNodes(numPhys int) int {
-	stride := numPhys * 4 // bytes of status words per node
-	g := 64
-	for b := stride; b != 0; { // gcd(stride, 64)
-		g, b = b, g%b
-	}
-	return 64 / g // lcm(stride, 64) / stride
-}
+// alignNodes is the shard-boundary alignment quantum: boundaries are rounded
+// so every shard's slice of Engine.empty and Engine.full (one uint64 per node)
+// starts on its own 64-byte cache line, eliminating false sharing between
+// adjacent shards' hottest writes.
+const alignNodes = 8
 
 // partition splits n nodes into at most shards contiguous non-empty ranges
 // and returns their boundaries: range i is [b[i], b[i+1]), b[0] = 0 and the
@@ -439,7 +432,7 @@ func newParRuntime(e *Engine, bounds []int) *parRuntime {
 		nd := &e.nodes[i]
 		src := p.shardOf[i]
 		for pp := 0; pp < e.numPhys; pp++ {
-			caps[int(src)*s+int(p.shardOf[nd.nbr[pp].id])]++
+			caps[int(src)*s+int(p.shardOf[nd.nbr[pp]])]++
 		}
 	}
 	for src := 0; src < s; src++ {
@@ -915,55 +908,85 @@ func (e *Engine) injectNode(nd *node, sh *parShard) {
 			continue
 		}
 		if len(nd.recovery) > 0 && nd.recovery[0].readyAt <= e.now {
-			ic.msg = nd.popRecovery()
-			ic.msg.State = message.StateInjecting
-			ic.route = routeInfo{}
-			ic.left = int32(ic.msg.Length)
-			ic.len = ic.left
-			ic.dst = ic.msg.Dst
+			m := nd.popRecovery()
+			m.State = message.StateInjecting
+			*ic = injChannel{msg: m, left: int32(m.Length), len: int32(m.Length), dst: m.Dst}
 			nd.busyInj++
 			if e.spans != nil {
-				e.spanClaim(ic.msg, nd.id)
+				e.spanClaim(m, nd.id)
 			}
 			continue
 		}
 		if nd.queue.Empty() {
 			continue
 		}
-		r := e.waiting.front(&nd.queue)
 		// Rogue nodes (Config.Adversary) never consult the limiter:
 		// bypassing it is the whole attack.
-		if !nd.rogue && !nd.limiter.Allow(nd.view, r.dst) {
-			// Deny metrics update inline: the counters are commutative
-			// atomics, so the totals are worker-order-independent.
-			if e.met != nil {
-				e.noteDeny(nd, r.dst)
+		if !nd.rogue {
+			if ok, ruleA, ruleB := e.admits(nd); !ok {
+				// Deny metrics update inline: the counters are commutative
+				// atomics, so the totals are worker-order-independent.
+				if e.met != nil {
+					e.noteDeny(nd, ruleA, ruleB)
+				}
+				// Span deny counts are inline too: the span is exclusive to
+				// this shard for the whole injection section (the message sits
+				// in an own-node source queue).
+				if e.spans != nil {
+					e.spanDeny(nd, e.waiting.front(&nd.queue).id, ruleA, ruleB)
+				}
+				// The commit reads the trace's fields off the queue: a denied
+				// head is still the front there.
+				if e.listener != nil {
+					sh.events = append(sh.events, deferredEvent{kind: evThrottle, node: nd.id})
+				}
+				break // FIFO: do not bypass a throttled queue head
 			}
-			// Span deny counts are inline too: the span is exclusive to
-			// this shard for the whole injection section (the message sits
-			// in an own-node source queue).
-			if e.spans != nil {
-				e.spanDeny(nd, r.id, r.dst)
-			}
-			// The commit reads the trace's fields off the queue: a denied
-			// head is still the front there.
-			if e.listener != nil {
-				sh.events = append(sh.events, deferredEvent{kind: evThrottle, node: nd.id})
-			}
-			break // FIFO: do not bypass a throttled queue head
 		}
 		if e.met != nil {
 			e.met.admitted.Inc()
 		}
-		ic.route = routeInfo{}
-		ic.left = r.length
-		ic.len = r.length
-		ic.dst = r.dst
+		r := e.waiting.front(&nd.queue)
+		*ic = injChannel{left: r.length, len: r.length, dst: r.dst, set: nd.queue.set} // the pop forgets set
 		nd.busyInj++
 		sh.events = append(sh.events, deferredEvent{
 			kind: evClaim, ch: int8(c), node: nd.id, slot: nd.queue.pop(e.waiting.recs),
 		})
 	}
+}
+
+// admits is the injection gate: whether nd's limiter lets the head of its
+// (non-empty) source queue in this cycle and, for the layers that attribute a
+// denial, whether each of the paper's rules held (RuleClassifier limiters
+// only). A declared gate (core.WordGate: the ALO family) is answered from the
+// free word and the queue's cached set id — a denied head, decided again every
+// cycle, reads nothing else; any other limiter from Allow over the ChannelView,
+// with ClassifyRules only when a layer will use it.
+func (e *Engine) admits(nd *node) (ok, ruleA, ruleB bool) {
+	q := &nd.queue
+	if nd.gate.on {
+		if q.set == 0 {
+			q.set = e.cand.id(nd.id, e.waiting.front(q).dst)
+		}
+		return e.gateWords(nd, q.set)
+	}
+	dst := e.waiting.front(q).dst
+	ok = nd.limiter.Allow(nd.view, dst)
+	if !ok && nd.limClass != nil && (e.met != nil || e.spans != nil) {
+		ruleA, ruleB = nd.limClass.ClassifyRules(nd.view, dst)
+	}
+	return ok, ruleA, ruleB
+}
+
+// gateWords evaluates a declared gate for a message whose candidate set at nd
+// is set: the paper's Figure 3 on the status register itself.
+func (e *Engine) gateWords(nd *node, set int32) (ok, ruleA, ruleB bool) {
+	useful := e.portsLow
+	if !nd.gate.allPorts {
+		useful = e.cand.useful[set]
+	}
+	ruleA, ruleB = core.RuleWords(nd.free, useful, e.cfg.VCs)
+	return nd.gate.ruleA && ruleA || nd.gate.ruleB && ruleB, ruleA, ruleB
 }
 
 // popRecovery removes and returns the front of the node's recovery list. The
@@ -983,23 +1006,14 @@ func (nd *node) popRecovery() *message.Message {
 // otherwise always yields candidates). Ejection-bound headers never kill —
 // the destination router's liveness was already checked at injection.
 // Injection channels are tested by len: the pre-scan runs inside the injection
-// section, where a channel claimed this cycle has no msg yet.
+// section, where a channel claimed this cycle has no msg yet. A header's set id
+// comes through its cache, as in allocate, which then finds it there.
 func (e *Engine) deadEnd(nd *node) bool {
-	vcs := e.cfg.VCs
-	vcsMask := uint32(1)<<uint(vcs) - 1
 	if nd.occVCs > 0 {
-		for p := 0; p < e.numPhys; p++ {
-			w := ^nd.inEmpty[p] &^ nd.routed[p] & vcsMask
-			for w != 0 {
-				v := bits.TrailingZeros32(w)
-				w &= w - 1
-				ivc := &nd.in[p*vcs+v]
-				if ivc.buf.Empty() || ivc.dst == nd.id {
-					continue
-				}
-				if len(e.candidates(nd, ivc.dst)) == 0 {
-					return true
-				}
+		for h := e.inMask &^ e.empty[nd.id] &^ nd.routed; h != 0; h &= h - 1 {
+			ivc := &nd.in[bits.TrailingZeros64(h)]
+			if ivc.dst != nd.id && e.cand.word[e.setOf(nd, ivc.dst, &ivc.set)] == 0 {
+				return true
 			}
 		}
 	}
@@ -1009,7 +1023,7 @@ func (e *Engine) deadEnd(nd *node) bool {
 			if ic.len == 0 || ic.route.valid || ic.left < ic.len || ic.dst == nd.id {
 				continue
 			}
-			if len(e.candidates(nd, ic.dst)) == 0 {
+			if e.cand.word[e.setOf(nd, ic.dst, &ic.set)] == 0 {
 				return true
 			}
 		}
@@ -1040,16 +1054,9 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 	vcs := e.cfg.VCs
 	nVC := e.numPhys * vcs
 	now := e.now
-	portTab := e.portTab
-	vcBit := e.vcBit
-	vcOf := e.vcOf
-	emptyArena := e.emptyArena
-	fullArena := e.fullArena
+	empty, full := e.empty, e.full
 	nShards := len(p.shards)
-	// The shard's slice of the status-word arenas (numPhys words per node)
-	// tells a push into another shard from the downstream word index alone.
-	wordLo := uint32(sh.lo * e.numPhys)
-	wordSpan := uint32((sh.hi - sh.lo) * e.numPhys)
+	lo, span := uint32(sh.lo), uint32(sh.hi-sh.lo) // a node outside is another shard's
 	for _, mv := range sh.moves {
 		nd := &e.nodes[mv.node]
 		var flit message.Flit
@@ -1057,20 +1064,19 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 		if a := int(mv.agent); a < nVC {
 			ivc := &nd.in[a]
 			flit = ivc.buf.Pop()
-			pp := portTab[a]
-			bit := vcBit[a]
-			nd.inFull[pp] &^= bit
+			bit := uint64(1) << uint(a)
+			full[mv.node] &^= bit
 			if ivc.buf.Empty() {
-				nd.inEmpty[pp] |= bit
+				empty[mv.node] |= bit
 				nd.occVCs--
 			}
 			if flit.Tail {
 				e.clearWant(nd, nd.routes[a])
 				nd.routes[a] = routeInfo{}
-				nd.routed[pp] &^= bit
+				nd.routed &^= bit
 				nd.blocked.Progress(a)
 				e.removePathLoc(flit.Msg, pathLoc{
-					Node: nd.id, Port: topology.Port(pp), VC: vcOf[a],
+					Node: nd.id, Port: topology.Port(a / vcs), VC: int8(a % vcs),
 				})
 			}
 		} else {
@@ -1124,37 +1130,38 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 			continue
 		}
 
-		nd.lastTx[int(mv.outPort)*vcs+int(mv.outVC)] = now
-		bit := uint32(1) << uint(mv.outVC)
-		if flit.Tail && nd.out[mv.outPort].VCs[mv.outVC].ReleaseIfOwner(m) {
-			nd.freeMask[mv.outPort] |= bit
+		out := int(mv.outPort)*vcs + int(mv.outVC)
+		nd.lastTx[out] = now
+		if flit.Tail && nd.outVCs[out].ReleaseIfOwner(m) {
+			nd.free |= 1 << uint(out)
 		}
-		word := nd.downWord[mv.outPort]
-		dvc := nd.down[int(mv.outPort)*vcs+int(mv.outVC)]
-		if uint32(word)-wordLo >= wordSpan { // the downstream node is another shard's
-			nb := nd.nbr[mv.outPort]
-			d := p.shardOf[nb.id]
+		nb := nd.nbr[mv.outPort]
+		dvc := nd.down[out]
+		// dvc's bit in the neighbour's words: the same VC of the opposite port.
+		bit := uint64(1) << uint(int(topology.Opposite(mv.outPort))*vcs+int(mv.outVC))
+		if uint32(nb)-lo >= span {
+			d := p.shardOf[nb]
 			p.rings[id*nShards+int(d)].buf[sh.ringN[d]] = outFlit{
-				dvc: dvc, nbr: nb, word: word, bit: bit, flit: flit,
+				dvc: dvc, node: nb, bit: bit, flit: flit,
 			}
 			sh.ringN[d]++
 			continue
 		}
 		if dvc.buf.Empty() {
-			nd.nbr[mv.outPort].occVCs++
-			emptyArena[word] &^= bit
+			e.nodes[nb].occVCs++
+			empty[nb] &^= bit
 		}
 		if flit.Head {
 			// The buffer holds one message at a time, so the dst cache
 			// only needs (re-)writing when a new head moves in.
 			dvc.dst, dvc.set = m.Dst, 0
 			if e.spans != nil {
-				e.spanHopArrive(m, nd.nbr[mv.outPort].id)
+				e.spanHopArrive(m, nb)
 			}
 		}
 		dvc.buf.Push(flit)
 		if dvc.buf.Full() {
-			fullArena[word] |= bit
+			full[nb] |= bit
 		}
 	}
 	// Publish every outbound ring — including empty ones, so consumers
@@ -1214,14 +1221,13 @@ func (e *Engine) moveDrainRings(p *parRuntime, sh *parShard, id int) {
 // destination buffer's own pop (if any) has run or not, and the
 // empty/full/active-set updates reach the same final state either way.
 func (e *Engine) applyPushes(bucket []outFlit) {
-	emptyArena := e.emptyArena
-	fullArena := e.fullArena
+	empty, full := e.empty, e.full
 	for i := range bucket {
 		rec := &bucket[i]
 		dvc := rec.dvc
 		if dvc.buf.Empty() {
-			rec.nbr.occVCs++
-			emptyArena[rec.word] &^= rec.bit
+			e.nodes[rec.node].occVCs++
+			empty[rec.node] &^= rec.bit
 		}
 		if rec.flit.Head {
 			dvc.dst, dvc.set = rec.flit.Msg.Dst, 0
@@ -1230,12 +1236,12 @@ func (e *Engine) applyPushes(bucket []outFlit) {
 				// receiving node, the head arrives at most once per cycle,
 				// and the producer's same-cycle record writes happened
 				// before the ring publish this drain synchronized with.
-				e.spanHopArrive(rec.flit.Msg, rec.nbr.id)
+				e.spanHopArrive(rec.flit.Msg, rec.node)
 			}
 		}
 		dvc.buf.Push(rec.flit)
 		if dvc.buf.Full() {
-			fullArena[rec.word] |= rec.bit
+			full[rec.node] |= rec.bit
 		}
 	}
 }

@@ -219,7 +219,7 @@ func TestDefaultWorkersClamp(t *testing.T) {
 // plain split's invariants.
 func TestShardAlignmentPartition(t *testing.T) {
 	cfg := QuickConfig()
-	cfg.K, cfg.N = 8, 2 // 64 nodes, 4 ports: 4 nodes per 64-byte line
+	cfg.K, cfg.N = 8, 2 // 64 nodes, 8 to a 64-byte line of status words
 	cfg.Rate = 0.7
 	cfg.Workers = 3
 	e, err := New(cfg)
@@ -228,7 +228,7 @@ func TestShardAlignmentPartition(t *testing.T) {
 	}
 	defer e.Close()
 	p := e.par
-	unit := alignNodes(e.numPhys)
+	unit := alignNodes
 	prev := 0
 	for i := range p.shards {
 		sh := &p.shards[i]

@@ -279,8 +279,8 @@ func TestChannelViewMatchesRouterState(t *testing.T) {
 		t.Helper()
 		for i := range e.nodes {
 			nd := &e.nodes[i]
-			for p := range nd.out {
-				if got, want := nd.view.FreeVCs(topology.Port(p)), nd.out[p].FreeVCs(); got != want {
+			for p := 0; p < e.numPhys; p++ {
+				if got, want := nd.view.FreeVCs(topology.Port(p)), freeOutVCs(e, nd, p); got != want {
 					t.Fatalf("cycle %d node %d port %d: view says %d free VCs, the output port %d", e.Now(), i, p, got, want)
 				} else if want < e.cfg.VCs {
 					busy++
@@ -288,7 +288,7 @@ func TestChannelViewMatchesRouterState(t *testing.T) {
 			}
 			for d := range e.nodes {
 				var want []topology.Port
-				for _, pc := range e.candidates(nd, topology.NodeID(d)) {
+				for _, pc := range e.cand.get(nd.id, topology.NodeID(d)) {
 					want = append(want, pc.port)
 				}
 				if got := nd.view.UsefulPorts(topology.NodeID(d)); !slices.Equal(got, want) {
@@ -461,4 +461,15 @@ func TestSaturatedALOReference(t *testing.T) {
 				label, len(spans), hashSpans(spans), want.Spans, want.SpansSHA)
 		}
 	}
+}
+
+// freeOutVCs counts physical output port p's unallocated virtual channels off
+// the ownership state itself.
+func freeOutVCs(e *Engine, nd *node, p int) (free int) {
+	for _, oc := range nd.outVCs[p*e.cfg.VCs : (p+1)*e.cfg.VCs] {
+		if oc.Free() {
+			free++
+		}
+	}
+	return free
 }

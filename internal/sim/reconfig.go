@@ -47,8 +47,8 @@ func (e *Engine) Epoch() uint64 { return e.epoch }
 func (e *Engine) SetReconfigHook(f func(epoch uint64)) { e.onReconfig = f }
 
 // reconfigure rebuilds the routing state after a batch of liveness changes:
-// the candidate table of the new mask (whose set ids the input VCs' caches
-// must forget), then the revalidation sweep stamping every surviving route to
+// the candidate table of the new mask (whose set ids every cache — input VCs,
+// injection channels, queue heads — must forget), then the revalidation sweep stamping every surviving route to
 // the new epoch.
 func (e *Engine) reconfigure() {
 	e.retable()
@@ -60,7 +60,9 @@ func (e *Engine) reconfigure() {
 				nd.routes[a].epoch = uint16(e.epoch)
 			}
 		}
+		nd.queue.set = 0
 		for c := range nd.inj {
+			nd.inj[c].set = 0
 			if nd.inj[c].route.valid {
 				nd.inj[c].route.epoch = uint16(e.epoch)
 			}

@@ -54,8 +54,8 @@ func (e *Engine) teardown(m *message.Message) {
 					ej.pending = 0
 					ej.msg = nil
 				}
-			} else if inj.out[ic.route.outPort].VCs[ic.route.outVC].ReleaseIfOwner(m) {
-				inj.freeMask[ic.route.outPort] |= 1 << uint(ic.route.outVC)
+			} else if o := e.inVCIndex(ic.route.outPort, ic.route.outVC); inj.outVCs[o].ReleaseIfOwner(m) {
+				inj.free |= 1 << uint(o)
 			}
 		}
 		// Settle the deferred flit accounting before the channel forgets
@@ -74,14 +74,14 @@ func (e *Engine) teardown(m *message.Message) {
 		nd := &e.nodes[loc.Node]
 		a := e.inVCIndex(loc.Port, loc.VC)
 		ivc := &nd.in[a]
-		bit := uint32(1) << uint(loc.VC)
+		bit := uint64(1) << uint(a)
 		if ivc.buf.RemoveMessage(m.ID) > 0 {
 			if ivc.buf.Empty() {
 				nd.occVCs--
-				nd.inEmpty[loc.Port] |= bit
+				e.empty[loc.Node] |= bit
 			}
 			if !ivc.buf.Full() {
-				nd.inFull[loc.Port] &^= bit
+				e.full[loc.Node] &^= bit
 			}
 		}
 		// The buffer held only this message's flits, so a valid route on it
@@ -94,20 +94,19 @@ func (e *Engine) teardown(m *message.Message) {
 					ej.pending = 0
 					ej.msg = nil
 				}
-			} else if nd.out[rt.outPort].VCs[rt.outVC].ReleaseIfOwner(m) {
-				nd.freeMask[rt.outPort] |= 1 << uint(rt.outVC)
+			} else if o := e.inVCIndex(rt.outPort, rt.outVC); nd.outVCs[o].ReleaseIfOwner(m) {
+				nd.free |= 1 << uint(o)
 			}
 			*rt = routeInfo{}
-			nd.routed[loc.Port] &^= bit
-			nd.fresh[loc.Port] &^= bit
+			nd.routed &^= bit
+			nd.fresh &^= bit
 		}
 		nd.blocked.Progress(a)
 		// Release the upstream allocation feeding this buffer (a no-op when
 		// the tail already passed through it).
-		opp := topology.Opposite(loc.Port)
 		up := &e.nodes[e.topo.Neighbor(loc.Node, loc.Port)]
-		if up.out[opp].VCs[loc.VC].ReleaseIfOwner(m) {
-			up.freeMask[opp] |= bit
+		if o := e.inVCIndex(topology.Opposite(loc.Port), loc.VC); up.outVCs[o].ReleaseIfOwner(m) {
+			up.free |= 1 << uint(o)
 		}
 	}
 	m.Path = m.Path[:0]

@@ -8,15 +8,27 @@ import (
 	"testing"
 
 	"wormnet/internal/baseline"
-	"wormnet/internal/core"
 	"wormnet/internal/message"
 	"wormnet/internal/topology"
+	"wormnet/internal/trace"
 )
 
 // The scalar allocators that the word-parallel ones of cycle.go replaced,
 // kept — as ring_reference_test.go keeps the old buffer — as the reference the
 // new ones are checked against, decision by decision. The loops are the old
-// ones verbatim; what had to change is named where it did.
+// ones verbatim; what had to change is named where it did. The per-port status
+// words they read are fields of the one-word registers now (field, downField).
+
+// field returns physical port p's VCs bits of status word w.
+func (e *Engine) field(w uint64, p int) uint32 {
+	return uint32(w>>uint(p*e.cfg.VCs)) & (1<<uint(e.cfg.VCs) - 1)
+}
+
+// downField returns the bits, in reg (Engine.empty or Engine.full), of the
+// buffers nd's output port p feeds.
+func (e *Engine) downField(reg []uint64, nd *node, p int) uint32 {
+	return e.field(reg[nd.nbr[p]], int(topology.Opposite(topology.Port(p))))
+}
 
 // scalarAllocate is the deciding half of the old allocate: the ejection scan,
 // the per-candidate loop over the status words and, on failure, the vital-sign
@@ -43,16 +55,16 @@ func (e *Engine) scalarAllocate(nd *node, dst topology.NodeID) (routeInfo, bool,
 
 	anyFree := false
 	for _, pc := range cands {
-		fm := nd.freeMask[pc.port] & pc.mask
+		fm := e.field(nd.free, int(pc.port)) & pc.mask
 		if fm == 0 {
 			continue
 		}
 		anyFree = true
-		avail := fm & e.emptyArena[nd.downWord[pc.port]]
+		avail := fm & e.downField(e.empty, nd, int(pc.port))
 		if avail == 0 {
 			continue
 		}
-		score := bits.OnesCount32(nd.freeMask[pc.port])
+		score := bits.OnesCount32(e.field(nd.free, int(pc.port)))
 		pref := int(pc.port) - rot // rotating distance, without the division
 		if pref < 0 {
 			pref += e.numPhys
@@ -68,7 +80,7 @@ func (e *Engine) scalarAllocate(nd *node, dst topology.NodeID) (routeInfo, bool,
 		if !vital && !e.cfg.LenientDetection {
 		active:
 			for _, pc := range cands {
-				busy := pc.mask &^ nd.freeMask[pc.port]
+				busy := pc.mask &^ e.field(nd.free, int(pc.port))
 				base := int(pc.port) * e.cfg.VCs
 				for busy != 0 {
 					v := bits.TrailingZeros32(busy)
@@ -94,7 +106,6 @@ func (e *Engine) scalarSwitchRange(lo, hi int, reqsFlat []int32, moves []move) [
 	vcs := e.cfg.VCs
 	nVC := numPhys * vcs
 	nAgents := e.agentCount()
-	fullArena := e.fullArena
 	var reqLen [64]uint16
 	for ni := lo; ni < hi; ni++ {
 		nd := &e.nodes[ni]
@@ -105,8 +116,7 @@ func (e *Engine) scalarSwitchRange(lo, hi int, reqsFlat []int32, moves []move) [
 		reqMask := uint64(0)
 
 		for p := 0; p < numPhys; p++ {
-			w := ^nd.inEmpty[p] & nd.routed[p] &^ nd.fresh[p]
-			nd.fresh[p] = 0
+			w := ^e.field(e.empty[ni], p) & e.field(nd.routed, p) &^ e.field(nd.fresh, p)
 			for w != 0 {
 				v := bits.TrailingZeros32(w)
 				w &= w - 1
@@ -117,7 +127,7 @@ func (e *Engine) scalarSwitchRange(lo, hi int, reqsFlat []int32, moves []move) [
 					o, outVC = numPhys+int(rt.ejCh), 0
 				}
 				if o < numPhys &&
-					fullArena[nd.downWord[o]]&(1<<uint(outVC)) != 0 {
+					e.downField(e.full, nd, o)&(1<<uint(outVC)) != 0 {
 					continue // no credit: the downstream buffer is full
 				}
 				reqsFlat[o*nAgents+int(reqLen[o])] = int32(a)<<16 | outVC<<8 | int32(p)
@@ -125,6 +135,7 @@ func (e *Engine) scalarSwitchRange(lo, hi int, reqsFlat []int32, moves []move) [
 				reqMask |= 1 << uint(o)
 			}
 		}
+		nd.fresh = 0
 		// ... and from injection channels.
 		freshInj := nd.freshInj
 		nd.freshInj = 0
@@ -138,7 +149,7 @@ func (e *Engine) scalarSwitchRange(lo, hi int, reqsFlat []int32, moves []move) [
 				o := int(ic.route.outPort)
 				if ic.route.eject {
 					o = numPhys + int(ic.route.ejCh)
-				} else if fullArena[nd.downWord[o]]&(1<<uint(ic.route.outVC)) != 0 {
+				} else if e.downField(e.full, nd, o)&(1<<uint(ic.route.outVC)) != 0 {
 					continue
 				}
 				reqsFlat[o*nAgents+int(reqLen[o])] = int32(nVC+c)<<16 |
@@ -206,7 +217,15 @@ type scalarDriver struct {
 	scalar   []move
 	headers  int // decisions compared
 	refused  int // of which: not allocated
+	gated    int // injection-gate decisions compared
+	denied   int // of which: denials, whose rule attribution was compared too
 }
+
+// noTrace is attached to the driven engine so that its injection section
+// records every denial (evThrottle) where gateBoth can see it.
+type noTrace struct{}
+
+func (noTrace) Emit(trace.Event) {}
 
 func (d *scalarDriver) step() {
 	e := d.e
@@ -218,6 +237,7 @@ func (d *scalarDriver) step() {
 	e.generateRange(sh)
 	e.commitGenerate(p)
 	e.injectRange(p, sh)
+	d.gateBoth(sh)
 	e.commitInject(p)
 	d.allocRange()
 	d.switchBoth(sh)
@@ -225,6 +245,48 @@ func (d *scalarDriver) step() {
 	e.moveDrainRings(p, sh, 0)
 	e.commitEvents(p)
 	e.now++
+}
+
+// gateBoth holds every decision the injection section just made at a node
+// whose gate runs on words against the limiter's own definition over the
+// ChannelView. The section's event buffer names them all — a claim for each
+// admission, its record still in its slot, a throttle for each denial, its
+// record still the queue's front — and nothing a limiter reads changes inside
+// the section. A denied head is put to the gate once more, for the rule
+// attribution noteDeny and spanDeny were handed.
+func (d *scalarDriver) gateBoth(sh *parShard) {
+	e := d.e
+	for i := range sh.events {
+		ev := &sh.events[i]
+		nd := &e.nodes[ev.node]
+		if !nd.gate.on || nd.rogue {
+			continue
+		}
+		var dst topology.NodeID
+		switch ev.kind {
+		case evClaim:
+			dst = e.waiting.recs[ev.slot].dst
+		case evThrottle:
+			dst = e.waiting.front(&nd.queue).dst
+		default:
+			continue
+		}
+		admitted := ev.kind == evClaim
+		if want := nd.limiter.Allow(nd.view, dst); admitted != want {
+			d.t.Fatalf("%s cycle %d node %d -> %d: the word gate admitted=%v on free=%#x, %s.Allow says %v",
+				d.label, e.now, nd.id, dst, admitted, nd.free, nd.limiter.Name(), want)
+		}
+		d.gated++
+		if admitted {
+			continue
+		}
+		d.denied++
+		_, a, b := e.admits(nd)
+		if wa, wb := nd.limClass.ClassifyRules(nd.view, dst); a != wa || b != wb {
+			d.t.Fatalf("%s cycle %d node %d -> %d: the word gate attributes (a=%v b=%v) on free=%#x, ClassifyRules says (a=%v b=%v)",
+				d.label, e.now, nd.id, dst, a, b, nd.free, wa, wb)
+		}
+	}
 }
 
 // allocRange is the old allocation walk, port by port from the rotating
@@ -258,8 +320,7 @@ func (d *scalarDriver) allocRange() {
 				if ic.msg == nil || ic.route.valid || ic.left < ic.len {
 					continue
 				}
-				var set int32
-				route, ok, _, unroutable := d.both(nd, fmt.Sprintf("inj %d", c), ic.msg, ic.dst, &set, &w)
+				route, ok, _, unroutable := d.both(nd, fmt.Sprintf("inj %d", c), ic.msg, ic.dst, &ic.set, &w)
 				switch {
 				case ok:
 					ic.route = route
@@ -276,7 +337,7 @@ func (d *scalarDriver) allocRange() {
 
 func (d *scalarDriver) allocWalk(nd *node, p int, mask uint32, aw *allocWords) {
 	e := d.e
-	w := ^nd.inEmpty[p] &^ nd.routed[p] & mask
+	w := ^e.field(e.empty[nd.id], p) &^ e.field(nd.routed, p) & mask
 	base := p * e.cfg.VCs
 	for w != 0 {
 		v := bits.TrailingZeros32(w)
@@ -296,9 +357,8 @@ func (d *scalarDriver) allocateVC(nd *node, a int, w *allocWords) {
 	route, ok, vital, unroutable := d.both(nd, fmt.Sprintf("agent %d", a), m, ivc.dst, &ivc.set, w)
 	if ok {
 		nd.routes[a] = route
-		p := e.portTab[a]
-		nd.routed[p] |= e.vcBit[a]
-		nd.fresh[p] |= e.vcBit[a]
+		nd.routed |= 1 << uint(a)
+		nd.fresh |= 1 << uint(a)
 		e.setWant(nd, a, route)
 		nd.blocked.Progress(a)
 		return
@@ -339,22 +399,21 @@ func (d *scalarDriver) both(nd *node, who string, m *message.Message, dst topolo
 func (d *scalarDriver) switchBoth(sh *parShard) {
 	e := d.e
 	type saved struct {
-		fresh    []uint32
+		fresh    uint64
 		freshInj uint64
 		next     []int
 	}
 	before := make([]saved, len(e.nodes))
 	for i := range e.nodes {
 		nd := &e.nodes[i]
-		before[i] = saved{fresh: slices.Clone(nd.fresh), freshInj: nd.freshInj, next: arbPointers(nd)}
+		before[i] = saved{fresh: nd.fresh, freshInj: nd.freshInj, next: arbPointers(nd)}
 	}
 	d.scalar = e.scalarSwitchRange(0, len(e.nodes), d.reqsFlat, d.scalar[:0])
 	after := make([][]int, len(e.nodes))
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		after[i] = arbPointers(nd)
-		copy(nd.fresh, before[i].fresh)
-		nd.freshInj = before[i].freshInj
+		nd.fresh, nd.freshInj = before[i].fresh, before[i].freshInj
 		for o, nx := range before[i].next {
 			nd.outArb[o].SetNext(nx)
 		}
@@ -369,10 +428,8 @@ func (d *scalarDriver) switchBoth(sh *parShard) {
 		if got := arbPointers(nd); !slices.Equal(got, after[i]) {
 			d.t.Fatalf("%s cycle %d node %d: arbiter pointers %v, scalar leaves %v", d.label, e.now, i, got, after[i])
 		}
-		for p := range nd.fresh {
-			if nd.fresh[p] != 0 || nd.freshInj != 0 {
-				d.t.Fatalf("%s cycle %d node %d: fresh masks survive the switch phase", d.label, e.now, i)
-			}
+		if nd.fresh != 0 || nd.freshInj != 0 {
+			d.t.Fatalf("%s cycle %d node %d: fresh words survive the switch phase", d.label, e.now, i)
 		}
 	}
 }
@@ -398,7 +455,8 @@ func planOf(e *Engine) []move {
 // TestWordAllocatorsMatchScalar runs every scenario twice in lockstep: an
 // engine under Step at the given worker count, and a one-shard engine under
 // scalarDriver. Every cycle both must plan the same moves in the same order
-// and leave the same arbiter pointers; every 64 cycles, and at the end, their
+// and leave the same arbiter pointers, and every injection-gate decision of an
+// ALO-family node must be the limiter's own (gateBoth); every 64 cycles, and at the end, their
 // canonical snapshots must be byte-equal and the invariants hold (which
 // include want/wantOut and the cached set ids against the routes and the
 // table).
@@ -410,13 +468,20 @@ func TestWordAllocatorsMatchScalar(t *testing.T) {
 	}
 	var grid []scenario
 	limiters := baseline.Factories()
-	limiters["alo"] = core.NewALO()
+	ablations := []string{"alo-rule-a", "alo-rule-b", "alo-all-channels"}
+	for _, name := range ablations {
+		f, err := baseline.LimiterByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		limiters[name] = f
+	}
 	for _, routing := range []string{"tfar", "dor", "duato"} {
 		for vcs := 1; vcs <= 4; vcs++ {
 			if (routing == "dor" && vcs < 2) || (routing == "duato" && vcs < 3) {
 				continue
 			}
-			for _, lim := range []string{"none", "alo", "lf", "dril"} {
+			for _, lim := range append([]string{"none", "alo", "lf", "dril"}, ablations...) {
 				for _, rate := range []float64{0.2, 0.65, 0.9} {
 					cfg := QuickConfig()
 					cfg.Routing, cfg.VCs, cfg.Rate = routing, vcs, rate
@@ -444,7 +509,7 @@ func TestWordAllocatorsMatchScalar(t *testing.T) {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			t.Parallel()
-			headers, refused := 0, 0
+			headers, refused, gated, denied := 0, 0, 0, 0
 			var recovered, aborted int64
 			for _, sc := range grid {
 				if testing.Short() {
@@ -461,6 +526,7 @@ func TestWordAllocatorsMatchScalar(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", sc.name, err)
 				}
+				ref.SetListener(noTrace{})
 				d := &scalarDriver{t: t, e: ref, label: sc.name,
 					reqsFlat: make([]int32, (ref.numPhys+cfg.EjChannels)*ref.agentCount())}
 				for c := 1; c <= sc.cycles; c++ {
@@ -475,14 +541,15 @@ func TestWordAllocatorsMatchScalar(t *testing.T) {
 				}
 				eng.Close()
 				headers, refused = headers+d.headers, refused+d.refused
+				gated, denied = gated+d.gated, denied+d.denied
 				recovered, aborted = recovered+ref.Recovered(), aborted+ref.Aborted()
 			}
-			if refused == 0 || refused == headers || recovered == 0 || aborted == 0 {
-				t.Fatalf("vacuous: %d header decisions compared, %d refused, %d recoveries and %d fault kills inside the walks",
-					headers, refused, recovered, aborted)
+			if refused == 0 || refused == headers || denied == 0 || denied == gated || recovered == 0 || aborted == 0 {
+				t.Fatalf("vacuous: %d header decisions compared, %d refused, %d gate decisions, %d denied, %d recoveries and %d fault kills inside the walks",
+					headers, refused, gated, denied, recovered, aborted)
 			}
-			t.Logf("%d scenarios, %d header decisions (%d refused), %d recoveries, %d fault kills",
-				len(grid), headers, refused, recovered, aborted)
+			t.Logf("%d scenarios, %d header decisions (%d refused), %d gate decisions (%d denied), %d recoveries, %d fault kills",
+				len(grid), headers, refused, gated, denied, recovered, aborted)
 		})
 	}
 }

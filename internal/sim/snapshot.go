@@ -23,15 +23,15 @@ package sim
 // enabled — the registry's samples.
 //
 // What is deliberately NOT serialized, and why that is sound:
-//   - derived state (occVCs/busyInj, the inEmpty/inFull/freeMask/routed
-//     status words, want/wantOut, input-VC dst and set-id caches, nextGen):
+//   - derived state (occVCs/busyInj, the free/routed/empty/full status
+//     words, want/wantOut, the dst and set-id caches, nextGen):
 //     recomputed exactly from the durable state;
 //   - per-cycle scratch (moves, genScratch, killScratch, shard
 //     buffers): dead between cycles;
-//   - the fresh masks and freshInj: provably zero between cycles — a set
+//   - the fresh words (fresh, freshInj): provably zero between cycles — a set
 //     fresh bit implies a non-empty routed VC (or busy injection channel) on
 //     that node, which keeps the node in the active set through the switch
-//     phase, and the switch phase unconditionally clears the masks of every
+//     phase, and the switch phase unconditionally clears the words of every
 //     active node (teardown clears the bits of routes it releases);
 //   - whether a waiting message is still a queue record or already an
 //     object: a record is written as the message it will become, and load
@@ -562,7 +562,6 @@ func (e *Engine) reset() {
 	e.listener, e.onReconfig, e.spans = nil, nil, nil
 	e.met, e.metReg, e.onSample = nil, nil, nil
 	e.col.DropDeliverySeries() // load brings back the snapshot's, if any
-	allVCs := uint32(1)<<uint(e.cfg.VCs) - 1
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		for c := range nd.in {
@@ -572,11 +571,8 @@ func (e *Engine) reset() {
 			nd.outVCs[c].Release()
 			nd.lastTx[c] = -1
 		}
-		for p := range nd.freeMask {
-			nd.freeMask[p], nd.inEmpty[p] = allVCs, allVCs
-			nd.inFull[p], nd.routed[p], nd.fresh[p] = 0, 0, 0
-		}
-		nd.freshInj = 0
+		nd.free, e.empty[i] = e.inMask, e.inMask
+		e.full[i], nd.routed, nd.fresh, nd.freshInj = 0, 0, 0, 0
 		clear(nd.inj)
 		clear(nd.ej)
 		nd.occVCs, nd.busyInj = 0, 0
@@ -707,8 +703,7 @@ func (e *Engine) load(snap *Snapshot) error {
 		for c := 0; c < nVC; c++ {
 			sv := &sn.In[c]
 			ivc := &nd.in[c]
-			p := int(e.portTab[c])
-			bit := e.vcBit[c]
+			bit := uint64(1) << uint(c)
 			for j, sf := range sv.Flits {
 				m, err := get(sf.Msg)
 				if err != nil {
@@ -730,9 +725,9 @@ func (e *Engine) load(snap *Snapshot) error {
 			}
 			if !ivc.buf.Empty() {
 				nd.occVCs++
-				nd.inEmpty[p] &^= bit
+				e.empty[i] &^= bit
 				if ivc.buf.Full() {
-					nd.inFull[p] |= bit
+					e.full[i] |= bit
 				}
 				ivc.dst = ivc.buf.FrontMessage().Dst
 			}
@@ -741,7 +736,7 @@ func (e *Engine) load(snap *Snapshot) error {
 			}
 			if sv.Route.Valid {
 				nd.routes[c] = loadRoute(sv.Route)
-				nd.routed[p] |= bit
+				nd.routed |= bit
 			}
 		}
 
@@ -752,7 +747,7 @@ func (e *Engine) load(snap *Snapshot) error {
 					return err
 				}
 				nd.outVCs[v].Allocate(m)
-				nd.freeMask[v/e.cfg.VCs] &^= uint32(1) << uint(v%e.cfg.VCs)
+				nd.free &^= 1 << uint(v)
 			}
 		}
 

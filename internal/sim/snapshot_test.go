@@ -353,7 +353,7 @@ func TestSnapshotRestoresDrainedChannelOwner(t *testing.T) {
 				if !nd.routes[a].valid || nd.routes[a].eject || !nd.in[a].buf.Empty() {
 					continue
 				}
-				m := nd.out[nd.routes[a].outPort].VCs[nd.routes[a].outVC].Owner() // the routed message
+				m := nd.outVCs[en.inVCIndex(nd.routes[a].outPort, nd.routes[a].outVC)].Owner() // the routed message
 				if m == nil {
 					continue
 				}

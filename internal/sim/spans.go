@@ -126,7 +126,7 @@ func (e *Engine) spanGenerate(id message.ID, src, dst topology.NodeID, length in
 
 // spanDeny charges one limiter denial (with ALO rule attribution) to the span
 // of nd's queue head. Runs on the source node's shard; map read only.
-func (e *Engine) spanDeny(nd *node, id message.ID, dst topology.NodeID) {
+func (e *Engine) spanDeny(nd *node, id message.ID, a, b bool) {
 	rec, ok := e.spans.live[id]
 	if !ok {
 		return
@@ -135,7 +135,6 @@ func (e *Engine) spanDeny(nd *node, id message.ID, dst topology.NodeID) {
 	if nd.limClass == nil {
 		return
 	}
-	a, b := nd.limClass.ClassifyRules(nd.view, dst)
 	if !a {
 		rec.DeniesRuleA++
 	}

@@ -136,8 +136,8 @@ func TestDrainToQuiescence(t *testing.T) {
 	// After a full drain every channel must be free and every buffer empty.
 	for i := range e.nodes {
 		nd := &e.nodes[i]
-		for p := range nd.out {
-			if !nd.out[p].CompletelyFree() {
+		for p := 0; p < e.numPhys; p++ {
+			if freeOutVCs(e, nd, p) != e.cfg.VCs {
 				t.Fatalf("node %d out port %d leaked an allocation", nd.id, p)
 			}
 		}

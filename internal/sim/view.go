@@ -24,9 +24,12 @@ func (v channelView) UsefulPorts(dst topology.NodeID) []topology.Port {
 	return v.e.cand.ports(v.nd.id, dst)
 }
 
-// FreeVCs implements core.ChannelView: a population count of the port's word
+// FreeVCs implements core.ChannelView: a population count of the port's field
 // of the status register.
-func (v channelView) FreeVCs(p topology.Port) int { return bits.OnesCount32(v.nd.freeMask[p]) }
+func (v channelView) FreeVCs(p topology.Port) int {
+	vcs := uint(v.e.cfg.VCs)
+	return bits.OnesCount64(v.nd.free >> (uint(p) * vcs) & (1<<vcs - 1))
+}
 
 // VCs implements core.ChannelView.
 func (v channelView) VCs() int { return v.e.cfg.VCs }
