@@ -138,8 +138,8 @@ func (l *LF) SaveState() []uint64 {
 
 // LoadState implements core.StatefulLimiter.
 func (l *LF) LoadState(s []uint64) error {
-	if len(s) != 2 {
-		return fmt.Errorf("baseline: lf state has %d words, want 2", len(s))
+	if len(s) != 2 || s[1] > 1 {
+		return fmt.Errorf("baseline: lf state %v is not an estimate and a validity flag", s)
 	}
 	l.estAvg = math.Float64frombits(s[0])
 	l.estValid = s[1] != 0
@@ -238,8 +238,8 @@ func (d *DRIL) SaveState() []uint64 {
 
 // LoadState implements core.StatefulLimiter.
 func (d *DRIL) LoadState(s []uint64) error {
-	if len(s) != 4 {
-		return fmt.Errorf("baseline: dril state has %d words, want 4", len(s))
+	if len(s) != 4 || s[0] > 1 {
+		return fmt.Errorf("baseline: dril state %v is not a trigger flag and three counters", s)
 	}
 	d.triggered = s[0] != 0
 	d.threshold = int(s[1])

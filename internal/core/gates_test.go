@@ -147,7 +147,7 @@ func TestGateCircuitFuzzPaperConfig(t *testing.T) {
 func TestGateCircuitMatchesPredicate(t *testing.T) {
 	tp := topology.New(8, 3)
 	ck := NewCircuit(tp.NumPorts(), 3)
-	alo := ALO{}
+	alo := ALO
 	rng := rand.New(rand.NewPCG(3, 14))
 	for trial := 0; trial < 3000; trial++ {
 		free := map[topology.Port]int{}
@@ -187,15 +187,11 @@ func TestEvalViewGeometryMismatch(t *testing.T) {
 // with a one-word status register runs in place of a ChannelView walk —
 // against the definitions it replaces, over every status register and every
 // routing output of a four-channel router at 1 to 4 virtual channels: RuleWords
-// against EvalRules and the Figure 3 circuit, and each limiter's WordRules
-// declaration against its own Allow and ClassifyRules.
+// against EvalRules and the Figure 3 circuit, and each member of the ALO
+// family's rules and channel set against its own Allow and ClassifyRules.
 func TestRuleWordsExhaustive(t *testing.T) {
 	const ports = 4
-	family := []interface {
-		Limiter
-		RuleClassifier
-		WordGate
-	}{ALO{}, RuleAOnly{}, RuleBOnly{}, AllChannels{}}
+	family := []Rules{ALO, RuleAOnly, RuleBOnly, AllChannels}
 	for vcs := 1; vcs <= 4; vcs++ {
 		ck := NewCircuit(ports, vcs)
 		vcFree := make([]Signal, ports*vcs)
@@ -232,9 +228,9 @@ func TestRuleWordsExhaustive(t *testing.T) {
 					t.Fatalf("vcs=%d free=%b useful=%b: circuit=%v, RuleWords=(%v,%v)", vcs, free, u, got, a, b)
 				}
 				for _, lim := range family {
-					useA, useB, all := lim.WordRules()
+					useA, useB := lim.A, lim.B
 					a, b := a, b
-					if all {
+					if lim.AllPorts {
 						a, b = RuleWords(free, allPorts, vcs)
 					}
 					if got, want := useA && a || useB && b, lim.Allow(view, 0); got != want {

@@ -18,8 +18,9 @@
 // paper's Figure 3 circuit and is property-tested against the predicate).
 //
 // The package also provides the Limiter interface that the simulation engine
-// consults, ablation variants of ALO (rule a only, rule b only, counting all
-// physical channels instead of the useful ones), and an instrumented wrapper
+// consults, ALO and its ablations (rule a only, rule b only, counting all
+// physical channels instead of the useful ones) as the four values of one
+// type, Rules, and an instrumented wrapper
 // used to reproduce the paper's Figure 2.
 package core
 
@@ -95,19 +96,6 @@ type RuleClassifier interface {
 	ClassifyRules(v ChannelView, dst topology.NodeID) (ruleA, ruleB bool)
 }
 
-// WordGate is implemented by limiters whose whole decision is the paper's two
-// rules over a channel set fixed up front: the ALO family. A simulator that
-// holds the virtual-channel status register as one word asks once, when it
-// builds the node, and from then on answers the gate with RuleWords — the
-// Figure 3 circuit's own inputs — instead of walking a ChannelView per
-// attempt. Allow and ClassifyRules stay the definition (and the test oracle).
-type WordGate interface {
-	// WordRules reports which rules admit a message (either, when both do)
-	// and whether the limiter inspects every physical channel of the node
-	// instead of the routing function's useful ones.
-	WordRules() (ruleA, ruleB, allPorts bool)
-}
-
 // RuleWords is EvalRules on a status register held as one word: bit p*vcs+v
 // of free is set while virtual channel v of physical channel p is unallocated,
 // and useful has bit p*vcs set for every channel p of the inspected set. The
@@ -123,173 +111,100 @@ func RuleWords(free, useful uint64, vcs int) (ruleA, ruleB bool) {
 	return some&useful == useful, all&useful != 0
 }
 
-// EvalRules evaluates both ALO rules over the useful channels: ruleA is
-// "every useful physical channel has at least one free virtual channel",
-// ruleB "at least one useful physical channel is completely free". It is
-// the shared classification behind the ALO-family RuleClassifier
-// implementations and the Figure-2 probe.
+// EvalRules evaluates both rules over the useful channels, ALO's set: ruleA
+// is "every useful physical channel has at least one free virtual channel",
+// ruleB "at least one useful physical channel is completely free". It is the
+// classification of the Figure-2 probe.
 func EvalRules(v ChannelView, dst topology.NodeID) (ruleA, ruleB bool) {
-	vcs := v.VCs()
-	ruleA = true
-	for _, p := range v.UsefulPorts(dst) {
-		free := v.FreeVCs(p)
-		if free == 0 {
-			ruleA = false
-		}
-		if free == vcs {
-			ruleB = true
-		}
-	}
-	return ruleA, ruleB
+	return ALO.ClassifyRules(v, dst)
 }
 
-// ALO is the paper's At-Least-One injection limitation mechanism.
-// The zero value is ready to use; ALO is stateless.
-type ALO struct{}
+// Rules is the ALO family: the paper's two rules over one channel set, rule
+// (a) admitting when A is set and rule (b) when B is. The set is the routing
+// function's useful channels, or every physical channel of the node with
+// AllPorts. Its four members are ALO and its three ablations, and it has no
+// state: a simulator that holds the virtual-channel status register as one
+// word reads which rules admit and over which set off the value once, when it
+// builds the node, and from then on answers the gate with RuleWords — the
+// Figure 3 circuit's own inputs — instead of walking a ChannelView. Allow and
+// ClassifyRules stay the definition (and the test oracle).
+type Rules struct{ A, B, AllPorts bool }
+
+// The ALO family.
+var (
+	// ALO is the paper's At-Least-One mechanism: rule (a) OR rule (b) over
+	// the useful channels.
+	ALO = Rules{A: true, B: true}
+	// RuleAOnly applies rule (a) alone. The paper's Figure 2 shows it a good
+	// but occasionally over-restrictive congestion indicator.
+	RuleAOnly = Rules{A: true}
+	// RuleBOnly applies rule (b) alone, which Figure 2 shows is a poor
+	// congestion indicator.
+	RuleBOnly = Rules{B: true}
+	// AllChannels is ALO over every physical channel of the node instead of
+	// the useful ones: under non-uniform patterns it reacts to congestion in
+	// regions the message would never traverse, which is why restricting
+	// attention to the routing function's output matters.
+	AllChannels = Rules{A: true, B: true, AllPorts: true}
+)
 
 // NewALO returns the ALO limiter factory.
-func NewALO() Factory {
-	return func(topology.NodeID, *topology.Torus, int) Limiter { return ALO{} }
-}
-
-// Allow implements Limiter: rule (a) OR rule (b) over the useful channels.
-func (ALO) Allow(v ChannelView, dst topology.NodeID) bool {
-	vcs := v.VCs()
-	allPartiallyFree := true
-	for _, p := range v.UsefulPorts(dst) {
-		free := v.FreeVCs(p)
-		if free == vcs {
-			return true // rule (b): a completely free useful channel
-		}
-		if free == 0 {
-			allPartiallyFree = false
-		}
-	}
-	return allPartiallyFree // rule (a): every useful channel has a free VC
-}
-
-// Name implements Limiter.
-func (ALO) Name() string { return "alo" }
-
-// WordRules implements WordGate.
-func (ALO) WordRules() (ruleA, ruleB, allPorts bool) { return true, true, false }
-
-// ClassifyRules implements RuleClassifier.
-func (ALO) ClassifyRules(v ChannelView, dst topology.NodeID) (bool, bool) {
-	return EvalRules(v, dst)
-}
-
-// RuleAOnly is the ablation variant that applies only ALO's first rule:
-// inject iff every useful physical channel has at least one free virtual
-// channel. The paper's Figure 2 shows this alone is a good but occasionally
-// over-restrictive congestion indicator.
-type RuleAOnly struct{}
+func NewALO() Factory { return ALO.factory() }
 
 // NewRuleAOnly returns the factory for the rule-(a)-only ablation.
-func NewRuleAOnly() Factory {
-	return func(topology.NodeID, *topology.Torus, int) Limiter { return RuleAOnly{} }
-}
-
-// Allow implements Limiter.
-func (RuleAOnly) Allow(v ChannelView, dst topology.NodeID) bool {
-	for _, p := range v.UsefulPorts(dst) {
-		if v.FreeVCs(p) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Name implements Limiter.
-func (RuleAOnly) Name() string { return "alo-rule-a" }
-
-// WordRules implements WordGate.
-func (RuleAOnly) WordRules() (ruleA, ruleB, allPorts bool) { return true, false, false }
-
-// ClassifyRules implements RuleClassifier.
-func (RuleAOnly) ClassifyRules(v ChannelView, dst topology.NodeID) (bool, bool) {
-	return EvalRules(v, dst)
-}
-
-// RuleBOnly is the ablation variant that applies only ALO's second rule:
-// inject iff at least one useful physical channel is completely free. The
-// paper's Figure 2 shows this alone is a poor congestion indicator.
-type RuleBOnly struct{}
+func NewRuleAOnly() Factory { return RuleAOnly.factory() }
 
 // NewRuleBOnly returns the factory for the rule-(b)-only ablation.
-func NewRuleBOnly() Factory {
-	return func(topology.NodeID, *topology.Torus, int) Limiter { return RuleBOnly{} }
-}
-
-// Allow implements Limiter.
-func (RuleBOnly) Allow(v ChannelView, dst topology.NodeID) bool {
-	vcs := v.VCs()
-	for _, p := range v.UsefulPorts(dst) {
-		if v.FreeVCs(p) == vcs {
-			return true
-		}
-	}
-	return false
-}
-
-// Name implements Limiter.
-func (RuleBOnly) Name() string { return "alo-rule-b" }
-
-// WordRules implements WordGate.
-func (RuleBOnly) WordRules() (ruleA, ruleB, allPorts bool) { return false, true, false }
-
-// ClassifyRules implements RuleClassifier.
-func (RuleBOnly) ClassifyRules(v ChannelView, dst topology.NodeID) (bool, bool) {
-	return EvalRules(v, dst)
-}
-
-// AllChannels is the ablation variant that evaluates the ALO predicate over
-// every physical channel of the node instead of only the useful ones. It
-// demonstrates why restricting attention to the routing function's output
-// matters: under non-uniform patterns it reacts to congestion in regions the
-// message would never traverse.
-type AllChannels struct{}
+func NewRuleBOnly() Factory { return RuleBOnly.factory() }
 
 // NewAllChannels returns the factory for the all-channels ablation.
-func NewAllChannels() Factory {
-	return func(topology.NodeID, *topology.Torus, int) Limiter { return AllChannels{} }
+func NewAllChannels() Factory { return AllChannels.factory() }
+
+// factory hands every node the one Limiter boxing r: a node's limiter costs no
+// allocation.
+func (r Rules) factory() Factory {
+	var l Limiter = r
+	return func(topology.NodeID, *topology.Torus, int) Limiter { return l }
 }
+
+// Admits reports whether r lets a message in given which rules hold.
+func (r Rules) Admits(ruleA, ruleB bool) bool { return r.A && ruleA || r.B && ruleB }
 
 // Allow implements Limiter.
-func (AllChannels) Allow(v ChannelView, _ topology.NodeID) bool {
-	vcs := v.VCs()
-	allPartiallyFree := true
-	for p := 0; p < v.NumPorts(); p++ {
-		free := v.FreeVCs(topology.Port(p))
-		if free == vcs {
-			return true
-		}
-		if free == 0 {
-			allPartiallyFree = false
-		}
-	}
-	return allPartiallyFree
+func (r Rules) Allow(v ChannelView, dst topology.NodeID) bool {
+	return r.Admits(r.ClassifyRules(v, dst))
 }
 
-// Name implements Limiter.
-func (AllChannels) Name() string { return "alo-all-channels" }
-
-// WordRules implements WordGate.
-func (AllChannels) WordRules() (ruleA, ruleB, allPorts bool) { return true, true, true }
-
-// ClassifyRules implements RuleClassifier over all physical channels (the
-// set this ablation actually inspects).
-func (AllChannels) ClassifyRules(v ChannelView, _ topology.NodeID) (bool, bool) {
-	vcs := v.VCs()
-	ruleA, ruleB := true, false
-	for p := 0; p < v.NumPorts(); p++ {
-		free := v.FreeVCs(topology.Port(p))
-		if free == 0 {
-			ruleA = false
+// ClassifyRules implements RuleClassifier over the channel set r inspects.
+func (r Rules) ClassifyRules(v ChannelView, dst topology.NodeID) (ruleA, ruleB bool) {
+	useful := v.UsefulPorts(dst)
+	n := len(useful)
+	if r.AllPorts {
+		n = v.NumPorts()
+	}
+	ruleA = true
+	for i := 0; i < n; i++ {
+		p := topology.Port(i)
+		if !r.AllPorts {
+			p = useful[i]
 		}
-		if free == vcs {
-			ruleB = true
-		}
+		free := v.FreeVCs(p)
+		ruleA = ruleA && free != 0
+		ruleB = ruleB || free == v.VCs()
 	}
 	return ruleA, ruleB
+}
+
+// Name implements Limiter: alo, alo-rule-a, alo-rule-b or alo-all-channels,
+// the four members' names.
+func (r Rules) Name() string {
+	switch {
+	case r.AllPorts:
+		return "alo-all-channels"
+	case !r.B:
+		return "alo-rule-a"
+	case !r.A:
+		return "alo-rule-b"
+	}
+	return "alo"
 }

@@ -96,7 +96,7 @@ func TestALOPredicate(t *testing.T) {
 func TestALOEmptyUsefulSet(t *testing.T) {
 	// A message with no useful ports cannot occur (dst != src), but the
 	// predicate must degrade safely: rule (a) vacuously true.
-	alo := ALO{}
+	alo := ALO
 	if !alo.Allow(view(3, 6, nil, nil), 1) {
 		t.Error("empty useful set should permit (vacuous rule a)")
 	}

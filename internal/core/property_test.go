@@ -34,9 +34,9 @@ func specAllow(v ChannelView, dst topology.NodeID) bool {
 // gate circuit agrees on matching geometries.
 func TestALOSpecProperty(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 42))
-	alo := ALO{}
-	ruleA := RuleAOnly{}
-	ruleB := RuleBOnly{}
+	alo := ALO
+	ruleA := RuleAOnly
+	ruleB := RuleBOnly
 	for trial := 0; trial < 20000; trial++ {
 		ports := 1 + rng.IntN(8)
 		vcs := 1 + rng.IntN(4)
@@ -79,7 +79,7 @@ func TestALOSpecProperty(t *testing.T) {
 // on a useful port never turns a permitted injection into a forbidden one.
 func TestALOMonotoneInFreedom(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 23))
-	alo := ALO{}
+	alo := ALO
 	for trial := 0; trial < 10000; trial++ {
 		ports := 1 + rng.IntN(6)
 		vcs := 1 + rng.IntN(4)

@@ -46,9 +46,6 @@ func (b *Buffer) Init(capacity int) {
 	*b = Buffer{cap: int32(capacity)}
 }
 
-// Reset empties the buffer, keeping its capacity.
-func (b *Buffer) Reset() { *b = Buffer{cap: b.cap} }
-
 // Cap returns the buffer capacity in flits.
 func (b *Buffer) Cap() int { return int(b.cap) }
 

@@ -214,19 +214,19 @@ func TestBufferMatchesModel(t *testing.T) {
 	}
 }
 
-// Reset empties a buffer whatever it held and keeps its capacity.
+// Init empties a buffer whatever it held.
 func TestBufferReset(t *testing.T) {
 	b := NewBuffer(3)
 	m := msg(1, 2)
 	b.Push(message.MakeFlit(m, 0))
 	b.Push(message.MakeFlit(m, 1)) // tail buffered
-	b.Reset()
+	b.Init(3)
 	if !b.Empty() || b.Cap() != 3 || b.FrontMessage() != nil {
-		t.Fatalf("after Reset: Len=%d Cap=%d", b.Len(), b.Cap())
+		t.Fatalf("after Init: Len=%d Cap=%d", b.Len(), b.Cap())
 	}
 	b.Push(message.MakeFlit(msg(2, 4), 0))
 	if f := b.Front(); f.Msg.ID != 2 || !f.Head || f.Tail {
-		t.Fatalf("wrong flit after Reset: %v", f)
+		t.Fatalf("wrong flit after Init: %v", f)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // circuitCheckedALO decides with the software predicate and asserts the
 // Figure-3 gate circuit agrees, on every live injection decision.
 type circuitCheckedALO struct {
-	alo     core.ALO
+	alo     core.Rules
 	circuit *core.Circuit
 	t       *testing.T
 	checks  *int64
@@ -40,6 +40,7 @@ func TestCircuitMatchesALOInLiveEngine(t *testing.T) {
 	var checks int64
 	cfg.Limiter = func(_ topology.NodeID, tp *topology.Torus, vcs int) core.Limiter {
 		return &circuitCheckedALO{
+			alo:     core.ALO,
 			circuit: core.NewCircuit(tp.NumPorts(), vcs),
 			t:       t,
 			checks:  &checks,

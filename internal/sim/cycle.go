@@ -75,20 +75,19 @@ func (e *Engine) allocRange(lo, hi int) {
 	below := uint64(1)<<uint(e.now%int64(e.numPhys*e.cfg.VCs)) - 1 // the agents before start
 	for i := lo; i < hi; i++ {
 		nd := &e.nodes[i]
-		if nd.occVCs == 0 && nd.busyInj == 0 {
+		occ := e.inMask &^ e.empty[i]
+		if occ == 0 && nd.busyInj == 0 {
 			continue
 		}
 		var w allocWords // packed by the node's first attempt, if any
-		if nd.occVCs > 0 {
-			// The unrouted headers — occupied AND NOT routed, off the status
-			// words, so empty and routed channels are never touched — walked in
-			// the rotating order start, …, nVC-1, 0, …, start-1. A teardown
-			// mid-walk only empties channels, and allocateVC looks again.
-			hdr := e.inMask &^ e.empty[i] &^ nd.routed
-			for _, h := range [2]uint64{hdr &^ below, hdr & below} {
-				for ; h != 0; h &= h - 1 {
-					e.allocateVC(nd, bits.TrailingZeros64(h), &w)
-				}
+		// The unrouted headers — occupied AND NOT routed, off the status words,
+		// so empty and routed channels are never touched — walked in the
+		// rotating order start, …, nVC-1, 0, …, start-1. A teardown mid-walk
+		// only empties channels, and allocateVC looks again.
+		hdr := occ &^ nd.routed
+		for _, h := range [2]uint64{hdr &^ below, hdr & below} {
+			for ; h != 0; h &= h - 1 {
+				e.allocateVC(nd, bits.TrailingZeros64(h), &w)
 			}
 		}
 		// Injection channels route after the network traffic.
@@ -299,13 +298,13 @@ func (e *Engine) switchRange(lo, hi int, moves []move) []move {
 	numPhys := e.numPhys
 	vcs := e.cfg.VCs
 	nVC := numPhys * vcs
-	empty, full := e.empty, e.full
+	empty, full, inMask := e.empty, e.full, e.inMask
 	injAll := uint64(1)<<uint(e.cfg.InjChannels) - 1
 	for ni := lo; ni < hi; ni++ {
 		nd := &e.nodes[ni]
 		// No flit anywhere, or no route (so no fresh bit either): no grant, no
 		// arbiter movement.
-		if nd.wantOut == 0 || (nd.occVCs == 0 && nd.busyInj == 0) {
+		if nd.wantOut == 0 || (empty[ni] == inMask && nd.busyInj == 0) {
 			continue
 		}
 		// A routed injection channel has flits left to stream (the tail takes

@@ -110,11 +110,10 @@ type node struct {
 	inj    []injChannel
 	ej     []ejChannel
 
-	// Active-set counters: input VCs currently holding at least one flit
-	// and injection channels currently streaming a message. The
-	// allocation and switch phases skip a node outright when both are
+	// busyInj counts the injection channels streaming a message. With the
+	// node's empty word it is the active set: the allocation and switch phases
+	// skip a node outright while every input buffer is empty and busyInj is
 	// zero, so idle regions of the network cost nothing per cycle.
-	occVCs  int
 	busyInj int
 	// wantOut has bit o set while some agent is routed to output o (physical
 	// ports, then ejection channels): the switch phase visits only those.
@@ -138,13 +137,15 @@ type node struct {
 	// ChannelView, so the injection phase performs no per-cycle interface
 	// conversions. limClass likewise caches the RuleClassifier assertion;
 	// the metrics layer consults it to attribute denials to rule (a)/(b).
-	// gate is the limiter's core.WordGate declaration, asked once at New; on
-	// is false for one that makes none (LF, DRIL, none, wrappers, custom
-	// limiters), whose gate stays Allow over view (admits).
+	// rules is the limiter when it is a member of the ALO family (gated):
+	// asked once at New, so the gate runs on the free word. Any other
+	// limiter's (LF, DRIL, none, wrappers, custom ones) stays Allow over view
+	// (admits).
 	limObs   core.CycleObserver
 	limClass core.RuleClassifier
 	view     *channelView
-	gate     struct{ on, ruleA, ruleB, allPorts bool }
+	rules    core.Rules
+	gated    bool
 
 	// blocked tracks consecutive cycles each input VC's header failed to
 	// obtain an output virtual channel (deadlock detection input).
@@ -339,12 +340,15 @@ type Engine struct {
 	// Scratch of the state walks, nil until first used, touched only by their
 	// caller's goroutine: seen and reach collect the reachable messages
 	// (SnapshotInto; BuildWaitGraph sorts reach instead), waitGraph and headers are
-	// BuildWaitGraph's, loadObjs is load's table, loaded what loadedMessage recycles.
+	// BuildWaitGraph's, loadObjs, loadHits and loadAt are load's tables, loaded
+	// what loadedMessage recycles.
 	seen       map[*message.Message]struct{}
 	reach      []*message.Message
 	waitGraph  *deadlock.WaitGraph
 	headers    map[*message.Message]headerSite
 	loadObjs   []*message.Message
+	loadHits   []int32
+	loadAt     []int32
 	loaded     []*message.Message
 	loadedUsed int
 }
@@ -430,9 +434,6 @@ func New(cfg Config) (*Engine, error) {
 	outArena := make([]router.OutVC, nNodes*nVC)
 	lastTxArena := make([]int64, nNodes*nVC)
 	arbArena := make([]router.RoundRobin, nNodes*numOut)
-	for i := range lastTxArena {
-		lastTxArena[i] = -1
-	}
 	e.empty = make([]uint64, nNodes)
 	e.full = make([]uint64, nNodes)
 	e.inMask = 1<<uint(nVC) - 1
@@ -458,9 +459,6 @@ func New(cfg Config) (*Engine, error) {
 		nd.id = topology.NodeID(i)
 		nd.in = cut(inArena, i, nVC)
 		nd.routes = cut(routeArena, i, nVC)
-		for c := range nd.in {
-			nd.in[c].buf.Init(cfg.BufDepth)
-		}
 		nd.outVCs = cut(outArena, i, nVC)
 		nd.inj = cut(injArena, i, cfg.InjChannels)
 		nd.ej = cut(ejArena, i, cfg.EjChannels)
@@ -487,17 +485,12 @@ func New(cfg Config) (*Engine, error) {
 		nd.limiter = cfg.Limiter(nd.id, topo, cfg.VCs)
 		nd.limObs, _ = nd.limiter.(core.CycleObserver)
 		nd.limClass, _ = nd.limiter.(core.RuleClassifier)
-		if wg, ok := nd.limiter.(core.WordGate); ok {
-			nd.gate.on = true
-			nd.gate.ruleA, nd.gate.ruleB, nd.gate.allPorts = wg.WordRules()
-		}
+		nd.rules, nd.gated = nd.limiter.(core.Rules)
 		viewArena[i] = channelView{e: e, nd: nd}
 		nd.view = &viewArena[i]
 		nd.blocked = deadlock.TrackerOver(cut(blockedArena, i, nVC))
 		nd.lastTx = cut(lastTxArena, i, nVC)
-		nd.free, e.empty[i] = e.inMask, e.inMask
 		nd.want = cut(wantArena, i, nWant)
-		nd.wantOut, _ = e.deriveWants(nd, nd.want) // no route yet: all noAgent
 		nd.outArb = cut(arbArena, i, numOut)
 		for p := range nd.outArb {
 			nd.outArb[p].Init(nAgents)
@@ -519,6 +512,7 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	e.par = newParRuntime(e, partition(nNodes, cfg.Workers, alignNodes))
+	e.reset() // the empty engine is defined once, there
 	return e, nil
 }
 
@@ -741,29 +735,61 @@ func (e *Engine) clearWant(nd *node, r routeInfo) {
 	nd.wantOut &^= 1 << uint(o)
 }
 
-// deriveWants recomputes a node's want entries into want and returns its
-// wantOut, both from the routes alone (reset, load and CheckInvariants); ok is
-// false when two agents are routed to one output channel, which neither form
-// can hold.
-func (e *Engine) deriveWants(nd *node, want []uint8) (out uint64, ok bool) {
+// derived is a node's derived words, all but the want entries, which derive
+// writes in place.
+type derived struct {
+	free, empty, full, routed, wantOut uint64
+	busyInj                            int
+}
+
+// derive computes every derived word of nd from its durable state — free from
+// the output-VC owners, empty and full from the buffers, routed, want (into
+// want) and wantOut from the routes, busyInj from the injection channels — and
+// is the only code that does: rederive stores its result, CheckInvariants
+// compares it with what is stored. ok is false when two agents are routed to
+// one output channel, which neither want nor wantOut can hold.
+func (e *Engine) derive(nd *node, want []uint8) (d derived, ok bool) {
 	for i := range want {
 		want[i] = noAgent
 	}
 	ok = true
-	add := func(a int, r routeInfo) {
-		if !r.valid {
-			return
-		}
+	route := func(a int, r routeInfo) { // r valid
 		slot, o := e.wantSlot(r)
 		ok = ok && want[slot] == noAgent
 		want[slot] = uint8(a)
-		out |= 1 << uint(o)
+		d.wantOut |= 1 << uint(o)
 	}
-	for a, r := range nd.routes {
-		add(a, r)
+	for a := range nd.in {
+		bit := uint64(1) << uint(a)
+		if nd.outVCs[a].Free() {
+			d.free |= bit
+		}
+		if nd.in[a].buf.Empty() {
+			d.empty |= bit
+		}
+		if nd.in[a].buf.Full() {
+			d.full |= bit
+		}
+		if nd.routes[a].valid {
+			d.routed |= bit
+			route(a, nd.routes[a])
+		}
 	}
 	for c := range nd.inj {
-		add(e.injIndex(c), nd.inj[c].route)
+		if ic := &nd.inj[c]; ic.len != 0 {
+			d.busyInj++
+		}
+		if r := nd.inj[c].route; r.valid {
+			route(e.injIndex(c), r)
+		}
 	}
-	return out, ok
+	return d, ok
+}
+
+// rederive makes derive's result nd's derived state, reporting derive's ok.
+func (e *Engine) rederive(nd *node) bool {
+	d, ok := e.derive(nd, nd.want)
+	nd.free, e.empty[nd.id], e.full[nd.id], nd.routed = d.free, d.empty, d.full, d.routed
+	nd.wantOut, nd.busyInj = d.wantOut, d.busyInj
+	return ok
 }

@@ -16,10 +16,10 @@ import (
 // Checked invariants:
 //  1. Flit conservation: for every message with flits in the network, the
 //     flits buffered across all routers equal FlitsSent - FlitsEjected.
-//  2. Buffer exclusivity: a virtual-channel buffer only holds flits of a
-//     single message, in ascending sequence order (router.Buffer cannot hold
-//     anything else; asserted all the same), and the buffer's owner cache
-//     names that message.
+//  2. Buffer ownership: a virtual-channel buffer's dst cache is the
+//     destination of the message whose run of flits it holds (router.Buffer
+//     holds nothing but one message's run: Push refuses anything else, and
+//     load a flit list that is not one).
 //  3. Path tracking: every buffer holding flits of a message appears in the
 //     message's tracked path (message.Message.Path), and path entries never
 //     point at buffers holding another message's flits.
@@ -28,16 +28,12 @@ import (
 //     points at an output virtual channel owned by the routed message.
 //  5. Ejection consistency: a busy ejection channel belongs to exactly one
 //     in-flight message.
-//  6. Active-set counters: each node's occVCs equals its count of non-empty
-//     input virtual-channel buffers and busyInj its count of busy injection
-//     channels (the phase-skipping optimisation depends on these); a channel
-//     has a message exactly when its cached length says busy; and the source
-//     queues' records that claim an existing object are the filed objects.
-//     Likewise the switch phase's standing requests (want, wantOut) are what
-//     the routes say, with no two agents on one output channel; the status
-//     words are what the channels say, with no bit the router has no channel
-//     for; and a cached candidate-set id (input VC, injection channel, queue
-//     head) is the current table's.
+//  6. Derived state and caches: each node's words are what derive computes
+//     (so no bit names a channel the router lacks and no two agents share an
+//     output channel); an injection channel is busy exactly while it has a
+//     message, whose destination and length it caches; the queue records
+//     that claim an object are the filed objects; and a cached candidate-set
+//     id (input VC, injection channel, queue head) is the current table's.
 //  7. Fault consistency (only with fault injection active): no flit sits in
 //     a buffer fed by a dead channel or anywhere on a dead router, no
 //     route or sender-side allocation crosses a dead channel, a dead
@@ -45,36 +41,24 @@ import (
 func (e *Engine) CheckInvariants() error {
 	// Enumerate every message reachable from network state: buffer fronts,
 	// output virtual-channel owners, injection and ejection channels. Every
-	// in-flight message holds at least one of those. The channel scans also
-	// collect the deferred flit accounting: flits already streamed in (or
-	// consumed) but not yet folded into the message's own counters, which
-	// happens only when the tail passes.
+	// in-flight message holds at least one of those.
 	inFlight := make(map[*message.Message]bool)
-	pendingSent := make(map[*message.Message]int)
-	pendingEj := make(map[*message.Message]int)
+	reached := func(m *message.Message) {
+		if m != nil {
+			inFlight[m] = true
+		}
+	}
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		for a := range nd.in {
-			if m := nd.in[a].buf.FrontMessage(); m != nil {
-				inFlight[m] = true
-			}
-		}
-		for v := range nd.outVCs {
-			if m := nd.outVCs[v].Owner(); m != nil {
-				inFlight[m] = true
-			}
+			reached(nd.in[a].buf.FrontMessage())
+			reached(nd.outVCs[a].Owner())
 		}
 		for c := range nd.inj {
-			if m := nd.inj[c].msg; m != nil {
-				inFlight[m] = true
-				pendingSent[m] += int(nd.inj[c].len - nd.inj[c].left)
-			}
+			reached(nd.inj[c].msg)
 		}
 		for c := range nd.ej {
-			if m := nd.ej[c].msg; m != nil {
-				inFlight[m] = true
-				pendingEj[m] += int(nd.ej[c].pending)
-			}
+			reached(nd.ej[c].msg)
 		}
 	}
 	inPath := make(map[pathLoc]*message.Message)
@@ -87,7 +71,12 @@ func (e *Engine) CheckInvariants() error {
 		}
 	}
 
+	// The channels also hold the deferred flit accounting: flits already
+	// streamed in (or consumed) but not yet folded into the message's own
+	// counters, which happens only when the tail passes.
 	buffered := make(map[*message.Message]int)
+	pendingSent := make(map[*message.Message]int)
+	pendingEj := make(map[*message.Message]int)
 	built := 0
 	var wantBuf [128]uint8 // the width limit keeps a node's entries under 64+64
 	want := wantBuf[:len(e.nodes[0].want)]
@@ -98,7 +87,21 @@ func (e *Engine) CheckInvariants() error {
 				built++
 			}
 		})
-		occ := 0
+		d, ok := e.derive(nd, want)
+		for _, w := range [...]struct {
+			name      string
+			got, want uint64
+		}{{"free", nd.free, d.free}, {"empty", e.empty[i], d.empty}, {"full", e.full[i], d.full},
+			{"routed", nd.routed, d.routed}, {"wantOut", nd.wantOut, d.wantOut},
+			{"busyInj", uint64(nd.busyInj), uint64(d.busyInj)}} {
+			if w.got != w.want {
+				return fmt.Errorf("node %d: %s=%#x but the durable state gives %#x", nd.id, w.name, w.got, w.want)
+			}
+		}
+		if !ok || !bytes.Equal(want, nd.want) {
+			// (want itself stays out of the message: it would escape to the heap.)
+			return fmt.Errorf("node %d: want=%v, but the routes give another (one agent per output channel: %v)", nd.id, nd.want, ok)
+		}
 		for a := range nd.in {
 			ivc := &nd.in[a]
 			p := a / e.cfg.VCs
@@ -108,24 +111,9 @@ func (e *Engine) CheckInvariants() error {
 				return fmt.Errorf("node %d in[%d][%d]: cached candidate set %d for dst %d, table says %d",
 					nd.id, p, v, ivc.set, ivc.dst, e.cand.id(nd.id, ivc.dst))
 			}
-			var owner *message.Message
-			prevSeq := int32(-1)
-			for j := 0; j < ivc.buf.Len(); j++ {
-				f := ivc.buf.At(j)
-				if owner == nil {
-					owner = f.Msg
-				} else if owner != f.Msg {
-					return fmt.Errorf("node %d in[%d][%d]: flits of msgs %d and %d share a buffer",
-						nd.id, p, v, owner.ID, f.Msg.ID)
-				}
-				if f.Seq <= prevSeq {
-					return fmt.Errorf("node %d in[%d][%d]: flit sequence not ascending", nd.id, p, v)
-				}
-				prevSeq = f.Seq
-				buffered[f.Msg]++
-			}
+			owner := ivc.buf.FrontMessage()
 			if owner != nil {
-				occ++
+				buffered[owner] += ivc.buf.Len()
 				if ivc.dst != owner.Dst {
 					return fmt.Errorf("node %d in[%d][%d]: dst cache holds node %d but flits belong to msg %d bound for %d",
 						nd.id, p, v, ivc.dst, owner.ID, owner.Dst)
@@ -143,69 +131,40 @@ func (e *Engine) CheckInvariants() error {
 						nd.id, p, v, o, owner.ID)
 				}
 			}
-		}
-		if occ != nd.occVCs {
-			return fmt.Errorf("node %d: occVCs=%d but %d input buffers are non-empty", nd.id, nd.occVCs, occ)
+			if m := nd.outVCs[a].Owner(); m != nil && m.State == message.StateDelivered {
+				return fmt.Errorf("node %d out[%d].vc[%d] owned by delivered msg %d", nd.id, p, v, m.ID)
+			}
 		}
 		if q := &nd.queue; q.set != 0 && (q.Empty() || q.set != e.cand.id(nd.id, e.waiting.front(q).dst)) {
 			return fmt.Errorf("node %d: queue of %d caches candidate set %d for its head, the table disagrees", nd.id, q.Len(), q.set)
 		}
-		busy := 0
 		for c := range nd.inj {
-			if ic := &nd.inj[c]; ic.len != 0 {
-				busy++
-				if ic.set != 0 && ic.set != e.cand.id(nd.id, ic.dst) {
-					return fmt.Errorf("node %d inj[%d]: cached candidate set %d for dst %d, table says %d",
-						nd.id, c, ic.set, ic.dst, e.cand.id(nd.id, ic.dst))
-				}
-			}
-			if ic := &nd.inj[c]; (ic.msg != nil) != (ic.len != 0) || (ic.len != 0 && (ic.left < 1 || ic.left > ic.len)) {
+			ic := &nd.inj[c]
+			if (ic.msg != nil) != (ic.len != 0) || (ic.len != 0 && (ic.left < 1 || ic.left > ic.len)) {
 				return fmt.Errorf("node %d inj[%d]: message %v on a channel of cached length %d with %d flits left", nd.id, c, ic.msg, ic.len, ic.left)
 			}
-		}
-		if busy != nd.busyInj {
-			return fmt.Errorf("node %d: busyInj=%d but %d injection channels are busy", nd.id, nd.busyInj, busy)
-		}
-		if out, ok := e.deriveWants(nd, want); !ok || out != nd.wantOut || !bytes.Equal(want, nd.want) {
-			// (want itself stays out of the message: it would escape to the heap.)
-			return fmt.Errorf("node %d: want=%v wantOut=%#x, but the routes give wantOut=%#x (one agent per output channel: %v)",
-				nd.id, nd.want, nd.wantOut, out, ok)
-		}
-		// The status words against what they summarise. The rebuilt words
-		// hold input-VC bits only, so a stray bit above them fails here too.
-		var free, empty, full, routed uint64
-		for a := range nd.in {
-			if m := nd.outVCs[a].Owner(); m != nil && m.State == message.StateDelivered {
-				return fmt.Errorf("node %d out[%d].vc[%d] owned by delivered msg %d", nd.id, a/e.cfg.VCs, a%e.cfg.VCs, m.ID)
+			if ic.msg == nil {
+				continue
 			}
-			bit := uint64(1) << uint(a)
-			if nd.outVCs[a].Free() {
-				free |= bit
+			pendingSent[ic.msg] += int(ic.len - ic.left)
+			if ic.dst != ic.msg.Dst || ic.len != int32(ic.msg.Length) {
+				return fmt.Errorf("node %d inj[%d]: caches dst %d and length %d, but msg %d is bound for %d with %d flits",
+					nd.id, c, ic.dst, ic.len, ic.msg.ID, ic.msg.Dst, ic.msg.Length)
 			}
-			if nd.in[a].buf.Empty() {
-				empty |= bit
-			}
-			if nd.in[a].buf.Full() {
-				full |= bit
-			}
-			if nd.routes[a].valid {
-				routed |= bit
-			}
-		}
-		for _, w := range []struct {
-			name      string
-			got, want uint64
-		}{{"free", nd.free, free}, {"empty", e.empty[i], empty}, {"full", e.full[i], full}, {"routed", nd.routed, routed}} {
-			if w.got != w.want {
-				return fmt.Errorf("node %d: status word %s=%#x but the channels say %#x", nd.id, w.name, w.got, w.want)
+			if ic.set != 0 && ic.set != e.cand.id(nd.id, ic.dst) {
+				return fmt.Errorf("node %d inj[%d]: cached candidate set %d for dst %d, table says %d",
+					nd.id, c, ic.set, ic.dst, e.cand.id(nd.id, ic.dst))
 			}
 		}
 		if nd.fresh&^e.inMask != 0 || nd.freshInj>>uint(len(nd.inj)) != 0 {
 			return fmt.Errorf("node %d: fresh=%#x freshInj=%#x name channels the router does not have", nd.id, nd.fresh, nd.freshInj)
 		}
 		for c := range nd.ej {
-			if m := nd.ej[c].msg; m != nil && m.State == message.StateDelivered {
-				return fmt.Errorf("node %d ej[%d] held by delivered msg %d", nd.id, c, m.ID)
+			if m := nd.ej[c].msg; m != nil {
+				pendingEj[m] += int(nd.ej[c].pending)
+				if m.State == message.StateDelivered {
+					return fmt.Errorf("node %d ej[%d] held by delivered msg %d", nd.id, c, m.ID)
+				}
 			}
 		}
 	}
@@ -274,14 +233,10 @@ func (e *Engine) checkFaultInvariants(inFlight map[*message.Message]bool) error 
 		nd := &e.nodes[i]
 		alive := e.live.RouterAlive(nd.id)
 		if !alive {
-			if nd.queue.Len() != 0 || len(nd.recovery) != 0 || len(nd.retry) != 0 {
-				return fmt.Errorf("dead node %d still holds queued work (%d/%d/%d)",
-					nd.id, nd.queue.Len(), len(nd.recovery), len(nd.retry))
-			}
-			for c := range nd.inj {
-				if nd.inj[c].msg != nil {
-					return fmt.Errorf("dead node %d inj[%d] holds msg %d", nd.id, c, nd.inj[c].msg.ID)
-				}
+			// (busyInj counts the channels holding a message: checked above.)
+			if nd.queue.Len() != 0 || len(nd.recovery) != 0 || len(nd.retry) != 0 || nd.busyInj != 0 {
+				return fmt.Errorf("dead node %d still holds queued work (%d/%d/%d) or injects %d messages",
+					nd.id, nd.queue.Len(), len(nd.recovery), len(nd.retry), nd.busyInj)
 			}
 			for c := range nd.ej {
 				if nd.ej[c].msg != nil {
@@ -307,11 +262,8 @@ func (e *Engine) checkFaultInvariants(inFlight map[*message.Message]bool) error 
 				return fmt.Errorf("node %d in[%d][%d]: route crosses dead channel (port %d)",
 					nd.id, p, v, rt.outPort)
 			}
-		}
-		for o := range nd.outVCs {
-			if m := nd.outVCs[o].Owner(); m != nil && !e.live.LinkAlive(nd.id, topology.Port(o/e.cfg.VCs)) {
-				return fmt.Errorf("node %d out[%d].vc[%d] on a dead channel owned by msg %d",
-					nd.id, o/e.cfg.VCs, o%e.cfg.VCs, m.ID)
+			if m := nd.outVCs[a].Owner(); m != nil && !e.live.LinkAlive(nd.id, port) {
+				return fmt.Errorf("node %d out[%d].vc[%d] on a dead channel owned by msg %d", nd.id, p, v, m.ID)
 			}
 		}
 	}

@@ -14,8 +14,8 @@ import (
 
 // The invariant checker is itself load-bearing for the test suite, so these
 // tests corrupt engine state deliberately and verify each class of
-// violation is caught. Direct buffer pushes must keep the occVCs active-set
-// counter consistent, or the counter check would mask the targeted one.
+// violation is caught. Direct buffer pushes must keep the empty word
+// consistent, or the derived-state check would mask the targeted one.
 
 func TestInvariantCatchesUntrackedFlit(t *testing.T) {
 	e := idle(t, nil)
@@ -24,7 +24,6 @@ func TestInvariantCatchesUntrackedFlit(t *testing.T) {
 	// A flit parked in a buffer with no path entry.
 	e.nodes[3].in[0].buf.Push(message.MakeFlit(m, 0))
 	e.nodes[3].in[0].dst = m.Dst
-	e.nodes[3].occVCs++
 	e.empty[3] &^= 1
 	err := e.CheckInvariants()
 	if err == nil {
@@ -92,7 +91,6 @@ func TestInvariantCatchesFlitCountMismatch(t *testing.T) {
 	m.Path = []pathLoc{{Node: 3, Port: 0, VC: 0}}
 	e.nodes[3].in[0].buf.Push(message.MakeFlit(m, 0))
 	e.nodes[3].in[0].dst = m.Dst
-	e.nodes[3].occVCs++
 	e.empty[3] &^= 1
 	err := e.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "buffered") {
@@ -162,7 +160,6 @@ func TestInvariantCatchesRouteOwnershipMismatch(t *testing.T) {
 	nd := &e.nodes[3]
 	nd.in[0].buf.Push(message.MakeFlit(m1, 0))
 	nd.in[0].dst = m1.Dst
-	nd.occVCs++
 	e.empty[3] &^= 1
 	// Route on the VC points at an output channel owned by a different
 	// message.
@@ -170,6 +167,7 @@ func TestInvariantCatchesRouteOwnershipMismatch(t *testing.T) {
 	nd.free &^= 2 << uint(2*e.cfg.VCs)
 	nd.routes[0] = routeInfo{valid: true, outPort: 2, outVC: 1}
 	nd.routed |= 1
+	e.setWant(nd, 0, nd.routes[0])
 	err := e.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "owned by") {
 		t.Fatalf("route ownership mismatch not caught: %v", err)
@@ -178,11 +176,11 @@ func TestInvariantCatchesRouteOwnershipMismatch(t *testing.T) {
 
 func TestInvariantCatchesCounterDrift(t *testing.T) {
 	e := idle(t, nil)
-	e.nodes[5].occVCs = 2 // no buffers hold flits
-	if err := e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "occVCs") {
-		t.Fatalf("occVCs drift not caught: %v", err)
+	e.nodes[5].wantOut = 1 // nothing is routed
+	if err := e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "wantOut") {
+		t.Fatalf("wantOut drift not caught: %v", err)
 	}
-	e.nodes[5].occVCs = 0
+	e.nodes[5].wantOut = 0
 	e.nodes[5].busyInj = 1 // no injection channel is busy
 	if err := e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "busyInj") {
 		t.Fatalf("busyInj drift not caught: %v", err)
@@ -235,7 +233,7 @@ func TestInvariantCatchesStaleSetCache(t *testing.T) {
 
 // The checker used to rotate every buffer through Pop/Push to look inside,
 // leaving the ring indices of the state it had just approved somewhere else.
-// It reads with At now: every input channel is bit for bit what it was.
+// It only reads now: every input channel is bit for bit what it was.
 func TestCheckInvariantsReadOnly(t *testing.T) {
 	e, err := New(equivalenceConfigs()["saturated-recovery"])
 	if err != nil {

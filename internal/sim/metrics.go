@@ -210,11 +210,12 @@ func (e *Engine) sampleMetrics() {
 		queued += q
 		recPend += len(nd.recovery)
 		retryPend += len(nd.retry)
-		occ += nd.occVCs
+		nodeOcc := bits.OnesCount64(e.inMask &^ e.empty[i])
+		occ += nodeOcc
 		busy += nd.busyInj
 		freeOut += bits.OnesCount64(nd.free)
 		m.queueHist.Observe(float64(q))
-		m.occHist.Observe(float64(nd.occVCs))
+		m.occHist.Observe(float64(nodeOcc))
 	}
 	totalVCs := len(e.nodes) * e.numPhys * e.cfg.VCs
 

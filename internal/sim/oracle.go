@@ -137,16 +137,18 @@ func (e *Engine) addWaitOptions(g *deadlock.WaitGraph, id int64, nd *node, dst t
 	}
 }
 
-// VerifyInjectionProperty re-derives the paper's ALO predicate — rule (a):
-// every useful physical channel has at least one free virtual channel;
-// rule (b): some useful physical channel is completely free — directly from
-// raw output-VC ownership state for every node with a queued head message,
-// and checks four implementations against it: the word-form gate the
-// injection phase runs (gateWords, on the free word; CheckInvariants holds the
-// queue's cached set id to the table), the limiter's Allow, the shared
-// EvalRules classification, and the Figure-3 gate circuit evaluated on the
-// raw status register. Nodes whose limiter is not ALO are skipped. It is
-// read-only (ALO is stateless) and must run between Step calls.
+// VerifyInjectionProperty re-derives the paper's two rules — rule (a): every
+// inspected physical channel has at least one free virtual channel; rule (b):
+// some inspected physical channel is completely free — directly from raw
+// output-VC ownership state for every node whose limiter is a member of the ALO
+// family and whose source queue has a head, over the set the node's cached
+// core.Rules value inspects (the useful channels, or all of them), and checks
+// four implementations against it: the word-form gate the injection phase runs
+// (gateWords, on the free word; CheckInvariants holds the queue's cached set id
+// to the table), the value's Allow and ClassifyRules, and the Figure-3 gate
+// circuit, whose output is rule (a) OR rule (b), evaluated on the raw status
+// register. It is read-only (the family is stateless) and must run between
+// Step calls.
 func (e *Engine) VerifyInjectionProperty() error {
 	vcs := e.cfg.VCs
 	var circuit *core.Circuit
@@ -154,46 +156,40 @@ func (e *Engine) VerifyInjectionProperty() error {
 	useful := make([]core.Signal, e.numPhys)
 	for i := range e.nodes {
 		nd := &e.nodes[i]
-		if nd.queue.Empty() {
-			continue
-		}
-		alo, ok := nd.limiter.(core.ALO)
-		if !ok {
+		if nd.queue.Empty() || !nd.gated {
 			continue
 		}
 		dst := e.waiting.front(&nd.queue).dst
 		// Ground truth straight from the output-VC ownership state.
-		ruleA, ruleB := true, false
 		for p := range useful {
-			useful[p] = false
+			useful[p] = nd.rules.AllPorts
 		}
 		for _, pc := range e.cand.get(nd.id, dst) {
 			useful[pc.port] = true
+		}
+		ruleA, ruleB := true, false
+		for p, u := range useful {
 			free := 0
 			for v := 0; v < vcs; v++ {
-				if nd.outVCs[int(pc.port)*vcs+v].Free() {
+				if nd.outVCs[p*vcs+v].Free() {
 					free++
 				}
 			}
-			if free == 0 {
-				ruleA = false
-			}
-			if free == vcs {
-				ruleB = true
-			}
+			ruleA = ruleA && (!u || free != 0)
+			ruleB = ruleB || u && free == vcs
 		}
-		want := ruleA || ruleB
+		want := nd.rules.A && ruleA || nd.rules.B && ruleB
 		if ok, a, b := e.gateWords(nd, e.cand.id(nd.id, dst)); ok != want || a != ruleA || b != ruleB {
 			return fmt.Errorf("sim: node %d dst %d: the word gate says %v (a=%v b=%v) on free=%#x, state says a=%v b=%v",
 				nd.id, dst, ok, a, b, nd.free, ruleA, ruleB)
 		}
-		if got := alo.Allow(nd.view, dst); got != want {
-			return fmt.Errorf("sim: node %d dst %d: ALO.Allow=%v but rules say a=%v b=%v",
-				nd.id, dst, got, ruleA, ruleB)
+		if got := nd.rules.Allow(nd.view, dst); got != want {
+			return fmt.Errorf("sim: node %d dst %d: %s.Allow=%v but rules say a=%v b=%v",
+				nd.id, dst, nd.rules.Name(), got, ruleA, ruleB)
 		}
-		if a, b := core.EvalRules(nd.view, dst); a != ruleA || b != ruleB {
-			return fmt.Errorf("sim: node %d dst %d: EvalRules=(%v,%v), state says (%v,%v)",
-				nd.id, dst, a, b, ruleA, ruleB)
+		if a, b := nd.rules.ClassifyRules(nd.view, dst); a != ruleA || b != ruleB {
+			return fmt.Errorf("sim: node %d dst %d: %s.ClassifyRules=(%v,%v), state says (%v,%v)",
+				nd.id, dst, nd.rules.Name(), a, b, ruleA, ruleB)
 		}
 		if circuit == nil {
 			circuit = core.NewCircuit(e.numPhys, vcs)
@@ -201,9 +197,9 @@ func (e *Engine) VerifyInjectionProperty() error {
 		for v := range vcFree {
 			vcFree[v] = nd.outVCs[v].Free()
 		}
-		if got := circuit.Eval(vcFree, useful); got != want {
-			return fmt.Errorf("sim: node %d dst %d: gate circuit=%v, rules say %v",
-				nd.id, dst, got, want)
+		if got := circuit.Eval(vcFree, useful); got != (ruleA || ruleB) {
+			return fmt.Errorf("sim: node %d dst %d: gate circuit=%v, rules say a=%v b=%v",
+				nd.id, dst, got, ruleA, ruleB)
 		}
 	}
 	return nil

@@ -117,8 +117,8 @@ const (
 	evDelivered              // tail flit consumed at destination (move phase)
 )
 
-// outFlit is one planned cross-shard flit push: everything the destination
-// shard needs to apply it without touching the source node.
+// outFlit is one planned flit push: everything the destination shard needs to
+// apply it without touching the source node.
 type outFlit struct {
 	dvc  *inVC
 	node topology.NodeID // the receiving node
@@ -879,8 +879,9 @@ func (e *Engine) injectRange(p *parRuntime, sh *parShard) {
 		}
 		// Pre-scan this node now that its injections are settled.
 		if scan {
-			if (p.watermarked && nd.occVCs > 0 && nd.blocked.Hot() > 0) ||
-				(faults && (nd.occVCs > 0 || nd.busyInj > 0) && e.deadEnd(nd)) {
+			occupied := e.empty[i] != e.inMask
+			if (p.watermarked && occupied && nd.blocked.Hot() > 0) ||
+				(faults && (occupied || nd.busyInj > 0) && e.deadEnd(nd)) {
 				cut = int32(i)
 				scan = false
 			}
@@ -958,13 +959,13 @@ func (e *Engine) injectNode(nd *node, sh *parShard) {
 // admits is the injection gate: whether nd's limiter lets the head of its
 // (non-empty) source queue in this cycle and, for the layers that attribute a
 // denial, whether each of the paper's rules held (RuleClassifier limiters
-// only). A declared gate (core.WordGate: the ALO family) is answered from the
-// free word and the queue's cached set id — a denied head, decided again every
-// cycle, reads nothing else; any other limiter from Allow over the ChannelView,
-// with ClassifyRules only when a layer will use it.
+// only). A member of the ALO family (core.Rules) is answered from the free
+// word and the queue's cached set id — a denied head, decided again every
+// cycle, reads nothing else; any other limiter from Allow over the
+// ChannelView, with ClassifyRules only when a layer will use it.
 func (e *Engine) admits(nd *node) (ok, ruleA, ruleB bool) {
 	q := &nd.queue
-	if nd.gate.on {
+	if nd.gated {
 		if q.set == 0 {
 			q.set = e.cand.id(nd.id, e.waiting.front(q).dst)
 		}
@@ -978,15 +979,15 @@ func (e *Engine) admits(nd *node) (ok, ruleA, ruleB bool) {
 	return ok, ruleA, ruleB
 }
 
-// gateWords evaluates a declared gate for a message whose candidate set at nd
-// is set: the paper's Figure 3 on the status register itself.
+// gateWords evaluates nd's ALO-family gate for a message whose candidate set
+// at nd is set: the paper's Figure 3 on the status register itself.
 func (e *Engine) gateWords(nd *node, set int32) (ok, ruleA, ruleB bool) {
 	useful := e.portsLow
-	if !nd.gate.allPorts {
+	if !nd.rules.AllPorts {
 		useful = e.cand.useful[set]
 	}
 	ruleA, ruleB = core.RuleWords(nd.free, useful, e.cfg.VCs)
-	return nd.gate.ruleA && ruleA || nd.gate.ruleB && ruleB, ruleA, ruleB
+	return nd.rules.Admits(ruleA, ruleB), ruleA, ruleB
 }
 
 // popRecovery removes and returns the front of the node's recovery list. The
@@ -1009,12 +1010,10 @@ func (nd *node) popRecovery() *message.Message {
 // section, where a channel claimed this cycle has no msg yet. A header's set id
 // comes through its cache, as in allocate, which then finds it there.
 func (e *Engine) deadEnd(nd *node) bool {
-	if nd.occVCs > 0 {
-		for h := e.inMask &^ e.empty[nd.id] &^ nd.routed; h != 0; h &= h - 1 {
-			ivc := &nd.in[bits.TrailingZeros64(h)]
-			if ivc.dst != nd.id && e.cand.word[e.setOf(nd, ivc.dst, &ivc.set)] == 0 {
-				return true
-			}
+	for h := e.inMask &^ e.empty[nd.id] &^ nd.routed; h != 0; h &= h - 1 {
+		ivc := &nd.in[bits.TrailingZeros64(h)]
+		if ivc.dst != nd.id && e.cand.word[e.setOf(nd, ivc.dst, &ivc.set)] == 0 {
+			return true
 		}
 	}
 	if nd.busyInj > 0 {
@@ -1040,7 +1039,7 @@ func (e *Engine) deadEnd(nd *node) bool {
 // planned flit transfers — pops from input buffers or injection channels,
 // pushes into downstream buffers or ejection sinks — with all the
 // bookkeeping that head and tail flits trigger (channel release, path
-// tracking, active-set counters); delivery/injection accounting is
+// tracking, status words); delivery/injection accounting is
 // deferred. Pushes staying inside the shard touch only own-node state and
 // commute with the shard's remaining pops (a push was planned against
 // start-of-cycle credit, so it fits whether the destination buffer's own
@@ -1068,7 +1067,6 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 			full[mv.node] &^= bit
 			if ivc.buf.Empty() {
 				empty[mv.node] |= bit
-				nd.occVCs--
 			}
 			if flit.Tail {
 				e.clearWant(nd, nd.routes[a])
@@ -1135,34 +1133,17 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 		if flit.Tail && nd.outVCs[out].ReleaseIfOwner(m) {
 			nd.free |= 1 << uint(out)
 		}
-		nb := nd.nbr[mv.outPort]
-		dvc := nd.down[out]
-		// dvc's bit in the neighbour's words: the same VC of the opposite port.
-		bit := uint64(1) << uint(int(topology.Opposite(mv.outPort))*vcs+int(mv.outVC))
-		if uint32(nb)-lo >= span {
-			d := p.shardOf[nb]
-			p.rings[id*nShards+int(d)].buf[sh.ringN[d]] = outFlit{
-				dvc: dvc, node: nb, bit: bit, flit: flit,
-			}
+		// The landing buffer's bit in the neighbour's words: the same VC of the
+		// opposite port.
+		rec := outFlit{dvc: nd.down[out], node: nd.nbr[mv.outPort], flit: flit,
+			bit: uint64(1) << uint(int(topology.Opposite(mv.outPort))*vcs+int(mv.outVC))}
+		if uint32(rec.node)-lo >= span {
+			d := p.shardOf[rec.node]
+			p.rings[id*nShards+int(d)].buf[sh.ringN[d]] = rec
 			sh.ringN[d]++
 			continue
 		}
-		if dvc.buf.Empty() {
-			e.nodes[nb].occVCs++
-			empty[nb] &^= bit
-		}
-		if flit.Head {
-			// The buffer holds one message at a time, so the dst cache
-			// only needs (re-)writing when a new head moves in.
-			dvc.dst, dvc.set = m.Dst, 0
-			if e.spans != nil {
-				e.spanHopArrive(m, nb)
-			}
-		}
-		dvc.buf.Push(flit)
-		if dvc.buf.Full() {
-			full[nb] |= bit
-		}
+		e.push(&rec)
 	}
 	// Publish every outbound ring — including empty ones, so consumers
 	// never wait on a quiet producer. One release-store per ring per cycle.
@@ -1202,7 +1183,9 @@ func (e *Engine) moveDrainRings(p *parRuntime, sh *parShard, id int) {
 			if v>>32 != stampHi {
 				continue // producer not done yet
 			}
-			e.applyPushes(r.buf[:uint32(v)])
+			for i := range r.buf[:uint32(v)] {
+				e.push(&r.buf[i])
+			}
 			r.seen = v
 			pending--
 			progressed = true
@@ -1215,34 +1198,31 @@ func (e *Engine) moveDrainRings(p *parRuntime, sh *parShard, id int) {
 	}
 }
 
-// applyPushes applies one batch of planned pushes to this shard's own
-// nodes. All pops already happened or commute with these pushes: a push
-// was planned against start-of-cycle credit, so it fits whether the
-// destination buffer's own pop (if any) has run or not, and the
-// empty/full/active-set updates reach the same final state either way.
-func (e *Engine) applyPushes(bucket []outFlit) {
-	empty, full := e.empty, e.full
-	for i := range bucket {
-		rec := &bucket[i]
-		dvc := rec.dvc
-		if dvc.buf.Empty() {
-			e.nodes[rec.node].occVCs++
-			empty[rec.node] &^= rec.bit
+// push lands a planned flit in a buffer of its own shard, from the shard's own
+// move walk or off a ring. All pops already happened or commute with it: a
+// push was planned against start-of-cycle credit, so it fits whether the
+// destination buffer's own pop (if any) has run or not, and the empty/full
+// updates reach the same final state either way.
+func (e *Engine) push(rec *outFlit) {
+	dvc := rec.dvc
+	if dvc.buf.Empty() {
+		e.empty[rec.node] &^= rec.bit
+	}
+	if rec.flit.Head {
+		// The buffer holds one message at a time, so the dst cache only needs
+		// (re-)writing when a new head moves in.
+		dvc.dst, dvc.set = rec.flit.Msg.Dst, 0
+		if e.spans != nil {
+			// The hop-append is exclusive: this shard owns the receiving node,
+			// the head arrives at most once per cycle, and a producer's
+			// same-cycle record writes happened before the ring publish the
+			// drain synchronized with.
+			e.spanHopArrive(rec.flit.Msg, rec.node)
 		}
-		if rec.flit.Head {
-			dvc.dst, dvc.set = rec.flit.Msg.Dst, 0
-			if e.spans != nil {
-				// The hop-append is exclusive: this consumer owns the
-				// receiving node, the head arrives at most once per cycle,
-				// and the producer's same-cycle record writes happened
-				// before the ring publish this drain synchronized with.
-				e.spanHopArrive(rec.flit.Msg, rec.node)
-			}
-		}
-		dvc.buf.Push(rec.flit)
-		if dvc.buf.Full() {
-			full[rec.node] |= rec.bit
-		}
+	}
+	dvc.buf.Push(rec.flit)
+	if dvc.buf.Full() {
+		e.full[rec.node] |= rec.bit
 	}
 }
 

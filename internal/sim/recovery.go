@@ -34,80 +34,54 @@ func (e *Engine) recover(m *message.Message, at *node) {
 // teardown removes every trace of message m from the network: the
 // injection channel it may still hold, every buffered flit, every route and
 // every virtual channel (sender-side allocations up- and downstream of each
-// buffer) it occupies, keeping the active-set counters consistent. The
-// message's own progress counters are untouched; callers reset or drop the
-// message afterwards. Both deadlock recovery and the fault-kill machinery
-// run exactly this teardown.
+// buffer) it occupies. The message's own progress counters are untouched;
+// callers reset or drop the message afterwards. Both deadlock recovery and the
+// fault-kill machinery run exactly this teardown. It is rare, so each node it
+// touches rederives its words rather than being updated bit by bit.
 func (e *Engine) teardown(m *message.Message) {
+	// release frees the channel a route of nd claimed for m.
+	release := func(nd *node, r routeInfo) {
+		switch {
+		case !r.valid:
+		case !r.eject:
+			nd.outVCs[e.inVCIndex(r.outPort, r.outVC)].ReleaseIfOwner(m)
+		case nd.ej[r.ejCh].msg == m:
+			m.FlitsEjected += int(nd.ej[r.ejCh].pending)
+			nd.ej[r.ejCh] = ejChannel{}
+		}
+	}
 	// Free the injection channel if the message is still streaming in.
 	inj := &e.nodes[m.Injector]
 	for i := range inj.inj {
-		ic := &inj.inj[i]
-		if ic.msg != m {
-			continue
+		if ic := &inj.inj[i]; ic.msg == m {
+			release(inj, ic.route)
+			// Settle the deferred flit accounting before the channel forgets
+			// how much of the message it had streamed.
+			m.FlitsSent = int(ic.len - ic.left)
+			ic.msg, ic.len, ic.route = nil, 0, routeInfo{}
+			inj.freshInj &^= 1 << uint(i)
 		}
-		if ic.route.valid {
-			e.clearWant(inj, ic.route)
-			if ic.route.eject {
-				if ej := &inj.ej[ic.route.ejCh]; ej.msg == m {
-					m.FlitsEjected += int(ej.pending)
-					ej.pending = 0
-					ej.msg = nil
-				}
-			} else if o := e.inVCIndex(ic.route.outPort, ic.route.outVC); inj.outVCs[o].ReleaseIfOwner(m) {
-				inj.free |= 1 << uint(o)
-			}
-		}
-		// Settle the deferred flit accounting before the channel forgets
-		// how much of the message it had streamed.
-		m.FlitsSent = int(ic.len - ic.left)
-		ic.msg = nil
-		ic.len = 0
-		ic.route = routeInfo{}
-		inj.freshInj &^= 1 << uint(i)
-		inj.busyInj--
 	}
+	e.rederive(inj)
 
 	// Tear down the path: remove buffered flits, clear routes, release the
 	// virtual channels feeding and leaving every buffer the message holds.
 	for _, loc := range m.Path {
 		nd := &e.nodes[loc.Node]
 		a := e.inVCIndex(loc.Port, loc.VC)
-		ivc := &nd.in[a]
-		bit := uint64(1) << uint(a)
-		if ivc.buf.RemoveMessage(m.ID) > 0 {
-			if ivc.buf.Empty() {
-				nd.occVCs--
-				e.empty[loc.Node] |= bit
-			}
-			if !ivc.buf.Full() {
-				e.full[loc.Node] &^= bit
-			}
-		}
+		nd.in[a].buf.RemoveMessage(m.ID)
 		// The buffer held only this message's flits, so a valid route on it
 		// belongs to the message: release the onward channel it claimed.
-		if rt := &nd.routes[a]; rt.valid {
-			e.clearWant(nd, *rt)
-			if rt.eject {
-				if ej := &nd.ej[rt.ejCh]; ej.msg == m {
-					m.FlitsEjected += int(ej.pending)
-					ej.pending = 0
-					ej.msg = nil
-				}
-			} else if o := e.inVCIndex(rt.outPort, rt.outVC); nd.outVCs[o].ReleaseIfOwner(m) {
-				nd.free |= 1 << uint(o)
-			}
-			*rt = routeInfo{}
-			nd.routed &^= bit
-			nd.fresh &^= bit
-		}
+		release(nd, nd.routes[a])
+		nd.routes[a] = routeInfo{}
+		nd.fresh &^= 1 << uint(a)
 		nd.blocked.Progress(a)
 		// Release the upstream allocation feeding this buffer (a no-op when
 		// the tail already passed through it).
 		up := &e.nodes[e.topo.Neighbor(loc.Node, loc.Port)]
-		if o := e.inVCIndex(topology.Opposite(loc.Port), loc.VC); up.outVCs[o].ReleaseIfOwner(m) {
-			up.free |= 1 << uint(o)
-		}
+		up.outVCs[e.inVCIndex(topology.Opposite(loc.Port), loc.VC)].ReleaseIfOwner(m)
+		e.rederive(nd)
+		e.rederive(up)
 	}
 	m.Path = m.Path[:0]
 }

@@ -3,7 +3,10 @@ package sim
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -519,16 +522,12 @@ var hostileMutations = []func(s *Snapshot, a, b int) bool{
 		return false
 	},
 	func(s *Snapshot, a, b int) bool { // a busy injection channel with nothing, or too much, left to stream
-		for i := range s.Nodes {
-			n := &s.Nodes[(a+i)%len(s.Nodes)]
-			for c := range n.Inj {
-				if n.Inj[c].Msg >= 0 {
-					n.Inj[c].Left = []int32{0, -1, n.Inj[c].Len + 1}[b%3]
-					return true
-				}
-			}
+		si := busyInj(s, a)
+		if si == nil {
+			return false
 		}
-		return false
+		si.Left = []int32{0, -1, si.Len + 1}[b%3]
+		return true
 	},
 	func(s *Snapshot, a, b int) bool { // per-node words of the wrong kind
 		n := &s.Nodes[a%len(s.Nodes)]
@@ -546,6 +545,51 @@ var hostileMutations = []func(s *Snapshot, a, b int) bool{
 		}
 		return true
 	},
+	// An injection channel's Dst and Len are caches of its message.
+	func(s *Snapshot, a, b int) bool { // a busy injection channel bound elsewhere than its message
+		si := busyInj(s, a)
+		if si == nil {
+			return false
+		}
+		si.Dst = []int32{1 << 20, -1, (si.Dst + 1) % int32(len(s.Nodes))}[b%3]
+		return true
+	},
+	func(s *Snapshot, a, b int) bool { // a busy injection channel longer than its message
+		si := busyInj(s, a)
+		if si == nil {
+			return false
+		}
+		si.Len += 3
+		if b%2 == 0 {
+			si.Left += 3
+		}
+		return true
+	},
+	func(s *Snapshot, a, b int) bool { // fault machinery position in a fault-free engine's snapshot
+		if s.LinksUp != nil {
+			return false
+		}
+		if b%2 == 0 {
+			s.FaultIdx = 1 + a%7
+		} else {
+			s.Epoch = 1 + uint64(a)
+		}
+		return true
+	},
+}
+
+// busyInj returns the first busy injection channel, scanning from node a; nil
+// if the snapshot has none.
+func busyInj(s *Snapshot, a int) *SnapInj {
+	for i := range s.Nodes {
+		n := &s.Nodes[(a+i)%len(s.Nodes)]
+		for c := range n.Inj {
+			if n.Inj[c].Msg >= 0 {
+				return &n.Inj[c]
+			}
+		}
+	}
+	return nil
 }
 
 // occupiedVC returns the first virtual channel, scanning from node a, whose
@@ -641,6 +685,171 @@ func FuzzRestoreInPlace(f *testing.F) {
 		}
 		tg.prev = bad
 	})
+}
+
+// observerOnly are the snapshot fields CanonicalBytes leaves out on purpose,
+// each a field path with its subtree: what observes a run rather than steers it,
+// the raw message ids (the encoding numbers messages in reference order), and
+// Gen.Rogue, which the config fixes like Config itself — which nodes are rogue
+// is part of it, and every generator refuses the other kind's state.
+var observerOnly = []string{
+	"Config", "NextID", "Generated", "Delivered", "Recovered", "Aborted", "Retried", "Dropped",
+	"Stats", "Metrics", "Messages.Pooled", "Messages.ID", "Nodes.In.Flits.Msg", "Nodes.OutOwner",
+	"Nodes.Inj.Msg", "Nodes.Ej.Msg", "Nodes.Queue", "Nodes.Recovery.Msg", "Nodes.Retry.Msg", "Nodes.Gen.Rogue",
+}
+
+// snapLeaves calls fn with the field path ("Nodes.In.Flits.Seq", no indices)
+// and the value of every leaf reachable from v — a scalar, a string or a
+// []byte — depth first in field and element order, until fn returns false.
+func snapLeaves(v reflect.Value, path string, fn func(string, reflect.Value) bool) bool {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			p := v.Type().Field(i).Name
+			if path != "" {
+				p = path + "." + p
+			}
+			if !snapLeaves(v.Field(i), p, fn) {
+				return false
+			}
+		}
+		return true
+	case reflect.Pointer:
+		return v.IsNil() || snapLeaves(v.Elem(), path, fn)
+	case reflect.Slice:
+		if v.Type().Elem().Kind() != reflect.Uint8 {
+			for i := 0; i < v.Len(); i++ {
+				if !snapLeaves(v.Index(i), path, fn) {
+					return false
+				}
+			}
+			return true
+		}
+		if v.Len() == 0 {
+			return true
+		}
+	}
+	return fn(path, v)
+}
+
+// perturbLeaf changes a leaf snapLeaves found: a bool flips, a number grows by
+// one (an infinity becomes 0), a string grows a byte, a []byte's last bit flips.
+func perturbLeaf(t *testing.T, path string, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float64:
+		if f := v.Float(); math.IsInf(f, 0) {
+			v.SetFloat(0)
+		} else {
+			v.SetFloat(f + 1)
+		}
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Slice:
+		b := v.Index(v.Len() - 1)
+		b.SetUint(b.Uint() ^ 1)
+	default:
+		t.Fatalf("%s: no perturbation for a %s", path, v.Kind())
+	}
+}
+
+// TestSnapshotEveryFieldWalked is what a table of durable state would
+// guarantee, checked field by field instead: every leaf field reachable from a
+// Snapshot is perturbed, one at a time, at its first occurrence in a
+// snapshot of a saturated fault-mode run, a saturated one without a limiter,
+// ALO over bursty sources, DRIL and the adversary classes, each recording a
+// delivery series, and each perturbation must change
+// CanonicalBytes (or make it fail) unless the field is observer-only, and be
+// either refused by Restore or given back exactly by SnapshotInto — a value
+// load keeps is a value the snapshot walk writes, and a value it would drop is
+// refused. Between them the scenarios reach every field of every type below
+// Snapshot but Metrics (no scenario records them; they are observer-only).
+func TestSnapshotEveryFieldWalked(t *testing.T) {
+	visited := map[string]bool{}
+	for _, name := range []string{"faults", "none", "alo-bursty", "dril", "adversarial"} {
+		sc := restoreScenarios()[name]
+		e, err := New(sc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Collector().EnableDeliverySeries(100, 50)
+		for e.Now() < sc.snapAt {
+			e.Step()
+		}
+		good, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		good = gobRoundTrip(t, good)
+		goodCanon, err := good.CanonicalBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var paths []string
+		snapLeaves(reflect.ValueOf(good).Elem(), "", func(p string, _ reflect.Value) bool {
+			if !slices.Contains(paths, p) {
+				paths = append(paths, p)
+			}
+			visited[p] = true
+			return true
+		})
+		for _, p := range paths {
+			bad := gobRoundTrip(t, good)
+			snapLeaves(reflect.ValueOf(bad).Elem(), "", func(q string, v reflect.Value) bool {
+				if q == p {
+					perturbLeaf(t, q, v)
+				}
+				return q != p
+			})
+			observer := slices.ContainsFunc(observerOnly, func(o string) bool { return p == o || strings.HasPrefix(p, o+".") })
+			if canon, err := bad.CanonicalBytes(); err == nil && bytes.Equal(canon, goodCanon) && !observer {
+				t.Errorf("%s: %s perturbed, CanonicalBytes unchanged", name, p)
+			}
+			if e.Restore(bad) != nil {
+				continue
+			}
+			got, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gobRoundTrip(t, got), gobRoundTrip(t, bad)) {
+				t.Errorf("%s: %s perturbed, Restore accepts it and SnapshotInto gives back another snapshot", name, p)
+			}
+		}
+		e.Close()
+	}
+	var missed []string
+	var fields func(tp reflect.Type, path string)
+	fields = func(tp reflect.Type, path string) {
+		switch tp.Kind() {
+		case reflect.Struct:
+			for i := 0; i < tp.NumField(); i++ {
+				p := tp.Field(i).Name
+				if path != "" {
+					p = path + "." + p
+				}
+				fields(tp.Field(i).Type, p)
+			}
+			return
+		case reflect.Pointer, reflect.Slice:
+			if tp.Elem().Kind() != reflect.Uint8 {
+				fields(tp.Elem(), path)
+				return
+			}
+		}
+		if !visited[path] && path != "Metrics" && !strings.HasPrefix(path, "Metrics.") {
+			missed = append(missed, path)
+		}
+	}
+	fields(reflect.TypeOf(Snapshot{}), "")
+	if len(missed) > 0 {
+		t.Errorf("no scenario reaches %v", missed)
+	}
 }
 
 // modelEngine is the model checker's engine — the 2-ary 2-cube with two

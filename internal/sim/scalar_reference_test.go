@@ -109,7 +109,7 @@ func (e *Engine) scalarSwitchRange(lo, hi int, reqsFlat []int32, moves []move) [
 	var reqLen [64]uint16
 	for ni := lo; ni < hi; ni++ {
 		nd := &e.nodes[ni]
-		if nd.occVCs == 0 && nd.busyInj == 0 {
+		if e.empty[ni] == e.inMask && nd.busyInj == 0 {
 			continue // no flit anywhere: no requests, no arbiter movement
 		}
 		reqLen = [64]uint16{}
@@ -259,7 +259,7 @@ func (d *scalarDriver) gateBoth(sh *parShard) {
 	for i := range sh.events {
 		ev := &sh.events[i]
 		nd := &e.nodes[ev.node]
-		if !nd.gate.on || nd.rogue {
+		if !nd.gated || nd.rogue {
 			continue
 		}
 		var dst topology.NodeID
@@ -300,11 +300,12 @@ func (d *scalarDriver) allocRange() {
 	hiMask := vcsMask &^ (uint32(1)<<uint(start%e.cfg.VCs) - 1)
 	for i := range e.nodes {
 		nd := &e.nodes[i]
-		if nd.occVCs == 0 && nd.busyInj == 0 {
+		occupied := e.empty[i] != e.inMask
+		if !occupied && nd.busyInj == 0 {
 			continue
 		}
 		var w allocWords
-		if nd.occVCs > 0 {
+		if occupied {
 			d.allocWalk(nd, ps, hiMask, &w)
 			for p := ps + 1; p < e.numPhys; p++ {
 				d.allocWalk(nd, p, vcsMask, &w)

@@ -23,11 +23,10 @@ package sim
 // enabled — the registry's samples.
 //
 // What is deliberately NOT serialized, and why that is sound:
-//   - derived state (occVCs/busyInj, the free/routed/empty/full status
-//     words, want/wantOut, the dst and set-id caches, nextGen):
-//     recomputed exactly from the durable state;
-//   - per-cycle scratch (moves, genScratch, killScratch, shard
-//     buffers): dead between cycles;
+//   - derived state: the free/empty/full/routed status words, want/wantOut
+//     and busyInj, which derive recomputes exactly from the durable state,
+//     and the dst and set-id caches and nextGen, which load rebuilds;
+//   - per-cycle scratch (killScratch, shard buffers): dead between cycles;
 //   - the fresh words (fresh, freshInj): provably zero between cycles — a set
 //     fresh bit implies a non-empty routed VC (or busy injection channel) on
 //     that node, which keeps the node in the active set through the switch
@@ -289,12 +288,54 @@ func loadRoute(s SnapRoute) routeInfo {
 }
 
 // routeInRange reports whether a serialized route names channels the router
-// has; load refuses the rest before anything indexes by them.
+// has, load refusing the rest before anything indexes by them, and whether an
+// invalid one is the zero route SnapshotInto writes, which is all load keeps of
+// it.
 func (e *Engine) routeInRange(s SnapRoute) bool {
-	if s.Eject {
-		return !s.Valid || s.EjCh >= 0 && int(s.EjCh) < e.cfg.EjChannels
+	switch {
+	case !s.Valid:
+		return s == SnapRoute{}
+	case s.Eject:
+		return s.EjCh >= 0 && int(s.EjCh) < e.cfg.EjChannels
 	}
-	return !s.Valid || s.OutPort >= 0 && int(s.OutPort) < e.numPhys && s.OutVC >= 0 && int(s.OutVC) < e.cfg.VCs
+	return s.OutPort >= 0 && int(s.OutPort) < e.numPhys && s.OutVC >= 0 && int(s.OutVC) < e.cfg.VCs
+}
+
+// refs calls fn with every message reference of the node, in the order that
+// numbers messages canonically (CanonBuf.encode) and that load resolves them
+// in: buffered flits, output-VC owners, injection channels, ejection channels,
+// source queue, recovery queue, retry queue. A free output VC or channel is -1
+// and references nothing.
+func (sn *SnapNode) refs(fn func(id int64)) {
+	for c := range sn.In {
+		for _, f := range sn.In[c].Flits {
+			fn(f.Msg)
+		}
+	}
+	for _, id := range sn.OutOwner {
+		if id != -1 {
+			fn(id)
+		}
+	}
+	for _, si := range sn.Inj {
+		if si.Msg != -1 {
+			fn(si.Msg)
+		}
+	}
+	for _, se := range sn.Ej {
+		if se.Msg != -1 {
+			fn(se.Msg)
+		}
+	}
+	for _, id := range sn.Queue {
+		fn(id)
+	}
+	for _, sp := range sn.Recovery {
+		fn(sp.Msg)
+	}
+	for _, sp := range sn.Retry {
+		fn(sp.Msg)
+	}
 }
 
 // Snapshot is SnapshotInto a new, zero Snapshot.
@@ -548,12 +589,12 @@ func (e *Engine) Restore(snap *Snapshot) error {
 	return nil
 }
 
-// reset empties the engine in place, back to what New leaves behind (on a new
-// engine it changes nothing): cycle 0, no messages anywhere, nothing attached.
-// It covers the durable router state and all that derives from it. What load
-// overwrites wholesale — liveness and the candidate table that follows it,
-// generator, limiter, blockage, arbiter and collector words — is left alone,
-// as are the message pool and the record arena's capacity, whose contents are
+// reset empties the engine in place: cycle 0, no messages anywhere, nothing
+// attached. New ends in it, so it defines the empty engine. It covers the
+// durable router state and all that derives from it. What load overwrites
+// wholesale — liveness and the candidate table that follows it, generator,
+// limiter, blockage, arbiter and collector words — is left alone, as are the
+// message pool and the record arena's capacity, whose contents are
 // unobservable.
 func (e *Engine) reset() {
 	e.now, e.nextID, e.faultIdx, e.epoch = 0, 0, 0, 0
@@ -565,18 +606,16 @@ func (e *Engine) reset() {
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		for c := range nd.in {
-			nd.in[c].buf.Reset()
+			nd.in[c].buf.Init(e.cfg.BufDepth)
 			nd.in[c].dst, nd.in[c].set = 0, 0
 			nd.routes[c] = routeInfo{}
 			nd.outVCs[c].Release()
 			nd.lastTx[c] = -1
 		}
-		nd.free, e.empty[i] = e.inMask, e.inMask
-		e.full[i], nd.routed, nd.fresh, nd.freshInj = 0, 0, 0, 0
+		nd.fresh, nd.freshInj = 0, 0
 		clear(nd.inj)
 		clear(nd.ej)
-		nd.occVCs, nd.busyInj = 0, 0
-		nd.wantOut, _ = e.deriveWants(nd, nd.want)
+		e.rederive(nd)
 		nd.queue = srcQueue{}
 		clear(nd.recovery)
 		nd.recovery = nd.recovery[:0]
@@ -603,22 +642,19 @@ func (p *parRuntime) reset() {
 	}
 }
 
-// load populates a reset engine from snap.
+// load populates a reset engine from snap. It checks what must hold before a
+// write could panic or index out of range, and refuses a value it would drop;
+// derive rebuilds the derived words, and the rest is CheckInvariants', run on
+// the loaded engine.
 func (e *Engine) load(snap *Snapshot) error {
 	nVC := e.numPhys * e.cfg.VCs
 	if len(snap.Nodes) != len(e.nodes) {
 		return fmt.Errorf("%w: %d nodes, engine has %d", ErrSnapshotInvalid, len(snap.Nodes), len(e.nodes))
 	}
 
-	e.now = snap.Now
-	e.nextID = message.ID(snap.NextID)
-	e.generated = snap.Generated
-	e.delivered = snap.Delivered
-	e.recovered = snap.Recovered
-	e.aborted = snap.Aborted
-	e.retried = snap.Retried
-	e.dropped = snap.Dropped
-	e.sourcesStopped = snap.SourcesStopped
+	e.now, e.nextID, e.sourcesStopped = snap.Now, message.ID(snap.NextID), snap.SourcesStopped
+	e.generated, e.delivered, e.recovered = snap.Generated, snap.Delivered, snap.Recovered
+	e.aborted, e.retried, e.dropped = snap.Aborted, snap.Retried, snap.Dropped
 
 	// Fault machinery position.
 	if e.live != nil {
@@ -646,8 +682,8 @@ func (e *Engine) load(snap *Snapshot) error {
 		if changed {
 			e.retable()
 		}
-	} else if len(snap.LinksUp) != 0 || len(snap.RoutersUp) != 0 {
-		return fmt.Errorf("%w: snapshot carries liveness state but faults are off", ErrSnapshotInvalid)
+	} else if len(snap.LinksUp) != 0 || len(snap.RoutersUp) != 0 || snap.FaultIdx != 0 || snap.Epoch != 0 {
+		return fmt.Errorf("%w: snapshot carries fault state but faults are off", ErrSnapshotInvalid)
 	}
 
 	// The message table. Snapshot writes it in ascending id order (the
@@ -655,38 +691,61 @@ func (e *Engine) load(snap *Snapshot) error {
 	// binary search, and a message becomes an object when the first reference
 	// that needs one is: a source queue takes the messages that are exactly what
 	// a waiting record serializes as back as records.
-	objs := resize(e.loadObjs, len(snap.Messages))
-	clear(objs)
-	e.loadObjs = objs
 	for i := range snap.Messages {
 		sm := &snap.Messages[i]
 		if i > 0 && sm.ID <= snap.Messages[i-1].ID {
 			return fmt.Errorf("%w: message %d out of order or duplicated", ErrSnapshotInvalid, sm.ID)
 		}
-		if sm.Length < 1 {
-			return fmt.Errorf("%w: message %d length %d", ErrSnapshotInvalid, sm.ID, sm.Length)
+		if sm.Length < 1 || !e.topo.Valid(topology.NodeID(sm.Src)) || !e.topo.Valid(topology.NodeID(sm.Dst)) ||
+			!e.topo.Valid(topology.NodeID(sm.Injector)) {
+			return fmt.Errorf("%w: message %d of length %d from node %d to %d, injected at %d",
+				ErrSnapshotInvalid, sm.ID, sm.Length, sm.Src, sm.Dst, sm.Injector)
 		}
 	}
-	find := func(id int64) (int, error) {
-		i := sort.Search(len(snap.Messages), func(i int) bool { return snap.Messages[i].ID >= id })
-		if i == len(snap.Messages) || snap.Messages[i].ID != id {
-			return 0, fmt.Errorf("%w: reference to unknown message %d", ErrSnapshotInvalid, id)
+	nMsg := len(snap.Messages)
+	find := func(id int64) int { // nMsg for an unknown id
+		i := sort.Search(nMsg, func(i int) bool { return snap.Messages[i].ID >= id })
+		if i < nMsg && snap.Messages[i].ID == id {
+			return i
 		}
-		return i, nil
+		return nMsg
 	}
+	// Every reference resolves, and every message is referenced (load would
+	// drop one nothing reaches), before anything is loaded. at is each
+	// reference's message index in SnapNode.refs order, the order the loop
+	// below takes them in (next), so its lookups cannot fail; hits[i] counts
+	// message i's references, hits[nMsg] those to unknown messages.
+	hits, at := resize(e.loadHits, nMsg+1), e.loadAt[:0]
+	clear(hits)
+	for i := range snap.Nodes {
+		snap.Nodes[i].refs(func(id int64) {
+			j := find(id)
+			hits[j]++
+			at = append(at, int32(j))
+		})
+	}
+	e.loadHits, e.loadAt = hits, at
+	if hits[nMsg] != 0 {
+		return fmt.Errorf("%w: %d references to unknown messages", ErrSnapshotInvalid, hits[nMsg])
+	}
+	if i := slices.Index(hits[:nMsg], 0); i >= 0 {
+		return fmt.Errorf("%w: message %d is referenced by nothing", ErrSnapshotInvalid, snap.Messages[i].ID)
+	}
+	objs := resize(e.loadObjs, nMsg)
+	clear(objs)
+	e.loadObjs = objs
 	obj := func(i int) *message.Message {
 		if objs[i] == nil {
 			objs[i] = e.loadedMessage(&snap.Messages[i])
 		}
 		return objs[i]
 	}
-	get := func(id int64) (*message.Message, error) {
-		i, err := find(id)
-		if err != nil {
-			return nil, err
-		}
-		return obj(i), nil
+	next := func() int {
+		j := at[0]
+		at = at[1:]
+		return int(j)
 	}
+	msg := func() *message.Message { return obj(next()) }
 
 	for i := range e.nodes {
 		nd := &e.nodes[i]
@@ -698,17 +757,11 @@ func (e *Engine) load(snap *Snapshot) error {
 			return fmt.Errorf("%w: node %d state shape mismatch", ErrSnapshotInvalid, i)
 		}
 
-		// Input VC buffers + forwarding decisions; derive the occupancy
-		// counters, status words and owner caches as we go.
 		for c := 0; c < nVC; c++ {
 			sv := &sn.In[c]
 			ivc := &nd.in[c]
-			bit := uint64(1) << uint(c)
 			for j, sf := range sv.Flits {
-				m, err := get(sf.Msg)
-				if err != nil {
-					return err
-				}
+				m := msg()
 				if ivc.buf.Full() {
 					return fmt.Errorf("%w: node %d vc %d overflows its buffer", ErrSnapshotInvalid, i, c)
 				}
@@ -723,77 +776,40 @@ func (e *Engine) load(snap *Snapshot) error {
 				}
 				ivc.buf.Push(message.Flit{Msg: m, Seq: sf.Seq, Head: sf.Head, Tail: sf.Tail})
 			}
-			if !ivc.buf.Empty() {
-				nd.occVCs++
-				e.empty[i] &^= bit
-				if ivc.buf.Full() {
-					e.full[i] |= bit
-				}
-				ivc.dst = ivc.buf.FrontMessage().Dst
-			}
 			if !e.routeInRange(sv.Route) {
 				return fmt.Errorf("%w: node %d vc %d route out of range", ErrSnapshotInvalid, i, c)
 			}
 			if sv.Route.Valid {
 				nd.routes[c] = loadRoute(sv.Route)
-				nd.routed |= bit
 			}
 		}
-
-		for v := 0; v < nVC; v++ {
-			if id := sn.OutOwner[v]; id >= 0 {
-				m, err := get(id)
-				if err != nil {
-					return err
-				}
-				nd.outVCs[v].Allocate(m)
-				nd.free &^= 1 << uint(v)
+		for v, id := range sn.OutOwner {
+			if id != -1 {
+				nd.outVCs[v].Allocate(msg())
 			}
 		}
-
 		for j := range nd.inj {
 			si := &sn.Inj[j]
-			if si.Msg < 0 {
-				continue
+			if !e.routeInRange(si.Route) || si.Msg == -1 && *si != (SnapInj{Msg: -1}) {
+				return fmt.Errorf("%w: node %d inj %d route out of range, or a free channel's fields set", ErrSnapshotInvalid, i, j)
 			}
-			m, err := get(si.Msg)
-			if err != nil {
-				return err
+			if si.Msg != -1 {
+				nd.inj[j] = injChannel{msg: msg(), route: loadRoute(si.Route), left: si.Left, len: si.Len, dst: topology.NodeID(si.Dst)}
 			}
-			if !e.routeInRange(si.Route) {
-				return fmt.Errorf("%w: node %d inj %d route out of range", ErrSnapshotInvalid, i, j)
-			}
-			nd.inj[j] = injChannel{
-				msg:   m,
-				route: loadRoute(si.Route),
-				left:  si.Left,
-				len:   si.Len,
-				dst:   topology.NodeID(si.Dst),
-			}
-			nd.busyInj++
 		}
-		var ok bool
-		if nd.wantOut, ok = e.deriveWants(nd, nd.want); !ok {
+		if !e.rederive(nd) {
 			return fmt.Errorf("%w: node %d routes two agents to one output channel", ErrSnapshotInvalid, i)
 		}
-
 		for j := range nd.ej {
-			se := &sn.Ej[j]
-			if se.Msg < 0 {
-				continue
+			if se := &sn.Ej[j]; se.Msg != -1 {
+				nd.ej[j] = ejChannel{msg: msg(), pending: se.Pending}
+			} else if se.Pending != 0 {
+				return fmt.Errorf("%w: node %d ej %d is free with %d flits pending", ErrSnapshotInvalid, i, j, se.Pending)
 			}
-			m, err := get(se.Msg)
-			if err != nil {
-				return err
-			}
-			nd.ej[j] = ejChannel{msg: m, pending: se.Pending}
 		}
 
-		for _, id := range sn.Queue {
-			j, err := find(id)
-			if err != nil {
-				return err
-			}
+		for range sn.Queue {
+			j := next()
 			if sm := &snap.Messages[j]; objs[j] == nil && sm.waitingAt(nd.id) {
 				e.waiting.push(&nd.queue, queued{
 					id: message.ID(sm.ID), gen: sm.GenTime, dst: topology.NodeID(sm.Dst),
@@ -804,18 +820,10 @@ func (e *Engine) load(snap *Snapshot) error {
 			e.waiting.push(&nd.queue, e.recordOf(obj(j)))
 		}
 		for _, sp := range sn.Recovery {
-			m, err := get(sp.Msg)
-			if err != nil {
-				return err
-			}
-			nd.recovery = append(nd.recovery, pendingRecovery{msg: m, readyAt: sp.ReadyAt})
+			nd.recovery = append(nd.recovery, pendingRecovery{msg: msg(), readyAt: sp.ReadyAt})
 		}
 		for _, sp := range sn.Retry {
-			m, err := get(sp.Msg)
-			if err != nil {
-				return err
-			}
-			nd.retry = append(nd.retry, pendingRetry{msg: m, readyAt: sp.ReadyAt})
+			nd.retry = append(nd.retry, pendingRetry{msg: msg(), readyAt: sp.ReadyAt})
 		}
 
 		gen, ok := nd.src.(traffic.Stateful)
@@ -854,8 +862,8 @@ func (e *Engine) load(snap *Snapshot) error {
 	// channel the head has already left but whose tail is still upstream has
 	// an empty buffer yet stays owned — its route is live and the body flits
 	// that keep arriving never carry the Head flag that rewrites the cache.
-	// Restore it from each message's path so drained-but-owned channels
-	// don't come back with a stale destination.
+	// So every channel's comes from the paths; CheckInvariants holds an
+	// occupied one to its flits' message.
 	for i := range snap.Messages {
 		sm := &snap.Messages[i]
 		for _, loc := range sm.Path {

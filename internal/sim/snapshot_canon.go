@@ -11,10 +11,10 @@ package sim
 // different IDs. CanonicalBytes therefore re-encodes the snapshot with:
 //
 //   - message IDs remapped to dense indices in a fixed traversal order
-//     (per node: input-VC flits, output-VC owners, injection channels,
-//     ejection channels, source queue, recovery queue, retry queue) so any
-//     schedule reaching the same configuration of worms yields the same
-//     bytes;
+//     (SnapNode.refs, node by node: input-VC flits, output-VC owners,
+//     injection channels, ejection channels, source queue, recovery queue,
+//     retry queue) so any schedule reaching the same configuration of worms
+//     yields the same bytes;
 //   - observer-only state dropped: config digest (the explorer pins the
 //     config separately), NextID and the all-time generated/delivered/
 //     recovered/aborted/retried/dropped counters, stats, metrics, and the
@@ -115,30 +115,7 @@ func (c *CanonBuf) encode(s *Snapshot) error {
 		}
 	}
 	for i := range s.Nodes {
-		sn := &s.Nodes[i]
-		for c := range sn.In {
-			for _, f := range sn.In[c].Flits {
-				assign(f.Msg)
-			}
-		}
-		for _, id := range sn.OutOwner {
-			assign(id)
-		}
-		for _, si := range sn.Inj {
-			assign(si.Msg)
-		}
-		for _, se := range sn.Ej {
-			assign(se.Msg)
-		}
-		for _, id := range sn.Queue {
-			assign(id)
-		}
-		for _, sp := range sn.Recovery {
-			assign(sp.Msg)
-		}
-		for _, sp := range sn.Retry {
-			assign(sp.Msg)
-		}
+		s.Nodes[i].refs(assign)
 	}
 	// Snapshot() only stores reachable messages, so every message has been
 	// assigned; s.Messages is sorted by raw ID, making any defensive

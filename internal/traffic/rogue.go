@@ -118,7 +118,7 @@ func (s *RogueSource) SaveState() (GenState, error) {
 
 // LoadState implements Stateful.
 func (s *RogueSource) LoadState(st GenState) error {
-	if !st.Rogue || st.Bursty || st.Script {
+	if !st.is(&GenState{Rogue: true, PCG: st.PCG, Next: st.Next}) {
 		return fmt.Errorf("traffic: foreign generator state loaded into rogue source")
 	}
 	if err := s.pcg.UnmarshalBinary(st.PCG); err != nil {

@@ -98,7 +98,7 @@ func (s *ScriptSource) SaveState() (GenState, error) {
 
 // LoadState implements Stateful.
 func (s *ScriptSource) LoadState(st GenState) error {
-	if !st.Script {
+	if !st.is(&GenState{Script: true, Pos: st.Pos}) {
 		return errors.New("traffic: non-script state loaded into script source")
 	}
 	if st.Pos < 0 || st.Pos > int64(len(s.events)) {

@@ -7,6 +7,7 @@ package traffic
 // PCG words and the scalars reproduces the exact future event sequence.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 )
@@ -38,6 +39,15 @@ type Stateful interface {
 	LoadState(GenState) error
 }
 
+// is reports whether st is exactly want. A LoadState holds the state it is given
+// to the one it would save, built from the fields it reads, so that a field it
+// would drop — another generator kind's — has to be zero.
+func (st *GenState) is(want *GenState) bool {
+	return st.Bursty == want.Bursty && bytes.Equal(st.PCG, want.PCG) && bytes.Equal(st.PhasePCG, want.PhasePCG) &&
+		st.Next == want.Next && st.On == want.On && st.PhaseEnds == want.PhaseEnds &&
+		st.Script == want.Script && st.Pos == want.Pos && st.Rogue == want.Rogue
+}
+
 // SaveState implements Stateful.
 func (s *Source) SaveState() (GenState, error) {
 	b, err := s.pcg.MarshalBinary()
@@ -49,7 +59,7 @@ func (s *Source) SaveState() (GenState, error) {
 
 // LoadState implements Stateful.
 func (s *Source) LoadState(st GenState) error {
-	if st.Bursty || st.Script || st.Rogue {
+	if !st.is(&GenState{PCG: st.PCG, Next: st.Next}) {
 		return errors.New("traffic: foreign generator state loaded into steady source")
 	}
 	if err := s.pcg.UnmarshalBinary(st.PCG); err != nil {
@@ -81,7 +91,7 @@ func (s *BurstySource) SaveState() (GenState, error) {
 
 // LoadState implements Stateful.
 func (s *BurstySource) LoadState(st GenState) error {
-	if !st.Bursty || st.Script || st.Rogue {
+	if !st.is(&GenState{Bursty: true, PCG: st.PCG, PhasePCG: st.PhasePCG, Next: st.Next, On: st.On, PhaseEnds: st.PhaseEnds}) {
 		return errors.New("traffic: foreign generator state loaded into bursty source")
 	}
 	if err := s.pcg.UnmarshalBinary(st.PCG); err != nil {
