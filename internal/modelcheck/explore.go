@@ -1,6 +1,7 @@
 package modelcheck
 
 import (
+	"crypto/sha256"
 	"fmt"
 
 	"wormnet/internal/checkpoint"
@@ -53,9 +54,17 @@ type sched struct {
 	depth  int // cycles up to and including this one
 }
 
-// then returns s extended by one cycle injecting inject.
-func (s *sched) then(inject []int) *sched {
-	return &sched{prev: s, inject: inject, depth: s.len() + 1}
+// schedSlab is how many links then cuts from one allocation.
+const schedSlab = 64
+
+// then returns s extended by one cycle injecting inject, in a link cut from
+// *slab (a new slab when it is full; links are never moved).
+func (s *sched) then(inject []int, slab *[]sched) *sched {
+	if len(*slab) == cap(*slab) {
+		*slab = make([]sched, 0, schedSlab)
+	}
+	*slab = append(*slab, sched{prev: s, inject: inject, depth: s.len() + 1})
+	return &(*slab)[len(*slab)-1]
 }
 
 func (s *sched) len() int {
@@ -98,21 +107,35 @@ type Explorer struct {
 
 	// work and aux are the engines Run restores states into (built on first
 	// use, dropped when it returns): work executes the actions, aux takes the
-	// checks that must not disturb it (round trip, probe, minimisation).
+	// checks that must not disturb it (round trip, probe, minimisation). A
+	// round trip that matches leaves aux holding the new state as Restore
+	// loaded it, so the two swap and held records the entry work now holds: its
+	// first edge steps from there instead of restoring it again. Any other use
+	// of work clears held. restores counts restore calls.
 	work, aux *sim.Engine
+	held      *entry
+	restores  int
 
 	// A visited state is stored, not allocated. A snapshot has one owner, which
-	// alone writes it: a frontier entry, until expanded or found a duplicate; then
-	// the spare list entryFrom draws from; roundTrip, checkRoundTrip's scratch; or
-	// a Counterexample, which keeps the one it reports (emitCounterexample gives
-	// its entry a fresh one). canon, recovered, onDeadlock: hashing and step scratch.
-	spare      []*sim.Snapshot
+	// alone writes it: a frontier entry, until expanded or found a duplicate;
+	// then, still in that entry, the spare list entryFrom draws from; roundTrip,
+	// checkRoundTrip's scratch; or a Counterexample, which keeps the one it
+	// reports (emitCounterexample gives its entry a fresh one). links is the
+	// slab schedule links are cut from, injects[m] the catalog indices of mask
+	// m. canon (the visited key) and canonRT (the round trip), recovered,
+	// onDeadlock: hashing and step scratch.
+	spare      []*entry
+	links      []sched
+	injects    [][]int
 	roundTrip  sim.Snapshot
 	canon      sim.CanonBuf
+	canonRT    sim.CanonBuf
 	recovered  []int64
 	onDeadlock trace.Listener
-	// onCounterexample is a test hook: it sees each counterexample as emitted.
+	// Test hooks: onCounterexample sees each counterexample as emitted,
+	// onRoundTrip each round-trip snapshot before it is compared.
 	onCounterexample func(*Counterexample)
+	onRoundTrip      func(*entry, *sim.Snapshot)
 }
 
 // New prepares an exploration of spec from the initial (empty) state.
@@ -166,31 +189,37 @@ func (x *Explorer) materialize(schedule [][]int) (*entry, error) {
 			used |= 1 << uint(i)
 		}
 		e.Step()
-		done = done.then(inj)
+		done = done.then(inj, &x.links)
 	}
 	return x.entryFrom(e, done, used)
 }
 
-// entryFrom captures a live engine as a frontier entry (in a spare snapshot).
+// entryFrom captures a live engine as a frontier entry (a spare one, or a new
+// entry with a new snapshot when the spare list is empty).
 func (x *Explorer) entryFrom(e *sim.Engine, schedule *sched, used uint32) (*entry, error) {
-	var snap *sim.Snapshot
+	var en *entry
 	if n := len(x.spare); n > 0 {
-		snap, x.spare = x.spare[n-1], x.spare[:n-1]
+		en, x.spare = x.spare[n-1], x.spare[:n-1]
 	} else {
-		snap = new(sim.Snapshot)
+		en = &entry{snap: new(sim.Snapshot)}
 	}
-	if err := e.SnapshotInto(snap); err != nil {
+	if err := e.SnapshotInto(en.snap); err != nil {
 		return nil, err
 	}
 	src, rec := e.QueueLengths()
-	return &entry{
-		snap:     snap,
-		schedule: schedule,
-		used:     used,
-		gt:       e.BuildWaitGraph().Deadlocked(),
-		inFlight: e.InFlight(),
-		queued:   src + rec,
-	}, nil
+	en.schedule, en.used = schedule, used
+	en.gt = e.BuildWaitGraph().Deadlocked() // a new slice: a Counterexample may keep it
+	en.inFlight, en.queued = e.InFlight(), src+rec
+	return en, nil
+}
+
+// recycle puts an entry that nothing restores again on the spare list.
+func (x *Explorer) recycle(en *entry) {
+	if x.held == en {
+		x.held = nil
+	}
+	en.schedule, en.gt = nil, nil
+	x.spare = append(x.spare, en)
 }
 
 // Run explores until the frontier drains or the state budget is hit, then
@@ -202,7 +231,8 @@ func (x *Explorer) Run() (*Report, error) {
 				e.Close() // a sharded engine owns worker goroutines
 			}
 		}
-		x.work, x.aux = nil, nil
+		x.work, x.aux, x.held = nil, nil, nil
+		x.links = nil // the last slab would keep every predecessor of its links alive
 	}()
 	x.onDeadlock = trace.Func(func(ev trace.Event) {
 		if ev.Kind == trace.KindDeadlock {
@@ -210,6 +240,14 @@ func (x *Explorer) Run() (*Report, error) {
 		}
 	})
 	allUsed := uint32(1)<<uint(len(x.spec.Messages)) - 1
+	x.injects = make([][]int, allUsed+1)
+	for m := range x.injects {
+		for i := range x.spec.Messages {
+			if m&(1<<uint(i)) != 0 {
+				x.injects[m] = append(x.injects[m], i)
+			}
+		}
+	}
 	for len(x.stack) > 0 {
 		if x.rep.States >= x.spec.MaxStates {
 			x.rep.BudgetTruncated = true
@@ -221,7 +259,7 @@ func (x *Explorer) Run() (*Report, error) {
 		if err := x.expand(parent, allUsed); err != nil {
 			return nil, err
 		}
-		x.spare = append(x.spare, parent.snap) // expanded: nothing restores it again
+		x.recycle(parent) // expanded: nothing restores it again
 	}
 	if len(x.stack) == 0 {
 		x.rep.Exhausted = true
@@ -253,41 +291,35 @@ func (x *Explorer) expand(parent *entry, allUsed uint32) error {
 	if depth > x.rep.MaxDepth {
 		x.rep.MaxDepth = depth
 	}
-	var remaining []int
-	for i := range x.spec.Messages {
-		if parent.used&(1<<uint(i)) == 0 {
-			remaining = append(remaining, i)
-		}
-	}
-	// Subsets in increasing binary order: the empty action is pushed first
-	// and the all-in action last, so DFS (LIFO) dives into
-	// inject-everything-now schedules first and reaches the deep blocked
-	// states where detection fires early in the exploration.
-	for sub := 0; sub < 1<<uint(len(remaining)); sub++ {
-		var inject []int
-		for b := 0; b < len(remaining); b++ {
-			if sub&(1<<uint(b)) != 0 {
-				inject = append(inject, remaining[b])
-			}
-		}
-		if err := x.step(parent, inject); err != nil {
+	// The subsets of the not-yet-injected catalog in increasing order: the
+	// empty action is pushed first and the all-in action last, so DFS (LIFO)
+	// dives into inject-everything-now schedules first and reaches the deep
+	// blocked states where detection fires early in the exploration.
+	remaining := allUsed &^ parent.used
+	for sub := uint32(0); ; sub = (sub - remaining) & remaining {
+		if err := x.step(parent, sub); err != nil {
 			return err
 		}
+		if sub == remaining {
+			return nil
+		}
 	}
-	return nil
 }
 
-// step executes one action (inject the given catalog entries, Step once)
-// from parent, running the per-state check battery if the successor is new.
-func (x *Explorer) step(parent *entry, inject []int) error {
-	e, err := x.restore(&x.work, parent.snap) // restore runs CheckInvariants
-	if err != nil {
-		return fmt.Errorf("modelcheck: restore at depth %d: %w", parent.schedule.len(), err)
+// step executes one action (inject the catalog entries of mask inject, Step
+// once) from parent, running the per-state check battery if the successor is
+// new.
+func (x *Explorer) step(parent *entry, inject uint32) error {
+	e := x.work
+	if x.held != parent {
+		var err error
+		if e, err = x.restore(&x.work, parent.snap); err != nil { // restore runs CheckInvariants
+			return fmt.Errorf("modelcheck: restore at depth %d: %w", parent.schedule.len(), err)
+		}
 	}
-	used := parent.used
-	for _, i := range inject {
+	x.held = nil
+	for _, i := range x.injects[inject] {
 		x.spec.inject(e, i)
-		used |= 1 << uint(i)
 	}
 	x.recovered = x.recovered[:0]
 	e.SetListener(x.onDeadlock)
@@ -307,17 +339,20 @@ func (x *Explorer) step(parent *entry, inject []int) error {
 		}
 	}
 
-	child, err := x.entryFrom(e, parent.schedule.then(inject), used)
+	link := parent.schedule.then(x.injects[inject], &x.links)
+	child, err := x.entryFrom(e, link, parent.used|inject)
 	if err != nil {
 		return err
 	}
-	h, err := x.canon.Hash(child.snap)
+	b, err := x.canon.Bytes(child.snap)
 	if err != nil {
 		return err
 	}
+	h := sha256.Sum256(b)
 	if _, dup := x.visited[h]; dup {
 		x.rep.DupEdges++
-		x.spare = append(x.spare, child.snap)
+		x.recycle(child)
+		x.links = x.links[:len(x.links)-1] // link was the last one cut
 		return nil
 	}
 	x.visited[h] = struct{}{}
@@ -330,8 +365,12 @@ func (x *Explorer) step(parent *entry, inject []int) error {
 	if err := e.VerifyInjectionProperty(); err != nil {
 		x.violation(child, "alo-property", err.Error())
 	}
-	if err := x.checkRoundTrip(child, h); err != nil {
+	if err := x.checkRoundTrip(child, b, h); err != nil {
 		x.violation(child, "snapshot-roundtrip", err.Error())
+	} else {
+		// aux holds child as Restore loaded it and load's CheckInvariants passed
+		// it: child's first edge steps from there. e is done with.
+		x.work, x.aux, x.held = x.aux, x.work, child
 	}
 	if len(child.gt) > 0 {
 		x.rep.DeadlockStates++
@@ -358,6 +397,7 @@ func (x *Explorer) step(parent *entry, inject []int) error {
 // restore loads snap into the scratch engine *slot, building the engine the
 // first time the slot is used.
 func (x *Explorer) restore(slot **sim.Engine, snap *sim.Snapshot) (*sim.Engine, error) {
+	x.restores++
 	if *slot != nil {
 		return *slot, (*slot).Restore(snap)
 	}
@@ -367,8 +407,9 @@ func (x *Explorer) restore(slot **sim.Engine, snap *sim.Snapshot) (*sim.Engine, 
 }
 
 // checkRoundTrip asserts restore identity: loading the child snapshot into
-// another engine and re-snapshotting reproduces the canonical hash.
-func (x *Explorer) checkRoundTrip(child *entry, want [32]byte) error {
+// aux and re-snapshotting reproduces its canonical bytes, want (whose hash is
+// wantHash).
+func (x *Explorer) checkRoundTrip(child *entry, want []byte, wantHash [32]byte) error {
 	r, err := x.restore(&x.aux, child.snap)
 	if err != nil {
 		return err
@@ -376,13 +417,15 @@ func (x *Explorer) checkRoundTrip(child *entry, want [32]byte) error {
 	if err := r.SnapshotInto(&x.roundTrip); err != nil {
 		return err
 	}
-	got, err := x.canon.Hash(&x.roundTrip)
+	if x.onRoundTrip != nil {
+		x.onRoundTrip(child, &x.roundTrip)
+	}
+	got, err := x.canonRT.Bytes(&x.roundTrip)
 	if err != nil {
 		return err
 	}
-	if got != want {
-		// Whole hashes: slicing them here would move both to the heap on every call.
-		return fmt.Errorf("restored state hashes %x, original %x", got, want)
+	if string(got) != string(want) {
+		return fmt.Errorf("restored state hashes %x, original %x", sha256.Sum256(got), wantHash)
 	}
 	return nil
 }

@@ -57,27 +57,31 @@ func TestDefaultSpecExploration(t *testing.T) {
 // TestRingSpecReachesDeadlock is the heart of the lane: the 4-ary ring
 // model reaches genuine cyclic deadlocks, the oracle flags them, and FC3D
 // detects every single one — zero false negatives over every reachable
-// deadlock state in the budget.
+// deadlock state in the budget — with the same report at one shard and two.
 func TestRingSpecReachesDeadlock(t *testing.T) {
-	x, err := New(boundedRing(20000), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := x.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed() {
-		t.Fatalf("exploration failed:\n%s", rep.Format())
-	}
-	if rep.DeadlockStates == 0 {
-		t.Fatalf("ring model reached no deadlock states — the FN probe was never exercised:\n%s", rep.Format())
-	}
-	if rep.Detected != rep.Probes {
-		t.Errorf("detected %d of %d probes", rep.Detected, rep.Probes)
-	}
-	if rep.TruePositives == 0 {
-		t.Errorf("no true-positive recoveries observed during expansion")
+	for _, workers := range []int{1, 2} {
+		x, err := New(boundedRing(20000), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.cfg.Workers = workers
+		rep, err := x.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Failed() {
+			t.Fatalf("workers=%d: exploration failed:\n%s", workers, rep.Format())
+		}
+		if rep.DeadlockStates == 0 {
+			t.Fatalf("ring model reached no deadlock states — the FN probe was never exercised:\n%s", rep.Format())
+		}
+		if rep.Detected != rep.Probes {
+			t.Errorf("workers=%d: detected %d of %d probes", workers, rep.Detected, rep.Probes)
+		}
+		if rep.TruePositives == 0 {
+			t.Errorf("workers=%d: no true-positive recoveries observed during expansion", workers)
+		}
+		checkCounts(t, fmt.Sprintf("ring, workers=%d", workers), rep, ringCounts)
 	}
 }
 
@@ -164,8 +168,9 @@ func TestSchedMatchesSlices(t *testing.T) {
 	if s.len() != 0 || !bytes.Equal(encode(s.slice()), encode(nil)) {
 		t.Fatalf("empty schedule: len %d, slice %v", s.len(), s.slice())
 	}
+	slab := make([]sched, 0, 2) // full after two links: the schedule spans two slabs
 	for i, inj := range [][]int{{0, 1}, nil, {2}, nil, nil, {3}} {
-		s, want = s.then(inj), append(want, inj)
+		s, want = s.then(inj, &slab), append(want, inj)
 		if s.len() != i+1 || !reflect.DeepEqual(s.slice(), want) {
 			t.Fatalf("after %d cycles: len %d, slice %v, want %v", i+1, s.len(), s.slice(), want)
 		}
@@ -173,7 +178,7 @@ func TestSchedMatchesSlices(t *testing.T) {
 			t.Fatalf("after %d cycles: journal bytes differ", i+1)
 		}
 	}
-	a, b := s.then([]int{4}), s.then(nil)
+	a, b := s.then([]int{4}, &slab), s.then(nil, &slab)
 	if got := a.slice(); !reflect.DeepEqual(got[:6], want) || !reflect.DeepEqual(got[6], []int{4}) || b.slice()[6] != nil {
 		t.Fatalf("siblings disturbed each other: %v / %v", a.slice(), b.slice())
 	}

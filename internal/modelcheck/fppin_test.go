@@ -55,16 +55,57 @@ func TestFalsePositivePin(t *testing.T) {
 	}
 }
 
-// exhaustTwoWorm exhausts the CI-pinned model — the 2-ary 2-cube with two
-// opposing diagonal worms, 40-cycle horizon — on engines of the given worker
-// count and returns the report.
-func exhaustTwoWorm(t *testing.T, workers int) *Report {
+// counts is every count of a Report: exploration is deterministic, so on a
+// pinned model they are a fingerprint of every decision up to the budget, and
+// a state expanded from the wrong engine moves the terminal, horizon, probe
+// and verdict counts before it moves States.
+type counts struct {
+	States, Terminals, HorizonTruncated, MaxDepth int
+	Edges, DupEdges                               int64
+	DeadlockStates, Probes, Detected              int
+	TruePositives, FalsePositives                 int64
+}
+
+func countsOf(r *Report) counts {
+	return counts{r.States, r.Terminals, r.HorizonTruncated, r.MaxDepth, r.Edges, r.DupEdges,
+		r.DeadlockStates, r.Probes, r.Detected, r.TruePositives, r.FalsePositives}
+}
+
+// The pinned models' counts. None of them changed when the round trip's
+// restore became the engine its state's first edge steps from.
+var (
+	twoWormCounts = counts{States: 18921, Edges: 18920, Terminals: 625, HorizonTruncated: 1056, MaxDepth: 39}
+	twoVCCounts   = counts{States: 15266, Edges: 15265, Terminals: 900, HorizonTruncated: 781, MaxDepth: 39}
+	// boundedRing(20000): 33 deadlock states, every one detected.
+	ringCounts = counts{States: 20000, Edges: 20409, DupEdges: 410, Terminals: 482, HorizonTruncated: 256,
+		MaxDepth: 63, DeadlockStates: 33, Probes: 33, Detected: 33, TruePositives: 3}
+	// twoVC(RingSpec()) at a 60 000-state budget.
+	twoVCRingCounts = counts{States: 60000, Edges: 60013, DupEdges: 14, Terminals: 4127, HorizonTruncated: 1607, MaxDepth: 63}
+)
+
+// checkCounts fails t unless rep has the pinned counts.
+func checkCounts(t *testing.T, what string, rep *Report, want counts) {
 	t.Helper()
+	if got := countsOf(rep); got != want {
+		t.Errorf("%s:\n got    %+v\n pinned %+v", what, got, want)
+	}
+}
+
+// twoWormSpec is the CI-pinned model: the 2-ary 2-cube with two opposing
+// diagonal worms and a 40-cycle horizon.
+func twoWormSpec() Spec {
 	spec := DefaultSpec()
 	spec.Messages = spec.Messages[:2] // 0->3 and 3->0
 	spec.MaxCycles = 40
 	spec.MaxStates = 25000
-	x, err := New(spec, Options{})
+	return spec
+}
+
+// exhaustTwoWorm exhausts the CI-pinned model on engines of the given worker
+// count and returns the report.
+func exhaustTwoWorm(t *testing.T, workers int) *Report {
+	t.Helper()
+	x, err := New(twoWormSpec(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +140,7 @@ func TestExhaustiveTwoWormModel(t *testing.T) {
 	if rep.DeadlockStates != 0 {
 		t.Errorf("%d deadlock states in the 2-ary 2-cube; both-directions-minimal escape should prevent all", rep.DeadlockStates)
 	}
+	checkCounts(t, "two-worm model", rep, twoWormCounts)
 }
 
 // TestExhaustiveTwoWormModelSharded exhausts the same model on two-shard
@@ -111,9 +153,7 @@ func TestExhaustiveTwoWormModelSharded(t *testing.T) {
 		t.Skip("two full exhaustions")
 	}
 	one, two := exhaustTwoWorm(t, 1), exhaustTwoWorm(t, 2)
-	if two.States != 18921 || two.Edges != 18920 {
-		t.Errorf("workers=2 exhausted %d states over %d edges, pinned 18921 over 18920", two.States, two.Edges)
-	}
+	checkCounts(t, "two-worm model, workers=2", two, twoWormCounts)
 	one.Spec, two.Spec = Spec{}, Spec{} // slices: compared through the counts below
 	if fmt.Sprintf("%+v", *one) != fmt.Sprintf("%+v", *two) {
 		t.Errorf("reports differ between worker counts:\n workers=1 %+v\n workers=2 %+v", *one, *two)
@@ -139,9 +179,7 @@ func TestExhaustiveTwoVCModel(t *testing.T) {
 		t.Skip("two full exhaustions; the CI modelcheck-smoke job runs one through the CLI")
 	}
 	for _, workers := range []int{1, 2} {
-		spec := twoVC(DefaultSpec())
-		spec.Messages = spec.Messages[:2] // 0->3 and 3->0
-		spec.MaxCycles = 40
+		spec := twoVC(twoWormSpec())
 		spec.MaxStates = 60000
 		x, err := New(spec, Options{})
 		if err != nil {
@@ -155,17 +193,13 @@ func TestExhaustiveTwoVCModel(t *testing.T) {
 		if rep.Failed() || !rep.Exhausted {
 			t.Fatalf("workers=%d: not a clean exhaustion:\n%s", workers, rep.Format())
 		}
-		if rep.States != 15266 || rep.Edges != 15265 || rep.DeadlockStates != 0 {
-			t.Errorf("workers=%d: %d states over %d edges, %d deadlocked; pinned 15266 over 15265, none",
-				workers, rep.States, rep.Edges, rep.DeadlockStates)
-		}
+		checkCounts(t, fmt.Sprintf("two-VC model, workers=%d", workers), rep, twoVCCounts)
 	}
 }
 
 // TestTwoVCRingPin pins the same router on the 4-ary ring with its four-worm
-// catalog, which a 60 000-state budget does not exhaust: exploration is
-// deterministic, so the edge, revisit and terminal counts at the budget are a
-// fingerprint of every decision up to it (same provenance as above).
+// catalog, which a 60 000-state budget does not exhaust: the report's counts at
+// the budget are the fingerprint (same provenance as above).
 func TestTwoVCRingPin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("60 000 states")
@@ -183,8 +217,5 @@ func TestTwoVCRingPin(t *testing.T) {
 	if rep.Failed() {
 		t.Fatalf("exploration failed:\n%s", rep.Format())
 	}
-	if rep.States != 60000 || rep.Edges != 60013 || rep.DupEdges != 14 || rep.Terminals != 4127 {
-		t.Errorf("%d states, %d edges, %d to visited states, %d terminals; pinned 60000, 60013, 14, 4127",
-			rep.States, rep.Edges, rep.DupEdges, rep.Terminals)
-	}
+	checkCounts(t, "two-VC ring", rep, twoVCRingCounts)
 }

@@ -22,7 +22,8 @@
 //     explicit post-step check);
 //   - ALO's "at least one free useful channel" injection property,
 //     re-derived from raw router state (sim.Engine.VerifyInjectionProperty);
-//   - snapshot round-trip identity (restore + re-snapshot hashes equal).
+//   - snapshot round-trip identity (restore + re-snapshot gives the same
+//     canonical bytes).
 package modelcheck
 
 import (

@@ -340,12 +340,16 @@ type Engine struct {
 	// Scratch of the state walks, nil until first used, touched only by their
 	// caller's goroutine: seen and reach collect the reachable messages
 	// (SnapshotInto; BuildWaitGraph sorts reach instead), waitGraph and headers are
-	// BuildWaitGraph's, loadObjs, loadHits and loadAt are load's tables, loaded
-	// what loadedMessage recycles.
+	// BuildWaitGraph's, circuit, vcFree and useful VerifyInjectionProperty's,
+	// loadObjs, loadHits and loadAt are load's tables, loaded what
+	// loadedMessage recycles.
 	seen       map[*message.Message]struct{}
 	reach      []*message.Message
 	waitGraph  *deadlock.WaitGraph
 	headers    map[*message.Message]headerSite
+	circuit    *core.Circuit
+	vcFree     []core.Signal
+	useful     []core.Signal
 	loadObjs   []*message.Message
 	loadHits   []int32
 	loadAt     []int32

@@ -151,9 +151,11 @@ func (e *Engine) addWaitOptions(g *deadlock.WaitGraph, id int64, nd *node, dst t
 // Step calls.
 func (e *Engine) VerifyInjectionProperty() error {
 	vcs := e.cfg.VCs
-	var circuit *core.Circuit
-	vcFree := make([]core.Signal, e.numPhys*vcs)
-	useful := make([]core.Signal, e.numPhys)
+	if e.circuit == nil {
+		e.circuit = core.NewCircuit(e.numPhys, vcs)
+		e.vcFree, e.useful = make([]core.Signal, e.numPhys*vcs), make([]core.Signal, e.numPhys)
+	}
+	circuit, vcFree, useful := e.circuit, e.vcFree, e.useful
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		if nd.queue.Empty() || !nd.gated {
@@ -190,9 +192,6 @@ func (e *Engine) VerifyInjectionProperty() error {
 		if a, b := nd.rules.ClassifyRules(nd.view, dst); a != ruleA || b != ruleB {
 			return fmt.Errorf("sim: node %d dst %d: %s.ClassifyRules=(%v,%v), state says (%v,%v)",
 				nd.id, dst, nd.rules.Name(), a, b, ruleA, ruleB)
-		}
-		if circuit == nil {
-			circuit = core.NewCircuit(e.numPhys, vcs)
 		}
 		for v := range vcFree {
 			vcFree[v] = nd.outVCs[v].Free()

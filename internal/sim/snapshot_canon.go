@@ -84,9 +84,7 @@ func (w *canonWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
 // encoding, so callers comparing across configs must pin the digest
 // separately.
 func (s *Snapshot) CanonicalBytes() ([]byte, error) {
-	var c CanonBuf
-	err := c.encode(s)
-	return c.b, err
+	return new(CanonBuf).Bytes(s)
 }
 
 // CanonBuf is the storage the canonical encoding is built in, for a caller that
@@ -289,4 +287,10 @@ func (c *CanonBuf) Hash(s *Snapshot) ([32]byte, error) {
 		return [32]byte{}, err
 	}
 	return sha256.Sum256(c.b), nil
+}
+
+// Bytes is s.CanonicalBytes() in c's storage: valid until c is next used.
+func (c *CanonBuf) Bytes(s *Snapshot) ([]byte, error) {
+	err := c.encode(s)
+	return c.b, err
 }
