@@ -338,15 +338,12 @@ type Engine struct {
 	// digest caches ConfigDigest(cfg) from its first use (configDigest).
 	digest string
 	// Scratch of the state walks, nil until first used, touched only by their
-	// caller's goroutine: seen and reach collect the reachable messages
-	// (SnapshotInto; BuildWaitGraph sorts reach instead), waitGraph and headers are
-	// BuildWaitGraph's, circuit, vcFree and useful VerifyInjectionProperty's,
-	// loadObjs, loadHits and loadAt are load's tables, loaded what
-	// loadedMessage recycles.
-	seen       map[*message.Message]struct{}
-	reach      []*message.Message
+	// caller's goroutine: reach is what held returns (no map: one sort by
+	// ID), waitGraph BuildWaitGraph's, circuit, vcFree and useful
+	// VerifyInjectionProperty's, loadObjs, loadHits and loadAt are load's
+	// tables, loaded what loadedMessage recycles.
+	reach      []heldMsg
 	waitGraph  *deadlock.WaitGraph
-	headers    map[*message.Message]headerSite
 	circuit    *core.Circuit
 	vcFree     []core.Signal
 	useful     []core.Signal

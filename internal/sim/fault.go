@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"wormnet/internal/fault"
 	"wormnet/internal/message"
@@ -20,11 +21,11 @@ import (
 //
 // Kill sets are collected from router state rather than a global message
 // index: a message's tracked path lives on the message itself
-// (message.Message.Path), and every in-flight message is reachable from
-// some buffer front, output virtual-channel owner or injection channel —
-// each path entry implies the upstream allocation is still held or the
-// buffer still holds flits. processKills sorts and deduplicates, so the
-// collection order never leaks into simulation state.
+// (message.Message.Path). A link fault reads the dead link's channels; a router
+// fault takes the dead node's injection channels and filters the messages the
+// network holds (Engine.held, the walk the invariant checker, the wait graph
+// and the snapshot share). processKills sorts by ID and deduplicates the
+// union, so the collection order never leaks into simulation state.
 
 // applyDueFaults executes the scheduled fault events that have come due.
 // Each state-changing event bumps the routing epoch; when the batch changed
@@ -123,50 +124,22 @@ func (e *Engine) killOnLink(n topology.NodeID, p topology.Port) {
 // loses its volatile state), and kills whatever its injection channels were
 // streaming in.
 func (e *Engine) killOnRouter(n topology.NodeID) {
+	nd := &e.nodes[n]
 	kills := e.killScratch[:0]
-	hit := func(m *message.Message) {
-		if m.Dst == n {
+	for c := range nd.inj {
+		if m := nd.inj[c].msg; m != nil {
 			kills = append(kills, m)
-			return
-		}
-		for _, loc := range m.Path {
-			if loc.Node == n || e.topo.Neighbor(loc.Node, loc.Port) == n {
-				kills = append(kills, m)
-				return
-			}
 		}
 	}
-	// Every in-flight message holds at least one buffer front, output
-	// virtual channel or injection channel somewhere, so this scan
-	// enumerates them all; processKills deduplicates the overlap.
-	for i := range e.nodes {
-		nd := &e.nodes[i]
-		for a := range nd.in {
-			if m := nd.in[a].buf.FrontMessage(); m != nil {
-				hit(m)
-			}
-		}
-		for v := range nd.outVCs {
-			if m := nd.outVCs[v].Owner(); m != nil {
-				hit(m)
-			}
-		}
-		for c := range nd.inj {
-			m := nd.inj[c].msg
-			if m == nil {
-				continue
-			}
-			if nd.id == n {
-				kills = append(kills, m)
-			} else {
-				hit(m)
-			}
+	touches := func(loc pathLoc) bool { return loc.Node == n || e.topo.Neighbor(loc.Node, loc.Port) == n }
+	for _, h := range e.held() {
+		if h.m.Dst == n || slices.ContainsFunc(h.m.Path, touches) {
+			kills = append(kills, h.m)
 		}
 	}
 	e.processKills(kills, n)
 
 	// The dead node's own backlog is lost with it.
-	nd := &e.nodes[n]
 	for !nd.queue.Empty() {
 		e.drop(e.materialise(n, nd.queue.pop(e.waiting.recs)), n, message.DropSourceFailed)
 	}
@@ -183,11 +156,8 @@ func (e *Engine) killOnRouter(n topology.NodeID) {
 // processKills deduplicates the collected messages, orders them by ID
 // (collection order must not leak into simulation state) and kills each.
 func (e *Engine) processKills(kills []*message.Message, at topology.NodeID) {
-	sort.Slice(kills, func(i, j int) bool { return kills[i].ID < kills[j].ID })
-	for i, m := range kills {
-		if i > 0 && kills[i-1] == m {
-			continue
-		}
+	slices.SortFunc(kills, func(a, b *message.Message) int { return cmp.Compare(a.ID, b.ID) })
+	for _, m := range slices.Compact(kills) {
 		e.kill(m, at)
 	}
 	e.killScratch = kills[:0]

@@ -2,11 +2,94 @@ package sim
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 
 	"wormnet/internal/message"
 	"wormnet/internal/topology"
 )
+
+// heldMsg is one message the network holds, with what its references say:
+// where its header flit sits (head.nd nil when no buffer or injection channel
+// has it), how many of its flits the input buffers hold, and the flit
+// accounting its channels defer until the tail passes — flits its injection
+// channel streamed in, flits its ejection channels consumed.
+type heldMsg struct {
+	m                       *message.Message
+	head                    headerSite
+	buffered, sent, ejected int32
+}
+
+// headerSite is where a message's header flit sits.
+type headerSite struct {
+	nd    *node
+	agent int32 // input VC index, or injection-channel index when inj
+	inj   bool
+}
+
+// held returns every message the network holds — in an input buffer, as an
+// output virtual channel's owner, on an injection or ejection channel — once,
+// in ascending ID, its references merged: the one definition of "in the
+// network", which the invariant checker, the wait graph, the snapshot and the
+// router-fault kill share. Messages waiting in source, recovery and retry
+// queues hold no network state and are not in it. The result is the engine's
+// scratch, valid until the next call; between cycles only.
+func (e *Engine) held() []heldMsg {
+	hs := e.reach[:0]
+	for i := range e.nodes {
+		nd := &e.nodes[i]
+		for a := range nd.in {
+			b := &nd.in[a].buf
+			if m := b.FrontMessage(); m != nil {
+				h := heldMsg{m: m, buffered: int32(b.Len())}
+				if b.Front().Head { // a buffer holds one run: only its front can be the head
+					h.head = headerSite{nd: nd, agent: int32(a)}
+				}
+				hs = append(hs, h)
+			}
+		}
+		for a := range nd.outVCs {
+			// An owner whose flits fill the buffer downstream has its entry there.
+			if m := nd.outVCs[a].Owner(); m != nil && nd.down[a].buf.FrontMessage() != m {
+				hs = append(hs, heldMsg{m: m})
+			}
+		}
+		for c := range nd.inj {
+			if ic := &nd.inj[c]; ic.msg != nil {
+				h := heldMsg{m: ic.msg, sent: ic.len - ic.left}
+				if ic.left == ic.len { // the head flit has not been streamed yet
+					h.head = headerSite{nd: nd, agent: int32(c), inj: true}
+				}
+				hs = append(hs, h)
+			}
+		}
+		for c := range nd.ej {
+			if ec := &nd.ej[c]; ec.msg != nil {
+				hs = append(hs, heldMsg{m: ec.msg, ejected: ec.pending})
+			}
+		}
+	}
+	e.reach = hs
+	// Sorting by ID puts one message's references together; merge them.
+	slices.SortFunc(hs, func(a, b heldMsg) int { return cmp.Compare(a.m.ID, b.m.ID) })
+	k := 0
+	for _, h := range hs {
+		if k == 0 || hs[k-1].m != h.m {
+			hs[k] = h
+			k++
+			continue
+		}
+		p := &hs[k-1]
+		if h.head.nd != nil {
+			p.head = h.head
+		}
+		p.buffered += h.buffered
+		p.sent += h.sent
+		p.ejected += h.ejected
+	}
+	return hs[:k]
+}
 
 // CheckInvariants validates the global consistency of the simulation state.
 // It is O(network size) and intended for tests, which interleave it with
@@ -23,11 +106,10 @@ import (
 //  3. Path tracking: every buffer holding flits of a message appears in the
 //     message's tracked path (message.Message.Path), and path entries never
 //     point at buffers holding another message's flits.
-//  4. Allocation consistency: every allocated output virtual channel is
-//     owned by a live (undelivered) message, and every valid forward route
-//     points at an output virtual channel owned by the routed message.
-//  5. Ejection consistency: a busy ejection channel belongs to exactly one
-//     in-flight message.
+//  4. Allocation consistency: every valid forward route points at an output
+//     virtual channel owned by the routed message.
+//  5. Liveness: every message the network holds (held) is in flight —
+//     neither delivered nor dropped — and the only object with its id.
 //  6. Derived state and caches: each node's words are what derive computes
 //     (so no bit names a channel the router lacks and no two agents share an
 //     output channel); an injection channel is busy exactly while it has a
@@ -36,52 +118,44 @@ import (
 //     id (input VC, injection channel, queue head) is the current table's.
 //  7. Fault consistency (only with fault injection active): no flit sits in
 //     a buffer fed by a dead channel or anywhere on a dead router, no
-//     route or sender-side allocation crosses a dead channel, a dead
-//     router holds no queued work, and no in-flight message is dropped.
+//     route or sender-side allocation crosses a dead channel, and a dead
+//     router holds no queued work.
+//  8. Message conservation: the messages the network holds plus the queue
+//     records, recovery and retry entries are the InFlight() the counters
+//     give (generated - delivered - dropped).
 func (e *Engine) CheckInvariants() error {
-	// Enumerate every message reachable from network state: buffer fronts,
-	// output virtual-channel owners, injection and ejection channels. Every
-	// in-flight message holds at least one of those.
-	inFlight := make(map[*message.Message]bool)
-	reached := func(m *message.Message) {
-		if m != nil {
-			inFlight[m] = true
-		}
-	}
-	for i := range e.nodes {
-		nd := &e.nodes[i]
-		for a := range nd.in {
-			reached(nd.in[a].buf.FrontMessage())
-			reached(nd.outVCs[a].Owner())
-		}
-		for c := range nd.inj {
-			reached(nd.inj[c].msg)
-		}
-		for c := range nd.ej {
-			reached(nd.ej[c].msg)
-		}
-	}
+	held := e.held()
 	inPath := make(map[pathLoc]*message.Message)
-	for m := range inFlight {
+	for i, h := range held {
+		m := h.m
+		if i > 0 && held[i-1].m.ID == m.ID {
+			return fmt.Errorf("two message objects in the network share id %d", m.ID)
+		}
+		if m.State == message.StateDelivered || m.State == message.StateDropped {
+			return fmt.Errorf("%s msg %d still holds a buffer, an output VC, or an injection or ejection channel", m.State, m.ID)
+		}
 		for _, loc := range m.Path {
 			if prev, dup := inPath[loc]; dup {
 				return fmt.Errorf("path loc %+v tracked for both msg %d and msg %d", loc, prev.ID, m.ID)
 			}
 			inPath[loc] = m
 		}
+		// The channels hold the deferred flit accounting: flits already
+		// streamed in (or consumed) but not yet folded into the message's
+		// own counters, which happens only when the tail passes.
+		sent, ejected := m.FlitsSent+int(h.sent), m.FlitsEjected+int(h.ejected)
+		if want := sent - ejected; h.buffered != 0 && int(h.buffered) != want {
+			return fmt.Errorf("msg %d: %d flits buffered, want sent-ejected=%d-%d=%d",
+				m.ID, h.buffered, sent, ejected, want)
+		}
 	}
 
-	// The channels also hold the deferred flit accounting: flits already
-	// streamed in (or consumed) but not yet folded into the message's own
-	// counters, which happens only when the tail passes.
-	buffered := make(map[*message.Message]int)
-	pendingSent := make(map[*message.Message]int)
-	pendingEj := make(map[*message.Message]int)
-	built := 0
+	built, waiting := 0, 0
 	var wantBuf [128]uint8 // the width limit keeps a node's entries under 64+64
 	want := wantBuf[:len(e.nodes[0].want)]
 	for i := range e.nodes {
 		nd := &e.nodes[i]
+		waiting += nd.queue.Len() + len(nd.recovery) + len(nd.retry)
 		e.waiting.each(&nd.queue, func(r *queued) {
 			if m := e.built[r.id]; r.built && m != nil && m.Dst == r.dst && int32(m.Length) == r.length {
 				built++
@@ -113,7 +187,6 @@ func (e *Engine) CheckInvariants() error {
 			}
 			owner := ivc.buf.FrontMessage()
 			if owner != nil {
-				buffered[owner] += ivc.buf.Len()
 				if ivc.dst != owner.Dst {
 					return fmt.Errorf("node %d in[%d][%d]: dst cache holds node %d but flits belong to msg %d bound for %d",
 						nd.id, p, v, ivc.dst, owner.ID, owner.Dst)
@@ -131,9 +204,6 @@ func (e *Engine) CheckInvariants() error {
 						nd.id, p, v, o, owner.ID)
 				}
 			}
-			if m := nd.outVCs[a].Owner(); m != nil && m.State == message.StateDelivered {
-				return fmt.Errorf("node %d out[%d].vc[%d] owned by delivered msg %d", nd.id, p, v, m.ID)
-			}
 		}
 		if q := &nd.queue; q.set != 0 && (q.Empty() || q.set != e.cand.id(nd.id, e.waiting.front(q).dst)) {
 			return fmt.Errorf("node %d: queue of %d caches candidate set %d for its head, the table disagrees", nd.id, q.Len(), q.set)
@@ -146,7 +216,6 @@ func (e *Engine) CheckInvariants() error {
 			if ic.msg == nil {
 				continue
 			}
-			pendingSent[ic.msg] += int(ic.len - ic.left)
 			if ic.dst != ic.msg.Dst || ic.len != int32(ic.msg.Length) {
 				return fmt.Errorf("node %d inj[%d]: caches dst %d and length %d, but msg %d is bound for %d with %d flits",
 					nd.id, c, ic.dst, ic.len, ic.msg.ID, ic.msg.Dst, ic.msg.Length)
@@ -158,26 +227,6 @@ func (e *Engine) CheckInvariants() error {
 		}
 		if nd.fresh&^e.inMask != 0 || nd.freshInj>>uint(len(nd.inj)) != 0 {
 			return fmt.Errorf("node %d: fresh=%#x freshInj=%#x name channels the router does not have", nd.id, nd.fresh, nd.freshInj)
-		}
-		for c := range nd.ej {
-			if m := nd.ej[c].msg; m != nil {
-				pendingEj[m] += int(nd.ej[c].pending)
-				if m.State == message.StateDelivered {
-					return fmt.Errorf("node %d ej[%d] held by delivered msg %d", nd.id, c, m.ID)
-				}
-			}
-		}
-	}
-
-	for m, n := range buffered {
-		sent := m.FlitsSent + pendingSent[m]
-		ejected := m.FlitsEjected + pendingEj[m]
-		if want := sent - ejected; n != want {
-			return fmt.Errorf("msg %d: %d flits buffered, want sent-ejected=%d-%d=%d",
-				m.ID, n, sent, ejected, want)
-		}
-		if m.State == message.StateDelivered {
-			return fmt.Errorf("msg %d delivered but still has %d buffered flits", m.ID, n)
 		}
 	}
 	if built != len(e.built) {
@@ -214,21 +263,21 @@ func (e *Engine) CheckInvariants() error {
 		return err
 	}
 	if e.live != nil {
-		return e.checkFaultInvariants(inFlight)
+		if err := e.checkFaultInvariants(); err != nil {
+			return err
+		}
+	}
+	if n := int64(len(held) + waiting); n != e.InFlight() {
+		return fmt.Errorf("%d messages held by the network and %d waiting, but generated-delivered-dropped = %d-%d-%d = %d in flight",
+			len(held), waiting, e.generated, e.delivered, e.dropped, e.InFlight())
 	}
 	return nil
 }
 
 // checkFaultInvariants validates the liveness-dependent state: the fault
 // machinery must leave no flit, route, allocation or queued work on dead
-// hardware, and a permanently dropped message must be gone from the
-// network.
-func (e *Engine) checkFaultInvariants(inFlight map[*message.Message]bool) error {
-	for m := range inFlight {
-		if m.State == message.StateDropped {
-			return fmt.Errorf("dropped msg %d still holds network state", m.ID)
-		}
-	}
+// hardware.
+func (e *Engine) checkFaultInvariants() error {
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		alive := e.live.RouterAlive(nd.id)

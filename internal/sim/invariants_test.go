@@ -110,6 +110,32 @@ func TestInvariantCatchesNonAscendingSeq(t *testing.T) {
 	})
 }
 
+// Only their sum ties the message counters to the state: a message lost from a
+// recovery list, or a generated count that drifts, shows nowhere else.
+func TestInvariantCatchesLostMessage(t *testing.T) {
+	e := idle(t, nil)
+	m := e.Inject(0, 5, 4)
+	for m.State == message.StateQueued {
+		e.Step()
+	}
+	e.Step()
+	e.recover(m, &e.nodes[0]) // a real recovery: torn down, waiting in node 0's list
+	if err := e.CheckInvariants(); err != nil || len(e.nodes[0].recovery) != 1 {
+		t.Fatalf("after the recovery: %v, %d recovery entries", err, len(e.nodes[0].recovery))
+	}
+	lost := e.nodes[0].recovery
+	e.nodes[0].recovery = nil
+	err := e.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "0 waiting") || !strings.Contains(err.Error(), "= 1 in flight") {
+		t.Fatalf("a message lost from the recovery list not caught: %v", err)
+	}
+	e.nodes[0].recovery = lost
+	e.generated++
+	if err = e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "1 waiting") || !strings.Contains(err.Error(), "2-0-0 = 2 in flight") {
+		t.Fatalf("a generated count ahead of the state not caught: %v", err)
+	}
+}
+
 func TestInvariantCatchesDeliveredOwner(t *testing.T) {
 	e := idle(t, nil)
 	m := message.New(1, 0, 5, 4, 0)

@@ -6,23 +6,13 @@ package sim
 // read-only over engine state and must be called between Step calls.
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"wormnet/internal/core"
 	"wormnet/internal/deadlock"
-	"wormnet/internal/message"
 	"wormnet/internal/topology"
 )
-
-// headerSite is where a message's header flit sits.
-type headerSite struct {
-	nd    *node
-	agent int // input VC index, or injection-channel index when inj
-	inj   bool
-}
 
 // BuildWaitGraph constructs the channel-wait graph of the current state:
 // every in-flight message classified at the site of its header flit. A
@@ -36,59 +26,17 @@ type headerSite struct {
 // is the engine's own, rebuilt in place: it is valid until the next call.
 func (e *Engine) BuildWaitGraph() *deadlock.WaitGraph {
 	if e.waitGraph == nil {
-		e.waitGraph, e.headers = deadlock.NewWaitGraph(), make(map[*message.Message]headerSite)
+		e.waitGraph = deadlock.NewWaitGraph()
 	}
-	g, headers, msgs := e.waitGraph, e.headers, e.reach[:0]
+	g := e.waitGraph
 	g.Reset()
-	clear(headers)
-	// Collect every in-flight message and locate its header flit. Messages
-	// waiting in source/recovery/retry queues hold no network resources and
-	// are outside the graph.
-	for i := range e.nodes {
-		nd := &e.nodes[i]
-		for a := range nd.in {
-			b := &nd.in[a].buf
-			for j := 0; j < b.Len(); j++ {
-				f := b.At(j)
-				msgs = append(msgs, f.Msg)
-				if f.Head {
-					headers[f.Msg] = headerSite{nd: nd, agent: a}
-				}
-			}
-		}
-		for c := range nd.inj {
-			ic := &nd.inj[c]
-			if ic.msg == nil {
-				continue
-			}
-			msgs = append(msgs, ic.msg)
-			if ic.left == ic.len {
-				// The head flit has not been streamed yet: the header is
-				// the injection channel itself.
-				headers[ic.msg] = headerSite{nd: nd, agent: c, inj: true}
-			}
-		}
-		for c := range nd.ej {
-			if m := nd.ej[c].msg; m != nil {
-				msgs = append(msgs, m)
-			}
-		}
-		for v := range nd.outVCs {
-			if m := nd.outVCs[v].Owner(); m != nil {
-				msgs = append(msgs, m)
-			}
-		}
-	}
-	// Every reference was collected: sorting by ID puts one message's together.
-	slices.SortFunc(msgs, func(a, b *message.Message) int { return cmp.Compare(a.ID, b.ID) })
-	msgs = slices.Compact(msgs)
-	e.reach = msgs
-
-	for _, m := range msgs {
+	// Messages waiting in source/recovery/retry queues hold no network
+	// resources and are outside the graph.
+	for _, h := range e.held() {
+		m, s := h.m, h.head
 		id := int64(m.ID)
-		s, ok := headers[m]
 		switch {
-		case !ok:
+		case s.nd == nil:
 			// Header already consumed by an ejection channel (or the
 			// message holds only body/tail flits behind a routed header):
 			// the message is draining and always finishes.

@@ -576,6 +576,62 @@ var hostileMutations = []func(s *Snapshot, a, b int) bool{
 		}
 		return true
 	},
+	waitingNamedTwice,
+}
+
+// waitingNamedTwice names a waiting message a second time, the hostile family
+// of load's one-reference rule: a queued message from its own queue again, or
+// from a recovery or retry list, or a recovering or retrying one (the queued
+// one when the snapshot has neither) from a queue.
+func waitingNamedTwice(s *Snapshot, a, b int) bool {
+	for i := range s.Nodes {
+		n := &s.Nodes[(a+i)%len(s.Nodes)]
+		if len(n.Queue) == 0 {
+			continue
+		}
+		id := n.Queue[b%len(n.Queue)]
+		switch b % 4 {
+		case 0:
+			n.Queue = append(n.Queue, id)
+		case 1:
+			n.Recovery = append(n.Recovery, SnapPending{Msg: id, ReadyAt: s.Now})
+		case 2:
+			n.Retry = append(n.Retry, SnapPending{Msg: id, ReadyAt: s.Now})
+		case 3:
+			for _, o := range s.Nodes {
+				if len(o.Recovery) > 0 {
+					id = o.Recovery[0].Msg
+				} else if len(o.Retry) > 0 {
+					id = o.Retry[0].Msg
+				}
+			}
+			n.Queue = append(n.Queue, id)
+		}
+		return true
+	}
+	return false
+}
+
+// TestRestoreRefusesWaitingMessageNamedTwice: a waiting message holds no
+// network state, so one queue, recovery or retry entry is all that may name it.
+// A second would restore as two records with one id, or a record and an object.
+func TestRestoreRefusesWaitingMessageNamedTwice(t *testing.T) {
+	for name, sc := range restoreScenarios() {
+		sc := sc
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			snap := snapshotAt(t, sc.cfg, 1, sc.snapAt, &eventTap{})
+			for b := 0; b < 4; b++ {
+				bad := gobRoundTrip(t, snap)
+				if !waitingNamedTwice(bad, 0, b) {
+					t.Fatal("no message waits in a source queue")
+				}
+				if _, err := RestoreEngine(sc.cfg, bad); !errors.Is(err, ErrSnapshotInvalid) || !strings.Contains(err.Error(), "references, want 1") {
+					t.Errorf("case %d: got %v, want ErrSnapshotInvalid naming the references", b, err)
+				}
+			}
+		})
+	}
 }
 
 // busyInj returns the first busy injection channel, scanning from node a; nil

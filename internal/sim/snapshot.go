@@ -358,6 +358,32 @@ func (s *Snapshot) addMessage(sm SnapMessage) *SnapMessage {
 	return &s.Messages[n]
 }
 
+// addObject appends the message object m to s.Messages.
+func (s *Snapshot) addObject(m *message.Message) {
+	sm := s.addMessage(SnapMessage{
+		ID:           int64(m.ID),
+		Src:          int32(m.Src),
+		Dst:          int32(m.Dst),
+		Length:       int32(m.Length),
+		GenTime:      m.GenTime,
+		InjectTime:   m.InjectTime,
+		DeliverTime:  m.DeliverTime,
+		State:        int8(m.State),
+		Injector:     int32(m.Injector),
+		FlitsSent:    int32(m.FlitsSent),
+		FlitsEjected: int32(m.FlitsEjected),
+		Recoveries:   int32(m.Recoveries),
+		Retries:      int32(m.Retries),
+		DropReason:   string(m.DropReason),
+		Measured:     m.Measured,
+		Pooled:       m.Pooled,
+	})
+	sm.Path = slices.Grow(sm.Path, len(m.Path))
+	for _, pl := range m.Path {
+		sm.Path = append(sm.Path, SnapPath{Node: int32(pl.Node), Port: int8(pl.Port), VC: pl.VC})
+	}
+}
+
 // SnapshotInto captures the engine's complete state in s: the one walk over its
 // durable state. s may hold anything — an earlier snapshot's slices, nested ones
 // included, are overwritten and reused, and one left empty stands for the nil of
@@ -402,19 +428,12 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 		s.Metrics = e.metReg.Snapshot()
 	}
 
-	// Collect every reachable message exactly once, then serialize the
-	// per-node state referencing them by ID.
-	s.Messages = slices.Grow(s.Messages, int(e.InFlight())) // every live message is reachable
-	if e.seen == nil {
-		e.seen = make(map[*message.Message]struct{})
-	}
-	clear(e.seen)
-	msgs := e.reach[:0]
-	add := func(m *message.Message) {
-		if _, ok := e.seen[m]; !ok && m != nil {
-			e.seen[m] = struct{}{}
-			msgs = append(msgs, m)
-		}
+	// Every live message is written once: the network's, then each waiting one
+	// where its node's queues name it (a waiting message holds no network
+	// state). The per-node state references them by ID.
+	s.Messages = slices.Grow(s.Messages, int(e.InFlight()))
+	for _, h := range e.held() {
+		s.addObject(h.m)
 	}
 	nVC := e.numPhys * e.cfg.VCs
 	for i := range e.nodes {
@@ -428,7 +447,6 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 			flits := slices.Grow(sn.In[c].Flits[:0], n)
 			for j := 0; j < n; j++ {
 				f := ivc.buf.At(j)
-				add(f.Msg)
 				flits = append(flits, SnapFlit{Msg: int64(f.Msg.ID), Seq: f.Seq, Head: f.Head, Tail: f.Tail})
 			}
 			sn.In[c] = SnapVC{Flits: flits, Route: snapRoute(nd.routes[c])}
@@ -438,7 +456,6 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 		for v := 0; v < nVC; v++ {
 			sn.OutOwner[v] = -1
 			if m := nd.outVCs[v].Owner(); m != nil {
-				add(m)
 				sn.OutOwner[v] = int64(m.ID)
 			}
 		}
@@ -448,7 +465,6 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 			ic := &nd.inj[j]
 			sn.Inj[j] = SnapInj{Msg: -1}
 			if ic.msg != nil {
-				add(ic.msg)
 				sn.Inj[j] = SnapInj{Msg: int64(ic.msg.ID), Route: snapRoute(ic.route), Left: ic.left, Len: ic.len, Dst: int32(ic.dst)}
 			}
 		}
@@ -458,7 +474,6 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 			ec := &nd.ej[j]
 			sn.Ej[j] = SnapEj{Msg: -1}
 			if ec.msg != nil {
-				add(ec.msg)
 				sn.Ej[j] = SnapEj{Msg: int64(ec.msg.ID), Pending: ec.pending}
 			}
 		}
@@ -469,7 +484,7 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 		e.waiting.each(&nd.queue, func(r *queued) {
 			sn.Queue = append(sn.Queue, int64(r.id))
 			if r.built {
-				add(e.built[r.id])
+				s.addObject(e.built[r.id])
 				return
 			}
 			s.addMessage(SnapMessage{
@@ -481,12 +496,12 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 		})
 		sn.Recovery = sn.Recovery[:0]
 		for _, pr := range nd.recovery {
-			add(pr.msg)
+			s.addObject(pr.msg)
 			sn.Recovery = append(sn.Recovery, SnapPending{Msg: int64(pr.msg.ID), ReadyAt: pr.readyAt})
 		}
 		sn.Retry = sn.Retry[:0]
 		for _, pr := range nd.retry {
-			add(pr.msg)
+			s.addObject(pr.msg)
 			sn.Retry = append(sn.Retry, SnapPending{Msg: int64(pr.msg.ID), ReadyAt: pr.readyAt})
 		}
 
@@ -513,31 +528,6 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 		}
 	}
 
-	e.reach = msgs
-	for _, m := range msgs {
-		sm := s.addMessage(SnapMessage{
-			ID:           int64(m.ID),
-			Src:          int32(m.Src),
-			Dst:          int32(m.Dst),
-			Length:       int32(m.Length),
-			GenTime:      m.GenTime,
-			InjectTime:   m.InjectTime,
-			DeliverTime:  m.DeliverTime,
-			State:        int8(m.State),
-			Injector:     int32(m.Injector),
-			FlitsSent:    int32(m.FlitsSent),
-			FlitsEjected: int32(m.FlitsEjected),
-			Recoveries:   int32(m.Recoveries),
-			Retries:      int32(m.Retries),
-			DropReason:   string(m.DropReason),
-			Measured:     m.Measured,
-			Pooled:       m.Pooled,
-		})
-		sm.Path = slices.Grow(sm.Path, len(m.Path))
-		for _, pl := range m.Path {
-			sm.Path = append(sm.Path, SnapPath{Node: int32(pl.Node), Port: int8(pl.Port), VC: pl.VC})
-		}
-	}
 	slices.SortFunc(s.Messages, func(a, b SnapMessage) int { return cmp.Compare(a.ID, b.ID) })
 	return nil
 }
@@ -643,9 +633,10 @@ func (p *parRuntime) reset() {
 }
 
 // load populates a reset engine from snap. It checks what must hold before a
-// write could panic or index out of range, and refuses a value it would drop;
-// derive rebuilds the derived words, and the rest is CheckInvariants', run on
-// the loaded engine.
+// write could panic or index out of range, and refuses a value it would drop or
+// duplicate — a message nothing references, or a waiting one (queued,
+// recovering, retrying) referenced more than once; derive rebuilds the derived
+// words, and the rest is CheckInvariants', run on the loaded engine.
 func (e *Engine) load(snap *Snapshot) error {
 	nVC := e.numPhys * e.cfg.VCs
 	if len(snap.Nodes) != len(e.nodes) {
@@ -808,9 +799,16 @@ func (e *Engine) load(snap *Snapshot) error {
 			}
 		}
 
+		// A waiting message (queued, recovering, retrying) holds no network
+		// state, so the entry naming it must be its only reference.
+		for _, j := range at[:len(sn.Queue)+len(sn.Recovery)+len(sn.Retry)] {
+			if hits[j] != 1 {
+				return fmt.Errorf("%w: node %d: waiting message %d has %d references, want 1", ErrSnapshotInvalid, i, snap.Messages[j].ID, hits[j])
+			}
+		}
 		for range sn.Queue {
 			j := next()
-			if sm := &snap.Messages[j]; objs[j] == nil && sm.waitingAt(nd.id) {
+			if sm := &snap.Messages[j]; sm.waitingAt(nd.id) {
 				e.waiting.push(&nd.queue, queued{
 					id: message.ID(sm.ID), gen: sm.GenTime, dst: topology.NodeID(sm.Dst),
 					length: sm.Length, measured: sm.Measured,
