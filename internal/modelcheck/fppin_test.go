@@ -2,7 +2,11 @@ package modelcheck
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+
+	"wormnet/internal/metrics"
+	"wormnet/internal/sim"
 )
 
 // TestFalsePositivePin pins FC3D's exact verdict counts on the ring model
@@ -101,6 +105,38 @@ func twoWormSpec() Spec {
 	return spec
 }
 
+// shardEngines has x build its engines on workers shards. From two on it
+// raises GOMAXPROCS to 2 for the rest of the test (New keeps a single-P host
+// to one shard, whatever Workers says) and checks that an engine of x's
+// config does get them, so a single-P host cannot pass by running one shard.
+func shardEngines(t *testing.T, x *Explorer, workers int) {
+	t.Helper()
+	x.cfg.Workers = workers // the config digest excludes the worker count
+	if workers < 2 {
+		return
+	}
+	procs := runtime.GOMAXPROCS(2)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
+	e, err := sim.New(x.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	// A sampled cycle of two shards or more books one busy-time sample per shard.
+	reg := metrics.NewRegistry()
+	e.EnableMetrics(reg, 1)
+	e.Step()
+	samples := int64(-1)
+	for _, s := range reg.Snapshot() {
+		if s.Name == "sim_shard_busy_ns" {
+			samples = s.N
+		}
+	}
+	if samples != int64(workers) {
+		t.Fatalf("workers=%d: a sampled cycle booked %d shard-busy samples, want one per shard", workers, samples)
+	}
+}
+
 // exhaustTwoWorm exhausts the CI-pinned model on engines of the given worker
 // count and returns the report.
 func exhaustTwoWorm(t *testing.T, workers int) *Report {
@@ -109,7 +145,7 @@ func exhaustTwoWorm(t *testing.T, workers int) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x.cfg.Workers = workers // the config digest excludes the worker count
+	shardEngines(t, x, workers)
 	rep, err := x.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +221,7 @@ func TestExhaustiveTwoVCModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x.cfg.Workers = workers
+		shardEngines(t, x, workers)
 		rep, err := x.Run()
 		if err != nil {
 			t.Fatal(err)

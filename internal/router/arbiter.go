@@ -86,30 +86,3 @@ func (a *RoundRobin) GrantMask(want uint64) int {
 	a.Advance(i)
 	return i
 }
-
-// GrantFrom picks, among the candidate requester indices, the admissible one
-// closest after the rotating priority pointer, advances the pointer past the
-// winner, and returns it. It returns -1 if no candidate is admissible.
-// Candidates must be valid requester indices; ok filters them (e.g. the
-// switch allocator's input-port-already-granted check).
-func (a *RoundRobin) GrantFrom(cands []int32, ok func(int32) bool) int32 {
-	best := int32(-1)
-	bestDist := a.N()
-	for _, c := range cands {
-		if !ok(c) {
-			continue
-		}
-		d := int(c) - a.Next()
-		if d < 0 {
-			d += a.N()
-		}
-		if d < bestDist {
-			bestDist = d
-			best = c
-		}
-	}
-	if best >= 0 {
-		a.Advance(int(best))
-	}
-	return best
-}

@@ -273,33 +273,6 @@ func TestOutVCReleaseIfOwner(t *testing.T) {
 	}
 }
 
-func TestOutPortCounts(t *testing.T) {
-	p := NewOutPort(3)
-	if p.FreeVCs() != 3 || !p.CompletelyFree() || !p.HasFreeVC() {
-		t.Fatal("fresh port state wrong")
-	}
-	p.VCs[0].Allocate(msg(1, 4))
-	if p.FreeVCs() != 2 || p.CompletelyFree() || !p.HasFreeVC() {
-		t.Fatal("one-busy state wrong")
-	}
-	p.VCs[1].Allocate(msg(2, 4))
-	p.VCs[2].Allocate(msg(3, 4))
-	if p.FreeVCs() != 0 || p.HasFreeVC() || p.CompletelyFree() {
-		t.Fatal("all-busy state wrong")
-	}
-}
-
-func TestOutPortRR(t *testing.T) {
-	p := NewOutPort(3)
-	seen := []int{p.NextRR(), p.NextRR(), p.NextRR(), p.NextRR()}
-	want := []int{0, 1, 2, 0}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("rr sequence %v want %v", seen, want)
-		}
-	}
-}
-
 func TestRoundRobinFairness(t *testing.T) {
 	a := NewRoundRobin(4)
 	counts := make([]int, 4)

@@ -40,53 +40,3 @@ func (v *OutVC) ReleaseIfOwner(m *message.Message) bool {
 	}
 	return false
 }
-
-// OutPort is the sender-side state of one physical output channel: its
-// virtual channels plus the round-robin pointer used to multiplex them on
-// the physical link.
-type OutPort struct {
-	VCs []OutVC
-	// rr is the index of the virtual channel to consider first at the next
-	// switch-allocation round (demand-driven VC multiplexing).
-	rr int
-}
-
-// NewOutPort returns an output port with v virtual channels.
-func NewOutPort(v int) *OutPort {
-	return &OutPort{VCs: make([]OutVC, v)}
-}
-
-// FreeVCs returns the number of unallocated virtual channels.
-func (p *OutPort) FreeVCs() int {
-	n := 0
-	for i := range p.VCs {
-		if p.VCs[i].Free() {
-			n++
-		}
-	}
-	return n
-}
-
-// CompletelyFree reports whether every virtual channel is unallocated — the
-// paper's "completely free physical channel" (ALO rule b).
-func (p *OutPort) CompletelyFree() bool {
-	return p.FreeVCs() == len(p.VCs)
-}
-
-// HasFreeVC reports whether at least one virtual channel is unallocated —
-// the per-channel test of ALO rule (a).
-func (p *OutPort) HasFreeVC() bool {
-	for i := range p.VCs {
-		if p.VCs[i].Free() {
-			return true
-		}
-	}
-	return false
-}
-
-// NextRR returns the round-robin start index and advances the pointer.
-func (p *OutPort) NextRR() int {
-	r := p.rr
-	p.rr = (p.rr + 1) % len(p.VCs)
-	return r
-}

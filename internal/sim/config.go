@@ -118,10 +118,11 @@ type Config struct {
 
 	// Workers is the number of goroutines the engine shards each cycle
 	// across. 0 and 1 run the cycle schedule over one shard on the calling
-	// goroutine; higher values partition the node arenas into Workers
-	// contiguous shards and run the same schedule shard-parallel with
-	// barriers in between. Results are bit-identical for any worker count
-	// (see TestGoldenParallelEquivalence); an engine with Workers > 1 owns
+	// goroutine, and so does any value on a single-P host (GOMAXPROCS=1 at
+	// New); higher values partition the node arenas into Workers contiguous
+	// shards and run the same schedule shard-parallel with barriers in
+	// between. Results are bit-identical for any worker count
+	// (see TestGoldenParallelEquivalence); an engine with Workers > 1 may own
 	// background goroutines and should be released with Engine.Close when
 	// the run is done.
 	Workers int

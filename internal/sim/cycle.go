@@ -27,9 +27,9 @@ import (
 func (e *Engine) Step() {
 	p := e.par
 	// Latch the sampling decision for the shards before any worker starts:
-	// the cycle stamp (or the inline call) orders the store. Sampled
-	// cycles run the identical schedule with the cycle clocks on and a
-	// gauge sample appended (metrics.go); results are unchanged.
+	// the cycle stamp orders the store. Sampled cycles run the identical
+	// schedule with the cycle clocks on and a gauge sample appended
+	// (metrics.go); results are unchanged.
 	p.sampled = e.metricsSampled()
 	var t0 time.Time
 	if p.sampled {
@@ -38,16 +38,12 @@ func (e *Engine) Step() {
 	if e.live != nil {
 		e.applyDueFaults()
 	}
-	if p.inline {
-		e.cycleInline(p)
-	} else {
-		// All shards — the caller acting as shard 0 — execute the cycle in
-		// lockstep; the final barrier doubles as the completion signal.
-		for i := range p.workers {
-			p.workers[i].signal()
-		}
-		e.cycleShard(p, 0)
+	// All shards — the caller acting as shard 0 — execute the cycle in
+	// lockstep; the final barrier doubles as the completion signal.
+	for i := range p.workers {
+		p.workers[i].signal()
 	}
+	e.cycleShard(p, 0)
 	if e.met != nil {
 		e.recordCycle(p, t0)
 	}

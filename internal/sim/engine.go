@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 
 	"wormnet/internal/core"
 	"wormnet/internal/deadlock"
@@ -278,7 +279,8 @@ type Engine struct {
 	xbarMask []uint64
 
 	// par is the sharded runtime that runs the cycle (see parallel.go): one
-	// shard at Workers <= 1. Results are bit-identical for any partition.
+	// shard at Workers <= 1 or on a single-P host. Results are bit-identical
+	// for any partition.
 	par *parRuntime
 
 	// sourcesStopped suppresses traffic generation (see StopSources).
@@ -512,7 +514,11 @@ func New(cfg Config) (*Engine, error) {
 			}
 		}
 	}
-	e.par = newParRuntime(e, partition(nNodes, cfg.Workers, alignNodes))
+	shards := cfg.Workers
+	if runtime.GOMAXPROCS(0) == 1 {
+		shards = 1 // shards could only time-slice the one P; results are the same
+	}
+	e.par = newParRuntime(e, partition(nNodes, shards, alignNodes))
 	e.reset() // the empty engine is defined once, there
 	return e, nil
 }

@@ -68,14 +68,13 @@ type engineMetrics struct {
 
 	// Per-phase wall-clock timing, sampled cycles only: the time the
 	// coordinating goroutine spent in each phase (cycleClock), indexed
-	// phGenerate..phMove — every shard's under the inline driver, shard 0's
-	// own sections under the pool, barrier waits excluded.
+	// phGenerate..phMove — shard 0's own sections, barrier waits excluded.
 	phase     [numPhases]*metrics.Histogram
 	cycleTime *metrics.Histogram // whole cycle
 
 	// Sync profile, sampled cycles only. Barrier waits and shard busy time
-	// come from the worker-pool driver (the inline driver has no waits to
-	// measure); the ring series cover both.
+	// need two shards or more (one shard never waits); the ring series
+	// cover any engine.
 	barrierWait    [4]*metrics.Histogram // per-shard wait at B1..B4
 	shardBusy      *metrics.Histogram    // per-shard cycle time minus barrier waits
 	shardImbalance *metrics.Gauge        // (max-min)/max shard busy on the sampled cycle

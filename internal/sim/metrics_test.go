@@ -101,19 +101,20 @@ func metricValue(t *testing.T, reg *metrics.Registry, name string) float64 {
 // denial counters fire (with ALO a denial means both rules failed, so the
 // per-rule counters equal the total), and the sampled gauges and timing
 // histograms — all five phase timers included — are non-trivial: on one
-// shard, and on two shards under both drivers.
+// shard, on the one shard that Workers=2 builds on a single P, and on two
+// shards.
 func TestMetricsPopulated(t *testing.T) {
 	restore := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(restore)
-	for _, tc := range []struct{ workers, procs int }{{1, restore}, {2, 1}, {2, 2}} {
+	for _, tc := range []struct{ workers, procs, shards int }{{1, restore, 1}, {2, 1, 1}, {2, 2, 2}} {
 		t.Run(fmt.Sprintf("workers=%d/GOMAXPROCS=%d", tc.workers, tc.procs), func(t *testing.T) {
 			runtime.GOMAXPROCS(tc.procs)
-			testMetricsPopulated(t, tc.workers)
+			testMetricsPopulated(t, tc.workers, tc.shards)
 		})
 	}
 }
 
-func testMetricsPopulated(t *testing.T, workers int) {
+func testMetricsPopulated(t *testing.T, workers, shards int) {
 	cfg := QuickConfig()
 	cfg.Rate = 1.5 // past saturation: ALO must throttle
 	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 500, 2000, 200
@@ -149,6 +150,15 @@ func testMetricsPopulated(t *testing.T, workers int) {
 		if n := metricValue(t, reg, "sim_phase_"+ph+"_ns"); n == 0 || n != samples {
 			t.Errorf("sim_phase_%s_ns holds %v samples, sim_cycle_ns %v", ph, n, samples)
 		}
+	}
+	// Shard busy time: one sample per shard and sampled cycle, on two shards
+	// or more — so the sample count says how many shards ran.
+	busy := 0.0
+	if shards > 1 {
+		busy = samples * float64(shards)
+	}
+	if n := metricValue(t, reg, "sim_shard_busy_ns"); n != busy {
+		t.Errorf("sim_shard_busy_ns holds %v samples over %v sampled cycles, want %d shards' worth", n, samples, shards)
 	}
 	if n := metricValue(t, reg, "sim_node_queue_depth"); n == 0 {
 		t.Error("per-node queue-depth histogram empty")

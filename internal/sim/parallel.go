@@ -7,11 +7,10 @@ package sim
 // point appears only on the rare cycles where a recovery or fault kill could
 // fire — see the trigger pre-scan below). There is one copy of every phase,
 // written as a range function over a shard; the engine built with Workers=1
-// is simply the one-shard case. Two drivers walk the schedule: cycleInline,
-// one goroutine over all shards in ascending order (one shard, or a host
-// with a single P), and cycleShard, one goroutine per shard with a barrier
-// at each commit point. Results are bit-identical for any partition and
-// either driver. The scheme rests on three rules:
+// (or on a single-P host) is simply the one-shard case. One driver walks the
+// schedule, cycleShard: one goroutine per shard with a barrier at each
+// commit point, where one shard's barrier is its own arrival. Results are
+// bit-identical for any partition. The scheme rests on three rules:
 //
 //  1. Own-node writes only. Inside a section a shard writes nothing but the
 //     state of its own nodes. The one phase that naturally crosses shards —
@@ -43,15 +42,14 @@ package sim
 //     message id assignment, the record arena and the message pool (so also
 //     turning an admitted queue record into its object), collector hooks,
 //     trace emission, drop accounting — is deferred into per-shard buffers
-//     during the sections and committed once every shard has finished: by
-//     the one goroutine of the inline driver, or by the *last shard to
-//     arrive* at the barrier, before it releases the generation. The atomic
-//     arrival counter orders every shard's buffered writes before the
-//     commit, and the generation release publishes the commit to every
-//     waiter, so no dedicated commit barriers are needed. Commits walk
-//     shards in ascending order; shards are contiguous ascending node
-//     ranges, so the commit order is node order (move order in the move
-//     phase) whatever the partition, and the event stream, the
+//     during the sections and committed once every shard has finished, by
+//     the *last shard to arrive* at the barrier before it releases the
+//     generation. The atomic arrival counter orders every shard's buffered
+//     writes before the commit, and the generation release publishes the
+//     commit to every waiter, so no dedicated commit barriers are needed.
+//     Commits walk shards in ascending order; shards are contiguous
+//     ascending node ranges, so the commit order is node order (move order
+//     in the move phase) whatever the partition, and the event stream, the
 //     RNG-independent counters and the message pool evolve identically.
 //     Per-node RNG streams (splitSeed) make generation itself
 //     partition-independent.
@@ -285,13 +283,16 @@ type phaseBarrier struct {
 // arrive reports whether the caller is the last of the n participants to
 // reach the barrier. The last arriver must call release(target) — after
 // performing any serial commit work — and everyone else wait(target),
-// where target is the caller's barriers-passed count plus one.
-func (b *phaseBarrier) arrive() bool { return b.count.Add(1) == b.n }
+// where target is the caller's barriers-passed count plus one. The only
+// participant of a one-shard barrier is always last, without an atomic.
+func (b *phaseBarrier) arrive() bool { return b.n == 1 || b.count.Add(1) == b.n }
 
 // release opens barrier generation target, publishing every write the
 // releaser made (the atomic store orders before the waiters' loads).
 func (b *phaseBarrier) release(target uint32) {
-	b.count.Store(0)
+	if b.n > 1 {
+		b.count.Store(0)
+	}
 	b.gen.Store(target)
 }
 
@@ -326,7 +327,7 @@ func barrierSpin(s int) int32 {
 }
 
 // parRuntime is the sharded runtime of one engine: the shard partition, the
-// push rings and, under the barrier driver, the worker pool. Every engine
+// push rings and, with two shards or more, the worker pool. Every engine
 // has one; Workers=1 builds a single shard.
 type parRuntime struct {
 	shards  []parShard
@@ -341,15 +342,6 @@ type parRuntime struct {
 	workers []workerSlot
 	exited  sync.WaitGroup
 	closed  bool
-
-	// inline, latched at construction, selects the cycleInline driver over
-	// the worker pool: with one shard there is nothing to run concurrently,
-	// and on a single-P host goroutines can only time-slice one core while
-	// their barrier switches shred the allocation phase's cache locality
-	// (measured ~8% per-cycle overhead; inline mode reduces the cost to the
-	// deferral buffers and rings alone). The schedule, commit points and
-	// therefore results are identical.
-	inline bool
 
 	// sampled mirrors the coordinator's metricsSampled decision for the
 	// current cycle: latched in Step before the workers are signalled (the
@@ -402,9 +394,9 @@ func partition(n, shards, alignUnit int) []int {
 }
 
 // newParRuntime builds the runtime for the shard boundaries bounds (see
-// partition) and, unless the inline driver is selected — one shard, or a
-// single-P host — starts the worker goroutines. The GOMAXPROCS decisions
-// (spin budget, inline mode) are latched here, once.
+// partition) and, with two shards or more, starts the worker goroutines —
+// on any host: New is what keeps a single P to one shard. The spin budget is
+// latched here, once.
 func newParRuntime(e *Engine, bounds []int) *parRuntime {
 	n := len(e.nodes)
 	s := len(bounds) - 1
@@ -447,18 +439,15 @@ func newParRuntime(e *Engine, bounds []int) *parRuntime {
 			p.shards[dst].inSrcs = append(p.shards[dst].inSrcs, int32(src))
 		}
 	}
-	if s > 1 { // one shard never consults the allocation cut
-		p.alwaysSerialAlloc = e.det.Enabled() && e.det.Threshold < 2
-		p.watermarked = e.det.Enabled() && e.det.Threshold >= 2
-		if p.watermarked {
-			for i := range e.nodes {
-				e.nodes[i].blocked.SetWatermark(e.det.Threshold - 1)
-			}
-		}
-	}
-	p.inline = s == 1 || runtime.GOMAXPROCS(0) == 1
-	if p.inline {
+	if s == 1 { // one shard never consults the allocation cut, nor waits
 		return p
+	}
+	p.alwaysSerialAlloc = e.det.Enabled() && e.det.Threshold < 2
+	p.watermarked = e.det.Enabled() && e.det.Threshold >= 2
+	if p.watermarked {
+		for i := range e.nodes {
+			e.nodes[i].blocked.SetWatermark(e.det.Threshold - 1)
+		}
 	}
 	p.workers = make([]workerSlot, s-1)
 	p.exited.Add(s - 1)
@@ -506,9 +495,9 @@ func (e *Engine) parWorker(p *parRuntime, id int) {
 
 // recordCycle is Step's metrics tail: the moved-flit total every cycle and,
 // on a sampled cycle that began at t0, the whole-cycle and per-phase timers
-// (the coordinator's clock: shard 0 under the pool, every shard inline), the
-// sync profile and the gauge sample. It runs on the coordinator after the
-// cycle's last commit point, so every shard's writes are visible.
+// (the coordinator's clock, shard 0's), the sync profile and the gauge
+// sample. It runs on the coordinator after the cycle's last commit point, so
+// every shard's writes are visible.
 func (e *Engine) recordCycle(p *parRuntime, t0 time.Time) {
 	m := e.met
 	// The shards' move plans survive until next cycle's reslice.
@@ -526,8 +515,8 @@ func (e *Engine) recordCycle(p *parRuntime, t0 time.Time) {
 	}
 	m.flitsSampled.SetInt(flits)
 	// Sync profile: the push-ring batch high watermark, the mirrored
-	// cross-shard push total and, under the pool (the inline driver has no
-	// concurrent shards to balance), per-shard busy time and its imbalance.
+	// cross-shard push total and, with two shards or more (one has nothing
+	// to balance), per-shard busy time and its imbalance.
 	var pushes int64
 	var hw int32
 	for i := range p.shards {
@@ -540,7 +529,7 @@ func (e *Engine) recordCycle(p *parRuntime, t0 time.Time) {
 	}
 	m.ringHW.SetInt(int64(hw))
 	m.ringPushes.Set(pushes)
-	if !p.inline {
+	if len(p.shards) > 1 {
 		minB, maxB := int64(-1), int64(0)
 		for i := range p.shards {
 			b := p.shards[i].busyNS
@@ -560,7 +549,7 @@ func (e *Engine) recordCycle(p *parRuntime, t0 time.Time) {
 }
 
 // The schedule, written once as the section and commit functions below and
-// walked by the two drivers:
+// walked by cycleShard:
 //
 //	section 1  promoteRetriesRange, pollRange     B1   commitGenerate
 //	section 2  injectRange (+ trigger pre-scan)   B2   commitInject
@@ -578,11 +567,13 @@ func (e *Engine) recordCycle(p *parRuntime, t0 time.Time) {
 // separates the passes; the rings' cycle stamps make each consumer wait
 // exactly for its producers.
 
-// cycleShard is the barrier driver: one shard's slice of a cycle, with a
+// cycleShard is the cycle driver: one shard's slice of a cycle, with a
 // barrier at each commit point. The commit runs at barrier arrival —
 // whichever shard arrives last executes it before releasing the generation
 // (commits walk all shards in ascending order, so the executor's identity
-// is irrelevant to the result).
+// is irrelevant to the result). A one-shard engine runs it on the caller
+// alone: every arrival is the last, and the barrier generation still ticks
+// once per commit point, so the synchronisation budget stays observable.
 func (e *Engine) cycleShard(p *parRuntime, id int) {
 	sh := &p.shards[id]
 	sh.clk.begin(p.sampled)
@@ -613,7 +604,7 @@ func (e *Engine) cycleShard(p *parRuntime, id int) {
 	e.sync(p, sh, 3, phMove, (*Engine).commitEvents)
 }
 
-// sync ends a section of the barrier driver at barrier b (0..3 = B1..B4;
+// sync ends a section of the cycle driver at barrier b (0..3 = B1..B4;
 // B2a shares B2's slot): the last shard to arrive runs commit and releases
 // the rest, everyone else waits. On sampled cycles the section's time —
 // the commit included, for the shard that ran it — is charged to phase ph
@@ -635,70 +626,6 @@ func (e *Engine) sync(p *parRuntime, sh *parShard, b, ph int, commit func(*Engin
 		e.met.barrierWait[b].Observe(float64(now.Sub(sh.clk.mark).Nanoseconds()))
 		sh.clk.mark = now
 	}
-}
-
-// cycleInline is the single-goroutine driver: the same sections with the
-// same commit points, run over every shard in ascending order. Each section
-// is an interleaving the barrier schedule already admits (shard work within
-// a section commutes; the commits sit exactly where the barrier arrivals
-// run them), so the results are bit-identical to the worker pool. On
-// trigger-free cycles the switch pass runs per shard right after its
-// allocation pass, which keeps the shard's node arena hot across the two
-// walks. The barrier generation counter still ticks once per commit point
-// so the synchronisation budget stays observable.
-func (e *Engine) cycleInline(p *parRuntime) {
-	shards := p.shards
-	clk := &shards[0].clk
-	clk.begin(p.sampled)
-
-	for i := range shards {
-		e.generateRange(&shards[i])
-	}
-	e.commitGenerate(p)
-	p.bar.gen.Add(1)
-	clk.lap(phGenerate)
-
-	for i := range shards {
-		e.injectRange(p, &shards[i])
-	}
-	e.commitInject(p)
-	p.bar.gen.Add(1)
-	clk.lap(phInject)
-
-	if cut := int(p.allocCut); cut < len(e.nodes) {
-		for i := range shards {
-			e.allocRange(shards[i].lo, min(shards[i].hi, cut))
-		}
-		e.allocSuffix(p)
-		p.bar.gen.Add(1)
-		clk.lap(phRoute)
-		for i := range shards {
-			sh := &shards[i]
-			sh.moves = e.switchRange(sh.lo, sh.hi, sh.moves[:0])
-		}
-		clk.lap(phSwitch)
-	} else {
-		for i := range shards {
-			sh := &shards[i]
-			e.allocRange(sh.lo, sh.hi)
-			clk.lap(phRoute)
-			sh.moves = e.switchRange(sh.lo, sh.hi, sh.moves[:0])
-			clk.lap(phSwitch)
-		}
-	}
-	p.bar.gen.Add(1)
-
-	// Every ring is published before any is drained, so the drain pass
-	// never waits.
-	for i := range shards {
-		e.moveSourceRange(p, &shards[i], i)
-	}
-	for i := range shards {
-		e.moveDrainRings(p, &shards[i], i)
-	}
-	e.commitEvents(p)
-	p.bar.gen.Add(1)
-	clk.lap(phMove)
 }
 
 // generateRange is section 1 over one shard: fault-retry promotion (fault

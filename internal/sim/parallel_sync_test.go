@@ -13,8 +13,13 @@ import (
 // exactly 4 barriers, and even a trigger cycle — where the allocation
 // phase splits around the serial suffix — at most 5. The barrier
 // generation counter advances by one per barrier, so the per-Step delta
-// is the barrier count.
+// is the barrier count. GOMAXPROCS is raised so that New builds the four
+// shards on any host.
 func TestBarrierBudget(t *testing.T) {
+	restore := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(restore)
+	runtime.GOMAXPROCS(2)
+
 	// Light load under the default limiter: no blockage counter ever nears
 	// the detection threshold, so every cycle takes the trigger-free path.
 	cfg := QuickConfig()
@@ -25,6 +30,9 @@ func TestBarrierBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	if len(e.par.shards) != 4 {
+		t.Fatalf("engine built %d shards, want 4", len(e.par.shards))
+	}
 	for c := 0; c < 500; c++ {
 		before := e.par.bar.gen.Load()
 		e.Step()
@@ -107,7 +115,8 @@ func TestTriggerBarrierWaitTimed(t *testing.T) {
 // GOMAXPROCS at construction, against the named constants and the one
 // ordering that matters: a single-P host gets no spin at all (spinning can
 // never make another shard arrive there), oversubscribed partitions a short
-// one, and a P-per-shard machine the full budget.
+// one, and a P-per-shard machine the full budget. The four shards come from
+// explicit bounds, which New would not build on one P.
 func TestBarrierSpinAdaptive(t *testing.T) {
 	restore := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(restore)
@@ -116,17 +125,16 @@ func TestBarrierSpinAdaptive(t *testing.T) {
 		t.Fatalf("budgets out of order: want 0 < spinOversubscribed (%d) < spinPerP (%d)",
 			spinOversubscribed, spinPerP)
 	}
-	cfg := QuickConfig()
-	cfg.Workers = 4
 	for _, tc := range []struct {
 		procs int
 		want  int32
 	}{{1, 0}, {2, spinOversubscribed}, {4, spinPerP}} {
 		runtime.GOMAXPROCS(tc.procs)
-		e, err := New(cfg)
+		e, err := New(QuickConfig()) // one shard, no workers to replace
 		if err != nil {
 			t.Fatal(err)
 		}
+		e.par = newParRuntime(e, partition(len(e.nodes), 4, alignNodes))
 		if got := e.par.bar.spin; got != tc.want {
 			t.Errorf("GOMAXPROCS=%d, 4 shards: spin = %d, want %d", tc.procs, got, tc.want)
 		}
@@ -135,8 +143,8 @@ func TestBarrierSpinAdaptive(t *testing.T) {
 }
 
 // TestParallelGoroutinePath forces the worker-pool schedule on hosts where
-// newParRuntime would latch the inline one: with GOMAXPROCS raised above
-// one before construction, real workers spawn, and their preemptive
+// New would build one shard: with GOMAXPROCS raised above one before
+// construction, real workers spawn, and their preemptive
 // interleaving (plus, under -race, the race detector) exercises the
 // barrier protocol and the push rings no matter what machine the suite
 // runs on. The saturated-recovery scenario keeps the trigger path and its
@@ -151,7 +159,7 @@ func TestParallelGoroutinePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probe.par.inline || len(probe.par.workers) == 0 {
+	if len(probe.par.workers) != 3 {
 		probe.Close()
 		t.Fatal("GOMAXPROCS=2 engine did not take the worker-pool path")
 	}
@@ -216,8 +224,13 @@ func TestDefaultWorkersClamp(t *testing.T) {
 // count allows, the partition always covers [0, n) exactly with non-empty
 // shards, and — since golden equivalence already proves results are
 // partition-independent — a large aligned topology still reproduces the
-// plain split's invariants.
+// plain split's invariants. GOMAXPROCS is raised so that New builds the
+// three shards on any host.
 func TestShardAlignmentPartition(t *testing.T) {
+	restore := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(restore)
+	runtime.GOMAXPROCS(2)
+
 	cfg := QuickConfig()
 	cfg.K, cfg.N = 8, 2 // 64 nodes, 8 to a 64-byte line of status words
 	cfg.Rate = 0.7
@@ -228,6 +241,9 @@ func TestShardAlignmentPartition(t *testing.T) {
 	}
 	defer e.Close()
 	p := e.par
+	if len(p.shards) != 3 {
+		t.Fatalf("engine built %d shards, want 3", len(p.shards))
+	}
 	unit := alignNodes
 	prev := 0
 	for i := range p.shards {

@@ -218,6 +218,36 @@ func TestParallelWorkerClamp(t *testing.T) {
 	}
 }
 
+// TestOneShardOnOneP: on a single-P host New builds one shard whatever Workers
+// says — shards could only time-slice the one P, and one shard gives the same
+// bits — so the engine starts no worker goroutine and still reproduces the
+// serial reference.
+func TestOneShardOnOneP(t *testing.T) {
+	restore := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(restore)
+	runtime.GOMAXPROCS(1)
+
+	const row = "faults-storm"
+	cfg, want := equivalenceConfigs()[row], serialReference(t)[row]
+	for _, workers := range []int{2, 4} {
+		label := fmt.Sprintf("workers=%d on one P", workers)
+		cfg.Workers = workers
+		base := runtime.NumGoroutine()
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(e.par.shards); got != 1 {
+			t.Errorf("%s: %d shards, want 1", label, got)
+		}
+		if got := runtime.NumGoroutine(); got > base {
+			t.Errorf("%s: %d goroutines after New, %d before", label, got, base)
+		}
+		finishReference(t, label, e, &eventTap{}, want)
+		e.Close()
+	}
+}
+
 // TestParallelCloseMidRun closes the worker pool at cycle 1 000 of a
 // four-shard run and finishes on the one shard Close re-partitions to — the
 // second time with an in-place Snapshot/Restore 1 000 cycles later. Between

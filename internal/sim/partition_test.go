@@ -96,9 +96,9 @@ func boundarySets(n, count int) [][]int {
 
 // TestAnyPartitionSameRun is the partition-independence property: an engine
 // built over any shard boundaries — not just the ones partition picks —
-// reproduces the recorded serial reference, on the single-goroutine driver
-// and (GOMAXPROCS raised, as in TestParallelGoroutinePath) on the worker
-// pool. The two rows keep every commit point busy: kills, retries, repairs
+// reproduces the recorded serial reference on the worker pool, with one P
+// (explicit bounds start the pool where New would build one shard) and with
+// two. The two rows keep every commit point busy: kills, retries, repairs
 // and watermark-predicted recoveries (faults-storm), rogue injectors and
 // per-class accounting (adversarial). The hand-built sets run on both rows,
 // the random ones on alternating rows.
@@ -126,8 +126,8 @@ func TestAnyPartitionSameRun(t *testing.T) {
 					t.Fatal(err)
 				}
 				e.par = newParRuntime(e, bounds)
-				if pool := !e.par.inline; pool != (procs > 1) {
-					t.Fatalf("%s: worker pool = %v", label, pool)
+				if got := len(e.par.workers); got != len(bounds)-2 {
+					t.Fatalf("%s: %d workers, want one per shard but the caller's", label, got)
 				}
 				finishReference(t, label, e, &eventTap{}, ref[row])
 				e.Close()

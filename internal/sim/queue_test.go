@@ -236,8 +236,13 @@ func TestRetryKeepsItsHistoryThroughTheQueue(t *testing.T) {
 // injection section, where a channel claimed this cycle is busy by its cached
 // length but has no message yet. A header with no live way out of its source
 // must still be found there, so that the kill fires at the allocation suffix's
-// commit point and not inside a section shards share.
+// commit point and not inside a section shards share. The pre-scan runs on
+// two shards only, so GOMAXPROCS is raised for New to build them on any host.
 func TestDeadEndSeesChannelClaimedThisCycle(t *testing.T) {
+	restore := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(restore)
+	runtime.GOMAXPROCS(2)
+
 	up := topology.PortFor(0, topology.Plus)
 	// 1 -> 2 is one hop in the Plus direction of dimension 0 and nothing else.
 	e := scripted(t, map[topology.NodeID][]traffic.Event{1: {{Cycle: 10, Dst: 2, Length: 8}}}, func(c *Config) {
@@ -245,6 +250,9 @@ func TestDeadEndSeesChannelClaimedThisCycle(t *testing.T) {
 		c.Workers = 2
 	})
 	defer e.Close()
+	if len(e.par.shards) != 2 {
+		t.Fatalf("engine built %d shards, want 2", len(e.par.shards))
+	}
 	stepN(t, e, 10)
 	if cut := int(e.par.allocCut); cut != len(e.nodes) {
 		t.Fatalf("allocation cut at %d with nothing in flight", cut)

@@ -205,7 +205,7 @@ func (e *Engine) scalarSwitchRange(lo, hi int, reqsFlat []int32, moves []move) [
 }
 
 // scalarDriver steps an engine through the cycle schedule by hand (one shard,
-// the sections and commits of cycleInline) with both allocators at every
+// the sections and commits of cycleShard) with both allocators at every
 // decision point: each header is decided by scalarAllocate and then by
 // allocate on the same state, each cycle's grants by scalarSwitchRange and then,
 // from the same fresh masks and arbiter pointers, by switchRange.

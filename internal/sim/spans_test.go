@@ -233,18 +233,18 @@ func TestSpanSampling(t *testing.T) {
 
 // TestSpanSyncProfilePopulated checks the parallel engine's sync-profile
 // series fill in on a worker-pool run: barrier waits, shard busy times and
-// the ring counters. The barrier/busy series exist only on the worker-pool
-// schedule — at GOMAXPROCS=1 the engine latches the inline single-goroutine
-// path, which has no barrier waits to measure, so that part is skipped.
+// the ring counters. GOMAXPROCS is raised so that New builds the four shards
+// on any host (one shard has no barrier waits to measure).
 func TestSpanSyncProfilePopulated(t *testing.T) {
+	restore := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(restore)
+	runtime.GOMAXPROCS(2)
+
 	cfg := QuickConfig()
 	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 200, 800, 100
 	_, _, _, reg, _ := runSpanned(t, cfg, 4)
 	if n := metricValue(t, reg, "sim_ring_pushes_total"); n == 0 {
 		t.Error("no cross-shard ring pushes recorded on a sharded torus run")
-	}
-	if runtime.GOMAXPROCS(0) == 1 {
-		t.Skip("inline parallel schedule (GOMAXPROCS=1): no barrier waits to profile")
 	}
 	for _, name := range []string{
 		"sim_barrier_wait_b1_ns", "sim_barrier_wait_b2_ns",

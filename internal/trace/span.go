@@ -140,9 +140,3 @@ func (m MultiSpan) SpanDone(s *SpanRecord) {
 		sk.SpanDone(s)
 	}
 }
-
-// SpanFunc adapts a function to the SpanSink interface.
-type SpanFunc func(*SpanRecord)
-
-// SpanDone implements SpanSink.
-func (f SpanFunc) SpanDone(s *SpanRecord) { f(s) }

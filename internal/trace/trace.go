@@ -9,18 +9,21 @@
 //
 // # Decorators
 //
-// Listeners compose. Filter wraps another Listener and forwards a subset of
-// kinds (a nil Kinds set forwards everything, so the zero-value restriction
-// is "no restriction"); Multi fans one event out to several listeners in
-// order; Func adapts a plain function. The decorators hold no state of
-// their own and add no synchronization — concurrency safety is wherever
-// the terminal listener provides it (Recorder locks; a Func is whatever the
-// function is). A typical stack:
+// Listeners compose. Multi fans one event out to several listeners in
+// order; Func adapts a plain function, which is also how a listener picks
+// the kinds it wants. The decorators hold no state of their own and add no
+// synchronization — concurrency safety is wherever the terminal listener
+// provides it (Recorder locks; a Func is whatever the function is). A
+// typical stack:
 //
 //	rec := trace.NewRecorder(1024)
 //	eng.SetListener(trace.Multi{
 //		rec,
-//		trace.Filter{Next: sink, Kinds: map[trace.Kind]bool{trace.KindDeadlock: true}},
+//		trace.Func(func(ev trace.Event) {
+//			if ev.Kind == trace.KindDeadlock {
+//				sink.Emit(ev)
+//			}
+//		}),
 //	})
 package trace
 
@@ -197,21 +200,6 @@ func (r *Recorder) Dump() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Filter is a Listener decorator that forwards only selected kinds. A nil
-// Kinds set means no filtering: every event passes. (An empty-but-non-nil
-// set still blocks everything — build the map only when restricting.)
-type Filter struct {
-	Next  Listener
-	Kinds map[Kind]bool
-}
-
-// Emit implements Listener.
-func (f Filter) Emit(ev Event) {
-	if f.Kinds == nil || f.Kinds[ev.Kind] {
-		f.Next.Emit(ev)
-	}
 }
 
 // Multi fans an event out to several listeners.

@@ -113,17 +113,6 @@ func TestDump(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	r := NewRecorder(8)
-	f := Filter{Next: r, Kinds: map[Kind]bool{KindDeadlock: true}}
-	f.Emit(ev(1, KindGenerated, 1))
-	f.Emit(ev(2, KindDeadlock, 1))
-	f.Emit(ev(3, KindInjected, 1))
-	if r.Len() != 1 || r.Events()[0].Kind != KindDeadlock {
-		t.Errorf("filter passed wrong events: %v", r.Events())
-	}
-}
-
 func TestMultiAndFunc(t *testing.T) {
 	r1, r2 := NewRecorder(4), NewRecorder(4)
 	calls := 0
@@ -134,37 +123,19 @@ func TestMultiAndFunc(t *testing.T) {
 	}
 }
 
-// TestFilterNilKinds pins the zero-value semantics: a Filter with no Kinds
-// set forwards everything (a zero-value Filter once dropped every event,
-// which silently disabled whole listener stacks).
-func TestFilterNilKinds(t *testing.T) {
-	r := NewRecorder(8)
-	f := Filter{Next: r}
-	f.Emit(ev(1, KindGenerated, 1))
-	f.Emit(ev(2, KindDeadlock, 1))
-	f.Emit(ev(3, KindDropped, 1))
-	if r.Len() != 3 {
-		t.Fatalf("nil Kinds must pass all events, got %d of 3", r.Len())
-	}
-	// An empty-but-non-nil set is an explicit "nothing".
-	f = Filter{Next: r, Kinds: map[Kind]bool{}}
-	f.Emit(ev(4, KindGenerated, 1))
-	if r.Len() != 3 {
-		t.Error("empty non-nil Kinds must block all events")
-	}
-}
-
-// TestDecoratorComposition stacks Multi, Filter and Func the way the CLI
-// composes them: one fan-out feeding a filtered sink and an unfiltered one.
+// TestDecoratorComposition stacks Multi and Func the way the package doc
+// does: one fan-out feeding an unfiltered sink and a Func that keeps only the
+// kinds it wants.
 func TestDecoratorComposition(t *testing.T) {
 	all := NewRecorder(16)
 	var deadlocks []Event
 	stack := Multi{
 		all,
-		Filter{
-			Next:  Func(func(e Event) { deadlocks = append(deadlocks, e) }),
-			Kinds: map[Kind]bool{KindDeadlock: true, KindDropped: true},
-		},
+		Func(func(e Event) {
+			if e.Kind == KindDeadlock || e.Kind == KindDropped {
+				deadlocks = append(deadlocks, e)
+			}
+		}),
 	}
 	for i := int64(0); i < 6; i++ {
 		stack.Emit(ev(i, KindInjected, i))
