@@ -56,6 +56,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -162,6 +163,12 @@ func run() int {
 	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
+	}
+
+	ckptEveryGiven := false
+	flag.Visit(func(f *flag.Flag) { ckptEveryGiven = ckptEveryGiven || f.Name == "checkpoint-every" })
+	if err := unmetFlagNeeds(*flightSatThreshold, *flightOut, ckptEveryGiven, *ckptPath); err != nil {
+		return fail(err)
 	}
 
 	faulty := prof.LinkFraction > 0 || prof.RouterFraction > 0
@@ -496,6 +503,19 @@ func run() int {
 		fmt.Println()
 	}
 	return 0
+}
+
+// unmetFlagNeeds refuses a flag given without the flag its help says it needs,
+// which would otherwise be ignored: a saturation trigger with no flight
+// recorder to dump, or an explicit checkpoint cadence with no checkpoint file.
+func unmetFlagNeeds(flightSatThreshold int, flightOut string, ckptEveryGiven bool, ckptPath string) error {
+	if flightSatThreshold > 0 && flightOut == "" {
+		return errors.New("wormsim: -flight-sat-threshold needs -flight-out")
+	}
+	if ckptEveryGiven && ckptPath == "" {
+		return errors.New("wormsim: -checkpoint-every needs -checkpoint")
+	}
+	return nil
 }
 
 // startProgress launches the stderr heartbeat goroutine and returns its stop

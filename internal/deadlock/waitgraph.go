@@ -136,24 +136,3 @@ func (g *WaitGraph) Deadlocked() []int64 {
 
 // HasDeadlock reports whether the fixpoint leaves any message deadlocked.
 func (g *WaitGraph) HasDeadlock() bool { return len(g.Deadlocked()) > 0 }
-
-// WaitsOn returns, for a blocked message, the union of messages blocking
-// any of its options (diagnostics for counterexample reports), ascending.
-func (g *WaitGraph) WaitsOn(id int64) []int64 {
-	i, ok := g.index[id]
-	if !ok {
-		return nil
-	}
-	seen := make(map[int64]struct{})
-	var out []int64
-	for _, opt := range g.msgs[i].opts {
-		for _, b := range g.blockers[opt[0]:opt[1]] {
-			if _, dup := seen[b]; !dup {
-				seen[b] = struct{}{}
-				out = append(out, b)
-			}
-		}
-	}
-	slices.Sort(out)
-	return out
-}

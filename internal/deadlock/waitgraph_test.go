@@ -155,21 +155,6 @@ func TestWaitGraphTable(t *testing.T) {
 	}
 }
 
-// TestWaitGraphWaitsOn checks the diagnostic edge listing.
-func TestWaitGraphWaitsOn(t *testing.T) {
-	g := NewWaitGraph()
-	g.AddBlocked(1)
-	g.AddOption(1, 3)
-	g.AddOption(1, 2)
-	g.AddOption(1, 3, 2)
-	if got := g.WaitsOn(1); !reflect.DeepEqual(got, []int64{2, 3}) {
-		t.Fatalf("WaitsOn(1) = %v, want [2 3]", got)
-	}
-	if got := g.WaitsOn(42); got != nil {
-		t.Fatalf("WaitsOn(unknown) = %v, want nil", got)
-	}
-}
-
 // TestWaitGraphOrderIndependence: the fixpoint must not depend on
 // insertion order (the engine feeds messages in ID order, but the oracle
 // should not rely on that).

@@ -161,15 +161,6 @@ func (m *Message) Latency() int64 {
 	return m.DeliverTime - m.GenTime
 }
 
-// NetworkLatency returns cycles spent between first-flit injection and
-// delivery, excluding source-queue time.
-func (m *Message) NetworkLatency() int64 {
-	if m.DeliverTime < 0 || m.InjectTime < 0 {
-		panic(fmt.Sprintf("message %d not delivered", m.ID))
-	}
-	return m.DeliverTime - m.InjectTime
-}
-
 // DropReason explains why the fault machinery permanently dropped a
 // message.
 type DropReason string

@@ -34,9 +34,6 @@ func TestLatency(t *testing.T) {
 	if got := m.Latency(); got != 50 {
 		t.Errorf("Latency=%d want 50", got)
 	}
-	if got := m.NetworkLatency(); got != 35 {
-		t.Errorf("NetworkLatency=%d want 35", got)
-	}
 }
 
 func TestLatencyPanicsUndelivered(t *testing.T) {

@@ -272,6 +272,3 @@ func (f *FlightRecorder) Dumps() int {
 	defer f.mu.Unlock()
 	return f.dumps
 }
-
-// Recorder exposes the underlying ring, e.g. to print the tail after a run.
-func (f *FlightRecorder) Recorder() *trace.Recorder { return f.ring }

@@ -10,8 +10,8 @@ import (
 // — across the shard counts the engine uses, with the same adaptive spin
 // budget newParRuntime would pick on this host. ns/op is the pure
 // synchronisation cost the cycle pays per barrier (4 per steady-state
-// cycle); multiplying it out against BenchmarkEngineCyclesParallel
-// separates sync overhead from per-shard work.
+// cycle); multiplying it out against the knee-workers2 ledger row's cycles/s
+// (bash bench/run.sh) separates sync overhead from per-shard work.
 func BenchmarkPhaseBarrier(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

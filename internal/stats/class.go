@@ -49,9 +49,6 @@ func (c *Collector) EnableClasses(names []string, classOf []uint8) {
 	c.classes = make([]classAcc, len(names))
 }
 
-// ClassesEnabled reports whether per-class accounting is on.
-func (c *Collector) ClassesEnabled() bool { return c.classes != nil }
-
 // ClassOf returns the per-node class map (nil when classes are disabled).
 // Callers must not mutate it.
 func (c *Collector) ClassOf() []uint8 { return c.classOf }

@@ -15,7 +15,7 @@ func classFixture() *Collector {
 
 func TestClassAttribution(t *testing.T) {
 	c := classFixture()
-	if !c.ClassesEnabled() {
+	if c.ClassResults() == nil {
 		t.Fatal("classes not enabled")
 	}
 	// Two good generations, one rogue; deliveries split likewise.
@@ -65,7 +65,7 @@ func TestClassAttribution(t *testing.T) {
 
 func TestClassResultsDisabled(t *testing.T) {
 	c := NewCollector(4, 100, 200)
-	if c.ClassesEnabled() || c.ClassResults() != nil || c.ClassOf() != nil {
+	if c.ClassResults() != nil || c.ClassOf() != nil {
 		t.Fatal("class accounting active without EnableClasses")
 	}
 }

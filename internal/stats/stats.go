@@ -242,12 +242,6 @@ func (f *Fairness) Spread() (worst, best float64) {
 	return worst, best
 }
 
-// MaxAbsDeviation returns the largest |deviation| in percent.
-func (f *Fairness) MaxAbsDeviation() float64 {
-	worst, best := f.Spread()
-	return math.Max(math.Abs(worst), math.Abs(best))
-}
-
 // SortedDeviations returns the deviations in ascending order (useful for
 // plotting Figure-4-style curves).
 func (f *Fairness) SortedDeviations() []float64 {

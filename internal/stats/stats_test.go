@@ -184,9 +184,6 @@ func TestFairness(t *testing.T) {
 	if worst != -50 || best != 50 {
 		t.Errorf("Spread=(%v,%v)", worst, best)
 	}
-	if f.MaxAbsDeviation() != 50 {
-		t.Errorf("MaxAbsDeviation=%v", f.MaxAbsDeviation())
-	}
 	sorted := f.SortedDeviations()
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i] < sorted[i-1] {

@@ -93,18 +93,6 @@ func (s *SpanRecord) NetLatency() int64 {
 	return s.Deliver - s.Admit
 }
 
-// BlockedCycles sums the per-hop acquire block time (Alloc - Arrive over
-// hops that won a channel).
-func (s *SpanRecord) BlockedCycles() int64 {
-	var total int64
-	for _, h := range s.Hops {
-		if h.Alloc >= 0 {
-			total += h.Alloc - h.Arrive
-		}
-	}
-	return total
-}
-
 // DrainCycles returns the drain time: last channel grant to tail delivery.
 // -1 when the message was not delivered or recorded no granted hop.
 func (s *SpanRecord) DrainCycles() int64 {

@@ -29,7 +29,6 @@ package trace
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"wormnet/internal/topology"
@@ -190,16 +189,6 @@ func (r *Recorder) MessageHistory(msgID int64) []Event {
 		}
 	}
 	return out
-}
-
-// Dump renders the retained events as a multi-line log.
-func (r *Recorder) Dump() string {
-	var b strings.Builder
-	for _, ev := range r.Events() {
-		b.WriteString(ev.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // Multi fans an event out to several listeners.

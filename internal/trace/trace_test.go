@@ -103,16 +103,6 @@ func TestMessageHistory(t *testing.T) {
 	}
 }
 
-func TestDump(t *testing.T) {
-	r := NewRecorder(4)
-	r.Emit(ev(1, KindGenerated, 7))
-	r.Emit(ev(2, KindDeadlock, 7))
-	d := r.Dump()
-	if strings.Count(d, "\n") != 2 || !strings.Contains(d, "deadlock") {
-		t.Errorf("dump:\n%s", d)
-	}
-}
-
 func TestMultiAndFunc(t *testing.T) {
 	r1, r2 := NewRecorder(4), NewRecorder(4)
 	calls := 0

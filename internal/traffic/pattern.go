@@ -174,37 +174,6 @@ func (p *Tornado) Destination(src topology.NodeID, _ *rand.Rand) topology.NodeID
 // Name implements Pattern.
 func (p *Tornado) Name() string { return "tornado" }
 
-// HotSpot sends a fraction of the traffic to a single hotspot node and the
-// remainder uniformly.
-type HotSpot struct {
-	uniform  *Uniform
-	hot      topology.NodeID
-	fraction float64
-}
-
-// NewHotSpot returns a pattern that directs fraction (0..1) of all messages
-// to node hot and distributes the rest uniformly.
-func NewHotSpot(t *topology.Torus, hot topology.NodeID, fraction float64) *HotSpot {
-	if fraction < 0 || fraction > 1 {
-		panic(fmt.Sprintf("traffic: hotspot fraction %v out of [0,1]", fraction))
-	}
-	if !t.Valid(hot) {
-		panic(fmt.Sprintf("traffic: hotspot node %d invalid", hot))
-	}
-	return &HotSpot{uniform: NewUniform(t), hot: hot, fraction: fraction}
-}
-
-// Destination implements Pattern.
-func (p *HotSpot) Destination(src topology.NodeID, rng *rand.Rand) topology.NodeID {
-	if rng.Float64() < p.fraction && src != p.hot {
-		return p.hot
-	}
-	return p.uniform.Destination(src, rng)
-}
-
-// Name implements Pattern.
-func (p *HotSpot) Name() string { return "hotspot" }
-
 // ByName constructs one of the named patterns for torus t. Recognised names:
 // uniform, butterfly, complement, bit-reversal, perfect-shuffle, transpose,
 // tornado. It returns an error for unknown names or when a bit-permutation

@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -197,45 +196,6 @@ func TestTornado(t *testing.T) {
 	tp5 := topology.New(5, 1)
 	if got := NewTornado(tp5).Destination(0, nil); got != 2 {
 		t.Errorf("tornado k=5 dest = %d want 2", got)
-	}
-}
-
-func TestHotSpot(t *testing.T) {
-	tp := topology.New(4, 2)
-	p := NewHotSpot(tp, 5, 0.5)
-	r := rng()
-	hits := 0
-	const draws = 10000
-	for i := 0; i < draws; i++ {
-		if p.Destination(0, r) == 5 {
-			hits++
-		}
-	}
-	// 50% direct + ~1/15 of the uniform remainder ≈ 53%.
-	frac := float64(hits) / draws
-	if math.Abs(frac-0.533) > 0.03 {
-		t.Errorf("hotspot fraction %.3f, want ≈0.533", frac)
-	}
-	if p.Name() != "hotspot" {
-		t.Error("name")
-	}
-}
-
-func TestHotSpotValidation(t *testing.T) {
-	tp := topology.New(4, 2)
-	for _, f := range []func(){
-		func() { NewHotSpot(tp, 0, -0.1) },
-		func() { NewHotSpot(tp, 0, 1.1) },
-		func() { NewHotSpot(tp, 99, 0.5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
 	}
 }
 
