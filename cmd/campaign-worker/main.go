@@ -4,14 +4,13 @@
 // its own process), streams heartbeats and live metric snapshots while it
 // runs, uploads periodic WNCP checkpoints so the point stays migratable, and
 // commits the result exactly once. If the coordinator holds a migrated
-// checkpoint from a dead worker, this worker resumes it bit-identically —
-// at any -workers setting, since engine results are independent of the
-// worker-goroutine count.
+// checkpoint from a dead worker, this worker resumes it bit-identically.
+// Every point runs on one core; a host runs one worker process per core.
 //
 // Examples:
 //
 //	campaign-worker -connect http://127.0.0.1:8080
-//	campaign-worker -connect http://farm:8080 -name rack7 -workers 4
+//	campaign-worker -connect http://farm:8080 -name rack7
 //	campaign-worker -connect http://farm:8080 -exit-when-done
 //
 // With -monitor the worker serves its own /healthz (build version plus the
@@ -47,7 +46,6 @@ func run() int {
 	url := flag.String("connect", "", "coordinator base URL (required), e.g. http://127.0.0.1:8080")
 	name := flag.String("name", "", "worker name shown in leases and manifests (default host-pid)")
 	campaignID := flag.String("campaign", "", "work only this campaign id (default: any)")
-	workers := flag.Int("workers", 1, "engine worker goroutines per point (results are identical for any count; raise it when a host runs fewer worker processes than it has CPUs — a point is ~1.5 times faster at 2 on two idle CPUs; a spec's engine_workers > 0 overrides this)")
 	poll := flag.Duration("poll", 500*time.Millisecond, "idle wait between acquire attempts when no work is assignable")
 	exitWhenDone := flag.Bool("exit-when-done", false, "exit once the coordinator reports every campaign terminal")
 	monitorAddr := flag.String("monitor", "", "serve the worker's own /healthz and /debug/pprof on this address")
@@ -77,7 +75,6 @@ func run() int {
 		URL:              *url,
 		Name:             *name,
 		Campaign:         *campaignID,
-		Workers:          *workers,
 		Poll:             *poll,
 		ExitWhenDone:     *exitWhenDone,
 		KillAfterUploads: *killAfter,

@@ -11,6 +11,8 @@
 //	figures -csv out.csv    # additionally dump CSV rows for plotting
 //	figures -jsonl out.jsonl# additionally stream structured per-point records
 //
+// A figure runs its points side by side, one one-shard engine per CPU.
+//
 // SIGINT/SIGTERM stop the run at the next figure boundary: finished figures
 // are already printed (and flushed to -csv/-jsonl), the rest are skipped and
 // the process exits 130.
@@ -27,7 +29,6 @@ import (
 
 	"wormnet/internal/experiments"
 	"wormnet/internal/obs"
-	"wormnet/internal/sim"
 )
 
 func main() {
@@ -39,8 +40,6 @@ func run() (code int) {
 	quick := flag.Bool("quick", false, "run the reduced-scale configuration")
 	csvPath := flag.String("csv", "", "also append CSV rows to this file")
 	jsonlPath := flag.String("jsonl", "", "also stream a manifest plus one record per measured point (JSONL) to this file")
-	workers := flag.Int("workers", 1,
-		"engine worker goroutines per run (results are identical for any count; the runner already keeps every CPU busy with one run each, so raise this only for a figure of fewer runs than CPUs)")
 	flag.Parse()
 
 	fail := func(err error) int {
@@ -103,23 +102,6 @@ func run() (code int) {
 		jsonl = w
 	}
 
-	// A multi-worker executor shards each engine; simulation results stay
-	// bit-identical to serial, only wall-clock changes.
-	var exec experiments.Executor
-	if *workers > 1 {
-		w := *workers
-		exec = func(cfg sim.Config) *sim.Engine {
-			cfg.Workers = w
-			e, err := sim.New(cfg)
-			if err != nil {
-				panic(fmt.Sprintf("figures: bad config: %v", err))
-			}
-			e.Run()
-			e.Close()
-			return e
-		}
-	}
-
 	// Figures run minutes at full scale: let ^C land between them instead of
 	// tearing the table mid-print.
 	sigCh := make(chan os.Signal, 1)
@@ -137,7 +119,7 @@ func run() (code int) {
 		default:
 		}
 		start := time.Now()
-		rep := ex.Run(scale, exec)
+		rep := ex.Run(scale, nil)
 		fmt.Print(rep.Render())
 		fmt.Printf("(%s completed in %v)\n\n", ex.ID, time.Since(start).Round(time.Second))
 		if csv != nil {

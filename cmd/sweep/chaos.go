@@ -4,9 +4,10 @@ package main
 // killed at an arbitrary cycle and resumed from its checkpoint converges to
 // the uninterrupted run bit for bit. Each point runs twice — once golden,
 // once killed at a pseudo-random cycle, snapshotted through the full
-// checkpoint codec (encode → decode), restored at a *different* worker count
+// checkpoint codec (encode → decode), restored at a *different* shard count
 // and run to completion — and the two must agree on the summary, the
-// all-time counters and the complete trace event stream.
+// all-time counters and the complete trace event stream. Every point does
+// this in both directions: one shard to four, and four to one.
 
 import (
 	"bytes"
@@ -41,15 +42,15 @@ func counters(e *sim.Engine) [6]int64 {
 	return [6]int64{e.Generated(), e.Delivered(), e.Recovered(), e.Aborted(), e.Retried(), e.Dropped()}
 }
 
-// chaosPoint runs the golden/kill/resume comparison for one point and
-// returns an error describing the first divergence, or nil.
-func chaosPoint(pt campaign.Point, workers int) error {
+// chaosPoint runs the golden/kill/resume comparison for one point killed on
+// shards shards and returns an error describing the first divergence, or nil.
+func chaosPoint(pt campaign.Point, shards int) error {
 	cfg := pt.Config
-	cfg.Workers = workers
+	cfg.Workers = shards
 	total := cfg.TotalCycles()
 	killAt := 1 + int64(splitmix64(cfg.Seed^uint64(pt.Index))%uint64(total-1))
 
-	// Golden: uninterrupted at the configured worker count.
+	// Golden: uninterrupted at the same shard count.
 	golden, err := sim.New(cfg)
 	if err != nil {
 		return err
@@ -84,7 +85,7 @@ func chaosPoint(pt campaign.Point, workers int) error {
 		return err
 	}
 
-	// Resurrected in a "new process": restored at the other worker count to
+	// Resurrected in a "new process": restored at the other shard count to
 	// pin that recovery does not depend on the sharding of the dead run.
 	rcfg := cfg
 	if rcfg.Workers == 1 {
@@ -120,14 +121,22 @@ func chaosPoint(pt campaign.Point, workers int) error {
 	return nil
 }
 
-// chaosSelfTest runs chaosPoint for every sweep point and reports pass/fail
-// per point. Returns the process exit code (0 all passed, 1 otherwise).
-func chaosSelfTest(points []campaign.Point, workers int) int {
-	fmt.Printf("chaos self-test: kill + checkpoint-resume vs uninterrupted, %d point(s), workers %d↔%d\n",
-		len(points), workers, map[bool]int{true: 4, false: 1}[workers == 1])
+// chaosSelfTest runs chaosPoint for every sweep point, killed on one shard
+// and on four, and reports pass/fail per point. Returns the process exit code
+// (0 all passed, 1 otherwise).
+func chaosSelfTest(points []campaign.Point) int {
+	fmt.Printf("chaos self-test: kill + checkpoint-resume vs uninterrupted, %d point(s), shards 1→4 and 4→1\n",
+		len(points))
 	failed := 0
 	for _, pt := range points {
-		if err := chaosPoint(pt, workers); err != nil {
+		var err error
+		for _, shards := range []int{1, 4} {
+			if err = chaosPoint(pt, shards); err != nil {
+				err = fmt.Errorf("killed on %d shard(s): %w", shards, err)
+				break
+			}
+		}
+		if err != nil {
 			failed++
 			fmt.Printf("FAIL %s=%s: %v\n", "point", pt.Raw, err)
 			continue

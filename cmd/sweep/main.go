@@ -5,14 +5,16 @@
 // file as structured records (a run manifest, then one result record per
 // point).
 //
-// A sweep is a campaign (internal/campaign): a coordinator journals it and a
-// worker executes its points under the supervisor — wall/stall budgets,
-// retries, periodic checkpoints, a final checkpoint on SIGINT/SIGTERM. By
-// default both halves run in this process. -connect leaves the coordinator
-// in another process (campaignd, or a sweep -serve) and runs only the
-// worker; -serve runs only the coordinator and waits for workers
-// (campaign-worker, or a sweep -connect) to finish the sweep. The rows are
-// the same bits whichever way it ran and however often it was interrupted.
+// A sweep is a campaign (internal/campaign): a coordinator journals it and
+// worker loops execute its points under the supervisor — wall/stall budgets,
+// retries, periodic checkpoints, a final checkpoint on SIGINT/SIGTERM. The
+// sweep runs one loop per CPU (at most one per point), so its points run
+// side by side, each on a one-shard engine. By default coordinator and loops
+// run in this process. -connect leaves the coordinator in another process
+// (campaignd, or a sweep -serve) and runs only the loops; -serve runs only
+// the coordinator and waits for workers (campaign-worker, or a sweep
+// -connect) to finish the sweep. The rows are the same bits whichever way it
+// ran, on however many loops, and however often it was interrupted.
 //
 // With -out the coordinator journals to <dir>/<id>/ — spec.json,
 // manifest.json (atomic writes) and one point-NNN.wncp per point in flight —
@@ -41,13 +43,14 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
 	"wormnet/internal/campaign"
 	"wormnet/internal/obs"
-	"wormnet/internal/sim"
 )
 
 func main() {
@@ -91,8 +94,6 @@ func run() int {
 	flag.Int64Var(&spec.MeasureCycles, "measure", spec.MeasureCycles, "measurement cycles")
 	flag.Int64Var(&spec.DrainCycles, "drain", spec.DrainCycles, "drain cycles")
 	flag.Uint64Var(&spec.Seed, "seed", spec.Seed, "random seed")
-	workers := flag.Int("workers", 0,
-		"engine worker goroutines per run (results are identical for any count; 0 = one per CPU for a local sweep, which runs one point at a time, and 1 with -connect, where the fleet is the parallelism)")
 	flag.Float64Var(&spec.Faults, "faults", 0, "fraction of channels to fail in every run [0,1)")
 	flag.Uint64Var(&spec.FaultSeed, "fault-seed", spec.FaultSeed, "fault planner seed")
 	jsonlPath := flag.String("jsonl", "", "also write a run manifest plus one result record per point (JSONL) to this file")
@@ -122,12 +123,6 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	if *workers == 0 {
-		*workers = 1
-		if *connect == "" {
-			*workers = sim.DefaultWorkers()
-		}
-	}
 	given := false
 	flag.Visit(func(f *flag.Flag) { given = given || f.Name == "checkpoint-every" })
 	if !given {
@@ -135,7 +130,7 @@ func run() int {
 	}
 	switch {
 	case *chaos:
-		return chaosSelfTest(points, *workers)
+		return chaosSelfTest(points)
 	case *serve != "" && *connect != "":
 		return fail(fmt.Errorf("sweep: -serve and -connect are mutually exclusive"))
 	case *serve != "" && *out == "":
@@ -205,13 +200,7 @@ func run() int {
 		}
 		srv.Shutdown(2 * time.Second) //nolint:errcheck // exiting either way
 	} else {
-		err = campaign.RunWorker(ctx, campaign.WorkerOptions{
-			Transport:    f,
-			Campaign:     id,
-			Workers:      *workers,
-			ExitWhenDone: true,
-			Signals:      []os.Signal{os.Interrupt, syscall.SIGTERM},
-		})
+		err = runLoops(ctx, f, id, min(runtime.GOMAXPROCS(0), len(points)))
 	}
 	interrupted := ctx.Err() != nil || errors.Is(err, campaign.ErrWorkerInterrupted)
 	if err != nil && !interrupted {
@@ -236,6 +225,42 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// loopPoll is how long a worker loop with nothing to lease waits before it
+// asks again: the last loop to finish a point is what the sweep waits for,
+// and an idle loop must not add its wait on top.
+const loopPoll = 20 * time.Millisecond
+
+// runLoops runs n worker loops against the coordinator until the campaign is
+// done, each leasing one point at a time onto a one-shard engine, and waits
+// for all of them. It returns an interrupt if any loop was interrupted, else
+// the other loops' errors, joined.
+func runLoops(ctx context.Context, f farm, id string, n int) error {
+	host, _ := os.Hostname()
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = campaign.RunWorker(ctx, campaign.WorkerOptions{
+				Transport:    f,
+				Name:         fmt.Sprintf("%s-%d-%d", host, os.Getpid(), i),
+				Campaign:     id,
+				Poll:         loopPoll,
+				ExitWhenDone: true,
+				Signals:      []os.Signal{os.Interrupt, syscall.SIGTERM},
+			})
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if errors.Is(err, campaign.ErrWorkerInterrupted) {
+			return err
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // report prints the campaign as it stands in the journal: the CSV header and

@@ -5,7 +5,7 @@
 // fail — with work-stealing of expired leases and checkpoint *migration*: a
 // worker that dies mid-point leaves its last flushed WNCP checkpoint with
 // the coordinator, and the next worker resumes the point from it
-// bit-identically, at any engine worker count.
+// bit-identically.
 //
 // Exactly-once result commit: the coordinator is the single commit point.
 // A point's result lands in the manifest only through Complete holding the

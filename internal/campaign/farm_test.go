@@ -85,10 +85,9 @@ func serialResults(t *testing.T, spec *Spec) []stats.Result {
 
 // TestFarmChaosMigration is the acceptance test for the whole subsystem:
 // worker A leases point 0, uploads one checkpoint, and chaos-dies without a
-// word to the coordinator; after the lease TTL worker B — running a
-// different engine worker count — steals the point, resumes from the
-// migrated checkpoint, and finishes the campaign. Every committed result
-// must be bit-identical to a serial, never-interrupted run.
+// word to the coordinator; after the lease TTL worker B steals the point,
+// resumes from the migrated checkpoint, and finishes the campaign. Every
+// committed result must be bit-identical to a serial, never-interrupted run.
 func TestFarmChaosMigration(t *testing.T) {
 	overTransports(t, testFarmChaosMigration)
 }
@@ -106,12 +105,11 @@ func testFarmChaosMigration(t *testing.T, open func(*Coordinator) farmEnd) {
 		t.Fatalf("submit: id=%s created=%v err=%v", id, created, err)
 	}
 
-	// Worker A: serial engine, hard-crashes after its first checkpoint
-	// upload. It must exit with the chaos sentinel, leaving its lease live.
+	// Worker A hard-crashes after its first checkpoint upload. It must exit
+	// with the chaos sentinel, leaving its lease live.
 	errA := RunWorker(context.Background(), WorkerOptions{
 		Transport:        far,
 		Name:             "chaos-a",
-		Workers:          1,
 		Poll:             20 * time.Millisecond,
 		KillAfterUploads: 1,
 		Output:           io.Discard,
@@ -127,13 +125,11 @@ func testFarmChaosMigration(t *testing.T, open func(*Coordinator) farmEnd) {
 		t.Fatal("campaign done with a dead worker holding a lease")
 	}
 
-	// Worker B: two engine goroutines (bit-identity must hold across worker
-	// counts). It picks up the untouched point immediately, waits out A's
+	// Worker B picks up the untouched point immediately, waits out A's
 	// lease, steals point 0 with its checkpoint, and drains the campaign.
 	errB := RunWorker(context.Background(), WorkerOptions{
 		Transport:    far,
 		Name:         "mig-b",
-		Workers:      2,
 		Poll:         20 * time.Millisecond,
 		ExitWhenDone: true,
 		Output:       io.Discard,
@@ -406,6 +402,64 @@ func TestLocalSweepContract(t *testing.T) {
 	}
 	if man.Points[1].ResumedFrom != 0 {
 		t.Errorf("point 1 never ran before the kill, yet resumed from %d", man.Points[1].ResumedFrom)
+	}
+}
+
+// TestLocalSweepLoops is a local sweep's shape: several worker loops share
+// one in-process coordinator, each point on its own one-shard engine. Every
+// point is leased once and committed once, and the manifest carries the
+// results of a sweep that ran its points one at a time.
+func TestLocalSweepLoops(t *testing.T) {
+	spec := farmSpec()
+	spec.Values = []string{"0.2", "0.4", "0.6", "0.8", "1.0"}
+	sweep := func(loops int) *Manifest {
+		coord, err := NewCoordinator(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, _, err := coord.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := make([]error, loops)
+		var wg sync.WaitGroup
+		for i := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = RunWorker(context.Background(), WorkerOptions{
+					Transport:    coord,
+					Name:         fmt.Sprintf("loop-%d", i),
+					Campaign:     id,
+					Poll:         10 * time.Millisecond,
+					ExitWhenDone: true,
+					Output:       io.Discard,
+				})
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%d loops: loop %d: %v", loops, i, err)
+			}
+		}
+		man, err := coord.Manifest(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return man
+	}
+	one, three := sweep(1), sweep(3)
+	for i, rec := range three.Points {
+		switch {
+		case rec.Status != StatusCompleted || rec.Result == nil:
+			t.Errorf("point %d not completed: %+v", i, rec)
+		case rec.Attempts != 1:
+			t.Errorf("point %d took %d attempts, want 1", i, rec.Attempts)
+		case !reflect.DeepEqual(rec.Result, one.Points[i].Result):
+			t.Errorf("point %d diverged from the one-loop sweep:\n  three loops %+v\n  one loop    %+v",
+				i, *rec.Result, one.Points[i].Result)
+		}
 	}
 }
 

@@ -39,11 +39,6 @@ const (
 	maxVCs      = 64
 	maxBufDepth = 4096
 	maxMsgLen   = 1 << 16
-
-	// maxEngineWorkers bounds Spec.EngineWorkers. The engine clamps shards
-	// to the node count anyway; this only keeps a hostile spec from asking
-	// every worker in the fleet to spawn an absurd goroutine pool.
-	maxEngineWorkers = 64
 )
 
 // boundConfig rejects configurations beyond the supported maximums. Called
@@ -114,14 +109,6 @@ type Spec struct {
 	StallWindow     int64 `json:"stall_window"`
 	PointWallMS     int64 `json:"point_wall_ms"`
 	Retries         int   `json:"point_retries"`
-
-	// EngineWorkers, when > 0, fixes the engine goroutine count every point
-	// runs with, overriding each worker's own -workers setting. 0 leaves the
-	// choice to the worker. Results are bit-identical at any setting (the
-	// worker count is excluded from config digests); this knob exists for
-	// campaigns that want a uniform wall-clock profile across a
-	// heterogeneous fleet.
-	EngineWorkers int `json:"engine_workers"`
 }
 
 // UnmarshalJSON decodes a spec strictly over DefaultSpec: absent fields
@@ -232,8 +219,6 @@ func (s *Spec) Points() ([]Point, error) {
 		return nil, fmt.Errorf("campaign: fault fraction %v outside [0,1)", s.Faults)
 	case s.CheckpointEvery < 0 || s.StallWindow < 0 || s.PointWallMS < 0 || s.Retries < 0:
 		return nil, fmt.Errorf("campaign: negative robustness knob")
-	case s.EngineWorkers < 0 || s.EngineWorkers > maxEngineWorkers:
-		return nil, fmt.Errorf("campaign: engine_workers %d outside [0,%d]", s.EngineWorkers, maxEngineWorkers)
 	}
 	base, err := s.BaseConfig()
 	if err != nil {

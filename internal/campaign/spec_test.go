@@ -73,8 +73,6 @@ func TestDecodeSpecStrictness(t *testing.T) {
 		"neg retries":   `{"vary":"rate","values":["0.3"],"point_retries":-1}`,
 		"huge topology": `{"vary":"rate","values":["0.3"],"k":4096,"n":6}`,
 		"huge vcs":      `{"vary":"vcs","values":["100000"]}`,
-		"neg workers":   `{"vary":"rate","values":["0.3"],"engine_workers":-1}`,
-		"huge workers":  `{"vary":"rate","values":["0.3"],"engine_workers":1000}`,
 		"not json":      `whatever`,
 	}
 	for name, in := range cases {
@@ -82,52 +80,11 @@ func TestDecodeSpecStrictness(t *testing.T) {
 			t.Errorf("%s accepted", name)
 		}
 	}
-}
-
-// TestSpecEngineWorkers covers the per-campaign engine worker override:
-// engine_workers decodes and round-trips, defaults to 0 (worker's choice),
-// and — because the worker count never enters a config digest — two specs
-// differing only in engine_workers expand to identical point digests.
-func TestSpecEngineWorkers(t *testing.T) {
-	spec, err := DecodeSpec(strings.NewReader(`{"vary":"rate","values":["0.3"],"engine_workers":4}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.EngineWorkers != 4 {
-		t.Fatalf("engine_workers = %d, want 4", spec.EngineWorkers)
-	}
-	out, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := DecodeSpec(bytes.NewReader(out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.EngineWorkers != 4 {
-		t.Fatalf("engine_workers lost in round-trip: %+v", again)
-	}
-
-	plain, err := DecodeSpec(strings.NewReader(`{"vary":"rate","values":["0.3"]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.EngineWorkers != 0 {
-		t.Fatalf("absent engine_workers = %d, want 0 (worker decides)", plain.EngineWorkers)
-	}
-	if plain.ID() == spec.ID() {
-		t.Fatal("engine_workers must be part of the campaign id")
-	}
-	pp, err := plain.Points()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := spec.Points()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pp[0].Digest != sp[0].Digest {
-		t.Fatal("engine_workers leaked into the config digest; checkpoints would stop migrating across fleets")
+	// A spec journaled while the spec still pinned a shard count is refused
+	// by name, not run at some default.
+	_, err := DecodeSpec(strings.NewReader(`{"vary":"rate","values":["0.3"],"engine_workers":2}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "engine_workers"`) {
+		t.Errorf("engine_workers: got %v, want an unknown-field error naming it", err)
 	}
 }
 

@@ -5,7 +5,8 @@ package campaign
 // executed — by campaign-worker and sweep -connect over HTTP, by a plain
 // sweep against a coordinator in its own process. Each leased point is
 // expanded locally from the spec the coordinator ships in the assignment,
-// verified against the coordinator's config digest, and — when the point
+// verified against the coordinator's config digest, run as expanded on a
+// one-shard engine (parallelism is one loop per core), and — when the point
 // carries a migrated checkpoint from a dead worker — restored
 // bit-identically before the supervisor takes over. While a point runs, a
 // heartbeat goroutine renews the lease and streams the live metrics
@@ -72,10 +73,6 @@ type WorkerOptions struct {
 	Name string
 	// Campaign restricts the worker to one campaign id ("" = any).
 	Campaign string
-	// Workers is the engine goroutine count per point (0 = serial). Results
-	// are bit-identical at any setting, so a heterogeneous fleet is fine.
-	// A spec that sets engine_workers > 0 overrides this per campaign.
-	Workers int
 	// Poll is the idle wait between acquire attempts when the coordinator
 	// has nothing assignable (0 = 500ms).
 	Poll time.Duration
@@ -228,14 +225,6 @@ func (w *worker) runAssignment(ctx context.Context, a *Assignment) error {
 		w.cl.Fail(a.Campaign, a.Lease, FailRequest{Outcome: "crashed", Error: werr.Error()}) //nolint:errcheck // already fatal
 		return werr
 	}
-	cfg := pt.Config
-	cfg.Workers = w.opts.Workers
-	if a.Spec.EngineWorkers > 0 {
-		// The spec pins the engine worker count for every point; it beats
-		// this worker's own -workers setting. Either way the results are
-		// bit-identical — only the wall-clock profile changes.
-		cfg.Workers = a.Spec.EngineWorkers
-	}
 
 	if w.opts.Monitor != nil {
 		digest := pt.Digest
@@ -256,7 +245,7 @@ func (w *worker) runAssignment(ctx context.Context, a *Assignment) error {
 			w.logf("point %d: checkpoint download failed, starting fresh: %v", a.Point, err)
 		} else if snap, err := checkpoint.Decode(bytes.NewReader(data)); err != nil {
 			w.logf("point %d: migrated checkpoint undecodable, starting fresh: %v", a.Point, err)
-		} else if e, err := sim.RestoreEngine(cfg, snap); err != nil {
+		} else if e, err := sim.RestoreEngine(pt.Config, snap); err != nil {
 			w.logf("point %d: migrated checkpoint unusable, starting fresh: %v", a.Point, err)
 		} else {
 			eng, restored, resumedFrom = e, snap, snap.Now
@@ -264,7 +253,7 @@ func (w *worker) runAssignment(ctx context.Context, a *Assignment) error {
 		}
 	}
 	if eng == nil {
-		e, err := sim.New(cfg)
+		e, err := sim.New(pt.Config)
 		if err != nil {
 			w.cl.Fail(a.Campaign, a.Lease, FailRequest{Outcome: "crashed", Error: err.Error()}) //nolint:errcheck // best effort
 			return nil

@@ -273,6 +273,7 @@ func DeadlockRates() Experiment {
 		run: func(s Scale, exec Executor) Report {
 			rep := Report{ID: "deadlocks", Title: "Detected deadlocks at saturation"}
 			rate := s.PermRates[len(s.PermRates)-1]
+			var cfgs []sim.Config
 			for _, pattern := range []string{"complement", "perfect-shuffle", "bit-reversal"} {
 				for _, m := range mechanisms() {
 					if m.name != "none" && m.name != "alo" {
@@ -281,13 +282,12 @@ func DeadlockRates() Experiment {
 					cfg := s.baseConfig()
 					cfg.Pattern, cfg.MsgLen = pattern, 16
 					cfg.LenientDetection = true
-					cfg = cfg.WithLimiter(m.name, m.f).WithRate(rate)
-					e := exec(cfg)
-					rep.Series = append(rep.Series, Series{
-						Name:   pattern + "/" + m.name,
-						Points: []Point{{Offered: rate, Result: e.Collector().Result()}},
-					})
+					cfgs = append(cfgs, cfg.WithLimiter(m.name, m.f).WithRate(rate))
+					rep.Series = append(rep.Series, Series{Name: pattern + "/" + m.name})
 				}
+			}
+			for i, e := range runAll(cfgs, exec) {
+				rep.Series[i].Points = []Point{{Offered: rate, Result: e.Collector().Result()}}
 			}
 			return rep
 		},
@@ -382,15 +382,14 @@ func Fig2() Experiment {
 			base := s.baseConfig()
 			base.Pattern, base.MsgLen = "uniform", 16
 			ser := Series{Name: "none+probe"}
-			for _, r := range s.Rates {
+			cfgs := make([]sim.Config, len(s.Rates))
+			for i, r := range s.Rates {
 				f, probe := core.WrapProbe(baseline.NewNone())
-				cfg := base.WithLimiter("none", f).WithRate(r)
-				e := exec(cfg)
-				ser.Points = append(ser.Points, Point{
-					Offered: r,
-					Result:  e.Collector().Result(),
-					Probe:   probe,
-				})
+				cfgs[i] = base.WithLimiter("none", f).WithRate(r)
+				ser.Points = append(ser.Points, Point{Offered: r, Probe: probe})
+			}
+			for i, e := range runAll(cfgs, exec) {
+				ser.Points[i].Result = e.Collector().Result()
 			}
 			return Report{ID: "fig2", Title: "Figure 2", Series: []Series{ser}}
 		},
