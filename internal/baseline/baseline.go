@@ -125,15 +125,15 @@ func (l *LF) Allow(v core.ChannelView, dst topology.NodeID) bool {
 // Name implements core.Limiter.
 func (l *LF) Name() string { return "lf" }
 
-// SaveState implements core.StatefulLimiter: the useful-port EWMA and its
+// AppendState implements core.StatefulLimiter: the useful-port EWMA and its
 // validity flag. Tuning constants and geometry are reconstructed by the
 // factory, not serialized.
-func (l *LF) SaveState() []uint64 {
+func (l *LF) AppendState(dst []uint64) []uint64 {
 	valid := uint64(0)
 	if l.estValid {
 		valid = 1
 	}
-	return []uint64{math.Float64bits(l.estAvg), valid}
+	return append(dst, math.Float64bits(l.estAvg), valid)
 }
 
 // LoadState implements core.StatefulLimiter.
@@ -226,14 +226,14 @@ func (d *DRIL) Tick(v core.ChannelView, _ int64) {
 // Name implements core.Limiter.
 func (d *DRIL) Name() string { return "dril" }
 
-// SaveState implements core.StatefulLimiter: the trigger flag, frozen
+// AppendState implements core.StatefulLimiter: the trigger flag, frozen
 // threshold and the two cycle counters.
-func (d *DRIL) SaveState() []uint64 {
+func (d *DRIL) AppendState(dst []uint64) []uint64 {
 	trig := uint64(0)
 	if d.triggered {
 		trig = 1
 	}
-	return []uint64{trig, uint64(d.threshold), uint64(d.queueHigh), uint64(d.cooldown)}
+	return append(dst, trig, uint64(d.threshold), uint64(d.queueHigh), uint64(d.cooldown))
 }
 
 // LoadState implements core.StatefulLimiter.

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -202,6 +203,89 @@ func TestDRILThresholdFloor(t *testing.T) {
 	}
 	if th, _ := lim.Threshold(); th != 1 {
 		t.Errorf("threshold %d want floor 1", th)
+	}
+}
+
+// TestStatefulLimitersAppendState pins the save half of LF's and DRIL's
+// snapshot contract: AppendState appends after what dst holds, allocates
+// nothing into reused storage, and the words it writes load into a fresh
+// limiter that then decides, ticks and saves exactly like the original.
+// LoadState refuses a word count or a flag it does not recognise.
+func TestStatefulLimitersAppendState(t *testing.T) {
+	tp := topology.New(8, 3)
+	busy := &fakeView{
+		useful: []topology.Port{0, 2, 4}, vcs: 3, ports: 6, queued: drilQueueTrigger, headWait: 90,
+		free: map[topology.Port]int{0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1},
+	}
+	idle := &fakeView{useful: []topology.Port{1}, vcs: 3, ports: 6, queued: drilQueueTrigger, free: allFree(6, 3)}
+	view := func(c int) *fakeView {
+		if c%5 == 4 {
+			return idle
+		}
+		return busy
+	}
+	drive := func(lim core.Limiter, from, to int) {
+		for c := from; c < to; c++ {
+			lim.Allow(view(c), 1)
+			if o, ok := lim.(core.CycleObserver); ok {
+				o.Tick(view(c), int64(c))
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		mk    core.Factory
+		words int
+		bad   []uint64
+	}{
+		{"lf", NewLF(), 2, []uint64{0, 2}},
+		{"dril", NewDRIL(), 4, []uint64{2, 1, 0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			orig := tc.mk(0, tp, 3).(core.StatefulLimiter)
+			drive(orig, 0, 3*drilPersistCycles)
+
+			words := orig.AppendState([]uint64{7})
+			if len(words) != 1+tc.words || words[0] != 7 {
+				t.Fatalf("AppendState after one word = %v, want 7 then %d words", words, tc.words)
+			}
+			dst := make([]uint64, 0, tc.words)
+			allocs := testing.AllocsPerRun(100, func() { dst = orig.AppendState(dst[:0]) })
+			if allocs != 0 {
+				t.Errorf("AppendState into reused storage: %.0f allocations, want 0", allocs)
+			}
+			if !slices.Equal(dst, words[1:]) {
+				t.Errorf("AppendState into reused storage = %v, want %v", dst, words[1:])
+			}
+			if fresh := tc.mk(0, tp, 3).(core.StatefulLimiter).AppendState(nil); slices.Equal(dst, fresh) {
+				t.Fatalf("driven state %v is a fresh limiter's: the test checks nothing", dst)
+			}
+
+			clone := tc.mk(0, tp, 3).(core.StatefulLimiter)
+			drive(clone, 0, 7) // desynchronize before loading
+			if err := clone.LoadState(dst); err != nil {
+				t.Fatal(err)
+			}
+			if got := clone.AppendState(nil); !slices.Equal(got, dst) {
+				t.Fatalf("loaded state saves as %v, want %v", got, dst)
+			}
+			for c := 3 * drilPersistCycles; c < drilCooldown+4*drilPersistCycles; c++ {
+				if a, b := orig.Allow(view(c), 1), clone.Allow(view(c), 1); a != b {
+					t.Fatalf("cycle %d: restored limiter decided %v, original %v", c, b, a)
+				}
+				drive(orig, c, c+1)
+				drive(clone, c, c+1)
+			}
+			if a, b := orig.AppendState(nil), clone.AppendState(nil); !slices.Equal(a, b) {
+				t.Errorf("after the same cycles: restored %v, original %v", b, a)
+			}
+
+			for _, s := range [][]uint64{nil, dst[:tc.words-1], append(slices.Clone(dst), 0), tc.bad} {
+				if err := clone.LoadState(s); err == nil {
+					t.Errorf("LoadState(%v) accepted", s)
+				}
+			}
+		})
 	}
 }
 

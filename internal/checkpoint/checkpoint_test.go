@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"wormnet/internal/baseline"
 	"wormnet/internal/sim"
 )
 
@@ -25,19 +26,7 @@ func shortConfig() sim.Config {
 // midRunSnapshot runs shortConfig to cycle 700 and snapshots it.
 func midRunSnapshot(t *testing.T) *sim.Snapshot {
 	t.Helper()
-	e, err := sim.New(shortConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	for e.Now() < 700 {
-		e.Step()
-	}
-	snap, err := e.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap
+	return snapshotAt(t, shortConfig(), 700)
 }
 
 // encodeBytes encodes snap into a fresh buffer.
@@ -109,87 +98,137 @@ func TestRestoreThroughFile(t *testing.T) {
 	}
 }
 
-// TestRestoreParentWrittenCheckpoint reads a checkpoint written by the last
-// commit whose engine kept every buffered flit as a record (PR 13; shortConfig
-// at cycle 700, the run midRunSnapshot repeats). Buffers are runs now and the
-// flits in a snapshot are derived from them, but the wire format is the same
-// and so is the run: today's engine must write that file byte for byte, and
-// must finish the run from it exactly as if it had never stopped.
-func TestRestoreParentWrittenCheckpoint(t *testing.T) {
-	const fixture = "testdata/written_by_pr13.wncp"
-	raw, err := os.ReadFile(fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodeBytes(t, midRunSnapshot(t)), raw) {
-		t.Error("the same run at the same cycle no longer encodes to the bytes the parent commit wrote")
-	}
-	snap, err := ReadFile(fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := shortConfig()
-	golden, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer golden.Close()
-	e, err := sim.RestoreEngine(cfg, snap)
+// parentWritten lists the checkpoints earlier commits wrote, each the run it
+// was taken from and the cycle it was taken at. alo-uniform is from the last
+// commit whose engine kept every buffered flit as a record (the run
+// midRunSnapshot repeats). dril-bursty is from the last commit whose snapshots
+// saved generator and limiter state into fresh storage: DRIL with most nodes
+// triggered and on/off sources mid-burst, so both PCG streams of every
+// BurstySource and every limiter word are in the file.
+var parentWritten = []struct {
+	name, file string
+	cfg        func() sim.Config
+	cycle      int64
+}{
+	{"alo-uniform", "testdata/written_by_pr13.wncp", shortConfig, 700},
+	{"dril-bursty", "testdata/dril_bursty.wncp", drilBurstyConfig, 700},
+}
+
+// drilBurstyConfig is shortConfig's schedule at a saturating bursty load
+// under DRIL.
+func drilBurstyConfig() sim.Config {
+	cfg := sim.QuickConfig()
+	cfg.Rate = 1.2
+	cfg.Burst.OnMean, cfg.Burst.OffMean = 150, 300
+	cfg.Limiter, cfg.LimiterName = baseline.NewDRIL(), "dril"
+	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 300, 1200, 500
+	return cfg
+}
+
+// snapshotAt runs cfg to cycle and snapshots it.
+func snapshotAt(t *testing.T, cfg sim.Config, cycle int64) *sim.Snapshot {
+	t.Helper()
+	e, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if got, want := e.Run(), golden.Run(); got != want {
-		t.Errorf("resumed result diverged:\n got  %+v\n want %+v", got, want)
+	for e.Now() < cycle {
+		e.Step()
+	}
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestRestoreParentWrittenCheckpoint reads each checkpoint an earlier commit
+// wrote. The engine's internals have changed since (buffers are runs, saves
+// write into the snapshot's storage), but the wire format is the same and so
+// is the run: today's engine must write each file byte for byte, and must
+// finish the run from it exactly as if it had never stopped.
+func TestRestoreParentWrittenCheckpoint(t *testing.T) {
+	for _, fx := range parentWritten {
+		t.Run(fx.name, func(t *testing.T) {
+			raw, err := os.ReadFile(fx.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(encodeBytes(t, snapshotAt(t, fx.cfg(), fx.cycle)), raw) {
+				t.Error("the same run at the same cycle no longer encodes to the bytes the parent commit wrote")
+			}
+			snap, err := ReadFile(fx.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden, err := sim.New(fx.cfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer golden.Close()
+			e, err := sim.RestoreEngine(fx.cfg(), snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			if got, want := e.Run(), golden.Run(); got != want {
+				t.Errorf("resumed result diverged:\n got  %+v\n want %+v", got, want)
+			}
+		})
 	}
 }
 
 // TestSnapshotIntoParentWrittenCheckpoint holds the storing form of Snapshot to
-// the same fixture: restored from the file, the engine snapshots into dirty
-// storage — here a later, larger state of the same run — to the very bytes a
-// new Snapshot encodes to, which are the file's.
+// the same fixtures: restored from the file, the engine snapshots into dirty
+// storage — here a later, larger state of the same run, whose generator and
+// limiter state differ — to the very bytes a new Snapshot encodes to, which
+// are the file's.
 func TestSnapshotIntoParentWrittenCheckpoint(t *testing.T) {
-	const fixture = "testdata/written_by_pr13.wncp"
-	raw, err := os.ReadFile(fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := ReadFile(fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := sim.RestoreEngine(shortConfig(), snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	for i := 0; i < 400; i++ {
-		e.Step()
-	}
-	var dirty sim.Snapshot
-	if err := e.SnapshotInto(&dirty); err != nil {
-		t.Fatal(err)
-	}
-	later := len(encodeBytes(t, &dirty))
-	if err := e.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := e.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SnapshotInto(&dirty); err != nil {
-		t.Fatal(err)
-	}
-	got := encodeBytes(t, &dirty)
-	if later <= len(got) {
-		t.Fatalf("the dirtying state (%d bytes) is no larger than the fixture's (%d)", later, len(got))
-	}
-	if !bytes.Equal(got, encodeBytes(t, fresh)) {
-		t.Error("SnapshotInto dirty storage and Snapshot encode the restored fixture differently")
-	}
-	if !bytes.Equal(got, raw) {
-		t.Error("SnapshotInto of the restored fixture no longer encodes to the bytes the parent commit wrote")
+	for _, fx := range parentWritten {
+		t.Run(fx.name, func(t *testing.T) {
+			raw, err := os.ReadFile(fx.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := ReadFile(fx.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := sim.RestoreEngine(fx.cfg(), snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			for i := 0; i < 400; i++ {
+				e.Step()
+			}
+			var dirty sim.Snapshot
+			if err := e.SnapshotInto(&dirty); err != nil {
+				t.Fatal(err)
+			}
+			later := len(encodeBytes(t, &dirty))
+			if err := e.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.SnapshotInto(&dirty); err != nil {
+				t.Fatal(err)
+			}
+			got := encodeBytes(t, &dirty)
+			if later <= len(got) {
+				t.Fatalf("the dirtying state (%d bytes) is no larger than the fixture's (%d)", later, len(got))
+			}
+			if !bytes.Equal(got, encodeBytes(t, fresh)) {
+				t.Error("SnapshotInto dirty storage and Snapshot encode the restored fixture differently")
+			}
+			if !bytes.Equal(got, raw) {
+				t.Error("SnapshotInto of the restored fixture no longer encodes to the bytes the parent commit wrote")
+			}
+		})
 	}
 }
 

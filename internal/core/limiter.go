@@ -76,12 +76,13 @@ type Factory func(node topology.NodeID, t *topology.Torus, vcs int) Limiter
 // StatefulLimiter is implemented by limiters that carry mutable per-node
 // state across cycles (e.g. baseline.LF's EWMA, baseline.DRIL's frozen
 // threshold) and therefore must be captured by engine snapshots. Stateless
-// limiters (the ALO family) simply do not implement it. SaveState packs the
-// state into words (floats as their IEEE-754 bits); LoadState restores it
-// and fails on a word count its implementation does not recognise.
+// limiters (the ALO family) simply do not implement it. AppendState appends
+// the state to dst as words (floats as their IEEE-754 bits) and returns the
+// extended slice, so a snapshot reuses its own storage; LoadState restores
+// it and fails on a word count its implementation does not recognise.
 type StatefulLimiter interface {
 	Limiter
-	SaveState() []uint64
+	AppendState(dst []uint64) []uint64
 	LoadState([]uint64) error
 }
 

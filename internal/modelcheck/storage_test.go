@@ -27,14 +27,16 @@ func raceEnabled() bool {
 // over the CI-pinned exhaustion: the explorer stores its states in recycled
 // frontier entries and snapshots, cuts schedule links from slabs, hashes
 // through two buffers and restores into engines that keep their scratch
-// (VerifyInjectionProperty's included), so what is left is two marshalled PCG
-// streams per node (child snapshot and round-trip snapshot) and the growth of
-// the visited map — about 8.2 objects, 111 before the storage discipline. The
-// PCG streams stay until the root go.mod reaches 1.24 (AppendBinary), which
-// waits for bench/go.mod: the bench module replaces this one, so raising the
-// root line alone fails its build with "updates to go.mod needed". The bench
-// ledger reports the same count as allocs_per_op on mc-exhaust; this is where
-// `go test` sees it.
+// (VerifyInjectionProperty's included), and a snapshot saves its generators'
+// streams and limiters' words into its own storage (a stream that has not
+// moved keeps the bytes already there; at rate 0 none moves). Measured 0.24
+// objects a state, 8.24 while every snapshot marshalled one PCG stream per
+// node and 111 before the storage discipline. What is left, from a memory
+// profile of this test: Engine.Inject's messages and their path growth (about
+// 0.14), the growth of recycled snapshot storage to the deepest state's size
+// (0.02), schedule-link slabs (0.016), engine and config setup (0.015) and
+// the growth of the visited map (0.01). The bench ledger reports the same
+// count as allocs_per_op on mc-exhaust; this is where `go test` sees it.
 func TestExplorerAllocsPerState(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector allocates: counts are pinned on the plain build")
@@ -50,11 +52,11 @@ func TestExplorerAllocsPerState(t *testing.T) {
 	if rep.States != 18921 {
 		t.Fatalf("exhausted %d states, pinned 18921", rep.States)
 	}
-	const ceiling = 10
+	const ceiling = 0.5
 	perState := float64(after.Mallocs-before.Mallocs) / float64(rep.States)
 	t.Logf("%.2f objects a state", perState)
 	if perState > ceiling {
-		t.Errorf("the exhaustion allocates %.2f objects a state, ceiling %d", perState, ceiling)
+		t.Errorf("the exhaustion allocates %.2f objects a state, ceiling %.1f", perState, ceiling)
 	}
 }
 

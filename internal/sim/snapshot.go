@@ -509,15 +509,14 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 		if !ok {
 			return fmt.Errorf("sim: generator %T is not snapshot-capable", nd.src)
 		}
-		gs, err := gen.SaveState()
-		if err != nil {
+		if err := gen.SaveStateInto(&sn.Gen); err != nil {
 			return err
 		}
-		sn.Gen = gs
 
-		sn.Limiter = nil
 		if sl, ok := nd.limiter.(core.StatefulLimiter); ok {
-			sn.Limiter = sl.SaveState()
+			sn.Limiter = sl.AppendState(sn.Limiter[:0])
+		} else {
+			sn.Limiter = nil
 		}
 
 		sn.Blocked = nd.blocked.AppendCounters(sn.Blocked[:0])

@@ -107,13 +107,14 @@ func (s *RogueSource) NextAt() int64 {
 // Node implements Generator.
 func (s *RogueSource) Node() topology.NodeID { return s.node }
 
-// SaveState implements Stateful.
-func (s *RogueSource) SaveState() (GenState, error) {
-	b, err := s.pcg.MarshalBinary()
+// SaveStateInto implements Stateful.
+func (s *RogueSource) SaveStateInto(dst *GenState) error {
+	b, err := savePCG(s.pcg, dst.PCG)
 	if err != nil {
-		return GenState{}, fmt.Errorf("traffic: marshal rogue rng: %w", err)
+		return fmt.Errorf("traffic: marshal rogue rng: %w", err)
 	}
-	return GenState{Rogue: true, PCG: b, Next: s.next}, nil
+	*dst = GenState{Rogue: true, PCG: b, Next: s.next}
+	return nil
 }
 
 // LoadState implements Stateful.

@@ -98,8 +98,8 @@ func TestRogueStateRoundTrip(t *testing.T) {
 	for now := int64(0); now < 1000; now++ {
 		batch = s.Poll(now, batch[:0])
 	}
-	st, err := s.SaveState()
-	if err != nil {
+	var st GenState
+	if err := s.SaveStateInto(&st); err != nil {
 		t.Fatal(err)
 	}
 	if !st.Rogue {

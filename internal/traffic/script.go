@@ -90,10 +90,11 @@ func (s *ScriptSource) Node() topology.NodeID { return s.node }
 // Remaining implements Enumerable.
 func (s *ScriptSource) Remaining() int { return len(s.events) - s.pos }
 
-// SaveState implements Stateful. Only the cursor is saved; the script
+// SaveStateInto implements Stateful. Only the cursor is saved; the script
 // itself is configuration, re-supplied on restore via the same factory.
-func (s *ScriptSource) SaveState() (GenState, error) {
-	return GenState{Script: true, Pos: int64(s.pos)}, nil
+func (s *ScriptSource) SaveStateInto(dst *GenState) error {
+	*dst = GenState{Script: true, Pos: int64(s.pos)}
+	return nil
 }
 
 // LoadState implements Stateful.

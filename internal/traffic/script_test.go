@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -59,12 +60,12 @@ func TestScriptSourceState(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Poll(1, nil)
-	st, err := s.SaveState()
-	if err != nil {
+	st := GenState{Bursty: true, PCG: []byte("pcg:"), Next: 5, Rogue: true} // another kind's state, overwritten
+	if err := s.SaveStateInto(&st); err != nil {
 		t.Fatal(err)
 	}
-	if !st.Script || st.Pos != 1 {
-		t.Fatalf("SaveState = %+v", st)
+	if !reflect.DeepEqual(st, GenState{Script: true, Pos: 1}) {
+		t.Fatalf("SaveStateInto = %+v", st)
 	}
 	// Restore into a fresh source built from the same script.
 	r, err := NewScriptSource(0, events)

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 )
 
 // GenState is the serializable state of a traffic generator. PCG holds the
@@ -32,11 +33,27 @@ type GenState struct {
 
 // Stateful is implemented by generators whose full state can be captured and
 // restored for checkpoint/restore. A restored generator continues with the
-// exact event sequence of the original.
+// exact event sequence of the original. SaveStateInto overwrites every field
+// of dst, reusing what dst already holds where it is still right: a stream
+// that has not moved since dst was last saved keeps its bytes and allocates
+// nothing.
 type Stateful interface {
 	Generator
-	SaveState() (GenState, error)
+	SaveStateInto(dst *GenState) error
 	LoadState(GenState) error
+}
+
+// savePCG returns the encoding of p: held itself when it already encodes p,
+// else a fresh MarshalBinary. The encoding is one-to-one, so held is then
+// exactly the bytes MarshalBinary would return. held's array is never
+// written: a snapshot that shares it, or hostile storage handed in, stays as
+// it was.
+func savePCG(p *rand.PCG, held []byte) ([]byte, error) {
+	var cur rand.PCG
+	if cur.UnmarshalBinary(held) == nil && cur == *p {
+		return held, nil
+	}
+	return p.MarshalBinary()
 }
 
 // is reports whether st is exactly want. A LoadState holds the state it is given
@@ -48,13 +65,14 @@ func (st *GenState) is(want *GenState) bool {
 		st.Script == want.Script && st.Pos == want.Pos && st.Rogue == want.Rogue
 }
 
-// SaveState implements Stateful.
-func (s *Source) SaveState() (GenState, error) {
-	b, err := s.pcg.MarshalBinary()
+// SaveStateInto implements Stateful.
+func (s *Source) SaveStateInto(dst *GenState) error {
+	b, err := savePCG(&s.pcg, dst.PCG)
 	if err != nil {
-		return GenState{}, fmt.Errorf("traffic: marshal source rng: %w", err)
+		return fmt.Errorf("traffic: marshal source rng: %w", err)
 	}
-	return GenState{PCG: b, Next: s.next}, nil
+	*dst = GenState{PCG: b, Next: s.next}
+	return nil
 }
 
 // LoadState implements Stateful.
@@ -69,24 +87,25 @@ func (s *Source) LoadState(st GenState) error {
 	return nil
 }
 
-// SaveState implements Stateful.
-func (s *BurstySource) SaveState() (GenState, error) {
-	b, err := s.pcg.MarshalBinary()
+// SaveStateInto implements Stateful.
+func (s *BurstySource) SaveStateInto(dst *GenState) error {
+	b, err := savePCG(s.pcg, dst.PCG)
 	if err != nil {
-		return GenState{}, fmt.Errorf("traffic: marshal bursty rng: %w", err)
+		return fmt.Errorf("traffic: marshal bursty rng: %w", err)
 	}
-	pb, err := s.ppcg.MarshalBinary()
+	pb, err := savePCG(s.ppcg, dst.PhasePCG)
 	if err != nil {
-		return GenState{}, fmt.Errorf("traffic: marshal bursty phase rng: %w", err)
+		return fmt.Errorf("traffic: marshal bursty phase rng: %w", err)
 	}
-	return GenState{
+	*dst = GenState{
 		Bursty:    true,
 		PCG:       b,
 		PhasePCG:  pb,
 		Next:      s.next,
 		On:        s.on,
 		PhaseEnds: s.phaseEnds,
-	}, nil
+	}
+	return nil
 }
 
 // LoadState implements Stateful.

@@ -1,6 +1,9 @@
 package traffic
 
 import (
+	"bytes"
+	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"wormnet/internal/topology"
@@ -38,8 +41,8 @@ func TestSourceStateRoundTrip(t *testing.T) {
 
 	orig := mk()
 	pollTo(orig, 0, 3000)
-	st, err := orig.SaveState()
-	if err != nil {
+	var st GenState
+	if err := orig.SaveStateInto(&st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Bursty {
@@ -71,8 +74,8 @@ func TestBurstySourceStateRoundTrip(t *testing.T) {
 
 		orig := mk()
 		pollTo(orig, 0, 4000)
-		st, err := orig.SaveState()
-		if err != nil {
+		var st GenState
+		if err := orig.SaveStateInto(&st); err != nil {
 			t.Fatal(err)
 		}
 		if !st.Bursty {
@@ -94,5 +97,95 @@ func TestBurstySourceStateRoundTrip(t *testing.T) {
 		if err := mk().LoadState(bad); err == nil {
 			t.Error("bursty source accepted steady state")
 		}
+	}
+}
+
+// TestSaveStateIntoKeepsUnmovedStreams pins SaveStateInto's storage contract
+// for every generator with a stream: the saved bytes are MarshalBinary's, a
+// re-save while no stream has moved keeps them and allocates nothing, a
+// re-save after a stream moved takes fresh bytes and leaves the old array as
+// it was (another snapshot may share it), a re-save into another kind's
+// state clears every field that kind set, and the saved state continues the
+// identical event sequence.
+func TestSaveStateIntoKeepsUnmovedStreams(t *testing.T) {
+	tp := topology.New(4, 2)
+	for _, tc := range []struct {
+		name    string
+		mk      func() Stateful
+		streams func(Stateful) []*rand.PCG // the live streams, in GenState order
+	}{
+		{"steady",
+			func() Stateful { return NewSource(3, NewUniform(tp), 0.5, 8, 11, 23) },
+			func(g Stateful) []*rand.PCG { return []*rand.PCG{&g.(*Source).pcg} }},
+		{"bursty",
+			func() Stateful {
+				return NewBurstySource(5, NewUniform(tp), 0.8, 8, BurstProfile{OnMean: 150, OffMean: 300}, 31, 47)
+			},
+			func(g Stateful) []*rand.PCG { b := g.(*BurstySource); return []*rand.PCG{b.pcg, b.ppcg} }},
+		{"rogue",
+			func() Stateful { return NewRogueSource(2, 16, 5, 1.5, 4, 600, 250, 7, 99) },
+			func(g Stateful) []*rand.PCG { return []*rand.PCG{g.(*RogueSource).pcg} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.mk()
+			held := func(st *GenState) [][]byte { return [][]byte{st.PCG, st.PhasePCG}[:len(tc.streams(g))] }
+			save := func(st *GenState) {
+				t.Helper()
+				if err := g.SaveStateInto(st); err != nil {
+					t.Fatal(err)
+				}
+				for i, p := range tc.streams(g) {
+					want, err := p.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := held(st)[i]; !bytes.Equal(got, want) {
+						t.Fatalf("stream %d saved as %x, MarshalBinary gives %x", i, got, want)
+					}
+				}
+			}
+
+			pollTo(g, 0, 2000)
+			var st GenState
+			save(&st)
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := g.SaveStateInto(&st); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("re-saving unmoved streams: %.0f allocations, want 0", allocs)
+			}
+
+			old := held(&st)
+			kept := make([][]byte, len(old))
+			for i := range old {
+				kept[i] = bytes.Clone(old[i])
+			}
+			pollTo(g, 2000, 4000)
+			save(&st)
+			for i := range old {
+				if !bytes.Equal(old[i], kept[i]) {
+					t.Errorf("stream %d: the re-save wrote into the old array: %x, was %x", i, old[i], kept[i])
+				}
+				if bytes.Equal(held(&st)[i], kept[i]) {
+					t.Errorf("stream %d did not move in 2000 cycles: the test checks nothing", i)
+				}
+			}
+
+			dirty := GenState{Bursty: !st.Bursty, PCG: []byte("pcg:"), PhasePCG: []byte{1}, Next: -1, On: !st.On,
+				PhaseEnds: -1, Script: true, Pos: 3, Rogue: !st.Rogue}
+			save(&dirty)
+			if !reflect.DeepEqual(dirty, st) {
+				t.Errorf("saved into another kind's state:\n got  %+v\n want %+v", dirty, st)
+			}
+
+			clone := tc.mk()
+			pollTo(clone, 0, 777)
+			if err := clone.LoadState(st); err != nil {
+				t.Fatal(err)
+			}
+			sameStream(t, tc.name, pollTo(g, 4000, 9000), pollTo(clone, 4000, 9000))
+		})
 	}
 }
