@@ -21,10 +21,6 @@
 //	modelcheck -resume explore.wncp
 //	modelcheck -replay cx/cx-001-false-negative.wncp
 //
-// -synthetic-miss suppresses the detector signal during probes so every
-// ground-truth deadlock is reported as a false negative: the self-test
-// proving the checker actually fails when FC3D and the oracle disagree.
-//
 // Exit codes: 0 ok; 1 checker failure (false negative, unsound oracle,
 // invariant violation) or fewer than -min-states states explored; 2 usage
 // or configuration error.
@@ -53,7 +49,7 @@ func main() {
 		routing   = flag.String("routing", "tfar", "routing function (tfar needs recovery: FC3D on trial)")
 		threshold = flag.Int("threshold", int(deadlock.DefaultThreshold), "FC3D detection threshold (cycles)")
 		recovery  = flag.Int64("recovery-delay", 8, "recovery pipeline delay (cycles)")
-		lenient   = flag.Bool("lenient", false, "lenient detection (any vital sign resets the counter)")
+		lenient   = flag.Bool("lenient", false, "timeout-style detection: presume deadlock on blockage alone, without the flit-activity veto")
 		catalog   = flag.String("messages", "0>3x6,3>0x6,1>2x6,2>1x6", "message catalog: comma-separated src>dstxlen entries (distinct sources)")
 		cycles    = flag.Int64("cycles", 96, "schedule horizon in cycles")
 		states    = flag.Int("states", 150000, "visited-state budget")
@@ -62,15 +58,14 @@ func main() {
 		minDL     = flag.Int("min-deadlocks", 0, "fail unless at least this many ground-truth deadlock states were reached")
 		exhausted = flag.Bool("exhausted", false, "fail unless the state space was exhausted within the horizon")
 
-		sweep     = flag.String("sweep", "", "comma-separated thresholds: run one exploration per value, print the FP table")
-		journal   = flag.String("journal", "", "crash-resume journal path (WNCP framing)")
-		every     = flag.Int("journal-every", 2000, "journal flush interval in newly visited states")
-		resume    = flag.String("resume", "", "resume exploration from a journal written by a previous run")
-		cxdir     = flag.String("cxdir", "", "directory receiving replayable counterexample files")
-		replay    = flag.String("replay", "", "replay one counterexample file and exit (0 = fixed, 1 = still fails)")
-		synthetic = flag.Bool("synthetic-miss", false, "suppress detector signals in probes: self-test of the failure path")
-		jsonOut   = flag.Bool("json", false, "print the report as JSON instead of text")
-		quiet     = flag.Bool("q", false, "suppress progress logging")
+		sweep   = flag.String("sweep", "", "comma-separated thresholds: run one exploration per value, print the FP table")
+		journal = flag.String("journal", "", "crash-resume journal path (WNCP framing)")
+		every   = flag.Int("journal-every", 2000, "journal flush interval in newly visited states")
+		resume  = flag.String("resume", "", "resume exploration from a journal written by a previous run")
+		cxdir   = flag.String("cxdir", "", "directory receiving replayable counterexample files")
+		replay  = flag.String("replay", "", "replay one counterexample file and exit (0 = fixed, 1 = still fails)")
+		jsonOut = flag.Bool("json", false, "print the report as JSON instead of text")
+		quiet   = flag.Bool("q", false, "suppress progress logging")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -82,7 +77,6 @@ func main() {
 		Journal:           *journal,
 		JournalEvery:      *every,
 		CounterexampleDir: *cxdir,
-		SyntheticMiss:     *synthetic,
 	}
 	if !*quiet {
 		opt.Log = func(format string, args ...any) {

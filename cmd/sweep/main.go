@@ -10,11 +10,11 @@
 // retries, periodic checkpoints, a final checkpoint on SIGINT/SIGTERM. The
 // sweep runs one loop per CPU (at most one per point), so its points run
 // side by side, each on a one-shard engine. By default coordinator and loops
-// run in this process. -connect leaves the coordinator in another process
-// (campaignd, or a sweep -serve) and runs only the loops; -serve runs only
-// the coordinator and waits for workers (campaign-worker, or a sweep
-// -connect) to finish the sweep. The rows are the same bits whichever way it
-// ran, on however many loops, and however often it was interrupted.
+// run in this process. -connect leaves the coordinator to campaignd and runs
+// only the loops: the sweep submits the same spec, so a campaignd that
+// already holds it (from campaignd -spec, or from another sweep) resumes it.
+// The rows are the same bits whichever way it ran, on however many loops,
+// and however often it was interrupted.
 //
 // With -out the coordinator journals to <dir>/<id>/ — spec.json,
 // manifest.json (atomic writes) and one point-NNN.wncp per point in flight —
@@ -28,9 +28,7 @@
 //	sweep -vary rate -values 0.1,0.2,0.3,0.4,0.5,0.6,0.7 -limiter alo
 //	sweep -vary vcs -values 1,2,3 -rate 0.5
 //	sweep -vary rate -values 0.3,0.6,0.9 -out campaign/ -checkpoint-every 2000
-//	sweep -vary rate -values 0.3,0.6,0.9 -out campaign/ -serve 127.0.0.1:8080
 //	sweep -vary rate -values 0.3,0.6,0.9 -connect http://127.0.0.1:8080
-//	sweep -vary rate -values 0.5,2.0 -chaos      # crash-recovery self-test
 //
 // Exit codes: 0 all points completed; 1 some point failed or stalled (a
 // status table lands on stderr); 130 interrupted by signal; 2 usage error.
@@ -67,13 +65,12 @@ type farm interface {
 
 // defaultCheckpointEvery is the periodic checkpoint cadence of a sweep that was
 // not given -checkpoint-every: the spec's default wherever a checkpoint can
-// outlive the process that took it — a journal under -out (which -serve
-// requires), a coordinator behind -connect — or is the thing under test
-// (-chaos), and none for a local sweep without -out, which has nowhere to
-// resume from and would pay the encode and the validating decode (+4–5 % wall
-// on a short sweep) for nothing.
-func defaultCheckpointEvery(specDefault int64, out, connect string, chaos bool) int64 {
-	if out == "" && connect == "" && !chaos {
+// outlive the process that took it — a journal under -out, a coordinator
+// behind -connect — and none for a local sweep without -out, which has
+// nowhere to resume from and would pay the encode and the validating decode
+// (+4–5 % wall on a short sweep) for nothing.
+func defaultCheckpointEvery(specDefault int64, out, connect string) int64 {
+	if out == "" && connect == "" {
 		return 0
 	}
 	return specDefault
@@ -103,10 +100,7 @@ func run() int {
 	pointWall := flag.Duration("point-wall", 0, "wall-clock budget per point (0 = unlimited)")
 	flag.Int64Var(&spec.StallWindow, "stall-window", 0, "declare a point stalled after this many cycles without progress (0 = off)")
 	flag.IntVar(&spec.Retries, "point-retries", spec.Retries, "attempts for a crashed or stalled point before it goes terminal")
-	chaos := flag.Bool("chaos", false, "run the crash-recovery self-test instead of the sweep: kill each point mid-run, resume from its checkpoint, verify bit-identical results")
-	serve := flag.String("serve", "", "run only the coordinator, on this address, and wait for workers to finish the sweep (needs -out)")
 	connect := flag.String("connect", "", "run only the worker: submit this sweep to the coordinator at this URL and execute leased points")
-	leaseTTL := flag.Duration("lease-ttl", campaign.DefaultLeaseTTL, "lease time-to-live before a point is stolen from a silent worker")
 	flag.Parse()
 
 	fail := func(err error) int {
@@ -126,15 +120,7 @@ func run() int {
 	given := false
 	flag.Visit(func(f *flag.Flag) { given = given || f.Name == "checkpoint-every" })
 	if !given {
-		spec.CheckpointEvery = defaultCheckpointEvery(spec.CheckpointEvery, *out, *connect, *chaos)
-	}
-	switch {
-	case *chaos:
-		return chaosSelfTest(points)
-	case *serve != "" && *connect != "":
-		return fail(fmt.Errorf("sweep: -serve and -connect are mutually exclusive"))
-	case *serve != "" && *out == "":
-		return fail(fmt.Errorf("sweep: -serve needs -out (the coordinator journals there)"))
+		spec.CheckpointEvery = defaultCheckpointEvery(spec.CheckpointEvery, *out, *connect)
 	}
 
 	var jsonl *obs.JSONLWriter
@@ -155,21 +141,12 @@ func run() int {
 		}
 	}
 
-	// Who holds which half. The coordinator is in this process unless
-	// -connect names another; the worker is in this process unless -serve
-	// leaves the points to a fleet.
-	var (
-		f     farm
-		coord *campaign.Coordinator
-	)
+	// The coordinator is in this process unless -connect names another.
+	var f farm
 	if *connect != "" {
 		f = campaign.NewClient(*connect)
-	} else {
-		coord, err = campaign.NewCoordinator(campaign.Options{Dir: *out, LeaseTTL: *leaseTTL})
-		if err != nil {
-			return fail(err)
-		}
-		f = coord
+	} else if f, err = campaign.NewCoordinator(campaign.Options{Dir: *out}); err != nil {
+		return fail(err)
 	}
 	id, created, err := f.Submit(&spec)
 	if err != nil {
@@ -183,25 +160,7 @@ func run() int {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *serve != "" {
-		srv := campaign.NewServer(coord)
-		if err := srv.Serve(*serve); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "sweep: serving on http://%s (dashboard at /dash) — connect workers with:\n", srv.Addr())
-		fmt.Fprintf(os.Stderr, "sweep:   campaign-worker -connect http://%s\n", srv.Addr())
-		tick := time.NewTicker(200 * time.Millisecond)
-		defer tick.Stop()
-		for !coord.Done() && ctx.Err() == nil {
-			select {
-			case <-ctx.Done():
-			case <-tick.C:
-			}
-		}
-		srv.Shutdown(2 * time.Second) //nolint:errcheck // exiting either way
-	} else {
-		err = runLoops(ctx, f, id, min(runtime.GOMAXPROCS(0), len(points)))
-	}
+	err = runLoops(ctx, f, id, min(runtime.GOMAXPROCS(0), len(points)))
 	interrupted := ctx.Err() != nil || errors.Is(err, campaign.ErrWorkerInterrupted)
 	if err != nil && !interrupted {
 		fmt.Fprintln(os.Stderr, err)

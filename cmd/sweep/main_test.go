@@ -7,7 +7,7 @@ import (
 )
 
 // A sweep that was not told a cadence checkpoints periodically exactly where
-// the checkpoint can be resumed from (or is what -chaos tests).
+// the checkpoint can be resumed from.
 func TestDefaultCheckpointEvery(t *testing.T) {
 	def := campaign.DefaultSpec().CheckpointEvery
 	if def <= 0 {
@@ -16,15 +16,13 @@ func TestDefaultCheckpointEvery(t *testing.T) {
 	for _, c := range []struct {
 		name         string
 		out, connect string
-		chaos        bool
 		want         int64
 	}{
-		{"local, no journal", "", "", false, 0},
-		{"local, journalled", "runs/", "", false, def},
-		{"worker half", "", "http://127.0.0.1:1", false, def},
-		{"chaos self-test", "", "", true, def},
+		{"local, no journal", "", "", 0},
+		{"local, journalled", "runs/", "", def},
+		{"worker half", "", "http://127.0.0.1:1", def},
 	} {
-		if got := defaultCheckpointEvery(def, c.out, c.connect, c.chaos); got != c.want {
+		if got := defaultCheckpointEvery(def, c.out, c.connect); got != c.want {
 			t.Errorf("%s: checkpoint every %d cycles, want %d", c.name, got, c.want)
 		}
 	}

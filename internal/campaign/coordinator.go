@@ -739,22 +739,10 @@ func maxAttempts(retries int) int {
 	return retries
 }
 
-// List summarises every campaign in submission order.
-func (c *Coordinator) List() []CampaignSummary {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]CampaignSummary, 0, len(c.order))
-	for _, id := range c.order {
-		st := c.campaigns[id]
-		out = append(out, CampaignSummary{
-			ID:        id,
-			Vary:      st.spec.Vary,
-			Points:    len(st.manifest.Points),
-			Completed: st.manifest.StatusCounts()[StatusCompleted],
-			Done:      st.manifest.Done(),
-		})
-	}
-	return out
+// List returns every campaign's progress row in submission order: the
+// Campaigns of Farm.
+func (c *Coordinator) List() []CampaignProgress {
+	return c.Farm().Campaigns
 }
 
 // Status builds the live progress view of one campaign: the journal, the
@@ -777,15 +765,7 @@ func (c *Coordinator) Status(campaignID string) (*StatusView, error) {
 	}
 	now := c.now()
 	for _, l := range st.leases {
-		view.Leases = append(view.Leases, LeaseView{
-			Point:     l.point,
-			Worker:    l.worker,
-			Lease:     l.id,
-			Cycle:     l.cycle,
-			Attempt:   l.attempt,
-			ExpiresMS: l.expires.Sub(now).Milliseconds(),
-			Progress:  st.pointFraction(l.point, l.cycle),
-		})
+		view.Leases = append(view.Leases, st.workerRow(l, now))
 	}
 	sort.Slice(view.Leases, func(i, j int) bool { return view.Leases[i].Point < view.Leases[j].Point })
 	view.Progress, view.ElapsedMS, view.EtaMS = c.progressLocked(st)
@@ -839,16 +819,7 @@ func (c *Coordinator) Farm() *FarmView {
 		view.Campaigns = append(view.Campaigns, row)
 
 		for _, l := range st.leases {
-			view.Workers = append(view.Workers, WorkerView{
-				Worker:    l.worker,
-				Campaign:  id,
-				Point:     l.point,
-				Value:     st.points[l.point].Raw,
-				Cycle:     l.cycle,
-				Progress:  st.pointFraction(l.point, l.cycle),
-				Attempt:   l.attempt,
-				ExpiresMS: l.expires.Sub(now).Milliseconds(),
-			})
+			view.Workers = append(view.Workers, st.workerRow(l, now))
 		}
 		view.Delivered += counterTotal(st, "sim_messages_delivered_total")
 		view.Admitted += counterTotal(st, "sim_injection_admitted_total")
@@ -862,6 +833,22 @@ func (c *Coordinator) Farm() *FarmView {
 		return a.Point < b.Point
 	})
 	return view
+}
+
+// workerRow is one active lease as both views show it: which worker holds
+// which point of the campaign, and how far along it is at now.
+func (st *campaignState) workerRow(l *lease, now time.Time) WorkerView {
+	return WorkerView{
+		Worker:    l.worker,
+		Campaign:  st.id,
+		Point:     l.point,
+		Value:     st.points[l.point].Raw,
+		Lease:     l.id,
+		Cycle:     l.cycle,
+		Progress:  st.pointFraction(l.point, l.cycle),
+		Attempt:   l.attempt,
+		ExpiresMS: l.expires.Sub(now).Milliseconds(),
+	}
 }
 
 // counterTotal sums one counter across a campaign's merged completed-point

@@ -401,14 +401,19 @@ func TestStatusView(t *testing.T) {
 	if view.Done || view.Counts[StatusRunning] != 1 || view.Counts[StatusPending] != 1 {
 		t.Fatalf("bad view: %+v", view)
 	}
-	if len(view.Leases) != 1 || view.Leases[0].Worker != "w1" || view.Leases[0].Cycle != 123 {
-		t.Fatalf("bad lease view: %+v", view.Leases)
+	// The status view's lease rows and the list are the fleet view's rows.
+	farm := c.Farm()
+	if len(view.Leases) != 1 || view.Leases[0] != farm.Workers[0] {
+		t.Fatalf("lease rows %+v, fleet rows %+v", view.Leases, farm.Workers)
+	}
+	if l := view.Leases[0]; l.Worker != "w1" || l.Cycle != 123 || l.Lease != resp.Assignment.Lease || l.Campaign != id {
+		t.Fatalf("bad lease row: %+v", l)
 	}
 	if _, err := c.Status("nope"); !errors.Is(err, ErrUnknownCampaign) {
 		t.Fatalf("unknown campaign: %v", err)
 	}
 	list := c.List()
-	if len(list) != 1 || list[0].ID != id || list[0].Points != 2 {
+	if len(list) != 1 || list[0] != farm.Campaigns[0] || list[0].ID != id || list[0].Points != 2 || list[0].Running != 1 {
 		t.Fatalf("bad list: %+v", list)
 	}
 }

@@ -132,16 +132,6 @@ func (m *Manifest) Done() bool {
 	return true
 }
 
-// AllCompleted reports whether every point completed with a result.
-func (m *Manifest) AllCompleted() bool {
-	for i := range m.Points {
-		if m.Points[i].Status != StatusCompleted {
-			return false
-		}
-	}
-	return true
-}
-
 // StatusCounts tallies points by status (for progress views).
 func (m *Manifest) StatusCounts() map[Status]int {
 	counts := make(map[Status]int)

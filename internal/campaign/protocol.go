@@ -100,28 +100,6 @@ type FailRequest struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// LeaseView is the status view of one active lease.
-type LeaseView struct {
-	Point     int    `json:"point"`
-	Worker    string `json:"worker"`
-	Lease     string `json:"lease"`
-	Cycle     int64  `json:"cycle"`
-	Attempt   int    `json:"attempt"`
-	ExpiresMS int64  `json:"expires_ms"` // time until expiry (may be negative)
-	// Progress is the fraction of the point's total cycles the worker had
-	// reached at its last renew, in [0,1]. 0 until the first heartbeat.
-	Progress float64 `json:"progress"`
-}
-
-// CampaignSummary is one row of the campaign list.
-type CampaignSummary struct {
-	ID        string `json:"id"`
-	Vary      string `json:"vary"`
-	Points    int    `json:"points"`
-	Completed int    `json:"completed"`
-	Done      bool   `json:"done"`
-}
-
 // StatusView is the live progress view of one campaign
 // (GET /campaigns/{id}).
 type StatusView struct {
@@ -129,7 +107,7 @@ type StatusView struct {
 	Done   bool           `json:"done"`
 	Counts map[Status]int `json:"counts"`
 	Points []PointRecord  `json:"points"`
-	Leases []LeaseView    `json:"leases,omitempty"`
+	Leases []WorkerView   `json:"leases,omitempty"`
 	// Progress is fractional campaign completion in [0,1]: terminal points
 	// count 1 each, live leases count their last-renewed cycle fraction.
 	Progress float64 `json:"progress"`
@@ -163,7 +141,8 @@ type FarmView struct {
 	Denied    int64 `json:"denied"`
 }
 
-// CampaignProgress is one campaign's row in the fleet view.
+// CampaignProgress is one campaign's row in the fleet view and in the
+// campaign list (GET /campaigns).
 type CampaignProgress struct {
 	ID        string  `json:"id"`
 	Vary      string  `json:"vary"`
@@ -177,15 +156,19 @@ type CampaignProgress struct {
 	Done      bool    `json:"done"`
 }
 
-// WorkerView is one active lease seen fleet-wide: which worker holds which
-// point of which campaign, and how far along it is.
+// WorkerView is one active lease, in the fleet view and in a campaign's
+// status view: which worker holds which point of which campaign under which
+// lease, and how far along it is.
 type WorkerView struct {
-	Worker    string  `json:"worker"`
-	Campaign  string  `json:"campaign"`
-	Point     int     `json:"point"`
-	Value     string  `json:"value"`
-	Cycle     int64   `json:"cycle"`
+	Worker   string `json:"worker"`
+	Campaign string `json:"campaign"`
+	Point    int    `json:"point"`
+	Value    string `json:"value"`
+	Lease    string `json:"lease"`
+	Cycle    int64  `json:"cycle"`
+	// Progress is the fraction of the point's total cycles the worker had
+	// reached at its last renew, in [0,1]. 0 until the first heartbeat.
 	Progress  float64 `json:"progress"`
 	Attempt   int     `json:"attempt"`
-	ExpiresMS int64   `json:"expires_ms"`
+	ExpiresMS int64   `json:"expires_ms"` // time until expiry (may be negative)
 }

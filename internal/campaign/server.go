@@ -7,7 +7,7 @@ package campaign
 //	POST /campaigns                           submit a spec (idempotent)
 //	GET  /campaigns                           list campaigns
 //	GET  /campaigns/{id}                      live progress view
-//	POST /campaigns/{id}/acquire              lease a point (also POST /acquire)
+//	POST /acquire                             lease a point (any campaign, or the request's)
 //	POST /campaigns/{id}/leases/{lease}/renew       heartbeat + live metrics
 //	POST /campaigns/{id}/leases/{lease}/checkpoint  upload WNCP bytes
 //	POST /campaigns/{id}/leases/{lease}/complete    exactly-once commit
@@ -65,7 +65,6 @@ func NewServer(coord *Coordinator) *Server {
 	s.mux.HandleFunc("GET /campaigns", s.handleList)
 	s.mux.HandleFunc("GET /campaigns/{id}", s.handleStatus)
 	s.mux.HandleFunc("POST /acquire", s.handleAcquire)
-	s.mux.HandleFunc("POST /campaigns/{id}/acquire", s.handleAcquire)
 	s.mux.HandleFunc("POST /campaigns/{id}/leases/{lease}/renew", s.handleRenew)
 	s.mux.HandleFunc("POST /campaigns/{id}/leases/{lease}/checkpoint", s.handleUploadCheckpoint)
 	s.mux.HandleFunc("POST /campaigns/{id}/leases/{lease}/complete", s.handleComplete)
@@ -167,9 +166,6 @@ func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxSpecBytes)).Decode(&req); err != nil {
 		http.Error(w, fmt.Sprintf("campaign: decode acquire: %v", err), http.StatusBadRequest)
 		return
-	}
-	if id := r.PathValue("id"); id != "" {
-		req.Campaign = id
 	}
 	resp, err := s.coord.Acquire(req)
 	if err != nil {

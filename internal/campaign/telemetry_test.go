@@ -189,8 +189,9 @@ func readSSE(t *testing.T, url string, v any) {
 	t.Fatalf("%s: stream ended without a data event: %v", url, sc.Err())
 }
 
-// TestTelemetryEndpoints drives the HTTP face: /farm JSON, both SSE
-// streams, and the embedded dashboard.
+// TestTelemetryEndpoints drives the HTTP face: /farm JSON, the wire keys of
+// the lease and campaign-list rows, both SSE streams, and the embedded
+// dashboard.
 func TestTelemetryEndpoints(t *testing.T) {
 	c, _ := newTestCoordinator(t, "")
 	id, _, err := c.Submit(testSpec())
@@ -205,17 +206,48 @@ func TestTelemetryEndpoints(t *testing.T) {
 	defer srv.Close()
 	defer s.Close()
 
-	resp, err := http.Get(srv.URL + "/farm")
-	if err != nil {
-		t.Fatal(err)
+	get := func(path string, v any) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatalf("decode %s: %v", path, err)
+		}
 	}
 	var farm FarmView
-	if err := json.NewDecoder(resp.Body).Decode(&farm); err != nil {
-		t.Fatalf("decode /farm: %v", err)
-	}
-	resp.Body.Close()
+	get("/farm", &farm)
 	if len(farm.Campaigns) != 1 || farm.Campaigns[0].Running != 1 {
 		t.Fatalf("/farm view wrong: %+v", farm)
+	}
+
+	// The wire keys of a campaign's lease rows and of the GET /campaigns
+	// rows: every key those rows have ever carried, plus the fleet view's,
+	// so one row type per thing stays additive on the wire.
+	var keyed struct{ Leases []map[string]any }
+	get("/campaigns/"+id, &keyed)
+	var list []map[string]any
+	get("/campaigns", &list)
+	if len(keyed.Leases) != 1 || len(list) != 1 {
+		t.Fatalf("%d lease rows and %d campaign rows, want one each", len(keyed.Leases), len(list))
+	}
+	for _, row := range []struct {
+		name string
+		got  map[string]any
+		want []string
+	}{
+		{"lease row", keyed.Leases[0],
+			[]string{"point", "worker", "lease", "cycle", "attempt", "expires_ms", "progress", "campaign", "value"}},
+		{"campaign row", list[0],
+			[]string{"id", "vary", "points", "completed", "done", "failed", "running", "elapsed_ms", "eta_ms"}},
+	} {
+		for _, k := range row.want {
+			if _, ok := row.got[k]; !ok {
+				t.Errorf("%s lacks key %q: %v", row.name, k, row.got)
+			}
+		}
 	}
 
 	var sseFarm FarmView
@@ -230,7 +262,7 @@ func TestTelemetryEndpoints(t *testing.T) {
 		t.Fatalf("/campaigns/{id}/events first event wrong: %+v", status)
 	}
 
-	resp, err = http.Get(srv.URL + "/campaigns/nosuch/events")
+	resp, err := http.Get(srv.URL + "/campaigns/nosuch/events")
 	if err != nil {
 		t.Fatal(err)
 	}

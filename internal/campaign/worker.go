@@ -2,13 +2,13 @@ package campaign
 
 // The worker is the execution half of a campaign: an acquire→run→commit
 // loop around internal/supervisor, and the one place a sweep point is
-// executed — by campaign-worker and sweep -connect over HTTP, by a plain
-// sweep against a coordinator in its own process. Each leased point is
-// expanded locally from the spec the coordinator ships in the assignment,
-// verified against the coordinator's config digest, run as expanded on a
-// one-shard engine (parallelism is one loop per core), and — when the point
-// carries a migrated checkpoint from a dead worker — restored
-// bit-identically before the supervisor takes over. While a point runs, a
+// executed — by campaign-worker and sweep -connect over HTTP against
+// campaignd, by a plain sweep against a coordinator in its own process.
+// Each leased point is expanded locally from the spec the coordinator ships
+// in the assignment, verified against the coordinator's config digest, run
+// as expanded on a one-shard engine (parallelism is one loop per core), and
+// — when the point carries a migrated checkpoint from a dead worker —
+// restored bit-identically before the supervisor takes over. While a point runs, a
 // heartbeat goroutine renews the lease and streams the live metrics
 // snapshot; the supervisor's checkpoint hook uploads WNCP bytes to the
 // coordinator so the point stays migratable right up to the cycle it dies

@@ -58,9 +58,15 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// counters collects an engine's all-time totals.
+func counters(e *sim.Engine) [6]int64 {
+	return [6]int64{e.Generated(), e.Delivered(), e.Recovered(), e.Aborted(), e.Retried(), e.Dropped()}
+}
+
 // TestRestoreThroughFile is the full cold-restart path: snapshot → file →
 // fresh process image → resumed run, compared against the uninterrupted run
-// at worker counts 1, 2 and 4 on both sides of the restart.
+// at worker counts 1, 2 and 4 on both sides of the restart: the same result
+// and all-time counters, and an engine whose invariants hold at the end.
 func TestRestoreThroughFile(t *testing.T) {
 	cfg := shortConfig()
 	golden, err := sim.New(cfg)
@@ -69,7 +75,7 @@ func TestRestoreThroughFile(t *testing.T) {
 	}
 	defer golden.Close()
 	wantRes := golden.Run()
-	wantDelivered := golden.Delivered()
+	wantCounters := counters(golden)
 
 	path := filepath.Join(t.TempDir(), "run.wncp")
 	if err := WriteFile(path, midRunSnapshot(t)); err != nil {
@@ -91,8 +97,11 @@ func TestRestoreThroughFile(t *testing.T) {
 		if res != wantRes {
 			t.Errorf("workers=%d: resumed result diverged:\n got  %+v\n want %+v", workers, res, wantRes)
 		}
-		if d := e.Delivered(); d != wantDelivered {
-			t.Errorf("workers=%d: resumed delivered %d, want %d", workers, d, wantDelivered)
+		if c := counters(e); c != wantCounters {
+			t.Errorf("workers=%d: resumed counters %v, want %v", workers, c, wantCounters)
+		}
+		if err := e.CheckInvariants(); err != nil {
+			t.Errorf("workers=%d: invariants after resume: %v", workers, err)
 		}
 		e.Close()
 	}

@@ -100,8 +100,11 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 				t.Fatal("golden run emitted no events; scenario is vacuous")
 			}
 			// One snapshot point in warmup-heavy early traffic, one deep in
-			// the measurement window with recoveries/faults in flight.
-			for _, snapAt := range []int64{1500, cfg.TotalCycles() / 2} {
+			// the measurement window with recoveries/faults in flight, and
+			// one in the drain window, where generation has stopped but
+			// in-flight messages still settle into the measured result.
+			snapAts := []int64{1500, cfg.TotalCycles() / 2, cfg.TotalCycles() - cfg.DrainCycles/2}
+			for _, snapAt := range snapAts {
 				for _, w := range combos {
 					res, events, counters := runResumed(t, cfg, w.snapW, w.resumeW, snapAt)
 					if res != baseRes {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Farm smoke test: boot a coordinator and two workers, hard-kill the first
-# worker mid-point, let the second steal the lease and resume from the
-# migrated checkpoint, then require the farm's manifest to carry results
-# bit-identical to a plain serial `sweep` of the same spec.
+# worker mid-point, let the second — a `sweep -connect` — steal the lease
+# and resume from the migrated checkpoint, then require the farm's manifest
+# and the finisher's CSV to be bit-identical to a plain serial `sweep` of
+# the same spec.
 #
 # Usage: scripts/farm_smoke.sh [scratch-dir]
 #
@@ -70,11 +71,16 @@ if [ "$rc" -ne 3 ]; then
 fi
 echo "farm-smoke: worker 1 chaos-killed mid-point"
 
-# Worker 2 steals the orphaned point, resumes its checkpoint, and drains
-# the campaign.
-"$bin/campaign-worker" -connect "$url" -name smoke-finisher \
-  -exit-when-done 2>"$scratch/worker2.log"
-echo "farm-smoke: worker 2 drained the campaign"
+# The finisher is a sweep run against the coordinator: its flags build the
+# same spec, so it resumes the farm's campaign rather than creating one,
+# steals the orphaned point, resumes its checkpoint, drains the campaign and
+# prints the CSV.
+"$bin/sweep" -connect "$url" -vary rate -values 0.5,2.0 -k 4 -n 2 \
+  -warmup 200 -measure 800 -drain 300 -checkpoint-every 150 -point-retries 3 \
+  >"$scratch/farm.csv" 2>"$scratch/worker2.log"
+grep -q "campaign $id resumed" "$scratch/worker2.log" \
+  || { echo "farm-smoke: sweep -connect did not resume campaign $id" >&2; cat "$scratch/worker2.log" >&2; exit 1; }
+echo "farm-smoke: sweep -connect drained the campaign"
 
 # The coordinator exits 0 only if every point completed.
 wait "$coord_pid"
@@ -87,10 +93,12 @@ coord_pid=""
   -warmup 200 -measure 800 -drain 300 \
   -out "$scratch/serial" >"$scratch/serial.csv"
 
-# Results must be bit-identical, and at least one farm point must have
-# resumed from a migrated checkpoint (proof the kill hit the real path).
+# Results must be bit-identical, in the manifests and in the CSVs, and at
+# least one farm point must have resumed from a migrated checkpoint (proof
+# the kill hit the real path).
 "$bin/manifestdiff" -require-resume "$scratch/farm/$id" "$scratch"/serial/*/
+diff "$scratch/farm.csv" "$scratch/serial.csv"
 grep -q 'resumed from migrated checkpoint\|resuming from migrated checkpoint' "$scratch/worker2.log" \
-  || { echo "farm-smoke: worker 2 never logged a checkpoint resume" >&2; cat "$scratch/worker2.log" >&2; exit 1; }
+  || { echo "farm-smoke: the finisher never logged a checkpoint resume" >&2; cat "$scratch/worker2.log" >&2; exit 1; }
 
 echo "farm-smoke: PASS (results bit-identical to serial, migration exercised)"
