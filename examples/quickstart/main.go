@@ -46,6 +46,6 @@ func main() {
 	// The collector exposes more detail than the summary: e.g. the latency
 	// distribution.
 	col := engine.Collector()
-	fmt.Printf("  p99 latency     : <= %.0f cycles\n", col.Hist.Quantile(0.99))
+	fmt.Printf("  p99 latency     : <= %.0f cycles\n", col.Hist.Quantile(0.99, col.Latency.Max()))
 	fmt.Printf("  min/max latency : %.0f / %.0f cycles\n", col.Latency.Min(), col.Latency.Max())
 }

@@ -182,9 +182,14 @@ func (c *Client) DownloadCheckpoint(campaign string, point int) ([]byte, error) 
 }
 
 // Complete commits a finished point (exactly once, lease-guarded).
+// A request that does not encode (a non-finite result) is refused here.
 func (c *Client) Complete(campaign, lease string, req CompleteRequest) error {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return fmt.Errorf("campaign: encode result: %w", err)
+	}
 	return c.doRetry("POST", "/campaigns/"+campaign+"/leases/"+lease+"/complete",
-		"application/json", marshal(req), nil)
+		"application/json", body, nil)
 }
 
 // Fail reports a non-completed attempt.

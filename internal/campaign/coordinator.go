@@ -24,6 +24,7 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -642,6 +643,11 @@ func (c *Coordinator) Complete(campaignID, leaseID string, req CompleteRequest) 
 		c.m.digRejects.Inc()
 		return fmt.Errorf("%w: point %d: worker computed %q, coordinator %q",
 			ErrDigestMismatch, l.point, req.Digest, st.points[l.point].Digest)
+	}
+	// The manifest and the status view are JSON: a result they cannot carry
+	// is refused before anything changes.
+	if _, err := json.Marshal(req.Result); err != nil {
+		return fmt.Errorf("campaign: point %d: result does not encode: %w", l.point, err)
 	}
 	rec := &st.manifest.Points[l.point]
 	result := req.Result

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http/httptest"
 	"os"
 	"os/signal"
@@ -536,6 +537,61 @@ func TestRefusalsOverTransports(t *testing.T) {
 		err = RunWorker(context.Background(), WorkerOptions{Transport: counted, Output: io.Discard})
 		if err == nil || retryable(err) || counted.n != 1 {
 			t.Errorf("skewed worker: %d acquire(s), err %v; want one refused acquire", counted.n, err)
+		}
+	})
+}
+
+// poisoned hands the coordinator a result that cannot encode as JSON.
+type poisoned struct{ farmEnd }
+
+func (p poisoned) Complete(campaign, lease string, req CompleteRequest) error {
+	req.Result.P99Latency = math.Inf(1)
+	return p.farmEnd.Complete(campaign, lease, req)
+}
+
+// TestFarmUncommittableResultFails: a point whose result cannot be committed
+// counts each refused commit as a failed attempt and ends failed, with the
+// error in the manifest, once the retry budget is spent — it is not leased
+// again forever.
+func TestFarmUncommittableResultFails(t *testing.T) {
+	overTransports(t, func(t *testing.T, open func(*Coordinator) farmEnd) {
+		spec := testSpec()
+		spec.Values = spec.Values[:1]
+		spec.Retries = 2
+		coord, err := NewCoordinator(Options{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		far := poisoned{open(coord)}
+		id, _, err := far.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			done <- RunWorker(context.Background(), WorkerOptions{
+				Transport: far, Name: "w", Poll: 10 * time.Millisecond, ExitWhenDone: true, Output: io.Discard,
+			})
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("worker: %v", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("worker still running: the point is being retried without end")
+		}
+		man, err := coord.Manifest(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := man.Points[0]
+		if rec.Status != StatusFailed || rec.Attempts != spec.Retries || rec.Result != nil {
+			t.Errorf("point ended %s after %d attempts (result %v), want failed after %d",
+				rec.Status, rec.Attempts, rec.Result, spec.Retries)
+		}
+		if !strings.Contains(rec.Error, "commit failed") || !strings.Contains(rec.Error, "unsupported value") {
+			t.Errorf("manifest error %q does not name the refused commit", rec.Error)
 		}
 	})
 }

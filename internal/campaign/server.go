@@ -82,9 +82,6 @@ func NewServer(coord *Coordinator) *Server {
 // Handler returns the full route table (tests mount it on httptest).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Monitor returns the embedded obs monitor (drain control, /healthz).
-func (s *Server) Monitor() *obs.Monitor { return s.monitor }
-
 // Serve binds addr and serves in the background until Shutdown/Close.
 func (s *Server) Serve(addr string) error {
 	// The monitor owns the listener and server lifecycle; route everything

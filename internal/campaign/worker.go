@@ -363,7 +363,12 @@ func (w *worker) runAssignment(ctx context.Context, a *Assignment) error {
 			// identical result, or will be. Our copy is redundant, not wrong.
 			w.logf("point %d: completed but lease lost — result committed elsewhere", a.Point)
 		case err != nil:
-			w.logf("point %d: commit failed: %v", a.Point, err)
+			// A result the coordinator cannot take fails the attempt: within
+			// the retry budget the point runs again, beyond it it ends failed
+			// with the error in the manifest, instead of being leased forever.
+			msg := "commit failed: " + err.Error()
+			w.cl.Fail(a.Campaign, a.Lease, FailRequest{Outcome: "failed", Error: msg}) //nolint:errcheck // coordinator expires the lease anyway
+			w.logf("point %d: %s", a.Point, msg)
 		default:
 			w.logf("point %d (%s=%s): completed at cycle %d", a.Point, spec.Vary, pt.Raw, rep.EndCycle)
 		}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -328,5 +330,49 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if _, err := RingSpec().Config(); err != nil {
 		t.Fatalf("RingSpec rejected: %v", err)
+	}
+}
+
+// TestRunSweep explores the ring at two thresholds: each report is the one a
+// direct run at that threshold gives, the journal option is ignored (a journal
+// holds one exploration), and FormatSweep prints a row per threshold.
+func TestRunSweep(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "sweep.wncp")
+	var logged int
+	results, err := RunSweep(boundedRing(3000), []int32{8, 32}, Options{
+		Journal: journal,
+		Log:     func(string, ...any) { logged++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 2 || results[0].Threshold != 8 || results[1].Threshold != 32 {
+		t.Fatalf("sweep returned %+v, want thresholds 8 and 32", results)
+	}
+	for _, sr := range results {
+		spec := boundedRing(3000)
+		spec.Threshold = sr.Threshold
+		x, err := New(spec, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := x.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sr.Report.Format() != direct.Format() {
+			t.Errorf("threshold %d: sweep report differs from a direct run:\n%s\nvs\n%s",
+				sr.Threshold, sr.Report.Format(), direct.Format())
+		}
+	}
+	if logged < 2 {
+		t.Errorf("%d log lines, want one per threshold at least", logged)
+	}
+	if _, err := os.Stat(journal); !os.IsNotExist(err) {
+		t.Errorf("a sweep wrote the journal: %v", err)
+	}
+	table := FormatSweep(results)
+	if rows := strings.Count(table, "\n"); rows != 3 {
+		t.Errorf("sweep table has %d lines, want a header and two rows:\n%s", rows, table)
 	}
 }

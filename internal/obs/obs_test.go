@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -130,6 +132,40 @@ func TestJSONLStickyError(t *testing.T) {
 	}
 	if err := w.Write("more"); err == nil {
 		t.Fatal("writes after error must keep failing")
+	}
+}
+
+// CreateJSONL truncates its file, owns it (Close closes it, so a second Close
+// does not fail on a closed file), and fails on a path it cannot create.
+func TestCreateJSONL(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.jsonl")
+	if err := os.WriteFile(path, []byte("stale line\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := CreateJSONL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := w.Write(map[string]int{"i": i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "{\"i\":0}\n{\"i\":1}\n"; string(got) != want {
+		t.Errorf("file holds %q, want %q", got, want)
+	}
+	if _, err := CreateJSONL(filepath.Join(path, "under-a-file")); err == nil {
+		t.Error("CreateJSONL under a regular file succeeded")
 	}
 }
 

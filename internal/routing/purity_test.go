@@ -1,6 +1,9 @@
 package routing
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"wormnet/internal/topology"
@@ -80,5 +83,75 @@ func TestCandidatesPurity(t *testing.T) {
 				t.Fatal("healed candidate sets differ from fault-free ones; repair is not exact")
 			}
 		})
+	}
+}
+
+// TestCandidatesFollowOffsetClass pins the two facts the simulator's
+// candidate table is built on, for every engine on k in {2, 3, 4, 8} and n in
+// {1, 2, 3}:
+//
+//   - a pair's healthy set equals that of the representative pair of its
+//     offset class: per dimension the smaller coordinate moved to 0, the
+//     difference b-a kept (which fixes both the offset mod k and a > b);
+//   - under random link and router masks, a pair's set is its healthy set
+//     restricted to cur's live output ports, in the same order.
+func TestCandidatesFollowOffsetClass(t *testing.T) {
+	rng := rand.New(rand.NewPCG(36, 1))
+	for _, k := range []int{2, 3, 4, 8} {
+		for n := 1; n <= 3; n++ {
+			topo := topology.New(k, n)
+			engines := map[string]Algorithm{
+				"tfar":  NewTFAR(topo, 3),
+				"dor":   NewDOR(topo, 3),
+				"duato": NewDuato(topo, 3),
+			}
+			for name, alg := range engines {
+				t.Run(fmt.Sprintf("%s/%d-ary_%d-cube", name, k, n), func(t *testing.T) {
+					nodes := topo.Nodes()
+					healthy := make([][]Candidate, nodes*nodes)
+					cur, dst := make([]int, n), make([]int, n)
+					for c := 0; c < nodes; c++ {
+						for d := 0; d < nodes; d++ {
+							for dim := 0; dim < n; dim++ {
+								diff := topo.Coord(topology.NodeID(d), dim) - topo.Coord(topology.NodeID(c), dim)
+								cur[dim], dst[dim] = max(0, -diff), max(0, diff)
+							}
+							got := alg.Candidates(topology.NodeID(c), topology.NodeID(d), nil)
+							rep := alg.Candidates(topo.FromCoords(cur), topo.FromCoords(dst), nil)
+							if !slices.Equal(got, rep) {
+								t.Fatalf("(%d,%d): %v, its class representative has %v", c, d, got, rep)
+							}
+							healthy[c*nodes+d] = got
+						}
+					}
+
+					live := topology.NewLiveness(topo)
+					alg.(FaultAware).SetLiveness(live)
+					defer alg.(FaultAware).SetLiveness(nil)
+					for mask := 0; mask < 3; mask++ {
+						for x := 0; x < nodes; x++ {
+							live.SetRouter(topology.NodeID(x), rng.IntN(10) != 0)
+							for p := 0; p < topo.NumPorts(); p++ {
+								live.SetLink(topology.NodeID(x), topology.Port(p), rng.IntN(5) != 0)
+							}
+						}
+						for c := 0; c < nodes; c++ {
+							for d := 0; d < nodes; d++ {
+								var want []Candidate
+								for _, cd := range healthy[c*nodes+d] {
+									if live.LinkAlive(topology.NodeID(c), cd.Port) {
+										want = append(want, cd)
+									}
+								}
+								got := alg.Candidates(topology.NodeID(c), topology.NodeID(d), nil)
+								if !slices.Equal(got, want) {
+									t.Fatalf("mask %d, (%d,%d): %v, healthy set on live ports is %v", mask, c, d, got, want)
+								}
+							}
+						}
+					}
+				})
+			}
+		}
 	}
 }

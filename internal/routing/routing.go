@@ -26,12 +26,22 @@ type Candidate struct {
 //
 // Reconfiguration contract: Candidates must be a pure, deterministic
 // function of (cur, dst, current liveness mask) — no hidden per-call state,
-// no dependence on call order or history. The simulation engine relies on
-// this for online fault/repair reconfiguration: at every routing-epoch flip
-// it rebuilds its packed candidate table by re-running Candidates under the
-// new mask, and a repaired component must restore exactly the candidate
-// sets it had before failing. Impurity here would silently break both the
-// epoch invariants and serial↔parallel bit-equality.
+// no dependence on call order or history — and the simulation engine relies
+// on two more facts about it, which every algorithm here keeps
+// (TestCandidatesFollowOffsetClass):
+//
+//   - Offset classes. The healthy set depends on the two addresses only
+//     through, per dimension, the offset (dst-cur) mod k and whether cur's
+//     coordinate exceeds dst's (what MinimalDirs and wrapAhead read). The
+//     engine evaluates Candidates once per such class, not per pair.
+//   - Faults filter. Under any liveness mask, the set is the healthy set
+//     restricted to cur's live output ports (LinkAlive(cur, p)), in the same
+//     order. At a routing-epoch flip the engine derives every set from the
+//     healthy ones this way, without calling Candidates, so a repaired
+//     component restores exactly the sets it had before failing.
+//
+// Breaking either silently breaks the epoch invariants and the engine's
+// table (sim's CheckReconfiguration compares the two pair by pair).
 type Algorithm interface {
 	// Candidates appends the admissible output virtual channels to out and
 	// returns the extended slice. The result is empty iff cur == dst.

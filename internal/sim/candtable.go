@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"wormnet/internal/routing"
@@ -35,25 +37,35 @@ func packCands(cands []routing.Candidate, out []portCand) []portCand {
 	return out
 }
 
-// candTable is the packed per-(node, destination) routing candidate table.
-// Between liveness changes every routing algorithm in the simulator is a pure
-// function of (current, destination), so the candidate sets are computed once
-// per routing epoch and the per-header routing call becomes a lookup.
+// candTable is the packed routing candidate table. Between liveness changes
+// every routing algorithm in the simulator is a pure function of (current,
+// destination), and all three read nothing of the two addresses but, per
+// dimension, the offset (b-a) mod k and whether a > b (MinimalDirs and
+// wrapAhead). So the table is keyed by that offset class: per dimension the
+// signed difference b-a, which determines both, shifted into [1, 2k) and
+// taken as a base-2k digit. With spread[x] the node's coordinates read as
+// base-2k digits, the class of (cur, dst) is spread[dst] - spread[cur] + base:
+// one subtraction and a (2k)^n-entry table, 4 096 ids (16 kB) on the 8-ary
+// 3-cube.
 //
-// Candidate sets repeat heavily: they depend on the per-dimension offsets
-// (and, for dateline schemes, which wraparounds remain), not on the quarter
-// of a million (current, destination) pairs individually, so a 512-node
-// torus has a few hundred distinct sets at most. The table therefore stores
+// Candidate sets repeat heavily (on that network 64 distinct sets under TFAR,
+// 13 under DOR, 127 under Duato, the empty set included), so the table stores
 // each distinct set once, in a pool small enough to stay cache-resident, and
-// keeps only a per-pair set id. That id array is the one big thing here (1 MB
-// at 512 nodes, so a lookup in it is a cache miss): an input virtual channel
-// looks its header's id up once and caches it (inVC.set), and a retry costs
-// the set's word alone.
+// the class entry is the set's id. An input virtual channel still looks its header's id up once and
+// caches it (inVC.set): a retry costs the set's word alone.
+//
+// Under faults, every algorithm's set is its healthy set restricted to cur's
+// live output ports (the routing.Algorithm contract), so an engine with
+// something down keeps the shape's classes and adds an overlay (see overlay):
+// remap sends a healthy id to the id of its set without the dead ports, in one
+// block per distinct dead-port set, and remapAt names each node's block. Both
+// are nil on a shape's table.
 type candTable struct {
-	n      int
-	setID  []int32    // per (cur*n+dst): set id, never 0 (0 = "not looked up" in the caches)
-	setOff []int32    // per set id: [setOff[id], setOff[id+1]) in pool
-	pool   []portCand // deduplicated candidate sets, back to back
+	spread []int32 // per node: its coordinates as base-2k digits
+	base   int32   // the class offset: k in every base-2k digit
+	class  []int32 // per offset class: healthy set id, never 0 for a class a pair has (0 = "not looked up" in the caches)
+	setOff []int32 // per set id: [setOff[id], setOff[id+1]) in pool
+	pool   []portCand
 	// word[id] is set id's candidates as one word, bit port*VCs+vc: what a
 	// blocked header is tested against (allocate). Zero for the empty set.
 	// useful[id] has bit port*VCs for each physical port of the set: the
@@ -64,60 +76,159 @@ type candTable struct {
 	// port[i] is pool[i].port: each set's physical ports as the slice the
 	// injection limiters' channel view hands out.
 	port []topology.Port
+	// seen maps a set's packed bytes (intern's key) to its id.
+	seen map[string]int32
+
+	remapAt []int32 // per node: its block in remap (0, the identity, with no dead port)
+	remap   []int32 // blocks of len(healthy ids): healthy id -> filtered id
 }
 
-// buildCandTable evaluates the routing function for every (current,
-// destination) pair under alg's current liveness mask, deduplicating identical
-// candidate sets. Set ids are handed out in first-seen order, so two builds of
-// the same function number their sets alike.
+// buildCandTable evaluates the routing function once per offset class, at a
+// representative pair of that class, under alg's current liveness mask, which
+// must be all-alive. Set ids are handed out in first-seen order, so two builds
+// of the same function number their sets alike.
 func buildCandTable(topo *topology.Torus, alg routing.Algorithm, vcs int) *candTable {
-	n := topo.Nodes()
+	k, n := topo.K(), topo.N()
 	t := &candTable{
-		n:      n,
-		setID:  make([]int32, n*n),
+		spread: make([]int32, topo.Nodes()),
 		setOff: []int32{0, 0}, // id 0 is reserved and empty
 		word:   []uint64{0},
 		useful: []uint64{0},
+		seen:   make(map[string]int32),
 	}
-	seen := make(map[string]int32)
+	classes := int32(1)
+	for d := 0; d < n; d++ {
+		t.base += int32(k) * classes
+		for x := range t.spread {
+			t.spread[x] += int32(topo.Coord(topology.NodeID(x), d)) * classes
+		}
+		classes *= int32(2 * k)
+	}
+	t.class = make([]int32, classes)
+	cur, dst := make([]int, n), make([]int, n)
 	var scratch []routing.Candidate
 	var packed []portCand
-	var key []byte
-	for cur := 0; cur < n; cur++ {
-		for dst := 0; dst < n; dst++ {
-			packed = packed[:0]
-			if cur != dst {
-				scratch = alg.Candidates(topology.NodeID(cur), topology.NodeID(dst), scratch[:0])
-				packed = packCands(scratch, packed)
+next:
+	for c := range t.class {
+		// Digit d of c is the offset b-a+k of dimension d; digit 0 (b-a = -k)
+		// is no pair's, so its classes keep id 0. The representative pair
+		// puts the smaller coordinate of each dimension at 0.
+		for d, rest := 0, c; d < n; d, rest = d+1, rest/(2*k) {
+			diff := rest%(2*k) - k
+			if diff == -k {
+				continue next
 			}
-			key = key[:0]
-			for _, pc := range packed {
-				key = append(key, byte(pc.port),
-					byte(pc.mask), byte(pc.mask>>8), byte(pc.mask>>16), byte(pc.mask>>24))
-			}
-			id, ok := seen[string(key)]
-			if !ok {
-				id = int32(len(t.word))
-				seen[string(key)] = id
-				t.pool = append(t.pool, packed...)
-				var w, u uint64
-				for _, pc := range packed {
-					t.port = append(t.port, pc.port)
-					w |= uint64(pc.mask) << uint(int(pc.port)*vcs)
-					u |= 1 << uint(int(pc.port)*vcs)
-				}
-				t.word = append(t.word, w)
-				t.useful = append(t.useful, u)
-				t.setOff = append(t.setOff, int32(len(t.pool)))
-			}
-			t.setID[cur*n+dst] = id
+			cur[d], dst[d] = max(0, -diff), max(0, diff)
 		}
+		scratch = alg.Candidates(topo.FromCoords(cur), topo.FromCoords(dst), scratch[:0])
+		packed = packCands(scratch, packed[:0])
+		t.class[c] = t.intern(packed, vcs)
 	}
 	return t
 }
 
+// intern returns the id of the set packed, adding it to the pool (and its word,
+// useful word and ports beside it) if no set has those ports and masks yet.
+func (t *candTable) intern(packed []portCand, vcs int) int32 {
+	var buf [5 * 64]byte // a set has at most one entry a port, and a router fewer than 64 ports
+	key := buf[:0]
+	for _, pc := range packed {
+		key = append(key, byte(pc.port),
+			byte(pc.mask), byte(pc.mask>>8), byte(pc.mask>>16), byte(pc.mask>>24))
+	}
+	if id, ok := t.seen[string(key)]; ok {
+		return id
+	}
+	id := int32(len(t.word))
+	t.seen[string(key)] = id
+	t.pool = append(t.pool, packed...)
+	for _, pc := range packed {
+		t.port = append(t.port, pc.port)
+	}
+	w, u := setWords(packed, vcs)
+	t.word = append(t.word, w)
+	t.useful = append(t.useful, u)
+	t.setOff = append(t.setOff, int32(len(t.pool)))
+	return id
+}
+
+// setWords returns a set's word (bit port*vcs+vc per candidate) and useful
+// word (bit port*vcs per port).
+func setWords(set []portCand, vcs int) (word, useful uint64) {
+	for _, pc := range set {
+		word |= uint64(pc.mask) << uint(int(pc.port)*vcs)
+		useful |= 1 << uint(int(pc.port)*vcs)
+	}
+	return word, useful
+}
+
+// overlay makes t, an engine's own table, the shape table sh under live. The
+// classes are sh's, read in place; sh's sets are copied into t's storage, so
+// appending filtered sets never writes sh's. Each distinct set of dead output
+// ports (as bits port*VCs, the useful word's form) gets one remap block, built
+// from the healthy sets alone: routing is not evaluated, and nodes with every
+// port alive share the identity block 0.
+func (t *candTable) overlay(sh *candTable, topo *topology.Torus, live *topology.Liveness, vcs int) {
+	t.spread, t.base, t.class = sh.spread, sh.base, sh.class
+	t.setOff = append(t.setOff[:0], sh.setOff...)
+	t.pool = append(t.pool[:0], sh.pool...)
+	t.word = append(t.word[:0], sh.word...)
+	t.useful = append(t.useful[:0], sh.useful...)
+	t.port = append(t.port[:0], sh.port...)
+	if t.seen == nil {
+		t.seen = make(map[string]int32, len(sh.seen))
+	}
+	clear(t.seen)
+	maps.Copy(t.seen, sh.seen)
+
+	healthy := int32(len(sh.word))
+	t.remap = t.remap[:0]
+	for h := range healthy {
+		t.remap = append(t.remap, h)
+	}
+	t.remapAt = slices.Grow(t.remapAt[:0], topo.Nodes())[:topo.Nodes()]
+	blocks := map[uint64]int32{0: 0}
+	for x := range t.remapAt {
+		var dead uint64
+		for p := 0; p < topo.NumPorts(); p++ {
+			if !live.LinkAlive(topology.NodeID(x), topology.Port(p)) {
+				dead |= 1 << uint(p*vcs)
+			}
+		}
+		at, ok := blocks[dead]
+		if !ok {
+			at = int32(len(t.remap))
+			blocks[dead] = at
+			for h := range healthy {
+				t.remap = append(t.remap, t.filtered(h, dead, vcs))
+			}
+		}
+		t.remapAt[x] = at
+	}
+}
+
+// filtered returns the id of healthy set h without the ports in dead.
+func (t *candTable) filtered(h int32, dead uint64, vcs int) int32 {
+	if t.useful[h]&dead == 0 {
+		return h
+	}
+	var packed []portCand
+	for _, pc := range t.set(h) {
+		if dead>>uint(int(pc.port)*vcs)&1 == 0 {
+			packed = append(packed, pc)
+		}
+	}
+	return t.intern(packed, vcs)
+}
+
 // id returns the set id of a header at cur addressed to dst.
-func (t *candTable) id(cur, dst topology.NodeID) int32 { return t.setID[int(cur)*t.n+int(dst)] }
+func (t *candTable) id(cur, dst topology.NodeID) int32 {
+	id := t.class[t.spread[dst]-t.spread[cur]+t.base]
+	if t.remapAt != nil {
+		id = t.remap[t.remapAt[cur]+id]
+	}
+	return id
+}
 
 // set returns candidate set id.
 func (t *candTable) set(id int32) []portCand {
@@ -142,8 +253,8 @@ type shapeKey struct {
 // shape is what every engine of one network has in common and none of them
 // writes: the torus and the candidate table of the network with nothing down.
 // An engine at routing epoch 0, or healed back to all-alive, reads cand in
-// place; a liveness change makes the engine build a table of its own (retable),
-// so nothing ever writes this one.
+// place; a liveness change points the engine at an overlay of its own over
+// this table (retable), so nothing ever writes this one.
 type shape struct {
 	key   shapeKey
 	build sync.Once
@@ -203,12 +314,17 @@ func shapeOf(cfg *Config) *shape {
 }
 
 // retable makes e.cand the table of a fault-capable engine's current liveness
-// mask: the shape's when nothing is down, else one built now. Callers zero the
+// mask: the shape's when nothing is down, else the engine's own overlay of it,
+// rebuilt in place without calling the routing function. Callers zero the
 // set-id caches.
 func (e *Engine) retable() {
 	if e.live.AllAlive() {
 		e.cand = e.shape.cand
 		return
 	}
-	e.cand = buildCandTable(e.topo, e.alg, e.cfg.VCs)
+	if e.faultCand == nil {
+		e.faultCand = new(candTable)
+	}
+	e.faultCand.overlay(e.shape.cand, e.topo, e.live, e.cfg.VCs)
+	e.cand = e.faultCand
 }

@@ -193,7 +193,7 @@ func (e *Engine) pack(nd *node, w *allocWords) {
 // allocate claims an output virtual channel (or ejection channel) for
 // message m whose header is at node nd (dst is the caller's cached copy of
 // m.Dst and set its cached candidate-set id, looked up here when still 0, so
-// a retry loads neither the message nor the per-pair id array). It reports
+// a retry loads neither the message nor the class table). It reports
 // whether allocation succeeded, whether the candidate set shows any "vital
 // sign" — an unallocated virtual channel or one that transmitted a flit
 // within the last cycle — which vetoes the deadlock presumption, and whether

@@ -235,13 +235,14 @@ type Engine struct {
 
 	nextID message.ID
 
-	// cand is the precomputed per-(node, destination) routing candidate table
-	// of the current liveness mask: shape's, shared and read-only, while nothing
-	// is down, and one this engine built at the last epoch flip otherwise
-	// (retable) — so a lookup always equals a routing call under the mask,
-	// healed channels included from the cycle their repair commits.
-	shape *shape
-	cand  *candTable
+	// cand is the precomputed routing candidate table of the current liveness
+	// mask: shape's, shared and read-only, while nothing is down, and
+	// faultCand, this engine's overlay of it rebuilt at the last epoch flip,
+	// otherwise (retable) — so a lookup always equals a routing call under the
+	// mask, healed channels included from the cycle their repair commits.
+	shape     *shape
+	cand      *candTable
+	faultCand *candTable
 
 	// waiting is the record arena behind every node's source queue, and built
 	// the objects of the few waiting messages that already have one (by id;
@@ -298,7 +299,7 @@ type Engine struct {
 	killScratch []*message.Message
 	// epoch counts routing reconfigurations: it starts at 0 and increments
 	// once per applied liveness-changing fault or repair event. Every epoch
-	// flip rebuilds the candidate table under the new mask and revalidates
+	// flip re-derives the candidate table's fault overlay and revalidates
 	// surviving routes (reconfigure), so healed capacity re-enters routing
 	// decisions online, without draining the network.
 	epoch uint64
@@ -358,9 +359,8 @@ type Engine struct {
 
 // New builds a simulation engine from cfg. It validates the configuration
 // and pre-allocates all routers, channels and statistics state — including
-// the packed per-(node, destination) candidate table when the routing
-// function is static, and contiguous arenas for the per-virtual-channel hot
-// state.
+// contiguous arenas for the per-virtual-channel hot state — and reads the
+// packed candidate table of its network from the shape cache.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -538,8 +538,7 @@ func splitSeed(seed, node uint64) uint64 {
 
 // setOf returns the candidate-set id of a header at nd addressed to dst
 // through its cache (inVC.set, injChannel.set, srcQueue.set), looking it up in
-// the per-pair id array — the one cache miss of a routing decision — only
-// while the cache still holds 0.
+// the offset-class table only while the cache still holds 0.
 func (e *Engine) setOf(nd *node, dst topology.NodeID, set *int32) int32 {
 	if *set == 0 {
 		*set = e.cand.id(nd.id, dst)

@@ -11,13 +11,24 @@ import (
 )
 
 // faulty returns a zero-rate engine with the given fault schedule, for
-// hand-built scenarios.
+// hand-built scenarios, checking the candidate table at every epoch flip.
 func faulty(t *testing.T, s *fault.Schedule, mutate func(*Config)) *Engine {
 	t.Helper()
-	return idle(t, func(c *Config) {
+	e := idle(t, func(c *Config) {
 		c.Faults = s
 		if mutate != nil {
 			mutate(c)
+		}
+	})
+	checkFlips(t, e)
+	return e
+}
+
+// checkFlips runs CheckReconfiguration at every epoch flip of e.
+func checkFlips(t *testing.T, e *Engine) {
+	e.SetReconfigHook(func(epoch uint64) {
+		if err := e.CheckReconfiguration(); err != nil {
+			t.Errorf("epoch %d: %v", epoch, err)
 		}
 	})
 }
@@ -259,5 +270,28 @@ func TestFaultScheduleValidation(t *testing.T) {
 	cfg.Retry = fault.RetryPolicy{MaxRetries: 1, BackoffBase: 8, BackoffCap: 4}
 	if _, err := New(cfg); err == nil {
 		t.Error("invalid retry policy accepted")
+	}
+}
+
+// TestLivenessFollowsSchedule: an engine without faults has no mask; one with
+// a schedule exposes the mask the schedule drives, link down and back up.
+func TestLivenessFollowsSchedule(t *testing.T) {
+	if e := idle(t, nil); e.Liveness() != nil {
+		t.Error("fault-free engine exposes a liveness mask")
+	}
+	up := topology.PortFor(0, topology.Plus)
+	e := faulty(t, (&fault.Schedule{}).FailLink(5, 2, up).RestoreLink(10, 2, up), nil)
+	live := e.Liveness()
+	if live == nil || !live.AllAlive() {
+		t.Fatalf("fresh fault-capable engine: mask %v, want all alive", live)
+	}
+	stepN(t, e, 6)
+	if live.LinkAlive(2, up) || live.DownLinks() != 1 {
+		t.Errorf("cycle %d: link (2, %d) alive=%v, %d links down; want it down alone",
+			e.Now(), up, live.LinkAlive(2, up), live.DownLinks())
+	}
+	stepN(t, e, 5)
+	if !live.AllAlive() {
+		t.Errorf("cycle %d: %d links down after the repair", e.Now(), live.DownLinks())
 	}
 }

@@ -31,7 +31,7 @@ type queued struct {
 // head and tail mean nothing while n is 0. set caches the candidate-set id of
 // (this node, the front record's dst), 0 until the injection gate looks it up:
 // a denied head is decided again every cycle, and then touches neither the
-// record arena nor the per-pair id array. Whatever changes the front (pop,
+// record arena nor the class table. Whatever changes the front (pop,
 // pushFront) or the table (reconfigure) zeroes it.
 type srcQueue struct {
 	head, tail, n int32

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
+	"wormnet/internal/routing"
 	"wormnet/internal/topology"
 )
 
@@ -11,12 +13,15 @@ import (
 // due-event batch changed anything, the engine reconfigures in place,
 // without draining the network:
 //
-//   - The packed candidate table is rebuilt under the new mask (or, when the
-//     batch healed the last fault, the shape's all-alive table is taken back:
-//     retable). This is what re-admits healed capacity: a repaired link's
-//     virtual channels re-enter candidate sets (and thereby the limiters'
-//     useful-channel views) the very cycle the repair commits, instead of
-//     staying invisible until the next run.
+//   - The packed candidate table follows the new mask: an engine with
+//     something down reads an overlay of the shape's table that filters the
+//     dead output ports out of each affected node's sets, re-derived from
+//     the healthy sets without a routing call, and one healed back to
+//     all-alive reads the shape's table again (retable). This is what
+//     re-admits healed capacity: a repaired link's virtual channels re-enter
+//     candidate sets (and thereby the limiters' useful-channel views) the
+//     very cycle the repair commits, instead of staying invisible until the
+//     next run.
 //   - Surviving routes are revalidated to the new epoch (drain-or-reroute):
 //     a route whose output channel is still alive keeps its claim and drains
 //     under the new epoch — wormholes never switch channels mid-flight, so
@@ -32,8 +37,8 @@ import (
 //
 // Determinism: reconfiguration runs where fault application runs — serially
 // at the cycle boundary, before any phase (Step applies due faults before
-// the schedule starts or any worker wakes) — so epoch flips, table rebuilds and revalidation sweeps are bit-identical at
-// any worker count.
+// the schedule starts or any worker wakes) — so epoch flips, overlay rebuilds
+// and revalidation sweeps are bit-identical at any worker count.
 
 // Epoch returns the current routing epoch: the number of liveness-changing
 // fault and repair events applied so far. Fault-free runs stay at epoch 0.
@@ -47,9 +52,9 @@ func (e *Engine) Epoch() uint64 { return e.epoch }
 func (e *Engine) SetReconfigHook(f func(epoch uint64)) { e.onReconfig = f }
 
 // reconfigure rebuilds the routing state after a batch of liveness changes:
-// the candidate table of the new mask (whose set ids every cache — input VCs,
-// injection channels, queue heads — must forget), then the revalidation sweep stamping every surviving route to
-// the new epoch.
+// the candidate table's overlay for the new mask (whose set ids every cache —
+// input VCs, injection channels, queue heads — must forget), then the
+// revalidation sweep stamping every surviving route to the new epoch.
 func (e *Engine) reconfigure() {
 	e.retable()
 	for i := range e.nodes {
@@ -80,34 +85,35 @@ func (e *Engine) reconfigure() {
 //     epoch, every forward route's claimed output channel is alive, and
 //     every ejection route's router is alive: no hop decision from a stale
 //     epoch survives, so no packet can cross an epoch inconsistently.
-//  2. Table freshness — the packed candidate table matches a fresh
-//     evaluation of the routing function under the current liveness mask
-//     for every (node, destination) pair.
+//  2. Table freshness — the packed candidate table matches a direct call of
+//     the routing function under the current liveness mask for every
+//     (node, destination) pair: the set, its words and its ports.
 //  3. Recoverability — if the wait-graph oracle finds a deadlocked set in
 //     the post-flip state, deadlock detection must be armed to recover it:
 //     a reconfiguration must never introduce a wait cycle the watermark
 //     machinery cannot break.
 //
-// It is test-grade (table freshness is O(nodes²)); the cheap per-route
+// It is test-grade (table freshness is O(nodes²) routing calls); the cheap per-route
 // epoch checks also run inside CheckInvariants on every fault-capable run.
 func (e *Engine) CheckReconfiguration() error {
 	if err := e.checkRouteEpochs(); err != nil {
 		return err
 	}
-	fresh := buildCandTable(e.topo, e.alg, e.cfg.VCs)
+	var cands []routing.Candidate
+	var want []portCand
 	for n := 0; n < e.topo.Nodes(); n++ {
 		for d := 0; d < e.topo.Nodes(); d++ {
-			got := e.cand.get(topology.NodeID(n), topology.NodeID(d))
-			want := fresh.get(topology.NodeID(n), topology.NodeID(d))
-			if len(got) != len(want) {
-				return fmt.Errorf("sim: stale candidate table at (%d,%d): %d port sets, fresh rebuild has %d",
-					n, d, len(got), len(want))
+			cur, dst := topology.NodeID(n), topology.NodeID(d)
+			cands = e.alg.Candidates(cur, dst, cands[:0])
+			want = packCands(cands, want[:0])
+			if got := e.cand.get(cur, dst); !slices.Equal(got, want) {
+				return fmt.Errorf("sim: stale candidate table at (%d,%d): table has %+v, routing has %+v",
+					n, d, got, want)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					return fmt.Errorf("sim: stale candidate table at (%d,%d): set %d is %+v, fresh rebuild has %+v",
-						n, d, i, got[i], want[i])
-				}
+			id := e.cand.id(cur, dst)
+			if w, u := setWords(want, e.cfg.VCs); e.cand.word[id] != w || e.cand.useful[id] != u ||
+				!slices.Equal(e.cand.ports(cur, dst), routing.Ports(cands, nil)) {
+				return fmt.Errorf("sim: candidate table at (%d,%d): set %d's words or ports disagree with its candidates", n, d, id)
 			}
 		}
 	}

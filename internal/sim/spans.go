@@ -4,7 +4,7 @@ package sim
 // latency into source-queue wait, per-hop channel-acquire block time and
 // drain time, with the injection limiter's denial pushback attributed to the
 // ALO rules — the "where did the cycles go" view the saturation analysis
-// needs (DESIGN.md §15).
+// needs (DESIGN.md §14).
 //
 // Like the metrics layer, spans are strictly observational: every hook reads
 // engine state and writes only span state, so results are bit-identical with

@@ -293,7 +293,7 @@ func (c *Collector) Result() Result {
 		AvgLatency:    c.Latency.Mean(),
 		StdLatency:    c.Latency.StdDev(),
 		AvgNetLatency: c.NetLatency.Mean(),
-		P99Latency:    c.Hist.Quantile(0.99),
+		P99Latency:    c.Hist.Quantile(0.99, c.Latency.Max()),
 		Accepted:      c.AcceptedTraffic(),
 		DeadlockPct:   c.DeadlockRate(),
 		Delivered:     c.deliveredMsgs,

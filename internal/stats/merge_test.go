@@ -37,8 +37,8 @@ func TestHistogramMerge(t *testing.T) {
 		}
 	}
 	for _, q := range []float64{0.5, 0.9, 0.99} {
-		if a.Quantile(q) != whole.Quantile(q) {
-			t.Fatalf("quantile %v: merged %v, whole %v", q, a.Quantile(q), whole.Quantile(q))
+		if a.Quantile(q, 10500) != whole.Quantile(q, 10500) {
+			t.Fatalf("quantile %v: merged %v, whole %v", q, a.Quantile(q, 10500), whole.Quantile(q, 10500))
 		}
 	}
 }

@@ -150,9 +150,11 @@ func (h *Histogram) Merge(other *Histogram) {
 }
 
 // Quantile returns an upper bound for the q-quantile (0<=q<=1) based on
-// bucket boundaries; it returns +Inf if the quantile lies in the overflow
-// bucket and 0 with no samples.
-func (h *Histogram) Quantile(q float64) float64 {
+// bucket boundaries, and 0 with no samples. A quantile in the overflow bucket
+// has no bucket boundary above it: it is reported as largest, the largest
+// sample, which the caller tracks (the collector's Welford accumulator does),
+// so the result is always finite.
+func (h *Histogram) Quantile(q, largest float64) float64 {
 	if h.total == 0 {
 		return 0
 	}
@@ -167,7 +169,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 			return float64(i+1) * h.width
 		}
 	}
-	return math.Inf(1)
+	return largest
 }
 
 // Fairness summarises per-node sent-message counts the way the paper's

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -124,20 +125,20 @@ func TestHistogramQuantile(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Add(float64(i))
 	}
-	if q := h.Quantile(0.5); q != 50 {
+	if q := h.Quantile(0.5, 99); q != 50 {
 		t.Errorf("median=%v", q)
 	}
-	if q := h.Quantile(0.99); q != 99 {
+	if q := h.Quantile(0.99, 99); q != 99 {
 		t.Errorf("p99=%v", q)
 	}
 	empty := NewHistogram(1, 10)
-	if empty.Quantile(0.5) != 0 {
+	if empty.Quantile(0.5, 0) != 0 {
 		t.Error("empty quantile")
 	}
 	over := NewHistogram(1, 2)
 	over.Add(100)
-	if !math.IsInf(over.Quantile(0.9), 1) {
-		t.Error("overflow quantile must be +Inf")
+	if q := over.Quantile(0.9, 100); q != 100 {
+		t.Errorf("overflow quantile %v, want the largest sample 100", q)
 	}
 }
 
@@ -279,6 +280,23 @@ func TestCollectorPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// A latency past the histogram's last bucket gives a finite p99, the
+// largest sample, so the result still encodes as JSON.
+func TestCollectorOverflowEncodes(t *testing.T) {
+	c := NewCollector(1, 0, 100)
+	c.OnDelivered(20050, 50, 60, 16, true, 0)
+	if c.Hist.Overflow() != 1 {
+		t.Fatalf("sample of latency 20000 did not overflow the histogram (%d overflows)", c.Hist.Overflow())
+	}
+	r := c.Result()
+	if r.P99Latency != 20000 {
+		t.Errorf("p99 %v, want the largest sample 20000", r.P99Latency)
+	}
+	if _, err := json.Marshal(r); err != nil {
+		t.Errorf("result of an overflowing collector does not encode: %v", err)
 	}
 }
 
