@@ -40,12 +40,13 @@ func (l fixedThreshold) Allow(v core.ChannelView, dst topology.NodeID) bool {
 // Name implements core.Limiter.
 func (l fixedThreshold) Name() string { return fmt.Sprintf("fixed>=%d", l.minFree) }
 
-// newFixed returns a factory producing the same stateless limiter for every
-// node.
+// newFixed returns a factory building one limiter per node: core.PerNode
+// calls the constructor for each node in turn. A stateless limiter like this
+// one could also hand every node the same value with core.Shared.
 func newFixed(minFree int) core.Factory {
-	return func(topology.NodeID, *topology.Torus, int) core.Limiter {
+	return core.PerNode(func(topology.NodeID, *topology.Torus, int) core.Limiter {
 		return fixedThreshold{minFree: minFree}
-	}
+	})
 }
 
 func main() {

@@ -31,9 +31,7 @@ import (
 type None struct{}
 
 // NewNone returns the no-limitation factory.
-func NewNone() core.Factory {
-	return func(topology.NodeID, *topology.Torus, int) core.Limiter { return None{} }
-}
+func NewNone() core.Factory { return core.Shared(None{}) }
 
 // Allow implements core.Limiter; it always permits injection.
 func (None) Allow(core.ChannelView, topology.NodeID) bool { return true }
@@ -53,16 +51,18 @@ func busyVCs(v core.ChannelView) int {
 // LF is the Linear-Function mechanism: a message is injected only if the
 // number of busy virtual output channels of its node is below a threshold
 // that is a linear function of the node's estimate of how many channels the
-// current destination distribution makes useful (an EWMA over the useful
-// -port counts of its generated messages). A bounded aging term relaxes the
-// threshold for long-waiting queue heads, which keeps nodes inside
-// persistently hot regions from starving without disabling the throttle.
+// current destination distribution makes useful. The estimate is an EWMA of
+// the useful-port count of the queue head at every consultation, not once per
+// generated message: a head denied for k cycles is sampled k times, so heads
+// that wait longer weigh more. A bounded aging term relaxes the threshold for
+// long-waiting queue heads, which keeps nodes inside persistently hot regions
+// from starving without disabling the throttle.
 type LF struct {
 	vcs      int
 	ports    int
 	alpha    float64 // slope of the linear threshold function
 	beta     float64 // intercept of the linear threshold function
-	estAvg   float64 // EWMA of useful-port counts of generated messages
+	estAvg   float64 // EWMA of the useful-port counts of consulted queue heads
 	estValid bool
 }
 
@@ -85,17 +85,32 @@ const (
 // NewLF returns the Linear-Function limiter factory with the package's
 // default tuning.
 func NewLF() core.Factory {
-	return func(_ topology.NodeID, t *topology.Torus, vcs int) core.Limiter {
-		return &LF{vcs: vcs, ports: 2 * t.N(), alpha: lfAlpha, beta: lfBeta}
+	return func(t *topology.Torus, vcs int) []core.Limiter {
+		return slab(t.Nodes(), LF{vcs: vcs, ports: 2 * t.N(), alpha: lfAlpha, beta: lfBeta})
 	}
+}
+
+// slab returns n limiters, each a copy of init, carved from one array: a
+// network's stateful limiters cost two objects, not one a node.
+func slab[T any, P interface {
+	*T
+	core.Limiter
+}](n int, init T) []core.Limiter {
+	arr := make([]T, n)
+	ls := make([]core.Limiter, n)
+	for i := range arr {
+		arr[i] = init
+		ls[i] = P(&arr[i])
+	}
+	return ls
 }
 
 // Allow implements core.Limiter.
 func (l *LF) Allow(v core.ChannelView, dst topology.NodeID) bool {
 	ports := v.UsefulPorts(dst)
 	useful := len(ports)
-	// Update the destination-distribution guess with this message's
-	// useful-port count.
+	// Update the destination-distribution guess with this head's useful-port
+	// count: every consultation is a sample, a denied head's included.
 	if !l.estValid {
 		l.estAvg = float64(useful)
 		l.estValid = true
@@ -180,8 +195,8 @@ const (
 // NewDRIL returns the DRIL limiter factory with the package's default
 // tuning.
 func NewDRIL() core.Factory {
-	return func(_ topology.NodeID, t *topology.Torus, vcs int) core.Limiter {
-		return &DRIL{vcs: vcs, ports: 2 * t.N()}
+	return func(t *topology.Torus, vcs int) []core.Limiter {
+		return slab(t.Nodes(), DRIL{vcs: vcs, ports: 2 * t.N()})
 	}
 }
 

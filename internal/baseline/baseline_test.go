@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
@@ -37,7 +38,7 @@ func allFree(ports, vcs int) map[topology.Port]int {
 }
 
 func TestNone(t *testing.T) {
-	lim := NewNone()(0, topology.New(8, 3), 3)
+	lim := NewNone()(topology.New(8, 3), 3)[0]
 	if lim.Name() != "none" {
 		t.Fatal("name")
 	}
@@ -49,7 +50,7 @@ func TestNone(t *testing.T) {
 
 func TestLFAllowsWhenIdle(t *testing.T) {
 	tp := topology.New(8, 3)
-	lim := NewLF()(0, tp, 3)
+	lim := NewLF()(tp, 3)[0]
 	if lim.Name() != "lf" {
 		t.Fatal("name")
 	}
@@ -65,7 +66,7 @@ func TestLFAllowsWhenIdle(t *testing.T) {
 
 func TestLFThrottlesWhenBusy(t *testing.T) {
 	tp := topology.New(8, 3)
-	lim := NewLF()(0, tp, 3)
+	lim := NewLF()(tp, 3)[0]
 	// 3 useful ports -> estimate ~3 useful channels -> threshold
 	// ~1.25*3*3 = 11.25 busy channels. With all 18 channels busy the node
 	// must throttle.
@@ -81,7 +82,7 @@ func TestLFThrottlesWhenBusy(t *testing.T) {
 
 func TestLFAdaptsToPattern(t *testing.T) {
 	tp := topology.New(8, 3)
-	lim := NewLF()(0, tp, 3).(*LF)
+	lim := NewLF()(tp, 3)[0].(*LF)
 	// Butterfly-like traffic: only 2 useful ports. After enough samples the
 	// threshold drops to ~1.25*2*3 = 7.5.
 	busy10 := map[topology.Port]int{ // 10 busy of 18: free 8
@@ -97,7 +98,7 @@ func TestLFAdaptsToPattern(t *testing.T) {
 	}
 	// Uniform-like traffic with 6 useful ports: threshold ~22.5 (clamped to
 	// 18), so the same busy level passes.
-	lim2 := NewLF()(0, tp, 3).(*LF)
+	lim2 := NewLF()(tp, 3)[0].(*LF)
 	v2 := &fakeView{useful: []topology.Port{0, 1, 2, 3, 4, 5}, free: busy10, vcs: 3, ports: 6}
 	var ok bool
 	for i := 0; i < 200; i++ {
@@ -110,7 +111,7 @@ func TestLFAdaptsToPattern(t *testing.T) {
 
 func TestDRILStartsUnrestricted(t *testing.T) {
 	tp := topology.New(8, 3)
-	lim := NewDRIL()(0, tp, 3).(*DRIL)
+	lim := NewDRIL()(tp, 3)[0].(*DRIL)
 	if lim.Name() != "dril" {
 		t.Fatal("name")
 	}
@@ -125,7 +126,7 @@ func TestDRILStartsUnrestricted(t *testing.T) {
 
 func TestDRILTriggersOnPersistentQueue(t *testing.T) {
 	tp := topology.New(8, 3)
-	lim := NewDRIL()(0, tp, 3).(*DRIL)
+	lim := NewDRIL()(tp, 3)[0].(*DRIL)
 	// 12 of 18 channels busy at trigger time.
 	v := &fakeView{
 		vcs: 3, ports: 6, queued: drilQueueTrigger,
@@ -155,7 +156,7 @@ func TestDRILTriggersOnPersistentQueue(t *testing.T) {
 
 func TestDRILQueueResetPreventsTrigger(t *testing.T) {
 	tp := topology.New(8, 3)
-	lim := NewDRIL()(0, tp, 3).(*DRIL)
+	lim := NewDRIL()(tp, 3)[0].(*DRIL)
 	busy := &fakeView{vcs: 3, ports: 6, queued: drilQueueTrigger, free: allFree(6, 3)}
 	idle := &fakeView{vcs: 3, ports: 6, queued: 0, free: allFree(6, 3)}
 	// Queue repeatedly dips below the trigger before persisting long enough.
@@ -173,7 +174,7 @@ func TestDRILQueueResetPreventsTrigger(t *testing.T) {
 
 func TestDRILTightensOnRetrigger(t *testing.T) {
 	tp := topology.New(8, 3)
-	lim := NewDRIL()(0, tp, 3).(*DRIL)
+	lim := NewDRIL()(tp, 3)[0].(*DRIL)
 	v := &fakeView{
 		vcs: 3, ports: 6, queued: drilQueueTrigger,
 		free: map[topology.Port]int{0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1},
@@ -195,7 +196,7 @@ func TestDRILTightensOnRetrigger(t *testing.T) {
 
 func TestDRILThresholdFloor(t *testing.T) {
 	tp := topology.New(8, 3)
-	lim := NewDRIL()(0, tp, 3).(*DRIL)
+	lim := NewDRIL()(tp, 3)[0].(*DRIL)
 	// Trigger with everything free: busy=0 -> floor of 1.
 	v := &fakeView{vcs: 3, ports: 6, queued: drilQueueTrigger, free: allFree(6, 3)}
 	for c := int64(0); c < drilPersistCycles; c++ {
@@ -242,7 +243,7 @@ func TestStatefulLimitersAppendState(t *testing.T) {
 		{"dril", NewDRIL(), 4, []uint64{2, 1, 0, 0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			orig := tc.mk(0, tp, 3).(core.StatefulLimiter)
+			orig := tc.mk(tp, 3)[0].(core.StatefulLimiter)
 			drive(orig, 0, 3*drilPersistCycles)
 
 			words := orig.AppendState([]uint64{7})
@@ -257,11 +258,11 @@ func TestStatefulLimitersAppendState(t *testing.T) {
 			if !slices.Equal(dst, words[1:]) {
 				t.Errorf("AppendState into reused storage = %v, want %v", dst, words[1:])
 			}
-			if fresh := tc.mk(0, tp, 3).(core.StatefulLimiter).AppendState(nil); slices.Equal(dst, fresh) {
+			if fresh := tc.mk(tp, 3)[0].(core.StatefulLimiter).AppendState(nil); slices.Equal(dst, fresh) {
 				t.Fatalf("driven state %v is a fresh limiter's: the test checks nothing", dst)
 			}
 
-			clone := tc.mk(0, tp, 3).(core.StatefulLimiter)
+			clone := tc.mk(tp, 3)[0].(core.StatefulLimiter)
 			drive(clone, 0, 7) // desynchronize before loading
 			if err := clone.LoadState(dst); err != nil {
 				t.Fatal(err)
@@ -289,16 +290,36 @@ func TestStatefulLimitersAppendState(t *testing.T) {
 	}
 }
 
+// TestFactories checks that each mechanism of the comparison builds a whole
+// network's limiters: one per node, all answering to its name, an instance of
+// their own for the stateful ones, and the same few objects on 16 nodes as on
+// 512.
 func TestFactories(t *testing.T) {
 	fs := Factories()
+	small, large := topology.New(4, 2), topology.New(8, 3)
 	for _, name := range []string{"none", "lf", "dril", "alo"} {
 		f, ok := fs[name]
 		if !ok {
 			t.Fatalf("missing factory %q", name)
 		}
-		lim := f(0, topology.New(4, 2), 3)
-		if lim.Name() != name {
-			t.Errorf("factory %q built limiter %q", name, lim.Name())
+		ls := f(large, 3)
+		if len(ls) != large.Nodes() {
+			t.Fatalf("factory %q built %d limiters for %d nodes", name, len(ls), large.Nodes())
+		}
+		for i, lim := range ls {
+			if lim.Name() != name {
+				t.Fatalf("factory %q built limiter %q for node %d", name, lim.Name(), i)
+			}
+		}
+		if _, stateful := ls[0].(core.StatefulLimiter); stateful && ls[0] == ls[len(ls)-1] {
+			t.Errorf("factory %q handed two nodes one stateful limiter", name)
+		}
+		gc := debug.SetGCPercent(-1) // a collection's own allocations would land in a count
+		a, b := testing.AllocsPerRun(5, func() { f(small, 3) }), testing.AllocsPerRun(5, func() { f(large, 3) })
+		debug.SetGCPercent(gc)
+		if a != b || a > 2 {
+			t.Errorf("factory %q: %.0f objects on %d nodes, %.0f on %d, want the same and at most 2",
+				name, a, small.Nodes(), b, large.Nodes())
 		}
 	}
 }
@@ -313,7 +334,7 @@ func TestLimiterByName(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if got := f(0, topology.New(4, 2), 3).Name(); got != name {
+		if got := f(topology.New(4, 2), 3)[0].Name(); got != name {
 			t.Errorf("%s built limiter %q", name, got)
 		}
 	}
@@ -331,3 +352,28 @@ var (
 	_ core.Limiter       = (*DRIL)(nil)
 	_ core.CycleObserver = (*DRIL)(nil)
 )
+
+// TestLFSamplesEveryConsultation pins LF's estimator as it behaves: the EWMA
+// takes the queue head's useful-port count at every Allow, not once per
+// generated message, so one head denied twice moves the estimate twice.
+func TestLFSamplesEveryConsultation(t *testing.T) {
+	lim := NewLF()(topology.New(8, 3), 3)[0].(*LF)
+	busy := map[topology.Port]int{} // all 18 channels busy: every head is denied
+	if lim.Allow(&fakeView{useful: []topology.Port{0, 1, 2, 3, 4, 5}, free: busy, vcs: 3, ports: 6}, 1) {
+		t.Fatal("LF admitted a head on a fully busy node")
+	}
+	if lim.estAvg != 6 {
+		t.Fatalf("first sample: estimate %v, want 6", lim.estAvg)
+	}
+	head := &fakeView{useful: []topology.Port{0, 3}, free: busy, vcs: 3, ports: 6}
+	want := 6.0
+	for i := 1; i <= 2; i++ {
+		if lim.Allow(head, 1) {
+			t.Fatalf("consultation %d admitted the head on a fully busy node", i)
+		}
+		want += lfEWMAWeight * (2 - want)
+		if lim.estAvg != want {
+			t.Fatalf("after %d consultations of one denied head: estimate %v, want %v", i, lim.estAvg, want)
+		}
+	}
+}

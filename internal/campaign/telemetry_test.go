@@ -285,3 +285,41 @@ func TestTelemetryEndpoints(t *testing.T) {
 		t.Fatal("/dash page does not subscribe to /farm/events")
 	}
 }
+
+// TestServeAndShutdown drives the server's own listener: Serve binds a port
+// that Addr names, the routes answer there, and Shutdown stops the
+// coordinator granting work and closes the listener.
+func TestServeAndShutdown(t *testing.T) {
+	c, _ := newTestCoordinator(t, "")
+	if _, _, err := c.Submit(testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(c)
+	if s.Addr() != "" {
+		t.Fatalf("Addr before Serve = %q, want empty", s.Addr())
+	}
+	if err := s.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	url := "http://" + s.Addr()
+	for _, path := range []string{"/healthz", "/campaigns"} {
+		resp, err := http.Get(url + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+	}
+	if err := s.Shutdown(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := c.Acquire(acquireReq("w1")); err != nil || r.Status != AcquireWait {
+		t.Fatalf("a shut-down coordinator answered %+v (%v), want a wait", r, err)
+	}
+	if resp, err := http.Get(url + "/healthz"); err == nil {
+		resp.Body.Close()
+		t.Fatal("the server still answers after Shutdown")
+	}
+}

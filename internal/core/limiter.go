@@ -53,8 +53,9 @@ type ChannelView interface {
 }
 
 // Limiter decides whether a newly generated message may be injected now.
-// A Limiter instance belongs to a single node; stateful implementations
-// (e.g. baseline.DRIL) keep per-node state across calls.
+// A stateful implementation (e.g. baseline.DRIL) keeps per-node state across
+// calls, so each node has an instance of its own; a stateless one may be
+// shared by every node.
 type Limiter interface {
 	// Allow reports whether the message addressed to dst may enter the
 	// network in the current cycle.
@@ -69,9 +70,31 @@ type CycleObserver interface {
 	Tick(v ChannelView, now int64)
 }
 
-// Factory builds one Limiter instance per node. node identifies the node;
-// vcs is the number of virtual channels per physical channel.
-type Factory func(node topology.NodeID, t *topology.Torus, vcs int) Limiter
+// Factory builds the limiters of a whole network, one per node and indexed by
+// node id; vcs is the number of virtual channels per physical channel. Building
+// them together lets a stateful mechanism carve its nodes from one array and a
+// stateless one hand every node the same value: a network's limiters cost a
+// few objects, not one a node. PerNode adapts a per-node constructor.
+type Factory func(t *topology.Torus, vcs int) []Limiter
+
+// PerNode returns the Factory that calls newLimiter once for each node, in
+// node order: the adapter for a constructor that builds one limiter at a
+// time, such as a custom mechanism's.
+func PerNode(newLimiter func(node topology.NodeID, t *topology.Torus, vcs int) Limiter) Factory {
+	return func(t *topology.Torus, vcs int) []Limiter {
+		ls := make([]Limiter, t.Nodes())
+		for i := range ls {
+			ls[i] = newLimiter(topology.NodeID(i), t, vcs)
+		}
+		return ls
+	}
+}
+
+// Shared returns the Factory that hands every node l itself: the factory of a
+// limiter without per-node state.
+func Shared(l Limiter) Factory {
+	return PerNode(func(topology.NodeID, *topology.Torus, int) Limiter { return l })
+}
 
 // StatefulLimiter is implemented by limiters that carry mutable per-node
 // state across cycles (e.g. baseline.LF's EWMA, baseline.DRIL's frozen
@@ -149,24 +172,19 @@ var (
 	AllChannels = Rules{A: true, B: true, AllPorts: true}
 )
 
-// NewALO returns the ALO limiter factory.
-func NewALO() Factory { return ALO.factory() }
+// NewALO returns the ALO limiter factory. It and the three ablations' hand
+// every node the one Limiter boxing their member: a node's limiter costs no
+// allocation.
+func NewALO() Factory { return Shared(ALO) }
 
 // NewRuleAOnly returns the factory for the rule-(a)-only ablation.
-func NewRuleAOnly() Factory { return RuleAOnly.factory() }
+func NewRuleAOnly() Factory { return Shared(RuleAOnly) }
 
 // NewRuleBOnly returns the factory for the rule-(b)-only ablation.
-func NewRuleBOnly() Factory { return RuleBOnly.factory() }
+func NewRuleBOnly() Factory { return Shared(RuleBOnly) }
 
 // NewAllChannels returns the factory for the all-channels ablation.
-func NewAllChannels() Factory { return AllChannels.factory() }
-
-// factory hands every node the one Limiter boxing r: a node's limiter costs no
-// allocation.
-func (r Rules) factory() Factory {
-	var l Limiter = r
-	return func(topology.NodeID, *topology.Torus, int) Limiter { return l }
-}
+func NewAllChannels() Factory { return Shared(AllChannels) }
 
 // Admits reports whether r lets a message in given which rules hold.
 func (r Rules) Admits(ruleA, ruleB bool) bool { return r.A && ruleA || r.B && ruleB }

@@ -29,7 +29,7 @@ func view(vcs, ports int, useful []topology.Port, free map[topology.Port]int) *f
 }
 
 func TestALOPredicate(t *testing.T) {
-	alo := NewALO()(0, topology.New(8, 3), 3)
+	alo := NewALO()(topology.New(8, 3), 3)[0]
 	if alo.Name() != "alo" {
 		t.Fatalf("name %q", alo.Name())
 	}
@@ -104,9 +104,9 @@ func TestALOEmptyUsefulSet(t *testing.T) {
 
 func TestRuleAblations(t *testing.T) {
 	tp := topology.New(8, 3)
-	a := NewRuleAOnly()(0, tp, 3)
-	b := NewRuleBOnly()(0, tp, 3)
-	all := NewAllChannels()(0, tp, 3)
+	a := NewRuleAOnly()(tp, 3)[0]
+	b := NewRuleBOnly()(tp, 3)[0]
+	all := NewAllChannels()(tp, 3)[0]
 	if a.Name() != "alo-rule-a" || b.Name() != "alo-rule-b" || all.Name() != "alo-all-channels" {
 		t.Fatal("names")
 	}
@@ -150,7 +150,7 @@ func TestProbeCountsConditions(t *testing.T) {
 	tp := topology.New(8, 3)
 	inner := NewALO()
 	factory, stats := WrapProbe(inner)
-	lim := factory(0, tp, 3)
+	lim := factory(tp, 3)[0]
 	if lim.Name() != "alo+probe" {
 		t.Fatalf("name %q", lim.Name())
 	}
@@ -197,8 +197,8 @@ func (l *tickingLimiter) Tick(ChannelView, int64)                 { l.ticks++ }
 func TestProbeForwardsTick(t *testing.T) {
 	tp := topology.New(8, 3)
 	inner := &tickingLimiter{}
-	factory, _ := WrapProbe(func(topology.NodeID, *topology.Torus, int) Limiter { return inner })
-	lim := factory(0, tp, 3)
+	factory, _ := WrapProbe(Shared(inner))
+	lim := factory(tp, 3)[0]
 	obs, ok := lim.(CycleObserver)
 	if !ok {
 		t.Fatal("probe must implement CycleObserver")
@@ -210,17 +210,51 @@ func TestProbeForwardsTick(t *testing.T) {
 	}
 	// Wrapping a non-observer inner must not panic on Tick.
 	factory2, _ := WrapProbe(NewALO())
-	factory2(0, tp, 3).(CycleObserver).Tick(view(3, 6, nil, nil), 1)
+	factory2(tp, 3)[0].(CycleObserver).Tick(view(3, 6, nil, nil), 1)
 }
 
 func TestProbeDelegates(t *testing.T) {
 	tp := topology.New(8, 3)
 	factory, _ := WrapProbe(NewRuleBOnly())
-	lim := factory(0, tp, 3)
+	lim := factory(tp, 3)[0]
 	// Rule b fails here, so the wrapped decision must be false even though
 	// rule a holds.
 	v := view(3, 6, []topology.Port{0}, map[topology.Port]int{0: 1})
 	if lim.Allow(v, 1) {
 		t.Error("probe must delegate the decision to the inner limiter")
+	}
+}
+
+// TestFactoriesBuildANetwork checks the two factory builders: PerNode calls
+// its constructor once per node, in node order, and Shared hands every node
+// one value; and that WrapProbe keeps the inner limiters' order, giving each
+// node a wrapper of its own around them.
+func TestFactoriesBuildANetwork(t *testing.T) {
+	tp := topology.New(4, 2)
+	var order []topology.NodeID
+	per := PerNode(func(node topology.NodeID, _ *topology.Torus, vcs int) Limiter {
+		order = append(order, node)
+		return Rules{A: vcs == 3, B: true}
+	})
+	ls := per(tp, 3)
+	if len(ls) != tp.Nodes() || len(order) != tp.Nodes() {
+		t.Fatalf("PerNode built %d limiters in %d calls for %d nodes", len(ls), len(order), tp.Nodes())
+	}
+	for i, n := range order {
+		if n != topology.NodeID(i) || ls[i] != ALO {
+			t.Fatalf("call %d built node %d's limiter %v", i, n, ls[i])
+		}
+	}
+	inner := &tickingLimiter{}
+	shared := Shared(inner)(tp, 3)
+	wrapped, _ := WrapProbe(Shared(inner))
+	probes := wrapped(tp, 3)
+	for i := range shared {
+		if shared[i] != Limiter(inner) {
+			t.Fatalf("Shared gave node %d %v", i, shared[i])
+		}
+		if p := probes[i].(*probe); p.inner != Limiter(inner) || (i > 0 && probes[i] == probes[0]) {
+			t.Fatalf("node %d's probe wraps %v, or is node 0's", i, p.inner)
+		}
 	}
 }

@@ -49,11 +49,18 @@ type probe struct {
 }
 
 // WrapProbe decorates a limiter factory with Figure-2 instrumentation.
-// All per-node limiter instances share the returned ProbeStats.
+// All per-node limiter instances share the returned ProbeStats, and a
+// network's wrappers are cut from one array.
 func WrapProbe(inner Factory) (Factory, *ProbeStats) {
 	stats := &ProbeStats{}
-	f := func(node topology.NodeID, t *topology.Torus, vcs int) Limiter {
-		return &probe{inner: inner(node, t, vcs), stats: stats}
+	f := func(t *topology.Torus, vcs int) []Limiter {
+		ls := inner(t, vcs)
+		probes := make([]probe, len(ls))
+		for i, l := range ls {
+			probes[i] = probe{inner: l, stats: stats}
+			ls[i] = &probes[i]
+		}
+		return ls
 	}
 	return f, stats
 }

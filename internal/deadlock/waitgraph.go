@@ -87,9 +87,6 @@ func (g *WaitGraph) AddOption(id int64, blockers ...int64) {
 	m.opts = append(m.opts, [2]int32{lo, int32(len(g.blockers))})
 }
 
-// Len returns the number of messages in the graph.
-func (g *WaitGraph) Len() int { return len(g.msgs) }
-
 // Deadlocked computes the liveness fixpoint and returns the IDs of the
 // messages that can never advance, in ascending order. An empty result
 // means the state is deadlock-free.

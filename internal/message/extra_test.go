@@ -16,3 +16,47 @@ func TestMultipleRecoveries(t *testing.T) {
 		t.Error("reset state wrong after repeated recoveries")
 	}
 }
+
+// TestReuseKeepsPathAndPoolMark checks that a recycled message comes back as
+// New would build it, with its Path array (emptied) and Pooled mark kept, and
+// that Reuse refuses a length below one flit as New does.
+func TestReuseKeepsPathAndPoolMark(t *testing.T) {
+	m := New(1, 0, 9, 8, 5)
+	m.Pooled = true
+	m.Path = append(make([]PathLoc, 0, 4), PathLoc{Node: 3})
+	m.State, m.Recoveries, m.Retries, m.FlitsSent, m.DropReason = StateDelivered, 2, 1, 8, DropUnreachable
+	path := &m.Path[:1][0]
+	m.Reuse(7, 2, 4, 16, 30)
+	want := New(7, 2, 4, 16, 30)
+	if m.ID != want.ID || m.Src != want.Src || m.Dst != want.Dst || m.Length != want.Length ||
+		m.GenTime != want.GenTime || m.InjectTime != -1 || m.DeliverTime != -1 || m.Injector != 2 ||
+		m.State != StateQueued || m.Recoveries != 0 || m.Retries != 0 || m.FlitsSent != 0 || m.DropReason != DropNone {
+		t.Fatalf("reused message %+v, want a fresh %+v", m, want)
+	}
+	if !m.Pooled || len(m.Path) != 0 || cap(m.Path) != 4 || &m.Path[:1][0] != path {
+		t.Fatalf("Reuse dropped the pool mark or the path array: pooled %v, path len %d cap %d", m.Pooled, len(m.Path), cap(m.Path))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Reuse with length 0 did not panic")
+		}
+	}()
+	m.Reuse(8, 0, 1, 0, 31)
+}
+
+// TestResetForRetryAndDrop covers the fault machinery's two outcomes: a retry
+// clears flit progress and counts a retry, not a recovery; a drop records its
+// reason.
+func TestResetForRetryAndDrop(t *testing.T) {
+	m := New(1, 0, 9, 8, 5)
+	m.State, m.FlitsSent, m.FlitsEjected, m.Injector = StateInNetwork, 6, 2, 4
+	m.ResetForRetry(0)
+	if m.State != StateQueued || m.FlitsSent != 0 || m.FlitsEjected != 0 || m.Injector != 0 ||
+		m.Retries != 1 || m.Recoveries != 0 || m.GenTime != 5 {
+		t.Fatalf("after ResetForRetry: %+v", m)
+	}
+	m.Drop(DropRetriesExhausted)
+	if m.State != StateDropped || m.DropReason != DropRetriesExhausted {
+		t.Fatalf("after Drop: state %v, reason %q", m.State, m.DropReason)
+	}
+}

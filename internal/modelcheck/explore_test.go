@@ -3,6 +3,7 @@ package modelcheck
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -84,6 +85,14 @@ func TestRingSpecReachesDeadlock(t *testing.T) {
 			t.Errorf("workers=%d: no true-positive recoveries observed during expansion", workers)
 		}
 		checkCounts(t, fmt.Sprintf("ring, workers=%d", workers), rep, ringCounts)
+		raw, err := rep.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Report
+		if err := json.Unmarshal(raw, &back); err != nil || !reflect.DeepEqual(&back, rep) {
+			t.Errorf("workers=%d: the JSON report reads back as %+v (%v), want %+v", workers, back, err, *rep)
+		}
 	}
 }
 

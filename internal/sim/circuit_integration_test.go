@@ -38,14 +38,14 @@ func TestCircuitMatchesALOInLiveEngine(t *testing.T) {
 	cfg.Rate = 1.8 // saturated: decisions span the whole state space
 	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 0, 3000, 0
 	var checks int64
-	cfg.Limiter = func(_ topology.NodeID, tp *topology.Torus, vcs int) core.Limiter {
+	cfg.Limiter = core.PerNode(func(_ topology.NodeID, tp *topology.Torus, vcs int) core.Limiter {
 		return &circuitCheckedALO{
 			alo:     core.ALO,
 			circuit: core.NewCircuit(tp.NumPorts(), vcs),
 			t:       t,
 			checks:  &checks,
 		}
-	}
+	})
 	cfg.LimiterName = "alo+circuit"
 	e, err := New(cfg)
 	if err != nil {

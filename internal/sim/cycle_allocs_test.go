@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"wormnet/internal/baseline"
+	"wormnet/internal/core"
 	"wormnet/internal/metrics"
+	"wormnet/internal/topology"
 )
 
 // TestSteadyStateCycleAllocs pins that a steady-state cycle allocates nothing,
@@ -64,5 +66,56 @@ func TestSteadyStateCycleAllocs(t *testing.T) {
 				t.Errorf("a steady-state cycle allocates %.0f objects, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestFirstRecoveryAllocs pins that a node's first recovered message costs no
+// object: every recovery list is a capped cut of one array New makes. In the
+// saturated steady state of the default 8-ary 3-cube (rate 0.9 with ALO, 2 000
+// cycles in), sixteen messages whose header sits in an input buffer of a node
+// with an empty recovery list are recovered there, each at its own node.
+func TestFirstRecoveryAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector allocates: counts are pinned on the plain build")
+	}
+	cfg := DefaultConfig()
+	cfg.Rate = 0.9
+	cfg.Limiter, cfg.LimiterName = core.NewALO(), "alo"
+	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 0, 1<<40, 0
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < 2000; i++ {
+		e.Step()
+	}
+	var victims []heldMsg
+	taken := make(map[topology.NodeID]bool)
+	for _, h := range e.held() {
+		if nd := h.head.nd; nd != nil && !h.head.inj && len(nd.recovery) == 0 && !taken[nd.id] && len(victims) < 16 {
+			taken[nd.id] = true
+			victims = append(victims, h)
+		}
+	}
+	if len(victims) < 16 {
+		t.Fatalf("only %d headers in input buffers of nodes with empty recovery lists", len(victims))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, h := range victims {
+		e.recover(h.m, h.head.nd)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("sixteen first recoveries allocated %d objects, want 0", n)
+	}
+	for _, h := range victims {
+		if len(h.head.nd.recovery) != 1 {
+			t.Fatalf("node %d: %d recovery entries after its first recovery", h.head.nd.id, len(h.head.nd.recovery))
+		}
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -82,16 +82,11 @@ type ejChannel struct {
 	pending int32
 }
 
-// pendingRecovery is a recovered message waiting out the software
-// re-injection cost at its recovery node.
-type pendingRecovery struct {
-	msg     *message.Message
-	readyAt int64
-}
-
-// pendingRetry is a fault-killed message waiting out its source-retry
-// backoff; at readyAt it rejoins the front of the source queue.
-type pendingRetry struct {
+// pending is a message waiting until readyAt at a node: in its recovery list,
+// a recovered message waiting out the software re-injection cost; in its retry
+// list, a fault-killed message waiting out its source-retry backoff, after
+// which it rejoins the front of the source queue.
+type pending struct {
 	msg     *message.Message
 	readyAt int64
 }
@@ -120,9 +115,9 @@ type node struct {
 	// ports, then ejection channels): the switch phase visits only those.
 	wantOut uint64
 
-	queue    srcQueue          // source queue: a chain in Engine.waiting
-	recovery []pendingRecovery // software-recovery queue (priority)
-	retry    []pendingRetry    // fault-retry queue (backoff; faults only)
+	queue    srcQueue  // source queue: a chain in Engine.waiting
+	recovery []pending // software-recovery queue (priority)
+	retry    []pending // fault-retry queue (backoff; faults only)
 
 	src traffic.Generator
 	// nextGen caches src.NextAt(): the generation phase skips the node
@@ -452,9 +447,27 @@ func New(cfg Config) (*Engine, error) {
 	blockedArena := make([]int32, nNodes*nVC)
 	nbrArena := make([]topology.NodeID, nNodes*e.numPhys)
 	downArena := make([]*inVC, nNodes*nVC)
-	var srcArena []traffic.Source // the steady Poisson sources, by value
-	if cfg.Sources == nil && !cfg.Burst.Enabled() {
+	// The recovery lists, and the retry lists of a fault-capable engine, one
+	// entry a node each: a node's first recovered or retried message takes a
+	// slot, not an object. A longer list copies out on its own.
+	lists := 1
+	if e.live != nil {
+		lists = 2
+	}
+	pendingArena := make([]pending, nNodes*lists)
+	// The generators, by value: the steady Poisson or the bursty sources.
+	var srcArena []traffic.Source
+	var burstArena []traffic.BurstySource
+	switch {
+	case cfg.Sources != nil:
+	case cfg.Burst.Enabled():
+		burstArena = make([]traffic.BurstySource, nNodes)
+	default:
 		srcArena = make([]traffic.Source, nNodes)
+	}
+	limiters := cfg.Limiter(topo, cfg.VCs)
+	if len(limiters) != nNodes {
+		return nil, fmt.Errorf("sim: limiter factory built %d limiters for %d nodes", len(limiters), nNodes)
 	}
 
 	for i := 0; i < nNodes; i++ {
@@ -465,6 +478,8 @@ func New(cfg Config) (*Engine, error) {
 		nd.outVCs = cut(outArena, i, nVC)
 		nd.inj = cut(injArena, i, cfg.InjChannels)
 		nd.ej = cut(ejArena, i, cfg.EjChannels)
+		own := cut(pendingArena, i, lists)
+		nd.recovery, nd.retry = own[:0:1], own[1:1]
 		switch {
 		case rogueMask != nil && rogueMask[i]:
 			nd.rogue = true
@@ -478,14 +493,18 @@ func New(cfg Config) (*Engine, error) {
 				return nil, fmt.Errorf("sim: Sources factory returned a bad generator for node %d", nd.id)
 			}
 		case cfg.Burst.Enabled():
-			nd.src = traffic.NewBurstySource(nd.id, pattern, cfg.Rate, cfg.MsgLen,
+			burstArena[i].Init(nd.id, pattern, cfg.Rate, cfg.MsgLen,
 				cfg.Burst, cfg.Seed, splitSeed(cfg.Seed, uint64(i)))
+			nd.src = &burstArena[i]
 		default:
 			srcArena[i].Init(nd.id, pattern, cfg.Rate, cfg.MsgLen,
 				cfg.Seed, splitSeed(cfg.Seed, uint64(i)))
 			nd.src = &srcArena[i]
 		}
-		nd.limiter = cfg.Limiter(nd.id, topo, cfg.VCs)
+		nd.limiter = limiters[i]
+		if nd.limiter == nil {
+			return nil, fmt.Errorf("sim: limiter factory built no limiter for node %d", nd.id)
+		}
 		nd.limObs, _ = nd.limiter.(core.CycleObserver)
 		nd.limClass, _ = nd.limiter.(core.RuleClassifier)
 		nd.rules, nd.gated = nd.limiter.(core.Rules)

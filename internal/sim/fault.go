@@ -146,11 +146,13 @@ func (e *Engine) killOnRouter(n topology.NodeID) {
 	for _, pr := range nd.recovery {
 		e.drop(pr.msg, n, message.DropSourceFailed)
 	}
-	nd.recovery = nil
+	clear(nd.recovery)
+	nd.recovery = nd.recovery[:0]
 	for _, pr := range nd.retry {
 		e.drop(pr.msg, n, message.DropSourceFailed)
 	}
-	nd.retry = nil
+	clear(nd.retry)
+	nd.retry = nd.retry[:0]
 }
 
 // processKills deduplicates the collected messages, orders them by ID
@@ -192,7 +194,7 @@ func (e *Engine) scheduleRetry(m *message.Message) {
 	}
 	delay := e.cfg.Retry.Delay(m.Retries - 1)
 	src := &e.nodes[m.Src]
-	src.retry = append(src.retry, pendingRetry{msg: m, readyAt: e.now + delay})
+	src.retry = append(src.retry, pending{msg: m, readyAt: e.now + delay})
 	e.retried++
 	e.col.OnRetried(e.now)
 	e.emit(trace.KindRetried, m, m.Src)

@@ -924,7 +924,7 @@ func (e *Engine) gateWords(nd *node, set int32) (ok, ruleA, ruleB bool) {
 func (nd *node) popRecovery() *message.Message {
 	m := nd.recovery[0].msg
 	n := copy(nd.recovery, nd.recovery[1:])
-	nd.recovery[n] = pendingRecovery{}
+	nd.recovery[n] = pending{}
 	nd.recovery = nd.recovery[:n]
 	return m
 }

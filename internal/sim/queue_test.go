@@ -88,7 +88,7 @@ func TestRouterFailureDropsItsBacklog(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		e := scripted(t, script, func(c *Config) {
-			c.Limiter, c.LimiterName = func(topology.NodeID, *topology.Torus, int) core.Limiter { return denyAll{} }, "deny-all"
+			c.Limiter, c.LimiterName = core.Shared(denyAll{}), "deny-all"
 			c.Faults = (&fault.Schedule{}).FailRouter(10, 5)
 			c.Workers = workers
 		})
@@ -197,7 +197,7 @@ func TestRetryKeepsItsHistoryThroughTheQueue(t *testing.T) {
 	open := true // the gate: closed, the promoted retry has to wait where it can be seen
 	e := faulty(t, (&fault.Schedule{}).FailLink(6, 1, up).RestoreLink(300, 1, up), func(c *Config) {
 		c.K, c.N = 8, 1
-		c.Limiter, c.LimiterName = func(topology.NodeID, *topology.Torus, int) core.Limiter { return gated{&open} }, "gated"
+		c.Limiter, c.LimiterName = core.Shared(gated{&open}), "gated"
 	})
 	m := e.Inject(0, 3, 64)
 	m.Recoveries = 2 // a mark no rebuilt object would carry
@@ -480,4 +480,54 @@ func freeOutVCs(e *Engine, nd *node, p int) (free int) {
 		}
 	}
 	return free
+}
+
+// TestRecoveredMessageBypassesTheLimiter pins the recovery rule of DESIGN §3:
+// a recovered message waits RecoveryDelay cycles in the recovery list of the
+// node that held its header, then takes the first free injection channel there
+// ahead of the source queue, without consulting the limiter — here one that
+// denies everything from the recovery on, so the source-queue head stays put.
+func TestRecoveredMessageBypassesTheLimiter(t *testing.T) {
+	open := true
+	e := idle(t, func(c *Config) { c.Limiter, c.LimiterName = core.Shared(gated{&open}), "gated" })
+	m := e.Inject(0, 10, 16)
+	var at *node // the node whose input buffer holds the header, once one does
+	for i := 0; at == nil; i++ {
+		if i == 100 {
+			t.Fatal("the message's header reached no input buffer in 100 cycles")
+		}
+		e.Step()
+		for _, h := range e.held() {
+			if h.m == m && h.head.nd != nil && !h.head.inj {
+				at = h.head.nd
+			}
+		}
+	}
+	open = false
+	head := e.Inject(at.id, 15, 4)
+	e.recover(m, at)
+	ready := e.Now() + e.cfg.RecoveryDelay
+	for e.Now() < ready {
+		e.Step()
+		if len(at.recovery) != 1 || m.State != message.StateQueued {
+			t.Fatalf("cycle %d, before the delay is out: %d recovery entries, message %v", e.Now(), len(at.recovery), m.State)
+		}
+	}
+	e.Step()
+	if len(at.recovery) != 0 || at.inj[0].msg != m || m.Injector != at.id {
+		t.Fatalf("cycle %d: %d recovery entries, injection channel 0 holds %v, injector %d; want the recovered message re-injected at node %d",
+			e.Now(), len(at.recovery), at.inj[0].msg, m.Injector, at.id)
+	}
+	for i := 0; m.State != message.StateDelivered; i++ {
+		if i == 1000 {
+			t.Fatalf("the re-injected message is not delivered after 1000 cycles: %v", m.State)
+		}
+		e.Step()
+	}
+	if head.State != message.StateQueued || at.queue.Len() != 1 {
+		t.Fatalf("the denied source-queue head moved: %v, queue length %d", head.State, at.queue.Len())
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -24,7 +24,7 @@ func (e *Engine) recover(m *message.Message, at *node) {
 	if e.spans != nil {
 		e.spanTeardown(m)
 	}
-	at.recovery = append(at.recovery, pendingRecovery{
+	at.recovery = append(at.recovery, pending{
 		msg:     m,
 		readyAt: e.now + e.cfg.RecoveryDelay,
 	})

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"wormnet/internal/baseline"
@@ -446,5 +447,18 @@ func TestWithHelpers(t *testing.T) {
 	c3 := cfg.WithLimiter("dril", baseline.NewDRIL())
 	if c3.LimiterName != "dril" || cfg.LimiterName != "alo" {
 		t.Error("WithLimiter must copy")
+	}
+}
+
+// TestNewRefusesABadLimiterFactory checks that New refuses a limiter factory
+// that leaves a node without a limiter, by building too few or a nil one.
+func TestNewRefusesABadLimiterFactory(t *testing.T) {
+	for name, f := range map[string]core.Factory{
+		"short": func(tp *topology.Torus, _ int) []core.Limiter { return make([]core.Limiter, tp.Nodes()-1) },
+		"nil":   func(tp *topology.Torus, _ int) []core.Limiter { return make([]core.Limiter, tp.Nodes()) },
+	} {
+		if _, err := New(QuickConfig().WithLimiter(name, f)); err == nil || !strings.Contains(err.Error(), "limiter factory") {
+			t.Errorf("%s factory: New returned %v, want a limiter-factory error", name, err)
+		}
 	}
 }

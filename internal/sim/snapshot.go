@@ -817,10 +817,10 @@ func (e *Engine) load(snap *Snapshot) error {
 			e.waiting.push(&nd.queue, e.recordOf(obj(j)))
 		}
 		for _, sp := range sn.Recovery {
-			nd.recovery = append(nd.recovery, pendingRecovery{msg: msg(), readyAt: sp.ReadyAt})
+			nd.recovery = append(nd.recovery, pending{msg: msg(), readyAt: sp.ReadyAt})
 		}
 		for _, sp := range sn.Retry {
-			nd.retry = append(nd.retry, pendingRetry{msg: msg(), readyAt: sp.ReadyAt})
+			nd.retry = append(nd.retry, pending{msg: msg(), readyAt: sp.ReadyAt})
 		}
 
 		gen, ok := nd.src.(traffic.Stateful)

@@ -236,18 +236,6 @@ func (c *Collector) Injected() int64 { return c.injectedMsgs }
 // Deadlocks returns the number of deadlocks detected inside the window.
 func (c *Collector) Deadlocks() int64 { return c.deadlocks }
 
-// FaultEvents returns the number of failures applied inside the window.
-func (c *Collector) FaultEvents() int64 { return c.faultEvents }
-
-// Aborted returns the number of fault-killed messages inside the window.
-func (c *Collector) Aborted() int64 { return c.abortedMsgs }
-
-// Retried returns the number of source retries scheduled inside the window.
-func (c *Collector) Retried() int64 { return c.retriedMsgs }
-
-// Dropped returns the number of messages dropped inside the window.
-func (c *Collector) Dropped() int64 { return c.droppedMsgs }
-
 // Fairness returns the per-node injection counters.
 func (c *Collector) Fairness() *Fairness { return c.fairness }
 

@@ -226,6 +226,9 @@ func TestCollectorWindowing(t *testing.T) {
 	if c.Injected() != 1 || c.Deadlocks() != 1 || c.Generated() != 1 {
 		t.Errorf("counters: inj=%d dl=%d gen=%d", c.Injected(), c.Deadlocks(), c.Generated())
 	}
+	if f := c.Fairness(); f.Count(1) != 1 || f.Count(0) != 0 {
+		t.Errorf("fairness counts node 1: %d, node 0: %d; want only the in-window injection", f.Count(1), f.Count(0))
+	}
 }
 
 func TestCollectorMetrics(t *testing.T) {

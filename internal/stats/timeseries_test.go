@@ -61,4 +61,9 @@ func TestCollectorDeliverySeries(t *testing.T) {
 	if ts.Bucket(0) != 16 || ts.Bucket(1) != 32 {
 		t.Errorf("series buckets: %v", ts.Values())
 	}
+	c.DropDeliverySeries()
+	if c.DeliverySeries() != nil {
+		t.Fatal("DropDeliverySeries kept the series")
+	}
+	c.OnDelivered(160, 0, 10, 16, true, 0) // no series: nothing to record into
 }

@@ -293,3 +293,26 @@ func TestResumeComposition(t *testing.T) {
 		t.Errorf("resumed result diverged:\n got  %+v\n want %+v", rep2.Result, want)
 	}
 }
+
+// TestNames pins the outcome and state names manifests and health endpoints
+// print, and the message of a recovered panic.
+func TestNames(t *testing.T) {
+	for o, want := range map[Outcome]string{
+		Completed: "completed", Stalled: "stalled", DeadlineExceeded: "deadline",
+		Crashed: "crashed", Interrupted: "interrupted", Outcome(42): "outcome(42)",
+	} {
+		if got := o.String(); got != want {
+			t.Errorf("Outcome(%d).String() = %q, want %q", int(o), got, want)
+		}
+	}
+	for s, want := range map[State]string{
+		Idle: "idle", Running: "running", Draining: "draining", Stopped: "stopped", State(9): "state(9)",
+	} {
+		if got := s.StateName(); got != want {
+			t.Errorf("State(%d).StateName() = %q, want %q", int32(s), got, want)
+		}
+	}
+	if got := (&PanicError{Value: "disk on fire"}).Error(); got != "supervisor: run panicked: disk on fire" {
+		t.Errorf("PanicError.Error() = %q", got)
+	}
+}

@@ -74,14 +74,16 @@ func (p BurstProfile) Validate() error {
 }
 
 // BurstySource is an on/off modulated Poisson message generator: a Source
-// whose generation events are gated by alternating ON/OFF periods.
+// whose generation events are gated by alternating ON/OFF periods. Like a
+// Source it holds its random streams by value and reads them through pointers
+// into itself, so it is used where Init put it, never a copy.
 type BurstySource struct {
 	node    topology.NodeID
 	pattern Pattern
-	rng     *rand.Rand // generation events and destinations
-	prng    *rand.Rand // ON/OFF phase process (shared stream when synchronized)
-	pcg     *rand.PCG  // the PCG behind rng, retained for state save/load
-	ppcg    *rand.PCG  // the PCG behind prng
+	rng     rand.Rand // generation events and destinations
+	prng    rand.Rand // ON/OFF phase process (shared seed when synchronized)
+	pcg     rand.PCG  // the stream behind rng, also what state save/load writes
+	ppcg    rand.PCG  // the stream behind prng
 	msgLen  int
 	profile BurstProfile
 
@@ -92,10 +94,19 @@ type BurstySource struct {
 	next      float64 // next generation event (valid while on)
 }
 
-// NewBurstySource returns an on/off source with long-run average rate rate
-// (flits/node/cycle). It panics on invalid parameters, mirroring NewSource.
+// NewBurstySource returns an on/off source; see Init.
 func NewBurstySource(node topology.NodeID, pattern Pattern, rate float64, msgLen int,
 	profile BurstProfile, seed1, seed2 uint64) *BurstySource {
+	s := new(BurstySource)
+	s.Init(node, pattern, rate, msgLen, profile, seed1, seed2)
+	return s
+}
+
+// Init makes s, in place, the on/off source of one node with long-run average
+// rate rate (flits/node/cycle). It panics on invalid parameters, mirroring
+// Source.Init.
+func (s *BurstySource) Init(node topology.NodeID, pattern Pattern, rate float64, msgLen int,
+	profile BurstProfile, seed1, seed2 uint64) {
 	if rate < 0 {
 		panic(fmt.Sprintf("traffic: negative rate %v", rate))
 	}
@@ -108,23 +119,16 @@ func NewBurstySource(node topology.NodeID, pattern Pattern, rate float64, msgLen
 	if !profile.Enabled() {
 		panic("traffic: BurstySource needs an enabled profile; use NewSource for steady traffic")
 	}
-	pcg := rand.NewPCG(seed1, seed2)
-	s := &BurstySource{
-		node:    node,
-		pattern: pattern,
-		rng:     rand.New(pcg),
-		pcg:     pcg,
-		msgLen:  msgLen,
-		profile: profile,
-	}
+	*s = BurstySource{node: node, pattern: pattern, msgLen: msgLen, profile: profile, pcg: *rand.NewPCG(seed1, seed2)}
 	if profile.Synchronized {
 		// All nodes draw the phase schedule from the same stream: the
 		// phase seed depends only on the run seed, not on the node.
-		s.ppcg = rand.NewPCG(seed1, 0xB0057)
+		s.ppcg = *rand.NewPCG(seed1, 0xB0057)
 	} else {
-		s.ppcg = rand.NewPCG(seed2, seed1^0xB0057)
+		s.ppcg = *rand.NewPCG(seed2, seed1^0xB0057)
 	}
-	s.prng = rand.New(s.ppcg)
+	s.rng = *rand.New(&s.pcg)
+	s.prng = *rand.New(&s.ppcg)
 	if rate == 0 {
 		s.peakGap = math.Inf(1)
 	} else {
@@ -134,7 +138,6 @@ func NewBurstySource(node topology.NodeID, pattern Pattern, rate float64, msgLen
 	s.on = s.prng.Float64() < profile.OnMean/(profile.OnMean+profile.OffMean)
 	s.phaseEnds = s.periodLen()
 	s.next = s.rng.ExpFloat64() * s.peakGap
-	return s
 }
 
 func (s *BurstySource) periodLen() float64 {
@@ -175,7 +178,7 @@ func (s *BurstySource) Poll(now int64, dst []Generated) []Generated {
 			s.next = math.Inf(1)
 			continue
 		}
-		d := s.pattern.Destination(s.node, s.rng)
+		d := s.pattern.Destination(s.node, &s.rng)
 		if d != s.node {
 			dst = append(dst, Generated{Dst: d, Length: s.msgLen})
 		}

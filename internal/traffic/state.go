@@ -89,11 +89,11 @@ func (s *Source) LoadState(st GenState) error {
 
 // SaveStateInto implements Stateful.
 func (s *BurstySource) SaveStateInto(dst *GenState) error {
-	b, err := savePCG(s.pcg, dst.PCG)
+	b, err := savePCG(&s.pcg, dst.PCG)
 	if err != nil {
 		return fmt.Errorf("traffic: marshal bursty rng: %w", err)
 	}
-	pb, err := savePCG(s.ppcg, dst.PhasePCG)
+	pb, err := savePCG(&s.ppcg, dst.PhasePCG)
 	if err != nil {
 		return fmt.Errorf("traffic: marshal bursty phase rng: %w", err)
 	}

@@ -121,7 +121,7 @@ func TestSaveStateIntoKeepsUnmovedStreams(t *testing.T) {
 			func() Stateful {
 				return NewBurstySource(5, NewUniform(tp), 0.8, 8, BurstProfile{OnMean: 150, OffMean: 300}, 31, 47)
 			},
-			func(g Stateful) []*rand.PCG { b := g.(*BurstySource); return []*rand.PCG{b.pcg, b.ppcg} }},
+			func(g Stateful) []*rand.PCG { b := g.(*BurstySource); return []*rand.PCG{&b.pcg, &b.ppcg} }},
 		{"rogue",
 			func() Stateful { return NewRogueSource(2, 16, 5, 1.5, 4, 600, 250, 7, 99) },
 			func(g Stateful) []*rand.PCG { return []*rand.PCG{g.(*RogueSource).pcg} }},
