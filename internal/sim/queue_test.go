@@ -160,9 +160,10 @@ func TestDeadDestinationHeadDrops(t *testing.T) {
 	}
 }
 
-// TestInjectedObjectIsTheOneDelivered: Inject builds its message at once and
-// hands the pointer out; the queue holds a record for it, and admission must
-// pick that very object up, not build a second one.
+// TestInjectedObjectIsTheOneDelivered: Inject takes its message from the pool
+// at once and hands the pointer out; the queue holds a record for it, admission
+// must pick that very object up, not build a second one, and delivery gives it
+// back to the pool.
 func TestInjectedObjectIsTheOneDelivered(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		e := idle(t, func(c *Config) { c.Workers = workers })
@@ -181,8 +182,11 @@ func TestInjectedObjectIsTheOneDelivered(t *testing.T) {
 			t.Fatalf("workers=%d: the claimed channel holds %v, want the injected object %v", workers, e.nodes[3].inj[0].msg, m)
 		}
 		stepN(t, e, 40)
-		if m.State != message.StateDelivered || m.DeliverTime < 0 || e.Delivered() != 1 || m.Pooled {
+		if m.State != message.StateDelivered || m.DeliverTime < 0 || e.Delivered() != 1 || !m.Pooled {
 			t.Errorf("workers=%d: the injected object reads %v after the run", workers, m)
+		}
+		if !slices.Contains(e.pool, m) {
+			t.Errorf("workers=%d: the delivered injected object is not back in the pool", workers)
 		}
 		e.Close()
 	}
@@ -415,6 +419,23 @@ func TestRestoreQueuesWrittenByParent(t *testing.T) {
 	snap, err := golden.Snapshot()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The parent built Inject's messages outside the pool; they are pool-born
+	// now. Pooled is observer-only (CanonicalBytes leaves it out), so apart
+	// from that flag on the three injected messages the bytes are the same.
+	var parent Snapshot
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&parent); err != nil {
+		t.Fatal(err)
+	}
+	flipped := 0
+	for i := range snap.Messages {
+		if i < len(parent.Messages) && !parent.Messages[i].Pooled && snap.Messages[i].Pooled {
+			snap.Messages[i].Pooled = false
+			flipped++
+		}
+	}
+	if flipped != 3 {
+		t.Errorf("%d messages are pool-born now and were not in the parent's file, want the 3 injected ones", flipped)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {

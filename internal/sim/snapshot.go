@@ -38,8 +38,8 @@ package sim
 //     engine has the shape of the one that never stopped;
 //   - the message pool: a recycled message is indistinguishable from a
 //     freshly allocated one (Reuse == New up to the Pooled flag and Path
-//     backing array, neither observable), so restored runs simply allocate
-//     where the original recycled.
+//     backing array, neither observable), so a restored run recycles other
+//     objects than the original did.
 
 import (
 	"cmp"
@@ -228,14 +228,15 @@ func ConfigDigest(cfg Config) (string, error) {
 	return strings.TrimSpace(b.String()), nil
 }
 
-// loadedMessage builds the object sm describes. One that is not pool-born
-// (Inject's: every message of a model-checker state) is only ever referenced by
-// the engine — never handed out, never in the pool — so reset frees them all
-// and the next load overwrites them, Path storage kept, instead of allocating.
+// loadedMessage builds the object sm describes, Path storage kept, instead of
+// allocating one: a pool-born message from the pool, which reset refilled with
+// every one of them; one that is not (a snapshot's from before Inject drew
+// from the pool) from loaded, which only the engine references — never handed
+// out, never in the pool — so reset frees them all for the next load.
 func (e *Engine) loadedMessage(sm *SnapMessage) *message.Message {
 	var m *message.Message
 	if sm.Pooled {
-		m = new(message.Message)
+		m = e.pooled()
 	} else {
 		if e.loadedUsed == len(e.loaded) {
 			e.loaded = append(e.loaded, new(message.Message))
@@ -582,9 +583,9 @@ func (e *Engine) Restore(snap *Snapshot) error {
 // attached. New ends in it, so it defines the empty engine. It covers the
 // durable router state and all that derives from it. What load overwrites
 // wholesale — liveness and the candidate table that follows it, generator,
-// limiter, blockage, arbiter and collector words — is left alone, as are the
-// message pool and the record arena's capacity, whose contents are
-// unobservable.
+// limiter, blockage, arbiter and collector words — is left alone, as is the
+// record arena's capacity, whose contents are unobservable. The message pool
+// gets back every pool-born message: none is referenced any more.
 func (e *Engine) reset() {
 	e.now, e.nextID, e.faultIdx, e.epoch = 0, 0, 0, 0
 	e.generated, e.delivered, e.recovered, e.aborted, e.retried, e.dropped = 0, 0, 0, 0, 0, 0
@@ -613,6 +614,7 @@ func (e *Engine) reset() {
 	}
 	e.waiting.reset()
 	clear(e.built)
+	e.refillPool()
 	e.loadedUsed = 0
 	e.par.reset()
 }
