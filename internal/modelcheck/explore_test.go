@@ -196,24 +196,25 @@ func TestSchedMatchesSlices(t *testing.T) {
 }
 
 // TestScratchEnginesLiveOnlyDuringRun pins the explorer's engine budget: New
-// builds none beyond the root it materialises, and Run closes and drops the
-// two it restores into — with them, at Workers 2, their worker goroutines.
+// builds none beyond the root it materialises and starts no goroutine, and Run
+// closes and drops the two engines of each of its workers and stops the
+// workers — with the engines, at Workers 2, their shard goroutines.
 func TestScratchEnginesLiveOnlyDuringRun(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		x, err := New(boundedRing(400), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if x.work != nil || x.aux != nil {
-			t.Fatal("New built a scratch engine")
+		if x.cw.work != nil || x.cw.aux != nil || x.crew != nil {
+			t.Fatal("New built a scratch engine or a crew")
 		}
 		x.cfg.Workers = workers // the config digest excludes the worker count
 		before := runtime.NumGoroutine()
 		if _, err := x.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if x.work != nil || x.aux != nil {
-			t.Fatal("Run kept a scratch engine")
+		if x.cw.work != nil || x.cw.aux != nil || x.crew != nil || x.items != nil {
+			t.Fatal("Run kept a scratch engine, its crew or its frontier")
 		}
 		// Close has the pool's workers return; it does not wait for them.
 		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; {
