@@ -151,9 +151,15 @@ func main() {
 	}
 	// The rate counts this run's states only (a resumed exploration starts
 	// with the journal's); it goes to stderr under -json so stdout stays JSON.
-	elapsed := time.Since(start)
-	timing := fmt.Sprintf("timing: %d states in %.2fs (%.0f states/s)\n",
-		rep.States-before, elapsed.Seconds(), float64(rep.States-before)/elapsed.Seconds())
+	// The rest says why a run was slow or poorly parallel: the workers (one
+	// per P), the tasks idle ones took from busy ones, the edges explored and
+	// then discarded (duplicate subtrees, tasks past the budget) and the
+	// engine restores a state.
+	elapsed, st := time.Since(start), x.RunStats()
+	visited := rep.States - before
+	timing := fmt.Sprintf("timing: %d states in %.2fs (%.0f states/s), %d workers, %d tasks donated, %d edges discarded, %.2f restores a state\n",
+		visited, elapsed.Seconds(), float64(visited)/elapsed.Seconds(),
+		st.Workers, st.Donated, st.Discarded, float64(st.Restores)/float64(max(visited, 1)))
 	if *jsonOut {
 		out, err := rep.JSON()
 		if err != nil {

@@ -141,17 +141,28 @@ func (s Spec) probeBudget() int64 {
 // and an effectively unbounded measurement window (the explorer owns the
 // clock).
 func (s Spec) Config() (sim.Config, error) {
+	cfg, e, err := s.build()
+	if err != nil {
+		return sim.Config{}, err
+	}
+	e.Close()
+	return cfg, nil
+}
+
+// build is Config, and the engine of the initial state it validated the
+// config with.
+func (s Spec) build() (sim.Config, *sim.Engine, error) {
 	if len(s.Messages) == 0 {
-		return sim.Config{}, fmt.Errorf("modelcheck: empty message catalog")
+		return sim.Config{}, nil, fmt.Errorf("modelcheck: empty message catalog")
 	}
 	if len(s.Messages) > 8 {
-		return sim.Config{}, fmt.Errorf("modelcheck: %d catalog messages; the action set is ordered subsequences, keep it <= 8", len(s.Messages))
+		return sim.Config{}, nil, fmt.Errorf("modelcheck: %d catalog messages; the action set is ordered subsequences, keep it <= 8", len(s.Messages))
 	}
 	if s.MaxCycles < 1 {
-		return sim.Config{}, fmt.Errorf("modelcheck: MaxCycles %d < 1", s.MaxCycles)
+		return sim.Config{}, nil, fmt.Errorf("modelcheck: MaxCycles %d < 1", s.MaxCycles)
 	}
 	if s.MaxStates < 1 {
-		return sim.Config{}, fmt.Errorf("modelcheck: MaxStates %d < 1", s.MaxStates)
+		return sim.Config{}, nil, fmt.Errorf("modelcheck: MaxStates %d < 1", s.MaxStates)
 	}
 	nodes := 1
 	for i := 0; i < s.N; i++ {
@@ -161,17 +172,17 @@ func (s Spec) Config() (sim.Config, error) {
 	maxLen := 1
 	for i, m := range s.Messages {
 		if srcSeen[m.Src] {
-			return sim.Config{}, fmt.Errorf("modelcheck: two catalog messages share source %d; subset enumeration needs distinct sources", m.Src)
+			return sim.Config{}, nil, fmt.Errorf("modelcheck: two catalog messages share source %d; subset enumeration needs distinct sources", m.Src)
 		}
 		srcSeen[m.Src] = true
 		if int(m.Src) < 0 || int(m.Src) >= nodes || int(m.Dst) < 0 || int(m.Dst) >= nodes {
-			return sim.Config{}, fmt.Errorf("modelcheck: message %d endpoints %d->%d outside %d nodes", i, m.Src, m.Dst, nodes)
+			return sim.Config{}, nil, fmt.Errorf("modelcheck: message %d endpoints %d->%d outside %d nodes", i, m.Src, m.Dst, nodes)
 		}
 		if m.Src == m.Dst {
-			return sim.Config{}, fmt.Errorf("modelcheck: message %d is self-addressed", i)
+			return sim.Config{}, nil, fmt.Errorf("modelcheck: message %d is self-addressed", i)
 		}
 		if m.Length < 1 {
-			return sim.Config{}, fmt.Errorf("modelcheck: message %d length %d < 1", i, m.Length)
+			return sim.Config{}, nil, fmt.Errorf("modelcheck: message %d length %d < 1", i, m.Length)
 		}
 		if m.Length > maxLen {
 			maxLen = m.Length
@@ -195,10 +206,9 @@ func (s Spec) Config() (sim.Config, error) {
 	// here, with modelcheck context, rather than deep in the explorer.
 	e, err := sim.New(cfg)
 	if err != nil {
-		return sim.Config{}, fmt.Errorf("modelcheck: spec does not build: %w", err)
+		return sim.Config{}, nil, fmt.Errorf("modelcheck: spec does not build: %w", err)
 	}
-	e.Close()
-	return cfg, nil
+	return cfg, e, nil
 }
 
 // inject applies catalog entry i to the engine.
