@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"wormnet/internal/baseline"
+	"wormnet/internal/message"
 	"wormnet/internal/sim"
 )
 
@@ -201,4 +202,35 @@ func FuzzCampaignSpecDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSpecMaximaBuild: the largest buffer and the longest message a spec
+// accepts are ones the engine holds. A 2-ary 2-cube at both maxima passes the
+// spec's bounds, builds, and delivers one message of maxMsgLen flits whole.
+func TestSpecMaximaBuild(t *testing.T) {
+	cfg := sim.QuickConfig()
+	cfg.K, cfg.N = 2, 2
+	cfg.BufDepth, cfg.MsgLen = maxBufDepth, maxMsgLen
+	if err := boundConfig(&cfg); err != nil {
+		t.Fatal(err)
+	}
+	e, err := sim.New(cfg)
+	if err != nil {
+		t.Fatalf("the spec's maxima do not build: %v", err)
+	}
+	defer e.Close()
+	e.StopSources()
+	m := e.Inject(0, 3, maxMsgLen)
+	for m.State != message.StateDelivered {
+		if e.Now() > 2*maxMsgLen {
+			t.Fatalf("cycle %d: a %d-flit message is still %v", e.Now(), maxMsgLen, m.State)
+		}
+		e.Step()
+	}
+	if m.FlitsEjected != maxMsgLen {
+		t.Fatalf("delivered %d of %d flits", m.FlitsEjected, maxMsgLen)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -182,3 +182,40 @@ func TestWaitGraphOrderIndependence(t *testing.T) {
 		}
 	}
 }
+
+// TestWaitGraphReset: a reset graph is the empty graph, whatever it held. The
+// engine and the model checker reuse one graph across states, and a slot an
+// earlier state used keeps its option storage, so nothing of the old state's
+// messages, flags or options may leak into the next one's answer.
+func TestWaitGraphReset(t *testing.T) {
+	g := NewWaitGraph()
+	// A dead cycle, 1 <-> 2, with a second option of 1's also blocked by 2.
+	g.AddBlocked(1)
+	g.AddOption(1, 2)
+	g.AddOption(1, 2)
+	g.AddBlocked(2)
+	g.AddOption(2, 1)
+	if got := g.Deadlocked(); !reflect.DeepEqual(got, []int64{1, 2}) {
+		t.Fatalf("before Reset: Deadlocked() = %v, want [1 2]", got)
+	}
+	g.Reset()
+	if got := g.Deadlocked(); got != nil {
+		t.Fatalf("after Reset: Deadlocked() = %v, want none", got)
+	}
+	// The same ids again: 1 now has one free option, so 2, waiting on 1,
+	// drains too. A stale option or blocked flag would keep the old cycle.
+	g.AddBlocked(2)
+	g.AddOption(2, 1)
+	g.AddBlocked(1)
+	g.AddOption(1)
+	if got := g.Deadlocked(); got != nil {
+		t.Fatalf("rebuilt after Reset: Deadlocked() = %v, want none", got)
+	}
+	// And a fresh dead cycle over a third id is found as one.
+	g.Reset()
+	g.AddBlocked(3)
+	g.AddOption(3, 3)
+	if got := g.Deadlocked(); !reflect.DeepEqual(got, []int64{3}) {
+		t.Fatalf("self-wait after Reset: Deadlocked() = %v, want [3]", got)
+	}
+}

@@ -22,14 +22,22 @@ import (
 // is the tail. Push enforces exactly that; Front, Pop and At derive the flit.
 // The zero value is not usable; construct with NewBuffer, or initialise a
 // value in place with Init (the simulation engine stores buffers by value
-// in one contiguous slice per node, so the hot path walks them linearly).
+// in one contiguous arena, so the hot path walks them linearly).
 type Buffer struct {
 	msg   *message.Message // owner of the run; stale while size == 0
-	first int32            // sequence number of the front flit
-	size  int32
-	cap   int32
+	first uint16           // sequence number of the front flit
+	size  uint16
+	cap   uint16
 	tail  bool // the last buffered flit is the message's tail
 }
+
+// The limits of a Buffer's 16-bit counters, which keep it at 16 bytes: it
+// holds at most MaxDepth flits, of a message of at most MaxMessageLen
+// (sequence numbers 0 to MaxMessageLen-1). Init and Push refuse anything more.
+const (
+	MaxDepth      = 1<<16 - 1
+	MaxMessageLen = 1 << 16
+)
 
 // NewBuffer returns an empty buffer holding at most capacity flits.
 func NewBuffer(capacity int) *Buffer {
@@ -40,14 +48,11 @@ func NewBuffer(capacity int) *Buffer {
 
 // Init (re-)initialises b in place as an empty buffer of the given capacity.
 func (b *Buffer) Init(capacity int) {
-	if capacity < 1 {
-		panic(fmt.Sprintf("router: buffer capacity %d < 1", capacity))
+	if capacity < 1 || capacity > MaxDepth {
+		panic(fmt.Sprintf("router: buffer capacity %d outside [1, %d]", capacity, MaxDepth))
 	}
-	*b = Buffer{cap: int32(capacity)}
+	*b = Buffer{cap: uint16(capacity)}
 }
-
-// Cap returns the buffer capacity in flits.
-func (b *Buffer) Cap() int { return int(b.cap) }
 
 // Len returns the number of buffered flits.
 func (b *Buffer) Len() int { return int(b.size) }
@@ -60,21 +65,22 @@ func (b *Buffer) Full() bool { return b.size == b.cap }
 
 // Push appends a flit at the back. It panics if the buffer is full (the
 // simulator's credit check must prevent that), if the flit's Head flag
-// disagrees with Seq == 0, or if the flit does not extend the buffered run:
-// another message's flit, a sequence number other than the next one, or any
-// flit behind the tail. Tail is taken on trust — checking it against the
+// disagrees with Seq == 0, if its sequence number is not below
+// MaxMessageLen, or if the flit does not extend the buffered run: another
+// message's flit, a sequence number other than the next one, or any flit
+// behind the tail. Tail is taken on trust — checking it against the
 // message length would touch the message on every push — so whoever builds
 // flits from outside data (a snapshot) validates it first.
 func (b *Buffer) Push(f message.Flit) {
 	if b.size == b.cap {
 		panic("router: push into full buffer")
 	}
-	if f.Head != (f.Seq == 0) {
-		panic("router: pushed flit's Head flag disagrees with its sequence number")
+	if f.Head != (f.Seq == 0) || uint32(f.Seq) >= MaxMessageLen {
+		panic("router: pushed flit's Head flag disagrees with its sequence number, or the number is MaxMessageLen or more")
 	}
 	if b.size == 0 {
-		b.msg, b.first = f.Msg, f.Seq
-	} else if f.Msg != b.msg || f.Seq != b.first+b.size || b.tail {
+		b.msg, b.first = f.Msg, uint16(f.Seq)
+	} else if f.Msg != b.msg || f.Seq != int32(b.first)+int32(b.size) || b.tail {
 		panic("router: pushed flit does not extend the buffered run")
 	}
 	b.tail = f.Tail
@@ -86,7 +92,7 @@ func (b *Buffer) Front() message.Flit {
 	if b.size == 0 {
 		panic("router: front of empty buffer")
 	}
-	return message.Flit{Msg: b.msg, Seq: b.first, Head: b.first == 0, Tail: b.tail && b.size == 1}
+	return message.Flit{Msg: b.msg, Seq: int32(b.first), Head: b.first == 0, Tail: b.tail && b.size == 1}
 }
 
 // Pop removes and returns the front flit. It panics if the buffer is empty.
@@ -117,11 +123,11 @@ func (b *Buffer) RemoveMessage(id message.ID) int {
 // without removing it. It panics if i is out of range. Snapshots and the
 // invariant checker walk buffer contents with it, in FIFO order.
 func (b *Buffer) At(i int) message.Flit {
-	if i < 0 || int32(i) >= b.size {
+	if i < 0 || i >= int(b.size) {
 		panic("router: buffer index out of range")
 	}
-	seq := b.first + int32(i)
-	return message.Flit{Msg: b.msg, Seq: seq, Head: seq == 0, Tail: b.tail && int32(i) == b.size-1}
+	seq := int32(b.first) + int32(i)
+	return message.Flit{Msg: b.msg, Seq: seq, Head: seq == 0, Tail: b.tail && i == int(b.size)-1}
 }
 
 // FrontMessage returns the message owning the buffered flits, or nil if empty.

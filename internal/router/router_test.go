@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"wormnet/internal/message"
 )
@@ -38,7 +39,7 @@ func TestBufferWrapAround(t *testing.T) {
 	seq := 0
 	// Interleave pushes and pops to force wrap.
 	for round := 0; round < 10; round++ {
-		for b.Len() < b.Cap() {
+		for b.Len() < int(b.cap) {
 			b.Push(message.MakeFlit(m, seq))
 			seq++
 		}
@@ -101,6 +102,44 @@ func TestBufferPanics(t *testing.T) {
 		holding(m, 0, 2).Push(message.Flit{Msg: m, Seq: 2, Head: true})
 	})
 	mustPanic(t, "no head flag on flit 0", func() { NewBuffer(4).Push(message.Flit{Msg: m, Seq: 0}) })
+}
+
+// A buffer is an owner and three 16-bit counters with the tail flag: 16
+// bytes, which keep an input virtual channel of the engine at 24.
+func TestBufferStaysSmall(t *testing.T) {
+	if got := unsafe.Sizeof(Buffer{}); got > 16 {
+		t.Errorf("Buffer is %d bytes, ceiling 16", got)
+	}
+}
+
+// The 16-bit counters bound what a buffer holds, and a value past them is
+// refused, never wrapped: a capacity beyond MaxDepth, a flit of a message
+// longer than MaxMessageLen. Both maxima themselves work.
+func TestBufferLimits(t *testing.T) {
+	mustPanic(t, "capacity past MaxDepth", func() { NewBuffer(MaxDepth + 1) })
+	deep := NewBuffer(MaxDepth)
+	long := msg(1, MaxMessageLen+1)
+	for s := 0; s < MaxDepth; s++ {
+		deep.Push(message.MakeFlit(long, s))
+	}
+	if !deep.Full() || deep.Len() != MaxDepth || int(deep.cap) != MaxDepth {
+		t.Fatalf("a buffer of MaxDepth holds %d of %d flits, full %v", deep.Len(), int(deep.cap), deep.Full())
+	}
+	// The last flit of the longest message: pushed, popped, and nothing after it.
+	b := NewBuffer(2)
+	b.Push(message.MakeFlit(long, MaxMessageLen-2))
+	b.Push(message.MakeFlit(long, MaxMessageLen-1))
+	if f := b.At(1); f.Seq != MaxMessageLen-1 {
+		t.Fatalf("At(1) = seq %d, want %d", f.Seq, MaxMessageLen-1)
+	}
+	b.Pop()
+	if f := b.Front(); f.Seq != MaxMessageLen-1 || f.Head {
+		t.Fatalf("front after a pop = %+v, want seq %d", f, MaxMessageLen-1)
+	}
+	mustPanic(t, "flit past MaxMessageLen extending a run", func() { b.Push(message.MakeFlit(long, MaxMessageLen)) })
+	mustPanic(t, "flit past MaxMessageLen into an empty buffer", func() {
+		NewBuffer(1).Push(message.MakeFlit(long, MaxMessageLen))
+	})
 }
 
 func TestBufferFrontMessage(t *testing.T) {
@@ -195,9 +234,9 @@ func TestBufferMatchesModel(t *testing.T) {
 				}
 				seq = m.Length
 			}
-			if b.Len() != ref.Len() || b.Cap() != ref.Cap() || b.Empty() != ref.Empty() || b.Full() != ref.Full() {
+			if b.Len() != ref.Len() || int(b.cap) != ref.Cap() || b.Empty() != ref.Empty() || b.Full() != ref.Full() {
 				t.Fatalf("cap %d step %d: Len/Cap/Empty/Full %d/%d/%v/%v, ring says %d/%d/%v/%v", capacity, step,
-					b.Len(), b.Cap(), b.Empty(), b.Full(), ref.Len(), ref.Cap(), ref.Empty(), ref.Full())
+					b.Len(), int(b.cap), b.Empty(), b.Full(), ref.Len(), ref.Cap(), ref.Empty(), ref.Full())
 			}
 			if b.FrontMessage() != ref.FrontMessage() {
 				t.Fatalf("cap %d step %d: FrontMessage %v, ring says %v", capacity, step, b.FrontMessage(), ref.FrontMessage())
@@ -221,8 +260,8 @@ func TestBufferReset(t *testing.T) {
 	b.Push(message.MakeFlit(m, 0))
 	b.Push(message.MakeFlit(m, 1)) // tail buffered
 	b.Init(3)
-	if !b.Empty() || b.Cap() != 3 || b.FrontMessage() != nil {
-		t.Fatalf("after Init: Len=%d Cap=%d", b.Len(), b.Cap())
+	if !b.Empty() || int(b.cap) != 3 || b.FrontMessage() != nil {
+		t.Fatalf("after Init: Len=%d Cap=%d", b.Len(), int(b.cap))
 	}
 	b.Push(message.MakeFlit(msg(2, 4), 0))
 	if f := b.Front(); f.Msg.ID != 2 || !f.Head || f.Tail {

@@ -25,6 +25,7 @@ import (
 	"wormnet/internal/core"
 	"wormnet/internal/deadlock"
 	"wormnet/internal/fault"
+	"wormnet/internal/router"
 	"wormnet/internal/topology"
 	"wormnet/internal/traffic"
 )
@@ -165,12 +166,12 @@ func (c *Config) validate() error {
 		return fmt.Errorf("sim: bad topology %d-ary %d-cube", c.K, c.N)
 	case c.VCs < 1:
 		return fmt.Errorf("sim: need at least 1 virtual channel, got %d", c.VCs)
-	case c.BufDepth < 1:
-		return fmt.Errorf("sim: need buffer depth >= 1, got %d", c.BufDepth)
+	case c.BufDepth < 1 || c.BufDepth > router.MaxDepth:
+		return fmt.Errorf("sim: buffer depth %d outside [1, %d], the flits a buffer holds", c.BufDepth, router.MaxDepth)
 	case c.InjChannels < 1 || c.EjChannels < 1:
 		return fmt.Errorf("sim: need at least 1 injection and ejection channel")
-	case c.MsgLen < 1:
-		return fmt.Errorf("sim: message length %d < 1", c.MsgLen)
+	case c.MsgLen < 1 || c.MsgLen > router.MaxMessageLen:
+		return fmt.Errorf("sim: message length %d outside [1, %d], the longest message a buffer holds", c.MsgLen, router.MaxMessageLen)
 	case c.Rate < 0:
 		return fmt.Errorf("sim: negative offered rate %v", c.Rate)
 	case c.MeasureCycles < 1:

@@ -68,7 +68,7 @@ func (e *Engine) Step() {
 // cycle regardless of activity, so it always equalled now % nAgents —
 // deriving it makes skipping idle nodes free of state drift.
 func (e *Engine) allocRange(lo, hi int) {
-	below := uint64(1)<<uint(e.now%int64(e.numPhys*e.cfg.VCs)) - 1 // the agents before start
+	below := uint64(1)<<uint(e.now%int64(e.nVC)) - 1 // the agents before start
 	for i := lo; i < hi; i++ {
 		nd := &e.nodes[i]
 		occ := e.inMask &^ e.empty[i]
@@ -88,8 +88,9 @@ func (e *Engine) allocRange(lo, hi int) {
 		}
 		// Injection channels route after the network traffic.
 		if nd.busyInj > 0 {
-			for c := range nd.inj {
-				ic := &nd.inj[c]
+			inj := e.injOf(nd.id)
+			for c := range inj {
+				ic := &inj[c]
 				if ic.msg == nil || ic.route.valid || ic.left < ic.len {
 					continue
 				}
@@ -115,7 +116,8 @@ func (e *Engine) allocRange(lo, hi int) {
 // input virtual channel (agent index) a of node nd, feeding the deadlock
 // detector on failure.
 func (e *Engine) allocateVC(nd *node, a int, w *allocWords) {
-	ivc := &nd.in[a]
+	at := int(nd.id)*e.nVC + a
+	ivc := &e.in[at]
 	// The status words are sampled at the start of the node's walk; a
 	// deadlock recovery triggered behind it can empty a buffer mid-walk, so
 	// the emptiness check stays live.
@@ -128,7 +130,7 @@ func (e *Engine) allocateVC(nd *node, a int, w *allocWords) {
 	m := ivc.buf.FrontMessage()
 	route, ok, vital, unroutable := e.allocate(nd, m, ivc.dst, &ivc.set, w)
 	if ok {
-		nd.routes[a] = route
+		e.routes[at] = route
 		nd.routed |= 1 << uint(a)
 		nd.fresh |= 1 << uint(a)
 		e.setWant(nd, a, route)
@@ -183,7 +185,7 @@ func (e *Engine) pack(nd *node, w *allocWords) {
 	vcs := uint(e.cfg.VCs)
 	field := uint64(1)<<vcs - 1
 	var down uint64
-	for p, nb := range nd.nbr {
+	for p, nb := range cut(e.nbr, int(nd.id), e.numPhys) {
 		opp := uint(topology.Opposite(topology.Port(p)))
 		down |= (e.empty[nb] >> (opp * vcs) & field) << (uint(p) * vcs)
 	}
@@ -208,9 +210,9 @@ func (e *Engine) pack(nd *node, w *allocWords) {
 // header that will get a channel reaches the per-port scoring loop.
 func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID, set *int32, w *allocWords) (routeInfo, bool, bool, bool) {
 	if dst == nd.id {
-		for c := range nd.ej {
-			if nd.ej[c].msg == nil {
-				nd.ej[c].msg = m
+		for c := range e.cfg.EjChannels {
+			if ej := &e.ejOf(nd.id)[c]; ej.msg == nil {
+				ej.msg = m
 				return routeInfo{valid: true, eject: true, ejCh: int8(c), epoch: uint16(e.epoch)}, true, false, false
 			}
 		}
@@ -228,7 +230,7 @@ func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID, set
 		if !vital && !e.cfg.LenientDetection {
 			// Every candidate is busy: did any transmit within the last cycle?
 			for busy := candW; busy != 0; busy &= busy - 1 {
-				if nd.lastTx[bits.TrailingZeros64(busy)] >= e.now-1 {
+				if e.lastTxOf(nd.id)[bits.TrailingZeros64(busy)] >= e.now-1 {
 					vital = true
 					break
 				}
@@ -265,10 +267,10 @@ func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID, set
 		}
 	}
 	out := e.inVCIndex(bestPort, bestVC)
-	nd.outVCs[out].Allocate(m)
+	e.outVCs[int(nd.id)*e.nVC+out].Allocate(m)
 	nd.free, w.avail = nd.free&^(1<<uint(out)), w.avail&^(1<<uint(out))
 	m.Path = append(m.Path, pathLoc{
-		Node: nd.nbr[bestPort], Port: topology.Opposite(bestPort), VC: bestVC,
+		Node: e.nbr[int(nd.id)*e.numPhys+int(bestPort)], Port: topology.Opposite(bestPort), VC: bestVC,
 	})
 	return routeInfo{valid: true, outPort: bestPort, outVC: bestVC, epoch: uint16(e.epoch)}, true, true, false
 }
@@ -279,7 +281,7 @@ func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID, set
 // moves and returning it. Only outputs arbitrate (one round-robin pointer
 // each); an input goes to the first output, from the top, that picks it.
 //
-// Nothing is collected: who wants an output is standing state (node.want), so
+// Nothing is collected: who wants an output is standing state (want), so
 // a cycle computes one word, ready — the agents with a flit to forward: input
 // VCs occupied AND routed, but not this very cycle (fresh words: movement
 // starts the cycle after allocation), and streaming injection channels — and
@@ -293,7 +295,8 @@ func (e *Engine) switchRange(lo, hi int, moves []move) []move {
 	// pointer-chased fields lets the compiler hold them in registers.
 	numPhys := e.numPhys
 	vcs := e.cfg.VCs
-	nVC := numPhys * vcs
+	nVC := e.nVC
+	nWant, numOut := nVC+e.cfg.EjChannels, numPhys+e.cfg.EjChannels
 	empty, full, inMask := e.empty, e.full, e.inMask
 	injAll := uint64(1)<<uint(e.cfg.InjChannels) - 1
 	for ni := lo; ni < hi; ni++ {
@@ -307,6 +310,7 @@ func (e *Engine) switchRange(lo, hi int, moves []move) []move {
 		// the route with it), and an unrouted one is nobody's wanter.
 		ready := nd.routed&^empty[ni]&^nd.fresh | (injAll&^nd.freshInj)<<uint(nVC)
 		nd.fresh, nd.freshInj = 0, 0
+		want, nbr, arb := cut(e.want, ni, nWant), cut(e.nbr, ni, numPhys), cut(e.outArb, ni, numOut)
 		// Outputs from the top: ejection channels (the highest indices) go
 		// first so that draining traffic is never starved by through traffic.
 		for out := nd.wantOut; out != 0 && ready != 0; {
@@ -317,17 +321,17 @@ func (e *Engine) switchRange(lo, hi int, moves []move) []move {
 			var wants []uint8 // of a physical port's VCs
 			if mv.eject {
 				mv.ejCh = int8(o - numPhys)
-				cands = 1 << nd.want[nVC+o-numPhys]
+				cands = 1 << want[nVC+o-numPhys]
 			} else {
 				mv.outPort = topology.Port(o)
-				wants = nd.want[o*vcs : (o+1)*vcs]
+				wants = want[o*vcs : (o+1)*vcs]
 				// Credit: the downstream buffer has a slot free.
-				down := full[nd.nbr[o]] >> uint(int(topology.Opposite(mv.outPort))*vcs)
+				down := full[nbr[o]] >> uint(int(topology.Opposite(mv.outPort))*vcs)
 				for v, a := range wants {
 					cands |= 1 << a & (down>>uint(v)&1 - 1)
 				}
 			}
-			a := nd.outArb[o].GrantMask(cands & ready)
+			a := arb[o].GrantMask(cands & ready)
 			if a < 0 {
 				continue
 			}

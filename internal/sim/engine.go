@@ -37,10 +37,11 @@ type routeInfo struct {
 }
 
 // inVC is one input virtual channel: its flit buffer. Input VCs are stored
-// by value in node.in, flat-indexed by the channel id port*VCs+vc, so a
-// node's entire input state is contiguous in memory. The forwarding
-// decisions live in the parallel node.routes array: the switch phase walks
-// routes alone, four to a cache line, without pulling in buffer state.
+// by value in Engine.in, channel id port*VCs+vc of node id at id*nVC plus the
+// channel id, so a node's entire input state is contiguous in memory. The
+// forwarding decisions live in the parallel Engine.routes arena: the switch
+// phase walks routes alone, four to a cache line, without pulling in buffer
+// state.
 type inVC struct {
 	buf router.Buffer
 	// dst mirrors the Dst of the message whose flits the buffer holds (the
@@ -93,18 +94,11 @@ type pending struct {
 
 // node is one network endpoint: a router plus its local injection state.
 // Nodes are stored by value in Engine.nodes; all code must take the
-// address (&e.nodes[i]) rather than copy.
+// address (&e.nodes[i]) rather than copy. A node is its status words,
+// counters and id: its channels live in the engine's arenas, where the id
+// finds them (inOf and the other accessors below Engine).
 type node struct {
 	id topology.NodeID
-
-	// in[p*VCs+v] is input virtual channel v of physical port p — the
-	// flat channel id doubles as the agent index of the allocation and
-	// switch phases. outVCs is the matching flat output-side state.
-	in     []inVC
-	routes []routeInfo
-	outVCs []router.OutVC
-	inj    []injChannel
-	ej     []ejChannel
 
 	// busyInj counts the injection channels streaming a message. With the
 	// node's empty word it is the active set: the allocation and switch phases
@@ -123,9 +117,6 @@ type node struct {
 	// nextGen caches src.NextAt(): the generation phase skips the node
 	// while now is before it, without touching the source.
 	nextGen int64
-	// rogue marks an adversarial node (Config.Adversary): its injections
-	// bypass the limiter gate entirely.
-	rogue bool
 
 	limiter core.Limiter
 	// limObs caches the limiter's CycleObserver assertion (nil when the
@@ -142,20 +133,18 @@ type node struct {
 	view     *channelView
 	rules    core.Rules
 	gated    bool
+	// rogue marks an adversarial node (Config.Adversary): its injections
+	// bypass the limiter gate entirely.
+	rogue bool
 
 	// blocked tracks consecutive cycles each input VC's header failed to
 	// obtain an output virtual channel (deadlock detection input).
 	blocked deadlock.BlockTracker
-	// lastTx records, per output virtual channel (flat channel id), the
-	// last cycle a flit was transmitted through it. The FC3D-style
-	// detector uses it to distinguish a dead knot (no movement anywhere
-	// the header could go) from plain congestion.
-	lastTx []int64
 
 	// Status registers, one word each, bit p*VCs+v = virtual channel v of
 	// physical port p — the agent index and the candidate words' bit order.
 	// free has the unallocated output VCs and routed the input VCs holding a
-	// valid forwarding decision (bit a set iff routes[a].valid); the two
+	// valid forwarding decision (bit a set iff route a is valid); the two
 	// registers a neighbour reads, which of the node's input buffers are
 	// empty and which at capacity, are Engine.empty and Engine.full at the
 	// node's id. The gate, the allocator and the switch test whole candidate
@@ -170,34 +159,14 @@ type node struct {
 	// timestamp, halving routeInfo.
 	fresh    uint64
 	freshInj uint64
-	// want[p*VCs+v] is the agent routed to output virtual channel (p, v) and
-	// want[numPhys*VCs+c] the one routed to ejection channel c, noAgent for
-	// none. A wormhole gives an output channel to one agent from head to
-	// tail, so this is the switch phase's standing request: written wherever
-	// a route is (setWant, clearWant), derived state like the words above.
-	want []uint8
-
-	// nbr[p] is the neighbouring node behind physical output port p and
-	// down[p*VCs+v] the input VC a flit sent on (p, v) lands in. The id is
-	// also the index of the neighbour's words in Engine.empty and Engine.full,
-	// where the buffers port p feeds are the field at Opposite(p)*VCs. An
-	// index into a dense array beats a pointer here: the credit checks become
-	// a single dependent load off a base the compiler keeps in a register.
-	// Both are precomputed at construction.
-	nbr  []topology.NodeID
-	down []*inVC
-
-	// outArb arbitrates each output port (physical + ejection) among the
-	// node's input agents.
-	outArb []router.RoundRobin
 }
 
-// noAgent marks an output no agent is routed to in node.want. Shifting by it
+// noAgent marks an output no agent is routed to in Engine.want. Shifting by it
 // yields 0 (Go defines shifts past the word), so "1 << want" needs no test.
 const noAgent = 0xFF
 
 // agent indices: input VCs first (flat channel id), then injection channels.
-func (e *Engine) agentCount() int { return e.numPhys*e.cfg.VCs + e.cfg.InjChannels }
+func (e *Engine) agentCount() int { return e.nVC + e.cfg.InjChannels }
 
 // move is one planned flit transfer of the current cycle.
 type move struct {
@@ -226,7 +195,28 @@ type Engine struct {
 	col     *stats.Collector
 	nodes   []node
 	numPhys int
+	nVC     int // virtual channels a node has per side: numPhys*VCs
 	now     int64
+
+	// The channels of every node, one arena each: a node's run starts at its
+	// id times the run's length (the accessors below New cut it). Runs of nVC,
+	// by agent (the flat channel id p*VCs+v): input VCs, their routes, output
+	// VCs and lastTx, the last cycle a flit crossed each (the FC3D-style
+	// detector tells a dead knot from congestion by it). want is the agent
+	// routed to output VC p*VCs+v or ejection channel nVC+c (noAgent: none),
+	// the switch phase's standing request (setWant, clearWant). nbr is the
+	// neighbour behind each physical port, the index of its words in empty and
+	// full and, times nVC, of its input VCs: a flit sent on (p, v) lands in
+	// Opposite(p)*VCs+v (downstream). outArb arbitrates each output.
+	in     []inVC
+	routes []routeInfo
+	outVCs []router.OutVC
+	lastTx []int64
+	inj    []injChannel
+	ej     []ejChannel
+	want   []uint8
+	nbr    []topology.NodeID
+	outArb []router.RoundRobin
 
 	nextID message.ID
 
@@ -261,7 +251,7 @@ type Engine struct {
 	// empty and full are the input-buffer status registers of the whole
 	// network, one word per node (bit p*VCs+v, like the node's own words):
 	// the two a neighbour reads — the allocator its downstream empty fields,
-	// the switch its downstream full fields, through node.nbr — so they sit
+	// the switch its downstream full fields, through nbr — so they sit
 	// in two dense arrays a few kilobytes each that stay cache-resident,
 	// instead of in 512 scattered node structs.
 	empty []uint64
@@ -388,6 +378,7 @@ func New(cfg Config) (*Engine, error) {
 		det:     deadlock.NewDetector(threshold),
 		col:     stats.NewCollector(topo.Nodes(), cfg.WarmupCycles, cfg.WarmupCycles+cfg.MeasureCycles),
 		numPhys: topo.NumPorts(),
+		nVC:     topo.NumPorts() * cfg.VCs,
 		built:   make(map[message.ID]*message.Message),
 	}
 	if !cfg.Faults.Empty() {
@@ -400,7 +391,7 @@ func New(cfg Config) (*Engine, error) {
 		fa.SetLiveness(e.live)
 	}
 	nNodes := topo.Nodes()
-	nVC := e.numPhys * cfg.VCs
+	nVC := e.nVC
 	e.nodes = make([]node, nNodes)
 	// Adversarial overlay: fix rogue placement up front (seeded shuffle) and
 	// split the collector's accounting by class, so results separate the
@@ -427,28 +418,31 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 
-	// Contiguous arenas for the hot per-virtual-channel state: input VCs
-	// (run-length buffers, so no flit storage behind them), output VC
-	// ownership, transmission timestamps and arbiters.
-	inArena := make([]inVC, nNodes*nVC)
-	outArena := make([]router.OutVC, nNodes*nVC)
-	lastTxArena := make([]int64, nNodes*nVC)
-	arbArena := make([]router.RoundRobin, nNodes*numOut)
+	// The channel arenas (input VCs are run-length buffers, so no flit
+	// storage behind them); reset fills them.
+	e.in = make([]inVC, nNodes*nVC)
+	e.routes = make([]routeInfo, nNodes*nVC)
+	e.outVCs = make([]router.OutVC, nNodes*nVC)
+	e.lastTx = make([]int64, nNodes*nVC)
+	e.inj = make([]injChannel, nNodes*cfg.InjChannels)
+	e.ej = make([]ejChannel, nNodes*cfg.EjChannels)
+	e.want = make([]uint8, nNodes*(nVC+cfg.EjChannels))
+	e.nbr = make([]topology.NodeID, nNodes*e.numPhys)
+	for i := range e.nbr {
+		e.nbr[i] = topo.Neighbor(topology.NodeID(i/e.numPhys), topology.Port(i%e.numPhys))
+	}
+	e.outArb = make([]router.RoundRobin, nNodes*numOut)
+	for i := range e.outArb {
+		e.outArb[i].Init(nAgents)
+	}
 	e.empty = make([]uint64, nNodes)
 	e.full = make([]uint64, nNodes)
 	e.inMask = 1<<uint(nVC) - 1
 	e.portsLow = e.inMask / (1<<uint(cfg.VCs) - 1) // numPhys all-ones fields over one
-	routeArena := make([]routeInfo, nNodes*nVC)
-	nWant := nVC + cfg.EjChannels
-	wantArena := make([]uint8, nNodes*nWant)
 	// The rest of what a node owns, cut from engine-wide arrays the same way:
 	// building a network allocates per engine, not per node.
-	injArena := make([]injChannel, nNodes*cfg.InjChannels)
-	ejArena := make([]ejChannel, nNodes*cfg.EjChannels)
 	viewArena := make([]channelView, nNodes)
 	blockedArena := make([]int32, nNodes*nVC)
-	nbrArena := make([]topology.NodeID, nNodes*e.numPhys)
-	downArena := make([]*inVC, nNodes*nVC)
 	// The recovery lists, and the retry lists of a fault-capable engine, one
 	// entry a node each: a node's first recovered or retried message takes a
 	// slot, not an object. A longer list copies out on its own.
@@ -475,11 +469,6 @@ func New(cfg Config) (*Engine, error) {
 	for i := 0; i < nNodes; i++ {
 		nd := &e.nodes[i]
 		nd.id = topology.NodeID(i)
-		nd.in = cut(inArena, i, nVC)
-		nd.routes = cut(routeArena, i, nVC)
-		nd.outVCs = cut(outArena, i, nVC)
-		nd.inj = cut(injArena, i, cfg.InjChannels)
-		nd.ej = cut(ejArena, i, cfg.EjChannels)
 		own := cut(pendingArena, i, lists)
 		nd.recovery, nd.retry = own[:0:1], own[1:1]
 		switch {
@@ -513,27 +502,6 @@ func New(cfg Config) (*Engine, error) {
 		viewArena[i] = channelView{e: e, nd: nd}
 		nd.view = &viewArena[i]
 		nd.blocked = deadlock.TrackerOver(cut(blockedArena, i, nVC))
-		nd.lastTx = cut(lastTxArena, i, nVC)
-		nd.want = cut(wantArena, i, nWant)
-		nd.outArb = cut(arbArena, i, numOut)
-		for p := range nd.outArb {
-			nd.outArb[p].Init(nAgents)
-		}
-	}
-	// Wire the neighbour and downstream caches once all routers exist.
-	for i := range e.nodes {
-		nd := &e.nodes[i]
-		nd.nbr = cut(nbrArena, i, e.numPhys)
-		nd.down = cut(downArena, i, nVC)
-		for p := 0; p < e.numPhys; p++ {
-			nbID := topo.Neighbor(nd.id, topology.Port(p))
-			nb := &e.nodes[nbID]
-			nd.nbr[p] = nbID
-			opp := int(topology.Opposite(topology.Port(p)))
-			for v := 0; v < cfg.VCs; v++ {
-				nd.down[p*cfg.VCs+v] = &nb.in[opp*cfg.VCs+v]
-			}
-		}
 	}
 	shards := cfg.Workers
 	if runtime.GOMAXPROCS(0) == 1 {
@@ -547,6 +515,31 @@ func New(cfg Config) (*Engine, error) {
 // cut returns the i-th run of n elements of arena, capped so that nothing can
 // grow into the next one.
 func cut[T any](arena []T, i, n int) []T { return arena[i*n : (i+1)*n : (i+1)*n] }
+
+// A node's runs of the channel arenas (see Engine.in): its input VCs, their
+// routes, its output VCs and their lastTx, indexed by agent; its injection
+// and ejection channels; its want entries; and its output arbiters, physical
+// ports then ejection channels. Its neighbours are nbr[id*numPhys+p].
+func (e *Engine) inOf(id topology.NodeID) []inVC             { return cut(e.in, int(id), e.nVC) }
+func (e *Engine) routesOf(id topology.NodeID) []routeInfo    { return cut(e.routes, int(id), e.nVC) }
+func (e *Engine) outVCsOf(id topology.NodeID) []router.OutVC { return cut(e.outVCs, int(id), e.nVC) }
+func (e *Engine) lastTxOf(id topology.NodeID) []int64        { return cut(e.lastTx, int(id), e.nVC) }
+func (e *Engine) injOf(id topology.NodeID) []injChannel {
+	return cut(e.inj, int(id), e.cfg.InjChannels)
+}
+func (e *Engine) ejOf(id topology.NodeID) []ejChannel { return cut(e.ej, int(id), e.cfg.EjChannels) }
+func (e *Engine) wantOf(id topology.NodeID) []uint8 {
+	return cut(e.want, int(id), e.nVC+e.cfg.EjChannels)
+}
+func (e *Engine) arbOf(id topology.NodeID) []router.RoundRobin {
+	return cut(e.outArb, int(id), e.numPhys+e.cfg.EjChannels)
+}
+
+// downstream returns the index in in of the buffer a flit node id sends on
+// output VC (p, v) lands in: the neighbour's VC v of the opposite port.
+func (e *Engine) downstream(id topology.NodeID, p topology.Port, v int) int {
+	return int(e.nbr[int(id)*e.numPhys+int(p)])*e.nVC + int(topology.Opposite(p))*e.cfg.VCs + v
+}
 
 // splitSeed derives a per-node stream seed from the run seed
 // (SplitMix64-style mixing).
@@ -732,8 +725,8 @@ func (e *Engine) StopSources() { e.sourcesStopped = true }
 // the object is recycled for another message. Read what you need of it (ID,
 // State, DeliverTime) before stepping past its delivery.
 func (e *Engine) Inject(src, dst topology.NodeID, length int) *message.Message {
-	if !e.topo.Valid(src) || !e.topo.Valid(dst) {
-		panic(fmt.Sprintf("sim: invalid endpoints %d -> %d", src, dst))
+	if !e.topo.Valid(src) || !e.topo.Valid(dst) || length < 1 || length > router.MaxMessageLen {
+		panic(fmt.Sprintf("sim: invalid message %d -> %d of %d flits (at most %d)", src, dst, length, router.MaxMessageLen))
 	}
 	if src == dst {
 		panic("sim: self-addressed message")
@@ -756,30 +749,32 @@ func (e *Engine) inVCIndex(p topology.Port, vc int8) int {
 }
 
 // injIndex returns the agent index of injection channel i.
-func (e *Engine) injIndex(i int) int { return e.numPhys*e.cfg.VCs + i }
+func (e *Engine) injIndex(i int) int { return e.nVC + i }
 
-// wantSlot returns the index in node.want, and the output, that a valid route
-// names.
+// wantSlot returns the index among a node's want entries, and the output,
+// that a valid route names.
 func (e *Engine) wantSlot(r routeInfo) (slot, out int) {
 	if r.eject {
-		return e.numPhys*e.cfg.VCs + int(r.ejCh), e.numPhys + int(r.ejCh)
+		return e.nVC + int(r.ejCh), e.numPhys + int(r.ejCh)
 	}
 	return e.inVCIndex(r.outPort, r.outVC), int(r.outPort)
 }
 
-// setWant and clearWant keep node.want and wantOut in step with the routes:
-// every store of a valid route r for agent a, and every drop of one, calls them.
+// setWant and clearWant keep the node's want entries and wantOut in step with
+// the routes: every store of a valid route r for agent a, and every drop of
+// one, calls them.
 func (e *Engine) setWant(nd *node, a int, r routeInfo) {
 	slot, o := e.wantSlot(r)
-	nd.want[slot] = uint8(a)
+	e.wantOf(nd.id)[slot] = uint8(a)
 	nd.wantOut |= 1 << uint(o)
 }
 
 func (e *Engine) clearWant(nd *node, r routeInfo) {
 	slot, o := e.wantSlot(r)
-	nd.want[slot] = noAgent
+	want := e.wantOf(nd.id)
+	want[slot] = noAgent
 	if !r.eject {
-		for _, a := range nd.want[o*e.cfg.VCs : (o+1)*e.cfg.VCs] {
+		for _, a := range want[o*e.cfg.VCs : (o+1)*e.cfg.VCs] {
 			if a != noAgent {
 				return
 			}
@@ -812,28 +807,29 @@ func (e *Engine) derive(nd *node, want []uint8) (d derived, ok bool) {
 		want[slot] = uint8(a)
 		d.wantOut |= 1 << uint(o)
 	}
-	for a := range nd.in {
+	outVCs, routes := e.outVCsOf(nd.id), e.routesOf(nd.id)
+	for a, ivc := range e.inOf(nd.id) {
 		bit := uint64(1) << uint(a)
-		if nd.outVCs[a].Free() {
+		if outVCs[a].Free() {
 			d.free |= bit
 		}
-		if nd.in[a].buf.Empty() {
+		if ivc.buf.Empty() {
 			d.empty |= bit
 		}
-		if nd.in[a].buf.Full() {
+		if ivc.buf.Full() {
 			d.full |= bit
 		}
-		if nd.routes[a].valid {
+		if r := routes[a]; r.valid {
 			d.routed |= bit
-			route(a, nd.routes[a])
+			route(a, r)
 		}
 	}
-	for c := range nd.inj {
-		if ic := &nd.inj[c]; ic.len != 0 {
+	for c, ic := range e.injOf(nd.id) {
+		if ic.len != 0 {
 			d.busyInj++
 		}
-		if r := nd.inj[c].route; r.valid {
-			route(e.injIndex(c), r)
+		if ic.route.valid {
+			route(e.injIndex(c), ic.route)
 		}
 	}
 	return d, ok
@@ -841,7 +837,7 @@ func (e *Engine) derive(nd *node, want []uint8) (d derived, ok bool) {
 
 // rederive makes derive's result nd's derived state, reporting derive's ok.
 func (e *Engine) rederive(nd *node) bool {
-	d, ok := e.derive(nd, nd.want)
+	d, ok := e.derive(nd, e.wantOf(nd.id))
 	nd.free, e.empty[nd.id], e.full[nd.id], nd.routed = d.free, d.empty, d.full, d.routed
 	nd.wantOut, nd.busyInj = d.wantOut, d.busyInj
 	return ok

@@ -103,15 +103,12 @@ func (e *Engine) emitFault(kind trace.Kind, node topology.NodeID) {
 // removed the moment the tail pops). Scanning the link's virtual channels
 // therefore finds exactly the messages the old global path index would.
 func (e *Engine) killOnLink(n topology.NodeID, p topology.Port) {
-	src := &e.nodes[n]
-	down := &e.nodes[e.topo.Neighbor(n, p)]
-	inPort := topology.Opposite(p)
 	kills := e.killScratch[:0]
 	for v := 0; v < e.cfg.VCs; v++ {
-		if m := src.outVCs[int(p)*e.cfg.VCs+v].Owner(); m != nil {
+		if m := e.outVCsOf(n)[int(p)*e.cfg.VCs+v].Owner(); m != nil {
 			kills = append(kills, m)
 		}
-		if m := down.in[int(inPort)*e.cfg.VCs+v].buf.FrontMessage(); m != nil {
+		if m := e.in[e.downstream(n, p, v)].buf.FrontMessage(); m != nil {
 			kills = append(kills, m)
 		}
 	}
@@ -126,8 +123,8 @@ func (e *Engine) killOnLink(n topology.NodeID, p topology.Port) {
 func (e *Engine) killOnRouter(n topology.NodeID) {
 	nd := &e.nodes[n]
 	kills := e.killScratch[:0]
-	for c := range nd.inj {
-		if m := nd.inj[c].msg; m != nil {
+	for _, ic := range e.injOf(n) {
+		if m := ic.msg; m != nil {
 			kills = append(kills, m)
 		}
 	}

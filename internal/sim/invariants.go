@@ -39,8 +39,9 @@ func (e *Engine) held() []heldMsg {
 	hs := e.reach[:0]
 	for i := range e.nodes {
 		nd := &e.nodes[i]
-		for a := range nd.in {
-			b := &nd.in[a].buf
+		in, outVCs := e.inOf(nd.id), e.outVCsOf(nd.id)
+		for a := range in {
+			b := &in[a].buf
 			if m := b.FrontMessage(); m != nil {
 				h := heldMsg{m: m, buffered: int32(b.Len())}
 				if b.Front().Head { // a buffer holds one run: only its front can be the head
@@ -49,14 +50,15 @@ func (e *Engine) held() []heldMsg {
 				hs = append(hs, h)
 			}
 		}
-		for a := range nd.outVCs {
+		for a := range outVCs {
 			// An owner whose flits fill the buffer downstream has its entry there.
-			if m := nd.outVCs[a].Owner(); m != nil && nd.down[a].buf.FrontMessage() != m {
+			if m := outVCs[a].Owner(); m != nil &&
+				e.in[e.downstream(nd.id, topology.Port(a/e.cfg.VCs), a%e.cfg.VCs)].buf.FrontMessage() != m {
 				hs = append(hs, heldMsg{m: m})
 			}
 		}
-		for c := range nd.inj {
-			if ic := &nd.inj[c]; ic.msg != nil {
+		for c, ic := range e.injOf(nd.id) {
+			if ic.msg != nil {
 				h := heldMsg{m: ic.msg, sent: ic.len - ic.left}
 				if ic.left == ic.len { // the head flit has not been streamed yet
 					h.head = headerSite{nd: nd, agent: int32(c), inj: true}
@@ -64,8 +66,8 @@ func (e *Engine) held() []heldMsg {
 				hs = append(hs, h)
 			}
 		}
-		for c := range nd.ej {
-			if ec := &nd.ej[c]; ec.msg != nil {
+		for _, ec := range e.ejOf(nd.id) {
+			if ec.msg != nil {
 				hs = append(hs, heldMsg{m: ec.msg, ejected: ec.pending})
 			}
 		}
@@ -152,7 +154,7 @@ func (e *Engine) CheckInvariants() error {
 
 	built, waiting := 0, 0
 	var wantBuf [128]uint8 // the width limit keeps a node's entries under 64+64
-	want := wantBuf[:len(e.nodes[0].want)]
+	want := wantBuf[:e.nVC+e.cfg.EjChannels]
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		waiting += nd.queue.Len() + len(nd.recovery) + len(nd.retry)
@@ -172,12 +174,13 @@ func (e *Engine) CheckInvariants() error {
 				return fmt.Errorf("node %d: %s=%#x but the durable state gives %#x", nd.id, w.name, w.got, w.want)
 			}
 		}
-		if !ok || !bytes.Equal(want, nd.want) {
+		if !ok || !bytes.Equal(want, e.wantOf(nd.id)) {
 			// (want itself stays out of the message: it would escape to the heap.)
-			return fmt.Errorf("node %d: want=%v, but the routes give another (one agent per output channel: %v)", nd.id, nd.want, ok)
+			return fmt.Errorf("node %d: want=%v, but the routes give another (one agent per output channel: %v)", nd.id, e.wantOf(nd.id), ok)
 		}
-		for a := range nd.in {
-			ivc := &nd.in[a]
+		in, routes, outVCs := e.inOf(nd.id), e.routesOf(nd.id), e.outVCsOf(nd.id)
+		for a := range in {
+			ivc := &in[a]
 			p := a / e.cfg.VCs
 			v := a % e.cfg.VCs
 			loc := pathLoc{Node: nd.id, Port: topology.Port(p), VC: int8(v)}
@@ -198,8 +201,8 @@ func (e *Engine) CheckInvariants() error {
 			}
 			// A valid forward route must point at a VC owned by the
 			// buffer's message (or the message that just drained it).
-			if rt := nd.routes[a]; rt.valid && !rt.eject && owner != nil {
-				if o := nd.outVCs[e.inVCIndex(rt.outPort, rt.outVC)].Owner(); o != owner {
+			if rt := routes[a]; rt.valid && !rt.eject && owner != nil {
+				if o := outVCs[e.inVCIndex(rt.outPort, rt.outVC)].Owner(); o != owner {
 					return fmt.Errorf("node %d in[%d][%d]: route points at VC owned by %v, buffer holds msg %d",
 						nd.id, p, v, o, owner.ID)
 				}
@@ -208,8 +211,7 @@ func (e *Engine) CheckInvariants() error {
 		if q := &nd.queue; q.set != 0 && (q.Empty() || q.set != e.cand.id(nd.id, e.waiting.front(q).dst)) {
 			return fmt.Errorf("node %d: queue of %d caches candidate set %d for its head, the table disagrees", nd.id, q.Len(), q.set)
 		}
-		for c := range nd.inj {
-			ic := &nd.inj[c]
+		for c, ic := range e.injOf(nd.id) {
 			if (ic.msg != nil) != (ic.len != 0) || (ic.len != 0 && (ic.left < 1 || ic.left > ic.len)) {
 				return fmt.Errorf("node %d inj[%d]: message %v on a channel of cached length %d with %d flits left", nd.id, c, ic.msg, ic.len, ic.left)
 			}
@@ -225,7 +227,7 @@ func (e *Engine) CheckInvariants() error {
 					nd.id, c, ic.set, ic.dst, e.cand.id(nd.id, ic.dst))
 			}
 		}
-		if nd.fresh&^e.inMask != 0 || nd.freshInj>>uint(len(nd.inj)) != 0 {
+		if nd.fresh&^e.inMask != 0 || nd.freshInj>>uint(e.cfg.InjChannels) != 0 {
 			return fmt.Errorf("node %d: fresh=%#x freshInj=%#x name channels the router does not have", nd.id, nd.fresh, nd.freshInj)
 		}
 	}
@@ -287,31 +289,31 @@ func (e *Engine) checkFaultInvariants() error {
 				return fmt.Errorf("dead node %d still holds queued work (%d/%d/%d) or injects %d messages",
 					nd.id, nd.queue.Len(), len(nd.recovery), len(nd.retry), nd.busyInj)
 			}
-			for c := range nd.ej {
-				if nd.ej[c].msg != nil {
-					return fmt.Errorf("dead node %d ej[%d] holds msg %d", nd.id, c, nd.ej[c].msg.ID)
+			for c, ec := range e.ejOf(nd.id) {
+				if ec.msg != nil {
+					return fmt.Errorf("dead node %d ej[%d] holds msg %d", nd.id, c, ec.msg.ID)
 				}
 			}
 		}
-		for a := range nd.in {
+		for a := range e.nVC {
 			p := a / e.cfg.VCs
 			v := a % e.cfg.VCs
 			port := topology.Port(p)
-			// The channel feeding nd.in[p*VCs+v] leaves the neighbour
+			// The channel feeding input VC p*VCs+v leaves the neighbour
 			// through the opposite port.
 			feeder := e.topo.Neighbor(nd.id, port)
 			feederAlive := e.live.LinkAlive(feeder, topology.Opposite(port))
-			ivc := &nd.in[a]
+			ivc := &e.inOf(nd.id)[a]
 			if (!alive || !feederAlive) && !ivc.buf.Empty() {
 				return fmt.Errorf("node %d in[%d][%d]: %d flits behind a dead channel",
 					nd.id, p, v, ivc.buf.Len())
 			}
-			if rt := nd.routes[a]; rt.valid && !rt.eject &&
+			if rt := e.routesOf(nd.id)[a]; rt.valid && !rt.eject &&
 				!e.live.LinkAlive(nd.id, rt.outPort) {
 				return fmt.Errorf("node %d in[%d][%d]: route crosses dead channel (port %d)",
 					nd.id, p, v, rt.outPort)
 			}
-			if m := nd.outVCs[a].Owner(); m != nil && !e.live.LinkAlive(nd.id, port) {
+			if m := e.outVCsOf(nd.id)[a].Owner(); m != nil && !e.live.LinkAlive(nd.id, port) {
 				return fmt.Errorf("node %d out[%d].vc[%d] on a dead channel owned by msg %d", nd.id, p, v, m.ID)
 			}
 		}

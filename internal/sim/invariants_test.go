@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -22,8 +23,8 @@ func TestInvariantCatchesUntrackedFlit(t *testing.T) {
 	m := message.New(999, 0, 5, 4, 0)
 	m.FlitsSent = 1
 	// A flit parked in a buffer with no path entry.
-	e.nodes[3].in[0].buf.Push(message.MakeFlit(m, 0))
-	e.nodes[3].in[0].dst = m.Dst
+	e.inOf(3)[0].buf.Push(message.MakeFlit(m, 0))
+	e.inOf(3)[0].dst = m.Dst
 	e.empty[3] &^= 1
 	err := e.CheckInvariants()
 	if err == nil {
@@ -44,7 +45,7 @@ func TestInvariantCatchesUntrackedFlit(t *testing.T) {
 func runRefused(t *testing.T, push func(buf *router.Buffer), corrupt func(s *Snapshot, vc *SnapVC)) {
 	t.Helper()
 	e := idle(t, nil)
-	buf := &e.nodes[3].in[0].buf
+	buf := &e.inOf(3)[0].buf
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -89,8 +90,8 @@ func TestInvariantCatchesFlitCountMismatch(t *testing.T) {
 	m := message.New(1, 0, 5, 4, 0)
 	m.FlitsSent = 3 // three sent, only one buffered
 	m.Path = []pathLoc{{Node: 3, Port: 0, VC: 0}}
-	e.nodes[3].in[0].buf.Push(message.MakeFlit(m, 0))
-	e.nodes[3].in[0].dst = m.Dst
+	e.inOf(3)[0].buf.Push(message.MakeFlit(m, 0))
+	e.inOf(3)[0].dst = m.Dst
 	e.empty[3] &^= 1
 	err := e.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "buffered") {
@@ -140,7 +141,7 @@ func TestInvariantCatchesDeliveredOwner(t *testing.T) {
 	e := idle(t, nil)
 	m := message.New(1, 0, 5, 4, 0)
 	m.State = message.StateDelivered
-	e.nodes[2].outVCs[e.cfg.VCs].Allocate(m)
+	e.outVCsOf(2)[e.cfg.VCs].Allocate(m)
 	e.nodes[2].free &^= 1 << uint(e.cfg.VCs)
 	err := e.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "delivered") {
@@ -152,7 +153,7 @@ func TestInvariantCatchesDeliveredEjection(t *testing.T) {
 	e := idle(t, nil)
 	m := message.New(1, 0, 5, 4, 0)
 	m.State = message.StateDelivered
-	e.nodes[2].ej[0].msg = m
+	e.ejOf(2)[0].msg = m
 	err := e.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "ej") {
 		t.Fatalf("stale ejection channel not caught: %v", err)
@@ -168,8 +169,8 @@ func TestInvariantCatchesDuplicatePathEntry(t *testing.T) {
 	m2.Path = []pathLoc{loc}
 	// Both messages must be discoverable from network state: give each an
 	// output virtual-channel allocation.
-	e.nodes[0].outVCs[0].Allocate(m1)
-	e.nodes[0].outVCs[1].Allocate(m2)
+	e.outVCsOf(0)[0].Allocate(m1)
+	e.outVCsOf(0)[1].Allocate(m2)
 	e.nodes[0].free &^= 3
 	err := e.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "both") {
@@ -184,16 +185,16 @@ func TestInvariantCatchesRouteOwnershipMismatch(t *testing.T) {
 	m1.Path = []pathLoc{{Node: 3, Port: 0, VC: 0}}
 	m1.FlitsSent = 1
 	nd := &e.nodes[3]
-	nd.in[0].buf.Push(message.MakeFlit(m1, 0))
-	nd.in[0].dst = m1.Dst
+	e.inOf(nd.id)[0].buf.Push(message.MakeFlit(m1, 0))
+	e.inOf(nd.id)[0].dst = m1.Dst
 	e.empty[3] &^= 1
 	// Route on the VC points at an output channel owned by a different
 	// message.
-	nd.outVCs[2*e.cfg.VCs+1].Allocate(m2)
+	e.outVCsOf(nd.id)[2*e.cfg.VCs+1].Allocate(m2)
 	nd.free &^= 2 << uint(2*e.cfg.VCs)
-	nd.routes[0] = routeInfo{valid: true, outPort: 2, outVC: 1}
+	e.routesOf(nd.id)[0] = routeInfo{valid: true, outPort: 2, outVC: 1}
 	nd.routed |= 1
-	e.setWant(nd, 0, nd.routes[0])
+	e.setWant(nd, 0, e.routesOf(nd.id)[0])
 	err := e.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "owned by") {
 		t.Fatalf("route ownership mismatch not caught: %v", err)
@@ -247,11 +248,11 @@ func TestInvariantCatchesStaleSetCache(t *testing.T) {
 	}
 	nd.queue.set = 0
 	e.Step() // the gate looks the id up, the claim hands it to the channel
-	if nd.inj[0].len == 0 || nd.inj[0].set != e.cand.id(0, 5) || nd.queue.set != 0 {
+	if e.injOf(nd.id)[0].len == 0 || e.injOf(nd.id)[0].set != e.cand.id(0, 5) || nd.queue.set != 0 {
 		t.Fatalf("claimed channel %+v, queue %+v: want set id %d on the channel and none on the empty queue",
-			nd.inj[0], nd.queue, e.cand.id(0, 5))
+			e.injOf(nd.id)[0], nd.queue, e.cand.id(0, 5))
 	}
-	nd.inj[0].set = e.cand.id(0, 10)
+	e.injOf(nd.id)[0].set = e.cand.id(0, 10)
 	if err := e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "inj[0]") {
 		t.Fatalf("stale injection-channel set id not caught: %v", err)
 	}
@@ -268,23 +269,17 @@ func TestCheckInvariantsReadOnly(t *testing.T) {
 	for e.Now() < 400 {
 		e.Step()
 	}
-	var before []inVC
-	for i := range e.nodes {
-		before = append(before, e.nodes[i].in...)
-	}
+	before := slices.Clone(e.in)
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	k, occupied := 0, 0
-	for i := range e.nodes {
-		for c := range e.nodes[i].in {
-			if e.nodes[i].in[c] != before[k] {
-				t.Fatalf("node %d channel %d: %+v before the check, %+v after", i, c, before[k], e.nodes[i].in[c])
-			}
-			if !before[k].buf.Empty() {
-				occupied++
-			}
-			k++
+	occupied := 0
+	for a, ivc := range e.in {
+		if ivc != before[a] {
+			t.Fatalf("node %d channel %d: %+v before the check, %+v after", a/e.nVC, a%e.nVC, before[a], ivc)
+		}
+		if !ivc.buf.Empty() {
+			occupied++
 		}
 	}
 	if occupied == 0 {
@@ -293,15 +288,25 @@ func TestCheckInvariantsReadOnly(t *testing.T) {
 }
 
 // Per-flit storage must not creep back. An input virtual channel is a run
-// (owner, first sequence number, length, capacity, tail flag: 24 bytes) plus
-// the allocator's destination cache: 32 bytes, two to a cache line, eighteen
-// to a node of the 8-ary 3-cube. The move and allocation phases stream
-// through all of them every cycle, and what made them faster than the
-// per-flit ring (56 bytes here plus 16 per buffered flit elsewhere) is that
-// size, not an instruction count. A field added here needs a benchmark.
+// (owner, then first sequence number, length and capacity in 16 bits each and
+// the tail flag: 16 bytes) plus the allocator's destination cache and
+// candidate-set id: 24 bytes, eighteen to a node of the 8-ary 3-cube. The
+// move and allocation phases stream through all of them every cycle, and
+// what made them faster than the per-flit ring (56 bytes here plus 16 per
+// buffered flit elsewhere) is that size, not an instruction count. A field
+// added here needs a benchmark.
 func TestInVCStaysSmall(t *testing.T) {
-	if got := unsafe.Sizeof(inVC{}); got > 32 {
-		t.Errorf("inVC is %d bytes, ceiling 32", got)
+	if got := unsafe.Sizeof(inVC{}); got > 24 {
+		t.Errorf("inVC is %d bytes, ceiling 24", got)
+	}
+}
+
+// A node is its status words, counters and id; its channels are in the
+// engine's arenas, found by the id. A slice over its run of an arena would be
+// 24 bytes that only restate the id.
+func TestNodeStaysSmall(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got > 256 {
+		t.Errorf("node is %d bytes, ceiling 256", got)
 	}
 }
 

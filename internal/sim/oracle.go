@@ -41,8 +41,8 @@ func (e *Engine) BuildWaitGraph() *deadlock.WaitGraph {
 			// message holds only body/tail flits behind a routed header):
 			// the message is draining and always finishes.
 			g.AddLive(id)
-		case s.inj && s.nd.inj[s.agent].route.valid,
-			!s.inj && s.nd.routes[s.agent].valid:
+		case s.inj && e.injOf(s.nd.id)[s.agent].route.valid,
+			!s.inj && e.routesOf(s.nd.id)[s.agent].valid:
 			// Routed header: it claimed an output virtual channel with an
 			// empty downstream buffer (or an ejection channel) and only its
 			// own flits enter that buffer, so it always advances.
@@ -67,15 +67,14 @@ func (e *Engine) addWaitOptions(g *deadlock.WaitGraph, id int64, nd *node, dst t
 		base := int(pc.port) * vcs
 		for w := pc.mask; w != 0; w &= w - 1 {
 			v := bits.TrailingZeros32(w)
-			ovc := &nd.outVCs[base+v]
-			if owner := ovc.Owner(); owner != nil {
+			if owner := e.outVCsOf(nd.id)[base+v].Owner(); owner != nil {
 				g.AddOption(id, int64(owner.ID))
 				continue
 			}
 			// Channel free: allocatable once the downstream buffer is
 			// empty. Non-empty means the previous worm's flits are still
 			// draining through it — the option waits on that message.
-			down := nd.down[base+v]
+			down := &e.in[e.downstream(nd.id, pc.port, v)]
 			if down.buf.Empty() {
 				g.AddOption(id) // immediately available
 			} else {
@@ -121,7 +120,7 @@ func (e *Engine) VerifyInjectionProperty() error {
 		for p, u := range useful {
 			free := 0
 			for v := 0; v < vcs; v++ {
-				if nd.outVCs[p*vcs+v].Free() {
+				if e.outVCsOf(nd.id)[p*vcs+v].Free() {
 					free++
 				}
 			}
@@ -142,7 +141,7 @@ func (e *Engine) VerifyInjectionProperty() error {
 				nd.id, dst, nd.rules.Name(), a, b, ruleA, ruleB)
 		}
 		for v := range vcFree {
-			vcFree[v] = nd.outVCs[v].Free()
+			vcFree[v] = e.outVCsOf(nd.id)[v].Free()
 		}
 		if got := circuit.Eval(vcFree, useful); got != (ruleA || ruleB) {
 			return fmt.Errorf("sim: node %d dst %d: gate circuit=%v, rules say a=%v b=%v",

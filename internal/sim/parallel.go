@@ -118,9 +118,9 @@ const (
 // outFlit is one planned flit push: everything the destination shard needs to
 // apply it without touching the source node.
 type outFlit struct {
-	dvc  *inVC
+	at   int32           // the receiving input VC's index in Engine.in
 	node topology.NodeID // the receiving node
-	bit  uint64          // dvc's bit in that node's status words
+	bit  uint64          // the VC's bit in that node's status words
 	flit message.Flit
 }
 
@@ -420,12 +420,8 @@ func newParRuntime(e *Engine, bounds []int) *parRuntime {
 	// shard dst bounds the pushes src can plan against dst per cycle (one
 	// grant per output port), so buf never reallocates.
 	caps := make([]int32, s*s)
-	for i := range e.nodes {
-		nd := &e.nodes[i]
-		src := p.shardOf[i]
-		for pp := 0; pp < e.numPhys; pp++ {
-			caps[int(src)*s+int(p.shardOf[nd.nbr[pp]])]++
-		}
+	for i, nb := range e.nbr {
+		caps[int(p.shardOf[i/e.numPhys])*s+int(p.shardOf[nb])]++
 	}
 	for src := 0; src < s; src++ {
 		sh := &p.shards[src]
@@ -830,8 +826,9 @@ func (e *Engine) injectNode(nd *node, sh *parShard) {
 	if nd.limObs != nil {
 		nd.limObs.Tick(nd.view, e.now)
 	}
-	for c := range nd.inj {
-		ic := &nd.inj[c]
+	inj := e.injOf(nd.id)
+	for c := range inj {
+		ic := &inj[c]
 		if ic.len != 0 {
 			continue
 		}
@@ -938,14 +935,14 @@ func (nd *node) popRecovery() *message.Message {
 // comes through its cache, as in allocate, which then finds it there.
 func (e *Engine) deadEnd(nd *node) bool {
 	for h := e.inMask &^ e.empty[nd.id] &^ nd.routed; h != 0; h &= h - 1 {
-		ivc := &nd.in[bits.TrailingZeros64(h)]
+		ivc := &e.inOf(nd.id)[bits.TrailingZeros64(h)]
 		if ivc.dst != nd.id && e.cand.word[e.setOf(nd, ivc.dst, &ivc.set)] == 0 {
 			return true
 		}
 	}
 	if nd.busyInj > 0 {
-		for c := range nd.inj {
-			ic := &nd.inj[c]
+		for c := range e.cfg.InjChannels {
+			ic := &e.injOf(nd.id)[c]
 			if ic.len == 0 || ic.route.valid || ic.left < ic.len || ic.dst == nd.id {
 				continue
 			}
@@ -958,7 +955,7 @@ func (e *Engine) deadEnd(nd *node) bool {
 }
 
 // The credit condition for a forward move is that the receiving
-// virtual-channel buffer (node.down[port*VCs+vc]) has a slot free at the
+// virtual-channel buffer (downstream(node, port, vc)) has a slot free at the
 // start of the cycle: a one-cycle credit loop. Each buffer has a single
 // upstream sender and one grant per output port, so the check is exact.
 
@@ -978,17 +975,18 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 	// Hot engine state hoisted into locals (no callee below mutates any of
 	// it), so the compiler need not reload the fields across calls.
 	vcs := e.cfg.VCs
-	nVC := e.numPhys * vcs
+	nVC := e.nVC
 	now := e.now
 	empty, full := e.empty, e.full
 	nShards := len(p.shards)
 	lo, span := uint32(sh.lo), uint32(sh.hi-sh.lo) // a node outside is another shard's
 	for _, mv := range sh.moves {
 		nd := &e.nodes[mv.node]
+		base := int(mv.node) * nVC
 		var flit message.Flit
 
 		if a := int(mv.agent); a < nVC {
-			ivc := &nd.in[a]
+			ivc := &e.in[base+a]
 			flit = ivc.buf.Pop()
 			bit := uint64(1) << uint(a)
 			full[mv.node] &^= bit
@@ -996,8 +994,8 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 				empty[mv.node] |= bit
 			}
 			if flit.Tail {
-				e.clearWant(nd, nd.routes[a])
-				nd.routes[a] = routeInfo{}
+				e.clearWant(nd, e.routes[base+a])
+				e.routes[base+a] = routeInfo{}
 				nd.routed &^= bit
 				nd.blocked.Progress(a)
 				e.removePathLoc(flit.Msg, pathLoc{
@@ -1008,7 +1006,7 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 			// The flit is built from the channel's cached counters, and the
 			// message's FlitsSent is settled when the tail leaves: body
 			// flits never touch the (cold) message struct.
-			ic := &nd.inj[a-nVC]
+			ic := &e.inj[int(mv.node)*e.cfg.InjChannels+a-nVC]
 			m := ic.msg
 			seq := ic.len - ic.left
 			flit = message.Flit{Msg: m, Seq: seq, Head: seq == 0, Tail: ic.left == 1}
@@ -1038,7 +1036,7 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 			// Body flits charge the ejection channel's pending counter;
 			// the message is debited once, when the tail arrives — so
 			// consuming a flit touches only this hot little struct.
-			ej := &nd.ej[mv.ejCh]
+			ej := &e.ej[int(mv.node)*e.cfg.EjChannels+int(mv.ejCh)]
 			if !flit.Tail {
 				ej.pending++
 				continue
@@ -1056,14 +1054,13 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 		}
 
 		out := int(mv.outPort)*vcs + int(mv.outVC)
-		nd.lastTx[out] = now
-		if flit.Tail && nd.outVCs[out].ReleaseIfOwner(m) {
+		e.lastTx[base+out] = now
+		if flit.Tail && e.outVCs[base+out].ReleaseIfOwner(m) {
 			nd.free |= 1 << uint(out)
 		}
-		// The landing buffer's bit in the neighbour's words: the same VC of the
-		// opposite port.
-		rec := outFlit{dvc: nd.down[out], node: nd.nbr[mv.outPort], flit: flit,
-			bit: uint64(1) << uint(int(topology.Opposite(mv.outPort))*vcs+int(mv.outVC))}
+		// The landing buffer is the same VC of the opposite port at the neighbour.
+		nb, land := e.nbr[int(mv.node)*e.numPhys+int(mv.outPort)], int(topology.Opposite(mv.outPort))*vcs+int(mv.outVC)
+		rec := outFlit{at: int32(int(nb)*nVC + land), node: nb, bit: uint64(1) << uint(land), flit: flit}
 		if uint32(rec.node)-lo >= span {
 			d := p.shardOf[rec.node]
 			p.rings[id*nShards+int(d)].buf[sh.ringN[d]] = rec
@@ -1131,7 +1128,7 @@ func (e *Engine) moveDrainRings(p *parRuntime, sh *parShard, id int) {
 // destination buffer's own pop (if any) has run or not, and the empty/full
 // updates reach the same final state either way.
 func (e *Engine) push(rec *outFlit) {
-	dvc := rec.dvc
+	dvc := &e.in[rec.at]
 	if dvc.buf.Empty() {
 		e.empty[rec.node] &^= rec.bit
 	}
@@ -1176,7 +1173,7 @@ func (e *Engine) commitEvents(p *parRuntime) {
 			case evClaim:
 				m := e.materialise(ev.node, ev.slot)
 				m.State = message.StateInjecting
-				nd.inj[ev.ch].msg = m
+				e.injOf(ev.node)[ev.ch].msg = m
 				if e.spans != nil {
 					e.spanClaim(m, ev.node)
 				}

@@ -149,7 +149,7 @@ func TestDeadDestinationHeadDrops(t *testing.T) {
 		if drops := eventsOf(tap, trace.KindDropped); !slices.Equal(drops, want) {
 			t.Errorf("workers=%d: drops\n got  %+v\n want %+v", workers, drops, want)
 		}
-		if m := e.nodes[0].inj[0].msg; m == nil || m.ID != 2 || m.Dst != 3 || m.GenTime != 10 || m.State != message.StateInjecting {
+		if m := e.injOf(0)[0].msg; m == nil || m.ID != 2 || m.Dst != 3 || m.GenTime != 10 || m.State != message.StateInjecting {
 			t.Errorf("workers=%d: the message behind the dropped heads was not admitted: %v", workers, m)
 		}
 		stepN(t, e, 40)
@@ -178,8 +178,8 @@ func TestInjectedObjectIsTheOneDelivered(t *testing.T) {
 			t.Fatalf("head wait %d at the cycle of injection", w)
 		}
 		stepN(t, e, 1)
-		if e.nodes[3].inj[0].msg != m || len(e.built) != 0 || m.State != message.StateInjecting {
-			t.Fatalf("workers=%d: the claimed channel holds %v, want the injected object %v", workers, e.nodes[3].inj[0].msg, m)
+		if e.injOf(3)[0].msg != m || len(e.built) != 0 || m.State != message.StateInjecting {
+			t.Fatalf("workers=%d: the claimed channel holds %v, want the injected object %v", workers, e.injOf(3)[0].msg, m)
 		}
 		stepN(t, e, 40)
 		if m.State != message.StateDelivered || m.DeliverTime < 0 || e.Delivered() != 1 || !m.Pooled {
@@ -495,7 +495,7 @@ func TestSaturatedALOReference(t *testing.T) {
 // freeOutVCs counts physical output port p's unallocated virtual channels off
 // the ownership state itself.
 func freeOutVCs(e *Engine, nd *node, p int) (free int) {
-	for _, oc := range nd.outVCs[p*e.cfg.VCs : (p+1)*e.cfg.VCs] {
+	for _, oc := range e.outVCsOf(nd.id)[p*e.cfg.VCs : (p+1)*e.cfg.VCs] {
 		if oc.Free() {
 			free++
 		}
@@ -535,9 +535,9 @@ func TestRecoveredMessageBypassesTheLimiter(t *testing.T) {
 		}
 	}
 	e.Step()
-	if len(at.recovery) != 0 || at.inj[0].msg != m || m.Injector != at.id {
+	if len(at.recovery) != 0 || e.injOf(at.id)[0].msg != m || m.Injector != at.id {
 		t.Fatalf("cycle %d: %d recovery entries, injection channel 0 holds %v, injector %d; want the recovered message re-injected at node %d",
-			e.Now(), len(at.recovery), at.inj[0].msg, m.Injector, at.id)
+			e.Now(), len(at.recovery), e.injOf(at.id)[0].msg, m.Injector, at.id)
 	}
 	for i := 0; m.State != message.StateDelivered; i++ {
 		if i == 1000 {

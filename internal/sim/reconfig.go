@@ -57,20 +57,19 @@ func (e *Engine) SetReconfigHook(f func(epoch uint64)) { e.onReconfig = f }
 // revalidation sweep stamping every surviving route to the new epoch.
 func (e *Engine) reconfigure() {
 	e.retable()
-	for i := range e.nodes {
-		nd := &e.nodes[i]
-		for a := range nd.routes {
-			nd.in[a].set = 0
-			if nd.routes[a].valid {
-				nd.routes[a].epoch = uint16(e.epoch)
-			}
+	for a := range e.routes {
+		e.in[a].set = 0
+		if e.routes[a].valid {
+			e.routes[a].epoch = uint16(e.epoch)
 		}
-		nd.queue.set = 0
-		for c := range nd.inj {
-			nd.inj[c].set = 0
-			if nd.inj[c].route.valid {
-				nd.inj[c].route.epoch = uint16(e.epoch)
-			}
+	}
+	for i := range e.nodes {
+		e.nodes[i].queue.set = 0
+	}
+	for c := range e.inj {
+		e.inj[c].set = 0
+		if e.inj[c].route.valid {
+			e.inj[c].route.epoch = uint16(e.epoch)
 		}
 	}
 	if e.onReconfig != nil {
@@ -147,17 +146,14 @@ func (e *Engine) checkRouteEpochs() error {
 		}
 		return nil
 	}
-	for i := range e.nodes {
-		nd := &e.nodes[i]
-		for a := range nd.routes {
-			if err := check(nd, nd.routes[a], "agent", a); err != nil {
-				return err
-			}
+	for a, r := range e.routes {
+		if err := check(&e.nodes[a/e.nVC], r, "agent", a%e.nVC); err != nil {
+			return err
 		}
-		for c := range nd.inj {
-			if err := check(nd, nd.inj[c].route, "inj", c); err != nil {
-				return err
-			}
+	}
+	for c, ic := range e.inj {
+		if err := check(&e.nodes[c/e.cfg.InjChannels], ic.route, "inj", c%e.cfg.InjChannels); err != nil {
+			return err
 		}
 	}
 	return nil

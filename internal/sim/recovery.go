@@ -44,16 +44,16 @@ func (e *Engine) teardown(m *message.Message) {
 		switch {
 		case !r.valid:
 		case !r.eject:
-			nd.outVCs[e.inVCIndex(r.outPort, r.outVC)].ReleaseIfOwner(m)
-		case nd.ej[r.ejCh].msg == m:
-			m.FlitsEjected += int(nd.ej[r.ejCh].pending)
-			nd.ej[r.ejCh] = ejChannel{}
+			e.outVCsOf(nd.id)[e.inVCIndex(r.outPort, r.outVC)].ReleaseIfOwner(m)
+		case e.ejOf(nd.id)[r.ejCh].msg == m:
+			m.FlitsEjected += int(e.ejOf(nd.id)[r.ejCh].pending)
+			e.ejOf(nd.id)[r.ejCh] = ejChannel{}
 		}
 	}
 	// Free the injection channel if the message is still streaming in.
 	inj := &e.nodes[m.Injector]
-	for i := range inj.inj {
-		if ic := &inj.inj[i]; ic.msg == m {
+	for i := range e.cfg.InjChannels {
+		if ic := &e.injOf(inj.id)[i]; ic.msg == m {
 			release(inj, ic.route)
 			// Settle the deferred flit accounting before the channel forgets
 			// how much of the message it had streamed.
@@ -69,17 +69,17 @@ func (e *Engine) teardown(m *message.Message) {
 	for _, loc := range m.Path {
 		nd := &e.nodes[loc.Node]
 		a := e.inVCIndex(loc.Port, loc.VC)
-		nd.in[a].buf.RemoveMessage(m.ID)
+		e.inOf(nd.id)[a].buf.RemoveMessage(m.ID)
 		// The buffer held only this message's flits, so a valid route on it
 		// belongs to the message: release the onward channel it claimed.
-		release(nd, nd.routes[a])
-		nd.routes[a] = routeInfo{}
+		release(nd, e.routesOf(nd.id)[a])
+		e.routesOf(nd.id)[a] = routeInfo{}
 		nd.fresh &^= 1 << uint(a)
 		nd.blocked.Progress(a)
 		// Release the upstream allocation feeding this buffer (a no-op when
 		// the tail already passed through it).
 		up := &e.nodes[e.topo.Neighbor(loc.Node, loc.Port)]
-		up.outVCs[e.inVCIndex(topology.Opposite(loc.Port), loc.VC)].ReleaseIfOwner(m)
+		e.outVCsOf(up.id)[e.inVCIndex(topology.Opposite(loc.Port), loc.VC)].ReleaseIfOwner(m)
 		e.rederive(nd)
 		e.rederive(up)
 	}

@@ -192,12 +192,13 @@ func compareSnapshots(t *testing.T, got, want *Engine) {
 	// requests from the routes, the cached candidate-set ids forgotten.
 	for i := range got.nodes {
 		g, w := &got.nodes[i], &want.nodes[i]
-		if !bytes.Equal(g.want, w.want) || g.wantOut != w.wantOut {
-			t.Errorf("node %d: want %v %#x after restore, a new engine derives %v %#x", i, g.want, g.wantOut, w.want, w.wantOut)
+		gw, ww := got.wantOf(g.id), want.wantOf(w.id)
+		if !bytes.Equal(gw, ww) || g.wantOut != w.wantOut {
+			t.Errorf("node %d: want %v %#x after restore, a new engine derives %v %#x", i, gw, g.wantOut, ww, w.wantOut)
 		}
-		for c := range g.in {
-			if g.in[c].set != 0 {
-				t.Errorf("node %d vc %d: candidate-set id %d survived a restore", i, c, g.in[c].set)
+		for c, ivc := range got.inOf(g.id) {
+			if ivc.set != 0 {
+				t.Errorf("node %d vc %d: candidate-set id %d survived a restore", i, c, ivc.set)
 			}
 		}
 	}

@@ -27,7 +27,7 @@ func (e *Engine) field(w uint64, p int) uint32 {
 // downField returns the bits, in reg (Engine.empty or Engine.full), of the
 // buffers nd's output port p feeds.
 func (e *Engine) downField(reg []uint64, nd *node, p int) uint32 {
-	return e.field(reg[nd.nbr[p]], int(topology.Opposite(topology.Port(p))))
+	return e.field(reg[e.nbr[int(nd.id)*e.numPhys+p]], int(topology.Opposite(topology.Port(p))))
 }
 
 // scalarAllocate is the deciding half of the old allocate: the ejection scan,
@@ -35,8 +35,8 @@ func (e *Engine) downField(reg []uint64, nd *node, p int) uint32 {
 // scan, with the claim left out (the allocator under test makes it).
 func (e *Engine) scalarAllocate(nd *node, dst topology.NodeID) (routeInfo, bool, bool, bool) {
 	if dst == nd.id {
-		for c := range nd.ej {
-			if nd.ej[c].msg == nil {
+		for c, ec := range e.ejOf(nd.id) {
+			if ec.msg == nil {
 				return routeInfo{valid: true, eject: true, ejCh: int8(c), epoch: uint16(e.epoch)}, true, false, false
 			}
 		}
@@ -85,7 +85,7 @@ func (e *Engine) scalarAllocate(nd *node, dst topology.NodeID) (routeInfo, bool,
 				for busy != 0 {
 					v := bits.TrailingZeros32(busy)
 					busy &= busy - 1
-					if nd.lastTx[base+v] >= e.now-1 {
+					if e.lastTxOf(nd.id)[base+v] >= e.now-1 {
 						vital = true
 						break active
 					}
@@ -121,7 +121,7 @@ func (e *Engine) scalarSwitchRange(lo, hi int, reqsFlat []int32, moves []move) [
 				v := bits.TrailingZeros32(w)
 				w &= w - 1
 				a := p*vcs + v
-				rt := nd.routes[a]
+				rt := e.routesOf(nd.id)[a]
 				o, outVC := int(rt.outPort), int32(rt.outVC)
 				if rt.eject {
 					o, outVC = numPhys+int(rt.ejCh), 0
@@ -140,8 +140,9 @@ func (e *Engine) scalarSwitchRange(lo, hi int, reqsFlat []int32, moves []move) [
 		freshInj := nd.freshInj
 		nd.freshInj = 0
 		if nd.busyInj > 0 {
-			for c := range nd.inj {
-				ic := &nd.inj[c]
+			inj := e.injOf(nd.id)
+			for c := range inj {
+				ic := &inj[c]
 				if ic.msg == nil || !ic.route.valid || freshInj>>uint(c)&1 != 0 ||
 					ic.left <= 0 {
 					continue
@@ -166,7 +167,7 @@ func (e *Engine) scalarSwitchRange(lo, hi int, reqsFlat []int32, moves []move) [
 		for reqMask != 0 {
 			o := bits.Len64(reqMask) - 1
 			reqMask &^= 1 << uint(o)
-			arb := &nd.outArb[o]
+			arb := &e.arbOf(nd.id)[o]
 			next := arb.Next()
 			best := int32(-1)
 			bestDist := nAgents
@@ -316,8 +317,9 @@ func (d *scalarDriver) allocRange() {
 			d.allocWalk(nd, ps, vcsMask&^hiMask, &w)
 		}
 		if nd.busyInj > 0 {
-			for c := range nd.inj {
-				ic := &nd.inj[c]
+			inj := e.injOf(nd.id)
+			for c := range inj {
+				ic := &inj[c]
 				if ic.msg == nil || ic.route.valid || ic.left < ic.len {
 					continue
 				}
@@ -350,14 +352,14 @@ func (d *scalarDriver) allocWalk(nd *node, p int, mask uint32, aw *allocWords) {
 // allocateVC is Engine.allocateVC around both allocators.
 func (d *scalarDriver) allocateVC(nd *node, a int, w *allocWords) {
 	e := d.e
-	ivc := &nd.in[a]
+	ivc := &e.inOf(nd.id)[a]
 	if ivc.buf.Empty() {
 		return
 	}
 	m := ivc.buf.FrontMessage()
 	route, ok, vital, unroutable := d.both(nd, fmt.Sprintf("agent %d", a), m, ivc.dst, &ivc.set, w)
 	if ok {
-		nd.routes[a] = route
+		e.routesOf(nd.id)[a] = route
 		nd.routed |= 1 << uint(a)
 		nd.fresh |= 1 << uint(a)
 		e.setWant(nd, a, route)
@@ -407,16 +409,16 @@ func (d *scalarDriver) switchBoth(sh *parShard) {
 	before := make([]saved, len(e.nodes))
 	for i := range e.nodes {
 		nd := &e.nodes[i]
-		before[i] = saved{fresh: nd.fresh, freshInj: nd.freshInj, next: arbPointers(nd)}
+		before[i] = saved{fresh: nd.fresh, freshInj: nd.freshInj, next: arbPointers(e, nd)}
 	}
 	d.scalar = e.scalarSwitchRange(0, len(e.nodes), d.reqsFlat, d.scalar[:0])
 	after := make([][]int, len(e.nodes))
 	for i := range e.nodes {
 		nd := &e.nodes[i]
-		after[i] = arbPointers(nd)
+		after[i] = arbPointers(e, nd)
 		nd.fresh, nd.freshInj = before[i].fresh, before[i].freshInj
 		for o, nx := range before[i].next {
-			nd.outArb[o].SetNext(nx)
+			e.arbOf(nd.id)[o].SetNext(nx)
 		}
 	}
 	sh.moves = e.switchRange(0, len(e.nodes), sh.moves[:0])
@@ -426,7 +428,7 @@ func (d *scalarDriver) switchBoth(sh *parShard) {
 	}
 	for i := range e.nodes {
 		nd := &e.nodes[i]
-		if got := arbPointers(nd); !slices.Equal(got, after[i]) {
+		if got := arbPointers(e, nd); !slices.Equal(got, after[i]) {
 			d.t.Fatalf("%s cycle %d node %d: arbiter pointers %v, scalar leaves %v", d.label, e.now, i, got, after[i])
 		}
 		if nd.fresh != 0 || nd.freshInj != 0 {
@@ -435,10 +437,11 @@ func (d *scalarDriver) switchBoth(sh *parShard) {
 	}
 }
 
-func arbPointers(nd *node) []int {
-	next := make([]int, len(nd.outArb))
-	for o := range nd.outArb {
-		next[o] = nd.outArb[o].Next()
+func arbPointers(e *Engine, nd *node) []int {
+	arb := e.arbOf(nd.id)
+	next := make([]int, len(arb))
+	for o := range arb {
+		next[o] = arb[o].Next()
 	}
 	return next
 }

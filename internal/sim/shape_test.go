@@ -339,6 +339,34 @@ func TestNewAllocs(t *testing.T) {
 	}
 }
 
+// TestNewFootprint bounds the bytes New allocates for DefaultConfig on a warm
+// shape cache — the node array, the channel arenas, the status words and the
+// collector, each channel stored once — at the 858 360 measured plus 5 %:
+// every engine a figure point, a farm worker or the explorer builds pays it.
+func TestNewFootprint(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector allocates: the footprint is pinned on the plain build")
+	}
+	build := func() {
+		e, err := New(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+	}
+	build() // warm the shape cache and the runtime's first-use state
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	build()
+	runtime.ReadMemStats(&after)
+	const ceiling = 858_360 * 105 / 100
+	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
+		t.Errorf("New allocated %d bytes, ceiling %d", got, ceiling)
+	}
+}
+
 // allocsWithoutGC is testing.AllocsPerRun with the collector off while it
 // runs: a collection's own allocations would otherwise land in whichever count
 // it happened to interrupt.

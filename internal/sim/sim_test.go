@@ -2,12 +2,14 @@ package sim
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
 	"wormnet/internal/baseline"
 	"wormnet/internal/core"
 	"wormnet/internal/message"
+	"wormnet/internal/router"
 	"wormnet/internal/topology"
 )
 
@@ -33,6 +35,25 @@ func stepN(t *testing.T, e *Engine, n int) {
 		e.Step()
 		if err := e.CheckInvariants(); err != nil {
 			t.Fatalf("cycle %d: invariant violated: %v", e.Now(), err)
+		}
+	}
+}
+
+// A buffer depth or message length the run-length buffer cannot hold is
+// refused at New, with the limit in the error, rather than wrapping its
+// 16-bit counters mid-run.
+func TestConfigRefusesWhatABufferCannotHold(t *testing.T) {
+	for _, c := range []struct {
+		mutate func(*Config)
+		limit  int
+	}{
+		{func(c *Config) { c.BufDepth = router.MaxDepth + 1 }, router.MaxDepth},
+		{func(c *Config) { c.MsgLen = router.MaxMessageLen + 1 }, router.MaxMessageLen},
+	} {
+		cfg := QuickConfig()
+		c.mutate(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), strconv.Itoa(c.limit)) {
+			t.Errorf("depth %d, length %d: New says %v, want a refusal naming %d", cfg.BufDepth, cfg.MsgLen, err, c.limit)
 		}
 	}
 }
@@ -146,6 +167,8 @@ func TestInjectValidation(t *testing.T) {
 		func() { e.Inject(0, 0, 4) },
 		func() { e.Inject(-1, 2, 4) },
 		func() { e.Inject(0, 999, 4) },
+		func() { e.Inject(0, 2, 0) },
+		func() { e.Inject(0, 2, router.MaxMessageLen+1) },
 	} {
 		func() {
 			defer func() {

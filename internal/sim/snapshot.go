@@ -52,6 +52,7 @@ import (
 	"wormnet/internal/core"
 	"wormnet/internal/message"
 	"wormnet/internal/metrics"
+	"wormnet/internal/router"
 	"wormnet/internal/stats"
 	"wormnet/internal/topology"
 	"wormnet/internal/traffic"
@@ -436,43 +437,42 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 	for _, h := range e.held() {
 		s.addObject(h.m)
 	}
-	nVC := e.numPhys * e.cfg.VCs
+	nVC := e.nVC
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		sn := &s.Nodes[i]
 
+		in, routes, outVCs := e.inOf(nd.id), e.routesOf(nd.id), e.outVCsOf(nd.id)
 		sn.In = resize(sn.In, nVC)
 		for c := 0; c < nVC; c++ {
-			ivc := &nd.in[c]
+			ivc := &in[c]
 			n := ivc.buf.Len()
 			flits := slices.Grow(sn.In[c].Flits[:0], n)
 			for j := 0; j < n; j++ {
 				f := ivc.buf.At(j)
 				flits = append(flits, SnapFlit{Msg: int64(f.Msg.ID), Seq: f.Seq, Head: f.Head, Tail: f.Tail})
 			}
-			sn.In[c] = SnapVC{Flits: flits, Route: snapRoute(nd.routes[c])}
+			sn.In[c] = SnapVC{Flits: flits, Route: snapRoute(routes[c])}
 		}
 
 		sn.OutOwner = resize(sn.OutOwner, nVC)
 		for v := 0; v < nVC; v++ {
 			sn.OutOwner[v] = -1
-			if m := nd.outVCs[v].Owner(); m != nil {
+			if m := outVCs[v].Owner(); m != nil {
 				sn.OutOwner[v] = int64(m.ID)
 			}
 		}
 
-		sn.Inj = resize(sn.Inj, len(nd.inj))
-		for j := range nd.inj {
-			ic := &nd.inj[j]
+		sn.Inj = resize(sn.Inj, e.cfg.InjChannels)
+		for j, ic := range e.injOf(nd.id) {
 			sn.Inj[j] = SnapInj{Msg: -1}
 			if ic.msg != nil {
 				sn.Inj[j] = SnapInj{Msg: int64(ic.msg.ID), Route: snapRoute(ic.route), Left: ic.left, Len: ic.len, Dst: int32(ic.dst)}
 			}
 		}
 
-		sn.Ej = resize(sn.Ej, len(nd.ej))
-		for j := range nd.ej {
-			ec := &nd.ej[j]
+		sn.Ej = resize(sn.Ej, e.cfg.EjChannels)
+		for j, ec := range e.ejOf(nd.id) {
 			sn.Ej[j] = SnapEj{Msg: -1}
 			if ec.msg != nil {
 				sn.Ej[j] = SnapEj{Msg: int64(ec.msg.ID), Pending: ec.pending}
@@ -521,10 +521,10 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 		}
 
 		sn.Blocked = nd.blocked.AppendCounters(sn.Blocked[:0])
-		sn.LastTx = append(sn.LastTx[:0], nd.lastTx...)
-		sn.ArbNext = resize(sn.ArbNext, len(nd.outArb))
-		for j := range nd.outArb {
-			sn.ArbNext[j] = int32(nd.outArb[j].Next())
+		sn.LastTx = append(sn.LastTx[:0], e.lastTxOf(nd.id)...)
+		sn.ArbNext = resize(sn.ArbNext, e.numPhys+e.cfg.EjChannels)
+		for j, a := range e.arbOf(nd.id) {
+			sn.ArbNext[j] = int32(a.Next())
 		}
 	}
 
@@ -593,18 +593,17 @@ func (e *Engine) reset() {
 	e.listener, e.onReconfig, e.spans = nil, nil, nil
 	e.met, e.metReg, e.onSample = nil, nil, nil
 	e.col.DropDeliverySeries() // load brings back the snapshot's, if any
+	for c := range e.in {
+		e.in[c], e.lastTx[c] = inVC{}, -1
+		e.in[c].buf.Init(e.cfg.BufDepth)
+	}
+	clear(e.routes)
+	clear(e.outVCs)
+	clear(e.inj)
+	clear(e.ej)
 	for i := range e.nodes {
 		nd := &e.nodes[i]
-		for c := range nd.in {
-			nd.in[c].buf.Init(e.cfg.BufDepth)
-			nd.in[c].dst, nd.in[c].set = 0, 0
-			nd.routes[c] = routeInfo{}
-			nd.outVCs[c].Release()
-			nd.lastTx[c] = -1
-		}
 		nd.fresh, nd.freshInj = 0, 0
-		clear(nd.inj)
-		clear(nd.ej)
 		e.rederive(nd)
 		nd.queue = srcQueue{}
 		clear(nd.recovery)
@@ -639,7 +638,7 @@ func (p *parRuntime) reset() {
 // recovering, retrying) referenced more than once; derive rebuilds the derived
 // words, and the rest is CheckInvariants', run on the loaded engine.
 func (e *Engine) load(snap *Snapshot) error {
-	nVC := e.numPhys * e.cfg.VCs
+	nVC := e.nVC
 	if len(snap.Nodes) != len(e.nodes) {
 		return fmt.Errorf("%w: %d nodes, engine has %d", ErrSnapshotInvalid, len(snap.Nodes), len(e.nodes))
 	}
@@ -688,8 +687,8 @@ func (e *Engine) load(snap *Snapshot) error {
 		if i > 0 && sm.ID <= snap.Messages[i-1].ID {
 			return fmt.Errorf("%w: message %d out of order or duplicated", ErrSnapshotInvalid, sm.ID)
 		}
-		if sm.Length < 1 || !e.topo.Valid(topology.NodeID(sm.Src)) || !e.topo.Valid(topology.NodeID(sm.Dst)) ||
-			!e.topo.Valid(topology.NodeID(sm.Injector)) {
+		if sm.Length < 1 || sm.Length > router.MaxMessageLen || !e.topo.Valid(topology.NodeID(sm.Src)) ||
+			!e.topo.Valid(topology.NodeID(sm.Dst)) || !e.topo.Valid(topology.NodeID(sm.Injector)) {
 			return fmt.Errorf("%w: message %d of length %d from node %d to %d, injected at %d",
 				ErrSnapshotInvalid, sm.ID, sm.Length, sm.Src, sm.Dst, sm.Injector)
 		}
@@ -742,16 +741,18 @@ func (e *Engine) load(snap *Snapshot) error {
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		sn := &snap.Nodes[i]
+		in, routes, outVCs := e.inOf(nd.id), e.routesOf(nd.id), e.outVCsOf(nd.id)
+		inj, ej, arb := e.injOf(nd.id), e.ejOf(nd.id), e.arbOf(nd.id)
 		if len(sn.In) != nVC || len(sn.OutOwner) != nVC ||
-			len(sn.Inj) != len(nd.inj) || len(sn.Ej) != len(nd.ej) ||
+			len(sn.Inj) != len(inj) || len(sn.Ej) != len(ej) ||
 			len(sn.Blocked) != nVC || len(sn.LastTx) != nVC ||
-			len(sn.ArbNext) != len(nd.outArb) {
+			len(sn.ArbNext) != len(arb) {
 			return fmt.Errorf("%w: node %d state shape mismatch", ErrSnapshotInvalid, i)
 		}
 
 		for c := 0; c < nVC; c++ {
 			sv := &sn.In[c]
-			ivc := &nd.in[c]
+			ivc := &in[c]
 			for j, sf := range sv.Flits {
 				m := msg()
 				if ivc.buf.Full() {
@@ -772,29 +773,29 @@ func (e *Engine) load(snap *Snapshot) error {
 				return fmt.Errorf("%w: node %d vc %d route out of range", ErrSnapshotInvalid, i, c)
 			}
 			if sv.Route.Valid {
-				nd.routes[c] = loadRoute(sv.Route)
+				routes[c] = loadRoute(sv.Route)
 			}
 		}
 		for v, id := range sn.OutOwner {
 			if id != -1 {
-				nd.outVCs[v].Allocate(msg())
+				outVCs[v].Allocate(msg())
 			}
 		}
-		for j := range nd.inj {
+		for j := range inj {
 			si := &sn.Inj[j]
 			if !e.routeInRange(si.Route) || si.Msg == -1 && *si != (SnapInj{Msg: -1}) {
 				return fmt.Errorf("%w: node %d inj %d route out of range, or a free channel's fields set", ErrSnapshotInvalid, i, j)
 			}
 			if si.Msg != -1 {
-				nd.inj[j] = injChannel{msg: msg(), route: loadRoute(si.Route), left: si.Left, len: si.Len, dst: topology.NodeID(si.Dst)}
+				inj[j] = injChannel{msg: msg(), route: loadRoute(si.Route), left: si.Left, len: si.Len, dst: topology.NodeID(si.Dst)}
 			}
 		}
 		if !e.rederive(nd) {
 			return fmt.Errorf("%w: node %d routes two agents to one output channel", ErrSnapshotInvalid, i)
 		}
-		for j := range nd.ej {
+		for j := range ej {
 			if se := &sn.Ej[j]; se.Msg != -1 {
-				nd.ej[j] = ejChannel{msg: msg(), pending: se.Pending}
+				ej[j] = ejChannel{msg: msg(), pending: se.Pending}
 			} else if se.Pending != 0 {
 				return fmt.Errorf("%w: node %d ej %d is free with %d flits pending", ErrSnapshotInvalid, i, j, se.Pending)
 			}
@@ -847,13 +848,13 @@ func (e *Engine) load(snap *Snapshot) error {
 		if err := nd.blocked.RestoreCounters(sn.Blocked); err != nil {
 			return fmt.Errorf("%w: node %d: %v", ErrSnapshotInvalid, i, err)
 		}
-		copy(nd.lastTx, sn.LastTx)
-		for j := range nd.outArb {
+		copy(e.lastTxOf(nd.id), sn.LastTx)
+		for j := range arb {
 			nx := int(sn.ArbNext[j])
-			if nx < 0 || nx >= nd.outArb[j].N() {
+			if nx < 0 || nx >= arb[j].N() {
 				return fmt.Errorf("%w: node %d arbiter %d pointer %d", ErrSnapshotInvalid, i, j, nx)
 			}
-			nd.outArb[j].SetNext(nx)
+			arb[j].SetNext(nx)
 		}
 	}
 
@@ -872,7 +873,7 @@ func (e *Engine) load(snap *Snapshot) error {
 				return fmt.Errorf("%w: message %d path entry (%d,%d,%d) out of range",
 					ErrSnapshotInvalid, sm.ID, loc.Node, loc.Port, loc.VC)
 			}
-			e.nodes[loc.Node].in[e.inVCIndex(topology.Port(loc.Port), loc.VC)].dst = topology.NodeID(sm.Dst)
+			e.inOf(topology.NodeID(loc.Node))[e.inVCIndex(topology.Port(loc.Port), loc.VC)].dst = topology.NodeID(sm.Dst)
 		}
 	}
 

@@ -352,11 +352,12 @@ func TestSnapshotRestoresDrainedChannelOwner(t *testing.T) {
 		var locs []pathLoc
 		for i := range en.nodes {
 			nd := &en.nodes[i]
-			for a := range nd.in {
-				if !nd.routes[a].valid || nd.routes[a].eject || !nd.in[a].buf.Empty() {
+			routes := en.routesOf(nd.id)
+			for a, ivc := range en.inOf(nd.id) {
+				if !routes[a].valid || routes[a].eject || !ivc.buf.Empty() {
 					continue
 				}
-				m := nd.outVCs[en.inVCIndex(nd.routes[a].outPort, nd.routes[a].outVC)].Owner() // the routed message
+				m := en.outVCsOf(nd.id)[en.inVCIndex(routes[a].outPort, routes[a].outVC)].Owner() // the routed message
 				if m == nil {
 					continue
 				}
@@ -397,8 +398,8 @@ func TestSnapshotRestoresDrainedChannelOwner(t *testing.T) {
 	}
 	defer r.Close()
 	for _, loc := range locs {
-		ivc := &r.nodes[loc.Node].in[r.inVCIndex(loc.Port, loc.VC)]
-		if want := e.nodes[loc.Node].in[e.inVCIndex(loc.Port, loc.VC)].dst; ivc.dst != want {
+		ivc := &r.inOf(loc.Node)[r.inVCIndex(loc.Port, loc.VC)]
+		if want := e.inOf(loc.Node)[e.inVCIndex(loc.Port, loc.VC)].dst; ivc.dst != want {
 			t.Fatalf("cycle %d: restored channel %v caches destination %d, want %d", snapAt, loc, ivc.dst, want)
 		}
 	}

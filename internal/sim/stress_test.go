@@ -141,18 +141,18 @@ func TestDrainToQuiescence(t *testing.T) {
 				t.Fatalf("node %d out port %d leaked an allocation", nd.id, p)
 			}
 		}
-		for a := range nd.in {
-			if !nd.in[a].buf.Empty() {
+		for a, ivc := range e.inOf(nd.id) {
+			if !ivc.buf.Empty() {
 				t.Fatalf("node %d in[%d][%d] leaked flits", nd.id, a/e.cfg.VCs, a%e.cfg.VCs)
 			}
 		}
-		for c := range nd.ej {
-			if nd.ej[c].msg != nil {
+		for c, ec := range e.ejOf(nd.id) {
+			if ec.msg != nil {
 				t.Fatalf("node %d leaked ejection channel %d", nd.id, c)
 			}
 		}
-		for c := range nd.inj {
-			if nd.inj[c].msg != nil {
+		for c, ic := range e.injOf(nd.id) {
+			if ic.msg != nil {
 				t.Fatalf("node %d leaked injection channel %d", nd.id, c)
 			}
 		}
