@@ -229,12 +229,15 @@ type Engine struct {
 	cand      *candTable
 	faultCand *candTable
 
-	// waiting is the record arena behind every node's source queue, and built
-	// the objects of the few waiting messages that already have one (by id;
-	// see queued). A generated message is a record there until an injection
-	// channel admits it.
+	// waiting is the record arena behind every node's source queue, built
+	// the objects of the few waiting messages that already have one, and
+	// lengths those of the bare records whose message is not cfg.MsgLen long
+	// (both by id; see queued). lengths is made on first use: a synthetic
+	// run never files one. A generated message is a record there until an
+	// injection channel admits it.
 	waiting recordArena
 	built   map[message.ID]*message.Message
+	lengths map[message.ID]int32
 
 	// pool is the free list of recycled messages: a delivered or dropped
 	// pool-born message is reset and reused. A message is an object only from
@@ -567,15 +570,49 @@ func (e *Engine) setOf(nd *node, dst topology.NodeID, set *int32) int32 {
 func (e *Engine) materialise(src topology.NodeID, i int32) *message.Message {
 	r := e.waiting.recs[i]
 	e.waiting.release(i)
-	if r.built {
-		m := e.built[r.id]
+	if m := e.object(r.id); m != nil {
 		delete(e.built, r.id)
 		return m
 	}
 	m := e.pooled()
-	m.Reuse(r.id, src, r.dst, int(r.length), r.gen)
-	m.Measured = r.measured
+	m.Reuse(r.id, src, r.dst, int(e.recordLen(&r)), r.gen)
+	m.Measured = e.col.InWindow(r.gen)
+	delete(e.lengths, r.id)
 	return m
+}
+
+// object returns the object filed for the waiting message id, nil for a bare
+// record. It only reads, so a shard section may call it; the length test
+// keeps a run with no built record from hashing.
+func (e *Engine) object(id message.ID) *message.Message {
+	if len(e.built) == 0 {
+		return nil
+	}
+	return e.built[id]
+}
+
+// recordLen returns the length of the message record r stands for: its
+// object's, the one filed for it, or cfg.MsgLen. It only reads, like object.
+func (e *Engine) recordLen(r *queued) int32 {
+	if m := e.object(r.id); m != nil {
+		return int32(m.Length)
+	}
+	if l, ok := e.lengths[r.id]; ok {
+		return l
+	}
+	return int32(e.cfg.MsgLen)
+}
+
+// bareRecord returns the bare record of a message generated at cycle gen,
+// filing its length if it is not cfg.MsgLen. Serial contexts only.
+func (e *Engine) bareRecord(id message.ID, gen int64, dst topology.NodeID, length int32) queued {
+	if length != int32(e.cfg.MsgLen) {
+		if e.lengths == nil {
+			e.lengths = make(map[message.ID]int32)
+		}
+		e.lengths[id] = length
+	}
+	return queued{id: id, gen: gen, dst: dst}
 }
 
 // pooled pops a free pool-born message, refilling an empty pool first. Serial
@@ -626,10 +663,7 @@ func (e *Engine) newSlab() {
 // files m where materialise will find it. Serial contexts only.
 func (e *Engine) recordOf(m *message.Message) queued {
 	e.built[m.ID] = m
-	return queued{
-		id: m.ID, gen: m.GenTime, dst: m.Dst, length: int32(m.Length),
-		measured: m.Measured, built: true,
-	}
+	return queued{id: m.ID, gen: m.GenTime, dst: m.Dst}
 }
 
 // releaseMessage returns a finished (delivered or permanently dropped)

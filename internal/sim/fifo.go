@@ -9,21 +9,23 @@ import (
 // every live message is one of these, and all that ever looks at it is the
 // injection gate reading the head's destination — so a waiting message is a
 // small pointer-free record, and the message.Message it stands for is built
-// only when an injection channel admits it (Engine.materialise). A record
-// whose object already exists (Engine.Inject, a fault retry coming back
-// through the queue) says so with built; Engine.built holds the object.
+// only when an injection channel admits it (Engine.materialise). The record
+// holds only what cannot be derived; the rest is read where it is needed:
+//   - built-ness: a record is built if and only if Engine.built files an
+//     object under its id (Engine.Inject, a fault retry coming back through
+//     the queue), and then every field of the message is the object's;
+//   - length: a bare record's is cfg.MsgLen unless Engine.lengths files
+//     another (scripted or replayed sources) — Engine.recordLen;
+//   - measured: col.InWindow(gen), what OnGenerated said at generation.
 type queued struct {
-	id     message.ID
-	gen    int64 // generation cycle
-	dst    topology.NodeID
-	length int32
+	id  message.ID
+	gen int64 // generation cycle
+	dst topology.NodeID
 	// next links the records of one queue front to back — and the free slots
 	// of the arena to each other. It is what lets every queue of the engine
 	// share one slice: memory follows the number of waiting messages, not the
 	// sum of each node's burst peak.
-	next     int32
-	measured bool // generated inside the measurement window
-	built    bool
+	next int32
 }
 
 // srcQueue is one node's source queue (FIFO; the paper: pending messages

@@ -3,7 +3,6 @@ package sim
 import (
 	"math/rand/v2"
 	"testing"
-	"unsafe"
 
 	"wormnet/internal/message"
 	"wormnet/internal/topology"
@@ -85,17 +84,12 @@ func TestFIFOPropertyNeverReorders(t *testing.T) {
 	nextID := message.ID(0)
 	mk := func() *message.Message {
 		m := message.New(nextID, 0, topology.NodeID(1+rng.IntN(9)), 1+rng.IntN(20), int64(rng.IntN(1000)))
-		m.Measured = rng.IntN(2) == 0
 		nextID++
 		return m
 	}
-	// rec is the record of m; half of them claim an object, as Inject's and a
-	// retry's do.
+	// rec is the record of m.
 	rec := func(m *message.Message) queued {
-		return queued{
-			id: m.ID, gen: m.GenTime, dst: m.Dst, length: int32(m.Length),
-			measured: m.Measured, built: m.ID%2 == 0,
-		}
+		return queued{id: m.ID, gen: m.GenTime, dst: m.Dst}
 	}
 	same := func(r *queued, m *message.Message) bool {
 		want := rec(m)
@@ -186,20 +180,4 @@ func (a *recordArena) freeSlots() (n int) {
 		n++
 	}
 	return n
-}
-
-// TestQueuedRecordSize pins the cost of a waiting message. Beyond saturation
-// the backlog is nearly the whole population (98 % of live messages at rate
-// 0.9 under ALO), so this, not the 144-byte message.Message, is the unit the
-// heap grows by. 32 bytes: id, generation cycle, destination, length, the
-// chain link that lets all queues share one arena, two flags — and no pointer,
-// so the collector never scans the backlog. A queue itself is its chain's ends
-// and length plus the head's cached candidate-set id: 16 bytes in the node.
-func TestQueuedRecordSize(t *testing.T) {
-	if s := unsafe.Sizeof(queued{}); s > 32 {
-		t.Errorf("a queue record is %d bytes, want <= 32", s)
-	}
-	if s := unsafe.Sizeof(srcQueue{}); s > 16 {
-		t.Errorf("a node's queue header is %d bytes, want <= 16", s)
-	}
 }

@@ -152,15 +152,19 @@ func (e *Engine) CheckInvariants() error {
 		}
 	}
 
-	built, waiting := 0, 0
+	built, odd, waiting := 0, 0, 0
 	var wantBuf [128]uint8 // the width limit keeps a node's entries under 64+64
 	want := wantBuf[:e.nVC+e.cfg.EjChannels]
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		waiting += nd.queue.Len() + len(nd.recovery) + len(nd.retry)
 		e.waiting.each(&nd.queue, func(r *queued) {
-			if m := e.built[r.id]; r.built && m != nil && m.Dst == r.dst && int32(m.Length) == r.length {
-				built++
+			if m := e.object(r.id); m != nil {
+				if m.Dst == r.dst && m.GenTime == r.gen {
+					built++
+				}
+			} else if l, ok := e.lengths[r.id]; ok && l != int32(e.cfg.MsgLen) {
+				odd++
 			}
 		})
 		d, ok := e.derive(nd, want)
@@ -231,8 +235,9 @@ func (e *Engine) CheckInvariants() error {
 			return fmt.Errorf("node %d: fresh=%#x freshInj=%#x name channels the router does not have", nd.id, nd.fresh, nd.freshInj)
 		}
 	}
-	if built != len(e.built) {
-		return fmt.Errorf("%d objects filed for waiting messages, %d queue records stand for one", len(e.built), built)
+	if built != len(e.built) || odd != len(e.lengths) {
+		return fmt.Errorf("%d objects and %d lengths filed for waiting messages, %d and %d queue records stand for one",
+			len(e.built), len(e.lengths), built, odd)
 	}
 	p := e.par
 	// Between cycles every deferral buffer of the schedule must be drained:

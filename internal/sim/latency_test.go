@@ -45,3 +45,31 @@ func TestZeroLoadLatency(t *testing.T) {
 		}
 	}
 }
+
+// TestLowLoadLatencyNearZeroLoad checks Fig. 5's lowest point, rate 0.02 on
+// the 8-ary 3-cube (uniform, 16 flits), against the same closed form: at 1 %
+// of the bisection limit a message almost never waits, so its mean latency
+// from generation sits just above 2H+L at the uniform mean distance. Uniform
+// traffic never addresses its own source, so H is the k/4 hops a dimension
+// averages over all 512 nodes, times 3 dimensions, spread over the 511 others.
+// The mean may exceed the zero-load form by at most 5 % (seeds 1 and 2 read
+// 28.6 and 28.5 cycles).
+func TestLowLoadLatencyNearZeroLoad(t *testing.T) {
+	for _, seed := range []uint64{1, 2} {
+		cfg := DefaultConfig()
+		cfg.Rate, cfg.Seed = 0.02, seed
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := e.Run()
+		e.Close()
+		nodes := float64(e.Topology().Nodes())
+		hops := float64(cfg.N*cfg.K/4) * nodes / (nodes - 1)
+		zeroLoad := 2*hops + float64(cfg.MsgLen)
+		if res.AvgLatency < zeroLoad || res.AvgLatency > 1.05*zeroLoad {
+			t.Errorf("seed %d: mean latency %.2f cycles, want within [%.2f, %.2f] (2H+L, H = %.3f hops, and 5 %% over)",
+				seed, res.AvgLatency, zeroLoad, 1.05*zeroLoad, hops)
+		}
+	}
+}

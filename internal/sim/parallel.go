@@ -705,10 +705,8 @@ func (e *Engine) commitGenerate(p *parRuntime) {
 			if e.spans != nil {
 				e.spanGenerate(id, g.node, g.dst, int(g.length))
 			}
-			e.waiting.push(&e.nodes[g.node].queue, queued{
-				id: id, gen: e.now, dst: g.dst, length: g.length,
-				measured: e.col.OnGenerated(e.now, int(g.node)),
-			})
+			e.col.OnGenerated(e.now, int(g.node))
+			e.waiting.push(&e.nodes[g.node].queue, e.bareRecord(id, e.now, g.dst, g.length))
 			e.emitRecord(trace.KindGenerated, id, g.node, g.dst, g.length, g.node)
 		}
 		sh.gen = sh.gen[:0]
@@ -872,7 +870,8 @@ func (e *Engine) injectNode(nd *node, sh *parShard) {
 			e.met.admitted.Inc()
 		}
 		r := e.waiting.front(&nd.queue)
-		*ic = injChannel{left: r.length, len: r.length, dst: r.dst, set: nd.queue.set} // the pop forgets set
+		n := e.recordLen(r)
+		*ic = injChannel{left: n, len: n, dst: r.dst, set: nd.queue.set} // the pop forgets set
 		nd.busyInj++
 		sh.events = append(sh.events, deferredEvent{
 			kind: evClaim, ch: int8(c), node: nd.id, slot: nd.queue.pop(e.waiting.recs),
@@ -1169,7 +1168,7 @@ func (e *Engine) commitEvents(p *parRuntime) {
 				e.waiting.pushFront(&nd.queue, e.recordOf(ev.m))
 			case evThrottle:
 				r := e.waiting.front(&nd.queue)
-				e.emitRecord(trace.KindThrottled, r.id, ev.node, r.dst, r.length, ev.node)
+				e.emitRecord(trace.KindThrottled, r.id, ev.node, r.dst, e.recordLen(r), ev.node)
 			case evClaim:
 				m := e.materialise(ev.node, ev.slot)
 				m.State = message.StateInjecting

@@ -59,7 +59,7 @@ func scripted(t *testing.T, script map[topology.NodeID][]traffic.Event, mutate f
 func (e *Engine) bareRecords() (n int) {
 	for i := range e.nodes {
 		e.waiting.each(&e.nodes[i].queue, func(r *queued) {
-			if !r.built {
+			if e.object(r.id) == nil {
 				n++
 			}
 		})
@@ -219,7 +219,7 @@ func TestRetryKeepsItsHistoryThroughTheQueue(t *testing.T) {
 	}
 	stepN(t, e, 5)
 	r := e.waiting.front(&e.nodes[0].queue)
-	if !r.built || e.built[m.ID] != m || r.id != m.ID || r.gen != m.GenTime || e.bareRecords() != 0 {
+	if e.object(r.id) != m || r.id != m.ID || r.gen != m.GenTime || e.bareRecords() != 0 {
 		t.Fatalf("the retry waits as %+v, want a record of %v", *r, m)
 	}
 	if w := e.nodes[0].view.HeadWait(); w != e.Now()-m.GenTime {

@@ -3,17 +3,23 @@ package sim
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"math"
 	"reflect"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"unsafe"
 
 	"wormnet/internal/baseline"
+	"wormnet/internal/message"
 	"wormnet/internal/metrics"
+	"wormnet/internal/router"
 	"wormnet/internal/stats"
+	"wormnet/internal/topology"
 	"wormnet/internal/trace"
+	"wormnet/internal/traffic"
 )
 
 // restoreScenario is one configuration of the in-place restore suite, with
@@ -580,6 +586,47 @@ var hostileMutations = []func(s *Snapshot, a, b int) bool{
 	waitingNamedTwice,
 }
 
+// underivableMutations rewrite a queued message into one a bare queue record
+// cannot stand for, since a record derives its length from the config, its
+// measured flag from its generation cycle and its history from being bare. The
+// state they make is legal, so a restore must keep it exactly (or refuse it).
+// Each returns false when no source queue holds a message.
+var underivableMutations = []func(s *Snapshot, a, b int) bool{
+	func(s *Snapshot, a, b int) bool { // measured flag against the window
+		m := aQueuedMessage(s, a, b)
+		if m != nil {
+			m.Measured = !m.Measured
+		}
+		return m != nil
+	},
+	func(s *Snapshot, a, b int) bool { // another length
+		m := aQueuedMessage(s, a, b)
+		if m != nil {
+			m.Length = int32(1 + (int(m.Length)+b%(router.MaxMessageLen-1))%router.MaxMessageLen)
+		}
+		return m != nil
+	},
+	func(s *Snapshot, a, b int) bool { // an object already: a retry
+		m := aQueuedMessage(s, a, b)
+		if m != nil {
+			m.Retries++
+		}
+		return m != nil
+	},
+}
+
+// aQueuedMessage returns the message some source queue of s names, picked by a
+// (the node) and b (the place in its queue), or nil when every queue is empty.
+func aQueuedMessage(s *Snapshot, a, b int) *SnapMessage {
+	for i := range s.Nodes {
+		if q := s.Nodes[(a+i)%len(s.Nodes)].Queue; len(q) > 0 {
+			id := q[b%len(q)]
+			return &s.Messages[sort.Search(len(s.Messages), func(j int) bool { return s.Messages[j].ID >= id })]
+		}
+	}
+	return nil
+}
+
 // waitingNamedTwice names a waiting message a second time, the hostile family
 // of load's one-reference rule: a queued message from its own queue again, or
 // from a recovery or retry list, or a recovering or retrying one (the queued
@@ -665,9 +712,11 @@ func occupiedVC(s *Snapshot, a, n int) *SnapVC {
 
 // FuzzRestoreInPlace feeds semantically inconsistent snapshots to a reused
 // engine. Every one must come back as ErrSnapshotInvalid — never a panic,
-// never a quietly wrong engine — and must leave nothing behind: the good
-// snapshot restored next has to reproduce its hash and deep-equal a fresh
-// restore, run after run on the same engine. Each accepted restore is then
+// never a quietly wrong engine — and must leave nothing behind. A snapshot
+// with a queued message no bare record can stand for (underivableMutations)
+// must restore and snapshot again to its own canonical bytes, or be refused
+// the same way. Either way the good snapshot restored next has to reproduce
+// its hash and deep-equal a fresh restore, run after run on the same engine. Each accepted restore is then
 // snapshotted into the storage of the iteration before — the hostile snapshot,
 // overlong lists, lying paths and all — and must hash like the good one again.
 func FuzzRestoreInPlace(f *testing.F) {
@@ -701,7 +750,8 @@ func FuzzRestoreInPlace(f *testing.F) {
 		t.e = e
 		targets = append(targets, t)
 	}
-	for m := range hostileMutations {
+	mutations := append(slices.Clip(hostileMutations), underivableMutations...)
+	for m := range mutations {
 		for v := 0; v < 6; v++ {
 			f.Add(uint8(v), uint8(m), uint16(7*v+m), uint16(v))
 		}
@@ -709,13 +759,17 @@ func FuzzRestoreInPlace(f *testing.F) {
 	f.Fuzz(func(t *testing.T, which, mutation uint8, a, b uint16) {
 		tg := targets[int(which)%len(targets)]
 		bad := gobRoundTrip(t, tg.good)
-		if !hostileMutations[int(mutation)%len(hostileMutations)](bad, int(a), int(b)) {
+		k := int(mutation) % len(mutations)
+		if !mutations[k](bad, int(a), int(b)) {
 			t.Skip("nothing to corrupt this way")
 		}
-		if err := tg.e.Restore(bad); !errors.Is(err, ErrSnapshotInvalid) {
+		err := tg.e.Restore(bad)
+		switch {
+		case err == nil && k >= len(hostileMutations):
+			assertSnapshotsTo(t, tg.e, bad)
+		case !errors.Is(err, ErrSnapshotInvalid):
 			t.Fatalf("hostile snapshot: got %v, want ErrSnapshotInvalid", err)
-		}
-		if tg.e.Now() != 0 || tg.e.InFlight() != 0 {
+		case tg.e.Now() != 0 || tg.e.InFlight() != 0:
 			t.Fatalf("failed restore left cycle %d, %d in flight; want a reset engine", tg.e.Now(), tg.e.InFlight())
 		}
 		if err := tg.e.Restore(tg.good); err != nil {
@@ -1011,4 +1065,127 @@ func TestConfigDigestComputedOnce(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _ = e.configDigest() }); n != 0 {
 		t.Errorf("configDigest allocates %.0f times per call once computed", n)
 	}
+}
+
+// assertSnapshotsTo fails t unless e snapshots to want's canonical bytes.
+func assertSnapshotsTo(t *testing.T, e *Engine, want *Snapshot) {
+	t.Helper()
+	got, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := got.CanonicalBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := want.CanonicalBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb, wb) {
+		t.Fatalf("restored engine snapshots to %d canonical bytes unlike the %d it was restored from", len(gb), len(wb))
+	}
+}
+
+// TestRestoreKeepsUnderivableQueuedFields restores snapshots whose queued
+// message is no bare record's — its measured flag disagrees with the window,
+// its length with the config, or it has a history — into a fresh engine. Each
+// must restore, snapshot again to the same canonical bytes, and become the
+// same message when its queue hands it out; only the length is filed beside a
+// bare record, the other two wait as objects. A scripted source generating
+// several lengths must survive a snapshot in the middle of its run as well.
+func TestRestoreKeepsUnderivableQueuedFields(t *testing.T) {
+	sc := restoreScenarios()["dril"]
+	e, err := New(sc.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e.Now() < sc.snapAt {
+		e.Step()
+	}
+	good, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, mutate := range underivableMutations {
+		for _, a := range []int{0, 7, 11} {
+			bad := gobRoundTrip(t, good)
+			if !mutate(bad, a, 0) {
+				t.Fatal("no queued message to rewrite")
+			}
+			sm := *aQueuedMessage(bad, a, 0)
+			e, err := New(sc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Restore(bad); err != nil {
+				t.Fatalf("mutation %d at node %d: %v", k, sm.Src, err)
+			}
+			assertSnapshotsTo(t, e, bad)
+			src := topology.NodeID(sm.Src)
+			q := &e.nodes[src].queue
+			if id := e.waiting.front(q).id; int64(id) != sm.ID {
+				t.Fatalf("mutation %d: node %d's queue starts with %d, want %d", k, sm.Src, id, sm.ID)
+			}
+			lengthOnly := k == 1 // the length is filed beside a bare record
+			if bare := e.object(message.ID(sm.ID)) == nil; bare != lengthOnly || (len(e.lengths) == 1) != lengthOnly {
+				t.Errorf("mutation %d: bare=%v with %d lengths filed", k, bare, len(e.lengths))
+			}
+			m := e.materialise(src, q.pop(e.waiting.recs))
+			if int64(m.ID) != sm.ID || int32(m.Dst) != sm.Dst || m.GenTime != sm.GenTime ||
+				int32(m.Length) != sm.Length || m.Measured != sm.Measured || int32(m.Retries) != sm.Retries {
+				t.Errorf("mutation %d: the queue hands out %+v for %+v", k, *m, sm)
+			}
+			if len(e.built)+len(e.lengths) != 0 {
+				t.Errorf("mutation %d: %d objects and %d lengths left filed", k, len(e.built), len(e.lengths))
+			}
+		}
+	}
+
+	t.Run("scripted", func(t *testing.T) {
+		cfg := tinyManualConfig()
+		cfg.SourceName = "test-lengths"
+		cfg.Sources = func(node topology.NodeID) traffic.Generator {
+			var evs []traffic.Event
+			for i := 0; i < 12; i++ {
+				evs = append(evs, traffic.Event{Cycle: int64(i), Dst: (node + 1 + topology.NodeID(i)%3) % 4, Length: 1 + i%6})
+			}
+			s, err := traffic.NewScriptSource(node, evs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		whole, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stepN(t, whole, 20)
+		if len(whole.lengths) == 0 {
+			t.Fatal("no length filed for a waiting message of another length")
+		}
+		mid, err := whole.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resumed.Restore(gobRoundTrip(t, mid)); err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(resumed.lengths, whole.lengths) {
+			t.Fatalf("restored lengths %v, want %v", resumed.lengths, whole.lengths)
+		}
+		res, _, counts, events, end := runOn(t, whole, 600)
+		if whole.InFlight() != 0 || len(whole.lengths) != 0 {
+			t.Fatalf("%d messages in flight and %d lengths filed after the drain", whole.InFlight(), len(whole.lengths))
+		}
+		res2, _, counts2, events2, _ := runOn(t, resumed, 600)
+		assertSnapshotsTo(t, resumed, end)
+		if !reflect.DeepEqual(res, res2) || counts != counts2 || !reflect.DeepEqual(events, events2) {
+			t.Fatalf("resumed run ends %+v %v after %d events, the whole run %+v %v after %d", res2, counts2, len(events2), res, counts, len(events))
+		}
+	})
 }

@@ -484,15 +484,15 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 		sn.Queue = slices.Grow(sn.Queue[:0], nd.queue.Len())
 		e.waiting.each(&nd.queue, func(r *queued) {
 			sn.Queue = append(sn.Queue, int64(r.id))
-			if r.built {
-				s.addObject(e.built[r.id])
+			if m := e.object(r.id); m != nil {
+				s.addObject(m)
 				return
 			}
 			s.addMessage(SnapMessage{
-				ID: int64(r.id), Src: int32(nd.id), Dst: int32(r.dst), Length: r.length,
+				ID: int64(r.id), Src: int32(nd.id), Dst: int32(r.dst), Length: e.recordLen(r),
 				GenTime: r.gen, InjectTime: -1, DeliverTime: -1,
 				State: int8(message.StateQueued), Injector: int32(nd.id),
-				Measured: r.measured, Pooled: true,
+				Measured: e.col.InWindow(r.gen), Pooled: true,
 			})
 		})
 		sn.Recovery = sn.Recovery[:0]
@@ -613,6 +613,7 @@ func (e *Engine) reset() {
 	}
 	e.waiting.reset()
 	clear(e.built)
+	clear(e.lengths)
 	e.refillPool()
 	e.loadedUsed = 0
 	e.par.reset()
@@ -808,13 +809,12 @@ func (e *Engine) load(snap *Snapshot) error {
 				return fmt.Errorf("%w: node %d: waiting message %d has %d references, want 1", ErrSnapshotInvalid, i, snap.Messages[j].ID, hits[j])
 			}
 		}
+		// A bare record derives its Measured flag from its generation cycle: a
+		// message whose flag says otherwise waits as an object.
 		for range sn.Queue {
 			j := next()
-			if sm := &snap.Messages[j]; sm.waitingAt(nd.id) {
-				e.waiting.push(&nd.queue, queued{
-					id: message.ID(sm.ID), gen: sm.GenTime, dst: topology.NodeID(sm.Dst),
-					length: sm.Length, measured: sm.Measured,
-				})
+			if sm := &snap.Messages[j]; sm.waitingAt(nd.id) && sm.Measured == e.col.InWindow(sm.GenTime) {
+				e.waiting.push(&nd.queue, e.bareRecord(message.ID(sm.ID), sm.GenTime, topology.NodeID(sm.Dst), sm.Length))
 				continue
 			}
 			e.waiting.push(&nd.queue, e.recordOf(obj(j)))
