@@ -99,6 +99,9 @@ type pending struct {
 // finds them (inOf and the other accessors below Engine).
 type node struct {
 	id topology.NodeID
+	// sfx is 1 + the slot of the node's derived suffix in Engine.suffixes, 0
+	// while it has none (fifo.go).
+	sfx int32
 
 	// busyInj counts the injection channels streaming a message. With the
 	// node's empty word it is the active set: the allocation and switch phases
@@ -109,7 +112,7 @@ type node struct {
 	// ports, then ejection channels): the switch phase visits only those.
 	wantOut uint64
 
-	queue    srcQueue  // source queue: a chain in Engine.waiting
+	queue    srcQueue  // source queue: a chain in Engine.waiting, then a suffix
 	recovery []pending // software-recovery queue (priority)
 	retry    []pending // fault-retry queue (backoff; faults only)
 
@@ -233,11 +236,20 @@ type Engine struct {
 	// the objects of the few waiting messages that already have one, and
 	// lengths those of the bare records whose message is not cfg.MsgLen long
 	// (both by id; see queued). lengths is made on first use: a synthetic
-	// run never files one. A generated message is a record there until an
-	// injection channel admits it.
-	waiting recordArena
-	built   map[message.ID]*message.Message
-	lengths map[message.ID]int32
+	// run never files one. suffixes holds the queues' derived suffixes, which
+	// only a run that replays its sources has (replay: no fault schedule —
+	// a dead router skips polls — and no Sources factory). A generated
+	// message is a record or a derived message there until an injection
+	// channel admits it. walk is eachWaiting's scratch suffix and cursor
+	// CheckInvariants': engine-held, so that replaying on them allocates
+	// nothing.
+	waiting  recordArena
+	suffixes suffixArena
+	replay   bool
+	built    map[message.ID]*message.Message
+	lengths  map[message.ID]int32
+	walk     suffix
+	cursor   traffic.Cursor
 
 	// pool is the free list of recycled messages: a delivered or dropped
 	// pool-born message is reset and reused. A message is an object only from
@@ -383,6 +395,7 @@ func New(cfg Config) (*Engine, error) {
 		numPhys: topo.NumPorts(),
 		nVC:     topo.NumPorts() * cfg.VCs,
 		built:   make(map[message.ID]*message.Message),
+		replay:  cfg.Faults.Empty() && cfg.Sources == nil,
 	}
 	if !cfg.Faults.Empty() {
 		e.live = topology.NewLiveness(topo)
@@ -563,13 +576,18 @@ func (e *Engine) setOf(nd *node, dst topology.NodeID, set *int32) int32 {
 	return *set
 }
 
-// materialise turns the record in slot i, popped from node src's queue, into
-// its message and frees the slot: the object a caller of Inject or an earlier
-// injection attempt already built, or else one from the pool. This is where a
-// generated message becomes an object. Serial contexts only.
-func (e *Engine) materialise(src topology.NodeID, i int32) *message.Message {
-	r := e.waiting.recs[i]
-	e.waiting.release(i)
+// materialise turns r, popped from node src's queue (pop: r.next is its
+// record's slot, -1 for a derived message), into its message and gives back
+// what the pop left: the slot, or the chunks and suffix slot (settle). The
+// message is the object a caller of Inject or an earlier injection attempt
+// already built, or else one from the pool. This is where a generated message
+// becomes an object. Serial contexts only.
+func (e *Engine) materialise(src topology.NodeID, r queued) *message.Message {
+	if r.next >= 0 {
+		e.waiting.release(r.next)
+	} else {
+		e.settle(&e.nodes[src])
+	}
 	if m := e.object(r.id); m != nil {
 		delete(e.built, r.id)
 		return m
@@ -769,7 +787,11 @@ func (e *Engine) Inject(src, dst topology.NodeID, length int) *message.Message {
 	m.Reuse(e.nextID, src, dst, length, e.now)
 	e.nextID++
 	m.Measured = e.col.OnGenerated(e.now, int(src))
-	e.waiting.push(&e.nodes[src].queue, e.recordOf(m))
+	nd := &e.nodes[src]
+	if nd.sfx != 0 {
+		e.spill(nd) // a record goes behind no derived message
+	}
+	e.waiting.push(&nd.queue, e.recordOf(m))
 	e.generated++
 	if e.spans != nil {
 		e.spanGenerate(m.ID, src, dst, length)

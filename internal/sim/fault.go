@@ -138,7 +138,7 @@ func (e *Engine) killOnRouter(n topology.NodeID) {
 
 	// The dead node's own backlog is lost with it.
 	for !nd.queue.Empty() {
-		e.drop(e.materialise(n, nd.queue.pop(e.waiting.recs)), n, message.DropSourceFailed)
+		e.drop(e.materialise(n, e.pop(nd)), n, message.DropSourceFailed)
 	}
 	for _, pr := range nd.recovery {
 		e.drop(pr.msg, n, message.DropSourceFailed)

@@ -105,7 +105,7 @@ func TestFIFOPropertyNeverReorders(t *testing.T) {
 					op, k, k, q.Len(), q.Empty(), model.Len(), model.Empty())
 			}
 			i := 0
-			arena.each(q, func(r *queued) {
+			arena.each(q, q.n, func(r *queued) {
 				if !same(r, model.At(i)) {
 					t.Fatalf("after %s on queue %d: queue %d holds %+v at %d, model has msg %d",
 						op, k, k, *r, i, model.At(i).ID)

@@ -125,6 +125,7 @@ func (e *Engine) held() []heldMsg {
 //  8. Message conservation: the messages the network holds plus the queue
 //     records, recovery and retry entries are the InFlight() the counters
 //     give (generated - delivered - dropped).
+//  9. Derived suffixes (checkSuffixes): each is what its generator drew.
 func (e *Engine) CheckInvariants() error {
 	held := e.held()
 	inPath := make(map[pathLoc]*message.Message)
@@ -152,13 +153,17 @@ func (e *Engine) CheckInvariants() error {
 		}
 	}
 
+	// The suffixes first: the walk below replays them.
+	if err := e.checkSuffixes(); err != nil {
+		return err
+	}
 	built, odd, waiting := 0, 0, 0
 	var wantBuf [128]uint8 // the width limit keeps a node's entries under 64+64
 	want := wantBuf[:e.nVC+e.cfg.EjChannels]
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		waiting += nd.queue.Len() + len(nd.recovery) + len(nd.retry)
-		e.waiting.each(&nd.queue, func(r *queued) {
+		e.eachWaiting(nd, func(r *queued) {
 			if m := e.object(r.id); m != nil {
 				if m.Dst == r.dst && m.GenTime == r.gen {
 					built++
@@ -212,7 +217,7 @@ func (e *Engine) CheckInvariants() error {
 				}
 			}
 		}
-		if q := &nd.queue; q.set != 0 && (q.Empty() || q.set != e.cand.id(nd.id, e.waiting.front(q).dst)) {
+		if q := &nd.queue; q.set != 0 && (q.Empty() || q.set != e.cand.id(nd.id, e.front(nd).dst)) {
 			return fmt.Errorf("node %d: queue of %d caches candidate set %d for its head, the table disagrees", nd.id, q.Len(), q.set)
 		}
 		for c, ic := range e.injOf(nd.id) {
@@ -248,8 +253,8 @@ func (e *Engine) CheckInvariants() error {
 	// published ring batch).
 	for i := range p.shards {
 		sh := &p.shards[i]
-		if len(sh.gen) != 0 {
-			return fmt.Errorf("shard %d: %d uncommitted generation records", i, len(sh.gen))
+		if len(sh.gen) != 0 || len(sh.starts) != 0 {
+			return fmt.Errorf("shard %d: %d uncommitted generation records, %d start positions", i, len(sh.gen), len(sh.starts))
 		}
 		if len(sh.events) != 0 {
 			return fmt.Errorf("shard %d: %d uncommitted deferred events", i, len(sh.events))
@@ -277,6 +282,85 @@ func (e *Engine) CheckInvariants() error {
 	if n := int64(len(held) + waiting); n != e.InFlight() {
 		return fmt.Errorf("%d messages held by the network and %d waiting, but generated-delivered-dropped = %d-%d-%d = %d in flight",
 			len(held), waiting, e.generated, e.delivered, e.dropped, e.InFlight())
+	}
+	return nil
+}
+
+// checkSuffixes validates the derived suffixes of the source queues. A node's
+// suffix holds between one message and its whole queue (one a section
+// emptied is given back at the section's commit), and only a run that
+// replays its sources has one. Replayed from its cursor, it is exactly its
+// messages: one delta each behind the head, ids rising to its last, every one
+// generated before this cycle; and, polled on through the cycle before the
+// generator's next event, the replay lands on the live generator's position —
+// so no message the generator drew is missing from the queue. Slots and
+// chunks no suffix holds are on the free lists: the arena leaks nothing.
+func (e *Engine) checkSuffixes() error {
+	a := &e.suffixes
+	slots, chunks := int32(0), int32(0)
+	for i := range e.nodes {
+		nd := &e.nodes[i]
+		if nd.sfx == 0 {
+			continue
+		}
+		if !e.replay || nd.sfx < 0 || int(nd.sfx) > len(a.slots) {
+			return fmt.Errorf("node %d: derived suffix %d in a run with %d slots (replaying sources: %v)", nd.id, nd.sfx, len(a.slots), e.replay)
+		}
+		s := e.suffixOf(nd)
+		if s.n < 1 || s.n > nd.queue.n {
+			return fmt.Errorf("node %d: a derived suffix of %d messages in a queue of %d", nd.id, s.n, nd.queue.n)
+		}
+		if s.head.gen >= e.now || s.last >= e.nextID || s.head.id > s.last {
+			return fmt.Errorf("node %d: derived head %d generated at %d, last id %d, at cycle %d with next id %d",
+				nd.id, s.head.id, s.head.gen, s.last, e.now, e.nextID)
+		}
+		src := nd.replayer()
+		w := &e.walk
+		*w = *s
+		prev := s.head
+		for k := int32(1); k < s.n; k++ {
+			g, at, ok := src.Replay(&w.cur, e.now-1)
+			if !ok || w.rd == w.wr {
+				return fmt.Errorf("node %d: a derived suffix of %d messages replays %d (generator drew one: %v)", nd.id, s.n, k, ok)
+			}
+			r := queued{id: a.getID(&w.rd, prev.id), gen: at, dst: g.Dst}
+			if r.id <= prev.id || r.gen < prev.gen {
+				return fmt.Errorf("node %d: derived message %d (cycle %d) behind %d (cycle %d)", nd.id, r.id, r.gen, prev.id, prev.gen)
+			}
+			prev = r
+		}
+		if prev.id != s.last || w.rd != s.wr {
+			return fmt.Errorf("node %d: derived suffix ends at id %d, last is %d; deltas read to %d, written to %d",
+				nd.id, prev.id, s.last, w.rd, s.wr)
+		}
+		src.SaveCursor(&e.cursor)
+		if _, at, ok := src.Replay(&w.cur, src.NextAt()-1); ok || w.cur != e.cursor {
+			return fmt.Errorf("node %d: the generator drew a message at cycle %d (%v) behind its derived suffix, or the suffix's stream is not its own", nd.id, at, ok)
+		}
+		slots++
+		if s.hold >= 0 {
+			for c := s.hold; ; c = a.link(c) {
+				if chunks++; chunks > a.chunks {
+					return fmt.Errorf("node %d: derived suffix chains more chunks than the arena has", nd.id)
+				}
+				if c == s.wr/chunkWords {
+					break
+				}
+			}
+		}
+	}
+	for i := a.free; i != 0; i = a.slots[i-1].head.next + 1 {
+		if slots++; int(slots) > len(a.slots) {
+			return fmt.Errorf("derived suffix slots: the free list runs past the %d slots", len(a.slots))
+		}
+	}
+	for c := a.freeCh; c != 0; c = a.link(c-1) + 1 {
+		if chunks++; chunks > a.chunks {
+			return fmt.Errorf("derived suffix chunks: the free list runs past the %d chunks", a.chunks)
+		}
+	}
+	if int(slots) != len(a.slots) || chunks != a.chunks {
+		return fmt.Errorf("derived suffixes hold or free %d of %d slots and %d of %d chunks", slots, len(a.slots), chunks, a.chunks)
 	}
 	return nil
 }

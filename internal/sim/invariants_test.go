@@ -310,14 +310,15 @@ func TestNodeStaysSmall(t *testing.T) {
 	}
 }
 
-// TestQueuedStaysSmall pins the cost of a waiting message. Beyond saturation
-// the backlog is nearly the whole population (98 % of live messages at rate
-// 0.9 under ALO), so this, not the 144-byte message.Message, is the unit the
-// heap grows by. 24 bytes: id, generation cycle, destination and the chain
-// link that lets all queues share one arena — and no pointer, so the
-// collector never scans the backlog. Length, measured flag and built-ness are
-// derived (see queued). A queue itself is its chain's ends and length plus the
-// head's cached candidate-set id: 16 bytes in the node.
+// TestQueuedStaysSmall pins the cost of a waiting message that is a record:
+// what a short queue, a restored backlog or a run that cannot replay its
+// sources holds, and so, not the 144-byte message.Message, the unit such a
+// backlog grows by (beyond saturation a source's backlog is derived instead:
+// TestWaitingBytesPerMessage). 24 bytes: id, generation cycle, destination and
+// the chain link that lets all queues share one arena — and no pointer, so
+// the collector never scans the backlog. Length, measured flag and built-ness
+// are derived (see queued). A queue itself is its chain's ends and length
+// plus the head's cached candidate-set id: 16 bytes in the node.
 func TestQueuedStaysSmall(t *testing.T) {
 	if s := unsafe.Sizeof(queued{}); s > 24 {
 		t.Errorf("a queue record is %d bytes, want <= 24", s)

@@ -108,7 +108,7 @@ func (e *Engine) VerifyInjectionProperty() error {
 		if nd.queue.Empty() || !nd.gated {
 			continue
 		}
-		dst := e.waiting.front(&nd.queue).dst
+		dst := e.front(nd).dst
 		// Ground truth straight from the output-VC ownership state.
 		for p := range useful {
 			useful[p] = nd.rules.AllPorts

@@ -85,25 +85,28 @@ import (
 	"wormnet/internal/traffic"
 )
 
-// genRec is one deferred traffic-generation event: the message's queue record
-// is created (id assignment, collector hook) at commit time, in node order.
+// genRec is one deferred traffic-generation event: the message is queued (id
+// assignment, collector hook) at commit time, in node order. start is 1 + the
+// index in parShard.starts of the stream position the node's generator polled
+// from, on the first message of a poll that may start a derived suffix (0 on
+// every other message): where that suffix begins (commitGenerate).
 type genRec struct {
 	node   topology.NodeID
 	dst    topology.NodeID
 	length int32
+	start  int32
 }
 
 // deferredEvent is one globally-ordered side effect recorded during a
 // section and committed at its commit point. A message the section took off
-// node's source queue is named by its arena slot (m is nil): the commit
-// builds the object.
+// node's source queue is rec, as pop returned it (m is nil): the commit builds
+// the object. Every deferred drop is an unreachable destination's.
 type deferredEvent struct {
-	kind   uint8
-	ch     int8 // evClaim: the injection channel
-	reason message.DropReason
-	node   topology.NodeID
-	slot   int32
-	m      *message.Message
+	kind uint8
+	ch   int8 // evClaim: the injection channel
+	node topology.NodeID
+	rec  queued
+	m    *message.Message
 }
 
 const (
@@ -148,6 +151,7 @@ type parShard struct {
 	localGen uint32 // barriers passed so far
 
 	genScratch   []traffic.Generated
+	starts       []traffic.Cursor // genRec.start
 	gen          []genRec
 	events       []deferredEvent
 	moves        []move
@@ -655,7 +659,7 @@ func (e *Engine) promoteRetriesRange(sh *parShard) {
 				rest = append(rest, pr)
 			case !e.live.RouterAlive(pr.msg.Dst):
 				sh.events = append(sh.events, deferredEvent{
-					kind: evDrop, reason: message.DropUnreachable, node: nd.id, m: pr.msg,
+					kind: evDrop, node: nd.id, m: pr.msg,
 				})
 			default:
 				ready = append(ready, pr.msg)
@@ -683,22 +687,55 @@ func (e *Engine) pollRange(sh *parShard) {
 		if e.live != nil && !e.live.RouterAlive(nd.id) {
 			continue // a dead router generates nothing
 		}
+		start := int32(0)
+		if e.replay && nd.sfx == 0 && nd.queue.n >= deriveAfter-1 {
+			if sh.starts == nil {
+				sh.starts = make([]traffic.Cursor, 0, 16)
+			}
+			sh.starts = append(sh.starts, traffic.Cursor{})
+			start = int32(len(sh.starts))
+			nd.replayer().SaveCursor(&sh.starts[start-1])
+		}
 		sh.genScratch = nd.src.Poll(e.now, sh.genScratch[:0])
 		nd.nextGen = nd.src.NextAt()
+		if start != 0 && len(sh.genScratch) == 0 {
+			sh.starts = sh.starts[:start-1]
+		}
 		for _, g := range sh.genScratch {
-			sh.gen = append(sh.gen, genRec{node: nd.id, dst: g.Dst, length: int32(g.Length)})
+			sh.gen = append(sh.gen, genRec{node: nd.id, dst: g.Dst, length: int32(g.Length), start: start})
+			start = 0
 		}
 	}
 }
 
+// deriveAfter is how many messages must wait at a node before a message its
+// generator draws is derived rather than a record. A suffix's slot is 104
+// bytes and a record 24, and at the knee and below nearly every queue is
+// empty or one or two deep, so a short queue is records and only a backlog
+// derives.
+const deriveAfter = 2
+
 // commitGenerate is the B1 commit: the deferred retry drops and requeues,
-// then the polled messages, queued in node order — as records: a generated
-// message gets its id here and its object when a channel admits it.
+// then the polled messages, queued in node order: a generated message gets its
+// id here and its object when a channel admits it. On a run that replays its
+// sources a message is derived when its node has a suffix, or when
+// deriveAfter messages wait ahead of it and its poll saved a start: then it is
+// the head of a new suffix, started from that position past the poll's
+// messages queued ahead of it. Every other message is a record.
 func (e *Engine) commitGenerate(p *parRuntime) {
 	e.commitEvents(p)
 	for si := range p.shards {
 		sh := &p.shards[si]
-		for _, g := range sh.gen {
+		var start *traffic.Cursor // of the poll being queued, nil if none saved
+		skip := 0                 // its messages queued ahead as records
+		for i := range sh.gen {
+			g := &sh.gen[i]
+			if i == 0 || g.node != sh.gen[i-1].node {
+				start, skip = nil, 0
+				if g.start != 0 {
+					start = &sh.starts[g.start-1]
+				}
+			}
 			id := e.nextID
 			e.nextID++
 			e.generated++
@@ -706,10 +743,20 @@ func (e *Engine) commitGenerate(p *parRuntime) {
 				e.spanGenerate(id, g.node, g.dst, int(g.length))
 			}
 			e.col.OnGenerated(e.now, int(g.node))
-			e.waiting.push(&e.nodes[g.node].queue, e.bareRecord(id, e.now, g.dst, g.length))
+			switch nd := &e.nodes[g.node]; {
+			case nd.sfx != 0:
+				e.suffixes.putID(e.suffixOf(nd), id)
+				nd.queue.n++
+			case start == nil || nd.queue.n < deriveAfter:
+				e.waiting.push(&nd.queue, e.bareRecord(id, e.now, g.dst, g.length))
+				skip++
+			default:
+				e.startSuffix(nd, start, skip, id, g.dst)
+			}
 			e.emitRecord(trace.KindGenerated, id, g.node, g.dst, g.length, g.node)
 		}
 		sh.gen = sh.gen[:0]
+		sh.starts = sh.starts[:0]
 	}
 }
 
@@ -781,14 +828,11 @@ func (e *Engine) injectRange(p *parRuntime, sh *parShard) {
 				for len(nd.recovery) > 0 && nd.recovery[0].readyAt <= e.now &&
 					!e.live.RouterAlive(nd.recovery[0].msg.Dst) {
 					sh.events = append(sh.events, deferredEvent{
-						kind: evDrop, reason: message.DropUnreachable, node: nd.id, m: nd.popRecovery(),
+						kind: evDrop, node: nd.id, m: nd.popRecovery(),
 					})
 				}
-				for !nd.queue.Empty() && !e.live.RouterAlive(e.waiting.front(&nd.queue).dst) {
-					sh.events = append(sh.events, deferredEvent{
-						kind: evDrop, reason: message.DropUnreachable, node: nd.id,
-						slot: nd.queue.pop(e.waiting.recs),
-					})
+				for !nd.queue.Empty() && !e.live.RouterAlive(e.front(nd).dst) {
+					sh.events = append(sh.events, deferredEvent{kind: evDrop, node: nd.id, rec: e.pop(nd)})
 				}
 			}
 		}
@@ -856,7 +900,7 @@ func (e *Engine) injectNode(nd *node, sh *parShard) {
 				// this shard for the whole injection section (the message sits
 				// in an own-node source queue).
 				if e.spans != nil {
-					e.spanDeny(nd, e.waiting.front(&nd.queue).id, ruleA, ruleB)
+					e.spanDeny(nd, e.front(nd).id, ruleA, ruleB)
 				}
 				// The commit reads the trace's fields off the queue: a denied
 				// head is still the front there.
@@ -869,13 +913,12 @@ func (e *Engine) injectNode(nd *node, sh *parShard) {
 		if e.met != nil {
 			e.met.admitted.Inc()
 		}
-		r := e.waiting.front(&nd.queue)
-		n := e.recordLen(r)
-		*ic = injChannel{left: n, len: n, dst: r.dst, set: nd.queue.set} // the pop forgets set
+		set := nd.queue.set // the pop forgets it
+		r := e.pop(nd)
+		n := e.recordLen(&r)
+		*ic = injChannel{left: n, len: n, dst: r.dst, set: set}
 		nd.busyInj++
-		sh.events = append(sh.events, deferredEvent{
-			kind: evClaim, ch: int8(c), node: nd.id, slot: nd.queue.pop(e.waiting.recs),
-		})
+		sh.events = append(sh.events, deferredEvent{kind: evClaim, ch: int8(c), node: nd.id, rec: r})
 	}
 }
 
@@ -890,11 +933,11 @@ func (e *Engine) admits(nd *node) (ok, ruleA, ruleB bool) {
 	q := &nd.queue
 	if nd.gated {
 		if q.set == 0 {
-			q.set = e.cand.id(nd.id, e.waiting.front(q).dst)
+			q.set = e.cand.id(nd.id, e.front(nd).dst)
 		}
 		return e.gateWords(nd, q.set)
 	}
-	dst := e.waiting.front(q).dst
+	dst := e.front(nd).dst
 	ok = nd.limiter.Allow(nd.view, dst)
 	if !ok && nd.limClass != nil && (e.met != nil || e.spans != nil) {
 		ruleA, ruleB = nd.limClass.ClassifyRules(nd.view, dst)
@@ -1161,16 +1204,16 @@ func (e *Engine) commitEvents(p *parRuntime) {
 			switch ev.kind {
 			case evDrop:
 				if ev.m == nil {
-					ev.m = e.materialise(ev.node, ev.slot)
+					ev.m = e.materialise(ev.node, ev.rec)
 				}
-				e.drop(ev.m, ev.node, ev.reason)
+				e.drop(ev.m, ev.node, message.DropUnreachable)
 			case evRequeue:
-				e.waiting.pushFront(&nd.queue, e.recordOf(ev.m))
+				e.waiting.pushFront(&nd.queue, e.recordOf(ev.m)) // fault runs derive nothing
 			case evThrottle:
-				r := e.waiting.front(&nd.queue)
+				r := e.front(nd)
 				e.emitRecord(trace.KindThrottled, r.id, ev.node, r.dst, e.recordLen(r), ev.node)
 			case evClaim:
-				m := e.materialise(ev.node, ev.slot)
+				m := e.materialise(ev.node, ev.rec)
 				m.State = message.StateInjecting
 				e.injOf(ev.node)[ev.ch].msg = m
 				if e.spans != nil {

@@ -58,7 +58,7 @@ func scripted(t *testing.T, script map[topology.NodeID][]traffic.Event, mutate f
 // bareRecords counts the waiting messages that are records only.
 func (e *Engine) bareRecords() (n int) {
 	for i := range e.nodes {
-		e.waiting.each(&e.nodes[i].queue, func(r *queued) {
+		e.eachWaiting(&e.nodes[i], func(r *queued) {
 			if e.object(r.id) == nil {
 				n++
 			}
@@ -218,7 +218,7 @@ func TestRetryKeepsItsHistoryThroughTheQueue(t *testing.T) {
 		stepN(t, e, 1)
 	}
 	stepN(t, e, 5)
-	r := e.waiting.front(&e.nodes[0].queue)
+	r := e.front(&e.nodes[0])
 	if e.object(r.id) != m || r.id != m.ID || r.gen != m.GenTime || e.bareRecords() != 0 {
 		t.Fatalf("the retry waits as %+v, want a record of %v", *r, m)
 	}

@@ -711,7 +711,8 @@ func occupiedVC(s *Snapshot, a, n int) *SnapVC {
 }
 
 // FuzzRestoreInPlace feeds semantically inconsistent snapshots to a reused
-// engine. Every one must come back as ErrSnapshotInvalid — never a panic,
+// engine — one of three, or (which >= backloggedFrom) one restored from a
+// backlog and run on until derived suffixes queued behind it. Every one must come back as ErrSnapshotInvalid — never a panic,
 // never a quietly wrong engine — and must leave nothing behind. A snapshot
 // with a queued message no bare record can stand for (underivableMutations)
 // must restore and snapshot again to its own canonical bytes, or be refused
@@ -720,6 +721,7 @@ func occupiedVC(s *Snapshot, a, n int) *SnapVC {
 // snapshotted into the storage of the iteration before — the hostile snapshot,
 // overlong lists, lying paths and all — and must hash like the good one again.
 func FuzzRestoreInPlace(f *testing.F) {
+	const backloggedFrom = 128
 	type target struct {
 		cfg  Config
 		good *Snapshot
@@ -750,14 +752,50 @@ func FuzzRestoreInPlace(f *testing.F) {
 		t.e = e
 		targets = append(targets, t)
 	}
+	// A restored backlog that the sources' derived suffixes have queued
+	// behind: records ahead of derived messages at most nodes, in the engine
+	// the snapshot comes from and in the one the fuzz restores into.
+	backlogged := &target{cfg: saturatedConfigs()["uniform"], prev: new(Snapshot)}
+	e, err := New(backlogged.cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, at := range []int64{1500, 1700, 2000} {
+		for e.Now() < at {
+			e.Step()
+		}
+		snap, err := e.Snapshot()
+		if err != nil {
+			f.Fatal(err)
+		}
+		switch at {
+		case 1500:
+			err = e.Restore(snap)
+		case 1700:
+			backlogged.good = snap
+			backlogged.hash, err = snap.CanonicalHash()
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+	}
+	backlogged.e = e
 	mutations := append(slices.Clip(hostileMutations), underivableMutations...)
 	for m := range mutations {
 		for v := 0; v < 6; v++ {
 			f.Add(uint8(v), uint8(m), uint16(7*v+m), uint16(v))
 		}
 	}
+	for m := range mutations {
+		for v := 0; v < 2; v++ {
+			f.Add(uint8(backloggedFrom+v), uint8(m), uint16(7*v+m), uint16(v))
+		}
+	}
 	f.Fuzz(func(t *testing.T, which, mutation uint8, a, b uint16) {
 		tg := targets[int(which)%len(targets)]
+		if which >= backloggedFrom {
+			tg = backlogged
+		}
 		bad := gobRoundTrip(t, tg.good)
 		k := int(mutation) % len(mutations)
 		if !mutations[k](bad, int(a), int(b)) {
@@ -1123,15 +1161,15 @@ func TestRestoreKeepsUnderivableQueuedFields(t *testing.T) {
 			}
 			assertSnapshotsTo(t, e, bad)
 			src := topology.NodeID(sm.Src)
-			q := &e.nodes[src].queue
-			if id := e.waiting.front(q).id; int64(id) != sm.ID {
+			nd := &e.nodes[src]
+			if id := e.front(nd).id; int64(id) != sm.ID {
 				t.Fatalf("mutation %d: node %d's queue starts with %d, want %d", k, sm.Src, id, sm.ID)
 			}
 			lengthOnly := k == 1 // the length is filed beside a bare record
 			if bare := e.object(message.ID(sm.ID)) == nil; bare != lengthOnly || (len(e.lengths) == 1) != lengthOnly {
 				t.Errorf("mutation %d: bare=%v with %d lengths filed", k, bare, len(e.lengths))
 			}
-			m := e.materialise(src, q.pop(e.waiting.recs))
+			m := e.materialise(src, e.pop(nd))
 			if int64(m.ID) != sm.ID || int32(m.Dst) != sm.Dst || m.GenTime != sm.GenTime ||
 				int32(m.Length) != sm.Length || m.Measured != sm.Measured || int32(m.Retries) != sm.Retries {
 				t.Errorf("mutation %d: the queue hands out %+v for %+v", k, *m, sm)

@@ -266,9 +266,9 @@ func (d *scalarDriver) gateBoth(sh *parShard) {
 		var dst topology.NodeID
 		switch ev.kind {
 		case evClaim:
-			dst = e.waiting.recs[ev.slot].dst
+			dst = ev.rec.dst
 		case evThrottle:
-			dst = e.waiting.front(&nd.queue).dst
+			dst = e.front(nd).dst
 		default:
 			continue
 		}

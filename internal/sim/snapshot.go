@@ -482,7 +482,7 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 		// A waiting message that is still only a record serializes as exactly
 		// the message it will become.
 		sn.Queue = slices.Grow(sn.Queue[:0], nd.queue.Len())
-		e.waiting.each(&nd.queue, func(r *queued) {
+		e.eachWaiting(nd, func(r *queued) {
 			sn.Queue = append(sn.Queue, int64(r.id))
 			if m := e.object(r.id); m != nil {
 				s.addObject(m)
@@ -605,13 +605,14 @@ func (e *Engine) reset() {
 		nd := &e.nodes[i]
 		nd.fresh, nd.freshInj = 0, 0
 		e.rederive(nd)
-		nd.queue = srcQueue{}
+		nd.queue, nd.sfx = srcQueue{}, 0
 		clear(nd.recovery)
 		nd.recovery = nd.recovery[:0]
 		clear(nd.retry)
 		nd.retry = nd.retry[:0]
 	}
 	e.waiting.reset()
+	e.suffixes.reset()
 	clear(e.built)
 	clear(e.lengths)
 	e.refillPool()

@@ -45,5 +45,5 @@ func (v channelView) HeadWait() int64 {
 	if v.nd.queue.Empty() {
 		return 0
 	}
-	return v.e.now - v.e.waiting.front(&v.nd.queue).gen
+	return v.e.now - v.e.front(v.nd).gen
 }

@@ -156,7 +156,17 @@ func (s *BurstySource) On() bool { return s.on }
 
 // Poll implements Generator.
 func (s *BurstySource) Poll(now int64, dst []Generated) []Generated {
-	t := float64(now)
+	for {
+		g, ok := s.step(float64(now))
+		if !ok {
+			return dst
+		}
+		dst = append(dst, g)
+	}
+}
+
+// step implements stepper.
+func (s *BurstySource) step(t float64) (Generated, bool) {
 	for {
 		// Advance through phase boundaries that occurred before t.
 		if s.phaseEnds <= t {
@@ -170,7 +180,7 @@ func (s *BurstySource) Poll(now int64, dst []Generated) []Generated {
 			continue
 		}
 		if !s.on || s.next > t {
-			return dst
+			return Generated{}, false
 		}
 		if s.next >= s.phaseEnds {
 			// The next event falls past this ON period: skip to the
@@ -179,10 +189,10 @@ func (s *BurstySource) Poll(now int64, dst []Generated) []Generated {
 			continue
 		}
 		d := s.pattern.Destination(s.node, &s.rng)
-		if d != s.node {
-			dst = append(dst, Generated{Dst: d, Length: s.msgLen})
-		}
 		s.next += s.rng.ExpFloat64() * s.peakGap
+		if d != s.node {
+			return Generated{Dst: d, Length: s.msgLen}, true
+		}
 	}
 }
 

@@ -80,7 +80,18 @@ func (s *RogueSource) storming(cycle int64) bool {
 // event's own nominal cycle (the ceiling of its arrival time), not the poll
 // cycle, so the sequence is independent of how generation polls batch up.
 func (s *RogueSource) Poll(now int64, dst []Generated) []Generated {
-	for s.next <= float64(now) {
+	for {
+		g, ok := s.step(float64(now))
+		if !ok {
+			return dst
+		}
+		dst = append(dst, g)
+	}
+}
+
+// step implements stepper.
+func (s *RogueSource) step(t float64) (Generated, bool) {
+	for s.next <= t {
 		cycle := int64(math.Ceil(s.next))
 		var d topology.NodeID
 		if s.storming(cycle) && s.node != s.hot {
@@ -88,12 +99,12 @@ func (s *RogueSource) Poll(now int64, dst []Generated) []Generated {
 		} else {
 			d = s.uniform.Destination(s.node, s.rng)
 		}
-		if d != s.node {
-			dst = append(dst, Generated{Dst: d, Length: s.msgLen})
-		}
 		s.next += s.rng.ExpFloat64() * s.meanGap
+		if d != s.node {
+			return Generated{Dst: d, Length: s.msgLen}, true
+		}
 	}
-	return dst
+	return Generated{}, false
 }
 
 // NextAt implements Generator.

@@ -71,14 +71,25 @@ type Generated struct {
 // and returns the extended slice. Self-addressed messages (permutation fixed
 // points) are suppressed, as they never enter the network.
 func (s *Source) Poll(now int64, dst []Generated) []Generated {
-	for s.next <= float64(now) {
-		d := s.pattern.Destination(s.node, &s.rng)
-		if d != s.node {
-			dst = append(dst, Generated{Dst: d, Length: s.msgLen})
+	for {
+		g, ok := s.step(float64(now))
+		if !ok {
+			return dst
 		}
-		s.next += s.expGap()
+		dst = append(dst, g)
 	}
-	return dst
+}
+
+// step implements stepper.
+func (s *Source) step(t float64) (Generated, bool) {
+	for s.next <= t {
+		d := s.pattern.Destination(s.node, &s.rng)
+		s.next += s.expGap()
+		if d != s.node {
+			return Generated{Dst: d, Length: s.msgLen}, true
+		}
+	}
+	return Generated{}, false
 }
 
 // NextAt implements Generator: the first cycle now satisfying
