@@ -4,7 +4,7 @@ import "testing"
 
 func TestMultipleRecoveries(t *testing.T) {
 	m := New(1, 0, 9, 8, 5)
-	for i := 1; i <= 3; i++ {
+	for i := int32(1); i <= 3; i++ {
 		m.State = StateInNetwork
 		m.FlitsSent = i
 		m.ResetForReinjection(2)
@@ -17,24 +17,23 @@ func TestMultipleRecoveries(t *testing.T) {
 	}
 }
 
-// TestReuseKeepsPathAndPoolMark checks that a recycled message comes back as
-// New would build it, with its Path array (emptied) and Pooled mark kept, and
-// that Reuse refuses a length below one flit as New does.
-func TestReuseKeepsPathAndPoolMark(t *testing.T) {
+// TestReuseKeepsPoolMarkClearsTail checks that a recycled message comes back
+// as New would build it — holding no buffer, its Tail NoLoc — with only its
+// Pooled mark kept, and that Reuse refuses a length below one flit as New
+// does.
+func TestReuseKeepsPoolMarkClearsTail(t *testing.T) {
 	m := New(1, 0, 9, 8, 5)
-	m.Pooled = true
-	m.Path = append(make([]PathLoc, 0, 4), PathLoc{Node: 3})
-	m.State, m.Recoveries, m.Retries, m.FlitsSent, m.DropReason = StateDelivered, 2, 1, 8, DropUnreachable
-	path := &m.Path[:1][0]
-	m.Reuse(7, 2, 4, 16, 30)
-	want := New(7, 2, 4, 16, 30)
-	if m.ID != want.ID || m.Src != want.Src || m.Dst != want.Dst || m.Length != want.Length ||
-		m.GenTime != want.GenTime || m.InjectTime != -1 || m.DeliverTime != -1 || m.Injector != 2 ||
-		m.State != StateQueued || m.Recoveries != 0 || m.Retries != 0 || m.FlitsSent != 0 || m.DropReason != DropNone {
-		t.Fatalf("reused message %+v, want a fresh %+v", m, want)
+	if m.Tail != NoLoc {
+		t.Fatalf("new message has Tail %+v, want NoLoc", m.Tail)
 	}
-	if !m.Pooled || len(m.Path) != 0 || cap(m.Path) != 4 || &m.Path[:1][0] != path {
-		t.Fatalf("Reuse dropped the pool mark or the path array: pooled %v, path len %d cap %d", m.Pooled, len(m.Path), cap(m.Path))
+	m.Pooled = true
+	m.Tail = PathLoc{Node: 3, Port: 1, VC: 1}
+	m.State, m.Recoveries, m.Retries, m.FlitsSent, m.DropReason = StateDelivered, 2, 1, 8, DropUnreachable
+	m.Reuse(7, 2, 4, 16, 30)
+	want := *New(7, 2, 4, 16, 30)
+	want.Pooled = true
+	if *m != want {
+		t.Fatalf("reused message %+v, want a fresh %+v", *m, want)
 	}
 	defer func() {
 		if recover() == nil {

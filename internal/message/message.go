@@ -52,18 +52,23 @@ func (s State) String() string {
 // Message is a multi-flit wormhole message.
 //
 // All time fields are in simulation cycles. A Message is owned by a single
-// simulation engine and is not safe for concurrent mutation.
+// simulation engine and is not safe for concurrent mutation. Fields are laid
+// out widest first, so that a message is 96 bytes: the engine's pool holds
+// one per message in the network.
 type Message struct {
-	ID     ID
-	Src    topology.NodeID
-	Dst    topology.NodeID
-	Length int // flits, including head and tail
+	ID ID
 
 	GenTime     int64 // cycle the source generated the message
 	InjectTime  int64 // cycle the head flit entered the network (-1 until then)
 	DeliverTime int64 // cycle the tail flit was ejected (-1 until then)
 
-	State State
+	// DropReason is set when the fault machinery permanently drops the
+	// message (State == StateDropped); empty otherwise.
+	DropReason DropReason
+
+	Src    topology.NodeID
+	Dst    topology.NodeID
+	Length int32 // flits, including head and tail
 
 	// Injector is the node currently responsible for injecting the message:
 	// the original source, or — after a deadlock recovery — the node that
@@ -71,21 +76,27 @@ type Message struct {
 	Injector topology.NodeID
 
 	// FlitsSent counts flits that have left the injection channel.
-	FlitsSent int
+	FlitsSent int32
 	// FlitsEjected counts flits consumed by the destination.
-	FlitsEjected int
+	FlitsEjected int32
 
 	// Recoveries counts how many times the message was presumed deadlocked
 	// and re-injected by the software recovery mechanism.
-	Recoveries int
+	Recoveries int32
 
 	// Retries counts how many times a fault killed the message and the
 	// source re-enqueued it (capped exponential backoff between attempts).
-	Retries int
+	Retries int32
 
-	// DropReason is set when the fault machinery permanently drops the
-	// message (State == StateDropped); empty otherwise.
-	DropReason DropReason
+	// Tail is the oldest input virtual-channel buffer the message holds or
+	// has claimed — the one its tail flit is in or will enter next — or
+	// NoLoc while it holds none. The rest of its path is not stored: each
+	// buffer's forwarding decision names the next one, so the engine walks
+	// the routes the message claimed from here (deadlock recovery and fault
+	// teardown do).
+	Tail PathLoc
+
+	State State
 
 	// Measured marks messages generated inside the measurement window;
 	// only these contribute to latency statistics.
@@ -96,12 +107,6 @@ type Message struct {
 	// permanent drop. Callers outside the engine must not retain pointers
 	// to pooled messages past those events.
 	Pooled bool
-
-	// Path tracks the input virtual-channel buffers currently holding (or
-	// allocated to receive) this message's flits, in path order, oldest
-	// first. The engine maintains it for deadlock recovery and fault
-	// teardown; the backing array is reused across pool recycles.
-	Path []PathLoc
 }
 
 // PathLoc identifies one input virtual-channel buffer on a message's path:
@@ -112,27 +117,19 @@ type PathLoc struct {
 	VC   int8
 }
 
+// NoLoc is the Tail of a message that holds no input virtual channel.
+var NoLoc = PathLoc{Node: -1}
+
 // New returns a freshly generated message in StateQueued.
 func New(id ID, src, dst topology.NodeID, length int, now int64) *Message {
-	if length < 1 {
-		panic(fmt.Sprintf("message: length %d < 1", length))
-	}
-	return &Message{
-		ID:          id,
-		Src:         src,
-		Dst:         dst,
-		Length:      length,
-		GenTime:     now,
-		InjectTime:  -1,
-		DeliverTime: -1,
-		Injector:    src,
-		State:       StateQueued,
-	}
+	m := new(Message)
+	m.Reuse(id, src, dst, length, now)
+	return m
 }
 
 // Reuse re-initialises a recycled message in place, as if freshly built by
-// New, preserving the Path backing array (and the Pooled mark) so that
-// steady-state simulation does not allocate.
+// New, keeping only its Pooled mark, so that steady-state simulation does not
+// allocate.
 func (m *Message) Reuse(id ID, src, dst topology.NodeID, length int, now int64) {
 	if length < 1 {
 		panic(fmt.Sprintf("message: length %d < 1", length))
@@ -141,14 +138,14 @@ func (m *Message) Reuse(id ID, src, dst topology.NodeID, length int, now int64) 
 		ID:          id,
 		Src:         src,
 		Dst:         dst,
-		Length:      length,
+		Length:      int32(length),
 		GenTime:     now,
 		InjectTime:  -1,
 		DeliverTime: -1,
 		Injector:    src,
 		State:       StateQueued,
+		Tail:        NoLoc,
 		Pooled:      m.Pooled,
-		Path:        m.Path[:0],
 	}
 }
 
@@ -227,7 +224,7 @@ func MakeFlit(m *Message, seq int) Flit {
 		Msg:  m,
 		Seq:  int32(seq),
 		Head: seq == 0,
-		Tail: seq == m.Length-1,
+		Tail: seq == int(m.Length)-1,
 	}
 }
 

@@ -208,11 +208,11 @@ func TestBufferMatchesModel(t *testing.T) {
 		for step := 0; step < 4000; step++ {
 			switch op := rng.Intn(10); {
 			case op < 4: // the upstream sends the next flit, credit allowing
-				if seq == m.Length && b.Empty() {
+				if seq == int(m.Length) && b.Empty() {
 					nextID++
 					m, seq = msg(nextID, 1+rng.Intn(12)), 0
 				}
-				if seq < m.Length && !b.Full() {
+				if seq < int(m.Length) && !b.Full() {
 					f := message.MakeFlit(m, seq)
 					seq++
 					b.Push(f)
@@ -232,7 +232,7 @@ func TestBufferMatchesModel(t *testing.T) {
 				if got, want := b.RemoveMessage(m.ID), ref.RemoveMessage(m.ID); got != want {
 					t.Fatalf("cap %d step %d: RemoveMessage %d, ring says %d", capacity, step, got, want)
 				}
-				seq = m.Length
+				seq = int(m.Length)
 			}
 			if b.Len() != ref.Len() || int(b.cap) != ref.Cap() || b.Empty() != ref.Empty() || b.Full() != ref.Full() {
 				t.Fatalf("cap %d step %d: Len/Cap/Empty/Full %d/%d/%v/%v, ring says %d/%d/%v/%v", capacity, step,

@@ -98,6 +98,10 @@ func (e *Engine) allocRange(lo, hi int) {
 				switch {
 				case ok:
 					ic.route = route
+					if !route.eject {
+						// The message's first input VC: its path starts here.
+						ic.msg.Tail = e.landing(nd.id, route.outPort, route.outVC)
+					}
 					e.setWant(nd, e.injIndex(c), route)
 					nd.freshInj |= 1 << uint(c)
 					if e.spans != nil {
@@ -269,9 +273,6 @@ func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID, set
 	out := e.inVCIndex(bestPort, bestVC)
 	e.outVCs[int(nd.id)*e.nVC+out].Allocate(m)
 	nd.free, w.avail = nd.free&^(1<<uint(out)), w.avail&^(1<<uint(out))
-	m.Path = append(m.Path, pathLoc{
-		Node: e.nbr[int(nd.id)*e.numPhys+int(bestPort)], Port: topology.Opposite(bestPort), VC: bestVC,
-	})
 	return routeInfo{valid: true, outPort: bestPort, outVC: bestVC, epoch: uint16(e.epoch)}, true, true, false
 }
 
@@ -346,16 +347,4 @@ func (e *Engine) switchRange(lo, hi int, moves []move) []move {
 		}
 	}
 	return moves
-}
-
-// removePathLoc drops one location from a message's tracked path. The tail
-// leaves buffers in path order, so the match is normally the front entry;
-// the scan is defensive.
-func (e *Engine) removePathLoc(m *message.Message, loc pathLoc) {
-	for i, l := range m.Path {
-		if l == loc {
-			m.Path = append(m.Path[:i], m.Path[i+1:]...)
-			return
-		}
-	}
 }

@@ -183,8 +183,9 @@ type move struct {
 }
 
 // pathLoc identifies a buffer holding flits of an in-flight message: the
-// input virtual channel (port, vc) of a node. Paths live on the messages
-// themselves (message.Message.Path) so that path tracking needs no map.
+// input virtual channel (port, vc) of a node. A message stores only the
+// oldest one it holds (message.Message.Tail); the route on each names the
+// next (nextLoc), so a path is walked, never stored.
 type pathLoc = message.PathLoc
 
 // Engine is a single simulation run. It is not safe for concurrent use;
@@ -557,6 +558,26 @@ func (e *Engine) downstream(id topology.NodeID, p topology.Port, v int) int {
 	return int(e.nbr[int(id)*e.numPhys+int(p)])*e.nVC + int(topology.Opposite(p))*e.cfg.VCs + v
 }
 
+// nextLoc returns the input virtual channel the route at loc claimed, the
+// next location on the path of the message that holds loc, and false when
+// there is none: no route, or one to an ejection channel. The route belongs
+// to that message, because a virtual channel is allocated only while its
+// buffer is empty and then holds one message's run until the tail leaves,
+// which clears the route.
+func (e *Engine) nextLoc(loc pathLoc) (pathLoc, bool) {
+	r := e.routes[int(loc.Node)*e.nVC+e.inVCIndex(loc.Port, loc.VC)]
+	if !r.valid || r.eject {
+		return pathLoc{}, false
+	}
+	return e.landing(loc.Node, r.outPort, r.outVC), true
+}
+
+// landing is downstream as a location: the buffer a flit node id sends on
+// output VC (p, v) lands in.
+func (e *Engine) landing(id topology.NodeID, p topology.Port, v int8) pathLoc {
+	return pathLoc{Node: e.nbr[int(id)*e.numPhys+int(p)], Port: topology.Opposite(p), VC: v}
+}
+
 // splitSeed derives a per-node stream seed from the run seed
 // (SplitMix64-style mixing).
 func splitSeed(seed, node uint64) uint64 {
@@ -657,18 +678,13 @@ func (e *Engine) refillPool() {
 	}
 }
 
-// newSlab refills the empty pool with one array of messages and one of path
-// locations, each Path cut to hold the longest minimal route (an input VC per
-// hop, the next claimed before the oldest is left) and capped there: a longer
-// one reallocates on its own, never into its neighbour. The slab is sized from
-// the network, so a four-node model does not own 64 messages it cannot use.
+// newSlab refills the empty pool with one array of messages. The slab is sized
+// from the network, so a four-node model does not own 64 messages it cannot
+// use.
 func (e *Engine) newSlab() {
-	pathCap := e.cfg.N*(e.cfg.K/2) + 1
 	msgs := make([]message.Message, min(64, len(e.nodes)))
-	locs := make([]pathLoc, len(msgs)*pathCap)
 	for i := range msgs {
 		msgs[i].Pooled = true
-		msgs[i].Path = cut(locs, i, pathCap)[:0]
 		e.pool = append(e.pool, &msgs[i])
 	}
 	if e.slabs == nil {

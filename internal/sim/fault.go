@@ -20,12 +20,13 @@ import (
 // non-nil); a fault-free engine never reaches this code.
 //
 // Kill sets are collected from router state rather than a global message
-// index: a message's tracked path lives on the message itself
-// (message.Message.Path). A link fault reads the dead link's channels; a router
-// fault takes the dead node's injection channels and filters the messages the
-// network holds (Engine.held, the walk the invariant checker, the wait graph
-// and the snapshot share). processKills sorts by ID and deduplicates the
-// union, so the collection order never leaks into simulation state.
+// index: a message's path starts at its Tail (message.Message.Tail) and
+// follows the routes it claimed (nextLoc). A link fault reads the dead link's
+// channels; a router fault takes the dead node's injection channels and
+// filters the messages the network holds (Engine.held, the walk the invariant
+// checker, the wait graph and the snapshot share). processKills sorts by ID
+// and deduplicates the union, so the collection order never leaks into
+// simulation state.
 
 // applyDueFaults executes the scheduled fault events that have come due.
 // Each state-changing event bumps the routing epoch; when the batch changed
@@ -97,11 +98,11 @@ func (e *Engine) emitFault(kind trace.Kind, node topology.NodeID) {
 // now-dead channel (node, port). A wormhole that loses any link of its path
 // is severed: the whole message is torn down and handed back to its source.
 //
-// A message holds the link exactly while its path tracks the downstream
+// A message holds the link exactly while its path contains the downstream
 // input buffer, and for that whole window it either still owns the upstream
-// output virtual channel or still has flits in the buffer (the entry is
-// removed the moment the tail pops). Scanning the link's virtual channels
-// therefore finds exactly the messages the old global path index would.
+// output virtual channel or still has flits in the buffer (its Tail moves
+// past the buffer the moment the tail pops). Scanning the link's virtual
+// channels therefore finds exactly the messages whose paths cross it.
 func (e *Engine) killOnLink(n topology.NodeID, p topology.Port) {
 	kills := e.killScratch[:0]
 	for v := 0; v < e.cfg.VCs; v++ {
@@ -128,9 +129,8 @@ func (e *Engine) killOnRouter(n topology.NodeID) {
 			kills = append(kills, m)
 		}
 	}
-	touches := func(loc pathLoc) bool { return loc.Node == n || e.topo.Neighbor(loc.Node, loc.Port) == n }
 	for _, h := range e.held() {
-		if h.m.Dst == n || slices.ContainsFunc(h.m.Path, touches) {
+		if h.m.Dst == n || e.pathTouches(h.m, n) {
 			kills = append(kills, h.m)
 		}
 	}
@@ -150,6 +150,17 @@ func (e *Engine) killOnRouter(n topology.NodeID) {
 	}
 	clear(nd.retry)
 	nd.retry = nd.retry[:0]
+}
+
+// pathTouches reports whether a buffer on m's path, or the channel feeding
+// one, is on router n.
+func (e *Engine) pathTouches(m *message.Message, n topology.NodeID) bool {
+	for loc, more := m.Tail, m.Tail != message.NoLoc; more; loc, more = e.nextLoc(loc) {
+		if loc.Node == n || e.topo.Neighbor(loc.Node, loc.Port) == n {
+			return true
+		}
+	}
+	return false
 }
 
 // processKills deduplicates the collected messages, orders them by ID
@@ -175,7 +186,7 @@ func (e *Engine) kill(m *message.Message, at topology.NodeID) {
 		e.drop(m, at, message.DropUnreachable)
 	case !e.live.RouterAlive(m.Src):
 		e.drop(m, at, message.DropSourceFailed)
-	case e.cfg.Retry.Exhausted(m.Retries):
+	case e.cfg.Retry.Exhausted(int(m.Retries)):
 		e.drop(m, at, message.DropRetriesExhausted)
 	default:
 		e.scheduleRetry(m)
@@ -189,7 +200,7 @@ func (e *Engine) scheduleRetry(m *message.Message) {
 	if e.spans != nil {
 		e.spanTeardown(m)
 	}
-	delay := e.cfg.Retry.Delay(m.Retries - 1)
+	delay := e.cfg.Retry.Delay(int(m.Retries) - 1)
 	src := &e.nodes[m.Src]
 	src.retry = append(src.retry, pending{msg: m, readyAt: e.now + delay})
 	e.retried++

@@ -12,13 +12,15 @@ import (
 
 // heldMsg is one message the network holds, with what its references say:
 // where its header flit sits (head.nd nil when no buffer or injection channel
-// has it), how many of its flits the input buffers hold, and the flit
-// accounting its channels defer until the tail passes — flits its injection
-// channel streamed in, flits its ejection channels consumed.
+// has it), how many of its flits the input buffers hold, how many input
+// virtual channels name it (hold its flits or are fed by an output VC it
+// owns: its path's length), and the flit accounting its channels defer until
+// the tail passes — flits its injection channel streamed in, flits its
+// ejection channels consumed.
 type heldMsg struct {
-	m                       *message.Message
-	head                    headerSite
-	buffered, sent, ejected int32
+	m                            *message.Message
+	head                         headerSite
+	buffered, vcs, sent, ejected int32
 }
 
 // headerSite is where a message's header flit sits.
@@ -43,7 +45,7 @@ func (e *Engine) held() []heldMsg {
 		for a := range in {
 			b := &in[a].buf
 			if m := b.FrontMessage(); m != nil {
-				h := heldMsg{m: m, buffered: int32(b.Len())}
+				h := heldMsg{m: m, buffered: int32(b.Len()), vcs: 1}
 				if b.Front().Head { // a buffer holds one run: only its front can be the head
 					h.head = headerSite{nd: nd, agent: int32(a)}
 				}
@@ -54,7 +56,7 @@ func (e *Engine) held() []heldMsg {
 			// An owner whose flits fill the buffer downstream has its entry there.
 			if m := outVCs[a].Owner(); m != nil &&
 				e.in[e.downstream(nd.id, topology.Port(a/e.cfg.VCs), a%e.cfg.VCs)].buf.FrontMessage() != m {
-				hs = append(hs, heldMsg{m: m})
+				hs = append(hs, heldMsg{m: m, vcs: 1})
 			}
 		}
 		for c, ic := range e.injOf(nd.id) {
@@ -87,6 +89,7 @@ func (e *Engine) held() []heldMsg {
 			p.head = h.head
 		}
 		p.buffered += h.buffered
+		p.vcs += h.vcs
 		p.sent += h.sent
 		p.ejected += h.ejected
 	}
@@ -105,9 +108,11 @@ func (e *Engine) held() []heldMsg {
 //     destination of the message whose run of flits it holds (router.Buffer
 //     holds nothing but one message's run: Push refuses anything else, and
 //     load a flit list that is not one).
-//  3. Path tracking: every buffer holding flits of a message appears in the
-//     message's tracked path (message.Message.Path), and path entries never
-//     point at buffers holding another message's flits.
+//  3. Paths (checkPath): walked from a message's Tail along the routes it
+//     claimed, a held message's path is loop-free, never enters another
+//     message's virtual channel, and covers every buffer holding its flits
+//     and every input VC an output VC it owns feeds; a waiting message holds
+//     none (its Tail is NoLoc).
 //  4. Allocation consistency: every valid forward route points at an output
 //     virtual channel owned by the routed message.
 //  5. Liveness: every message the network holds (held) is in flight —
@@ -128,7 +133,6 @@ func (e *Engine) held() []heldMsg {
 //  9. Derived suffixes (checkSuffixes): each is what its generator drew.
 func (e *Engine) CheckInvariants() error {
 	held := e.held()
-	inPath := make(map[pathLoc]*message.Message)
 	for i, h := range held {
 		m := h.m
 		if i > 0 && held[i-1].m.ID == m.ID {
@@ -137,17 +141,11 @@ func (e *Engine) CheckInvariants() error {
 		if m.State == message.StateDelivered || m.State == message.StateDropped {
 			return fmt.Errorf("%s msg %d still holds a buffer, an output VC, or an injection or ejection channel", m.State, m.ID)
 		}
-		for _, loc := range m.Path {
-			if prev, dup := inPath[loc]; dup {
-				return fmt.Errorf("path loc %+v tracked for both msg %d and msg %d", loc, prev.ID, m.ID)
-			}
-			inPath[loc] = m
-		}
 		// The channels hold the deferred flit accounting: flits already
 		// streamed in (or consumed) but not yet folded into the message's
 		// own counters, which happens only when the tail passes.
-		sent, ejected := m.FlitsSent+int(h.sent), m.FlitsEjected+int(h.ejected)
-		if want := sent - ejected; h.buffered != 0 && int(h.buffered) != want {
+		sent, ejected := m.FlitsSent+h.sent, m.FlitsEjected+h.ejected
+		if want := sent - ejected; h.buffered != 0 && h.buffered != want {
 			return fmt.Errorf("msg %d: %d flits buffered, want sent-ejected=%d-%d=%d",
 				m.ID, h.buffered, sent, ejected, want)
 		}
@@ -160,6 +158,7 @@ func (e *Engine) CheckInvariants() error {
 	built, odd, waiting := 0, 0, 0
 	var wantBuf [128]uint8 // the width limit keeps a node's entries under 64+64
 	want := wantBuf[:e.nVC+e.cfg.EjChannels]
+	var holding *message.Message // a waiting message with a Tail
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		waiting += nd.queue.Len() + len(nd.recovery) + len(nd.retry)
@@ -168,10 +167,23 @@ func (e *Engine) CheckInvariants() error {
 				if m.Dst == r.dst && m.GenTime == r.gen {
 					built++
 				}
+				if m.Tail != message.NoLoc {
+					holding = m
+				}
 			} else if l, ok := e.lengths[r.id]; ok && l != int32(e.cfg.MsgLen) {
 				odd++
 			}
 		})
+		for _, q := range [...][]pending{nd.recovery, nd.retry} {
+			for _, pr := range q {
+				if pr.msg.Tail != message.NoLoc {
+					holding = pr.msg
+				}
+			}
+		}
+		if holding != nil {
+			return fmt.Errorf("node %d: waiting msg %d has a path, its Tail at %+v", nd.id, holding.ID, holding.Tail)
+		}
 		d, ok := e.derive(nd, want)
 		for _, w := range [...]struct {
 			name      string
@@ -192,7 +204,6 @@ func (e *Engine) CheckInvariants() error {
 			ivc := &in[a]
 			p := a / e.cfg.VCs
 			v := a % e.cfg.VCs
-			loc := pathLoc{Node: nd.id, Port: topology.Port(p), VC: int8(v)}
 			if ivc.set != 0 && ivc.set != e.cand.id(nd.id, ivc.dst) {
 				return fmt.Errorf("node %d in[%d][%d]: cached candidate set %d for dst %d, table says %d",
 					nd.id, p, v, ivc.set, ivc.dst, e.cand.id(nd.id, ivc.dst))
@@ -202,10 +213,6 @@ func (e *Engine) CheckInvariants() error {
 				if ivc.dst != owner.Dst {
 					return fmt.Errorf("node %d in[%d][%d]: dst cache holds node %d but flits belong to msg %d bound for %d",
 						nd.id, p, v, ivc.dst, owner.ID, owner.Dst)
-				}
-				if inPath[loc] != owner {
-					return fmt.Errorf("node %d in[%d][%d]: holds msg %d flits but path tracks %v",
-						nd.id, p, v, owner.ID, inPath[loc])
 				}
 			}
 			// A valid forward route must point at a VC owned by the
@@ -243,6 +250,11 @@ func (e *Engine) CheckInvariants() error {
 	if built != len(e.built) || odd != len(e.lengths) {
 		return fmt.Errorf("%d objects and %d lengths filed for waiting messages, %d and %d queue records stand for one",
 			len(e.built), len(e.lengths), built, odd)
+	}
+	for i := range held {
+		if err := e.checkPath(&held[i]); err != nil {
+			return err
+		}
 	}
 	p := e.par
 	// Between cycles every deferral buffer of the schedule must be drained:
@@ -282,6 +294,41 @@ func (e *Engine) CheckInvariants() error {
 	if n := int64(len(held) + waiting); n != e.InFlight() {
 		return fmt.Errorf("%d messages held by the network and %d waiting, but generated-delivered-dropped = %d-%d-%d = %d in flight",
 			len(held), waiting, e.generated, e.delivered, e.dropped, e.InFlight())
+	}
+	return nil
+}
+
+// checkPath walks the path of the held message h.m from its Tail along the
+// routes it claimed (nextLoc). Each buffer on it must name the message: hold
+// its flits or — as every one past the first must — be fed by an output VC it
+// owns; and no other message may have flits there or own that output VC. The
+// path then covers the h.vcs input VCs that name the message exactly when it
+// ends after h.vcs of them, which also bounds the walk: a longer one loops.
+func (e *Engine) checkPath(h *heldMsg) error {
+	m := h.m
+	if m.Tail != message.NoLoc && !e.locInRange(m.Tail) {
+		return fmt.Errorf("msg %d: Tail %+v names no input virtual channel", m.ID, m.Tail)
+	}
+	n := int32(0)
+	for loc, more := m.Tail, m.Tail != message.NoLoc; more; loc, more = e.nextLoc(loc) {
+		a := e.inVCIndex(loc.Port, loc.VC)
+		held := e.inOf(loc.Node)[a].buf.FrontMessage()
+		up := e.topo.Neighbor(loc.Node, loc.Port)
+		fed := e.outVCsOf(up)[e.inVCIndex(topology.Opposite(loc.Port), loc.VC)].Owner()
+		if (held != nil && held != m) || (fed != nil && fed != m) {
+			return fmt.Errorf("msg %d: path entry %d, node %d in[%d][%d], belongs to another message (flits of %v, fed by %v)",
+				m.ID, n, loc.Node, loc.Port, loc.VC, held, fed)
+		}
+		if fed != m && (n > 0 || held != m) {
+			return fmt.Errorf("msg %d: path entry %d, node %d in[%d][%d], neither holds its flits nor is fed by a channel it owns",
+				m.ID, n, loc.Node, loc.Port, loc.VC)
+		}
+		if n++; n > h.vcs {
+			return fmt.Errorf("msg %d: path loops (more than the %d input VCs that name it)", m.ID, h.vcs)
+		}
+	}
+	if n != h.vcs {
+		return fmt.Errorf("msg %d: path covers %d of the %d input VCs that name it", m.ID, n, h.vcs)
 	}
 	return nil
 }

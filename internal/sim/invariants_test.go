@@ -89,7 +89,7 @@ func TestInvariantCatchesFlitCountMismatch(t *testing.T) {
 	e := idle(t, nil)
 	m := message.New(1, 0, 5, 4, 0)
 	m.FlitsSent = 3 // three sent, only one buffered
-	m.Path = []pathLoc{{Node: 3, Port: 0, VC: 0}}
+	m.Tail = pathLoc{Node: 3, Port: 0, VC: 0}
 	e.inOf(3)[0].buf.Push(message.MakeFlit(m, 0))
 	e.inOf(3)[0].dst = m.Dst
 	e.empty[3] &^= 1
@@ -164,16 +164,18 @@ func TestInvariantCatchesDuplicatePathEntry(t *testing.T) {
 	e := idle(t, nil)
 	m1 := message.New(1, 0, 5, 4, 0)
 	m2 := message.New(2, 0, 5, 4, 0)
-	loc := pathLoc{Node: 3, Port: 0, VC: 0}
-	m1.Path = []pathLoc{loc}
-	m2.Path = []pathLoc{loc}
 	// Both messages must be discoverable from network state: give each an
-	// output virtual-channel allocation.
+	// output virtual-channel allocation, and m2 the path of m1's.
 	e.outVCsOf(0)[0].Allocate(m1)
 	e.outVCsOf(0)[1].Allocate(m2)
 	e.nodes[0].free &^= 3
+	m1.Tail = e.landing(0, 0, 0)
+	if err := e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "msg 2: path covers 0 of the 1") {
+		t.Fatalf("an output VC off its owner's path not caught: %v", err)
+	}
+	m2.Tail = m1.Tail
 	err := e.CheckInvariants()
-	if err == nil || !strings.Contains(err.Error(), "both") {
+	if err == nil || !strings.Contains(err.Error(), "msg 2: path entry 0") || !strings.Contains(err.Error(), "another message") {
 		t.Fatalf("duplicate path entry not caught: %v", err)
 	}
 }
@@ -182,7 +184,7 @@ func TestInvariantCatchesRouteOwnershipMismatch(t *testing.T) {
 	e := idle(t, nil)
 	m1 := message.New(1, 0, 5, 4, 0)
 	m2 := message.New(2, 0, 5, 4, 0)
-	m1.Path = []pathLoc{{Node: 3, Port: 0, VC: 0}}
+	m1.Tail = pathLoc{Node: 3, Port: 0, VC: 0}
 	m1.FlitsSent = 1
 	nd := &e.nodes[3]
 	e.inOf(nd.id)[0].buf.Push(message.MakeFlit(m1, 0))
@@ -312,7 +314,7 @@ func TestNodeStaysSmall(t *testing.T) {
 
 // TestQueuedStaysSmall pins the cost of a waiting message that is a record:
 // what a short queue, a restored backlog or a run that cannot replay its
-// sources holds, and so, not the 144-byte message.Message, the unit such a
+// sources holds, and so, not the 96-byte message.Message, the unit such a
 // backlog grows by (beyond saturation a source's backlog is derived instead:
 // TestWaitingBytesPerMessage). 24 bytes: id, generation cycle, destination and
 // the chain link that lets all queues share one arena — and no pointer, so
@@ -325,6 +327,17 @@ func TestQueuedStaysSmall(t *testing.T) {
 	}
 	if s := unsafe.Sizeof(srcQueue{}); s > 16 {
 		t.Errorf("a node's queue header is %d bytes, want <= 16", s)
+	}
+}
+
+// TestMessageStaysSmall pins the message object at 96 bytes: the pool holds
+// one per message the network has admitted, so it is the engine's largest
+// allocation after New. Nothing of its path is stored but the Tail, the oldest
+// buffer it holds (the routes it claimed lead on from there), and its
+// counters are 32 bits, router.MaxMessageLen bounding the flit counts.
+func TestMessageStaysSmall(t *testing.T) {
+	if s := unsafe.Sizeof(message.Message{}); s > 96 {
+		t.Errorf("a message is %d bytes, want <= 96", s)
 	}
 }
 

@@ -1036,13 +1036,16 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 				empty[mv.node] |= bit
 			}
 			if flit.Tail {
+				// The tail leaves: the message's path now starts where the
+				// route leads (no buffer at all once it ejects).
+				flit.Msg.Tail = message.NoLoc
+				if !mv.eject {
+					flit.Msg.Tail = e.landing(nd.id, mv.outPort, mv.outVC)
+				}
 				e.clearWant(nd, e.routes[base+a])
 				e.routes[base+a] = routeInfo{}
 				nd.routed &^= bit
 				nd.blocked.Progress(a)
-				e.removePathLoc(flit.Msg, pathLoc{
-					Node: nd.id, Port: topology.Port(a / vcs), VC: int8(a % vcs),
-				})
 			}
 		} else {
 			// The flit is built from the channel's cached counters, and the
@@ -1063,7 +1066,7 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 				}
 			}
 			if flit.Tail {
-				m.FlitsSent = int(ic.len)
+				m.FlitsSent = ic.len
 				ic.msg = nil
 				ic.len = 0
 				e.clearWant(nd, ic.route)
@@ -1083,12 +1086,11 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 				ej.pending++
 				continue
 			}
-			m.FlitsEjected += int(ej.pending) + 1
+			m.FlitsEjected += ej.pending + 1
 			ej.pending = 0
 			ej.msg = nil
 			m.State = message.StateDelivered
 			m.DeliverTime = now
-			m.Path = m.Path[:0]
 			sh.events = append(sh.events, deferredEvent{
 				kind: evDelivered, node: nd.id, m: m,
 			})
@@ -1224,7 +1226,7 @@ func (e *Engine) commitEvents(p *parRuntime) {
 				e.emit(trace.KindInjected, ev.m, ev.node)
 			case evDelivered:
 				e.delivered++
-				e.col.OnDelivered(e.now, ev.m.GenTime, ev.m.InjectTime, ev.m.Length, ev.m.Measured, int(ev.m.Src))
+				e.col.OnDelivered(e.now, ev.m.GenTime, ev.m.InjectTime, int(ev.m.Length), ev.m.Measured, int(ev.m.Src))
 				e.emit(trace.KindDelivered, ev.m, ev.node)
 				if e.spans != nil {
 					e.spanDeliver(ev.m)

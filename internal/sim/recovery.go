@@ -46,7 +46,7 @@ func (e *Engine) teardown(m *message.Message) {
 		case !r.eject:
 			e.outVCsOf(nd.id)[e.inVCIndex(r.outPort, r.outVC)].ReleaseIfOwner(m)
 		case e.ejOf(nd.id)[r.ejCh].msg == m:
-			m.FlitsEjected += int(e.ejOf(nd.id)[r.ejCh].pending)
+			m.FlitsEjected += e.ejOf(nd.id)[r.ejCh].pending
 			e.ejOf(nd.id)[r.ejCh] = ejChannel{}
 		}
 	}
@@ -57,7 +57,7 @@ func (e *Engine) teardown(m *message.Message) {
 			release(inj, ic.route)
 			// Settle the deferred flit accounting before the channel forgets
 			// how much of the message it had streamed.
-			m.FlitsSent = int(ic.len - ic.left)
+			m.FlitsSent = ic.len - ic.left
 			ic.msg, ic.len, ic.route = nil, 0, routeInfo{}
 			inj.freshInj &^= 1 << uint(i)
 		}
@@ -65,10 +65,13 @@ func (e *Engine) teardown(m *message.Message) {
 	e.rederive(inj)
 
 	// Tear down the path: remove buffered flits, clear routes, release the
-	// virtual channels feeding and leaving every buffer the message holds.
-	for _, loc := range m.Path {
+	// virtual channels feeding and leaving every buffer the message holds,
+	// walking from its tail along the routes it claimed — each next hop read
+	// before the route naming it is cleared.
+	for loc, more := m.Tail, m.Tail != message.NoLoc; more; {
 		nd := &e.nodes[loc.Node]
 		a := e.inVCIndex(loc.Port, loc.VC)
+		next, ok := e.nextLoc(loc)
 		e.inOf(nd.id)[a].buf.RemoveMessage(m.ID)
 		// The buffer held only this message's flits, so a valid route on it
 		// belongs to the message: release the onward channel it claimed.
@@ -82,6 +85,7 @@ func (e *Engine) teardown(m *message.Message) {
 		e.outVCsOf(up.id)[e.inVCIndex(topology.Opposite(loc.Port), loc.VC)].ReleaseIfOwner(m)
 		e.rederive(nd)
 		e.rederive(up)
+		loc, more = next, ok
 	}
-	m.Path = m.Path[:0]
+	m.Tail = message.NoLoc
 }

@@ -615,6 +615,61 @@ var underivableMutations = []func(s *Snapshot, a, b int) bool{
 	},
 }
 
+// pathMutations make a message's path disagree with the routes load walks it
+// over, or with another message's: a gap, a loop back to an entry it already
+// listed, a path that stops short of or runs past where its routes end, and a
+// second message claiming buffers the first holds. Each returns false when the
+// snapshot has no path to corrupt that way.
+var pathMutations = []func(s *Snapshot, a, b int) bool{
+	func(s *Snapshot, a, b int) bool { // a gap: an interior entry left out
+		m := aPath(s, a, 3, nil)
+		if m != nil {
+			k := 1 + b%(len(m.Path)-2)
+			m.Path = slices.Delete(m.Path, k, k+1)
+		}
+		return m != nil
+	},
+	func(s *Snapshot, a, b int) bool { // a loop: an entry listed again at the end
+		m := aPath(s, a, 1, nil)
+		if m != nil {
+			m.Path = append(m.Path, m.Path[b%len(m.Path)])
+		}
+		return m != nil
+	},
+	func(s *Snapshot, a, b int) bool { // short of, or past, where the routes end
+		m := aPath(s, a, 2, nil)
+		switch {
+		case m == nil:
+			return false
+		case b%2 == 0:
+			m.Path = m.Path[:len(m.Path)-1]
+		default:
+			last := m.Path[len(m.Path)-1]
+			m.Path = append(m.Path, SnapPath{Node: (last.Node + 1) % int32(len(s.Nodes)), Port: last.Port, VC: last.VC})
+		}
+		return true
+	},
+	func(s *Snapshot, a, b int) bool { // two messages claiming one VC
+		m := aPath(s, a, 1, nil)
+		o := aPath(s, a+1+b, 1, m)
+		if o != nil {
+			o.Path = slices.Clone(m.Path[b%len(m.Path):])
+		}
+		return o != nil
+	},
+}
+
+// aPath returns a message of s with a path of at least n entries other than
+// not, scanning the message table from a; nil when there is none.
+func aPath(s *Snapshot, a, n int, not *SnapMessage) *SnapMessage {
+	for i := range s.Messages {
+		if m := &s.Messages[(a+i)%len(s.Messages)]; len(m.Path) >= n && m != not {
+			return m
+		}
+	}
+	return nil
+}
+
 // aQueuedMessage returns the message some source queue of s names, picked by a
 // (the node) and b (the place in its queue), or nil when every queue is empty.
 func aQueuedMessage(s *Snapshot, a, b int) *SnapMessage {
@@ -716,7 +771,8 @@ func occupiedVC(s *Snapshot, a, n int) *SnapVC {
 // never a quietly wrong engine — and must leave nothing behind. A snapshot
 // with a queued message no bare record can stand for (underivableMutations)
 // must restore and snapshot again to its own canonical bytes, or be refused
-// the same way. Either way the good snapshot restored next has to reproduce
+// the same way; one whose paths disagree with its routes (pathMutations) must
+// be refused. Either way the good snapshot restored next has to reproduce
 // its hash and deep-equal a fresh restore, run after run on the same engine. Each accepted restore is then
 // snapshotted into the storage of the iteration before — the hostile snapshot,
 // overlong lists, lying paths and all — and must hash like the good one again.
@@ -791,6 +847,19 @@ func FuzzRestoreInPlace(f *testing.F) {
 			f.Add(uint8(backloggedFrom+v), uint8(m), uint16(7*v+m), uint16(v))
 		}
 	}
+	// The path mutations go last, list and seeds, so that the seeds above keep
+	// their targets.
+	derivable := len(mutations)
+	for m := range pathMutations {
+		for v := 0; v < 8; v++ {
+			which := v
+			if v >= 6 {
+				which = backloggedFrom + v - 6
+			}
+			f.Add(uint8(which), uint8(derivable+m), uint16(7*v+m), uint16(v))
+		}
+	}
+	mutations = append(mutations, pathMutations...)
 	f.Fuzz(func(t *testing.T, which, mutation uint8, a, b uint16) {
 		tg := targets[int(which)%len(targets)]
 		if which >= backloggedFrom {
@@ -803,7 +872,7 @@ func FuzzRestoreInPlace(f *testing.F) {
 		}
 		err := tg.e.Restore(bad)
 		switch {
-		case err == nil && k >= len(hostileMutations):
+		case err == nil && k >= len(hostileMutations) && k < derivable:
 			assertSnapshotsTo(t, tg.e, bad)
 		case !errors.Is(err, ErrSnapshotInvalid):
 			t.Fatalf("hostile snapshot: got %v, want ErrSnapshotInvalid", err)

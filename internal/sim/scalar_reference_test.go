@@ -327,6 +327,9 @@ func (d *scalarDriver) allocRange() {
 				switch {
 				case ok:
 					ic.route = route
+					if !route.eject {
+						ic.msg.Tail = e.landing(nd.id, route.outPort, route.outVC)
+					}
 					e.setWant(nd, e.injIndex(c), route)
 					nd.freshInj |= 1 << uint(c)
 				case unroutable:

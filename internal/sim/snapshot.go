@@ -37,9 +37,9 @@ package sim
 //     takes every message that reads as one back as a record, so a restored
 //     engine has the shape of the one that never stopped;
 //   - the message pool: a recycled message is indistinguishable from a
-//     freshly allocated one (Reuse == New up to the Pooled flag and Path
-//     backing array, neither observable), so a restored run recycles other
-//     objects than the original did.
+//     freshly allocated one (Reuse == New up to the Pooled flag, which is not
+//     observable), so a restored run recycles other objects than the
+//     original did.
 
 import (
 	"cmp"
@@ -115,7 +115,9 @@ type SnapPending struct {
 	ReadyAt int64
 }
 
-// SnapPath is one message path location.
+// SnapPath is one message path location. A message stores only the first of
+// its path (message.Message.Tail); the snapshot lists the path walked from
+// there along the routes it claimed, and load checks it against them.
 type SnapPath struct {
 	Node int32
 	Port int8
@@ -229,7 +231,8 @@ func ConfigDigest(cfg Config) (string, error) {
 	return strings.TrimSpace(b.String()), nil
 }
 
-// loadedMessage builds the object sm describes, Path storage kept, instead of
+// loadedMessage builds the object sm describes, holding no buffer yet (load
+// sets its Tail once the routes its path follows are in place), instead of
 // allocating one: a pool-born message from the pool, which reset refilled with
 // every one of them; one that is not (a snapshot's from before Inject drew
 // from the pool) from loaded, which only the engine references — never handed
@@ -249,23 +252,20 @@ func (e *Engine) loadedMessage(sm *SnapMessage) *message.Message {
 		ID:           message.ID(sm.ID),
 		Src:          topology.NodeID(sm.Src),
 		Dst:          topology.NodeID(sm.Dst),
-		Length:       int(sm.Length),
+		Length:       sm.Length,
 		GenTime:      sm.GenTime,
 		InjectTime:   sm.InjectTime,
 		DeliverTime:  sm.DeliverTime,
 		State:        message.State(sm.State),
 		Injector:     topology.NodeID(sm.Injector),
-		FlitsSent:    int(sm.FlitsSent),
-		FlitsEjected: int(sm.FlitsEjected),
-		Recoveries:   int(sm.Recoveries),
-		Retries:      int(sm.Retries),
+		FlitsSent:    sm.FlitsSent,
+		FlitsEjected: sm.FlitsEjected,
+		Recoveries:   sm.Recoveries,
+		Retries:      sm.Retries,
 		DropReason:   message.DropReason(sm.DropReason),
 		Measured:     sm.Measured,
 		Pooled:       sm.Pooled,
-		Path:         slices.Grow(m.Path[:0], len(sm.Path)),
-	}
-	for _, pl := range sm.Path {
-		m.Path = append(m.Path, message.PathLoc{Node: topology.NodeID(pl.Node), Port: topology.Port(pl.Port), VC: pl.VC})
+		Tail:         message.NoLoc,
 	}
 	return m
 }
@@ -279,6 +279,16 @@ func (sm *SnapMessage) waitingAt(n topology.NodeID) bool {
 		sm.InjectTime == -1 && sm.DeliverTime == -1 &&
 		sm.FlitsSent == 0 && sm.FlitsEjected == 0 && sm.Recoveries == 0 && sm.Retries == 0 &&
 		sm.DropReason == "" && len(sm.Path) == 0
+}
+
+// locInRange reports whether loc names an input virtual channel of the network.
+func (e *Engine) locInRange(loc pathLoc) bool {
+	return loc.Node >= 0 && int(loc.Node) < len(e.nodes) && loc.Port >= 0 && int(loc.Port) < e.numPhys &&
+		loc.VC >= 0 && int(loc.VC) < e.cfg.VCs
+}
+
+func snapPath(loc pathLoc) SnapPath {
+	return SnapPath{Node: int32(loc.Node), Port: int8(loc.Port), VC: loc.VC}
 }
 
 func snapRoute(r routeInfo) SnapRoute {
@@ -360,29 +370,29 @@ func (s *Snapshot) addMessage(sm SnapMessage) *SnapMessage {
 	return &s.Messages[n]
 }
 
-// addObject appends the message object m to s.Messages.
-func (s *Snapshot) addObject(m *message.Message) {
+// addObject appends the message object m to s.Messages, with the path walked
+// from its Tail along the routes it claimed.
+func (e *Engine) addObject(s *Snapshot, m *message.Message) {
 	sm := s.addMessage(SnapMessage{
 		ID:           int64(m.ID),
 		Src:          int32(m.Src),
 		Dst:          int32(m.Dst),
-		Length:       int32(m.Length),
+		Length:       m.Length,
 		GenTime:      m.GenTime,
 		InjectTime:   m.InjectTime,
 		DeliverTime:  m.DeliverTime,
 		State:        int8(m.State),
 		Injector:     int32(m.Injector),
-		FlitsSent:    int32(m.FlitsSent),
-		FlitsEjected: int32(m.FlitsEjected),
-		Recoveries:   int32(m.Recoveries),
-		Retries:      int32(m.Retries),
+		FlitsSent:    m.FlitsSent,
+		FlitsEjected: m.FlitsEjected,
+		Recoveries:   m.Recoveries,
+		Retries:      m.Retries,
 		DropReason:   string(m.DropReason),
 		Measured:     m.Measured,
 		Pooled:       m.Pooled,
 	})
-	sm.Path = slices.Grow(sm.Path, len(m.Path))
-	for _, pl := range m.Path {
-		sm.Path = append(sm.Path, SnapPath{Node: int32(pl.Node), Port: int8(pl.Port), VC: pl.VC})
+	for loc, more := m.Tail, m.Tail != message.NoLoc; more; loc, more = e.nextLoc(loc) {
+		sm.Path = append(sm.Path, snapPath(loc))
 	}
 }
 
@@ -435,7 +445,7 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 	// state). The per-node state references them by ID.
 	s.Messages = slices.Grow(s.Messages, int(e.InFlight()))
 	for _, h := range e.held() {
-		s.addObject(h.m)
+		e.addObject(s, h.m)
 	}
 	nVC := e.nVC
 	for i := range e.nodes {
@@ -485,7 +495,7 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 		e.eachWaiting(nd, func(r *queued) {
 			sn.Queue = append(sn.Queue, int64(r.id))
 			if m := e.object(r.id); m != nil {
-				s.addObject(m)
+				e.addObject(s, m)
 				return
 			}
 			s.addMessage(SnapMessage{
@@ -497,12 +507,12 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 		})
 		sn.Recovery = sn.Recovery[:0]
 		for _, pr := range nd.recovery {
-			s.addObject(pr.msg)
+			e.addObject(s, pr.msg)
 			sn.Recovery = append(sn.Recovery, SnapPending{Msg: int64(pr.msg.ID), ReadyAt: pr.readyAt})
 		}
 		sn.Retry = sn.Retry[:0]
 		for _, pr := range nd.retry {
-			s.addObject(pr.msg)
+			e.addObject(s, pr.msg)
 			sn.Retry = append(sn.Retry, SnapPending{Msg: int64(pr.msg.ID), ReadyAt: pr.readyAt})
 		}
 
@@ -763,8 +773,8 @@ func (e *Engine) load(snap *Snapshot) error {
 				// A buffer stores a run and Push panics on anything else: the
 				// list must be consecutive flits of one message, the flags
 				// what the position says (so nothing follows a tail either).
-				if sf.Seq < 0 || int(sf.Seq) >= m.Length ||
-					sf.Head != (sf.Seq == 0) || sf.Tail != (int(sf.Seq) == m.Length-1) ||
+				if sf.Seq < 0 || sf.Seq >= m.Length ||
+					sf.Head != (sf.Seq == 0) || sf.Tail != (sf.Seq == m.Length-1) ||
 					(j > 0 && (sf.Msg != sv.Flits[j-1].Msg || sf.Seq != sv.Flits[j-1].Seq+1)) {
 					return fmt.Errorf("%w: node %d vc %d flit %d is not the next flit of one message's run",
 						ErrSnapshotInvalid, i, c, j)
@@ -859,7 +869,13 @@ func (e *Engine) load(snap *Snapshot) error {
 		}
 	}
 
-	// The input-VC dst cache follows message *paths*, not buffer contents: a
+	// A message's path is its Tail and the hops its claimed routes lead to, so
+	// the snapshot's list must be exactly that walk over the restored routes:
+	// no gap, and no entry short of or past where the routes end (which is
+	// also what keeps a loop out). CheckInvariants then holds each path to the
+	// buffers and channels that name its message, one message to a VC.
+	//
+	// The input-VC dst cache follows message paths, not buffer contents: a
 	// channel the head has already left but whose tail is still upstream has
 	// an empty buffer yet stays owned — its route is live and the body flits
 	// that keep arriving never carry the Head flag that rewrites the cache.
@@ -867,14 +883,22 @@ func (e *Engine) load(snap *Snapshot) error {
 	// occupied one to its flits' message.
 	for i := range snap.Messages {
 		sm := &snap.Messages[i]
-		for _, loc := range sm.Path {
-			if loc.Node < 0 || int(loc.Node) >= len(e.nodes) ||
-				loc.Port < 0 || int(loc.Port) >= e.numPhys ||
-				loc.VC < 0 || int(loc.VC) >= e.cfg.VCs {
+		for k, pl := range sm.Path {
+			loc := pathLoc{Node: topology.NodeID(pl.Node), Port: topology.Port(pl.Port), VC: pl.VC}
+			if !e.locInRange(loc) {
 				return fmt.Errorf("%w: message %d path entry (%d,%d,%d) out of range",
-					ErrSnapshotInvalid, sm.ID, loc.Node, loc.Port, loc.VC)
+					ErrSnapshotInvalid, sm.ID, pl.Node, pl.Port, pl.VC)
 			}
-			e.inOf(topology.NodeID(loc.Node))[e.inVCIndex(topology.Port(loc.Port), loc.VC)].dst = topology.NodeID(sm.Dst)
+			// The routes lead on exactly while the list does, and to its next entry.
+			next, more := e.nextLoc(loc)
+			if more == (k+1 == len(sm.Path)) || more && sm.Path[k+1] != snapPath(next) {
+				return fmt.Errorf("%w: message %d path entry %d (%d,%d,%d) is not where its routes lead",
+					ErrSnapshotInvalid, sm.ID, k, pl.Node, pl.Port, pl.VC)
+			}
+			e.inOf(loc.Node)[e.inVCIndex(loc.Port, loc.VC)].dst = topology.NodeID(sm.Dst)
+			if k == 0 {
+				objs[i].Tail = loc // every message with a path is an object: no record has one
+			}
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -362,11 +363,8 @@ func TestSnapshotRestoresDrainedChannelOwner(t *testing.T) {
 					continue
 				}
 				loc := pathLoc{Node: nd.id, Port: topology.Port(a / cfg.VCs), VC: int8(a % cfg.VCs)}
-				for _, pl := range m.Path {
-					if pl == loc {
-						locs = append(locs, loc)
-						break
-					}
+				if slices.Contains(pathOf(en, m), loc) {
+					locs = append(locs, loc)
 				}
 			}
 		}

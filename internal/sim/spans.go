@@ -213,7 +213,7 @@ func (e *Engine) spanDeliver(m *message.Message) {
 		return
 	}
 	rec.Deliver = e.now
-	rec.Recoveries, rec.Retries = m.Recoveries, m.Retries
+	rec.Recoveries, rec.Retries = int(m.Recoveries), int(m.Retries)
 	if s.queueWait != nil {
 		s.queueWait.Observe(float64(rec.QueueWait()))
 		for _, hp := range rec.Hops {
@@ -240,7 +240,7 @@ func (e *Engine) spanDiscard(m *message.Message) {
 	if !ok {
 		return
 	}
-	rec.Recoveries, rec.Retries = m.Recoveries, m.Retries
+	rec.Recoveries, rec.Retries = int(m.Recoveries), int(m.Retries)
 	if s.discarded != nil {
 		s.discarded.Inc()
 	}
