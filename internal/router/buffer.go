@@ -1,6 +1,6 @@
 // Package router provides the building blocks of the wormhole router
-// microarchitecture: fixed-capacity flit FIFOs (virtual-channel buffers),
-// sender-side virtual-channel allocation state, and round-robin arbiters.
+// microarchitecture: flit FIFOs (virtual-channel buffers) and round-robin
+// arbiters.
 //
 // The cycle-level composition of these pieces — virtual-channel allocation,
 // separable switch allocation and two-phase flit movement — lives in
@@ -9,50 +9,35 @@
 package router
 
 import (
-	"fmt"
-
 	"wormnet/internal/message"
 )
 
-// Buffer is a fixed-capacity FIFO of flits: one virtual-channel buffer. It
-// stores a run, not flits: wormhole switching gives a virtual channel to one
-// message from head to tail, and a channel is only allocated while its
-// buffer is empty, so the contents are always consecutive flits of a single
-// message — owner, first sequence number, length, and whether the last flit
-// is the tail. Push enforces exactly that; Front, Pop and At derive the flit.
-// The zero value is not usable; construct with NewBuffer, or initialise a
-// value in place with Init (the simulation engine stores buffers by value
-// in one contiguous arena, so the hot path walks them linearly).
+// Buffer is a FIFO of flits: one virtual-channel buffer. It stores a run, not
+// flits: wormhole switching gives a virtual channel to one message from head
+// to tail, and a channel is only allocated while its buffer is empty, so the
+// contents are always consecutive flits of a single message — owner, first
+// sequence number, length, and whether the last flit is the tail. Push
+// enforces exactly that; Front, Pop and At derive the flit. A buffer does not
+// know its depth: whoever fills it checks the count against its own (the
+// simulator against Config.BufDepth). The zero value is an empty buffer.
 type Buffer struct {
-	msg   *message.Message // owner of the run; stale while size == 0
+	msg   *message.Message // the run's message; while size == 0 the one last held or reserved
 	first uint16           // sequence number of the front flit
 	size  uint16
-	cap   uint16
-	tail  bool // the last buffered flit is the message's tail
+	// Note is 16 bits the owner keeps about the run's message; Push zeroes
+	// it when a head flit starts a new message. The simulator caches the
+	// header's routing-candidate set id here.
+	Note uint16
+	tail bool // the last buffered flit is the message's tail
 }
 
 // The limits of a Buffer's 16-bit counters, which keep it at 16 bytes: it
 // holds at most MaxDepth flits, of a message of at most MaxMessageLen
-// (sequence numbers 0 to MaxMessageLen-1). Init and Push refuse anything more.
+// (sequence numbers 0 to MaxMessageLen-1). Push refuses anything more.
 const (
 	MaxDepth      = 1<<16 - 1
 	MaxMessageLen = 1 << 16
 )
-
-// NewBuffer returns an empty buffer holding at most capacity flits.
-func NewBuffer(capacity int) *Buffer {
-	b := &Buffer{}
-	b.Init(capacity)
-	return b
-}
-
-// Init (re-)initialises b in place as an empty buffer of the given capacity.
-func (b *Buffer) Init(capacity int) {
-	if capacity < 1 || capacity > MaxDepth {
-		panic(fmt.Sprintf("router: buffer capacity %d outside [1, %d]", capacity, MaxDepth))
-	}
-	*b = Buffer{cap: uint16(capacity)}
-}
 
 // Len returns the number of buffered flits.
 func (b *Buffer) Len() int { return int(b.size) }
@@ -60,26 +45,26 @@ func (b *Buffer) Len() int { return int(b.size) }
 // Empty reports whether the buffer holds no flits.
 func (b *Buffer) Empty() bool { return b.size == 0 }
 
-// Full reports whether the buffer is at capacity.
-func (b *Buffer) Full() bool { return b.size == b.cap }
-
-// Push appends a flit at the back. It panics if the buffer is full (the
-// simulator's credit check must prevent that), if the flit's Head flag
-// disagrees with Seq == 0, if its sequence number is not below
-// MaxMessageLen, or if the flit does not extend the buffered run: another
-// message's flit, a sequence number other than the next one, or any flit
-// behind the tail. Tail is taken on trust — checking it against the
-// message length would touch the message on every push — so whoever builds
-// flits from outside data (a snapshot) validates it first.
+// Push appends a flit at the back. It panics if the buffer already holds
+// MaxDepth flits (the simulator's credit check must keep it within its
+// depth), if the flit's Head flag disagrees with Seq == 0, if its sequence
+// number is not below MaxMessageLen, or if the flit does not extend the
+// buffered run: another message's flit, a sequence number other than the
+// next one, or any flit behind the tail. Tail is taken on trust — checking it
+// against the message length would touch the message on every push — so
+// whoever builds flits from outside data (a snapshot) validates it first.
 func (b *Buffer) Push(f message.Flit) {
-	if b.size == b.cap {
-		panic("router: push into full buffer")
+	if b.size == MaxDepth {
+		panic("router: push into a buffer holding MaxDepth flits")
 	}
 	if f.Head != (f.Seq == 0) || uint32(f.Seq) >= MaxMessageLen {
 		panic("router: pushed flit's Head flag disagrees with its sequence number, or the number is MaxMessageLen or more")
 	}
 	if b.size == 0 {
 		b.msg, b.first = f.Msg, uint16(f.Seq)
+		if f.Head {
+			b.Note = 0
+		}
 	} else if f.Msg != b.msg || f.Seq != int32(b.first)+int32(b.size) || b.tail {
 		panic("router: pushed flit does not extend the buffered run")
 	}
@@ -96,8 +81,8 @@ func (b *Buffer) Front() message.Flit {
 }
 
 // Pop removes and returns the front flit. It panics if the buffer is empty.
-// The owner is not cleared when the last flit leaves: it is never read while
-// the buffer is empty, and the stale reference keeps nothing extra alive —
+// The owner is not cleared when the last flit leaves: the channel may still
+// be the message's (Msg), and the stale reference keeps nothing extra alive —
 // the simulator pools and reuses messages rather than freeing them.
 func (b *Buffer) Pop() message.Flit {
 	f := b.Front()
@@ -136,4 +121,21 @@ func (b *Buffer) FrontMessage() *message.Message {
 		return nil
 	}
 	return b.msg
+}
+
+// Msg returns the run's message even while the buffer is empty: the one whose
+// flits it holds, else the one it last held or was reserved for (Reserve);
+// nil for a buffer that has had neither. Between a header's arrival and its
+// tail's departure that is the message the virtual channel belongs to, flits
+// in it or not.
+func (b *Buffer) Msg() *message.Message { return b.msg }
+
+// Reserve makes m the message of the empty buffer, as if its flits had passed
+// through: a channel holding part of m's path whose flits have all left or not
+// arrived yet. It panics if the buffer holds flits.
+func (b *Buffer) Reserve(m *message.Message) {
+	if b.size != 0 {
+		panic("router: reserving a buffer that holds flits")
+	}
+	b.msg = m
 }

@@ -14,13 +14,13 @@ func msg(id message.ID, length int) *message.Message {
 }
 
 func TestBufferFIFO(t *testing.T) {
-	b := NewBuffer(4)
+	var b Buffer
 	m := msg(1, 4)
 	for i := 0; i < 4; i++ {
 		b.Push(message.MakeFlit(m, i))
 	}
-	if !b.Full() || b.Len() != 4 {
-		t.Fatalf("Len=%d Full=%v", b.Len(), b.Full())
+	if b.Len() != 4 {
+		t.Fatalf("Len=%d", b.Len())
 	}
 	for i := 0; i < 4; i++ {
 		f := b.Pop()
@@ -34,12 +34,13 @@ func TestBufferFIFO(t *testing.T) {
 }
 
 func TestBufferWrapAround(t *testing.T) {
-	b := NewBuffer(3)
+	const depth = 3
+	var b Buffer
 	m := msg(1, 100)
 	seq := 0
 	// Interleave pushes and pops to force wrap.
 	for round := 0; round < 10; round++ {
-		for b.Len() < int(b.cap) {
+		for b.Len() < depth {
 			b.Push(message.MakeFlit(m, seq))
 			seq++
 		}
@@ -70,23 +71,21 @@ func mustPanic(t *testing.T, name string, f func()) {
 }
 
 func TestBufferPanics(t *testing.T) {
-	// holding returns a buffer of four holding flits [from, to) of m.
+	// holding returns a buffer holding flits [from, to) of m.
 	holding := func(m *message.Message, from, to int) *Buffer {
-		b := NewBuffer(4)
+		b := new(Buffer)
 		for s := from; s < to; s++ {
 			b.Push(message.MakeFlit(m, s))
 		}
 		return b
 	}
 	m := msg(1, 6)
-	mustPanic(t, "cap", func() { NewBuffer(0) })
 	mustPanic(t, "push full", func() {
-		b := NewBuffer(1)
-		b.Push(message.MakeFlit(m, 0))
-		b.Push(message.MakeFlit(m, 1))
+		long := msg(2, MaxDepth+1)
+		holding(long, 0, MaxDepth).Push(message.MakeFlit(long, MaxDepth))
 	})
-	mustPanic(t, "pop empty", func() { NewBuffer(1).Pop() })
-	mustPanic(t, "front empty", func() { NewBuffer(1).Front() })
+	mustPanic(t, "pop empty", func() { new(Buffer).Pop() })
+	mustPanic(t, "front empty", func() { new(Buffer).Front() })
 	mustPanic(t, "at negative", func() { holding(m, 0, 2).At(-1) })
 	mustPanic(t, "at past the back", func() { holding(m, 0, 2).At(2) })
 	// One row per way a flit can fail to extend the buffered run.
@@ -101,11 +100,12 @@ func TestBufferPanics(t *testing.T) {
 	mustPanic(t, "head flag on a body flit", func() {
 		holding(m, 0, 2).Push(message.Flit{Msg: m, Seq: 2, Head: true})
 	})
-	mustPanic(t, "no head flag on flit 0", func() { NewBuffer(4).Push(message.Flit{Msg: m, Seq: 0}) })
+	mustPanic(t, "no head flag on flit 0", func() { new(Buffer).Push(message.Flit{Msg: m, Seq: 0}) })
+	mustPanic(t, "reserve while holding flits", func() { holding(m, 0, 2).Reserve(msg(2, 6)) })
 }
 
-// A buffer is an owner and three 16-bit counters with the tail flag: 16
-// bytes, which keep an input virtual channel of the engine at 24.
+// A buffer is an owner, three 16-bit counters and the tail flag: 16 bytes,
+// all of an input virtual channel of the engine.
 func TestBufferStaysSmall(t *testing.T) {
 	if got := unsafe.Sizeof(Buffer{}); got > 16 {
 		t.Errorf("Buffer is %d bytes, ceiling 16", got)
@@ -113,20 +113,20 @@ func TestBufferStaysSmall(t *testing.T) {
 }
 
 // The 16-bit counters bound what a buffer holds, and a value past them is
-// refused, never wrapped: a capacity beyond MaxDepth, a flit of a message
-// longer than MaxMessageLen. Both maxima themselves work.
+// refused, never wrapped: a flit beyond MaxDepth (TestBufferPanics' "push
+// full"), a flit of a message longer than MaxMessageLen. Both maxima
+// themselves work.
 func TestBufferLimits(t *testing.T) {
-	mustPanic(t, "capacity past MaxDepth", func() { NewBuffer(MaxDepth + 1) })
-	deep := NewBuffer(MaxDepth)
+	var deep Buffer
 	long := msg(1, MaxMessageLen+1)
 	for s := 0; s < MaxDepth; s++ {
 		deep.Push(message.MakeFlit(long, s))
 	}
-	if !deep.Full() || deep.Len() != MaxDepth || int(deep.cap) != MaxDepth {
-		t.Fatalf("a buffer of MaxDepth holds %d of %d flits, full %v", deep.Len(), int(deep.cap), deep.Full())
+	if deep.Len() != MaxDepth || deep.At(MaxDepth-1).Seq != MaxDepth-1 {
+		t.Fatalf("a buffer of MaxDepth flits holds %d", deep.Len())
 	}
 	// The last flit of the longest message: pushed, popped, and nothing after it.
-	b := NewBuffer(2)
+	var b Buffer
 	b.Push(message.MakeFlit(long, MaxMessageLen-2))
 	b.Push(message.MakeFlit(long, MaxMessageLen-1))
 	if f := b.At(1); f.Seq != MaxMessageLen-1 {
@@ -138,12 +138,12 @@ func TestBufferLimits(t *testing.T) {
 	}
 	mustPanic(t, "flit past MaxMessageLen extending a run", func() { b.Push(message.MakeFlit(long, MaxMessageLen)) })
 	mustPanic(t, "flit past MaxMessageLen into an empty buffer", func() {
-		NewBuffer(1).Push(message.MakeFlit(long, MaxMessageLen))
+		new(Buffer).Push(message.MakeFlit(long, MaxMessageLen))
 	})
 }
 
 func TestBufferFrontMessage(t *testing.T) {
-	b := NewBuffer(2)
+	var b Buffer
 	if b.FrontMessage() != nil {
 		t.Fatal("empty buffer has a front message")
 	}
@@ -157,12 +157,41 @@ func TestBufferFrontMessage(t *testing.T) {
 	}
 }
 
+// Msg names the run's message while the buffer is empty too — drained or
+// reserved — and Note lives until a head flit starts the next message.
+func TestBufferMsgAndNote(t *testing.T) {
+	var b Buffer
+	if b.Msg() != nil {
+		t.Fatal("a zero buffer names a message")
+	}
+	m1, m2, m3 := msg(1, 3), msg(2, 2), msg(3, 2)
+	b.Push(message.MakeFlit(m1, 0))
+	b.Note = 7
+	b.Pop()
+	b.Push(message.MakeFlit(m1, 1)) // a body flit arriving into the drained buffer
+	if b.Msg() != m1 || b.Note != 7 {
+		t.Fatalf("mid-message: Msg %v, Note %d; want msg 1 and 7", b.Msg(), b.Note)
+	}
+	b.Pop()
+	if !b.Empty() || b.Msg() != m1 || b.FrontMessage() != nil {
+		t.Fatalf("drained: Msg %v, FrontMessage %v", b.Msg(), b.FrontMessage())
+	}
+	b.Reserve(m2)
+	if !b.Empty() || b.Msg() != m2 || b.Note != 7 {
+		t.Fatalf("reserved: Len %d, Msg %v, Note %d", b.Len(), b.Msg(), b.Note)
+	}
+	b.Push(message.MakeFlit(m3, 0))
+	if b.Msg() != m3 || b.Note != 0 {
+		t.Fatalf("a new head: Msg %v, Note %d; want msg 3 and 0", b.Msg(), b.Note)
+	}
+}
+
 // A buffer used to accept interleaved flits of two messages, and
 // RemoveMessage picked one message's out from between the other's. That
 // state no longer exists: the interleaving is refused where it would arise,
 // at Push, and RemoveMessage is all or nothing.
 func TestBufferRemoveMessage(t *testing.T) {
-	b := NewBuffer(4)
+	var b Buffer
 	m1, m2 := msg(1, 4), msg(2, 2)
 	b.Push(message.MakeFlit(m1, 0))
 	mustPanic(t, "second message's flit behind the first's", func() { b.Push(message.MakeFlit(m2, 0)) })
@@ -202,7 +231,7 @@ func TestBufferRemoveMessage(t *testing.T) {
 func TestBufferMatchesModel(t *testing.T) {
 	for capacity := 1; capacity <= 8; capacity++ {
 		rng := rand.New(rand.NewSource(int64(capacity)))
-		b, ref := NewBuffer(capacity), newRingBuffer(capacity)
+		b, ref := new(Buffer), newRingBuffer(capacity)
 		nextID := message.ID(1)
 		m, seq := msg(nextID, 1+rng.Intn(12)), 0
 		for step := 0; step < 4000; step++ {
@@ -212,7 +241,7 @@ func TestBufferMatchesModel(t *testing.T) {
 					nextID++
 					m, seq = msg(nextID, 1+rng.Intn(12)), 0
 				}
-				if seq < int(m.Length) && !b.Full() {
+				if seq < int(m.Length) && b.Len() < capacity {
 					f := message.MakeFlit(m, seq)
 					seq++
 					b.Push(f)
@@ -234,9 +263,9 @@ func TestBufferMatchesModel(t *testing.T) {
 				}
 				seq = int(m.Length)
 			}
-			if b.Len() != ref.Len() || int(b.cap) != ref.Cap() || b.Empty() != ref.Empty() || b.Full() != ref.Full() {
-				t.Fatalf("cap %d step %d: Len/Cap/Empty/Full %d/%d/%v/%v, ring says %d/%d/%v/%v", capacity, step,
-					b.Len(), int(b.cap), b.Empty(), b.Full(), ref.Len(), ref.Cap(), ref.Empty(), ref.Full())
+			if b.Len() != ref.Len() || b.Empty() != ref.Empty() || (b.Len() == capacity) != ref.Full() {
+				t.Fatalf("cap %d step %d: Len/Empty %d/%v, ring says %d/%v (full %v)", capacity, step,
+					b.Len(), b.Empty(), ref.Len(), ref.Empty(), ref.Full())
 			}
 			if b.FrontMessage() != ref.FrontMessage() {
 				t.Fatalf("cap %d step %d: FrontMessage %v, ring says %v", capacity, step, b.FrontMessage(), ref.FrontMessage())
@@ -253,62 +282,20 @@ func TestBufferMatchesModel(t *testing.T) {
 	}
 }
 
-// Init empties a buffer whatever it held.
+// A zero Buffer is an empty one, whatever the value it replaces held.
 func TestBufferReset(t *testing.T) {
-	b := NewBuffer(3)
+	var b Buffer
 	m := msg(1, 2)
 	b.Push(message.MakeFlit(m, 0))
 	b.Push(message.MakeFlit(m, 1)) // tail buffered
-	b.Init(3)
-	if !b.Empty() || int(b.cap) != 3 || b.FrontMessage() != nil {
-		t.Fatalf("after Init: Len=%d Cap=%d", b.Len(), int(b.cap))
+	b.Note = 3
+	b = Buffer{}
+	if !b.Empty() || b.FrontMessage() != nil || b.Msg() != nil || b.Note != 0 {
+		t.Fatalf("after reset: Len=%d Msg=%v Note=%d", b.Len(), b.Msg(), b.Note)
 	}
 	b.Push(message.MakeFlit(msg(2, 4), 0))
 	if f := b.Front(); f.Msg.ID != 2 || !f.Head || f.Tail {
-		t.Fatalf("wrong flit after Init: %v", f)
-	}
-}
-
-func TestOutVCLifecycle(t *testing.T) {
-	var v OutVC
-	if !v.Free() || v.Owner() != nil {
-		t.Fatal("zero OutVC must be free")
-	}
-	m := msg(1, 4)
-	v.Allocate(m)
-	if v.Free() || v.Owner() != m {
-		t.Fatal("allocation not recorded")
-	}
-	v.Release()
-	if !v.Free() {
-		t.Fatal("release failed")
-	}
-	v.Release() // releasing free VC is a no-op
-}
-
-func TestOutVCDoubleAllocatePanics(t *testing.T) {
-	var v OutVC
-	v.Allocate(msg(1, 4))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	v.Allocate(msg(2, 4))
-}
-
-func TestOutVCReleaseIfOwner(t *testing.T) {
-	var v OutVC
-	m1, m2 := msg(1, 4), msg(2, 4)
-	v.Allocate(m1)
-	if v.ReleaseIfOwner(m2) {
-		t.Fatal("released for non-owner")
-	}
-	if !v.ReleaseIfOwner(m1) {
-		t.Fatal("did not release for owner")
-	}
-	if v.ReleaseIfOwner(m1) {
-		t.Fatal("released twice")
+		t.Fatalf("wrong flit after reset: %v", f)
 	}
 }
 

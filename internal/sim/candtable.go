@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"maps"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -49,10 +50,10 @@ func packCands(cands []routing.Candidate, out []portCand) []portCand {
 // 3-cube.
 //
 // Candidate sets repeat heavily (on that network 64 distinct sets under TFAR,
-// 13 under DOR, 127 under Duato, the empty set included), so the table stores
+// 13 under DOR, 127 under Duato, the self set included), so the table stores
 // each distinct set once, in a pool small enough to stay cache-resident, and
 // the class entry is the set's id. An input virtual channel still looks its header's id up once and
-// caches it (inVC.set): a retry costs the set's word alone.
+// caches it (its buffer's Note): a retry costs the set's word alone.
 //
 // Under faults, every algorithm's set is its healthy set restricted to cur's
 // live output ports (the routing.Algorithm contract), so an engine with
@@ -64,6 +65,10 @@ type candTable struct {
 	spread []int32 // per node: its coordinates as base-2k digits
 	base   int32   // the class offset: k in every base-2k digit
 	class  []int32 // per offset class: healthy set id, never 0 for a class a pair has (0 = "not looked up" in the caches)
+	// self is the id of the class of cur == dst: an empty set of its own,
+	// which no set a fault filters empty shares, so that the id alone tells
+	// an ejection-bound header (allocate) without its message.
+	self   int32
 	setOff []int32 // per set id: [setOff[id], setOff[id+1]) in pool
 	pool   []portCand
 	// word[id] is set id's candidates as one word, bit port*VCs+vc: what a
@@ -110,6 +115,11 @@ func buildCandTable(topo *topology.Torus, alg routing.Algorithm, vcs int) *candT
 	var packed []portCand
 next:
 	for c := range t.class {
+		if c == int(t.base) { // cur == dst
+			t.self = t.add(nil, vcs)
+			t.class[c] = t.self
+			continue
+		}
 		// Digit d of c is the offset b-a+k of dimension d; digit 0 (b-a = -k)
 		// is no pair's, so its classes keep id 0. The representative pair
 		// puts the smaller coordinate of each dimension at 0.
@@ -139,8 +149,15 @@ func (t *candTable) intern(packed []portCand, vcs int) int32 {
 	if id, ok := t.seen[string(key)]; ok {
 		return id
 	}
-	id := int32(len(t.word))
+	id := t.add(packed, vcs)
 	t.seen[string(key)] = id
+	return id
+}
+
+// add appends set packed under a new id (intern files it by key; the self set
+// is filed nowhere).
+func (t *candTable) add(packed []portCand, vcs int) int32 {
+	id := int32(len(t.word))
 	t.pool = append(t.pool, packed...)
 	for _, pc := range packed {
 		t.port = append(t.port, pc.port)
@@ -169,7 +186,7 @@ func setWords(set []portCand, vcs int) (word, useful uint64) {
 // from the healthy sets alone: routing is not evaluated, and nodes with every
 // port alive share the identity block 0.
 func (t *candTable) overlay(sh *candTable, topo *topology.Torus, live *topology.Liveness, vcs int) {
-	t.spread, t.base, t.class = sh.spread, sh.base, sh.class
+	t.spread, t.base, t.class, t.self = sh.spread, sh.base, sh.class, sh.self
 	t.setOff = append(t.setOff[:0], sh.setOff...)
 	t.pool = append(t.pool[:0], sh.pool...)
 	t.word = append(t.word[:0], sh.word...)
@@ -219,6 +236,36 @@ func (t *candTable) filtered(h int32, dead uint64, vcs int) int32 {
 		}
 	}
 	return t.intern(packed, vcs)
+}
+
+// maxSetID is the largest set id the 16-bit caches hold (0 is "not looked
+// up", so the ids 1 to maxSetID).
+const maxSetID = 1<<16 - 1
+
+// idBound returns one more than the largest set id the table can hand out:
+// its own ids and, on an engine with faults over nodes routers, an id for
+// every set an overlay may intern — each healthy set without some of its
+// ports, at most one variant a node (a node has one set of dead ports), and
+// the empty set. The count saturates past maxSetID.
+func (t *candTable) idBound(faults bool, nodes int) int {
+	n := len(t.word)
+	if !faults {
+		return n
+	}
+	n++ // the empty set
+	for _, u := range t.useful[1:] {
+		if p := bits.OnesCount64(u); p > 1 {
+			variants := nodes
+			if p <= 16 {
+				variants = min(variants, 1<<p-2) // its ports' proper non-empty subsets
+			}
+			n += variants
+		}
+		if n > maxSetID {
+			break
+		}
+	}
+	return n
 }
 
 // id returns the set id of a header at cur addressed to dst.

@@ -94,7 +94,7 @@ func (e *Engine) allocRange(lo, hi int) {
 				if ic.msg == nil || ic.route.valid || ic.left < ic.len {
 					continue
 				}
-				route, ok, _, unroutable := e.allocate(nd, ic.msg, ic.dst, &ic.set, &w)
+				route, ok, _, unroutable := e.allocate(nd, ic.msg, &ic.set, &w)
 				switch {
 				case ok:
 					ic.route = route
@@ -129,10 +129,10 @@ func (e *Engine) allocateVC(nd *node, a int, w *allocWords) {
 		return
 	}
 	// An unrouted, non-empty VC fronts the message's header flit (routes
-	// outlive the message's traversal of the buffer); the dst cache spares
-	// the allocator the message dereference entirely.
+	// outlive the message's traversal of the buffer); the set-id cache in
+	// the buffer's Note spares a retry the message dereference entirely.
 	m := ivc.buf.FrontMessage()
-	route, ok, vital, unroutable := e.allocate(nd, m, ivc.dst, &ivc.set, w)
+	route, ok, vital, unroutable := e.allocate(nd, m, &ivc.buf.Note, w)
 	if ok {
 		e.routes[at] = route
 		nd.routed |= 1 << uint(a)
@@ -152,7 +152,7 @@ func (e *Engine) allocateVC(nd *node, a int, w *allocWords) {
 		w.packed = false
 		return
 	}
-	if ivc.dst == nd.id {
+	if int32(ivc.buf.Note) == e.cand.self {
 		// Waiting for an ejection channel: always drains eventually, never
 		// a deadlock.
 		nd.blocked.Progress(a)
@@ -197,9 +197,10 @@ func (e *Engine) pack(nd *node, w *allocWords) {
 }
 
 // allocate claims an output virtual channel (or ejection channel) for
-// message m whose header is at node nd (dst is the caller's cached copy of
-// m.Dst and set its cached candidate-set id, looked up here when still 0, so
-// a retry loads neither the message nor the class table). It reports
+// message m whose header is at node nd (set is its cached candidate-set id,
+// looked up here from m.Dst when still 0, so a retry loads neither the
+// message nor the class table; the self set marks a header at its
+// destination). It reports
 // whether allocation succeeded, whether the candidate set shows any "vital
 // sign" — an unallocated virtual channel or one that transmitted a flit
 // within the last cycle — which vetoes the deadlock presumption, and whether
@@ -212,8 +213,9 @@ func (e *Engine) pack(nd *node, w *allocWords) {
 // zero, and then a free candidate (node.free AND the word) is the first vital
 // sign and the per-VC timestamps of the busy candidates the second. Only a
 // header that will get a channel reaches the per-port scoring loop.
-func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID, set *int32, w *allocWords) (routeInfo, bool, bool, bool) {
-	if dst == nd.id {
+func (e *Engine) allocate(nd *node, m *message.Message, set *uint16, w *allocWords) (routeInfo, bool, bool, bool) {
+	id := e.setOf(nd, m, set)
+	if id == e.cand.self {
 		for c := range e.cfg.EjChannels {
 			if ej := &e.ejOf(nd.id)[c]; ej.msg == nil {
 				ej.msg = m
@@ -222,7 +224,7 @@ func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID, set
 		}
 		return routeInfo{}, false, false, false
 	}
-	candW := e.cand.word[e.setOf(nd, dst, set)]
+	candW := e.cand.word[id]
 	if candW == 0 {
 		return routeInfo{}, false, false, true // faults left no candidate
 	}
@@ -250,7 +252,7 @@ func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID, set
 	rot := int(e.now) % e.numPhys // rotating tie-break among equal ports
 	vcs := uint(e.cfg.VCs)
 	field := uint64(1)<<vcs - 1
-	for _, pc := range e.cand.set(*set) {
+	for _, pc := range e.cand.set(id) {
 		at := uint(pc.port) * vcs
 		avail := uint32(w.avail>>at) & pc.mask
 		if avail == 0 {
@@ -270,8 +272,8 @@ func (e *Engine) allocate(nd *node, m *message.Message, dst topology.NodeID, set
 			bestVC = int8(bits.TrailingZeros32(avail))
 		}
 	}
+	// The output VC is m's from here: the route returned claims it (ownerOf).
 	out := e.inVCIndex(bestPort, bestVC)
-	e.outVCs[int(nd.id)*e.nVC+out].Allocate(m)
 	nd.free, w.avail = nd.free&^(1<<uint(out)), w.avail&^(1<<uint(out))
 	return routeInfo{valid: true, outPort: bestPort, outVC: bestVC, epoch: uint16(e.epoch)}, true, true, false
 }

@@ -36,42 +36,35 @@ type routeInfo struct {
 	epoch   uint16
 }
 
-// inVC is one input virtual channel: its flit buffer. Input VCs are stored
-// by value in Engine.in, channel id port*VCs+vc of node id at id*nVC plus the
-// channel id, so a node's entire input state is contiguous in memory. The
-// forwarding decisions live in the parallel Engine.routes arena: the switch
-// phase walks routes alone, four to a cache line, without pulling in buffer
-// state.
+// inVC is one input virtual channel: its flit buffer, 16 bytes. Input VCs are
+// stored by value in Engine.in, channel id port*VCs+vc of node id at id*nVC
+// plus the channel id, so a node's entire input state is contiguous in memory.
+// The forwarding decisions live in the parallel Engine.routes arena: the
+// switch phase walks routes alone, four to a cache line, without pulling in
+// buffer state. The buffer's Note caches the candidate-set id of (this node,
+// the run's message's Dst), or 0 before the header's first allocation attempt
+// looked it up from the message: a head moving in (Push) and every routing
+// epoch flip zero it, so retries never touch the (cold) message struct.
 type inVC struct {
 	buf router.Buffer
-	// dst mirrors the Dst of the message whose flits the buffer holds (the
-	// buffer itself names that message), so allocation retries never touch
-	// the (cold) message struct at all. It is written when a head flit is
-	// pushed and only read while the buffer is non-empty, so it needs no
-	// clearing.
-	dst topology.NodeID
-	// set caches the candidate-set id of (this node, dst), or 0 before the
-	// header's first allocation attempt looked it up: a head moving in and
-	// every routing epoch flip zero it.
-	set int32
 }
 
 // injChannel is one of the node's injection channels: a message being
 // streamed into the network flit by flit. left caches the flits still to
 // send (Length - FlitsSent), so the switch phase's done-streaming check
 // never dereferences the message. A channel is busy while len != 0: the
-// injection section claims it for a queue record by filling left, len and dst,
+// injection section claims it for a queue record by filling left, len and set,
 // and msg follows at the section's commit, where the object is built — so
-// within that section msg is still nil on a channel claimed in it. set is
-// inVC.set for the header waiting here: the claim hands over the id the
-// injection gate looked up for the queue head (0 from the recovery list).
+// within that section msg is still nil on a channel claimed in it. set is the
+// input VC's Note for the header waiting here: a queue claim always fills it
+// (the id the injection gate looked up for the queue head, or a lookup of the
+// record's dst), a recovery-list claim leaves it 0.
 type injChannel struct {
 	msg   *message.Message
 	route routeInfo
 	left  int32
-	len   int32           // the message's length; 0 on an idle channel
-	dst   topology.NodeID // the message's destination, cached at the claim
-	set   int32
+	len   int32 // the message's length; 0 on an idle channel
+	set   uint16
 }
 
 // ejChannel is one of the node's ejection channels. pending counts flits
@@ -204,17 +197,18 @@ type Engine struct {
 
 	// The channels of every node, one arena each: a node's run starts at its
 	// id times the run's length (the accessors below New cut it). Runs of nVC,
-	// by agent (the flat channel id p*VCs+v): input VCs, their routes, output
-	// VCs and lastTx, the last cycle a flit crossed each (the FC3D-style
+	// by agent (the flat channel id p*VCs+v): input VCs, their routes, and
+	// lastTx, the last cycle a flit crossed output VC p*VCs+v (the FC3D-style
 	// detector tells a dead knot from congestion by it). want is the agent
 	// routed to output VC p*VCs+v or ejection channel nVC+c (noAgent: none),
-	// the switch phase's standing request (setWant, clearWant). nbr is the
+	// the switch phase's standing request (setWant, clearWant) and the output
+	// VC's owner (ownerOf): a channel is allocated together with the route
+	// that claims it, and released when that route goes. nbr is the
 	// neighbour behind each physical port, the index of its words in empty and
 	// full and, times nVC, of its input VCs: a flit sent on (p, v) lands in
 	// Opposite(p)*VCs+v (downstream). outArb arbitrates each output.
 	in     []inVC
 	routes []routeInfo
-	outVCs []router.OutVC
 	lastTx []int64
 	inj    []injChannel
 	ej     []ejChannel
@@ -369,6 +363,10 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	sh := shapeOf(&cfg)
+	if n := sh.cand.idBound(!cfg.Faults.Empty(), sh.topo.Nodes()) - 1; n > maxSetID {
+		return nil, fmt.Errorf("sim: %d-ary %d-cube under %s routing has up to %d routing-candidate sets, more than the %d a 16-bit set id names",
+			cfg.K, cfg.N, cfg.Routing, n, maxSetID)
+	}
 	topo := sh.topo
 	alg := newAlgorithm(cfg.Routing, topo, cfg.VCs) // the engine's own: SetLiveness mutates it
 	pattern, err := traffic.ByName(cfg.Pattern, topo)
@@ -439,7 +437,6 @@ func New(cfg Config) (*Engine, error) {
 	// storage behind them); reset fills them.
 	e.in = make([]inVC, nNodes*nVC)
 	e.routes = make([]routeInfo, nNodes*nVC)
-	e.outVCs = make([]router.OutVC, nNodes*nVC)
 	e.lastTx = make([]int64, nNodes*nVC)
 	e.inj = make([]injChannel, nNodes*cfg.InjChannels)
 	e.ej = make([]ejChannel, nNodes*cfg.EjChannels)
@@ -534,13 +531,12 @@ func New(cfg Config) (*Engine, error) {
 func cut[T any](arena []T, i, n int) []T { return arena[i*n : (i+1)*n : (i+1)*n] }
 
 // A node's runs of the channel arenas (see Engine.in): its input VCs, their
-// routes, its output VCs and their lastTx, indexed by agent; its injection
-// and ejection channels; its want entries; and its output arbiters, physical
+// routes, and its output VCs' lastTx, indexed by agent; its injection and
+// ejection channels; its want entries; and its output arbiters, physical
 // ports then ejection channels. Its neighbours are nbr[id*numPhys+p].
-func (e *Engine) inOf(id topology.NodeID) []inVC             { return cut(e.in, int(id), e.nVC) }
-func (e *Engine) routesOf(id topology.NodeID) []routeInfo    { return cut(e.routes, int(id), e.nVC) }
-func (e *Engine) outVCsOf(id topology.NodeID) []router.OutVC { return cut(e.outVCs, int(id), e.nVC) }
-func (e *Engine) lastTxOf(id topology.NodeID) []int64        { return cut(e.lastTx, int(id), e.nVC) }
+func (e *Engine) inOf(id topology.NodeID) []inVC          { return cut(e.in, int(id), e.nVC) }
+func (e *Engine) routesOf(id topology.NodeID) []routeInfo { return cut(e.routes, int(id), e.nVC) }
+func (e *Engine) lastTxOf(id topology.NodeID) []int64     { return cut(e.lastTx, int(id), e.nVC) }
 func (e *Engine) injOf(id topology.NodeID) []injChannel {
 	return cut(e.inj, int(id), e.cfg.InjChannels)
 }
@@ -550,6 +546,21 @@ func (e *Engine) wantOf(id topology.NodeID) []uint8 {
 }
 func (e *Engine) arbOf(id topology.NodeID) []router.RoundRobin {
 	return cut(e.outArb, int(id), e.numPhys+e.cfg.EjChannels)
+}
+
+// ownerOf returns the message that owns output virtual channel out (p*VCs+v)
+// of node id, nil while it is free: the message of the agent routed to it —
+// an input VC's run (its buffer names the message from the header's arrival
+// until the tail leaves, which clears the route) or an injection channel's.
+func (e *Engine) ownerOf(id topology.NodeID, out int) *message.Message {
+	a := int(e.wantOf(id)[out])
+	switch {
+	case a == noAgent:
+		return nil
+	case a < e.nVC:
+		return e.in[int(id)*e.nVC+a].buf.Msg()
+	}
+	return e.inj[int(id)*e.cfg.InjChannels+a-e.nVC].msg
 }
 
 // downstream returns the index in in of the buffer a flit node id sends on
@@ -587,14 +598,14 @@ func splitSeed(seed, node uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// setOf returns the candidate-set id of a header at nd addressed to dst
-// through its cache (inVC.set, injChannel.set, srcQueue.set), looking it up in
-// the offset-class table only while the cache still holds 0.
-func (e *Engine) setOf(nd *node, dst topology.NodeID, set *int32) int32 {
+// setOf returns the candidate-set id of message m's header at nd through its
+// cache (an input VC's Note, injChannel.set), looking it up from m.Dst in the
+// offset-class table only while the cache still holds 0.
+func (e *Engine) setOf(nd *node, m *message.Message, set *uint16) int32 {
 	if *set == 0 {
-		*set = e.cand.id(nd.id, dst)
+		*set = uint16(e.cand.id(nd.id, m.Dst))
 	}
-	return *set
+	return int32(*set)
 }
 
 // materialise turns r, popped from node src's queue (pop: r.next is its
@@ -862,33 +873,34 @@ type derived struct {
 	busyInj                            int
 }
 
-// derive computes every derived word of nd from its durable state — free from
-// the output-VC owners, empty and full from the buffers, routed, want (into
-// want) and wantOut from the routes, busyInj from the injection channels — and
-// is the only code that does: rederive stores its result, CheckInvariants
-// compares it with what is stored. ok is false when two agents are routed to
-// one output channel, which neither want nor wantOut can hold.
+// derive computes every derived word of nd from its durable state — empty
+// and full from the buffers, free (the output VCs no route claims), routed,
+// want (into want) and wantOut from the routes, busyInj from the injection
+// channels — and is the only code that does: rederive stores its result,
+// CheckInvariants compares it with what is stored. ok is false when two agents
+// are routed to one output channel, which neither want nor wantOut can hold.
 func (e *Engine) derive(nd *node, want []uint8) (d derived, ok bool) {
 	for i := range want {
 		want[i] = noAgent
 	}
 	ok = true
+	d.free = e.inMask
 	route := func(a int, r routeInfo) { // r valid
 		slot, o := e.wantSlot(r)
 		ok = ok && want[slot] == noAgent
 		want[slot] = uint8(a)
 		d.wantOut |= 1 << uint(o)
+		if !r.eject {
+			d.free &^= 1 << uint(slot)
+		}
 	}
-	outVCs, routes := e.outVCsOf(nd.id), e.routesOf(nd.id)
+	routes := e.routesOf(nd.id)
 	for a, ivc := range e.inOf(nd.id) {
 		bit := uint64(1) << uint(a)
-		if outVCs[a].Free() {
-			d.free |= bit
-		}
 		if ivc.buf.Empty() {
 			d.empty |= bit
 		}
-		if ivc.buf.Full() {
+		if ivc.buf.Len() == e.cfg.BufDepth {
 			d.full |= bit
 		}
 		if r := routes[a]; r.valid {

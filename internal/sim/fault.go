@@ -106,7 +106,7 @@ func (e *Engine) emitFault(kind trace.Kind, node topology.NodeID) {
 func (e *Engine) killOnLink(n topology.NodeID, p topology.Port) {
 	kills := e.killScratch[:0]
 	for v := 0; v < e.cfg.VCs; v++ {
-		if m := e.outVCsOf(n)[int(p)*e.cfg.VCs+v].Owner(); m != nil {
+		if m := e.ownerOf(n, int(p)*e.cfg.VCs+v); m != nil {
 			kills = append(kills, m)
 		}
 		if m := e.in[e.downstream(n, p, v)].buf.FrontMessage(); m != nil {

@@ -56,7 +56,7 @@ type queued struct {
 // zeroes it.
 type srcQueue struct {
 	head, tail, n int32
-	set           int32
+	set           uint16
 }
 
 // Len returns the number of waiting messages.

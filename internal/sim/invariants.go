@@ -41,7 +41,7 @@ func (e *Engine) held() []heldMsg {
 	hs := e.reach[:0]
 	for i := range e.nodes {
 		nd := &e.nodes[i]
-		in, outVCs := e.inOf(nd.id), e.outVCsOf(nd.id)
+		in := e.inOf(nd.id)
 		for a := range in {
 			b := &in[a].buf
 			if m := b.FrontMessage(); m != nil {
@@ -52,9 +52,9 @@ func (e *Engine) held() []heldMsg {
 				hs = append(hs, h)
 			}
 		}
-		for a := range outVCs {
+		for a := range e.nVC {
 			// An owner whose flits fill the buffer downstream has its entry there.
-			if m := outVCs[a].Owner(); m != nil &&
+			if m := e.ownerOf(nd.id, a); m != nil &&
 				e.in[e.downstream(nd.id, topology.Port(a/e.cfg.VCs), a%e.cfg.VCs)].buf.FrontMessage() != m {
 				hs = append(hs, heldMsg{m: m, vcs: 1})
 			}
@@ -104,17 +104,18 @@ func (e *Engine) held() []heldMsg {
 // Checked invariants:
 //  1. Flit conservation: for every message with flits in the network, the
 //     flits buffered across all routers equal FlitsSent - FlitsEjected.
-//  2. Buffer ownership: a virtual-channel buffer's dst cache is the
-//     destination of the message whose run of flits it holds (router.Buffer
-//     holds nothing but one message's run: Push refuses anything else, and
-//     load a flit list that is not one).
+//  2. Buffer ownership: a virtual-channel buffer holds nothing but one
+//     message's run (router.Buffer: Push refuses anything else, and load a
+//     flit list that is not one), and a routed one names its message even
+//     while empty — the owner of the output VC its route claims (ownerOf).
 //  3. Paths (checkPath): walked from a message's Tail along the routes it
 //     claimed, a held message's path is loop-free, never enters another
 //     message's virtual channel, and covers every buffer holding its flits
 //     and every input VC an output VC it owns feeds; a waiting message holds
 //     none (its Tail is NoLoc).
-//  4. Allocation consistency: every valid forward route points at an output
-//     virtual channel owned by the routed message.
+//  4. Allocation consistency: an output VC's owner is the message of the
+//     agent routed to it, by construction (ownerOf), so two routes on one
+//     channel are the one way to break it: check 6 refuses them.
 //  5. Liveness: every message the network holds (held) is in flight —
 //     neither delivered nor dropped — and the only object with its id.
 //  6. Derived state and caches: each node's words are what derive computes
@@ -130,7 +131,9 @@ func (e *Engine) held() []heldMsg {
 //  8. Message conservation: the messages the network holds plus the queue
 //     records, recovery and retry entries are the InFlight() the counters
 //     give (generated - delivered - dropped).
-//  9. Derived suffixes (checkSuffixes): each is what its generator drew.
+//  9. Source queues: each derived suffix is what its generator drew
+//     (checkSuffixes), and every slot of the record arena is a queue's or
+//     on a free list that ends (checkRecords).
 func (e *Engine) CheckInvariants() error {
 	held := e.held()
 	for i, h := range held {
@@ -155,13 +158,17 @@ func (e *Engine) CheckInvariants() error {
 	if err := e.checkSuffixes(); err != nil {
 		return err
 	}
-	built, odd, waiting := 0, 0, 0
+	built, odd, waiting, records := 0, 0, 0, 0
 	var wantBuf [128]uint8 // the width limit keeps a node's entries under 64+64
 	want := wantBuf[:e.nVC+e.cfg.EjChannels]
 	var holding *message.Message // a waiting message with a Tail
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		waiting += nd.queue.Len() + len(nd.recovery) + len(nd.retry)
+		records += nd.queue.Len()
+		if s := e.suffixOf(nd); s != nil {
+			records -= int(s.n)
+		}
 		e.eachWaiting(nd, func(r *queued) {
 			if m := e.object(r.id); m != nil {
 				if m.Dst == r.dst && m.GenTime == r.gen {
@@ -199,32 +206,22 @@ func (e *Engine) CheckInvariants() error {
 			// (want itself stays out of the message: it would escape to the heap.)
 			return fmt.Errorf("node %d: want=%v, but the routes give another (one agent per output channel: %v)", nd.id, e.wantOf(nd.id), ok)
 		}
-		in, routes, outVCs := e.inOf(nd.id), e.routesOf(nd.id), e.outVCsOf(nd.id)
-		for a := range in {
-			ivc := &in[a]
-			p := a / e.cfg.VCs
-			v := a % e.cfg.VCs
-			if ivc.set != 0 && ivc.set != e.cand.id(nd.id, ivc.dst) {
-				return fmt.Errorf("node %d in[%d][%d]: cached candidate set %d for dst %d, table says %d",
-					nd.id, p, v, ivc.set, ivc.dst, e.cand.id(nd.id, ivc.dst))
+		routes := e.routesOf(nd.id)
+		for a, ivc := range e.inOf(nd.id) {
+			// A routed buffer names its message from the header's arrival
+			// until the tail leaves; the set id its Note caches is the
+			// table's for that message (an empty unrouted buffer's is stale
+			// and unread until a head moves in and zeroes it).
+			m, live := ivc.buf.Msg(), routes[a].valid || !ivc.buf.Empty()
+			if routes[a].valid && m == nil {
+				return fmt.Errorf("node %d in[%d][%d]: routed, but names no message", nd.id, a/e.cfg.VCs, a%e.cfg.VCs)
 			}
-			owner := ivc.buf.FrontMessage()
-			if owner != nil {
-				if ivc.dst != owner.Dst {
-					return fmt.Errorf("node %d in[%d][%d]: dst cache holds node %d but flits belong to msg %d bound for %d",
-						nd.id, p, v, ivc.dst, owner.ID, owner.Dst)
-				}
-			}
-			// A valid forward route must point at a VC owned by the
-			// buffer's message (or the message that just drained it).
-			if rt := routes[a]; rt.valid && !rt.eject && owner != nil {
-				if o := outVCs[e.inVCIndex(rt.outPort, rt.outVC)].Owner(); o != owner {
-					return fmt.Errorf("node %d in[%d][%d]: route points at VC owned by %v, buffer holds msg %d",
-						nd.id, p, v, o, owner.ID)
-				}
+			if live && ivc.buf.Note != 0 && int32(ivc.buf.Note) != e.cand.id(nd.id, m.Dst) {
+				return fmt.Errorf("node %d in[%d][%d]: cached candidate set %d for msg %d bound for %d, table says %d",
+					nd.id, a/e.cfg.VCs, a%e.cfg.VCs, ivc.buf.Note, m.ID, m.Dst, e.cand.id(nd.id, m.Dst))
 			}
 		}
-		if q := &nd.queue; q.set != 0 && (q.Empty() || q.set != e.cand.id(nd.id, e.front(nd).dst)) {
+		if q := &nd.queue; q.set != 0 && (q.Empty() || int32(q.set) != e.cand.id(nd.id, e.front(nd).dst)) {
 			return fmt.Errorf("node %d: queue of %d caches candidate set %d for its head, the table disagrees", nd.id, q.Len(), q.set)
 		}
 		for c, ic := range e.injOf(nd.id) {
@@ -234,13 +231,13 @@ func (e *Engine) CheckInvariants() error {
 			if ic.msg == nil {
 				continue
 			}
-			if ic.dst != ic.msg.Dst || ic.len != int32(ic.msg.Length) {
-				return fmt.Errorf("node %d inj[%d]: caches dst %d and length %d, but msg %d is bound for %d with %d flits",
-					nd.id, c, ic.dst, ic.len, ic.msg.ID, ic.msg.Dst, ic.msg.Length)
+			if ic.len != int32(ic.msg.Length) {
+				return fmt.Errorf("node %d inj[%d]: caches length %d, but msg %d has %d flits",
+					nd.id, c, ic.len, ic.msg.ID, ic.msg.Length)
 			}
-			if ic.set != 0 && ic.set != e.cand.id(nd.id, ic.dst) {
+			if ic.set != 0 && int32(ic.set) != e.cand.id(nd.id, ic.msg.Dst) {
 				return fmt.Errorf("node %d inj[%d]: cached candidate set %d for dst %d, table says %d",
-					nd.id, c, ic.set, ic.dst, e.cand.id(nd.id, ic.dst))
+					nd.id, c, ic.set, ic.msg.Dst, e.cand.id(nd.id, ic.msg.Dst))
 			}
 		}
 		if nd.fresh&^e.inMask != 0 || nd.freshInj>>uint(e.cfg.InjChannels) != 0 {
@@ -250,6 +247,9 @@ func (e *Engine) CheckInvariants() error {
 	if built != len(e.built) || odd != len(e.lengths) {
 		return fmt.Errorf("%d objects and %d lengths filed for waiting messages, %d and %d queue records stand for one",
 			len(e.built), len(e.lengths), built, odd)
+	}
+	if err := e.checkRecords(records); err != nil {
+		return err
 	}
 	for i := range held {
 		if err := e.checkPath(&held[i]); err != nil {
@@ -314,7 +314,7 @@ func (e *Engine) checkPath(h *heldMsg) error {
 		a := e.inVCIndex(loc.Port, loc.VC)
 		held := e.inOf(loc.Node)[a].buf.FrontMessage()
 		up := e.topo.Neighbor(loc.Node, loc.Port)
-		fed := e.outVCsOf(up)[e.inVCIndex(topology.Opposite(loc.Port), loc.VC)].Owner()
+		fed := e.ownerOf(up, e.inVCIndex(topology.Opposite(loc.Port), loc.VC))
 		if (held != nil && held != m) || (fed != nil && fed != m) {
 			return fmt.Errorf("msg %d: path entry %d, node %d in[%d][%d], belongs to another message (flits of %v, fed by %v)",
 				m.ID, n, loc.Node, loc.Port, loc.VC, held, fed)
@@ -329,6 +329,24 @@ func (e *Engine) checkPath(h *heldMsg) error {
 	}
 	if n != h.vcs {
 		return fmt.Errorf("msg %d: path covers %d of the %d input VCs that name it", m.ID, n, h.vcs)
+	}
+	return nil
+}
+
+// checkRecords holds the record arena to the source queues: the slots their
+// explicit prefixes chain (held of them) and the free list are all of it, and
+// the free list ends.
+func (e *Engine) checkRecords(held int) error {
+	a := &e.waiting
+	free := 0
+	for i := a.free; i != 0; i = a.recs[i-1].next + 1 {
+		if i < 0 || int(i) > len(a.recs) || free == len(a.recs) {
+			return fmt.Errorf("record arena: the free list leaves its %d slots or loops", len(a.recs))
+		}
+		free++
+	}
+	if held+free != len(a.recs) {
+		return fmt.Errorf("record arena: the queues hold %d records and %d slots are free, of %d", held, free, len(a.recs))
 	}
 	return nil
 }
@@ -449,7 +467,7 @@ func (e *Engine) checkFaultInvariants() error {
 				return fmt.Errorf("node %d in[%d][%d]: route crosses dead channel (port %d)",
 					nd.id, p, v, rt.outPort)
 			}
-			if m := e.outVCsOf(nd.id)[a].Owner(); m != nil && !e.live.LinkAlive(nd.id, port) {
+			if m := e.ownerOf(nd.id, a); m != nil && !e.live.LinkAlive(nd.id, port) {
 				return fmt.Errorf("node %d out[%d].vc[%d] on a dead channel owned by msg %d", nd.id, p, v, m.ID)
 			}
 		}

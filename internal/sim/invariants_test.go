@@ -11,6 +11,7 @@ import (
 	"wormnet/internal/core"
 	"wormnet/internal/message"
 	"wormnet/internal/router"
+	"wormnet/internal/topology"
 )
 
 // The invariant checker is itself load-bearing for the test suite, so these
@@ -24,7 +25,6 @@ func TestInvariantCatchesUntrackedFlit(t *testing.T) {
 	m.FlitsSent = 1
 	// A flit parked in a buffer with no path entry.
 	e.inOf(3)[0].buf.Push(message.MakeFlit(m, 0))
-	e.inOf(3)[0].dst = m.Dst
 	e.empty[3] &^= 1
 	err := e.CheckInvariants()
 	if err == nil {
@@ -91,7 +91,6 @@ func TestInvariantCatchesFlitCountMismatch(t *testing.T) {
 	m.FlitsSent = 3 // three sent, only one buffered
 	m.Tail = pathLoc{Node: 3, Port: 0, VC: 0}
 	e.inOf(3)[0].buf.Push(message.MakeFlit(m, 0))
-	e.inOf(3)[0].dst = m.Dst
 	e.empty[3] &^= 1
 	err := e.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "buffered") {
@@ -141,8 +140,7 @@ func TestInvariantCatchesDeliveredOwner(t *testing.T) {
 	e := idle(t, nil)
 	m := message.New(1, 0, 5, 4, 0)
 	m.State = message.StateDelivered
-	e.outVCsOf(2)[e.cfg.VCs].Allocate(m)
-	e.nodes[2].free &^= 1 << uint(e.cfg.VCs)
+	claimVC(e, 2, 0, e.cfg.VCs, m)
 	err := e.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "delivered") {
 		t.Fatalf("stale allocation not caught: %v", err)
@@ -166,9 +164,8 @@ func TestInvariantCatchesDuplicatePathEntry(t *testing.T) {
 	m2 := message.New(2, 0, 5, 4, 0)
 	// Both messages must be discoverable from network state: give each an
 	// output virtual-channel allocation, and m2 the path of m1's.
-	e.outVCsOf(0)[0].Allocate(m1)
-	e.outVCsOf(0)[1].Allocate(m2)
-	e.nodes[0].free &^= 3
+	claimVC(e, 0, 0, 0, m1)
+	claimVC(e, 0, 1, 1, m2)
 	m1.Tail = e.landing(0, 0, 0)
 	if err := e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "msg 2: path covers 0 of the 1") {
 		t.Fatalf("an output VC off its owner's path not caught: %v", err)
@@ -180,26 +177,71 @@ func TestInvariantCatchesDuplicatePathEntry(t *testing.T) {
 	}
 }
 
+// The record arena behind the source queues and the maps filed beside it are
+// held to the queues like the channels: a free list that loops back on
+// itself, and one waiting message filed both as an object and as an odd
+// length, are each refused.
+func TestInvariantCatchesCorruptArena(t *testing.T) {
+	e := idle(t, nil)
+	for range 3 {
+		e.Inject(0, 5, 4)
+	}
+	e.Step() // three injection channels claim the records: three free slots
+	a := &e.waiting
+	if err := e.CheckInvariants(); err != nil || a.free == 0 {
+		t.Fatalf("before the corruption: %v (free list %d)", err, a.free)
+	}
+	first := a.free - 1
+	next := a.recs[first].next
+	a.recs[first].next = first // the first free slot names itself next
+	if err := e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "free list") {
+		t.Fatalf("a looping free list not caught: %v", err)
+	}
+	a.recs[first].next = next
+
+	m := e.Inject(1, 6, 4) // a built record: its object is filed in built
+	e.lengths = map[message.ID]int32{m.ID: 7}
+	if err := e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "lengths filed") {
+		t.Fatalf("a record filed in built and lengths not caught: %v", err)
+	}
+	delete(e.lengths, m.ID)
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatalf("after the repairs: %v", err)
+	}
+}
+
+// claimVC makes message m the owner of output VC out of node id the way the
+// engine does, by a route claiming it: m on injection channel c, routed there.
+func claimVC(e *Engine, id topology.NodeID, c, out int, m *message.Message) {
+	r := routeInfo{valid: true, outPort: topology.Port(out / e.cfg.VCs), outVC: int8(out % e.cfg.VCs)}
+	e.injOf(id)[c] = injChannel{msg: m, route: r, left: int32(m.Length), len: int32(m.Length)}
+	e.rederive(&e.nodes[id])
+}
+
+// An output VC's owner is the message of the agent routed to it, so it can go
+// wrong two ways only: a route on a buffer that names no message (an owner of
+// nothing), and two routes on one channel (two owners).
 func TestInvariantCatchesRouteOwnershipMismatch(t *testing.T) {
 	e := idle(t, nil)
+	nd := &e.nodes[3]
+	r := routeInfo{valid: true, outPort: 2, outVC: 1}
+	e.routesOf(nd.id)[0] = r
+	e.rederive(nd)
+	if err := e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "names no message") {
+		t.Fatalf("a route on a buffer with no message not caught: %v", err)
+	}
+
+	e = idle(t, nil)
+	nd = &e.nodes[3]
 	m1 := message.New(1, 0, 5, 4, 0)
 	m2 := message.New(2, 0, 5, 4, 0)
 	m1.Tail = pathLoc{Node: 3, Port: 0, VC: 0}
 	m1.FlitsSent = 1
-	nd := &e.nodes[3]
 	e.inOf(nd.id)[0].buf.Push(message.MakeFlit(m1, 0))
-	e.inOf(nd.id)[0].dst = m1.Dst
-	e.empty[3] &^= 1
-	// Route on the VC points at an output channel owned by a different
-	// message.
-	e.outVCsOf(nd.id)[2*e.cfg.VCs+1].Allocate(m2)
-	nd.free &^= 2 << uint(2*e.cfg.VCs)
-	e.routesOf(nd.id)[0] = routeInfo{valid: true, outPort: 2, outVC: 1}
-	nd.routed |= 1
-	e.setWant(nd, 0, e.routesOf(nd.id)[0])
-	err := e.CheckInvariants()
-	if err == nil || !strings.Contains(err.Error(), "owned by") {
-		t.Fatalf("route ownership mismatch not caught: %v", err)
+	e.routesOf(nd.id)[0] = r
+	claimVC(e, nd.id, 0, e.inVCIndex(r.outPort, r.outVC), m2) // a second route on the channel
+	if err := e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "one agent per output channel") {
+		t.Fatalf("two routes on one output VC not caught: %v", err)
 	}
 }
 
@@ -241,8 +283,8 @@ func TestInvariantCatchesStaleSetCache(t *testing.T) {
 	e := idle(t, func(c *Config) { c.Limiter, c.LimiterName = core.NewALO(), "alo" })
 	e.Inject(0, 5, 4)
 	nd := &e.nodes[0]
-	nd.queue.set = e.cand.id(0, 10) // some other destination's set
-	if nd.queue.set == e.cand.id(0, 5) {
+	nd.queue.set = uint16(e.cand.id(0, 10)) // some other destination's set
+	if int32(nd.queue.set) == e.cand.id(0, 5) {
 		t.Fatal("test destinations share a candidate set")
 	}
 	if err := e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "queue") {
@@ -250,11 +292,11 @@ func TestInvariantCatchesStaleSetCache(t *testing.T) {
 	}
 	nd.queue.set = 0
 	e.Step() // the gate looks the id up, the claim hands it to the channel
-	if e.injOf(nd.id)[0].len == 0 || e.injOf(nd.id)[0].set != e.cand.id(0, 5) || nd.queue.set != 0 {
+	if e.injOf(nd.id)[0].len == 0 || int32(e.injOf(nd.id)[0].set) != e.cand.id(0, 5) || nd.queue.set != 0 {
 		t.Fatalf("claimed channel %+v, queue %+v: want set id %d on the channel and none on the empty queue",
 			e.injOf(nd.id)[0], nd.queue, e.cand.id(0, 5))
 	}
-	e.injOf(nd.id)[0].set = e.cand.id(0, 10)
+	e.injOf(nd.id)[0].set = uint16(e.cand.id(0, 10))
 	if err := e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "inj[0]") {
 		t.Fatalf("stale injection-channel set id not caught: %v", err)
 	}
@@ -289,17 +331,17 @@ func TestCheckInvariantsReadOnly(t *testing.T) {
 	}
 }
 
-// Per-flit storage must not creep back. An input virtual channel is a run
-// (owner, then first sequence number, length and capacity in 16 bits each and
-// the tail flag: 16 bytes) plus the allocator's destination cache and
-// candidate-set id: 24 bytes, eighteen to a node of the 8-ary 3-cube. The
-// move and allocation phases stream through all of them every cycle, and
-// what made them faster than the per-flit ring (56 bytes here plus 16 per
-// buffered flit elsewhere) is that size, not an instruction count. A field
-// added here needs a benchmark.
+// Per-flit storage must not creep back. An input virtual channel is a run:
+// owner, then first sequence number, length and the allocator's candidate-set
+// id in 16 bits each, and the tail flag — 16 bytes, eighteen to a node of the
+// 8-ary 3-cube. The depth is the configuration's and the destination the
+// message's, read once per header. The move and allocation phases stream
+// through all of them every cycle, and what made them faster than the
+// per-flit ring (56 bytes here plus 16 per buffered flit elsewhere) is that
+// size, not an instruction count. A field added here needs a benchmark.
 func TestInVCStaysSmall(t *testing.T) {
-	if got := unsafe.Sizeof(inVC{}); got > 24 {
-		t.Errorf("inVC is %d bytes, ceiling 24", got)
+	if got := unsafe.Sizeof(inVC{}); got > 16 {
+		t.Errorf("inVC is %d bytes, ceiling 16", got)
 	}
 }
 

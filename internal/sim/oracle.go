@@ -67,7 +67,7 @@ func (e *Engine) addWaitOptions(g *deadlock.WaitGraph, id int64, nd *node, dst t
 		base := int(pc.port) * vcs
 		for w := pc.mask; w != 0; w &= w - 1 {
 			v := bits.TrailingZeros32(w)
-			if owner := e.outVCsOf(nd.id)[base+v].Owner(); owner != nil {
+			if owner := e.ownerOf(nd.id, base+v); owner != nil {
 				g.AddOption(id, int64(owner.ID))
 				continue
 			}
@@ -120,7 +120,7 @@ func (e *Engine) VerifyInjectionProperty() error {
 		for p, u := range useful {
 			free := 0
 			for v := 0; v < vcs; v++ {
-				if e.outVCsOf(nd.id)[p*vcs+v].Free() {
+				if e.ownerOf(nd.id, p*vcs+v) == nil {
 					free++
 				}
 			}
@@ -141,7 +141,7 @@ func (e *Engine) VerifyInjectionProperty() error {
 				nd.id, dst, nd.rules.Name(), a, b, ruleA, ruleB)
 		}
 		for v := range vcFree {
-			vcFree[v] = e.outVCsOf(nd.id)[v].Free()
+			vcFree[v] = e.ownerOf(nd.id, v) == nil
 		}
 		if got := circuit.Eval(vcFree, useful); got != (ruleA || ruleB) {
 			return fmt.Errorf("sim: node %d dst %d: gate circuit=%v, rules say a=%v b=%v",

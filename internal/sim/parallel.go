@@ -877,7 +877,7 @@ func (e *Engine) injectNode(nd *node, sh *parShard) {
 		if len(nd.recovery) > 0 && nd.recovery[0].readyAt <= e.now {
 			m := nd.popRecovery()
 			m.State = message.StateInjecting
-			*ic = injChannel{msg: m, left: int32(m.Length), len: int32(m.Length), dst: m.Dst}
+			*ic = injChannel{msg: m, left: int32(m.Length), len: int32(m.Length)}
 			nd.busyInj++
 			if e.spans != nil {
 				e.spanClaim(m, nd.id)
@@ -916,7 +916,12 @@ func (e *Engine) injectNode(nd *node, sh *parShard) {
 		set := nd.queue.set // the pop forgets it
 		r := e.pop(nd)
 		n := e.recordLen(&r)
-		*ic = injChannel{left: n, len: n, dst: r.dst, set: set}
+		// The channel has no message until the commit: its set id is all a
+		// fault pre-scan (deadEnd) can read of the header.
+		if set == 0 {
+			set = uint16(e.cand.id(nd.id, r.dst))
+		}
+		*ic = injChannel{left: n, len: n, set: set}
 		nd.busyInj++
 		sh.events = append(sh.events, deferredEvent{kind: evClaim, ch: int8(c), node: nd.id, rec: r})
 	}
@@ -933,9 +938,9 @@ func (e *Engine) admits(nd *node) (ok, ruleA, ruleB bool) {
 	q := &nd.queue
 	if nd.gated {
 		if q.set == 0 {
-			q.set = e.cand.id(nd.id, e.front(nd).dst)
+			q.set = uint16(e.cand.id(nd.id, e.front(nd).dst))
 		}
-		return e.gateWords(nd, q.set)
+		return e.gateWords(nd, int32(q.set))
 	}
 	dst := e.front(nd).dst
 	ok = nd.limiter.Allow(nd.view, dst)
@@ -973,22 +978,24 @@ func (nd *node) popRecovery() *message.Message {
 // otherwise always yields candidates). Ejection-bound headers never kill —
 // the destination router's liveness was already checked at injection.
 // Injection channels are tested by len: the pre-scan runs inside the injection
-// section, where a channel claimed this cycle has no msg yet. A header's set id
+// section, where a channel claimed this cycle has no msg yet, but its set id
+// (the claim fills it; no epoch flips within the cycle). A header's set id
 // comes through its cache, as in allocate, which then finds it there.
 func (e *Engine) deadEnd(nd *node) bool {
+	self := e.cand.self
 	for h := e.inMask &^ e.empty[nd.id] &^ nd.routed; h != 0; h &= h - 1 {
-		ivc := &e.inOf(nd.id)[bits.TrailingZeros64(h)]
-		if ivc.dst != nd.id && e.cand.word[e.setOf(nd, ivc.dst, &ivc.set)] == 0 {
+		b := &e.inOf(nd.id)[bits.TrailingZeros64(h)].buf
+		if id := e.setOf(nd, b.Msg(), &b.Note); id != self && e.cand.word[id] == 0 {
 			return true
 		}
 	}
 	if nd.busyInj > 0 {
 		for c := range e.cfg.InjChannels {
 			ic := &e.injOf(nd.id)[c]
-			if ic.len == 0 || ic.route.valid || ic.left < ic.len || ic.dst == nd.id {
+			if ic.len == 0 || ic.route.valid || ic.left < ic.len {
 				continue
 			}
-			if e.cand.word[e.setOf(nd, ic.dst, &ic.set)] == 0 {
+			if id := e.setOf(nd, ic.msg, &ic.set); id != self && e.cand.word[id] == 0 {
 				return true
 			}
 		}
@@ -1099,7 +1106,7 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 
 		out := int(mv.outPort)*vcs + int(mv.outVC)
 		e.lastTx[base+out] = now
-		if flit.Tail && e.outVCs[base+out].ReleaseIfOwner(m) {
+		if flit.Tail { // its route went above, and the output VC with it
 			nd.free |= 1 << uint(out)
 		}
 		// The landing buffer is the same VC of the opposite port at the neighbour.
@@ -1176,20 +1183,15 @@ func (e *Engine) push(rec *outFlit) {
 	if dvc.buf.Empty() {
 		e.empty[rec.node] &^= rec.bit
 	}
-	if rec.flit.Head {
-		// The buffer holds one message at a time, so the dst cache only needs
-		// (re-)writing when a new head moves in.
-		dvc.dst, dvc.set = rec.flit.Msg.Dst, 0
-		if e.spans != nil {
-			// The hop-append is exclusive: this shard owns the receiving node,
-			// the head arrives at most once per cycle, and a producer's
-			// same-cycle record writes happened before the ring publish the
-			// drain synchronized with.
-			e.spanHopArrive(rec.flit.Msg, rec.node)
-		}
+	if rec.flit.Head && e.spans != nil {
+		// The hop-append is exclusive: this shard owns the receiving node,
+		// the head arrives at most once per cycle, and a producer's
+		// same-cycle record writes happened before the ring publish the
+		// drain synchronized with.
+		e.spanHopArrive(rec.flit.Msg, rec.node)
 	}
 	dvc.buf.Push(rec.flit)
-	if dvc.buf.Full() {
+	if dvc.buf.Len() == e.cfg.BufDepth {
 		e.full[rec.node] |= rec.bit
 	}
 }

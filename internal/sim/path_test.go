@@ -49,11 +49,9 @@ func lay(t *testing.T, e *Engine, m *message.Message, src topology.NodeID, ports
 		seq := int(m.Length) - 2*(i+1) // the tail buffer holds the last two flits
 		ivc.buf.Push(message.MakeFlit(m, seq))
 		ivc.buf.Push(message.MakeFlit(m, seq+1))
-		ivc.dst = m.Dst
 		if i+1 < len(locs) {
 			r := routeInfo{valid: true, outPort: ports[i+1], outVC: vc, epoch: uint16(e.epoch)}
 			e.routesOf(loc.Node)[a] = r
-			e.outVCsOf(loc.Node)[e.inVCIndex(r.outPort, vc)].Allocate(m)
 			e.setWant(&e.nodes[loc.Node], a, r)
 		}
 		e.rederive(&e.nodes[loc.Node])
@@ -77,7 +75,10 @@ func clean(e *Engine) string {
 			return "a buffered flit"
 		case e.routes[c].valid:
 			return "a route"
-		case e.outVCs[c].Owner() != nil:
+		}
+	}
+	for i := range e.nodes {
+		if e.nodes[i].free != e.inMask {
 			return "an owned output VC"
 		}
 	}
@@ -194,8 +195,6 @@ func TestInvariantCatchesCorruptPath(t *testing.T) {
 			a := e.inVCIndex(at.Port, at.VC)
 			old := e.routesOf(nd.id)[a]
 			r := routeInfo{valid: true, outPort: 2, outVC: 1, epoch: old.epoch}
-			e.outVCsOf(nd.id)[e.inVCIndex(old.outPort, old.outVC)].ReleaseIfOwner(m)
-			e.outVCsOf(nd.id)[e.inVCIndex(r.outPort, r.outVC)].Allocate(m)
 			e.clearWant(nd, old)
 			e.routesOf(nd.id)[a] = r
 			e.setWant(nd, a, r)
@@ -204,7 +203,6 @@ func TestInvariantCatchesCorruptPath(t *testing.T) {
 			other.State, other.FlitsSent, other.Tail = message.StateInNetwork, 1, x
 			ivc := &e.inOf(x.Node)[e.inVCIndex(x.Port, x.VC)]
 			ivc.buf.Push(message.MakeFlit(other, 0))
-			ivc.dst = other.Dst
 			e.generated++
 			e.rederive(nd)
 			e.rederive(&e.nodes[x.Node])
@@ -221,7 +219,6 @@ func TestInvariantCatchesCorruptPath(t *testing.T) {
 			}
 			a := e.inVCIndex(last.Port, last.VC)
 			e.routesOf(nd.id)[a] = r
-			e.outVCsOf(nd.id)[e.inVCIndex(r.outPort, r.outVC)].Allocate(other)
 			e.setWant(nd, a, r)
 			e.rederive(nd)
 		},

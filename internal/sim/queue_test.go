@@ -495,8 +495,8 @@ func TestSaturatedALOReference(t *testing.T) {
 // freeOutVCs counts physical output port p's unallocated virtual channels off
 // the ownership state itself.
 func freeOutVCs(e *Engine, nd *node, p int) (free int) {
-	for _, oc := range e.outVCsOf(nd.id)[p*e.cfg.VCs : (p+1)*e.cfg.VCs] {
-		if oc.Free() {
+	for v := range e.cfg.VCs {
+		if e.ownerOf(nd.id, p*e.cfg.VCs+v) == nil {
 			free++
 		}
 	}

@@ -58,7 +58,7 @@ func (e *Engine) SetReconfigHook(f func(epoch uint64)) { e.onReconfig = f }
 func (e *Engine) reconfigure() {
 	e.retable()
 	for a := range e.routes {
-		e.in[a].set = 0
+		e.in[a].buf.Note = 0
 		if e.routes[a].valid {
 			e.routes[a].epoch = uint16(e.epoch)
 		}
@@ -86,7 +86,8 @@ func (e *Engine) reconfigure() {
 //     epoch survives, so no packet can cross an epoch inconsistently.
 //  2. Table freshness — the packed candidate table matches a direct call of
 //     the routing function under the current liveness mask for every
-//     (node, destination) pair: the set, its words and its ports.
+//     (node, destination) pair: the set, its words and its ports; and the
+//     self set is the id of exactly the pairs cur == dst.
 //  3. Recoverability — if the wait-graph oracle finds a deadlocked set in
 //     the post-flip state, deadlock detection must be armed to recover it:
 //     a reconfiguration must never introduce a wait cycle the watermark
@@ -109,7 +110,12 @@ func (e *Engine) CheckReconfiguration() error {
 				return fmt.Errorf("sim: stale candidate table at (%d,%d): table has %+v, routing has %+v",
 					n, d, got, want)
 			}
+			// A header's id alone tells it is at its destination (allocate),
+			// and a 16-bit cache holds it.
 			id := e.cand.id(cur, dst)
+			if (id == e.cand.self) != (cur == dst) || id > maxSetID {
+				return fmt.Errorf("sim: candidate table at (%d,%d): set %d, the self set is %d", n, d, id, e.cand.self)
+			}
 			if w, u := setWords(want, e.cfg.VCs); e.cand.word[id] != w || e.cand.useful[id] != u ||
 				!slices.Equal(e.cand.ports(cur, dst), routing.Ports(cands, nil)) {
 				return fmt.Errorf("sim: candidate table at (%d,%d): set %d's words or ports disagree with its candidates", n, d, id)

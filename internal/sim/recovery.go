@@ -2,7 +2,6 @@ package sim
 
 import (
 	"wormnet/internal/message"
-	"wormnet/internal/topology"
 	"wormnet/internal/trace"
 )
 
@@ -32,20 +31,18 @@ func (e *Engine) recover(m *message.Message, at *node) {
 }
 
 // teardown removes every trace of message m from the network: the
-// injection channel it may still hold, every buffered flit, every route and
-// every virtual channel (sender-side allocations up- and downstream of each
-// buffer) it occupies. The message's own progress counters are untouched;
-// callers reset or drop the message afterwards. Both deadlock recovery and the
-// fault-kill machinery run exactly this teardown. It is rare, so each node it
-// touches rederives its words rather than being updated bit by bit.
+// injection channel it may still hold, every buffered flit, every route, and
+// with the routes every output virtual channel they claimed (ownership
+// derives from them) and the ejection channel it may hold. The message's own
+// progress counters are untouched; callers reset or drop the message
+// afterwards. Both deadlock recovery and the fault-kill machinery run exactly
+// this teardown. It is rare, so each node it touches rederives its words
+// rather than being updated bit by bit.
 func (e *Engine) teardown(m *message.Message) {
-	// release frees the channel a route of nd claimed for m.
+	// release frees the ejection channel a route of nd claimed for m; an
+	// output VC goes with the route itself.
 	release := func(nd *node, r routeInfo) {
-		switch {
-		case !r.valid:
-		case !r.eject:
-			e.outVCsOf(nd.id)[e.inVCIndex(r.outPort, r.outVC)].ReleaseIfOwner(m)
-		case e.ejOf(nd.id)[r.ejCh].msg == m:
+		if r.valid && r.eject && e.ejOf(nd.id)[r.ejCh].msg == m {
 			m.FlitsEjected += e.ejOf(nd.id)[r.ejCh].pending
 			e.ejOf(nd.id)[r.ejCh] = ejChannel{}
 		}
@@ -64,27 +61,24 @@ func (e *Engine) teardown(m *message.Message) {
 	}
 	e.rederive(inj)
 
-	// Tear down the path: remove buffered flits, clear routes, release the
-	// virtual channels feeding and leaving every buffer the message holds,
-	// walking from its tail along the routes it claimed — each next hop read
-	// before the route naming it is cleared.
+	// Tear down the path: remove buffered flits and clear the routes of every
+	// buffer the message holds, walking from its tail along the routes it
+	// claimed — each next hop read before the route naming it is cleared. The
+	// channel feeding each buffer past the first is claimed by the route on
+	// the one before it, and the first's by the injection channel's route or
+	// by none (the tail already passed it).
 	for loc, more := m.Tail, m.Tail != message.NoLoc; more; {
 		nd := &e.nodes[loc.Node]
 		a := e.inVCIndex(loc.Port, loc.VC)
 		next, ok := e.nextLoc(loc)
 		e.inOf(nd.id)[a].buf.RemoveMessage(m.ID)
 		// The buffer held only this message's flits, so a valid route on it
-		// belongs to the message: release the onward channel it claimed.
+		// belongs to the message: clearing it releases the onward channel.
 		release(nd, e.routesOf(nd.id)[a])
 		e.routesOf(nd.id)[a] = routeInfo{}
 		nd.fresh &^= 1 << uint(a)
 		nd.blocked.Progress(a)
-		// Release the upstream allocation feeding this buffer (a no-op when
-		// the tail already passed through it).
-		up := &e.nodes[e.topo.Neighbor(loc.Node, loc.Port)]
-		e.outVCsOf(up.id)[e.inVCIndex(topology.Opposite(loc.Port), loc.VC)].ReleaseIfOwner(m)
 		e.rederive(nd)
-		e.rederive(up)
 		loc, more = next, ok
 	}
 	m.Tail = message.NoLoc

@@ -203,8 +203,8 @@ func compareSnapshots(t *testing.T, got, want *Engine) {
 			t.Errorf("node %d: want %v %#x after restore, a new engine derives %v %#x", i, gw, g.wantOut, ww, w.wantOut)
 		}
 		for c, ivc := range got.inOf(g.id) {
-			if ivc.set != 0 {
-				t.Errorf("node %d vc %d: candidate-set id %d survived a restore", i, c, ivc.set)
+			if ivc.buf.Note != 0 {
+				t.Errorf("node %d vc %d: candidate-set id %d survived a restore", i, c, ivc.buf.Note)
 			}
 		}
 	}
@@ -357,19 +357,20 @@ var hostileMutations = []func(s *Snapshot, a, b int) bool{
 		m.Path = append(m.Path, bad[b%len(bad)])
 		return true
 	},
-	func(s *Snapshot, a, b int) bool { // wrong liveness sizes
-		faulty := s.LinksUp != nil // the last two only lie to a fault-capable engine
+	func(s *Snapshot, a, b int) bool { // wrong liveness sizes, or a fault position before the schedule
 		switch b % 4 {
 		case 0:
 			s.LinksUp = append(s.LinksUp, true)
 		case 1:
 			s.RoutersUp = append(s.RoutersUp, false)
-		case 2:
-			s.LinksUp, s.RoutersUp = nil, nil
-			return faulty
+		case 2: // a fault-capable engine's masks missing, or masks where none belong
+			if s.LinksUp != nil {
+				s.LinksUp, s.RoutersUp = nil, nil
+			} else {
+				s.RoutersUp = make([]bool, len(s.Nodes))
+			}
 		case 3:
 			s.FaultIdx = -1 - a
-			return faulty
 		}
 		return true
 	},
@@ -572,13 +573,13 @@ var hostileMutations = []func(s *Snapshot, a, b int) bool{
 		}
 		return true
 	},
-	func(s *Snapshot, a, b int) bool { // fault machinery position in a fault-free engine's snapshot
-		if s.LinksUp != nil {
-			return false
-		}
-		if b%2 == 0 {
+	func(s *Snapshot, a, b int) bool { // fault machinery position in a fault-free engine's snapshot, or past the schedule
+		switch {
+		case s.LinksUp != nil:
+			s.FaultIdx = 1<<20 + a%7 // beyond any schedule's events
+		case b%2 == 0:
 			s.FaultIdx = 1 + a%7
-		} else {
+		default:
 			s.Epoch = 1 + uint64(a)
 		}
 		return true
@@ -657,6 +658,70 @@ var pathMutations = []func(s *Snapshot, a, b int) bool{
 		}
 		return o != nil
 	},
+}
+
+// ownerMutations make the output-VC owners a snapshot lists disagree with the
+// routes they derive from: an owner of a channel no route names, a routed
+// channel listed free or under another message, and a second route on an owned
+// channel. Each returns false when the snapshot has no such channel.
+var ownerMutations = []func(s *Snapshot, a, b int) bool{
+	func(s *Snapshot, a, b int) bool { // an owner no route names
+		m := aPath(s, b, 1, nil)
+		v := anOutVC(s, a, func(id int64) bool { return id == -1 })
+		if m == nil || v == nil {
+			return false
+		}
+		*v = m.ID
+		return true
+	},
+	func(s *Snapshot, a, b int) bool { // a routed channel listed free, or under another message
+		v := anOutVC(s, a, func(id int64) bool { return id != -1 })
+		if v == nil {
+			return false
+		}
+		var owner *SnapMessage
+		for i := range s.Messages {
+			if s.Messages[i].ID == *v {
+				owner = &s.Messages[i]
+			}
+		}
+		if o := aPath(s, b, 1, owner); b%2 == 1 && o != nil {
+			*v = o.ID
+		} else {
+			*v = -1
+		}
+		return true
+	},
+	func(s *Snapshot, a, b int) bool { // a second route on an owned channel
+		for i := range s.Nodes {
+			n := &s.Nodes[(a+i)%len(s.Nodes)]
+			for c := range n.In {
+				if r := n.In[c].Route; r.Valid && !r.Eject {
+					for k := range n.In {
+						if o := &n.In[(c+1+b+k)%len(n.In)]; !o.Route.Valid {
+							o.Route = r
+							return true
+						}
+					}
+				}
+			}
+		}
+		return false
+	},
+}
+
+// anOutVC returns the first output VC of s, scanning the nodes from a, whose
+// listed owner satisfies ok; nil when there is none.
+func anOutVC(s *Snapshot, a int, ok func(id int64) bool) *int64 {
+	for i := range s.Nodes {
+		n := &s.Nodes[(a+i)%len(s.Nodes)]
+		for v := range n.OutOwner {
+			if ok(n.OutOwner[v]) {
+				return &n.OutOwner[v]
+			}
+		}
+	}
+	return nil
 }
 
 // aPath returns a message of s with a path of at least n entries other than
@@ -860,6 +925,17 @@ func FuzzRestoreInPlace(f *testing.F) {
 		}
 	}
 	mutations = append(mutations, pathMutations...)
+	// The owner mutations go after them, for the same reason.
+	for m := range ownerMutations {
+		for v := 0; v < 8; v++ {
+			which := v
+			if v >= 6 {
+				which = backloggedFrom + v - 6
+			}
+			f.Add(uint8(which), uint8(len(mutations)+m), uint16(7*v+m), uint16(v))
+		}
+	}
+	mutations = append(mutations, ownerMutations...)
 	f.Fuzz(func(t *testing.T, which, mutation uint8, a, b uint16) {
 		tg := targets[int(which)%len(targets)]
 		if which >= backloggedFrom {

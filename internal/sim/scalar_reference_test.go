@@ -323,7 +323,7 @@ func (d *scalarDriver) allocRange() {
 				if ic.msg == nil || ic.route.valid || ic.left < ic.len {
 					continue
 				}
-				route, ok, _, unroutable := d.both(nd, fmt.Sprintf("inj %d", c), ic.msg, ic.dst, &ic.set, &w)
+				route, ok, _, unroutable := d.both(nd, fmt.Sprintf("inj %d", c), ic.msg, &ic.set, &w)
 				switch {
 				case ok:
 					ic.route = route
@@ -360,7 +360,7 @@ func (d *scalarDriver) allocateVC(nd *node, a int, w *allocWords) {
 		return
 	}
 	m := ivc.buf.FrontMessage()
-	route, ok, vital, unroutable := d.both(nd, fmt.Sprintf("agent %d", a), m, ivc.dst, &ivc.set, w)
+	route, ok, vital, unroutable := d.both(nd, fmt.Sprintf("agent %d", a), m, &ivc.buf.Note, w)
 	if ok {
 		e.routesOf(nd.id)[a] = route
 		nd.routed |= 1 << uint(a)
@@ -374,7 +374,7 @@ func (d *scalarDriver) allocateVC(nd *node, a int, w *allocWords) {
 		w.packed = false
 		return
 	}
-	if ivc.dst == nd.id || vital {
+	if m.Dst == nd.id || vital {
 		nd.blocked.Progress(a)
 		return
 	}
@@ -385,10 +385,11 @@ func (d *scalarDriver) allocateVC(nd *node, a int, w *allocWords) {
 	}
 }
 
-func (d *scalarDriver) both(nd *node, who string, m *message.Message, dst topology.NodeID, set *int32, w *allocWords) (routeInfo, bool, bool, bool) {
+func (d *scalarDriver) both(nd *node, who string, m *message.Message, set *uint16, w *allocWords) (routeInfo, bool, bool, bool) {
 	e := d.e
+	dst := m.Dst
 	sr, sok, svital, sun := e.scalarAllocate(nd, dst)
-	r, ok, vital, un := e.allocate(nd, m, dst, set, w)
+	r, ok, vital, un := e.allocate(nd, m, set, w)
 	if r != sr || ok != sok || vital != svital || un != sun {
 		d.t.Fatalf("%s cycle %d node %d %s -> %d: words say (%+v ok=%v vital=%v unroutable=%v), scalar says (%+v ok=%v vital=%v unroutable=%v)",
 			d.label, e.now, nd.id, who, dst, r, ok, vital, un, sr, sok, svital, sun)

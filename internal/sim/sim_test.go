@@ -8,6 +8,7 @@ import (
 
 	"wormnet/internal/baseline"
 	"wormnet/internal/core"
+	"wormnet/internal/fault"
 	"wormnet/internal/message"
 	"wormnet/internal/router"
 	"wormnet/internal/topology"
@@ -55,6 +56,24 @@ func TestConfigRefusesWhatABufferCannotHold(t *testing.T) {
 		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), strconv.Itoa(c.limit)) {
 			t.Errorf("depth %d, length %d: New says %v, want a refusal naming %d", cfg.BufDepth, cfg.MsgLen, err, c.limit)
 		}
+	}
+}
+
+// Set ids are 16 bits (the caches in an input VC's buffer, injection channels
+// and queues), so a network whose candidate table could hand out more is
+// refused at New. On the 2-ary 9-cube only a fault overlay could — a variant
+// of each 18-port set a node — so the same network without faults is built.
+func TestNewRefusesMoreSetsThanAnIDNames(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.K, cfg.N, cfg.VCs = 2, 9, 1
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatalf("fault-free: %v", err)
+	}
+	e.Close()
+	cfg.Faults = new(fault.Schedule).FailLink(100, 0, 0)
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), strconv.Itoa(maxSetID)) {
+		t.Fatalf("with faults: New says %v, want a refusal naming %d", err, maxSetID)
 	}
 }
 

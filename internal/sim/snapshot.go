@@ -15,7 +15,8 @@ package sim
 //
 // What is serialized: the cycle clock, message-ID allocator, all-time
 // counters, the full reachable message table, per-node durable router state
-// (input-VC buffer contents, forwarding decisions, output-VC ownership,
+// (input-VC buffer contents, forwarding decisions, output-VC ownership — which
+// derives from those two, and which load checks against them —
 // injection/ejection channels, source and recovery/retry queues, generator
 // RNG streams, stateful-limiter words, blockage counters, per-VC last-
 // transmission cycles, arbiter pointers), fault machinery position (liveness
@@ -25,7 +26,7 @@ package sim
 // What is deliberately NOT serialized, and why that is sound:
 //   - derived state: the free/empty/full/routed status words, want/wantOut
 //     and busyInj, which derive recomputes exactly from the durable state,
-//     and the dst and set-id caches and nextGen, which load rebuilds;
+//     and the set-id caches and nextGen, which load rebuilds;
 //   - per-cycle scratch (killScratch, shard buffers): dead between cycles;
 //   - the fresh words (fresh, freshInj): provably zero between cycles — a set
 //     fresh bit implies a non-empty routed VC (or busy injection channel) on
@@ -452,7 +453,7 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 		nd := &e.nodes[i]
 		sn := &s.Nodes[i]
 
-		in, routes, outVCs := e.inOf(nd.id), e.routesOf(nd.id), e.outVCsOf(nd.id)
+		in, routes := e.inOf(nd.id), e.routesOf(nd.id)
 		sn.In = resize(sn.In, nVC)
 		for c := 0; c < nVC; c++ {
 			ivc := &in[c]
@@ -468,7 +469,7 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 		sn.OutOwner = resize(sn.OutOwner, nVC)
 		for v := 0; v < nVC; v++ {
 			sn.OutOwner[v] = -1
-			if m := outVCs[v].Owner(); m != nil {
+			if m := e.ownerOf(nd.id, v); m != nil {
 				sn.OutOwner[v] = int64(m.ID)
 			}
 		}
@@ -477,7 +478,7 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 		for j, ic := range e.injOf(nd.id) {
 			sn.Inj[j] = SnapInj{Msg: -1}
 			if ic.msg != nil {
-				sn.Inj[j] = SnapInj{Msg: int64(ic.msg.ID), Route: snapRoute(ic.route), Left: ic.left, Len: ic.len, Dst: int32(ic.dst)}
+				sn.Inj[j] = SnapInj{Msg: int64(ic.msg.ID), Route: snapRoute(ic.route), Left: ic.left, Len: ic.len, Dst: int32(ic.msg.Dst)}
 			}
 		}
 
@@ -605,10 +606,8 @@ func (e *Engine) reset() {
 	e.col.DropDeliverySeries() // load brings back the snapshot's, if any
 	for c := range e.in {
 		e.in[c], e.lastTx[c] = inVC{}, -1
-		e.in[c].buf.Init(e.cfg.BufDepth)
 	}
 	clear(e.routes)
-	clear(e.outVCs)
 	clear(e.inj)
 	clear(e.ej)
 	for i := range e.nodes {
@@ -753,7 +752,7 @@ func (e *Engine) load(snap *Snapshot) error {
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		sn := &snap.Nodes[i]
-		in, routes, outVCs := e.inOf(nd.id), e.routesOf(nd.id), e.outVCsOf(nd.id)
+		in, routes := e.inOf(nd.id), e.routesOf(nd.id)
 		inj, ej, arb := e.injOf(nd.id), e.ejOf(nd.id), e.arbOf(nd.id)
 		if len(sn.In) != nVC || len(sn.OutOwner) != nVC ||
 			len(sn.Inj) != len(inj) || len(sn.Ej) != len(ej) ||
@@ -767,7 +766,7 @@ func (e *Engine) load(snap *Snapshot) error {
 			ivc := &in[c]
 			for j, sf := range sv.Flits {
 				m := msg()
-				if ivc.buf.Full() {
+				if ivc.buf.Len() == e.cfg.BufDepth {
 					return fmt.Errorf("%w: node %d vc %d overflows its buffer", ErrSnapshotInvalid, i, c)
 				}
 				// A buffer stores a run and Push panics on anything else: the
@@ -788,9 +787,11 @@ func (e *Engine) load(snap *Snapshot) error {
 				routes[c] = loadRoute(sv.Route)
 			}
 		}
-		for v, id := range sn.OutOwner {
+		// Ownership derives from the routes: it is checked against them once
+		// the paths have named the messages of the empty routed buffers.
+		for _, id := range sn.OutOwner {
 			if id != -1 {
-				outVCs[v].Allocate(msg())
+				msg()
 			}
 		}
 		for j := range inj {
@@ -799,7 +800,11 @@ func (e *Engine) load(snap *Snapshot) error {
 				return fmt.Errorf("%w: node %d inj %d route out of range, or a free channel's fields set", ErrSnapshotInvalid, i, j)
 			}
 			if si.Msg != -1 {
-				inj[j] = injChannel{msg: msg(), route: loadRoute(si.Route), left: si.Left, len: si.Len, dst: topology.NodeID(si.Dst)}
+				m := msg()
+				if si.Dst != int32(m.Dst) {
+					return fmt.Errorf("%w: node %d inj %d lists destination %d for msg %d bound for %d", ErrSnapshotInvalid, i, j, si.Dst, m.ID, m.Dst)
+				}
+				inj[j] = injChannel{msg: m, route: loadRoute(si.Route), left: si.Left, len: si.Len}
 			}
 		}
 		if !e.rederive(nd) {
@@ -875,12 +880,12 @@ func (e *Engine) load(snap *Snapshot) error {
 	// also what keeps a loop out). CheckInvariants then holds each path to the
 	// buffers and channels that name its message, one message to a VC.
 	//
-	// The input-VC dst cache follows message paths, not buffer contents: a
-	// channel the head has already left but whose tail is still upstream has
-	// an empty buffer yet stays owned — its route is live and the body flits
-	// that keep arriving never carry the Head flag that rewrites the cache.
-	// So every channel's comes from the paths; CheckInvariants holds an
-	// occupied one to its flits' message.
+	// A buffer names its message from the paths, not from its contents alone:
+	// a channel the head has already left but whose tail is still upstream has
+	// an empty buffer yet stays the message's — its route is live, and it is
+	// what owns the output VC the route claims (ownerOf). So every empty
+	// buffer on a path is reserved for the path's message; CheckInvariants
+	// holds an occupied one to its flits' message.
 	for i := range snap.Messages {
 		sm := &snap.Messages[i]
 		for k, pl := range sm.Path {
@@ -895,9 +900,26 @@ func (e *Engine) load(snap *Snapshot) error {
 				return fmt.Errorf("%w: message %d path entry %d (%d,%d,%d) is not where its routes lead",
 					ErrSnapshotInvalid, sm.ID, k, pl.Node, pl.Port, pl.VC)
 			}
-			e.inOf(loc.Node)[e.inVCIndex(loc.Port, loc.VC)].dst = topology.NodeID(sm.Dst)
+			if b := &e.inOf(loc.Node)[e.inVCIndex(loc.Port, loc.VC)].buf; b.Empty() {
+				b.Reserve(objs[i])
+			}
 			if k == 0 {
 				objs[i].Tail = loc // every message with a path is an object: no record has one
+			}
+		}
+	}
+
+	// The owners the snapshot lists are the ones the routes give: an owner no
+	// route names, a route whose channel lists another owner or none, and
+	// (rederive above) two routes on one channel are all refused.
+	for i := range e.nodes {
+		for v, id := range snap.Nodes[i].OutOwner {
+			got := int64(-1)
+			if m := e.ownerOf(topology.NodeID(i), v); m != nil {
+				got = int64(m.ID)
+			}
+			if got != id {
+				return fmt.Errorf("%w: node %d output VC %d lists owner %d, its routes give %d", ErrSnapshotInvalid, i, v, id, got)
 			}
 		}
 	}

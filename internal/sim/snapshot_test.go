@@ -328,12 +328,13 @@ func deterministicSamples(in []metrics.Sample) []metrics.Sample {
 // route and a live owner — the body flits that keep arriving never carry the
 // Head flag that rewrites the channel's caches, so a restore that derived them
 // only from buffer fronts brought such channels back ownerless (the sweep
-// chaos self-test caught this as a post-resume invariant violation). The
-// buffer names its own message now — a run's first flit to arrive does that,
-// head or not — and only the destination cache is left to restore from the
-// path. The test scans a saturated run for the first cycle exhibiting the
-// hazard, snapshots exactly there, and demands the restored engine carries
-// the caches and finishes bit-identical to the uninterrupted run.
+// chaos self-test caught this as a post-resume invariant violation). Such a
+// buffer holds no flit to name its message, yet that message owns the output
+// VC its route claims (ownerOf), so load reserves every empty buffer on a path
+// for the path's message. The test scans a saturated run for the first cycle
+// exhibiting the hazard, snapshots exactly there, and demands the restored
+// engine names the same owners and finishes bit-identical to the
+// uninterrupted run.
 func TestSnapshotRestoresDrainedChannelOwner(t *testing.T) {
 	cfg := equivalenceConfigs()["saturated-recovery"]
 	goldRes, _, goldEvents, goldCtr := runTraced(t, cfg, 1)
@@ -358,7 +359,7 @@ func TestSnapshotRestoresDrainedChannelOwner(t *testing.T) {
 				if !routes[a].valid || routes[a].eject || !ivc.buf.Empty() {
 					continue
 				}
-				m := en.outVCsOf(nd.id)[en.inVCIndex(routes[a].outPort, routes[a].outVC)].Owner() // the routed message
+				m := en.ownerOf(nd.id, en.inVCIndex(routes[a].outPort, routes[a].outVC)) // the routed message
 				if m == nil {
 					continue
 				}
@@ -396,9 +397,11 @@ func TestSnapshotRestoresDrainedChannelOwner(t *testing.T) {
 	}
 	defer r.Close()
 	for _, loc := range locs {
-		ivc := &r.inOf(loc.Node)[r.inVCIndex(loc.Port, loc.VC)]
-		if want := e.inOf(loc.Node)[e.inVCIndex(loc.Port, loc.VC)].dst; ivc.dst != want {
-			t.Fatalf("cycle %d: restored channel %v caches destination %d, want %d", snapAt, loc, ivc.dst, want)
+		a := r.inVCIndex(loc.Port, loc.VC)
+		rt := r.routesOf(loc.Node)[a]
+		got, want := r.ownerOf(loc.Node, r.inVCIndex(rt.outPort, rt.outVC)), e.ownerOf(loc.Node, e.inVCIndex(rt.outPort, rt.outVC))
+		if got == nil || got.ID != want.ID || r.inOf(loc.Node)[a].buf.Msg() != got {
+			t.Fatalf("cycle %d: restored channel %v routes for %v, want msg %d", snapAt, loc, got, want.ID)
 		}
 	}
 
