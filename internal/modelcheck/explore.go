@@ -1,10 +1,8 @@
 package modelcheck
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -116,12 +114,15 @@ type item struct {
 // state a measure of how often an expansion could step from the engine its
 // round trip loaded. The restores of discarded work are not in Restores: a
 // budget-truncated run at several P explores past the budget on its way.
+// VisitedBytes is the memory the visited set holds when Run returns: its
+// index table and its hash chunks.
 type RunStats struct {
 	Workers       int
 	Donated       int
 	DonatedStates int
 	Discarded     int64
 	Restores      int
+	VisitedBytes  int
 }
 
 // Explorer enumerates the reachable state space of a Spec.
@@ -265,6 +266,7 @@ func (x *Explorer) Run() (*Report, error) {
 		w.close()
 	}
 	x.stats.Discarded = edges - (x.rep.Edges - edgesBefore)
+	x.stats.VisitedBytes = x.visited.bytes()
 	x.crew = nil
 	if err != nil {
 		x.items = nil
@@ -548,8 +550,9 @@ type journalEntry struct {
 	Used     uint32
 }
 
-// writeJournal writes the committer's state. The visited hashes go in sorted
-// order, so a run writes the same bytes every time and at any P.
+// writeJournal writes the committer's state. The visited hashes go in commit
+// order, the serial DFS order at any P, so a run writes the same bytes every
+// time and at any P.
 func (x *Explorer) writeJournal() error {
 	js := &journalState{
 		Digest: x.digest,
@@ -557,8 +560,7 @@ func (x *Explorer) writeJournal() error {
 		Report: *x.rep,
 	}
 	js.Visited = make([][32]byte, 0, x.visited.len())
-	x.visited.each(func(h [32]byte) { js.Visited = append(js.Visited, h) })
-	slices.SortFunc(js.Visited, func(a, b [32]byte) int { return bytes.Compare(a[:], b[:]) })
+	x.visited.each(func(_ int, h *[32]byte) { js.Visited = append(js.Visited, *h) })
 	js.Frontier = make([]journalEntry, len(x.items))
 	for i, it := range x.items {
 		js.Frontier[i] = journalEntry{Schedule: it.link.slice(), Used: it.used}

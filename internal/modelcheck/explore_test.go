@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -340,6 +341,71 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if _, err := RingSpec().Config(); err != nil {
 		t.Fatalf("RingSpec rejected: %v", err)
+	}
+}
+
+// TestSpecRefusesBudgetPastVisitedSet: a run may end a pop's fan-out minus one
+// past its state budget (the budget is checked before each pop), so a budget
+// is refused when that overshoot would fill the visited set past what its
+// 4-byte positions address, and accepted up to there.
+func TestSpecRefusesBudgetPastVisitedSet(t *testing.T) {
+	s := DefaultSpec()
+	fanOut := 1 << len(s.Messages)
+	s.MaxStates = int(maxVisited) + 1 - fanOut
+	if _, err := s.Config(); err != nil {
+		t.Fatalf("the largest budget the visited set holds was refused: %v", err)
+	}
+	s.MaxStates++
+	if _, err := s.Config(); err == nil || !strings.Contains(err.Error(), "visited set") {
+		t.Fatalf("a budget past the visited set's positions: error %v, want a refusal naming the visited set", err)
+	}
+}
+
+// TestResumeSortedJournal: a journal written with its visited hashes sorted,
+// as builds before commit-order journals wrote them, still resumes to the
+// report an uninterrupted run gives.
+func TestResumeSortedJournal(t *testing.T) {
+	const small, full = 1500, 6000
+	journal := filepath.Join(t.TempDir(), "explore.wncp")
+	x, err := New(boundedRing(small), Options{Journal: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.Run(); err != nil {
+		t.Fatal(err)
+	}
+	js, err := checkpoint.ReadFileValue[journalState](journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byBytes := func(a, b [32]byte) int { return bytes.Compare(a[:], b[:]) }
+	if slices.IsSortedFunc(js.Visited, byBytes) {
+		t.Fatal("the commit-order journal is already sorted: sorting it tests nothing")
+	}
+	slices.SortFunc(js.Visited, byBytes)
+	js.Spec.MaxStates = full
+	if err := checkpoint.WriteFileValue(journal, js); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Resume(journal, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := New(boundedRing(full), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := y.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed.Spec, direct.Spec = Spec{}, Spec{}
+	if r, d := fmt.Sprintf("%+v", *resumed), fmt.Sprintf("%+v", *direct); r != d {
+		t.Fatalf("a sorted journal resumed differs from the uninterrupted run:\n resumed %s\n direct  %s", r, d)
 	}
 }
 

@@ -164,6 +164,12 @@ func (s Spec) build() (sim.Config, *sim.Engine, error) {
 	if s.MaxStates < 1 {
 		return sim.Config{}, nil, fmt.Errorf("modelcheck: MaxStates %d < 1", s.MaxStates)
 	}
+	// The budget is checked before each pop, and every edge of the pop may
+	// lead to a new state: a run may end with MaxStates-1+fanOut of them.
+	if fanOut := 1 << len(s.Messages); uint64(s.MaxStates)-1+uint64(fanOut) > maxVisited {
+		return sim.Config{}, nil, fmt.Errorf("modelcheck: MaxStates %d: the visited set holds at most %d states, and a pop may add %d past the budget",
+			s.MaxStates, uint64(maxVisited), fanOut)
+	}
 	nodes := 1
 	for i := 0; i < s.N; i++ {
 		nodes *= s.K

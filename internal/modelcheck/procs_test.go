@@ -165,7 +165,8 @@ func TestExplorerSameAtAnyProcs(t *testing.T) {
 }
 
 // TestJournalBytesRepeat: two identical journaled runs write the same journal
-// bytes — the visited hashes are written sorted, not in map order.
+// bytes — the visited hashes are written in commit order, the serial DFS
+// order, not in table order.
 func TestJournalBytesRepeat(t *testing.T) {
 	a := exploreAt(t, 1, boundedRing(3000), false, 0)
 	b := exploreAt(t, 1, boundedRing(3000), false, 0)

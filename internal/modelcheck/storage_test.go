@@ -25,42 +25,50 @@ func raceEnabled() bool {
 }
 
 // TestExplorerAllocsPerState pins what a visited state costs in heap objects
-// over the CI-pinned exhaustion: the explorer stores its states in recycled
-// frontier entries and snapshots, cuts schedule links from slabs, hashes
-// through two buffers and restores into engines that keep their scratch
-// (VerifyInjectionProperty's included), and a snapshot saves its generators'
-// streams and limiters' words into its own storage (a stream that has not
-// moved keeps the bytes already there; at rate 0 none moves), and
-// Engine.Inject draws its messages from the engine's pool. Measured 0.08
-// objects a state at one worker and 0.13 at two (each worker builds its own
-// engines and grows its own entries), 0.24 while every injection built a
-// message, 8.24 while every snapshot marshalled one PCG stream per node and
-// 111 before the storage discipline. What is left at one worker, from a
-// memory profile of this test: the growth of recycled snapshot storage to the
-// deepest state's size, schedule-link slabs (0.016), task logs growing to
-// their longest (0.01), engine and config setup and the growth of the visited
-// set. The bench ledger reports the same count as allocs_per_op on
-// mc-exhaust; this is where `go test` sees it.
+// over the CI-pinned exhaustion, at GOMAXPROCS 1 and 2: the explorer stores
+// its states in recycled frontier entries and snapshots, cuts schedule links
+// from slabs, hashes through two buffers and restores into engines that keep
+// their scratch (VerifyInjectionProperty's included), and a snapshot saves its
+// generators' streams and limiters' words into its own storage (a stream that
+// has not moved keeps the bytes already there; at rate 0 none moves), and
+// Engine.Inject draws its messages from the engine's pool. A new task log is
+// one object, made at the length of the longest log so far, instead of growing
+// by append. Measured 0.06 objects a state at one worker and 0.10-0.12 at two
+// (each worker builds its own engines and grows its own entries; which tasks
+// are donated, and so how many entries and logs a run makes, varies run to
+// run), 0.24 while every injection built a message, 8.24 while every snapshot
+// marshalled one PCG stream per node and 111 before the storage discipline.
+// What is left at one worker, from a memory profile of this test: the growth
+// of recycled snapshot storage to the deepest state's size, schedule-link
+// slabs (0.016), task logs (one each; how many the committer holds at once
+// varies with how far the worker runs ahead), engine and config setup and the
+// visited set's chunks and tables. The bench ledger reports the same count as
+// allocs_per_op on mc-exhaust; this is where `go test` sees it.
 func TestExplorerAllocsPerState(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector allocates: counts are pinned on the plain build")
 	}
 	if testing.Short() {
-		t.Skip("a full exhaustion")
+		t.Skip("two full exhaustions")
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	rep := exhaustTwoWorm(t, 1)
-	runtime.ReadMemStats(&after)
-	if rep.States != 18921 {
-		t.Fatalf("exhausted %d states, pinned 18921", rep.States)
-	}
-	const ceiling = 0.5
-	perState := float64(after.Mallocs-before.Mallocs) / float64(rep.States)
-	t.Logf("%.2f objects a state", perState)
-	if perState > ceiling {
-		t.Errorf("the exhaustion allocates %.2f objects a state, ceiling %.1f", perState, ceiling)
+	for _, procs := range []int{1, 2} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			rep := exhaustTwoWorm(t, 1)
+			runtime.ReadMemStats(&after)
+			if rep.States != 18921 {
+				t.Fatalf("GOMAXPROCS=%d: exhausted %d states, pinned 18921", procs, rep.States)
+			}
+			const ceiling = 0.5
+			perState := float64(after.Mallocs-before.Mallocs) / float64(rep.States)
+			t.Logf("GOMAXPROCS=%d: %.3f objects a state", procs, perState)
+			if perState > ceiling {
+				t.Errorf("GOMAXPROCS=%d: the exhaustion allocates %.2f objects a state, ceiling %.1f", procs, perState, ceiling)
+			}
+		}()
 	}
 }
 
