@@ -14,6 +14,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"wormnet/internal/topology"
@@ -68,14 +69,15 @@ func (e Event) String() string {
 // the Plan helper; the simulation engine walks it once, applying events
 // whose cycle has arrived at each cycle boundary.
 type Schedule struct {
-	events []Event
-	sorted bool
+	events []Event // by cycle, events of one cycle in the order added
 }
 
-// Add appends an event to the schedule.
+// Add inserts an event after every event of its cycle or an earlier one. The
+// schedule is always in order, so reading it writes nothing: configurations
+// running on several goroutines may share one.
 func (s *Schedule) Add(ev Event) *Schedule {
-	s.events = append(s.events, ev)
-	s.sorted = false
+	i := sort.Search(len(s.events), func(i int) bool { return s.events[i].Cycle > ev.Cycle })
+	s.events = slices.Insert(s.events, i, ev)
 	return s
 }
 
@@ -102,15 +104,7 @@ func (s *Schedule) RestoreRouter(cycle int64, node topology.NodeID) *Schedule {
 
 // Events returns the schedule's events sorted by cycle (stable, so events
 // added for the same cycle apply in insertion order).
-func (s *Schedule) Events() []Event {
-	if !s.sorted {
-		sort.SliceStable(s.events, func(i, j int) bool {
-			return s.events[i].Cycle < s.events[j].Cycle
-		})
-		s.sorted = true
-	}
-	return s.events
-}
+func (s *Schedule) Events() []Event { return s.events }
 
 // Len returns the number of scheduled events.
 func (s *Schedule) Len() int {

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"wormnet/internal/topology"
@@ -29,6 +30,24 @@ func TestScheduleOrdering(t *testing.T) {
 	if s.Len() != 4 || s.Empty() {
 		t.Errorf("Len/Empty wrong: %d %v", s.Len(), s.Empty())
 	}
+}
+
+// TestScheduleReadConcurrently reads one schedule, built out of order, from
+// several goroutines at once, as parallel engines sharing a config do: under
+// the race detector this fails if reading it writes anything.
+func TestScheduleReadConcurrently(t *testing.T) {
+	s := (&Schedule{}).FailLink(300, 2, 1).FailRouter(100, 5).RestoreLink(200, 2, 1)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if evs := s.Events(); evs[0].Cycle != 100 || evs[2].Cycle != 300 {
+				t.Errorf("events not sorted by cycle: %v", evs)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestScheduleNilSafe(t *testing.T) {

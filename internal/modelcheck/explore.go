@@ -55,14 +55,19 @@ type sched struct {
 	depth  int // cycles up to and including this one
 }
 
-// schedSlab is how many links then cuts from one allocation.
-const schedSlab = 64
+// The slabs then cuts links from: the first holds firstSchedSlab links, each
+// later one twice the one before, up to maxSchedSlab. A worker that cuts few
+// links allocates little, one that explores subtrees an object per thousand.
+const (
+	firstSchedSlab = 16
+	maxSchedSlab   = 1024
+)
 
 // then returns s extended by one cycle injecting inject, in a link cut from
 // *slab (a new slab when it is full; links are never moved).
 func (s *sched) then(inject []int, slab *[]sched) *sched {
 	if len(*slab) == cap(*slab) {
-		*slab = make([]sched, 0, schedSlab)
+		*slab = make([]sched, 0, min(max(firstSchedSlab, 2*cap(*slab)), maxSchedSlab))
 	}
 	*slab = append(*slab, sched{prev: s, inject: inject, depth: s.len() + 1})
 	return &(*slab)[len(*slab)-1]
@@ -114,14 +119,17 @@ type item struct {
 // state a measure of how often an expansion could step from the engine its
 // round trip loaded. The restores of discarded work are not in Restores: a
 // budget-truncated run at several P explores past the budget on its way.
-// VisitedBytes is the memory the visited set holds when Run returns: its
-// index table and its hash chunks.
+// Logs counts the task logs the workers made: the one each starts with, and
+// one for every task that finished while no log the committer was done with
+// waited for reuse. VisitedBytes is the memory the visited set holds when Run
+// returns: its index table and its hash chunks.
 type RunStats struct {
 	Workers       int
 	Donated       int
 	DonatedStates int
 	Discarded     int64
 	Restores      int
+	Logs          int
 	VisitedBytes  int
 }
 
@@ -259,7 +267,7 @@ func (x *Explorer) Run() (*Report, error) {
 	wg.Wait()
 
 	var edges int64
-	x.stats.Donated = c.donated
+	x.stats.Donated, x.stats.Logs = c.donated, c.logs+len(workers)
 	x.stats.Restores += x.cw.restores - cwRestores
 	for _, w := range append(workers, x.cw) {
 		edges += w.edges

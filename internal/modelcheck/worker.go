@@ -107,6 +107,7 @@ type crew struct {
 	// a task could log at most, taskPops pops each with every edge of the
 	// catalog, is 2.5 times what tasks log on the two-worm model, 8 on the ring.
 	logCap  int
+	logs    int // logs finish made because none was free
 	donated int
 	// hungry is idle workers less pending tasks: while it is positive a busy
 	// worker donates the bottom of its stack. stop ends every worker.
@@ -183,6 +184,7 @@ func (c *crew) finish(t *task, l *taskLog) *taskLog {
 		next, c.free = c.free[n-1], c.free[:n-1]
 	} else {
 		next = &taskLog{recs: make([]record, 0, c.logCap)}
+		c.logs++
 	}
 	c.mu.Unlock()
 	c.cond.Broadcast()

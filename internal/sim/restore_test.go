@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"maps"
 	"math"
 	"reflect"
@@ -1227,7 +1228,7 @@ func TestRestoreAllocCeiling(t *testing.T) {
 
 // TestConfigDigestComputedOnce pins that an engine builds its config digest
 // once: every snapshot carries the very same string (same backing bytes, so
-// Manifest was not walked again), it equals the exported ConfigDigest, and
+// it was not built again), it equals the exported ConfigDigest, and
 // asking again allocates nothing.
 func TestConfigDigestComputedOnce(t *testing.T) {
 	e, first := modelEngine(t)
@@ -1247,6 +1248,69 @@ func TestConfigDigestComputedOnce(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = e.configDigest() }); n != 0 {
 		t.Errorf("configDigest allocates %.0f times per call once computed", n)
+	}
+}
+
+// manifestDigest is how ConfigDigest was built before it wrote its entries
+// directly: Manifest's map without workers, its keys sorted, each value as
+// %v prints it, then a faulted config's retry policy and events. It is the
+// reference the direct build must match byte for byte, for every Manifest key.
+func manifestDigest(cfg Config) string {
+	m := cfg.Manifest()
+	delete(m, "workers")
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	for _, k := range keys {
+		fmt.Fprintf(&b, "%s=%v ", k, m[k])
+	}
+	if !cfg.Faults.Empty() {
+		fmt.Fprintf(&b, "retry=%d/%d/%d ", cfg.Retry.MaxRetries, cfg.Retry.BackoffBase, cfg.Retry.BackoffCap)
+		b.WriteString("faults=[")
+		for _, ev := range cfg.Faults.Events() {
+			fmt.Fprintf(&b, "%d:%d:%d:%d ", ev.Cycle, ev.Kind, ev.Node, ev.Port)
+		}
+		b.WriteString("]")
+	}
+	return strings.TrimSpace(b.String())
+}
+
+// TestEngineDigestMatchesConfigDigest pins the engine's own digest, built from
+// its validated config without validating it again, to ConfigDigest and to the
+// Manifest-built reference, for configs with and without faults, bursty,
+// adversarial and scripted sources; and that a fault-free one is built in at
+// most two objects (the Manifest map cost 36), on the plain build.
+func TestEngineDigestMatchesConfigDigest(t *testing.T) {
+	cfgs := equivalenceConfigs()
+	cfgs["quick"] = QuickConfig()
+	cfgs["model"] = modelConfig()
+	scripted := QuickConfig()
+	scripted.Sources, scripted.SourceName = traffic.ReplayFactory(nil), "silent"
+	cfgs["scripted"] = scripted
+	for name, cfg := range cfgs {
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ConfigDigest(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.configDigest(); got != want {
+			t.Errorf("%s: engine digest\n %q\nConfigDigest\n %q", name, got, want)
+		}
+		if ref := manifestDigest(e.Config()); want != ref {
+			t.Errorf("%s: ConfigDigest\n %q\nManifest reference\n %q", name, want, ref)
+		}
+		if cfg.Faults.Empty() && !cfg.Adversary.Enabled() && !raceEnabled() {
+			if n := testing.AllocsPerRun(20, func() { _ = e.cfg.digest() }); n > 2 {
+				t.Errorf("%s: building the digest allocates %.0f objects, ceiling 2", name, n)
+			}
+		}
+		e.Close()
 	}
 }
 

@@ -48,6 +48,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"wormnet/internal/core"
@@ -210,26 +211,92 @@ func ConfigDigest(cfg Config) (string, error) {
 	if err := cfg.validate(); err != nil {
 		return "", err
 	}
-	m := cfg.Manifest()
-	delete(m, "workers")
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	return cfg.digest(), nil
+}
+
+// digest is ConfigDigest of a validated config: every Manifest entry but
+// workers as "key=value", in key order, each value as fmt's %v prints it, then
+// a faulted config's retry policy and fault events. It appends to one buffer
+// instead of sorting a map of boxed values, so that an engine, whose config
+// New validated, builds its digest in a few objects.
+func (c *Config) digest() string {
+	d := digestBuf{b: make([]byte, 0, 512)}
+	if c.Adversary.Enabled() {
+		a := &c.Adversary
+		d.int("adv_hotspot", int64(a.Hotspot))
+		d.float("adv_rogue_fraction", a.RogueFraction)
+		d.float("adv_rogue_rate", a.RogueRate)
+		d.uint("adv_seed", a.Seed)
+		d.int("adv_storm_on", a.StormOn)
+		d.int("adv_storm_period", a.StormPeriod)
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%v ", k, m[k])
+	d.int("buf_depth", int64(c.BufDepth))
+	if c.Burst.Enabled() {
+		d.float("burst_off", c.Burst.OffMean)
+		d.float("burst_on", c.Burst.OnMean)
 	}
-	if !cfg.Faults.Empty() {
-		fmt.Fprintf(&b, "retry=%d/%d/%d ", cfg.Retry.MaxRetries, cfg.Retry.BackoffBase, cfg.Retry.BackoffCap)
-		b.WriteString("faults=[")
-		for _, ev := range cfg.Faults.Events() {
-			fmt.Fprintf(&b, "%d:%d:%d:%d ", ev.Cycle, ev.Kind, ev.Node, ev.Port)
+	d.int("detection_threshold", int64(c.DetectionThreshold))
+	d.int("drain_cycles", c.DrainCycles)
+	d.int("ej_channels", int64(c.EjChannels))
+	if !c.Faults.Empty() {
+		d.int("fault_events", int64(len(c.Faults.Events())))
+	}
+	d.int("inj_channels", int64(c.InjChannels))
+	d.int("k", int64(c.K))
+	d.bool("lenient_detection", c.LenientDetection)
+	d.str("limiter", c.LimiterName)
+	d.int("measure_cycles", c.MeasureCycles)
+	d.int("msg_len", int64(c.MsgLen))
+	d.int("n", int64(c.N))
+	d.str("pattern", c.Pattern)
+	d.float("rate", c.Rate)
+	d.int("recovery_delay", c.RecoveryDelay)
+	d.str("routing", c.Routing)
+	d.uint("seed", c.Seed)
+	if c.Sources != nil {
+		d.str("source", c.SourceName)
+	}
+	d.int("vcs", int64(c.VCs))
+	d.int("warmup_cycles", c.WarmupCycles)
+	if !c.Faults.Empty() {
+		r := &c.Retry
+		d.b = fmt.Appendf(d.b, "retry=%d/%d/%d faults=[", r.MaxRetries, r.BackoffBase, r.BackoffCap)
+		for _, ev := range c.Faults.Events() {
+			d.b = fmt.Appendf(d.b, "%d:%d:%d:%d ", ev.Cycle, ev.Kind, ev.Node, ev.Port)
 		}
-		b.WriteString("]")
+		d.b = append(d.b, ']')
 	}
-	return strings.TrimSpace(b.String()), nil
+	return strings.TrimSpace(string(d.b))
+}
+
+// digestBuf appends a digest's "key=value " entries.
+type digestBuf struct{ b []byte }
+
+func (d *digestBuf) key(k string) { d.b = append(append(d.b, k...), '=') }
+
+func (d *digestBuf) str(k, v string) {
+	d.key(k)
+	d.b = append(append(d.b, v...), ' ')
+}
+
+func (d *digestBuf) int(k string, v int64) {
+	d.key(k)
+	d.b = append(strconv.AppendInt(d.b, v, 10), ' ')
+}
+
+func (d *digestBuf) uint(k string, v uint64) {
+	d.key(k)
+	d.b = append(strconv.AppendUint(d.b, v, 10), ' ')
+}
+
+func (d *digestBuf) float(k string, v float64) {
+	d.key(k)
+	d.b = append(strconv.AppendFloat(d.b, v, 'g', -1, 64), ' ')
+}
+
+func (d *digestBuf) bool(k string, v bool) {
+	d.key(k)
+	d.b = append(strconv.AppendBool(d.b, v), ' ')
 }
 
 // loadedMessage builds the object sm describes, holding no buffer yet (load
@@ -372,8 +439,9 @@ func (s *Snapshot) addMessage(sm SnapMessage) *SnapMessage {
 }
 
 // addObject appends the message object m to s.Messages, with the path walked
-// from its Tail along the routes it claimed.
-func (e *Engine) addObject(s *Snapshot, m *message.Message) {
+// from its Tail along the routes it claimed. A path whose slot left no storage
+// is cut from *paths, the chunk the snapshot's new paths share.
+func (e *Engine) addObject(s *Snapshot, m *message.Message, paths *[]SnapPath) {
 	sm := s.addMessage(SnapMessage{
 		ID:           int64(m.ID),
 		Src:          int32(m.Src),
@@ -392,15 +460,67 @@ func (e *Engine) addObject(s *Snapshot, m *message.Message) {
 		Measured:     m.Measured,
 		Pooled:       m.Pooled,
 	})
+	if cap(sm.Path) == 0 && m.Tail != message.NoLoc {
+		n := 0
+		for loc, more := m.Tail, true; more; loc, more = e.nextLoc(loc) {
+			n++
+		}
+		sm.Path = cutPath(paths, n)
+	}
 	for loc, more := m.Tail, m.Tail != message.NoLoc; more; loc, more = e.nextLoc(loc) {
 		sm.Path = append(sm.Path, snapPath(loc))
 	}
 }
 
+// cutPath returns an empty path with room for n entries, capped, cut from
+// *chunk: a new chunk, twice the last and at least pathChunk, when it has no
+// room left.
+func cutPath(chunk *[]SnapPath, n int) []SnapPath {
+	if cap(*chunk)-len(*chunk) < n {
+		*chunk = make([]SnapPath, 0, max(pathChunk, 2*cap(*chunk), n))
+	}
+	i := len(*chunk)
+	*chunk = (*chunk)[:i+n]
+	return (*chunk)[i : i : i+n]
+}
+
+// pathChunk is the size of the first chunk a snapshot's new paths are cut from.
+const pathChunk = 64
+
+// carve gives s nodes of e's shape whose per-node and per-VC slices are capped
+// cuts of one array per field, so that a new snapshot is a few objects, not a
+// few per channel. A VC's flit list has room for BufDepth flits, all its buffer
+// holds, and a node's queue for the messages waiting there now.
+func (e *Engine) carve(s *Snapshot) {
+	n, nVC, depth := len(e.nodes), e.nVC, e.cfg.BufDepth
+	nInj, nEj, nArb := e.cfg.InjChannels, e.cfg.EjChannels, e.numPhys+e.cfg.EjChannels
+	queued := 0
+	for i := range e.nodes {
+		queued += e.nodes[i].queue.Len()
+	}
+	s.Nodes = make([]SnapNode, n)
+	vcs, flits := make([]SnapVC, n*nVC), make([]SnapFlit, n*nVC*depth)
+	owners, lastTx, blocked := make([]int64, n*nVC), make([]int64, n*nVC), make([]int32, n*nVC)
+	inj, ej, arb := make([]SnapInj, n*nInj), make([]SnapEj, n*nEj), make([]int32, n*nArb)
+	queues := make([]int64, queued)
+	for i := range s.Nodes {
+		sn := &s.Nodes[i]
+		sn.In = cut(vcs, i, nVC)
+		for c := range sn.In {
+			sn.In[c].Flits = cut(flits, i*nVC+c, depth)
+		}
+		sn.OutOwner, sn.LastTx, sn.Blocked = cut(owners, i, nVC), cut(lastTx, i, nVC), cut(blocked, i, nVC)
+		sn.Inj, sn.Ej, sn.ArbNext = cut(inj, i, nInj), cut(ej, i, nEj), cut(arb, i, nArb)
+		q := e.nodes[i].queue.Len()
+		sn.Queue, queues = queues[:q:q], queues[q:]
+	}
+}
+
 // SnapshotInto captures the engine's complete state in s: the one walk over its
 // durable state. s may hold anything — an earlier snapshot's slices, nested ones
-// included, are overwritten and reused, and one left empty stands for the nil of
-// a new snapshot (gob and the canonical form write both alike). Call it between
+// included, are overwritten and reused (carved first if its nodes do not fit),
+// and one left empty stands for nil (gob and the canonical form write both
+// alike). Call it between
 // Step calls (never from a listener or sample hook), on one goroutine at a time,
 // while nothing reads s. The engine is not modified, the result shares no memory
 // with it, and an error leaves s half-written.
@@ -421,8 +541,11 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 		LinksUp:        s.LinksUp[:0],
 		RoutersUp:      s.RoutersUp[:0],
 		Messages:       s.Messages[:0],
-		Nodes:          resize(s.Nodes, len(e.nodes)),
+		Nodes:          s.Nodes,
 		Stats:          s.Stats,
+	}
+	if len(s.Nodes) != len(e.nodes) {
+		e.carve(s)
 	}
 	e.col.StateInto(&s.Stats)
 	if e.live != nil {
@@ -445,8 +568,9 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 	// where its node's queues name it (a waiting message holds no network
 	// state). The per-node state references them by ID.
 	s.Messages = slices.Grow(s.Messages, int(e.InFlight()))
+	var paths []SnapPath
 	for _, h := range e.held() {
-		e.addObject(s, h.m)
+		e.addObject(s, h.m, &paths)
 	}
 	nVC := e.nVC
 	for i := range e.nodes {
@@ -496,7 +620,7 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 		e.eachWaiting(nd, func(r *queued) {
 			sn.Queue = append(sn.Queue, int64(r.id))
 			if m := e.object(r.id); m != nil {
-				e.addObject(s, m)
+				e.addObject(s, m, &paths)
 				return
 			}
 			s.addMessage(SnapMessage{
@@ -508,12 +632,12 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 		})
 		sn.Recovery = sn.Recovery[:0]
 		for _, pr := range nd.recovery {
-			e.addObject(s, pr.msg)
+			e.addObject(s, pr.msg, &paths)
 			sn.Recovery = append(sn.Recovery, SnapPending{Msg: int64(pr.msg.ID), ReadyAt: pr.readyAt})
 		}
 		sn.Retry = sn.Retry[:0]
 		for _, pr := range nd.retry {
-			e.addObject(s, pr.msg)
+			e.addObject(s, pr.msg, &paths)
 			sn.Retry = append(sn.Retry, SnapPending{Msg: int64(pr.msg.ID), ReadyAt: pr.readyAt})
 		}
 
@@ -544,11 +668,10 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 }
 
 // configDigest returns ConfigDigest(e.cfg), built on first use and kept: the
-// configuration is immutable after New, and the string is costly to rebuild.
+// configuration is immutable after New, which validated it.
 func (e *Engine) configDigest() string {
 	if e.digest == "" {
-		// cfg passed validate in New, the only way ConfigDigest fails.
-		e.digest, _ = ConfigDigest(e.cfg)
+		e.digest = e.cfg.digest()
 	}
 	return e.digest
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"os"
+	"reflect"
 	"runtime/debug"
 	"testing"
 
@@ -207,6 +208,122 @@ func TestSnapshotIntoAllocs(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Errorf("steady-state SnapshotInto: %.0f allocations, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestFreshSnapshotAllocs pins what a new Snapshot of the knee of the default
+// 8-ary 3-cube (rate 0.65, no limiter, 2 000 cycles in: 512 nodes, 9 216
+// input VCs, about 1 460 messages in the network) allocates: O(nodes), not
+// O(VCs + messages). Each per-node and per-VC field is cut from one array, the
+// paths from a few doubling chunks; what is left is one stream encoding per
+// node (traffic.GenState.PCG). 533 objects measured, 13 193 while every
+// non-empty VC, node field and path grew a slice of its own.
+func TestFreshSnapshotAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector allocates: counts are pinned on the plain build")
+	}
+	cfg := DefaultConfig()
+	cfg.Rate = 0.65
+	cfg.Limiter, cfg.LimiterName = baseline.NewNone(), "none"
+	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 0, 1<<40, 0
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < 2000; i++ {
+		e.Step()
+	}
+	const measured = 533
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := e.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("a fresh snapshot of %d nodes, %d messages in flight: %.0f objects", len(e.nodes), e.InFlight(), allocs)
+	if ceiling := measured * 1.05; allocs > ceiling {
+		t.Errorf("a fresh snapshot allocates %.0f objects, ceiling %.0f (%d measured + 5 %%)", allocs, ceiling, measured)
+	}
+}
+
+// TestCarvedSnapshotEncodesAlike pins that carving changes no byte: a new
+// snapshot (its slices cut from shared arrays, its empty ones non-nil), the
+// same state taken into the storage a later state and the initial state left,
+// and the gob round trip of each have one canonical hash and one gob payload,
+// the bytes a checkpoint frames. A decoded snapshot's empty slices are nil, so
+// a carved one deep-equals another only after a round trip each.
+func TestCarvedSnapshotEncodesAlike(t *testing.T) {
+	eq := equivalenceConfigs()
+	for _, name := range []string{"saturated-alo", "faults-storm", "adversarial"} {
+		t.Run(name, func(t *testing.T) {
+			e, err := New(eq[name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			initial, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e.Now() < 1100 {
+				e.Step()
+			}
+			carved, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e.Now() < 2000 {
+				e.Step()
+			}
+			later, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Restore(carved); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []*Snapshot{later, initial} {
+				if err := e.SnapshotInto(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			emptyNonNil := false
+			for _, sn := range carved.Nodes {
+				for _, vc := range sn.In {
+					emptyNonNil = emptyNonNil || vc.Flits != nil && len(vc.Flits) == 0
+				}
+			}
+			if !emptyNonNil {
+				t.Fatal("no carved VC is empty and non-nil: the comparison below shows nothing")
+			}
+
+			wantHash, err := carved.CanonicalHash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantWire, _ := snapBytes(t, carved)
+			decoded := gobRoundTrip(t, carved)
+			for label, s := range map[string]*Snapshot{
+				"carved": carved, "into a later state's storage": later, "into the initial state's storage": initial,
+			} {
+				for _, form := range []struct {
+					how string
+					s   *Snapshot
+				}{{"", s}, {" after a gob round trip", gobRoundTrip(t, s)}} {
+					h, err := form.s.CanonicalHash()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if wire, _ := snapBytes(t, form.s); h != wantHash || !bytes.Equal(wire, wantWire) {
+						t.Errorf("%s%s: canonical hash or gob payload differs from the carved snapshot's", label, form.how)
+					}
+				}
+				if !reflect.DeepEqual(gobRoundTrip(t, s), decoded) {
+					t.Errorf("%s: decodes to another snapshot than the carved one", label)
+				}
 			}
 		})
 	}
