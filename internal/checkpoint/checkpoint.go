@@ -15,6 +15,9 @@
 // data), so adding fields to the snapshot is backward-compatible within a
 // format version; incompatible changes bump Version. The CRC is checked
 // before the payload is decoded, so gob never sees corrupted bytes.
+//
+// Version 2 frames the snapshot that stores only what the engine cannot
+// derive; Decode converts a version-1 one.
 package checkpoint
 
 import (
@@ -33,7 +36,7 @@ import (
 )
 
 // Version is the current checkpoint format version.
-const Version = 1
+const Version = 2
 
 // magic identifies a checkpoint file.
 var magic = [4]byte{'W', 'N', 'C', 'P'}
@@ -59,13 +62,17 @@ var (
 )
 
 // VersionError reports a checkpoint written with an unsupported format
-// version.
+// version: one outside Oldest to the current Version.
 type VersionError struct {
-	Version uint32
+	Version, Oldest uint32
 }
 
 func (e *VersionError) Error() string {
-	return fmt.Sprintf("checkpoint: unsupported format version %d (supported: %d)", e.Version, Version)
+	supported := fmt.Sprint(e.Oldest)
+	for v := e.Oldest + 1; v <= Version; v++ {
+		supported += fmt.Sprintf(", %d", v)
+	}
+	return fmt.Sprintf("checkpoint: unsupported format version %d (supported: %s)", e.Version, supported)
 }
 
 // castagnoli is the CRC-32C table (hardware-accelerated on amd64/arm64).
@@ -110,7 +117,8 @@ func Decode(r io.Reader) (*sim.Snapshot, error) {
 }
 
 // DecodeValue reads one WNCP frame from r and gob-decodes its payload into
-// a T. Same typed errors as Decode.
+// a T. Same typed errors as Decode. The frame must be of Version, except that
+// a snapshot is also read from a version-1 frame (sim.DecodeV1Snapshot).
 func DecodeValue[T any](r io.Reader) (*T, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -119,8 +127,13 @@ func DecodeValue[T any](r io.Reader) (*T, error) {
 	if !bytes.Equal(hdr[0:4], magic[:]) {
 		return nil, ErrBadMagic
 	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != Version {
-		return nil, &VersionError{Version: v}
+	oldest := uint32(Version)
+	if _, ok := any((*T)(nil)).(*sim.Snapshot); ok {
+		oldest = 1
+	}
+	version := binary.LittleEndian.Uint32(hdr[4:8])
+	if version < oldest || version > Version {
+		return nil, &VersionError{Version: version, Oldest: oldest}
 	}
 	length := binary.LittleEndian.Uint64(hdr[8:16])
 	if length > maxPayload {
@@ -138,27 +151,34 @@ func DecodeValue[T any](r io.Reader) (*T, error) {
 	if got := crc32.Checksum(payload.Bytes(), castagnoli); got != want {
 		return nil, fmt.Errorf("%w: crc %08x, header says %08x", ErrChecksum, got, want)
 	}
-	v, err := decodeGob[T](payload.Bytes())
+	v, err := decodeGob[T](version, payload.Bytes())
 	if err != nil {
 		return nil, err
 	}
 	return v, nil
 }
 
-// decodeGob decodes the checked payload, converting any gob failure — error
-// or panic (gob can panic on adversarial self-describing streams) — into
-// ErrCorrupt.
-func decodeGob[T any](payload []byte) (v *T, err error) {
+// decodeGob decodes the checked payload of a frame of the given version,
+// converting any gob failure — error or panic (gob can panic on adversarial
+// self-describing streams) — into ErrCorrupt.
+func decodeGob[T any](version uint32, payload []byte) (v *T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			v, err = nil, fmt.Errorf("%w: %v", ErrCorrupt, r)
 		}
 	}()
-	var s T
-	if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&s); derr != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, derr)
+	v = new(T)
+	if version == 1 { // a snapshot: DecodeValue admits no other type
+		var s *sim.Snapshot
+		s, err = sim.DecodeV1Snapshot(payload)
+		v = any(s).(*T)
+	} else {
+		err = gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
 	}
-	return &s, nil
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return v, nil
 }
 
 // WriteFile atomically writes snap to path: the bytes land in a temporary

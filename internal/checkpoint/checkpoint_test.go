@@ -113,7 +113,10 @@ func TestRestoreThroughFile(t *testing.T) {
 // midRunSnapshot repeats). dril-bursty is from the last commit whose snapshots
 // saved generator and limiter state into fresh storage: DRIL with most nodes
 // triggered and on/off sources mid-burst, so both PCG streams of every
-// BurstySource and every limiter word are in the file.
+// BurstySource and every limiter word are in the file. Both are version-1
+// frames, which Decode converts. alo-uniform-v2 is alo-uniform again, written
+// by the first commit whose snapshots store only what the engine cannot
+// derive: the version-2 frame the first file converts to.
 var parentWritten = []struct {
 	name, file string
 	cfg        func() sim.Config
@@ -121,6 +124,7 @@ var parentWritten = []struct {
 }{
 	{"alo-uniform", "testdata/written_by_pr13.wncp", shortConfig, 700},
 	{"dril-bursty", "testdata/dril_bursty.wncp", drilBurstyConfig, 700},
+	{"alo-uniform-v2", "testdata/alo_uniform_v2.wncp", shortConfig, 700},
 }
 
 // drilBurstyConfig is shortConfig's schedule at a saturating bursty load
@@ -152,37 +156,59 @@ func snapshotAt(t *testing.T, cfg sim.Config, cycle int64) *sim.Snapshot {
 	return snap
 }
 
+// readParentWritten returns what Decode makes of the checkpoint file, encoded
+// again at Version: the file itself if it is of Version, its conversion if not.
+func readParentWritten(t *testing.T, file string) (decoded []byte) {
+	t.Helper()
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Decode(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded = encodeBytes(t, snap)
+	if binary.LittleEndian.Uint32(raw[4:8]) == Version && !bytes.Equal(decoded, raw) {
+		t.Fatal("a checkpoint of the current version decodes and encodes to other bytes")
+	}
+	return decoded
+}
+
 // TestRestoreParentWrittenCheckpoint reads each checkpoint an earlier commit
 // wrote. The engine's internals have changed since (buffers are runs, saves
-// write into the snapshot's storage), but the wire format is the same and so
-// is the run: today's engine must write each file byte for byte, and must
-// finish the run from it exactly as if it had never stopped.
+// write into the snapshot's storage, a snapshot stores no derived state), but
+// the run is the same: today's engine must write each file byte for byte —
+// the file, or what it converts to — and must finish the run from it at 1, 2
+// and 4 workers exactly as if it had never stopped.
 func TestRestoreParentWrittenCheckpoint(t *testing.T) {
 	for _, fx := range parentWritten {
 		t.Run(fx.name, func(t *testing.T) {
-			raw, err := os.ReadFile(fx.file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(encodeBytes(t, snapshotAt(t, fx.cfg(), fx.cycle)), raw) {
-				t.Error("the same run at the same cycle no longer encodes to the bytes the parent commit wrote")
-			}
-			snap, err := ReadFile(fx.file)
-			if err != nil {
-				t.Fatal(err)
+			decoded := readParentWritten(t, fx.file)
+			if !bytes.Equal(encodeBytes(t, snapshotAt(t, fx.cfg(), fx.cycle)), decoded) {
+				t.Error("the same run at the same cycle no longer encodes to the bytes the parent commit's file decodes to")
 			}
 			golden, err := sim.New(fx.cfg())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer golden.Close()
-			e, err := sim.RestoreEngine(fx.cfg(), snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			if got, want := e.Run(), golden.Run(); got != want {
-				t.Errorf("resumed result diverged:\n got  %+v\n want %+v", got, want)
+			want := golden.Run()
+			for _, workers := range []int{1, 2, 4} {
+				snap, err := ReadFile(fx.file)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := fx.cfg()
+				cfg.Workers = workers
+				e, err := sim.RestoreEngine(cfg, snap)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if got := e.Run(); got != want || counters(e) != counters(golden) {
+					t.Errorf("workers=%d: resumed run diverged:\n got  %+v %v\n want %+v %v", workers, got, counters(e), want, counters(golden))
+				}
+				e.Close()
 			}
 		})
 	}
@@ -192,14 +218,11 @@ func TestRestoreParentWrittenCheckpoint(t *testing.T) {
 // the same fixtures: restored from the file, the engine snapshots into dirty
 // storage — here a later, larger state of the same run, whose generator and
 // limiter state differ — to the very bytes a new Snapshot encodes to, which
-// are the file's.
+// are the file's, or its conversion's.
 func TestSnapshotIntoParentWrittenCheckpoint(t *testing.T) {
 	for _, fx := range parentWritten {
 		t.Run(fx.name, func(t *testing.T) {
-			raw, err := os.ReadFile(fx.file)
-			if err != nil {
-				t.Fatal(err)
-			}
+			decoded := readParentWritten(t, fx.file)
 			snap, err := ReadFile(fx.file)
 			if err != nil {
 				t.Fatal(err)
@@ -234,11 +257,18 @@ func TestSnapshotIntoParentWrittenCheckpoint(t *testing.T) {
 			if !bytes.Equal(got, encodeBytes(t, fresh)) {
 				t.Error("SnapshotInto dirty storage and Snapshot encode the restored fixture differently")
 			}
-			if !bytes.Equal(got, raw) {
-				t.Error("SnapshotInto of the restored fixture no longer encodes to the bytes the parent commit wrote")
+			if !bytes.Equal(got, decoded) {
+				t.Error("SnapshotInto of the restored fixture no longer encodes to the bytes the parent commit's file decodes to")
 			}
 		})
 	}
+}
+
+// frameAt wraps payload in a well-formed header of version v.
+func frameAt(v uint32, payload []byte) []byte {
+	out := frame(payload)
+	binary.LittleEndian.PutUint32(out[4:8], v)
+	return out
 }
 
 // TestWriteFileAtomic pins the no-torn-file contract: WriteFile replaces an
@@ -317,14 +347,21 @@ func TestDecodeCorruption(t *testing.T) {
 	buf.Write(junk)
 	check("valid frame, garbage gob", buf.Bytes(), ErrCorrupt)
 
-	// Wrong version: *VersionError carrying the rejected version.
-	vraw := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint32(vraw[4:8], Version+7)
-	var verr *VersionError
-	if _, err := Decode(bytes.NewReader(vraw)); !errors.As(err, &verr) {
-		t.Errorf("future version: got %v, want *VersionError", err)
-	} else if verr.Version != Version+7 {
-		t.Errorf("VersionError carries %d, want %d", verr.Version, Version+7)
+	// A CRC-consistent garbage payload in a version-1 frame: the conversion
+	// must fail as gob does.
+	check("version-1 frame, garbage gob", frameAt(1, junk), ErrCorrupt)
+
+	// Wrong version: *VersionError carrying the rejected version and naming
+	// the versions Decode reads.
+	for _, v := range []uint32{0, Version + 7} {
+		vraw := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint32(vraw[4:8], v)
+		var verr *VersionError
+		if _, err := Decode(bytes.NewReader(vraw)); !errors.As(err, &verr) {
+			t.Errorf("version %d: got %v, want *VersionError", v, err)
+		} else if verr.Version != v || !strings.HasSuffix(err.Error(), "(supported: 1, 2)") {
+			t.Errorf("version %d: VersionError carries %d and says %q", v, verr.Version, err)
+		}
 	}
 
 	// ReadFile wraps decode errors with the path and keeps them matchable.

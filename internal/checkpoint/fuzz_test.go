@@ -107,7 +107,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 }
 
 // TestWriteFuzzCorpus regenerates the committed fuzz corpus under
-// testdata/fuzz/FuzzCheckpointDecode from the current seed set. It only runs
+// testdata/fuzz/FuzzCheckpointDecode from the current seed set, as
+// v2-seed-NN: the frames of Version. The seed-NN files are version-1 frames
+// of the first snapshot layout, kept to fuzz its conversion. It only runs
 // when WORMNET_REGEN_CORPUS=1, after snapshot-format changes:
 //
 //	WORMNET_REGEN_CORPUS=1 go test ./internal/checkpoint -run TestWriteFuzzCorpus
@@ -121,7 +123,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	}
 	for i, s := range fuzzSeeds(t) {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s)
-		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
+		name := filepath.Join(dir, fmt.Sprintf("v%d-seed-%02d", Version, i))
 		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -56,3 +56,20 @@ func TestValueCorruptionTyped(t *testing.T) {
 		t.Fatalf("flipped payload byte: err = %v, want ErrChecksum", err)
 	}
 }
+
+// TestValueVersionOne pins that only a snapshot converts from a version-1
+// frame: any other payload (a model-checker journal or counterexample) is read
+// at Version alone, and a version-1 one is refused with a *VersionError that
+// names the one version DecodeValue reads.
+func TestValueVersionOne(t *testing.T) {
+	var buf bytes.Buffer
+	if err := EncodeValue(&buf, &journalPayload{Name: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	old := frameAt(1, buf.Bytes()[headerSize:])
+	var verr *VersionError
+	_, err := DecodeValue[journalPayload](bytes.NewReader(old))
+	if !errors.As(err, &verr) || verr.Version != 1 || err.Error() != "checkpoint: unsupported format version 1 (supported: 2)" {
+		t.Fatalf("version-1 journal: got %v, want a *VersionError naming version 2", err)
+	}
+}

@@ -544,9 +544,11 @@ func (x *Explorer) minimize(cx *Counterexample) {
 
 // journalState is the crash-resume image: enough to rebuild the explorer
 // exactly (frontier entries are stored as schedules and re-materialized by
-// deterministic replay on resume).
+// deterministic replay on resume). Canon is the canonical format
+// (sim.CanonFormat) the visited hashes were made in.
 type journalState struct {
 	Digest   string
+	Canon    string
 	Spec     Spec
 	Visited  [][32]byte
 	Frontier []journalEntry
@@ -564,6 +566,7 @@ type journalEntry struct {
 func (x *Explorer) writeJournal() error {
 	js := &journalState{
 		Digest: x.digest,
+		Canon:  sim.CanonFormat,
 		Spec:   x.spec,
 		Report: *x.rep,
 	}
@@ -577,11 +580,16 @@ func (x *Explorer) writeJournal() error {
 }
 
 // Resume rebuilds an explorer from a journal written by a previous run
-// with the same spec (enforced via the config digest) and continues it.
+// with the same spec (enforced via the config digest) and continues it. A
+// journal whose visited hashes were made in another canonical format would
+// match no state, so it is refused.
 func Resume(path string, opt Options) (*Explorer, error) {
 	js, err := checkpoint.ReadFileValue[journalState](path)
 	if err != nil {
 		return nil, err
+	}
+	if js.Canon != sim.CanonFormat {
+		return nil, fmt.Errorf("modelcheck: journal %s hashes its visited states in canonical format %q, this build in %q: explore again", path, js.Canon, sim.CanonFormat)
 	}
 	x, e, err := newExplorer(js.Spec, opt)
 	if err != nil {

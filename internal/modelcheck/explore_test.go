@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"wormnet/internal/checkpoint"
+	"wormnet/internal/sim"
 )
 
 // boundedDefault returns DefaultSpec with a test-sized state budget.
@@ -310,6 +311,37 @@ func TestResumeRejectsForeignJournal(t *testing.T) {
 	}
 	if _, err := Resume(journal, Options{}); err == nil {
 		t.Fatalf("foreign journal resumed without error")
+	}
+}
+
+// TestResumeRejectsOtherCanonFormat pins the hash guard: a journal's visited
+// hashes are canonical forms of one format, and under another they would match
+// no state, so every state would be explored and counted again. A journal that
+// names another format is refused; the run that wrote it reports what it
+// journalled.
+func TestResumeRejectsOtherCanonFormat(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "explore.wncp")
+	x, err := New(boundedRing(500), Options{Journal: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := x.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := checkpoint.ReadFileValue[journalState](journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if js.Canon != sim.CanonFormat || x.Report() != rep || js.Report.States != rep.States {
+		t.Fatalf("journal in format %q of %d states; the explorer reports %d", js.Canon, js.Report.States, x.Report().States)
+	}
+	js.Canon = "wncanon2"
+	if err := checkpoint.WriteFileValue(journal, js); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resume(journal, Options{}); err == nil || !strings.Contains(err.Error(), `canonical format "wncanon2"`) {
+		t.Fatalf("a journal of another canonical format: got %v, want it refused by name", err)
 	}
 }
 

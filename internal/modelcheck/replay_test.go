@@ -1,7 +1,9 @@
 package modelcheck
 
 import (
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -62,6 +64,10 @@ func TestCounterexampleRoundTrip(t *testing.T) {
 	}
 	if cx.Kind != CxFalseNegative || len(cx.GT) == 0 || cx.Snap == nil {
 		t.Fatalf("malformed counterexample: kind=%s gt=%v snap=%v", cx.Kind, cx.GT, cx.Snap != nil)
+	}
+	if s := cx.String(); !strings.HasPrefix(s, "false-negative: ") || !strings.Contains(s, fmt.Sprintf("ground-truth deadlocked: %v\n", cx.GT)) ||
+		!strings.Contains(s, ": inject ") {
+		t.Errorf("the summary names no kind, ground truth or injection:\n%s", s)
 	}
 	// The synthetic miss records a deadlock the real detector catches, so
 	// Replay — which checks hash identity, oracle agreement, and then the

@@ -33,12 +33,12 @@ func raceEnabled() bool {
 // into its own storage (a stream that has not moved keeps the bytes already
 // there; at rate 0 none moves), and Engine.Inject draws its messages from the
 // engine's pool. A new snapshot cuts its node and channel fields from one
-// array each and its paths from shared chunks, and a VC's flit list has room
-// for a full buffer, so a recycled one never regrows; an engine builds its
-// config digest in two objects. A new task log is one object, made at the
-// length of the longest log so far, instead of growing by append. Measured
-// 0.03 objects a state at one worker and 0.05-0.06 at two (each worker builds
-// its own engines and entries; which tasks are donated, and so how many
+// array each, and a VC is a run of fixed size, so a recycled one never
+// regrows; an engine builds its config digest in two objects. A new task log
+// is one object, made at the length of the longest log so far, instead of
+// growing by append. Measured 0.03 objects a state at one worker and
+// 0.05-0.06 at two (each worker builds its own engines and entries; which
+// tasks are donated, and so how many
 // entries and logs a run makes, varies run to run), 0.06 and 0.10-0.12 while
 // every channel of a new snapshot grew its own slice and links came in slabs
 // of 64, 0.24 while every injection built a message, 8.24 while every
@@ -74,6 +74,44 @@ func TestExplorerAllocsPerState(t *testing.T) {
 				t.Errorf("GOMAXPROCS=%d: the exhaustion allocates %.3f objects a state, ceiling %.2f", procs, perState, ceiling)
 			}
 		}()
+	}
+}
+
+// TestCanonicalBytesPerState pins the size of what the explorer hashes for
+// each state of the CI-pinned exhaustion: the canonical form of every
+// round-trip snapshot, one per edge. A snapshot stores only what the engine
+// cannot derive, so that is all the form holds: measured 1 064.7 bytes a
+// state, 1 193.2 while snapshots also stored each flit, each output VC's
+// owner, each message's whole path and an injection channel's copy of its
+// message's destination and length. The run is at one worker, where the hook sees
+// each edge once.
+func TestCanonicalBytesPerState(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	x, err := New(twoWormSpec(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var canon sim.CanonBuf
+	var n, total int
+	x.onRoundTrip = func(_ *entry, rt *sim.Snapshot) {
+		b, err := canon.Bytes(rt)
+		if err != nil {
+			t.Error(err)
+		}
+		n, total = n+1, total+len(b)
+	}
+	rep, err := x.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.States != 18921 || int64(n) != rep.Edges {
+		t.Fatalf("%d states and %d edges, %d round trips; pinned 18921 states, a round trip an edge", rep.States, rep.Edges, n)
+	}
+	perState := float64(total) / float64(n)
+	t.Logf("%d round trips, %.1f canonical bytes a state", n, perState)
+	const measured = 1065
+	if perState > measured {
+		t.Errorf("%.1f canonical bytes a state, pinned %d", perState, measured)
 	}
 }
 

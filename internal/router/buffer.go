@@ -17,7 +17,7 @@ import (
 // to tail, and a channel is only allocated while its buffer is empty, so the
 // contents are always consecutive flits of a single message — owner, first
 // sequence number, length, and whether the last flit is the tail. Push
-// enforces exactly that; Front, Pop and At derive the flit. A buffer does not
+// enforces exactly that; Front and Pop derive the flit. A buffer does not
 // know its depth: whoever fills it checks the count against its own (the
 // simulator against Config.BufDepth). The zero value is an empty buffer.
 type Buffer struct {
@@ -102,17 +102,6 @@ func (b *Buffer) RemoveMessage(id message.ID) int {
 	n := int(b.size)
 	b.size = 0
 	return n
-}
-
-// At returns the i-th buffered flit counting from the front (0 = front),
-// without removing it. It panics if i is out of range. Snapshots and the
-// invariant checker walk buffer contents with it, in FIFO order.
-func (b *Buffer) At(i int) message.Flit {
-	if i < 0 || i >= int(b.size) {
-		panic("router: buffer index out of range")
-	}
-	seq := int32(b.first) + int32(i)
-	return message.Flit{Msg: b.msg, Seq: seq, Head: seq == 0, Tail: b.tail && i == int(b.size)-1}
 }
 
 // FrontMessage returns the message owning the buffered flits, or nil if empty.

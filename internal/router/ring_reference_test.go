@@ -1,10 +1,6 @@
 package router
 
-import (
-	"fmt"
-
-	"wormnet/internal/message"
-)
+import "wormnet/internal/message"
 
 // ringBuffer is the per-flit ring FIFO that Buffer was until it became a
 // run: every flit stored as a record, nothing derived, nothing refused but
@@ -67,17 +63,6 @@ func (b *ringBuffer) RemoveMessage(id message.ID) int {
 		b.Push(f)
 	}
 	return removed
-}
-
-func (b *ringBuffer) At(i int) message.Flit {
-	if i < 0 || int32(i) >= b.size {
-		panic(fmt.Sprintf("ring: buffer index %d out of range [0,%d)", i, b.size))
-	}
-	j := b.head + int32(i)
-	if j >= int32(len(b.flits)) {
-		j -= int32(len(b.flits))
-	}
-	return b.flits[j]
 }
 
 func (b *ringBuffer) FrontMessage() *message.Message {

@@ -2,6 +2,7 @@ package router
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -86,8 +87,6 @@ func TestBufferPanics(t *testing.T) {
 	})
 	mustPanic(t, "pop empty", func() { new(Buffer).Pop() })
 	mustPanic(t, "front empty", func() { new(Buffer).Front() })
-	mustPanic(t, "at negative", func() { holding(m, 0, 2).At(-1) })
-	mustPanic(t, "at past the back", func() { holding(m, 0, 2).At(2) })
 	// One row per way a flit can fail to extend the buffered run.
 	mustPanic(t, "second message", func() { holding(m, 0, 2).Push(message.MakeFlit(msg(2, 6), 2)) })
 	mustPanic(t, "same id, other message", func() { holding(m, 0, 2).Push(message.MakeFlit(msg(1, 6), 2)) })
@@ -122,16 +121,19 @@ func TestBufferLimits(t *testing.T) {
 	for s := 0; s < MaxDepth; s++ {
 		deep.Push(message.MakeFlit(long, s))
 	}
-	if deep.Len() != MaxDepth || deep.At(MaxDepth-1).Seq != MaxDepth-1 {
+	if deep.Len() != MaxDepth {
 		t.Fatalf("a buffer of MaxDepth flits holds %d", deep.Len())
+	}
+	for deep.Len() > 1 {
+		deep.Pop()
+	}
+	if f := deep.Front(); f.Seq != MaxDepth-1 {
+		t.Fatalf("the last of MaxDepth flits is seq %d", f.Seq)
 	}
 	// The last flit of the longest message: pushed, popped, and nothing after it.
 	var b Buffer
 	b.Push(message.MakeFlit(long, MaxMessageLen-2))
 	b.Push(message.MakeFlit(long, MaxMessageLen-1))
-	if f := b.At(1); f.Seq != MaxMessageLen-1 {
-		t.Fatalf("At(1) = seq %d, want %d", f.Seq, MaxMessageLen-1)
-	}
 	b.Pop()
 	if f := b.Front(); f.Seq != MaxMessageLen-1 || f.Head {
 		t.Fatalf("front after a pop = %+v, want seq %d", f, MaxMessageLen-1)
@@ -273,9 +275,12 @@ func TestBufferMatchesModel(t *testing.T) {
 			if !b.Empty() && b.Front() != ref.Front() {
 				t.Fatalf("cap %d step %d: Front %v, ring says %v", capacity, step, b.Front(), ref.Front())
 			}
-			for i := 0; i < ref.Len(); i++ {
-				if got, want := b.At(i), ref.At(i); got != want {
-					t.Fatalf("cap %d step %d: At(%d) %v, ring says %v", capacity, step, i, got, want)
+			// Every flit, popped from copies.
+			c, r := *b, *ref
+			r.flits = slices.Clone(ref.flits)
+			for i := 0; !r.Empty(); i++ {
+				if got, want := c.Pop(), r.Pop(); got != want {
+					t.Fatalf("cap %d step %d: flit %d %v, ring says %v", capacity, step, i, got, want)
 				}
 			}
 		}

@@ -105,8 +105,8 @@ func (e *Engine) held() []heldMsg {
 //  1. Flit conservation: for every message with flits in the network, the
 //     flits buffered across all routers equal FlitsSent - FlitsEjected.
 //  2. Buffer ownership: a virtual-channel buffer holds nothing but one
-//     message's run (router.Buffer: Push refuses anything else, and load a
-//     flit list that is not one), and a routed one names its message even
+//     message's run (router.Buffer: Push refuses anything else, and a
+//     snapshot stores a run), and a routed one names its message even
 //     while empty — the owner of the output VC its route claims (ownerOf).
 //  3. Paths (checkPath): walked from a message's Tail along the routes it
 //     claimed, a held message's path is loop-free, never enters another

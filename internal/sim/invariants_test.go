@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -36,13 +35,12 @@ func TestInvariantCatchesUntrackedFlit(t *testing.T) {
 }
 
 // runRefused checks the two places a virtual-channel buffer that is not one
-// message's run is stopped today. The buffer cannot represent it, so the
-// corruption the invariant checker used to look for is refused where it would
-// arise: Buffer.Push panics inside a running engine (push must), and load
-// answers ErrSnapshotInvalid for a snapshot whose flit list spells it out
-// (corrupt is applied to a channel holding at least two flits of a saturated
-// network's snapshot).
-func runRefused(t *testing.T, push func(buf *router.Buffer), corrupt func(s *Snapshot, vc *SnapVC)) {
+// message's run is stopped today. The buffer cannot represent it, and a
+// snapshot stores a buffer as a run, so the corruption the invariant checker
+// used to look for is refused where it could arise: Buffer.Push panics inside
+// a running engine (push must), and DecodeV1Snapshot refuses a first-layout
+// snapshot whose flit list (flits, of messages 1 and 2) spells it out.
+func runRefused(t *testing.T, push func(buf *router.Buffer), flits []v1Flit) {
 	t.Helper()
 	e := idle(t, nil)
 	buf := &e.inOf(3)[0].buf
@@ -55,16 +53,8 @@ func runRefused(t *testing.T, push func(buf *router.Buffer), corrupt func(s *Sna
 		push(buf)
 	}()
 
-	cfg := equivalenceConfigs()["saturated-recovery"]
-	snap := snapshotAt(t, cfg, 1, 400, &eventTap{})
-	vc := occupiedVC(snap, 0, 2)
-	if vc == nil {
-		t.Fatal("no buffer of the saturated network holds two flits")
-	}
-	corrupt(snap, vc)
-	_, err := RestoreEngine(cfg, snap)
-	if !errors.Is(err, ErrSnapshotInvalid) || !strings.Contains(err.Error(), "one message's run") {
-		t.Fatalf("load: got %v, want ErrSnapshotInvalid naming the run", err)
+	if _, err := DecodeV1Snapshot(encodeV1(t, flits, nil)); err == nil || !strings.Contains(err.Error(), "one message's run") {
+		t.Fatalf("DecodeV1Snapshot: got %v, want an error naming the run", err)
 	}
 }
 
@@ -74,15 +64,7 @@ func TestInvariantCatchesMixedBuffer(t *testing.T) {
 	runRefused(t, func(buf *router.Buffer) {
 		buf.Push(message.MakeFlit(m1, 0))
 		buf.Push(message.MakeFlit(m2, 0))
-	}, func(s *Snapshot, vc *SnapVC) {
-		for _, sm := range s.Messages {
-			if sm.ID != vc.Flits[0].Msg {
-				vc.Flits[1].Msg = sm.ID
-				return
-			}
-		}
-		t.Fatal("snapshot holds a single message")
-	})
+	}, []v1Flit{{Msg: 1, Seq: 0, Head: true}, {Msg: 2, Seq: 0, Head: true}})
 }
 
 func TestInvariantCatchesFlitCountMismatch(t *testing.T) {
@@ -103,11 +85,7 @@ func TestInvariantCatchesNonAscendingSeq(t *testing.T) {
 	runRefused(t, func(buf *router.Buffer) {
 		buf.Push(message.MakeFlit(m, 2))
 		buf.Push(message.MakeFlit(m, 1)) // out of order
-	}, func(s *Snapshot, vc *SnapVC) {
-		vc.Flits[0].Seq, vc.Flits[1].Seq = vc.Flits[1].Seq, vc.Flits[0].Seq
-		vc.Flits[0].Head, vc.Flits[1].Head = vc.Flits[1].Head, vc.Flits[0].Head
-		vc.Flits[0].Tail, vc.Flits[1].Tail = vc.Flits[1].Tail, vc.Flits[0].Tail
-	})
+	}, []v1Flit{{Msg: 1, Seq: 2}, {Msg: 1, Seq: 1}})
 }
 
 // Only their sum ties the message counters to the state: a message lost from a

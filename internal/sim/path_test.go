@@ -110,7 +110,7 @@ func TestDetourLongerThanDiameter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(snap.Messages) != 1 || len(snap.Messages[0].Path) != len(locs) {
+		if len(snap.Messages) != 1 || snap.Messages[0].Tail != 1+int32(int(locs[0].Node)*e.nVC+e.inVCIndex(locs[0].Port, locs[0].VC)) {
 			t.Fatalf("snapshot lists %v", snap.Messages)
 		}
 		r := idle(t, nil)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"runtime"
@@ -401,8 +400,9 @@ func saturatedQueuesRun(t *testing.T, workers int) *Engine {
 
 // TestRestoreQueuesWrittenByParent reads a snapshot written by the last commit
 // whose source queues held message objects (PR 14: saturatedQueuesRun at cycle
-// 1413, gob-encoded). A record is written as the message it will become, so
-// today's engine must encode the same run to the same bytes; it must finish
+// 1413, gob-encoded in the first layout, which DecodeV1Snapshot converts). A
+// record is written as the message it will become, so today's engine must
+// encode the same run to the bytes of the conversion; it must finish
 // the run from the file as if it had never stopped, at any worker count; and
 // after the restore the generated messages wait as records again — only the
 // injected and retried ones, which are more than a record says, are objects.
@@ -423,8 +423,8 @@ func TestRestoreQueuesWrittenByParent(t *testing.T) {
 	// The parent built Inject's messages outside the pool; they are pool-born
 	// now. Pooled is observer-only (CanonicalBytes leaves it out), so apart
 	// from that flag on the three injected messages the bytes are the same.
-	var parent Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&parent); err != nil {
+	parent, err := DecodeV1Snapshot(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
 	flipped := 0
@@ -437,23 +437,20 @@ func TestRestoreQueuesWrittenByParent(t *testing.T) {
 	if flipped != 3 {
 		t.Errorf("%d messages are pool-born now and were not in the parent's file, want the 3 injected ones", flipped)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), raw) {
-		t.Error("the same run at the same cycle no longer encodes to the bytes the parent commit wrote")
+	got, _ := snapBytes(t, snap)
+	if want, _ := snapBytes(t, parent); !bytes.Equal(got, want) {
+		t.Error("the same run at the same cycle no longer encodes to the bytes the parent commit's file converts to")
 	}
 	want := golden.Run()
 
 	for _, workers := range []int{1, 2, 4} {
-		var written Snapshot
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&written); err != nil {
+		written, err := DecodeV1Snapshot(raw)
+		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := saturatedQueuesConfig()
 		cfg.Workers = workers
-		e, err := RestoreEngine(cfg, &written)
+		e, err := RestoreEngine(cfg, written)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

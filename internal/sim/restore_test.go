@@ -308,7 +308,7 @@ func TestRestoreConfigMismatchLeavesEngine(t *testing.T) {
 var hostileMutations = []func(s *Snapshot, a, b int) bool{
 	func(s *Snapshot, a, b int) bool { // unknown message reference in a buffer
 		vc := &s.Nodes[a%len(s.Nodes)].In[b%len(s.Nodes[0].In)]
-		vc.Flits = append(vc.Flits, SnapFlit{Msg: 1 << 40})
+		vc.Msg, vc.N = 1<<40, max(vc.N, 1)
 		return true
 	},
 	func(s *Snapshot, a, b int) bool { // unknown message reference elsewhere
@@ -317,7 +317,7 @@ var hostileMutations = []func(s *Snapshot, a, b int) bool{
 		case 0:
 			n.Queue = append(n.Queue, -7)
 		case 1:
-			n.OutOwner[b%len(n.OutOwner)] = 1 << 41
+			n.Recovery = append(n.Recovery, SnapPending{Msg: 1 << 41})
 		case 2:
 			n.Inj[0].Msg = 1 << 42
 		case 3:
@@ -327,35 +327,12 @@ var hostileMutations = []func(s *Snapshot, a, b int) bool{
 		}
 		return true
 	},
-	func(s *Snapshot, a, b int) bool { // overflowing buffer
-		for i := range s.Nodes {
-			n := &s.Nodes[(a+i)%len(s.Nodes)]
-			for c := range n.In {
-				if f := n.In[c].Flits; len(f) > 0 {
-					for len(n.In[c].Flits) <= 8+b%8 {
-						n.In[c].Flits = append(n.In[c].Flits, f[0])
-					}
-					return true
-				}
-			}
-		}
-		return false
-	},
 	func(s *Snapshot, a, b int) bool { // bad arbiter pointer
 		n := &s.Nodes[a%len(s.Nodes)]
 		n.ArbNext[b%len(n.ArbNext)] = int32(1000 + b)
 		if b%2 == 0 {
 			n.ArbNext[b%len(n.ArbNext)] = -1
 		}
-		return true
-	},
-	func(s *Snapshot, a, b int) bool { // out-of-range path entry
-		if len(s.Messages) == 0 {
-			return false
-		}
-		m := &s.Messages[a%len(s.Messages)]
-		bad := []SnapPath{{Node: 1 << 20}, {Node: -1}, {Port: 99}, {Port: -1}, {VC: 77}, {VC: -1}}
-		m.Path = append(m.Path, bad[b%len(bad)])
 		return true
 	},
 	func(s *Snapshot, a, b int) bool { // wrong liveness sizes, or a fault position before the schedule
@@ -394,21 +371,6 @@ var hostileMutations = []func(s *Snapshot, a, b int) bool{
 		}
 		return false
 	},
-	func(s *Snapshot, a, b int) bool { // a phantom flit of a real message in an empty buffer
-		if len(s.Messages) == 0 {
-			return false
-		}
-		for i := range s.Nodes {
-			n := &s.Nodes[(a+i)%len(s.Nodes)]
-			for c := range n.In {
-				if len(n.In[c].Flits) == 0 {
-					n.In[c].Flits = []SnapFlit{{Msg: s.Messages[b%len(s.Messages)].ID}}
-					return true
-				}
-			}
-		}
-		return false
-	},
 	func(s *Snapshot, a, b int) bool { // collector state of another shape
 		switch b % 4 {
 		case 0:
@@ -424,93 +386,6 @@ var hostileMutations = []func(s *Snapshot, a, b int) bool{
 				s.Stats.Classes = &stats.ClassesState{Names: []string{"x"}, ClassOf: make([]uint8, a%40)}
 			}
 		}
-		return true
-	},
-	// The families below lie about one virtual channel's flit list, which
-	// load turns back into a run: each breaks one rule of a run and nothing
-	// else about the snapshot's shape.
-	func(s *Snapshot, a, b int) bool { // flits of two messages in one buffer
-		vc := occupiedVC(s, a, 2)
-		if vc == nil {
-			return false
-		}
-		for i := range s.Messages {
-			if id := s.Messages[(b+i)%len(s.Messages)].ID; id != vc.Flits[0].Msg {
-				vc.Flits[1+b%(len(vc.Flits)-1)].Msg = id
-				return true
-			}
-		}
-		return false
-	},
-	func(s *Snapshot, a, b int) bool { // sequence numbers that do not count up by one
-		vc := occupiedVC(s, a, 2)
-		if vc == nil {
-			return false
-		}
-		last := len(vc.Flits) - 1
-		switch b % 4 {
-		case 0: // a gap
-			vc.Flits[last].Seq++
-		case 1: // a repeat
-			vc.Flits[last].Seq = vc.Flits[last-1].Seq
-		case 2: // out of order
-			vc.Flits[0].Seq, vc.Flits[last].Seq = vc.Flits[last].Seq, vc.Flits[0].Seq
-		case 3: // descending
-			vc.Flits[last].Seq = vc.Flits[last-1].Seq - 1
-		}
-		return true
-	},
-	func(s *Snapshot, a, b int) bool { // a flit behind the tail
-		if b%2 == 0 { // the front flit claims to be the tail
-			vc := occupiedVC(s, a, 2)
-			if vc == nil {
-				return false
-			}
-			vc.Flits[0].Tail = true
-			return true
-		}
-		for i := range s.Nodes { // one more flit follows the real tail
-			n := &s.Nodes[(a+i)%len(s.Nodes)]
-			for c := range n.In {
-				if f := n.In[c].Flits; len(f) > 0 && f[len(f)-1].Tail {
-					n.In[c].Flits = append(f, SnapFlit{Msg: f[0].Msg, Seq: f[len(f)-1].Seq + 1})
-					return true
-				}
-			}
-		}
-		return false
-	},
-	func(s *Snapshot, a, b int) bool { // Head flag that disagrees with the sequence number
-		vc := occupiedVC(s, a, 1)
-		if vc == nil {
-			return false
-		}
-		f := &vc.Flits[b%len(vc.Flits)]
-		f.Head = !f.Head
-		return true
-	},
-	func(s *Snapshot, a, b int) bool { // a run outside the message: Seq not in [0, Length)
-		vc := occupiedVC(s, a, 1)
-		if vc == nil {
-			return false
-		}
-		shift := int32(1 << 20) // past any message's length
-		if b%2 == 0 {
-			shift = -vc.Flits[len(vc.Flits)-1].Seq - 1 - int32(b%5) // the whole run below zero
-		}
-		for i := range vc.Flits {
-			vc.Flits[i].Seq += shift
-			vc.Flits[i].Head = vc.Flits[i].Seq == 0
-		}
-		return true
-	},
-	func(s *Snapshot, a, b int) bool { // Tail flag that disagrees with the message length
-		vc := occupiedVC(s, a, 1)
-		if vc == nil {
-			return false
-		}
-		f := &vc.Flits[len(vc.Flits)-1]
-		f.Tail = !f.Tail
 		return true
 	},
 	func(s *Snapshot, a, b int) bool { // two agents routed to one output channel: want holds one
@@ -535,7 +410,7 @@ var hostileMutations = []func(s *Snapshot, a, b int) bool{
 		if si == nil {
 			return false
 		}
-		si.Left = []int32{0, -1, si.Len + 1}[b%3]
+		si.Left = []int32{0, -1, msgOf(s, si.Msg).Length + 1}[b%3]
 		return true
 	},
 	func(s *Snapshot, a, b int) bool { // per-node words of the wrong kind
@@ -551,26 +426,6 @@ var hostileMutations = []func(s *Snapshot, a, b int) bool{
 			} else {
 				n.Limiter = n.Limiter[:1]
 			}
-		}
-		return true
-	},
-	// An injection channel's Dst and Len are caches of its message.
-	func(s *Snapshot, a, b int) bool { // a busy injection channel bound elsewhere than its message
-		si := busyInj(s, a)
-		if si == nil {
-			return false
-		}
-		si.Dst = []int32{1 << 20, -1, (si.Dst + 1) % int32(len(s.Nodes))}[b%3]
-		return true
-	},
-	func(s *Snapshot, a, b int) bool { // a busy injection channel longer than its message
-		si := busyInj(s, a)
-		if si == nil {
-			return false
-		}
-		si.Len += 3
-		if b%2 == 0 {
-			si.Left += 3
 		}
 		return true
 	},
@@ -617,123 +472,143 @@ var underivableMutations = []func(s *Snapshot, a, b int) bool{
 	},
 }
 
-// pathMutations make a message's path disagree with the routes load walks it
-// over, or with another message's: a gap, a loop back to an entry it already
-// listed, a path that stops short of or runs past where its routes end, and a
-// second message claiming buffers the first holds. Each returns false when the
-// snapshot has no path to corrupt that way.
-var pathMutations = []func(s *Snapshot, a, b int) bool{
-	func(s *Snapshot, a, b int) bool { // a gap: an interior entry left out
-		m := aPath(s, a, 3, nil)
+// tailMutations make a message's Tail disagree with the buffers and routes
+// load walks its path over, or with another message's: a Tail naming no input
+// VC, a held message's Tail cleared or a waiting one given one, a Tail moved
+// to another VC, and two messages with one Tail. Each returns false when no
+// message of the snapshot holds a buffer.
+var tailMutations = []func(s *Snapshot, a, b int) bool{
+	func(s *Snapshot, a, b int) bool { // naming no input VC of the network
+		m := aTail(s, a, nil)
 		if m != nil {
-			k := 1 + b%(len(m.Path)-2)
-			m.Path = slices.Delete(m.Path, k, k+1)
+			m.Tail = []int32{-1, -1 << 20, int32(len(s.Nodes)*len(s.Nodes[0].In)) + 1, 1 << 30}[b%4]
 		}
 		return m != nil
 	},
-	func(s *Snapshot, a, b int) bool { // a loop: an entry listed again at the end
-		m := aPath(s, a, 1, nil)
-		if m != nil {
-			m.Path = append(m.Path, m.Path[b%len(m.Path)])
-		}
-		return m != nil
-	},
-	func(s *Snapshot, a, b int) bool { // short of, or past, where the routes end
-		m := aPath(s, a, 2, nil)
-		switch {
-		case m == nil:
+	func(s *Snapshot, a, b int) bool { // cleared, or given to a message without one
+		m := aTail(s, a, nil)
+		if m == nil {
 			return false
-		case b%2 == 0:
-			m.Path = m.Path[:len(m.Path)-1]
-		default:
-			last := m.Path[len(m.Path)-1]
-			m.Path = append(m.Path, SnapPath{Node: (last.Node + 1) % int32(len(s.Nodes)), Port: last.Port, VC: last.VC})
 		}
+		for i := range s.Messages {
+			if o := &s.Messages[(b+i)%len(s.Messages)]; b%2 == 1 && o.Tail == 0 {
+				o.Tail = m.Tail
+				return true
+			}
+		}
+		m.Tail = 0
 		return true
 	},
-	func(s *Snapshot, a, b int) bool { // two messages claiming one VC
-		m := aPath(s, a, 1, nil)
-		o := aPath(s, a+1+b, 1, m)
+	func(s *Snapshot, a, b int) bool { // moved to another input VC
+		m := aTail(s, a, nil)
+		if m != nil {
+			vcs := int32(len(s.Nodes) * len(s.Nodes[0].In))
+			m.Tail = 1 + (m.Tail-1+1+int32(b)%(vcs-1))%vcs
+		}
+		return m != nil
+	},
+	func(s *Snapshot, a, b int) bool { // two messages with one Tail
+		m := aTail(s, a, nil)
+		o := aTail(s, a+1+b, m)
 		if o != nil {
-			o.Path = slices.Clone(m.Path[b%len(m.Path):])
+			o.Tail = m.Tail
 		}
 		return o != nil
 	},
 }
 
-// ownerMutations make the output-VC owners a snapshot lists disagree with the
-// routes they derive from: an owner of a channel no route names, a routed
-// channel listed free or under another message, and a second route on an owned
-// channel. Each returns false when the snapshot has no such channel.
-var ownerMutations = []func(s *Snapshot, a, b int) bool{
-	func(s *Snapshot, a, b int) bool { // an owner no route names
-		m := aPath(s, b, 1, nil)
-		v := anOutVC(s, a, func(id int64) bool { return id == -1 })
-		if m == nil || v == nil {
-			return false
+// runMutations make a buffer's run disagree with its buffer, its message or
+// the message's other references: a run longer than the buffer, a run outside
+// its message's flits, an empty buffer naming a run, a run in a buffer the
+// message does not hold, a run of another message, and a flit lost or gained.
+// Each returns false when the snapshot has no buffer to corrupt that way.
+var runMutations = []func(s *Snapshot, a, b int) bool{
+	func(s *Snapshot, a, b int) bool { // longer than any buffer
+		vc := occupiedVC(s, a, 1)
+		if vc != nil {
+			vc.N += 1<<16 - int32(b%8)
 		}
-		*v = m.ID
-		return true
+		return vc != nil
 	},
-	func(s *Snapshot, a, b int) bool { // a routed channel listed free, or under another message
-		v := anOutVC(s, a, func(id int64) bool { return id != -1 })
-		if v == nil {
+	func(s *Snapshot, a, b int) bool { // outside its message: below flit 0, or past its tail
+		vc := occupiedVC(s, a, 1)
+		switch {
+		case vc == nil:
 			return false
-		}
-		var owner *SnapMessage
-		for i := range s.Messages {
-			if s.Messages[i].ID == *v {
-				owner = &s.Messages[i]
-			}
-		}
-		if o := aPath(s, b, 1, owner); b%2 == 1 && o != nil {
-			*v = o.ID
-		} else {
-			*v = -1
+		case b%2 == 0:
+			vc.Seq = -1 - int32(b%5)
+		default:
+			vc.Seq = msgOf(s, vc.Msg).Length - vc.N + 1 + int32(b%5)
 		}
 		return true
 	},
-	func(s *Snapshot, a, b int) bool { // a second route on an owned channel
+	func(s *Snapshot, a, b int) bool { // an empty buffer naming a message or a first flit
 		for i := range s.Nodes {
 			n := &s.Nodes[(a+i)%len(s.Nodes)]
 			for c := range n.In {
-				if r := n.In[c].Route; r.Valid && !r.Eject {
-					for k := range n.In {
-						if o := &n.In[(c+1+b+k)%len(n.In)]; !o.Route.Valid {
-							o.Route = r
-							return true
-						}
+				if vc := &n.In[c]; vc.N == 0 {
+					if b%2 == 0 {
+						vc.Msg = s.Messages[b%len(s.Messages)].ID | 1
+					} else {
+						vc.Seq = 1 + int32(b%5)
 					}
+					return true
 				}
 			}
 		}
 		return false
 	},
-}
-
-// anOutVC returns the first output VC of s, scanning the nodes from a, whose
-// listed owner satisfies ok; nil when there is none.
-func anOutVC(s *Snapshot, a int, ok func(id int64) bool) *int64 {
-	for i := range s.Nodes {
-		n := &s.Nodes[(a+i)%len(s.Nodes)]
-		for v := range n.OutOwner {
-			if ok(n.OutOwner[v]) {
-				return &n.OutOwner[v]
+	func(s *Snapshot, a, b int) bool { // a phantom run of a real message in an empty buffer
+		if len(s.Messages) == 0 {
+			return false
+		}
+		for i := range s.Nodes {
+			n := &s.Nodes[(a+i)%len(s.Nodes)]
+			for c := range n.In {
+				if vc := &n.In[c]; vc.N == 0 {
+					vc.Msg, vc.N = s.Messages[b%len(s.Messages)].ID, 1
+					return true
+				}
 			}
 		}
-	}
-	return nil
+		return false
+	},
+	func(s *Snapshot, a, b int) bool { // another message's run
+		vc := occupiedVC(s, a, 1)
+		if vc == nil {
+			return false
+		}
+		for i := range s.Messages {
+			if o := &s.Messages[(b+i)%len(s.Messages)]; o.ID != vc.Msg && vc.Seq+vc.N <= o.Length {
+				vc.Msg = o.ID
+				return true
+			}
+		}
+		return false
+	},
+	func(s *Snapshot, a, b int) bool { // a flit lost or gained
+		vc := occupiedVC(s, a, 1)
+		if vc != nil {
+			vc.N += int32(b%2*2 - 1)
+		}
+		return vc != nil
+	},
 }
 
-// aPath returns a message of s with a path of at least n entries other than
-// not, scanning the message table from a; nil when there is none.
-func aPath(s *Snapshot, a, n int, not *SnapMessage) *SnapMessage {
+// aTail returns a message of s with a Tail other than not, scanning the
+// message table from a; nil when there is none.
+func aTail(s *Snapshot, a int, not *SnapMessage) *SnapMessage {
 	for i := range s.Messages {
-		if m := &s.Messages[(a+i)%len(s.Messages)]; len(m.Path) >= n && m != not {
+		if m := &s.Messages[(a+i)%len(s.Messages)]; m.Tail != 0 && m != not {
 			return m
 		}
 	}
 	return nil
+}
+
+// msgOf returns the message of s with id.
+func msgOf(s *Snapshot, id int64) *SnapMessage {
+	return &s.Messages[sort.Search(len(s.Messages), func(j int) bool { return s.Messages[j].ID >= id })]
 }
 
 // aQueuedMessage returns the message some source queue of s names, picked by a
@@ -741,8 +616,7 @@ func aPath(s *Snapshot, a, n int, not *SnapMessage) *SnapMessage {
 func aQueuedMessage(s *Snapshot, a, b int) *SnapMessage {
 	for i := range s.Nodes {
 		if q := s.Nodes[(a+i)%len(s.Nodes)].Queue; len(q) > 0 {
-			id := q[b%len(q)]
-			return &s.Messages[sort.Search(len(s.Messages), func(j int) bool { return s.Messages[j].ID >= id })]
+			return msgOf(s, q[b%len(q)])
 		}
 	}
 	return nil
@@ -823,7 +697,7 @@ func occupiedVC(s *Snapshot, a, n int) *SnapVC {
 	for i := range s.Nodes {
 		nd := &s.Nodes[(a+i)%len(s.Nodes)]
 		for c := range nd.In {
-			if len(nd.In[c].Flits) >= n {
+			if nd.In[c].N >= int32(n) {
 				return &nd.In[c]
 			}
 		}
@@ -837,11 +711,11 @@ func occupiedVC(s *Snapshot, a, n int) *SnapVC {
 // never a quietly wrong engine — and must leave nothing behind. A snapshot
 // with a queued message no bare record can stand for (underivableMutations)
 // must restore and snapshot again to its own canonical bytes, or be refused
-// the same way; one whose paths disagree with its routes (pathMutations) must
-// be refused. Either way the good snapshot restored next has to reproduce
+// the same way; one whose Tails or runs disagree with the rest of the state
+// (tailMutations, runMutations) must be refused. Either way the good snapshot restored next has to reproduce
 // its hash and deep-equal a fresh restore, run after run on the same engine. Each accepted restore is then
 // snapshotted into the storage of the iteration before — the hostile snapshot,
-// overlong lists, lying paths and all — and must hash like the good one again.
+// overlong lists, lying Tails and all — and must hash like the good one again.
 func FuzzRestoreInPlace(f *testing.F) {
 	const backloggedFrom = 128
 	type target struct {
@@ -913,30 +787,19 @@ func FuzzRestoreInPlace(f *testing.F) {
 			f.Add(uint8(backloggedFrom+v), uint8(m), uint16(7*v+m), uint16(v))
 		}
 	}
-	// The path mutations go last, list and seeds, so that the seeds above keep
-	// their targets.
+	// The Tail and run mutations go last, list and seeds, so that the seeds
+	// above keep their targets; each has sixteen, four on the backlog.
 	derivable := len(mutations)
-	for m := range pathMutations {
-		for v := 0; v < 8; v++ {
+	mutations = append(append(mutations, tailMutations...), runMutations...)
+	for m := derivable; m < len(mutations); m++ {
+		for v := 0; v < 16; v++ {
 			which := v
-			if v >= 6 {
-				which = backloggedFrom + v - 6
+			if v >= 12 {
+				which = backloggedFrom + v - 12
 			}
-			f.Add(uint8(which), uint8(derivable+m), uint16(7*v+m), uint16(v))
+			f.Add(uint8(which), uint8(m), uint16(7*v+m), uint16(v))
 		}
 	}
-	mutations = append(mutations, pathMutations...)
-	// The owner mutations go after them, for the same reason.
-	for m := range ownerMutations {
-		for v := 0; v < 8; v++ {
-			which := v
-			if v >= 6 {
-				which = backloggedFrom + v - 6
-			}
-			f.Add(uint8(which), uint8(len(mutations)+m), uint16(7*v+m), uint16(v))
-		}
-	}
-	mutations = append(mutations, ownerMutations...)
 	f.Fuzz(func(t *testing.T, which, mutation uint8, a, b uint16) {
 		tg := targets[int(which)%len(targets)]
 		if which >= backloggedFrom {
@@ -989,11 +852,11 @@ func FuzzRestoreInPlace(f *testing.F) {
 // is part of it, and every generator refuses the other kind's state.
 var observerOnly = []string{
 	"Config", "NextID", "Generated", "Delivered", "Recovered", "Aborted", "Retried", "Dropped",
-	"Stats", "Metrics", "Messages.Pooled", "Messages.ID", "Nodes.In.Flits.Msg", "Nodes.OutOwner",
+	"Stats", "Metrics", "Messages.Pooled", "Messages.ID", "Nodes.In.Msg",
 	"Nodes.Inj.Msg", "Nodes.Ej.Msg", "Nodes.Queue", "Nodes.Recovery.Msg", "Nodes.Retry.Msg", "Nodes.Gen.Rogue",
 }
 
-// snapLeaves calls fn with the field path ("Nodes.In.Flits.Seq", no indices)
+// snapLeaves calls fn with the field path ("Nodes.In.Seq", no indices)
 // and the value of every leaf reachable from v — a scalar, a string or a
 // []byte — depth first in field and element order, until fn returns false.
 func snapLeaves(v reflect.Value, path string, fn func(string, reflect.Value) bool) bool {

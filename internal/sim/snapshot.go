@@ -13,20 +13,23 @@ package sim
 // the BlockTracker watermark/hot pair) is either transient between cycles
 // or recomputed on restore.
 //
-// What is serialized: the cycle clock, message-ID allocator, all-time
-// counters, the full reachable message table, per-node durable router state
-// (input-VC buffer contents, forwarding decisions, output-VC ownership — which
-// derives from those two, and which load checks against them —
-// injection/ejection channels, source and recovery/retry queues, generator
-// RNG streams, stateful-limiter words, blockage counters, per-VC last-
-// transmission cycles, arbiter pointers), fault machinery position (liveness
-// masks, next-event index), the stats collector, and — when metrics are
-// enabled — the registry's samples.
+// What is serialized is what the engine cannot derive: the cycle clock,
+// message-ID allocator, all-time counters, the full reachable message table
+// (each message with its Tail, the oldest input VC it holds), per-node durable
+// router state (each input VC's run — message, first sequence number, count —
+// and forwarding decision, injection/ejection channels, source and
+// recovery/retry queues, generator RNG streams, stateful-limiter words,
+// blockage counters, per-VC last-transmission cycles, arbiter pointers), fault
+// machinery position (liveness masks, next-event index), the stats collector,
+// and — when metrics are enabled — the registry's samples.
 //
 // What is deliberately NOT serialized, and why that is sound:
 //   - derived state: the free/empty/full/routed status words, want/wantOut
-//     and busyInj, which derive recomputes exactly from the durable state,
-//     and the set-id caches and nextGen, which load rebuilds;
+//     and busyInj, which derive recomputes exactly from the durable state —
+//     and with want the output-VC owners (ownerOf); a buffer's flits (its
+//     run); a message's path past its Tail, which load walks along the routes;
+//     an injection channel's copy of its message's length; the set-id caches
+//     and nextGen, which load rebuilds;
 //   - per-cycle scratch (killScratch, shard buffers): dead between cycles;
 //   - the fresh words (fresh, freshInj): provably zero between cycles — a set
 //     fresh bit implies a non-empty routed VC (or busy injection channel) on
@@ -81,28 +84,23 @@ type SnapRoute struct {
 	Epoch   uint16
 }
 
-// SnapFlit is one buffered flit: a message reference plus its position.
-type SnapFlit struct {
-	Msg  int64
-	Seq  int32
-	Head bool
-	Tail bool
-}
-
-// SnapVC is one input virtual channel: its buffered flits in FIFO order and
-// its forwarding decision.
+// SnapVC is one input virtual channel: the run its buffer holds — N flits of
+// message Msg, the first numbered Seq; Msg and Seq 0 while N is — and its
+// forwarding decision. The flits' Head and Tail flags follow from Seq and the
+// message's length.
 type SnapVC struct {
-	Flits []SnapFlit
+	Msg   int64
+	Seq   int32
+	N     int32
 	Route SnapRoute
 }
 
-// SnapInj is one injection channel (Msg < 0 when free).
+// SnapInj is one injection channel (Msg < 0 when free), with Left of its
+// message's flits still to stream.
 type SnapInj struct {
 	Msg   int64
 	Route SnapRoute
 	Left  int32
-	Len   int32
-	Dst   int32
 }
 
 // SnapEj is one ejection channel (Msg < 0 when free).
@@ -115,15 +113,6 @@ type SnapEj struct {
 type SnapPending struct {
 	Msg     int64
 	ReadyAt int64
-}
-
-// SnapPath is one message path location. A message stores only the first of
-// its path (message.Message.Tail); the snapshot lists the path walked from
-// there along the routes it claimed, and load checks it against them.
-type SnapPath struct {
-	Node int32
-	Port int8
-	VC   int8
 }
 
 // SnapMessage is the full serialized state of one reachable message.
@@ -143,13 +132,15 @@ type SnapMessage struct {
 	DropReason   string
 	Measured     bool
 	Pooled       bool
-	Path         []SnapPath
+	// Tail is message.Message.Tail: 1 + the index of that input VC among the
+	// network's, node by node in SnapNode.In order; 0 while it holds none. The
+	// rest of the path is walked from there along the routes it claimed.
+	Tail int32
 }
 
 // SnapNode is the durable state of one node.
 type SnapNode struct {
 	In       []SnapVC
-	OutOwner []int64 // flat output VC -> owning message ID, -1 when free
 	Inj      []SnapInj
 	Ej       []SnapEj
 	Queue    []int64 // source queue, front first
@@ -346,17 +337,13 @@ func (sm *SnapMessage) waitingAt(n topology.NodeID) bool {
 		sm.Src == int32(n) && sm.Injector == sm.Src &&
 		sm.InjectTime == -1 && sm.DeliverTime == -1 &&
 		sm.FlitsSent == 0 && sm.FlitsEjected == 0 && sm.Recoveries == 0 && sm.Retries == 0 &&
-		sm.DropReason == "" && len(sm.Path) == 0
+		sm.DropReason == "" && sm.Tail == 0
 }
 
 // locInRange reports whether loc names an input virtual channel of the network.
 func (e *Engine) locInRange(loc pathLoc) bool {
 	return loc.Node >= 0 && int(loc.Node) < len(e.nodes) && loc.Port >= 0 && int(loc.Port) < e.numPhys &&
 		loc.VC >= 0 && int(loc.VC) < e.cfg.VCs
-}
-
-func snapPath(loc pathLoc) SnapPath {
-	return SnapPath{Node: int32(loc.Node), Port: int8(loc.Port), VC: loc.VC}
 }
 
 func snapRoute(r routeInfo) SnapRoute {
@@ -383,18 +370,13 @@ func (e *Engine) routeInRange(s SnapRoute) bool {
 
 // refs calls fn with every message reference of the node, in the order that
 // numbers messages canonically (CanonBuf.encode) and that load resolves them
-// in: buffered flits, output-VC owners, injection channels, ejection channels,
-// source queue, recovery queue, retry queue. A free output VC or channel is -1
-// and references nothing.
+// in: buffered runs, injection channels, ejection channels, source queue,
+// recovery queue, retry queue. An empty buffer or a free channel references
+// nothing.
 func (sn *SnapNode) refs(fn func(id int64)) {
 	for c := range sn.In {
-		for _, f := range sn.In[c].Flits {
-			fn(f.Msg)
-		}
-	}
-	for _, id := range sn.OutOwner {
-		if id != -1 {
-			fn(id)
+		if sn.In[c].N != 0 {
+			fn(sn.In[c].Msg)
 		}
 	}
 	for _, si := range sn.Inj {
@@ -427,22 +409,13 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 // resize returns s with length n, reusing its storage; callers overwrite every element.
 func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
-// addMessage appends sm to s.Messages and returns it there, with the Path
-// storage an earlier snapshot left in that slot, emptied.
-func (s *Snapshot) addMessage(sm SnapMessage) *SnapMessage {
-	n := len(s.Messages)
-	if n < cap(s.Messages) {
-		sm.Path = s.Messages[:n+1][n].Path[:0]
+// addObject appends the message object m to s.Messages.
+func (e *Engine) addObject(s *Snapshot, m *message.Message) {
+	tail := int32(0)
+	if m.Tail != message.NoLoc {
+		tail = 1 + int32(int(m.Tail.Node)*e.nVC+e.inVCIndex(m.Tail.Port, m.Tail.VC))
 	}
-	s.Messages = append(s.Messages, sm)
-	return &s.Messages[n]
-}
-
-// addObject appends the message object m to s.Messages, with the path walked
-// from its Tail along the routes it claimed. A path whose slot left no storage
-// is cut from *paths, the chunk the snapshot's new paths share.
-func (e *Engine) addObject(s *Snapshot, m *message.Message, paths *[]SnapPath) {
-	sm := s.addMessage(SnapMessage{
+	s.Messages = append(s.Messages, SnapMessage{
 		ID:           int64(m.ID),
 		Src:          int32(m.Src),
 		Dst:          int32(m.Dst),
@@ -459,57 +432,27 @@ func (e *Engine) addObject(s *Snapshot, m *message.Message, paths *[]SnapPath) {
 		DropReason:   string(m.DropReason),
 		Measured:     m.Measured,
 		Pooled:       m.Pooled,
+		Tail:         tail,
 	})
-	if cap(sm.Path) == 0 && m.Tail != message.NoLoc {
-		n := 0
-		for loc, more := m.Tail, true; more; loc, more = e.nextLoc(loc) {
-			n++
-		}
-		sm.Path = cutPath(paths, n)
-	}
-	for loc, more := m.Tail, m.Tail != message.NoLoc; more; loc, more = e.nextLoc(loc) {
-		sm.Path = append(sm.Path, snapPath(loc))
-	}
 }
-
-// cutPath returns an empty path with room for n entries, capped, cut from
-// *chunk: a new chunk, twice the last and at least pathChunk, when it has no
-// room left.
-func cutPath(chunk *[]SnapPath, n int) []SnapPath {
-	if cap(*chunk)-len(*chunk) < n {
-		*chunk = make([]SnapPath, 0, max(pathChunk, 2*cap(*chunk), n))
-	}
-	i := len(*chunk)
-	*chunk = (*chunk)[:i+n]
-	return (*chunk)[i : i : i+n]
-}
-
-// pathChunk is the size of the first chunk a snapshot's new paths are cut from.
-const pathChunk = 64
 
 // carve gives s nodes of e's shape whose per-node and per-VC slices are capped
 // cuts of one array per field, so that a new snapshot is a few objects, not a
-// few per channel. A VC's flit list has room for BufDepth flits, all its buffer
-// holds, and a node's queue for the messages waiting there now.
+// few per channel. A node's queue has room for the messages waiting there now.
 func (e *Engine) carve(s *Snapshot) {
-	n, nVC, depth := len(e.nodes), e.nVC, e.cfg.BufDepth
+	n, nVC := len(e.nodes), e.nVC
 	nInj, nEj, nArb := e.cfg.InjChannels, e.cfg.EjChannels, e.numPhys+e.cfg.EjChannels
 	queued := 0
 	for i := range e.nodes {
 		queued += e.nodes[i].queue.Len()
 	}
 	s.Nodes = make([]SnapNode, n)
-	vcs, flits := make([]SnapVC, n*nVC), make([]SnapFlit, n*nVC*depth)
-	owners, lastTx, blocked := make([]int64, n*nVC), make([]int64, n*nVC), make([]int32, n*nVC)
+	vcs, lastTx, blocked := make([]SnapVC, n*nVC), make([]int64, n*nVC), make([]int32, n*nVC)
 	inj, ej, arb := make([]SnapInj, n*nInj), make([]SnapEj, n*nEj), make([]int32, n*nArb)
 	queues := make([]int64, queued)
 	for i := range s.Nodes {
 		sn := &s.Nodes[i]
-		sn.In = cut(vcs, i, nVC)
-		for c := range sn.In {
-			sn.In[c].Flits = cut(flits, i*nVC+c, depth)
-		}
-		sn.OutOwner, sn.LastTx, sn.Blocked = cut(owners, i, nVC), cut(lastTx, i, nVC), cut(blocked, i, nVC)
+		sn.In, sn.LastTx, sn.Blocked = cut(vcs, i, nVC), cut(lastTx, i, nVC), cut(blocked, i, nVC)
 		sn.Inj, sn.Ej, sn.ArbNext = cut(inj, i, nInj), cut(ej, i, nEj), cut(arb, i, nArb)
 		q := e.nodes[i].queue.Len()
 		sn.Queue, queues = queues[:q:q], queues[q:]
@@ -568,9 +511,8 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 	// where its node's queues name it (a waiting message holds no network
 	// state). The per-node state references them by ID.
 	s.Messages = slices.Grow(s.Messages, int(e.InFlight()))
-	var paths []SnapPath
 	for _, h := range e.held() {
-		e.addObject(s, h.m, &paths)
+		e.addObject(s, h.m)
 	}
 	nVC := e.nVC
 	for i := range e.nodes {
@@ -580,21 +522,10 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 		in, routes := e.inOf(nd.id), e.routesOf(nd.id)
 		sn.In = resize(sn.In, nVC)
 		for c := 0; c < nVC; c++ {
-			ivc := &in[c]
-			n := ivc.buf.Len()
-			flits := slices.Grow(sn.In[c].Flits[:0], n)
-			for j := 0; j < n; j++ {
-				f := ivc.buf.At(j)
-				flits = append(flits, SnapFlit{Msg: int64(f.Msg.ID), Seq: f.Seq, Head: f.Head, Tail: f.Tail})
-			}
-			sn.In[c] = SnapVC{Flits: flits, Route: snapRoute(routes[c])}
-		}
-
-		sn.OutOwner = resize(sn.OutOwner, nVC)
-		for v := 0; v < nVC; v++ {
-			sn.OutOwner[v] = -1
-			if m := e.ownerOf(nd.id, v); m != nil {
-				sn.OutOwner[v] = int64(m.ID)
+			sn.In[c] = SnapVC{Route: snapRoute(routes[c])}
+			if b := &in[c].buf; !b.Empty() {
+				f := b.Front()
+				sn.In[c].Msg, sn.In[c].Seq, sn.In[c].N = int64(f.Msg.ID), f.Seq, int32(b.Len())
 			}
 		}
 
@@ -602,7 +533,7 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 		for j, ic := range e.injOf(nd.id) {
 			sn.Inj[j] = SnapInj{Msg: -1}
 			if ic.msg != nil {
-				sn.Inj[j] = SnapInj{Msg: int64(ic.msg.ID), Route: snapRoute(ic.route), Left: ic.left, Len: ic.len, Dst: int32(ic.msg.Dst)}
+				sn.Inj[j] = SnapInj{Msg: int64(ic.msg.ID), Route: snapRoute(ic.route), Left: ic.left}
 			}
 		}
 
@@ -620,10 +551,10 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 		e.eachWaiting(nd, func(r *queued) {
 			sn.Queue = append(sn.Queue, int64(r.id))
 			if m := e.object(r.id); m != nil {
-				e.addObject(s, m, &paths)
+				e.addObject(s, m)
 				return
 			}
-			s.addMessage(SnapMessage{
+			s.Messages = append(s.Messages, SnapMessage{
 				ID: int64(r.id), Src: int32(nd.id), Dst: int32(r.dst), Length: e.recordLen(r),
 				GenTime: r.gen, InjectTime: -1, DeliverTime: -1,
 				State: int8(message.StateQueued), Injector: int32(nd.id),
@@ -632,12 +563,12 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 		})
 		sn.Recovery = sn.Recovery[:0]
 		for _, pr := range nd.recovery {
-			e.addObject(s, pr.msg, &paths)
+			e.addObject(s, pr.msg)
 			sn.Recovery = append(sn.Recovery, SnapPending{Msg: int64(pr.msg.ID), ReadyAt: pr.readyAt})
 		}
 		sn.Retry = sn.Retry[:0]
 		for _, pr := range nd.retry {
-			e.addObject(s, pr.msg, &paths)
+			e.addObject(s, pr.msg)
 			sn.Retry = append(sn.Retry, SnapPending{Msg: int64(pr.msg.ID), ReadyAt: pr.readyAt})
 		}
 
@@ -877,7 +808,7 @@ func (e *Engine) load(snap *Snapshot) error {
 		sn := &snap.Nodes[i]
 		in, routes := e.inOf(nd.id), e.routesOf(nd.id)
 		inj, ej, arb := e.injOf(nd.id), e.ejOf(nd.id), e.arbOf(nd.id)
-		if len(sn.In) != nVC || len(sn.OutOwner) != nVC ||
+		if len(sn.In) != nVC ||
 			len(sn.Inj) != len(inj) || len(sn.Ej) != len(ej) ||
 			len(sn.Blocked) != nVC || len(sn.LastTx) != nVC ||
 			len(sn.ArbNext) != len(arb) {
@@ -886,35 +817,25 @@ func (e *Engine) load(snap *Snapshot) error {
 
 		for c := 0; c < nVC; c++ {
 			sv := &sn.In[c]
-			ivc := &in[c]
-			for j, sf := range sv.Flits {
+			if sv.N == 0 && (sv.Msg != 0 || sv.Seq != 0) || sv.N < 0 || int(sv.N) > e.cfg.BufDepth {
+				return fmt.Errorf("%w: node %d vc %d holds a run of %d flits (message %d from flit %d) in a buffer of %d",
+					ErrSnapshotInvalid, i, c, sv.N, sv.Msg, sv.Seq, e.cfg.BufDepth)
+			}
+			if sv.N != 0 {
 				m := msg()
-				if ivc.buf.Len() == e.cfg.BufDepth {
-					return fmt.Errorf("%w: node %d vc %d overflows its buffer", ErrSnapshotInvalid, i, c)
+				if sv.Seq < 0 || sv.Seq >= m.Length || sv.N > m.Length-sv.Seq {
+					return fmt.Errorf("%w: node %d vc %d holds flits %d to %d of msg %d, which has %d",
+						ErrSnapshotInvalid, i, c, sv.Seq, sv.Seq+sv.N-1, m.ID, m.Length)
 				}
-				// A buffer stores a run and Push panics on anything else: the
-				// list must be consecutive flits of one message, the flags
-				// what the position says (so nothing follows a tail either).
-				if sf.Seq < 0 || sf.Seq >= m.Length ||
-					sf.Head != (sf.Seq == 0) || sf.Tail != (sf.Seq == m.Length-1) ||
-					(j > 0 && (sf.Msg != sv.Flits[j-1].Msg || sf.Seq != sv.Flits[j-1].Seq+1)) {
-					return fmt.Errorf("%w: node %d vc %d flit %d is not the next flit of one message's run",
-						ErrSnapshotInvalid, i, c, j)
+				for seq := sv.Seq; seq < sv.Seq+sv.N; seq++ {
+					in[c].buf.Push(message.MakeFlit(m, int(seq)))
 				}
-				ivc.buf.Push(message.Flit{Msg: m, Seq: sf.Seq, Head: sf.Head, Tail: sf.Tail})
 			}
 			if !e.routeInRange(sv.Route) {
 				return fmt.Errorf("%w: node %d vc %d route out of range", ErrSnapshotInvalid, i, c)
 			}
 			if sv.Route.Valid {
 				routes[c] = loadRoute(sv.Route)
-			}
-		}
-		// Ownership derives from the routes: it is checked against them once
-		// the paths have named the messages of the empty routed buffers.
-		for _, id := range sn.OutOwner {
-			if id != -1 {
-				msg()
 			}
 		}
 		for j := range inj {
@@ -924,10 +845,7 @@ func (e *Engine) load(snap *Snapshot) error {
 			}
 			if si.Msg != -1 {
 				m := msg()
-				if si.Dst != int32(m.Dst) {
-					return fmt.Errorf("%w: node %d inj %d lists destination %d for msg %d bound for %d", ErrSnapshotInvalid, i, j, si.Dst, m.ID, m.Dst)
-				}
-				inj[j] = injChannel{msg: m, route: loadRoute(si.Route), left: si.Left, len: si.Len}
+				inj[j] = injChannel{msg: m, route: loadRoute(si.Route), left: si.Left, len: m.Length}
 			}
 		}
 		if !e.rederive(nd) {
@@ -997,52 +915,30 @@ func (e *Engine) load(snap *Snapshot) error {
 		}
 	}
 
-	// A message's path is its Tail and the hops its claimed routes lead to, so
-	// the snapshot's list must be exactly that walk over the restored routes:
-	// no gap, and no entry short of or past where the routes end (which is
-	// also what keeps a loop out). CheckInvariants then holds each path to the
-	// buffers and channels that name its message, one message to a VC.
-	//
-	// A buffer names its message from the paths, not from its contents alone:
-	// a channel the head has already left but whose tail is still upstream has
-	// an empty buffer yet stays the message's — its route is live, and it is
-	// what owns the output VC the route claims (ownerOf). So every empty
-	// buffer on a path is reserved for the path's message; CheckInvariants
-	// holds an occupied one to its flits' message.
+	// A message's path is its Tail and the hops its claimed routes lead to;
+	// CheckInvariants holds each path to the buffers and channels that name
+	// its message, one message to a VC. A buffer names its message from the
+	// paths, not from its contents alone: a channel the head has already left
+	// but whose tail is still upstream has an empty buffer yet stays the
+	// message's — its route is live, and it is what owns the output VC the
+	// route claims (ownerOf). So every empty buffer on a path is reserved for
+	// the path's message. A walk longer than the network has input VCs loops.
 	for i := range snap.Messages {
 		sm := &snap.Messages[i]
-		for k, pl := range sm.Path {
-			loc := pathLoc{Node: topology.NodeID(pl.Node), Port: topology.Port(pl.Port), VC: pl.VC}
-			if !e.locInRange(loc) {
-				return fmt.Errorf("%w: message %d path entry (%d,%d,%d) out of range",
-					ErrSnapshotInvalid, sm.ID, pl.Node, pl.Port, pl.VC)
-			}
-			// The routes lead on exactly while the list does, and to its next entry.
-			next, more := e.nextLoc(loc)
-			if more == (k+1 == len(sm.Path)) || more && sm.Path[k+1] != snapPath(next) {
-				return fmt.Errorf("%w: message %d path entry %d (%d,%d,%d) is not where its routes lead",
-					ErrSnapshotInvalid, sm.ID, k, pl.Node, pl.Port, pl.VC)
+		if sm.Tail < 0 || int(sm.Tail) > len(e.in) {
+			return fmt.Errorf("%w: message %d Tail %d names no input virtual channel", ErrSnapshotInvalid, sm.ID, sm.Tail)
+		}
+		if sm.Tail == 0 {
+			continue
+		}
+		t, a := int(sm.Tail-1)/e.nVC, int(sm.Tail-1)%e.nVC
+		objs[i].Tail = pathLoc{Node: topology.NodeID(t), Port: topology.Port(a / e.cfg.VCs), VC: int8(a % e.cfg.VCs)} // no record has a Tail
+		for loc, more, n := objs[i].Tail, true, 0; more; loc, more = e.nextLoc(loc) {
+			if n++; n > len(e.in) {
+				return fmt.Errorf("%w: message %d path loops", ErrSnapshotInvalid, sm.ID)
 			}
 			if b := &e.inOf(loc.Node)[e.inVCIndex(loc.Port, loc.VC)].buf; b.Empty() {
 				b.Reserve(objs[i])
-			}
-			if k == 0 {
-				objs[i].Tail = loc // every message with a path is an object: no record has one
-			}
-		}
-	}
-
-	// The owners the snapshot lists are the ones the routes give: an owner no
-	// route names, a route whose channel lists another owner or none, and
-	// (rederive above) two routes on one channel are all refused.
-	for i := range e.nodes {
-		for v, id := range snap.Nodes[i].OutOwner {
-			got := int64(-1)
-			if m := e.ownerOf(topology.NodeID(i), v); m != nil {
-				got = int64(m.ID)
-			}
-			if got != id {
-				return fmt.Errorf("%w: node %d output VC %d lists owner %d, its routes give %d", ErrSnapshotInvalid, i, v, id, got)
 			}
 		}
 	}

@@ -11,10 +11,10 @@ package sim
 // different IDs. CanonicalBytes therefore re-encodes the snapshot with:
 //
 //   - message IDs remapped to dense indices in a fixed traversal order
-//     (SnapNode.refs, node by node: input-VC flits, output-VC owners,
-//     injection channels, ejection channels, source queue, recovery queue,
-//     retry queue) so any schedule reaching the same configuration of worms
-//     yields the same bytes;
+//     (SnapNode.refs, node by node: input-VC runs, injection channels,
+//     ejection channels, source queue, recovery queue, retry queue) so any
+//     schedule reaching the same configuration of worms yields the same
+//     bytes;
 //   - observer-only state dropped: config digest (the explorer pins the
 //     config separately), NextID and the all-time generated/delivered/
 //     recovered/aborted/retried/dropped counters, stats, metrics, and the
@@ -25,7 +25,9 @@ package sim
 //     a redundant field only costs dedup rate. That includes the absolute
 //     clock, per-VC blockage counters and last-transmission cycles,
 //     arbiter pointers, generator and limiter state, and message
-//     timestamps/paths.
+//     timestamps and Tails;
+//   - nothing the engine derives: a snapshot holds none of it (snapshot.go),
+//     so the encoding is the snapshot's fields and no more.
 //
 // The encoding is a flat deterministic byte stream (fixed-width
 // little-endian scalars, length-prefixed slices) — no maps, no gob.
@@ -46,6 +48,10 @@ import (
 	"fmt"
 	"math"
 )
+
+// CanonFormat tags the canonical encoding: the first bytes of every one, and
+// what a visited set of its hashes records. Bump it on any layout change.
+const CanonFormat = "wncanon3"
 
 // canonWriter accumulates the canonical byte stream.
 type canonWriter struct{ b []byte }
@@ -130,7 +136,7 @@ func (c *CanonBuf) encode(s *Snapshot) error {
 
 	// A local writer: appends go to the stack, not through c and its write barriers.
 	w := &canonWriter{b: c.b[:0]}
-	w.str("wncanon2") // format tag, bump on layout change
+	w.str(CanonFormat)
 	w.i64(s.Now)
 	w.boolean(s.SourcesStopped)
 	w.i32(int32(s.FaultIdx))
@@ -175,11 +181,7 @@ func (c *CanonBuf) encode(s *Snapshot) error {
 		w.i32(sm.Retries)
 		w.str(sm.DropReason)
 		w.boolean(sm.Measured)
-		w.i32(int32(len(sm.Path)))
-		for _, pl := range sm.Path {
-			w.i32(pl.Node)
-			w.b = append(w.b, byte(pl.Port), byte(pl.VC))
-		}
+		w.i32(sm.Tail)
 	}
 
 	// Fault-capable configs: the kill batch sort orders by raw message ID,
@@ -206,26 +208,20 @@ func (c *CanonBuf) encode(s *Snapshot) error {
 		w.i32(int32(len(sn.In)))
 		for c := range sn.In {
 			sv := &sn.In[c]
-			w.i32(int32(len(sv.Flits)))
-			for _, f := range sv.Flits {
-				w.i32(ref(f.Msg))
-				w.i32(f.Seq)
-				w.boolean(f.Head)
-				w.boolean(f.Tail)
+			w.i32(sv.N)
+			if sv.N != 0 {
+				w.i32(ref(sv.Msg))
+				w.i32(sv.Seq)
+			} else if sv.Msg != 0 || sv.Seq != 0 {
+				return fmt.Errorf("%w: node %d vc %d is empty but names message %d from flit %d", ErrSnapshotInvalid, i, c, sv.Msg, sv.Seq)
 			}
 			route(sv.Route)
-		}
-		w.i32(int32(len(sn.OutOwner)))
-		for _, id := range sn.OutOwner {
-			w.i32(ref(id))
 		}
 		w.i32(int32(len(sn.Inj)))
 		for _, si := range sn.Inj {
 			w.i32(ref(si.Msg))
 			route(si.Route)
 			w.i32(si.Left)
-			w.i32(si.Len)
-			w.i32(si.Dst)
 		}
 		w.i32(int32(len(sn.Ej)))
 		for _, se := range sn.Ej {
