@@ -152,16 +152,16 @@ func main() {
 	// The rate counts this run's states only (a resumed exploration starts
 	// with the journal's); it goes to stderr under -json so stdout stays JSON.
 	// The rest says why a run was slow or poorly parallel: the workers (one
-	// per P), the tasks idle ones took from busy ones, the task logs made (more
-	// workers, more logs held for the committer at once), the edges explored
-	// and then discarded (duplicate subtrees, tasks past the budget), the
+	// per P), the tasks idle ones took from busy ones, the task logs made (a
+	// worker holds at most nine), the snapshots carved (the entries the run
+	// stored states in), the edges explored and then discarded (duplicate subtrees, tasks past the budget), the
 	// engine restores a state and the memory of the visited set, whose bytes
 	// a state are what a larger budget costs.
 	elapsed, st := time.Since(start), x.RunStats()
 	visited := rep.States - before
-	timing := fmt.Sprintf("timing: %d states in %.2fs (%.0f states/s), %d workers, %d tasks donated, %d task logs, %d edges discarded, %.2f restores a state, visited set %.2f MB (%.1f B a state)\n",
+	timing := fmt.Sprintf("timing: %d states in %.2fs (%.0f states/s), %d workers, %d tasks donated, %d task logs, %d snapshots carved, %d edges discarded, %.2f restores a state, visited set %.2f MB (%.1f B a state)\n",
 		visited, elapsed.Seconds(), float64(visited)/elapsed.Seconds(),
-		st.Workers, st.Donated, st.Logs, st.Discarded, float64(st.Restores)/float64(max(visited, 1)),
+		st.Workers, st.Donated, st.Logs, st.Carved, st.Discarded, float64(st.Restores)/float64(max(visited, 1)),
 		float64(st.VisitedBytes)/(1<<20), float64(st.VisitedBytes)/float64(max(rep.States, 1)))
 	if *jsonOut {
 		out, err := rep.JSON()

@@ -90,6 +90,35 @@ func (s *sched) slice() [][]int {
 	return out
 }
 
+// popsBefore reports whether the serial DFS pops the state schedule a reaches
+// before the one schedule b reaches. At the first cycle where the two differ,
+// expand pushed the larger injection mask later, so DFS pops it, and its
+// whole subtree, first; a schedule pops before those it is a prefix of.
+func popsBefore(a, b *sched) bool {
+	before := a.len() < b.len()
+	for a.len() > b.len() {
+		a = a.prev
+	}
+	for b.len() > a.len() {
+		b = b.prev
+	}
+	for ; a != b; a, b = a.prev, b.prev {
+		if ma, mb := injectMask(a.inject), injectMask(b.inject); ma != mb {
+			before = ma > mb
+		}
+	}
+	return before
+}
+
+// injectMask is the catalog mask of a cycle's injections.
+func injectMask(inject []int) uint32 {
+	var m uint32
+	for _, i := range inject {
+		m |= 1 << uint(i)
+	}
+	return m
+}
+
 // entry is one frontier state awaiting expansion.
 type entry struct {
 	snap     *sim.Snapshot
@@ -120,9 +149,12 @@ type item struct {
 // round trip loaded. The restores of discarded work are not in Restores: a
 // budget-truncated run at several P explores past the budget on its way.
 // Logs counts the task logs the workers made: the one each starts with, and
-// one for every task that finished while no log the committer was done with
-// waited for reuse. VisitedBytes is the memory the visited set holds when Run
-// returns: its index table and its hash chunks.
+// one for every task a worker started while no log the committer was done
+// with waited for reuse; a worker with maxBacklog logs awaiting commit starts
+// only the task the committer waits for, so Logs stays within maxBacklog+1 a
+// worker. Carved counts the snapshots the run made new because no spare entry
+// was free, in a worker or in the crew's pool. VisitedBytes is the memory the
+// visited set holds when Run returns: its index table and its hash chunks.
 type RunStats struct {
 	Workers       int
 	Donated       int
@@ -130,6 +162,7 @@ type RunStats struct {
 	Discarded     int64
 	Restores      int
 	Logs          int
+	Carved        int
 	VisitedBytes  int
 }
 
@@ -224,7 +257,8 @@ func newExplorer(spec Spec, opt Options) (*Explorer, *sim.Engine, error) {
 // own task's states, both earlier in DFS order. The committer, on Run's
 // goroutine, replays the logs in the serial DFS order against the one visited
 // set, so the report, counterexamples and journal are the serial explorer's
-// at any number of workers.
+// at any number of workers. The workers take pending tasks in that order too,
+// the earliest first, so what they finish is what the committer reaches next.
 func (x *Explorer) Run() (*Report, error) {
 	x.allUsed = uint32(1)<<uint(len(x.spec.Messages)) - 1
 	x.injects = make([][]int, x.allUsed+1)
@@ -245,7 +279,7 @@ func (x *Explorer) Run() (*Report, error) {
 		workers[i] = &worker{x: x}
 	}
 	x.cw.start()
-	edgesBefore, cwRestores := x.rep.Edges, x.cw.restores
+	edgesBefore, cwRestores, cwCarved := x.rep.Edges, x.cw.restores, x.cw.carved
 	x.committed.Store(int64(x.rep.States))
 	tasks := make([]*task, len(x.stack))
 	x.items = x.items[:0]
@@ -269,8 +303,10 @@ func (x *Explorer) Run() (*Report, error) {
 	var edges int64
 	x.stats.Donated, x.stats.Logs = c.donated, c.logs+len(workers)
 	x.stats.Restores += x.cw.restores - cwRestores
+	x.stats.Carved -= cwCarved
 	for _, w := range append(workers, x.cw) {
 		edges += w.edges
+		x.stats.Carved += w.carved
 		w.close()
 	}
 	x.stats.Discarded = edges - (x.rep.Edges - edgesBefore)
@@ -358,7 +394,7 @@ func (x *Explorer) commitEdge(l *taskLog, r *record, pop *record) error {
 	if x.visited.has(&r.hash) {
 		x.rep.DupEdges++
 		if r.task != nil {
-			r.task.dead.Store(true)
+			x.crew.discard(r.task)
 		}
 		return nil
 	}
@@ -453,7 +489,7 @@ func (x *Explorer) restep(parent *sched, inject uint32) (*record, error) {
 	if r.kind != recEdge {
 		return nil, fmt.Errorf("modelcheck: internal: a re-stepped edge at depth %d was pruned again", parent.len())
 	}
-	r.task = w.handOff(w.stack[0], false)
+	r.task = w.handOff(w.stack[0])
 	w.stack, w.held = w.stack[:0], nil
 	x.crew.push(r.task)
 	return &r, nil

@@ -229,6 +229,35 @@ func TestScratchEnginesLiveOnlyDuringRun(t *testing.T) {
 	}
 }
 
+// TestReportBeforeAndAfterRun: before Run the report holds New's root alone;
+// Run returns the report Report then gives, and a resumed explorer reports the
+// journal's counts before it runs.
+func TestReportBeforeAndAfterRun(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "journal.wncp")
+	x, err := New(boundedRing(500), Options{Journal: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := x.Report(); rep.States != 1 || rep.Edges != 0 || rep.Exhausted {
+		t.Fatalf("before Run: %d states, %d edges, exhausted %v; want the root alone", rep.States, rep.Edges, rep.Exhausted)
+	}
+	rep, err := x.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.Report() != rep || rep.States != 500 || !rep.BudgetTruncated {
+		t.Fatalf("after Run: Report is Run's %v, %d states, budget-truncated %v", x.Report() == rep, rep.States, rep.BudgetTruncated)
+	}
+	y, err := Resume(journal, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := y.Report(); got.States != rep.States || got.Edges != rep.Edges || got.BudgetTruncated {
+		t.Fatalf("resumed: %d states, %d edges, budget-truncated %v; want the journal's %d and %d, not cut",
+			got.States, got.Edges, got.BudgetTruncated, rep.States, rep.Edges)
+	}
+}
+
 // TestJournalResume pins crash-resume: a budget-truncated journaled run,
 // resumed (with the budget raised, as a crash-resume continuation), must
 // finish with exactly the report an uninterrupted run produces.

@@ -222,3 +222,157 @@ func TestCommitterRestepsStalePrunes(t *testing.T) {
 		}()
 	}
 }
+
+// TestTaskLogsBounded pins the backlog bound: a worker with maxBacklog logs
+// awaiting commit starts only the task the committer waits for, so a run
+// makes at most maxBacklog+1 task logs a worker (the one it fills included)
+// however far its work could run ahead, at any P. On the ring at a
+// 100 000-state budget two workers made 571 logs and one 67 while nothing
+// held a worker back. The reports are the one worker's, field for field.
+func TestTaskLogsBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("six explorations")
+	}
+	cases := []struct {
+		name string
+		spec Spec
+	}{{"two-worm", twoWormSpec()}, {"ring 100000", boundedRing(100000)}}
+	if raceEnabled() {
+		cases[1] = struct {
+			name string
+			spec Spec
+		}{"ring 20000", boundedRing(20000)}
+	}
+	for _, tc := range cases {
+		var want string
+		for _, procs := range []int{1, 2, 4} {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				x, err := New(tc.spec, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := x.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, st := fmt.Sprintf("%+v", *rep), x.RunStats()
+				t.Logf("%s, P=%d: %d states, %d task logs, %d snapshots carved, %d tasks donated",
+					tc.name, procs, rep.States, st.Logs, st.Carved, st.Donated)
+				if procs == 1 {
+					want = got
+				} else if got != want {
+					t.Errorf("%s, P=%d: report differs from P=1:\n got  %s\n want %s", tc.name, procs, got, want)
+				}
+				if bound := procs * (maxBacklog + 1); st.Logs > bound {
+					t.Errorf("%s, P=%d: %d task logs, bound %d (%d a worker)", tc.name, procs, st.Logs, bound, maxBacklog+1)
+				}
+			}()
+		}
+	}
+}
+
+// TestPopsBefore: at the first cycle where two schedules differ, the serial
+// DFS pops the larger injection mask first (expand pushes it last), and a
+// schedule before those it is a prefix of, whether the two share their links
+// or were built apart (a materialised frontier).
+func TestPopsBefore(t *testing.T) {
+	build := func(cycles ...[]int) *sched {
+		var s *sched
+		var slab []sched
+		for _, inj := range cycles {
+			s = s.then(inj, &slab)
+		}
+		return s
+	}
+	var slab []sched
+	root := build([]int{0}, nil)
+	a := root.then([]int{1}, &slab)             // mask 2
+	b := root.then([]int{0, 1}, &slab)          // mask 3: pops first
+	c := root.then(nil, &slab).then(nil, &slab) // mask 0, a cycle deeper
+	for _, tc := range []struct {
+		name string
+		x, y *sched
+		want bool
+	}{
+		{"larger mask first", b, a, true},
+		{"smaller mask after", a, b, false},
+		{"deeper sibling subtree after", c, a, false},
+		{"shallower sibling before a deeper one", a, c, true},
+		{"prefix first", root, a, true},
+		{"descendant after", a, root, false},
+		{"the same schedule built apart", build([]int{0}, nil, []int{1}), a, false},
+		{"differing at the first cycle", build([]int{0, 1}), build([]int{0}, nil, []int{1}), true},
+		{"nil, the root, before all", nil, c, true},
+	} {
+		if got := popsBefore(tc.x, tc.y); got != tc.want {
+			t.Errorf("%s: popsBefore = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestCrewTakesTheEarliestTask: pending tasks are kept in serial-DFS order
+// however they were pushed, a worker takes the earliest, and a full worker
+// (maxBacklog logs awaiting commit) takes only the task the committer waits
+// for.
+func TestCrewTakesTheEarliestTask(t *testing.T) {
+	var slab []sched
+	root := (*sched)(nil).then(nil, &slab)
+	mk := func(mask []int) *task { return &task{root: &entry{schedule: root.then(mask, &slab)}} }
+	t0, t1, t2, t3 := mk(nil), mk([]int{0}), mk([]int{1}), mk([]int{0, 1})
+	c := newCrew()
+	c.push(t1, t3, t0, t2)
+	w := &worker{}
+	for _, want := range []*task{t3, t2} {
+		c.mu.Lock()
+		got := c.take(w)
+		c.mu.Unlock()
+		if got != want || w.log == nil {
+			t.Fatalf("took %p with log %v, want %p, the earliest pending task", got, w.log != nil, want)
+		}
+	}
+	w.backlog.Store(maxBacklog)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if got := c.take(w); got != nil {
+		t.Fatalf("a full worker took a task the committer does not wait for")
+	}
+	c.want = t1
+	if got := c.take(w); got != t1 {
+		t.Fatalf("a full worker did not take the task the committer waits for")
+	}
+}
+
+// TestCrewDiscardsADeadSubtree: when the committer finds a task's root a
+// duplicate, the task and every task cut from its subtree are dead, and each
+// finished log among them goes back for reuse at once, out of its worker's
+// backlog; a worker that finishes a dead task keeps its log, and the tasks it
+// cut from it are dead too.
+func TestCrewDiscardsADeadSubtree(t *testing.T) {
+	var slab []sched
+	c, w := newCrew(), &worker{}
+	leaf, running := &task{}, &task{}
+	mid := &task{done: true, log: &taskLog{by: w, recs: []record{{kind: recExpanded, n: 1}, {kind: recEdge, task: leaf}}}}
+	top := &task{done: true, log: &taskLog{by: w, recs: []record{{kind: recExpanded, n: 2}, {kind: recEdge, task: mid}, {kind: recEdge, task: running}}}}
+	w.backlog.Store(2)
+	c.discard(top)
+	for name, tk := range map[string]*task{"top": top, "mid": mid, "leaf": leaf, "running": running} {
+		if !tk.dead.Load() {
+			t.Errorf("%s task not marked dead", name)
+		}
+	}
+	if len(c.free) != 2 || w.backlog.Load() != 0 || top.log != nil || mid.log != nil {
+		t.Errorf("%d logs freed, backlog %d: want both finished logs back and none awaiting", len(c.free), w.backlog.Load())
+	}
+
+	// The running task finishes: its log names a task cut from it.
+	cut := &task{root: &entry{schedule: (*sched)(nil).then(nil, &slab)}}
+	l := &taskLog{recs: []record{{kind: recExpanded, n: 1}, {kind: recEdge, task: cut}}}
+	w.log = l
+	running.root = &entry{}
+	c.finish(w, running, []*task{cut}, false)
+	if running.done || w.backlog.Load() != 0 || !cut.dead.Load() {
+		t.Errorf("a dead task was published (done %v, backlog %d) or its cut task left alive (%v)",
+			running.done, w.backlog.Load(), !cut.dead.Load())
+	}
+}

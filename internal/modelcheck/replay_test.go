@@ -76,3 +76,25 @@ func TestCounterexampleRoundTrip(t *testing.T) {
 		t.Fatalf("replay of a synthetic miss should pass (detector really fires): %v", err)
 	}
 }
+
+// TestCounterexampleString: the summary names the kind and detail, the ground
+// truth and every injection of the schedule with its cycle, skipping cycles
+// that inject nothing.
+func TestCounterexampleString(t *testing.T) {
+	cx := &Counterexample{
+		Kind:     CxFalseNegative,
+		Detail:   "no recovery",
+		Spec:     RingSpec(),
+		Schedule: [][]int{{0}, nil, {1, 3}},
+		GT:       []int64{2, 5},
+	}
+	want := "false-negative: no recovery\n" +
+		"ground-truth deadlocked: [2 5]\n" +
+		"schedule (3 cycles):\n" +
+		"  cycle   0: inject 0->2 len 6\n" +
+		"  cycle   2: inject 1->3 len 6\n" +
+		"  cycle   2: inject 3->1 len 6\n"
+	if got := cx.String(); got != want {
+		t.Errorf("summary:\n%s\nwant:\n%s", got, want)
+	}
+}

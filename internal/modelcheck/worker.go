@@ -76,41 +76,60 @@ func (r *record) failure() *failure {
 }
 
 // taskLog is the record list of one finished task. refs counts the committer's
-// pending references to it; at zero it goes back to the crew.
+// pending references to it; at zero it goes back to the crew. by is the worker
+// that finished it, whose backlog it counts in until then.
 type taskLog struct {
 	recs     []record
 	donated  bool
 	restores int // engine restores the task made
 	refs     int
+	by       *worker
 }
 
 // task is the subtree under one frontier entry, explored by one worker.
 type task struct {
 	root    *entry
-	donated bool        // taken from a busy worker's stack by an idle one
+	donated bool        // handed to an idle worker by a busy one
 	dead    atomic.Bool // its root turned out a duplicate at commit: nothing reads its log
 	done    bool        // guarded by crew.mu, as is log
 	log     *taskLog
 }
 
+// maxBacklog is how many finished logs of its own a worker may have awaiting
+// commit and still start a task the committer does not wait for. A worker
+// then holds at most maxBacklog+1 logs, the one it fills included, and runs
+// at most about maxBacklog tasks ahead of the committer, whatever the model.
+// At 4 the second worker on the two-worm model waited for the committer 60
+// times an exhaustion, at 8 about 16.
+const maxBacklog = 8
+
+// spareBatch is how many spare entries a worker takes from the crew's pool
+// when it has none, and gives back when it holds twice as many.
+const spareBatch = 2
+
 // crew is what the workers and the committer share: the pending tasks, the
-// free logs and the stop flag, under one mutex and one condition variable.
+// free logs, the pool of spare entries and the stop flag, under one mutex and
+// one condition variable.
 type crew struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	pending []*task // a stack: the most recently spawned task goes first
-	want    *task   // the task the committer waits for: it goes first of all
-	idle    int
+	mu   sync.Mutex
+	cond sync.Cond
+	// pending is ordered by serial-DFS position, the latest first: its last
+	// task is the one the committer reaches first, and every worker takes it.
+	pending []*task
+	want    *task // the task the committer waits for
+	idle    int   // workers waiting for a task they may take, whichever it is
 	free    []*taskLog
+	spare   []*entry
 	// logCap is the most records a finished log has held, the capacity a new
 	// log is made at: it is one allocation then, not a growth by append. What
 	// a task could log at most, taskPops pops each with every edge of the
 	// catalog, is 2.5 times what tasks log on the two-worm model, 8 on the ring.
 	logCap  int
-	logs    int // logs finish made because none was free
+	logs    int // logs made because none was free
 	donated int
 	// hungry is idle workers less pending tasks: while it is positive a busy
-	// worker donates the bottom of its stack. stop ends every worker.
+	// worker cuts its task and hands the top of its stack over. stop ends
+	// every worker.
 	hungry atomic.Int32
 	stop   atomic.Bool
 }
@@ -123,72 +142,122 @@ func newCrew() *crew {
 
 func (c *crew) setHungry() { c.hungry.Store(int32(c.idle - len(c.pending))) }
 
-// next blocks until there is a task to run and takes it (nil once stopped).
-func (c *crew) next() *task {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.pending) == 0 && !c.stop.Load() {
-		c.idle++
-		c.setHungry()
-		c.cond.Wait()
-		c.idle--
+// full reports whether w has maxBacklog finished logs awaiting commit: it may
+// then start only the task the committer waits for.
+func (w *worker) full() bool { return w.backlog.Load() >= maxBacklog }
+
+// take removes a pending task and gives it to w with a log to fill: the one
+// the committer waits for (the earliest, but the committer's progress does
+// not hang on the order), else the earliest, unless w is full (nil then).
+// c.mu is held.
+func (c *crew) take(w *worker) *task {
+	i := slices.Index(c.pending, c.want)
+	if i < 0 && !w.full() {
+		i = len(c.pending) - 1
 	}
-	if c.stop.Load() {
+	if i < 0 {
 		return nil
-	}
-	i := len(c.pending) - 1
-	if j := slices.Index(c.pending, c.want); j >= 0 {
-		i = j
 	}
 	t := c.pending[i]
 	c.pending = slices.Delete(c.pending, i, i+1)
 	c.setHungry()
+	c.logFor(w)
 	return t
 }
 
-// push makes tasks pending, the last one to run first.
+// logFor readies a log for w to fill: the one it has, a free one or a new one.
+func (c *crew) logFor(w *worker) {
+	l := w.log
+	if n := len(c.free); l == nil && n > 0 {
+		l, c.free = c.free[n-1], c.free[:n-1]
+	} else if l == nil {
+		l = &taskLog{recs: make([]record, 0, c.logCap)}
+		c.logs++
+	}
+	l.recs, l.donated, l.restores, l.refs, l.by = l.recs[:0], false, 0, 0, nil
+	w.log = l
+}
+
+// next blocks until there is a task w may take and takes it (nil once stopped).
+func (c *crew) next(w *worker) *task {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for !c.stop.Load() {
+		if t := c.take(w); t != nil {
+			return t
+		}
+		open := !w.full()
+		if open {
+			c.idle++
+		}
+		c.setHungry()
+		c.cond.Wait()
+		if open {
+			c.idle--
+		}
+	}
+	return nil
+}
+
+// insert makes t pending at its serial-DFS position. c.mu is held.
+func (c *crew) insert(t *task) {
+	i, _ := slices.BinarySearchFunc(c.pending, t, func(p, t *task) int {
+		if popsBefore(t.root.schedule, p.root.schedule) {
+			return -1
+		}
+		return 1
+	})
+	c.pending = slices.Insert(c.pending, i, t)
+}
+
+// push makes tasks pending.
 func (c *crew) push(ts ...*task) {
 	c.mu.Lock()
-	c.pending = append(c.pending, ts...)
+	for _, t := range ts {
+		c.insert(t)
+	}
 	c.setHungry()
 	c.mu.Unlock()
 	c.cond.Broadcast()
 }
 
-// cut makes the tasks of a cut stack pending but for the last, the one its
-// worker goes on with — unless the committer waits for a pending task: then
-// that one is what the worker goes on with, and the last is pending too.
-func (c *crew) cut(spawned []*task) *task {
+// finish publishes w's log of task t, makes the tasks cut from t pending
+// (spawned, in stack order: the last is the earliest) and returns the task w
+// goes on with: the earliest pending one, if w may take it, or nil. With
+// gift, while a worker still waits for work, the earliest of spawned is left
+// to it: w goes on with the next one, unless it is full. The log of a task
+// found dead is nobody's to read: w keeps it, and the tasks cut from t are
+// dead too.
+func (c *crew) finish(w *worker, t *task, spawned []*task, gift bool) *task {
 	c.mu.Lock()
 	defer c.cond.Broadcast()
 	defer c.mu.Unlock()
-	next := spawned[len(spawned)-1]
-	if i := slices.Index(c.pending, c.want); i >= 0 {
-		next = c.pending[i]
-		c.pending = slices.Delete(c.pending, i, i+1)
-	} else {
-		spawned = spawned[:len(spawned)-1]
-	}
-	c.pending = append(c.pending, spawned...)
-	c.setHungry()
-	return next
-}
-
-// finish publishes a task's log and returns a free one for the next task.
-func (c *crew) finish(t *task, l *taskLog) *taskLog {
-	c.mu.Lock()
-	t.root, t.log, t.done = nil, l, true
+	l := w.log
+	t.root = nil
 	c.logCap = max(c.logCap, len(l.recs))
-	var next *taskLog
-	if n := len(c.free); n > 0 {
-		next, c.free = c.free[n-1], c.free[:n-1]
+	if t.dead.Load() {
+		c.dropCut(l)
 	} else {
-		next = &taskLog{recs: make([]record, 0, c.logCap)}
-		c.logs++
+		t.log, t.done, l.by, w.log = l, true, w, nil
+		w.backlog.Add(1)
 	}
-	c.mu.Unlock()
-	c.cond.Broadcast()
-	next.recs, next.donated, next.restores, next.refs = next.recs[:0], false, 0, 0
+	var next *task
+	if n := len(spawned); gift && n > 1 && c.idle > len(c.pending) {
+		spawned[n-1].donated = true
+		c.donated++
+		if !w.full() {
+			next = spawned[n-2]
+			spawned = append(spawned[:n-2], spawned[n-1])
+			c.logFor(w)
+		}
+	}
+	for _, t := range spawned {
+		c.insert(t)
+	}
+	if next == nil {
+		next = c.take(w)
+	}
+	c.setHungry()
 	return next
 }
 
@@ -226,8 +295,67 @@ func (c *crew) await(t *task) *taskLog {
 // release gives a log the committer is done with back for reuse.
 func (c *crew) release(l *taskLog) {
 	c.mu.Lock()
-	c.free = append(c.free, l)
+	c.releaseLocked(l)
 	c.mu.Unlock()
+}
+
+// releaseLocked is release with c.mu held. A worker the log's return takes
+// below its bound may run any task again: it is woken.
+func (c *crew) releaseLocked(l *taskLog) {
+	c.free = append(c.free, l)
+	if l.by.backlog.Add(-1) == maxBacklog-1 {
+		c.cond.Broadcast()
+	}
+}
+
+// discard marks t dead, the task of a subtree the committer found a
+// duplicate, and with it every task cut from that subtree: nothing reads
+// their logs. A finished one's log goes back for reuse now; a running one's
+// worker drops it at its next pop, and one still pending when it is taken.
+func (c *crew) discard(t *task) {
+	c.mu.Lock()
+	c.discardLocked(t)
+	c.mu.Unlock()
+}
+
+func (c *crew) discardLocked(t *task) {
+	t.dead.Store(true)
+	if t.done && t.log != nil {
+		l := t.log
+		t.log = nil
+		c.dropCut(l)
+		c.releaseLocked(l)
+	}
+}
+
+// dropCut discards the tasks a dead task's log names, those cut from it.
+func (c *crew) dropCut(l *taskLog) {
+	for i := range l.recs {
+		if u := l.recs[i].task; u != nil {
+			c.discardLocked(u)
+		}
+	}
+}
+
+// refill gives w a batch of the pool's spare entries, if it has any.
+func (c *crew) refill(w *worker) {
+	c.mu.Lock()
+	n := len(c.spare) - min(spareBatch, len(c.spare))
+	w.spare = append(w.spare, c.spare[n:]...)
+	clear(c.spare[n:])
+	c.spare = c.spare[:n]
+	c.mu.Unlock()
+}
+
+// overflow moves a batch of w's spare entries, the ones it recycled first, to
+// the pool.
+func (c *crew) overflow(w *worker) {
+	c.mu.Lock()
+	c.spare = append(c.spare, w.spare[:spareBatch]...)
+	c.mu.Unlock()
+	n := copy(w.spare, w.spare[spareBatch:])
+	clear(w.spare[n:])
+	w.spare = w.spare[:n]
 }
 
 // halt stops every worker at its next pop.
@@ -250,12 +378,18 @@ type worker struct {
 	x         *Explorer
 	work, aux *sim.Engine
 	held      *entry
+	resume    *task // a task w cut holding its root, while w waits for one
 	restores  int   // engine restores, committed or not
 	edges     int64 // edges executed, committed or not
+	carved    int   // new snapshots entryFrom made
+	// backlog counts the logs this worker finished that the committer has
+	// not released; guarded by crew.mu, read without it.
+	backlog atomic.Int32
 
 	// A visited state is stored, not allocated. A snapshot has one owner, which
 	// alone writes it: a frontier entry, until expanded or found a duplicate;
-	// then, still in that entry, the spare list entryFrom draws from; roundTrip,
+	// then, still in that entry, the spare list entryFrom draws from (or the
+	// crew's pool, which evens the lists of the workers out); roundTrip,
 	// checkRoundTrip's scratch; or a Counterexample, which keeps the one that
 	// materialize gave it. canon (the visited key) and canonRT (the round
 	// trip), recovered, onDeadlock: hashing and step scratch.
@@ -306,8 +440,10 @@ func (w *worker) close() {
 // loop runs tasks until the crew stops.
 func (w *worker) loop(c *crew) {
 	w.start()
-	for t := c.next(); t != nil; t = c.next() {
-		w.held = nil // a task from the queue starts from its root's snapshot
+	for t := c.next(w); t != nil; t = c.next(w) {
+		if t != w.resume {
+			w.held = nil // a task from the queue starts from its root's snapshot
+		}
 		for t != nil {
 			t = w.run(c, t)
 		}
@@ -315,12 +451,12 @@ func (w *worker) loop(c *crew) {
 }
 
 // run explores task t: it pops and expands entries, logging each pop and edge,
-// until the stack drains, the task is cut at taskPops, or the crew stops it.
-// At a cut every entry left becomes a task, each named in the record of the
-// edge that found it; the top one, the entry DFS pops next, is returned for
-// this worker to go on with, so that held stays good. A task that runs ahead
-// of the state budget waits (throttle), or is cut for the task the committer
-// waits for.
+// until the stack drains, the task is cut, or the crew stops it. A task is cut
+// at taskPops; when a worker waits for work, to hand it the top of the stack;
+// and when it is throttled (throttle) for a pending task the committer waits
+// for. At a cut every entry left becomes a task, each named in the record of
+// the edge that found it. run returns the task this worker goes on with
+// (crew.finish), nil for one from the queue.
 func (w *worker) run(c *crew, t *task) *task {
 	x, l := w.x, w.log
 	l.donated = t.donated
@@ -331,26 +467,19 @@ func (w *worker) run(c *crew, t *task) *task {
 	}
 	t.root.origin = -1
 	w.stack = append(w.stack[:0], t.root)
-	var cont *task
+	spawned, gift := w.spawned[:0], false
 	for pops := 0; len(w.stack) > 0; pops++ {
 		if c.stop.Load() || t.dead.Load() {
 			w.drop()
 			break
 		}
-		if pops == taskPops || pops > 0 && x.ahead() && c.throttle(t, x.ahead) {
-			spawned := w.spawned[:0]
+		gift = len(w.stack) > 1 && c.hungry.Load() > 0
+		if gift || pops == taskPops || pops > 0 && x.ahead() && c.throttle(t, x.ahead) {
 			for _, en := range w.stack {
-				spawned = append(spawned, w.handOff(en, false))
-			}
-			w.spawned = spawned
-			if cont = c.cut(spawned); cont != spawned[len(spawned)-1] {
-				w.held = nil // the entry held is another worker's to take now
+				spawned = append(spawned, w.handOff(en))
 			}
 			w.stack = w.stack[:0]
 			break
-		}
-		if len(w.stack) > 1 && c.hungry.Load() > 0 {
-			w.donate(c)
 		}
 		parent := w.stack[len(w.stack)-1]
 		w.stack = w.stack[:len(w.stack)-1]
@@ -366,38 +495,27 @@ func (w *worker) run(c *crew, t *task) *task {
 		w.recycle(parent) // expanded: nothing restores it again
 	}
 	l.restores = w.restores - restores
-	w.log = c.finish(t, l)
-	return cont
+	w.spawned, w.resume = spawned, nil
+	if n := len(spawned); n > 0 && spawned[n-1].root == w.held {
+		w.resume = spawned[n-1] // only the top of the stack can be held
+	}
+	next := c.finish(w, t, spawned, gift)
+	if next != nil && next != w.resume {
+		w.held = nil
+	}
+	return next
 }
 
 // handOff makes en, an entry on this worker's stack, the root of a task of its
-// own and names the task in the record of the edge that found en. Only the top
-// of the stack can be held, and only a cut hands it off, to this worker.
-func (w *worker) handOff(en *entry, donated bool) *task {
+// own and names the task in the record of the edge that found en.
+func (w *worker) handOff(en *entry) *task {
 	if len(w.tasks) == cap(w.tasks) {
 		w.tasks = make([]task, 0, taskSlab)
 	}
-	w.tasks = append(w.tasks, task{root: en, donated: donated})
+	w.tasks = append(w.tasks, task{root: en})
 	t := &w.tasks[len(w.tasks)-1]
 	w.log.recs[en.origin].task = t
 	return t
-}
-
-// donate gives the bottom of the stack, the entry this worker would pop last,
-// to an idle worker, if one still waits for work.
-func (w *worker) donate(c *crew) {
-	c.mu.Lock()
-	if c.idle <= len(c.pending) {
-		c.mu.Unlock()
-		return
-	}
-	t := w.handOff(w.stack[0], true)
-	w.stack = slices.Delete(w.stack, 0, 1)
-	c.pending = append(c.pending, t)
-	c.donated++
-	c.setHungry()
-	c.mu.Unlock()
-	c.cond.Broadcast()
 }
 
 // drop recycles what is left on an abandoned task's stack.
@@ -430,13 +548,18 @@ func (w *worker) materialize(schedule [][]int) (*entry, error) {
 }
 
 // entryFrom captures a live engine as a frontier entry (a spare one, or a new
-// entry with a new snapshot when the spare list is empty).
+// entry with a new snapshot when neither the spare list nor the crew's pool
+// has one).
 func (w *worker) entryFrom(e *sim.Engine, schedule *sched, used uint32) (*entry, error) {
+	if c := w.x.crew; len(w.spare) == 0 && c != nil {
+		c.refill(w)
+	}
 	var en *entry
 	if n := len(w.spare); n > 0 {
 		en, w.spare = w.spare[n-1], w.spare[:n-1]
 	} else {
 		en = &entry{snap: new(sim.Snapshot)}
+		w.carved++
 	}
 	if err := e.SnapshotInto(en.snap); err != nil {
 		return nil, err
@@ -448,13 +571,17 @@ func (w *worker) entryFrom(e *sim.Engine, schedule *sched, used uint32) (*entry,
 	return en, nil
 }
 
-// recycle puts an entry that nothing restores again on the spare list.
+// recycle puts an entry that nothing restores again on the spare list, and a
+// batch of the list in the crew's pool when it holds two.
 func (w *worker) recycle(en *entry) {
 	if w.held == en {
 		w.held = nil
 	}
 	en.schedule, en.gt = nil, nil
 	w.spare = append(w.spare, en)
+	if c := w.x.crew; len(w.spare) >= 2*spareBatch && c != nil {
+		c.overflow(w)
+	}
 }
 
 // expand logs parent's pop and generates every successor of it: one per subset

@@ -114,6 +114,27 @@ func TestInvariantCatchesLostMessage(t *testing.T) {
 	}
 }
 
+// TestInvariantCatchesTwoObjectsWithOneID: held merges references by object,
+// not by ID, so two objects that claim one ID stay two entries, and the checker
+// refuses them.
+func TestInvariantCatchesTwoObjectsWithOneID(t *testing.T) {
+	e := idle(t, nil)
+	a, b := e.Inject(0, 5, 4), e.Inject(3, 6, 4)
+	for a.State == message.StateQueued || b.State == message.StateQueued {
+		e.Step()
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatalf("two worms under way: %v", err)
+	}
+	id := b.ID
+	b.ID = a.ID
+	err := e.CheckInvariants()
+	b.ID = id
+	if err == nil || !strings.Contains(err.Error(), "share id") {
+		t.Fatalf("two objects with one id not caught: %v", err)
+	}
+}
+
 func TestInvariantCatchesDeliveredOwner(t *testing.T) {
 	e := idle(t, nil)
 	m := message.New(1, 0, 5, 4, 0)
