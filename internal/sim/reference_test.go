@@ -28,15 +28,24 @@ import (
 // referenceDigest pins one run: a SHA-256 of the full event stream, the
 // summary and per-class results (printed with %+v, which round-trips floats
 // exactly), the six all-time counters, and — for the rows recorded with span
-// tracking on — the finished-span stream.
+// tracking on — the finished-span stream. Each stream is hashed twice: as it
+// is, and relabeled, every message id replaced by its rank of first
+// appearance in the stream. The relabeled hashes were recorded with the
+// engine that drew ids from one engine-wide counter, and hold unchanged under
+// per-node ids: a change of id scheme may re-record the plain hashes only
+// while the relabeled ones stand, which shows it renames messages and nothing
+// else. (The engine-wide counter drew ids from 0 in order of first appearance,
+// so its relabeled event hashes equal its plain ones.)
 type referenceDigest struct {
-	Events    int      `json:"events"`
-	EventsSHA string   `json:"events_sha256"`
-	Result    string   `json:"result"`
-	Classes   []string `json:"classes,omitempty"`
-	Counters  [6]int64 `json:"counters"`
-	Spans     int      `json:"spans,omitempty"`
-	SpansSHA  string   `json:"spans_sha256,omitempty"`
+	Events             int      `json:"events"`
+	EventsSHA          string   `json:"events_sha256"`
+	EventsRelabeledSHA string   `json:"events_relabeled_sha256"`
+	Result             string   `json:"result"`
+	Classes            []string `json:"classes,omitempty"`
+	Counters           [6]int64 `json:"counters"`
+	Spans              int      `json:"spans,omitempty"`
+	SpansSHA           string   `json:"spans_sha256,omitempty"`
+	SpansRelabeledSHA  string   `json:"spans_relabeled_sha256,omitempty"`
 }
 
 // The rows whose span stream (runSpanned's settings) is pinned too are
@@ -47,9 +56,10 @@ type referenceDigest struct {
 // and all-time counters, and the event stream a listener recorded.
 func digestRun(e *Engine, res stats.Result, events []trace.Event) referenceDigest {
 	d := referenceDigest{
-		Events:    len(events),
-		EventsSHA: hashEvents(events),
-		Result:    fmt.Sprintf("%+v", res),
+		Events:             len(events),
+		EventsSHA:          hashEvents(events),
+		Result:             fmt.Sprintf("%+v", res),
+		EventsRelabeledSHA: hashEvents(relabelEvents(events)),
 		Counters: [6]int64{
 			e.Generated(), e.Delivered(), e.Recovered(),
 			e.Aborted(), e.Retried(), e.Dropped(),
@@ -75,6 +85,60 @@ func hashEvents(events []trace.Event) string {
 		h.Write(b)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// relabeler numbers message ids by first appearance: the first id it is
+// asked for is 0, the next new one 1, and so on. Negative ids (a fault
+// event's -1) are no message and stay as they are.
+type relabeler map[int64]int64
+
+func (r relabeler) of(id int64) int64 {
+	if id < 0 {
+		return id
+	}
+	n, ok := r[id]
+	if !ok {
+		n = int64(len(r))
+		r[id] = n
+	}
+	return n
+}
+
+// relabelEvents returns a copy of events with every message id replaced by
+// its rank of first appearance in the stream.
+func relabelEvents(events []trace.Event) []trace.Event {
+	r, out := relabeler{}, make([]trace.Event, len(events))
+	for i, ev := range events {
+		ev.Msg = r.of(ev.Msg)
+		out[i] = ev
+	}
+	return out
+}
+
+// relabelSpans returns copies of spans with every span's message id replaced
+// by its rank of first appearance in the stream.
+func relabelSpans(spans []*trace.SpanRecord) []*trace.SpanRecord {
+	r, out := relabeler{}, make([]*trace.SpanRecord, len(spans))
+	for i, s := range spans {
+		c := *s
+		c.ID = r.of(s.ID)
+		out[i] = &c
+	}
+	return out
+}
+
+// checkSpans fails the test unless spans is the span stream want recorded,
+// as it is and relabeled.
+func checkSpans(t *testing.T, label string, spans []*trace.SpanRecord, want referenceDigest) {
+	t.Helper()
+	if len(spans) != want.Spans || hashSpans(spans) != want.SpansSHA {
+		t.Errorf("%s: span stream diverged from the serial reference: %d spans (sha %s), recorded %d (sha %s)",
+			label, len(spans), hashSpans(spans), want.Spans, want.SpansSHA)
+	}
+	if got := hashSpans(relabelSpans(spans)); got != want.SpansRelabeledSHA {
+		t.Errorf("%s: relabeled span stream diverged from the serial reference: sha %s, recorded %s",
+			label, got, want.SpansRelabeledSHA)
+	}
 }
 
 func hashSpans(spans []*trace.SpanRecord) string {
@@ -123,7 +187,7 @@ func serialReference(t *testing.T) map[string]referenceDigest {
 // (span fields aside) is the recorded digest.
 func checkReference(t *testing.T, label string, got, want referenceDigest) {
 	t.Helper()
-	want.Spans, want.SpansSHA = 0, ""
+	want.Spans, want.SpansSHA, want.SpansRelabeledSHA = 0, "", ""
 	if reflect.DeepEqual(got, want) {
 		return
 	}
@@ -139,6 +203,10 @@ func checkReference(t *testing.T, label string, got, want referenceDigest) {
 	if got.Events != want.Events || got.EventsSHA != want.EventsSHA {
 		t.Errorf("%s: event stream diverged: %d events (sha %s), reference has %d (sha %s)",
 			label, got.Events, got.EventsSHA, want.Events, want.EventsSHA)
+	}
+	if got.EventsRelabeledSHA != want.EventsRelabeledSHA {
+		t.Errorf("%s: relabeled event stream diverged: sha %s, reference has %s",
+			label, got.EventsRelabeledSHA, want.EventsRelabeledSHA)
 	}
 }
 
