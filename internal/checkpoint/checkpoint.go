@@ -16,8 +16,10 @@
 // format version; incompatible changes bump Version. The CRC is checked
 // before the payload is decoded, so gob never sees corrupted bytes.
 //
-// Version 2 frames the snapshot that stores only what the engine cannot
-// derive; Decode converts a version-1 one.
+// Version 2 framed the snapshot that stores only what the engine cannot
+// derive, and version 3 frames the one whose nodes number their own messages;
+// Decode converts a version-1 or version-2 one. Other payloads (the model
+// checker's journals and counterexamples) must be of the current version.
 package checkpoint
 
 import (
@@ -36,7 +38,7 @@ import (
 )
 
 // Version is the current checkpoint format version.
-const Version = 2
+const Version = 3
 
 // magic identifies a checkpoint file.
 var magic = [4]byte{'W', 'N', 'C', 'P'}
@@ -118,7 +120,8 @@ func Decode(r io.Reader) (*sim.Snapshot, error) {
 
 // DecodeValue reads one WNCP frame from r and gob-decodes its payload into
 // a T. Same typed errors as Decode. The frame must be of Version, except that
-// a snapshot is also read from a version-1 frame (sim.DecodeV1Snapshot).
+// a snapshot is also read from a version-1 or version-2 frame
+// (sim.DecodeV1Snapshot, sim.DecodeV2Snapshot).
 func DecodeValue[T any](r io.Reader) (*T, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -168,11 +171,16 @@ func decodeGob[T any](version uint32, payload []byte) (v *T, err error) {
 		}
 	}()
 	v = new(T)
-	if version == 1 { // a snapshot: DecodeValue admits no other type
+	switch version { // below Version, a snapshot: DecodeValue admits no other type
+	case 1, 2:
+		decode := sim.DecodeV1Snapshot
+		if version == 2 {
+			decode = sim.DecodeV2Snapshot
+		}
 		var s *sim.Snapshot
-		s, err = sim.DecodeV1Snapshot(payload)
+		s, err = decode(payload)
 		v = any(s).(*T)
-	} else {
+	default:
 		err = gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
 	}
 	if err != nil {

@@ -98,7 +98,7 @@ func TestDetourLongerThanDiameter(t *testing.T) {
 			t.Fatalf("a snake of %d hops is no longer than diameter + 1 = %d", len(snake), d)
 		}
 		m := message.New(0, 0, dst, 2*len(snake), 0)
-		e.nextID = 1
+		reserveIDs(e, 1)
 		return m, lay(t, e, m, 0, snake, 0)
 	}
 
@@ -237,7 +237,7 @@ func TestInvariantCatchesCorruptPath(t *testing.T) {
 	for name, corrupt := range corruptions {
 		e := idle(t, nil)
 		m := message.New(0, 0, 12, 2*len(snake), 0)
-		e.nextID = 2
+		reserveIDs(e, 2)
 		corrupt(t, e, m, lay(t, e, m, 0, snake, 0))
 		if err := e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "path") {
 			t.Errorf("%s: CheckInvariants says %v", name, err)

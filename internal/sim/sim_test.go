@@ -30,6 +30,16 @@ func idle(t *testing.T, mutate func(*Config)) *Engine {
 	return e
 }
 
+// reserveIDs makes every node of e draw ids from below on, as a snapshot of
+// the engine-wide counter's layout with NextID below loads: for tests that
+// build messages by hand with ids of their own.
+func reserveIDs(e *Engine, below message.ID) {
+	n := int64(len(e.nodes))
+	for i := range e.nodes {
+		e.nodes[i].seq = max(e.nodes[i].seq, (int64(below)+n-1)/n)
+	}
+}
+
 func stepN(t *testing.T, e *Engine, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {

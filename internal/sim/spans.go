@@ -11,9 +11,10 @@ package sim
 // spans on or off (TestSpanDeterminism pins this at workers 1 and 4), and a
 // disabled engine (e.spans == nil) pays one nil check per site.
 //
-// Sampling is deterministic: message IDs are assigned in serial commit order
-// on every path, so "ID % every == 0" selects the same messages — and
-// produces the same records in the same order — for any worker count.
+// Sampling is deterministic: messages are generated in serial commit order on
+// every path, so taking every every-th of them (by the all-time generated
+// count) selects the same messages — and produces the same records in the
+// same order — for any worker count.
 //
 // Concurrency (worker pool): the live-record map is mutated only in
 // serial contexts — generation commits, delivery/drop commits, recovery and
@@ -99,11 +100,12 @@ func (e *Engine) EnableSpans(reg *metrics.Registry, sampleEvery int64, sink trac
 	e.spans = s
 }
 
-// spanGenerate starts a span for the message just generated if its ID
-// selects it. Serial contexts only (commitGenerate, Inject).
+// spanGenerate starts a span for the message id just generated if it is one
+// of every every generated messages: the generated count counts it already.
+// Serial contexts only (commitGenerate, Inject).
 func (e *Engine) spanGenerate(id message.ID, src, dst topology.NodeID, length int) {
 	s := e.spans
-	if int64(id)%s.every != 0 {
+	if (e.generated-1)%s.every != 0 {
 		return
 	}
 	var rec *trace.SpanRecord
