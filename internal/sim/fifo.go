@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/bits"
 	"slices"
 
 	"wormnet/internal/message"
@@ -12,17 +11,20 @@ import (
 // A source queue (FIFO; the paper: pending messages before newer ones) is two
 // runs of waiting messages, front to back:
 //   - an explicit prefix of records (queued) in the engine's record arena:
-//     what a restored backlog, Inject, a fault retry, a run that cannot
-//     replay its sources (fault schedules, scripted or replayed sources) and
-//     a short queue (deriveAfter) queue;
+//     what a restored backlog of an older layout, Inject, a fault retry, a
+//     run that cannot replay its sources (fault schedules, scripted or
+//     replayed sources) and a short queue (deriveAfter) queue;
 //   - a derived suffix (suffix): the messages the node's own generator drew
-//     since, kept as the generator's stream position and the ids alone. Their
-//     destinations and generation cycles are in the stream, and drawing them
-//     again is what popping one does.
+//     since, kept as the generator's stream position, the head and a count.
+//     Their destinations and generation cycles are in the stream, and drawing
+//     them again is what popping one does; their ids are the node's newest,
+//     one sequence number apart (Engine.newID), so the head's id and the
+//     count give them all.
 //
 // Beyond saturation nearly every live message waits, and all that ever looks
-// at one is the injection gate reading the head's destination, so the suffix
-// stores one 16-bit id delta a message: about 2 bytes, against a record's 24.
+// at one is the injection gate reading the head's destination, so a node's
+// backlog costs one suffix slot, whatever its length, against a record's 24
+// bytes a message.
 
 // queued is one waiting message as the queue hands it out: a record of the
 // explicit prefix, or the derived suffix's head. It is a small pointer-free
@@ -146,153 +148,27 @@ func (a *recordArena) reset() {
 }
 
 // suffix is the derived part of one node's source queue: n messages its
-// generator drew in a row, with nothing explicit queued behind them. Only the
-// head is held whole — the gate, HeadWait and the throttle trace read it every
-// cycle. The messages behind it are the generator's next draws from cur, and
-// their ids the deltas between consecutive ones, in the chunk arena from rd
-// (written at wr). A suffix is a slot of suffixArena, taken when a message
-// the node's generator drew is the first to derive (commitGenerate) and given
-// back when the suffix empties; nodes without one hold no stream state.
+// generator drew in a row, with nothing explicit queued behind them — the
+// node's n newest, so the id of the one i behind the head is the head's plus
+// i node counts. Only the head is held whole — the gate, HeadWait and the
+// throttle trace read it every cycle. The messages behind it are the
+// generator's next draws from cur. A suffix is a slot of suffixArena, taken
+// when a message the node's generator drew is the first to derive
+// (commitGenerate) and given back when the suffix empties; nodes without one
+// hold no stream state.
 type suffix struct {
 	cur  traffic.Cursor // the generator's stream position just after head was drawn
 	head queued         // the front derived message; next chains free slots
-	last message.ID     // the newest message's id, the next delta's base
 	n    int32          // derived messages, head included
-	// Positions in the chunk arena (chunk*chunkWords + offset), -1 until the
-	// first delta: rd is the next word to read, wr the next to write, and
-	// hold the oldest chunk still held — a serial commit frees the chunks
-	// rd has left (suffixArena.trim).
-	rd, wr, hold int32
 }
 
-// The chunk arena. A chunk is chunkWords 16-bit words, 64 bytes: deltaWords
-// id deltas, then the next chunk's index in two words. A delta is the id less
-// the one before it; one a word cannot hold below escape is written as escape
-// and the whole id in the next four words. Chunks are cut from pages that grow fourfold from
-// firstPage chunks (1 kB) to maxPage (64 kB) and then stay there: a few
-// allocations a run, never a copy, and one partly used page.
-const (
-	chunkWords = 32
-	deltaWords = chunkWords - 2
-	escape     = 0xFFFF
-	firstPage  = 16   // chunks of page 0
-	maxPage    = 1024 // chunks of every page from pageCap on
-	pageCap    = 3    // firstPage << (2*pageCap) == maxPage
-	geometric  = firstPage * (1<<(2*pageCap) - 1) / 3
-)
-
-// suffixArena holds the derived suffixes of every source queue of an engine
-// and their id deltas. Like recordArena it is engine-global: a shard section
-// only reads it (and writes the slots of its own nodes); taking and giving
-// back slots and chunks belongs to serial contexts.
+// suffixArena holds the derived suffixes of every source queue of an engine.
+// Like recordArena it is engine-global: a shard section only reads it (and
+// writes the slots of its own nodes); taking and giving back slots belongs to
+// serial contexts.
 type suffixArena struct {
-	slots  []suffix
-	free   int32 // 1 + the first free slot (chained through head.next), 0 when none
-	pages  [][]uint16
-	chunks int32 // chunks cut from pages so far
-	freeCh int32 // 1 + the first free chunk (chained through its link), 0 when none
-}
-
-// locate returns chunk c's page and its first word there.
-func locate(c int32) (page, at int) {
-	if c < geometric {
-		// Page k starts at chunk firstPage*(4^k-1)/3.
-		page = (bits.Len32(uint32(c/firstPage*3+1)) - 1) / 2
-		return page, int(c-firstPage*(1<<(2*page)-1)/3) * chunkWords
-	}
-	c -= geometric
-	return pageCap + int(c/maxPage), int(c%maxPage) * chunkWords
-}
-
-// word returns the word at position p.
-func (a *suffixArena) word(p int32) *uint16 {
-	page, at := locate(p / chunkWords)
-	return &a.pages[page][at+int(p%chunkWords)]
-}
-
-func (a *suffixArena) link(c int32) int32 {
-	p := c*chunkWords + deltaWords
-	return int32(uint32(*a.word(p)) | uint32(*a.word(p + 1))<<16)
-}
-
-func (a *suffixArena) setLink(c, next int32) {
-	p := c*chunkWords + deltaWords
-	*a.word(p), *a.word(p + 1) = uint16(next), uint16(uint32(next)>>16)
-}
-
-func (a *suffixArena) newChunk() int32 {
-	if a.freeCh != 0 {
-		c := a.freeCh - 1
-		a.freeCh = a.link(c) + 1
-		return c
-	}
-	c := a.chunks
-	if page, _ := locate(c); page == len(a.pages) {
-		if a.pages == nil {
-			a.pages = make([][]uint16, 0, 16)
-		}
-		a.pages = append(a.pages, make([]uint16, firstPage<<(2*min(page, pageCap))*chunkWords))
-	}
-	a.chunks++
-	return c
-}
-
-func (a *suffixArena) freeChunk(c int32) {
-	a.setLink(c, a.freeCh-1)
-	a.freeCh = c + 1
-}
-
-// put appends w to s's deltas, taking a chunk when s has none or its last is
-// full.
-func (a *suffixArena) put(s *suffix, w uint16) {
-	switch {
-	case s.wr < 0:
-		c := a.newChunk()
-		s.rd, s.wr, s.hold = c*chunkWords, c*chunkWords, c
-	case s.wr%chunkWords == deltaWords:
-		c := a.newChunk()
-		a.setLink(s.wr/chunkWords, c)
-		s.wr = c * chunkWords
-	}
-	*a.word(s.wr) = w
-	s.wr++
-}
-
-// get reads the word at *p and advances *p past it. It only reads.
-func (a *suffixArena) get(p *int32) uint16 {
-	if *p%chunkWords == deltaWords {
-		*p = a.link(*p/chunkWords) * chunkWords
-	}
-	w := *a.word(*p)
-	*p++
-	return w
-}
-
-// putID files id as the next message of s.
-func (a *suffixArena) putID(s *suffix, id message.ID) {
-	if d := id - s.last; d > 0 && d < escape {
-		a.put(s, uint16(d))
-	} else {
-		a.put(s, escape)
-		for k := 0; k < 64; k += 16 {
-			a.put(s, uint16(uint64(id)>>k))
-		}
-	}
-	s.last = id
-	s.n++
-}
-
-// getID reads the id that follows prev from the deltas at *p.
-func (a *suffixArena) getID(p *int32, prev message.ID) message.ID {
-	w := a.get(p)
-	if w != escape {
-		return prev + message.ID(w)
-	}
-	var id uint64
-	for k := 0; k < 64; k += 16 {
-		id |= uint64(a.get(p)) << k
-	}
-	return message.ID(id)
+	slots []suffix
+	free  int32 // 1 + the first free slot (chained through head.next), 0 when none
 }
 
 // newSlot takes a slot for a suffix the caller fills, of at most nodes.
@@ -311,36 +187,10 @@ func (a *suffixArena) newSlot(nodes int) int32 {
 	return int32(len(a.slots) - 1)
 }
 
-// trim gives back the chunks s's reader has left — all of them once s is
-// empty.
-func (a *suffixArena) trim(s *suffix) {
-	if s.hold < 0 {
-		return
-	}
-	if s.n == 0 {
-		for c, last := s.hold, s.wr/chunkWords; ; {
-			next := a.link(c)
-			a.freeChunk(c)
-			if c == last {
-				break
-			}
-			c = next
-		}
-		s.rd, s.wr, s.hold = -1, -1, -1
-		return
-	}
-	for reading := s.rd / chunkWords; s.hold != reading; {
-		next := a.link(s.hold)
-		a.freeChunk(s.hold)
-		s.hold = next
-	}
-}
-
-// reset empties the arena, keeping its pages; every node's sfx must be zeroed
-// as well.
+// reset empties the arena; every node's sfx must be zeroed as well.
 func (a *suffixArena) reset() {
 	a.slots = a.slots[:0]
-	a.free, a.chunks, a.freeCh = 0, 0, 0
+	a.free = 0
 }
 
 // suffixOf returns nd's derived suffix, nil when it has none.
@@ -366,9 +216,9 @@ func (e *Engine) front(nd *node) *queued {
 // pop takes the front message off nd's non-empty queue and returns it, its
 // next naming its record's slot — -1 for a derived message, which has none.
 // It moves nothing but nd's own state — the queue header, and the suffix's
-// head, cursor and read position — so a shard section may pop its own nodes'
-// queues; the record's slot and the chunks and suffix slot a pop leaves go
-// back when a serial context builds the message (materialise).
+// head and cursor — so a shard section may pop its own nodes' queues; the
+// record's slot and the suffix slot a pop leaves go back when a serial
+// context builds the message (materialise).
 func (e *Engine) pop(nd *node) queued {
 	q := &nd.queue
 	if s := e.suffixOf(nd); s != nil && s.n == q.n {
@@ -385,8 +235,8 @@ func (e *Engine) pop(nd *node) queued {
 }
 
 // popDerived takes the head off s, one of nd's suffixes — its own or a
-// scratch copy — and replays the next message into its place. It reads the
-// chunk arena and writes only s.
+// scratch copy — and replays the next message into its place, one node count
+// of ids on. It writes only s.
 func (e *Engine) popDerived(nd *node, s *suffix) queued {
 	r := s.head
 	if s.n--; s.n > 0 {
@@ -394,20 +244,15 @@ func (e *Engine) popDerived(nd *node, s *suffix) queued {
 		if !ok {
 			panic("sim: a derived source queue holds more messages than its generator drew")
 		}
-		s.head = queued{id: e.suffixes.getID(&s.rd, r.id), gen: at, dst: g.Dst}
+		s.head = queued{id: r.id + message.ID(len(e.nodes)), gen: at, dst: g.Dst}
 	}
 	return r
 }
 
-// settle gives back what pops in a section left of nd's suffix: the chunks its
-// reader has passed, and the slot once it is empty. Serial contexts only.
+// settle gives back nd's suffix slot once pops in a section have emptied it.
+// Serial contexts only.
 func (e *Engine) settle(nd *node) {
-	s := e.suffixOf(nd)
-	if s == nil {
-		return
-	}
-	e.suffixes.trim(s)
-	if s.n == 0 {
+	if s := e.suffixOf(nd); s != nil && s.n == 0 {
 		s.head.next = e.suffixes.free - 1
 		e.suffixes.free = nd.sfx
 		nd.sfx = 0
@@ -421,7 +266,7 @@ func (e *Engine) settle(nd *node) {
 func (e *Engine) startSuffix(nd *node, start *traffic.Cursor, skip int, id message.ID, dst topology.NodeID) {
 	i := e.suffixes.newSlot(len(e.nodes))
 	s := &e.suffixes.slots[i]
-	*s = suffix{cur: *start, last: id, n: 1, rd: -1, wr: -1, hold: -1}
+	*s = suffix{cur: *start, n: 1}
 	var g traffic.Generated
 	at, ok := int64(0), true
 	for k := 0; k <= skip && ok; k++ {
@@ -447,16 +292,24 @@ func (e *Engine) spill(nd *node) {
 	e.settle(nd)
 }
 
+// records returns how many of the messages waiting at nd are records: those
+// ahead of its derived suffix.
+func (e *Engine) records(nd *node) int32 {
+	if s := e.suffixOf(nd); s != nil {
+		return nd.queue.n - s.n
+	}
+	return nd.queue.n
+}
+
 // eachWaiting calls f on every message waiting at nd, front to back: the
 // records, then the suffix, replayed on a scratch copy. f must not keep its
 // argument. Serial contexts only.
 func (e *Engine) eachWaiting(nd *node, f func(*queued)) {
+	e.waiting.each(&nd.queue, e.records(nd), f)
 	s := e.suffixOf(nd)
 	if s == nil {
-		e.waiting.each(&nd.queue, nd.queue.n, f)
 		return
 	}
-	e.waiting.each(&nd.queue, nd.queue.n-s.n, f)
 	w := &e.walk
 	*w = *s
 	for w.n > 0 {

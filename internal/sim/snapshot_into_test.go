@@ -101,6 +101,11 @@ func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
 			for e.Now() < tc.large {
 				e.Step()
 			}
+			for i := range e.nodes { // a backlog of records: larger than any derived one
+				if e.nodes[i].sfx != 0 {
+					e.spill(&e.nodes[i])
+				}
+			}
 			var fromLarge Snapshot
 			largeWire, _ := requireSameAsSnapshot(t, "large state into a zero value", e, &fromLarge)
 

@@ -24,10 +24,10 @@ type Cursor struct {
 	on         bool
 }
 
-// Replayer is a Generator whose messages can be drawn again from a saved
-// stream position.
+// Replayer is a Stateful generator whose messages can be drawn again from a
+// saved stream position.
 type Replayer interface {
-	Generator
+	Stateful
 	// SaveCursor writes the generator's current stream position into c.
 	SaveCursor(c *Cursor)
 	// Replay draws the next message Poll generates after the position c
@@ -40,6 +40,39 @@ type Replayer interface {
 	// back, so it must not run concurrently with Poll or another Replay on
 	// the same generator; the generator's state is unchanged.
 	Replay(c *Cursor, until int64) (g Generated, cycle int64, ok bool)
+	// swap exchanges the generator's stream position with c's.
+	swap(c *Cursor)
+}
+
+// replay is Replay of any Replayer: it borrows r's stream at c's position
+// and puts it back.
+func replay(r interface {
+	stepper
+	swap(*Cursor)
+}, c *Cursor, until int64) (Generated, int64, bool) {
+	r.swap(c)
+	g, at, ok := replayOne(r, until)
+	r.swap(c)
+	return g, at, ok
+}
+
+// SaveCursorInto writes into dst the state r saves (Stateful) when its stream
+// is at c, reusing dst's bytes where they still encode it: a cursor in the
+// form a snapshot stores. r's own state is unchanged.
+func SaveCursorInto(r Replayer, c *Cursor, dst *GenState) error {
+	r.swap(c)
+	err := r.SaveStateInto(dst)
+	r.swap(c)
+	return err
+}
+
+// LoadCursor sets c to the stream position st holds, refusing what r's
+// LoadState refuses. r's own state is unchanged.
+func LoadCursor(r Replayer, st GenState, c *Cursor) error {
+	r.swap(c)
+	err := r.LoadState(st)
+	r.swap(c)
+	return err
 }
 
 // stepper is one poll of a generator, stopped at each message: step runs
@@ -70,13 +103,11 @@ func replayOne(s stepper, until int64) (Generated, int64, bool) {
 func (s *Source) SaveCursor(c *Cursor) { *c = Cursor{pcg: s.pcg, next: s.next} }
 
 // Replay implements Replayer.
-func (s *Source) Replay(c *Cursor, until int64) (Generated, int64, bool) {
-	pcg, next := s.pcg, s.next
-	s.pcg, s.next = c.pcg, c.next
-	g, at, ok := replayOne(s, until)
-	c.pcg, c.next = s.pcg, s.next
-	s.pcg, s.next = pcg, next
-	return g, at, ok
+func (s *Source) Replay(c *Cursor, until int64) (Generated, int64, bool) { return replay(s, c, until) }
+
+func (s *Source) swap(c *Cursor) {
+	s.pcg, c.pcg = c.pcg, s.pcg
+	s.next, c.next = c.next, s.next
 }
 
 // SaveCursor implements Replayer.
@@ -86,17 +117,15 @@ func (s *BurstySource) SaveCursor(c *Cursor) {
 
 // Replay implements Replayer.
 func (s *BurstySource) Replay(c *Cursor, until int64) (Generated, int64, bool) {
-	var live Cursor
-	s.SaveCursor(&live)
-	s.load(c)
-	g, at, ok := replayOne(s, until)
-	s.SaveCursor(c)
-	s.load(&live)
-	return g, at, ok
+	return replay(s, c, until)
 }
 
-func (s *BurstySource) load(c *Cursor) {
-	s.pcg, s.ppcg, s.next, s.phaseEnds, s.on = c.pcg, c.phase, c.next, c.phaseEnds, c.on
+func (s *BurstySource) swap(c *Cursor) {
+	s.pcg, c.pcg = c.pcg, s.pcg
+	s.ppcg, c.phase = c.phase, s.ppcg
+	s.next, c.next = c.next, s.next
+	s.phaseEnds, c.phaseEnds = c.phaseEnds, s.phaseEnds
+	s.on, c.on = c.on, s.on
 }
 
 // SaveCursor implements Replayer.
@@ -104,12 +133,12 @@ func (s *RogueSource) SaveCursor(c *Cursor) { *c = Cursor{pcg: *s.pcg, next: s.n
 
 // Replay implements Replayer.
 func (s *RogueSource) Replay(c *Cursor, until int64) (Generated, int64, bool) {
-	pcg, next := *s.pcg, s.next
-	*s.pcg, s.next = c.pcg, c.next
-	g, at, ok := replayOne(s, until)
-	c.pcg, c.next = *s.pcg, s.next
-	*s.pcg, s.next = pcg, next
-	return g, at, ok
+	return replay(s, c, until)
+}
+
+func (s *RogueSource) swap(c *Cursor) {
+	*s.pcg, c.pcg = c.pcg, *s.pcg
+	s.next, c.next = c.next, s.next
 }
 
 // Compile-time interface checks.

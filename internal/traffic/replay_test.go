@@ -129,6 +129,26 @@ func TestReplayMatchesPoll(t *testing.T) {
 			if got := pollFrom(mid, cycles/2, cycles); !slices.Equal(got, rest) {
 				t.Fatalf("polling after a replay: %s", diff(got, rest))
 			}
+			// A cursor saved as generator state loads back as the same cursor,
+			// neither moving the generator, which refuses another kind's.
+			var st GenState
+			if err := SaveCursorInto(other, &start, &st); err != nil {
+				t.Fatal(err)
+			}
+			var back Cursor
+			if err := LoadCursor(other, st, &back); err != nil || back != start {
+				t.Fatalf("a saved cursor loads back as %+v (%v), want %+v", back, err, start)
+			}
+			if other.SaveCursor(&after); after != before {
+				t.Fatal("saving or loading a cursor moved the generator")
+			}
+			st.Script = true
+			if LoadCursor(other, st, &back) == nil {
+				t.Fatal("a cursor of another generator kind loads")
+			}
+			if other.SaveCursor(&after); after != before {
+				t.Fatal("a refused cursor moved the generator")
+			}
 			if tc.name != "source fixed point" && len(want) < 100 {
 				t.Fatalf("only %d messages: the case does not exercise replay", len(want))
 			}

@@ -56,6 +56,9 @@ func savePCG(p *rand.PCG, held []byte) ([]byte, error) {
 	return p.MarshalBinary()
 }
 
+// IsZero reports whether st is the zero GenState, which no generator saves.
+func (st *GenState) IsZero() bool { return st.is(&GenState{}) }
+
 // is reports whether st is exactly want. A LoadState holds the state it is given
 // to the one it would save, built from the fields it reads, so that a field it
 // would drop — another generator kind's — has to be zero.
