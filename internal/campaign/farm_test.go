@@ -355,6 +355,72 @@ func TestFarmSignalFlushesFinalCheckpoint(t *testing.T) {
 	})
 }
 
+// keepUploads keeps a copy of every checkpoint the worker uploads.
+type keepUploads struct {
+	Transport
+	data [][]byte
+}
+
+func (k *keepUploads) UploadCheckpoint(campaign, lease string, data []byte) error {
+	k.data = append(k.data, bytes.Clone(data))
+	return k.Transport.UploadCheckpoint(campaign, lease, data)
+}
+
+// TestCheckpointCarriesMetrics decodes every checkpoint a worker uploads and
+// finds the engine's registry in it, as SnapshotInto took it: the mirrored
+// generated total is the engine's generated count at the registry's last
+// sample, the cycle before snap.Now rounded down to the sampling period.
+func TestCheckpointCarriesMetrics(t *testing.T) {
+	spec := farmSpec()
+	spec.Values = []string{"0.6"}
+	spec.CheckpointEvery = 300
+	points, err := spec.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(Options{LeaseTTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := coord.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	up := &keepUploads{Transport: coord}
+	if err := RunWorker(context.Background(), WorkerOptions{
+		Transport: up, Name: "w", ExitWhenDone: true, Output: io.Discard,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(up.data) < 2 {
+		t.Fatalf("%d checkpoints uploaded, want several", len(up.data))
+	}
+	for _, data := range up.data {
+		snap, err := checkpoint.Decode(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := math.NaN()
+		for _, s := range snap.Metrics {
+			if s.Name == "sim_messages_generated_total" {
+				got = s.Value
+			}
+		}
+		sampled := (snap.Now - 1) / sim.DefaultMetricsSampleEvery * sim.DefaultMetricsSampleEvery
+		e, err := sim.New(points[0].Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e.Now() <= sampled {
+			e.Step()
+		}
+		e.Close()
+		if want := float64(e.Generated()); got != want {
+			t.Errorf("checkpoint at cycle %d: sim_messages_generated_total %v, the engine generated %v by its sample at cycle %d",
+				snap.Now, got, want, sampled)
+		}
+	}
+}
+
 // TestLocalSweepContract is what a plain `sweep -out dir` promises, under go
 // test for the first time: a coordinator journaling to dir and a worker in
 // the same process give the serial results; killed mid-point, a *new*

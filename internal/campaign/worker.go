@@ -329,7 +329,6 @@ func (w *worker) runAssignment(ctx context.Context, a *Assignment) error {
 			if err := e.SnapshotInto(&snap); err != nil {
 				return err
 			}
-			snap.Metrics = reg.Snapshot()
 			var buf bytes.Buffer
 			if err := checkpoint.Encode(&buf, &snap); err != nil {
 				return err

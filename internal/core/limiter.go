@@ -109,17 +109,6 @@ type StatefulLimiter interface {
 	LoadState([]uint64) error
 }
 
-// RuleClassifier is implemented by limiters whose decision decomposes into
-// the paper's two rules. The engine's metrics layer uses it to attribute a
-// denial to the rule(s) that failed — rule (a): some useful channel has no
-// free virtual channel; rule (b): no useful channel is completely free —
-// without re-deciding or altering the injection outcome.
-type RuleClassifier interface {
-	// ClassifyRules reports whether rule (a) and rule (b) hold for a
-	// message addressed to dst, over the channel set the limiter inspects.
-	ClassifyRules(v ChannelView, dst topology.NodeID) (ruleA, ruleB bool)
-}
-
 // RuleWords is EvalRules on a status register held as one word: bit p*vcs+v
 // of free is set while virtual channel v of physical channel p is unallocated,
 // and useful has bit p*vcs set for every channel p of the inspected set. The
@@ -194,7 +183,8 @@ func (r Rules) Allow(v ChannelView, dst topology.NodeID) bool {
 	return r.Admits(r.ClassifyRules(v, dst))
 }
 
-// ClassifyRules implements RuleClassifier over the channel set r inspects.
+// ClassifyRules reports whether rule (a) and rule (b) hold for a message
+// addressed to dst, over the channel set r inspects.
 func (r Rules) ClassifyRules(v ChannelView, dst topology.NodeID) (ruleA, ruleB bool) {
 	useful := v.UsefulPorts(dst)
 	n := len(useful)

@@ -122,17 +122,14 @@ type node struct {
 	// limObs caches the limiter's CycleObserver assertion (nil when the
 	// limiter has no per-cycle hook) and view the node's preallocated
 	// ChannelView, so the injection phase performs no per-cycle interface
-	// conversions. limClass likewise caches the RuleClassifier assertion;
-	// the metrics layer consults it to attribute denials to rule (a)/(b).
-	// rules is the limiter when it is a member of the ALO family (gated):
-	// asked once at New, so the gate runs on the free word. Any other
-	// limiter's (LF, DRIL, none, wrappers, custom ones) stays Allow over view
-	// (admits).
-	limObs   core.CycleObserver
-	limClass core.RuleClassifier
-	view     *channelView
-	rules    core.Rules
-	gated    bool
+	// conversions. rules is the limiter when it is a member of the ALO family
+	// (gated): asked once at New, so the gate runs on the free word, and only
+	// such a node attributes a denial to rule (a)/(b). Any other limiter's
+	// (LF, DRIL, none, wrappers, custom ones) stays Allow over view (admits).
+	limObs core.CycleObserver
+	view   *channelView
+	rules  core.Rules
+	gated  bool
 	// rogue marks an adversarial node (Config.Adversary): its injections
 	// bypass the limiter gate entirely.
 	rogue bool
@@ -324,18 +321,14 @@ type Engine struct {
 	// Like met, disabled span instrumentation is one nil check per site.
 	spans *engineSpans
 
-	// delivered counts all-time delivered messages (not just in-window).
-	delivered int64
-	// generated counts all-time generated messages.
-	generated int64
-	// recovered counts all-time deadlock recoveries.
-	recovered int64
-	// aborted counts all-time fault kills; retried and dropped count their
-	// outcomes (aborted == retried + dropped-at-abort; drops also happen at
-	// injection time for unreachable destinations).
-	aborted int64
-	retried int64
-	dropped int64
+	// total counts every lifecycle event since the run began, by kind (record;
+	// not just in-window). The six the accessors read are durable, kept by a
+	// snapshot: generated, delivered, deadlock recoveries, fault kills
+	// (aborted) and their outcomes, retried and dropped (aborted == retried +
+	// dropped-at-abort; drops also happen at injection for unreachable
+	// destinations). The other kinds restart at a restore and nothing reads
+	// them; a throttle is recorded only while an observer is attached.
+	total [trace.NumKinds]int64
 
 	// digest caches ConfigDigest(cfg) from its first use (configDigest).
 	digest string
@@ -512,7 +505,6 @@ func New(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("sim: limiter factory built no limiter for node %d", nd.id)
 		}
 		nd.limObs, _ = nd.limiter.(core.CycleObserver)
-		nd.limClass, _ = nd.limiter.(core.RuleClassifier)
 		nd.rules, nd.gated = nd.limiter.(core.Rules)
 		viewArena[i] = channelView{e: e, nd: nd}
 		nd.view = &viewArena[i]
@@ -734,29 +726,31 @@ func (e *Engine) Topology() *topology.Torus { return e.topo }
 
 // InFlight returns the number of generated messages that are neither
 // delivered nor dropped yet.
-func (e *Engine) InFlight() int64 { return e.generated - e.delivered - e.dropped }
+func (e *Engine) InFlight() int64 {
+	return e.total[trace.KindGenerated] - e.total[trace.KindDelivered] - e.total[trace.KindDropped]
+}
 
 // Recovered returns the all-time count of deadlock recoveries.
-func (e *Engine) Recovered() int64 { return e.recovered }
+func (e *Engine) Recovered() int64 { return e.total[trace.KindDeadlock] }
 
 // Aborted returns the all-time count of messages killed by faults.
-func (e *Engine) Aborted() int64 { return e.aborted }
+func (e *Engine) Aborted() int64 { return e.total[trace.KindAborted] }
 
 // Retried returns the all-time count of scheduled source retries.
-func (e *Engine) Retried() int64 { return e.retried }
+func (e *Engine) Retried() int64 { return e.total[trace.KindRetried] }
 
 // Dropped returns the all-time count of permanently dropped messages.
-func (e *Engine) Dropped() int64 { return e.dropped }
+func (e *Engine) Dropped() int64 { return e.total[trace.KindDropped] }
 
 // Liveness returns the engine's channel/router liveness mask, or nil when
 // fault injection is off.
 func (e *Engine) Liveness() *topology.Liveness { return e.live }
 
 // Delivered returns the all-time count of delivered messages.
-func (e *Engine) Delivered() int64 { return e.delivered }
+func (e *Engine) Delivered() int64 { return e.total[trace.KindDelivered] }
 
 // Generated returns the all-time count of generated messages.
-func (e *Engine) Generated() int64 { return e.generated }
+func (e *Engine) Generated() int64 { return e.total[trace.KindGenerated] }
 
 // Run executes the configured number of cycles and returns the summary.
 // With metrics enabled, a final gauge sample runs after the last cycle so
@@ -775,19 +769,81 @@ func (e *Engine) Run() stats.Result {
 // nil to detach. Tracing costs one branch per event when detached.
 func (e *Engine) SetListener(l trace.Listener) { e.listener = l }
 
-// emit publishes a lifecycle event of message m if a listener is attached.
-func (e *Engine) emit(kind trace.Kind, m *message.Message, at topology.NodeID) {
-	e.emitRecord(kind, m.ID, m.Src, m.Dst, int32(m.Length), at)
+// An event is one lifecycle event on its way to record: its kind, the
+// message's id, endpoints and length, where it happened, and the message when
+// it is an object (nil for a queue record, generated or throttled, and for a
+// fault or repair, whose id is -1). fails names the paper's rules a throttled
+// head failed (failA, failB), at a node of the ALO family only.
+type event struct {
+	kind         trace.Kind
+	fails        uint8
+	length       int32
+	id           message.ID
+	src, dst, at topology.NodeID
+	m            *message.Message
 }
 
-// emitRecord is emit for a message that may not be an object (yet).
-func (e *Engine) emitRecord(kind trace.Kind, id message.ID, src, dst topology.NodeID, length int32, at topology.NodeID) {
-	if e.listener == nil {
-		return
+// The rules a throttle record names as failed (event.fails): rule (a), some
+// useful channel had no free virtual channel, and rule (b), no useful channel
+// was completely free.
+const (
+	failA uint8 = 1 << iota
+	failB
+)
+
+// eventOf is the event of kind that message object m meets at node at.
+func eventOf(kind trace.Kind, m *message.Message, at topology.NodeID) event {
+	return event{kind: kind, length: m.Length, id: m.ID, src: m.Src, dst: m.Dst, at: at, m: m}
+}
+
+// record is the one way a lifecycle event — a message's, or a fault's or
+// repair's — reaches anything that counts or watches it: it bumps the kind's
+// all-time total, then hands the event to the collector, the listener, the
+// metrics registry and the span tracker, each that is attached. It runs only
+// in serial contexts (a commit point, a teardown at one, fault application
+// before a cycle, Inject), so every observer sees one stream in one order at
+// any worker count. A message built by Inject counts and is collected as
+// generated but emits no generation event: its caller made it.
+func (e *Engine) record(ev event) {
+	e.total[ev.kind]++
+	switch ev.kind {
+	case trace.KindGenerated:
+		if measured := e.col.OnGenerated(e.now, int(ev.src)); ev.m != nil {
+			ev.m.Measured = measured
+		}
+	case trace.KindInjected:
+		e.col.OnInjected(int(ev.at), e.now)
+	case trace.KindDelivered:
+		m := ev.m
+		e.col.OnDelivered(e.now, m.GenTime, m.InjectTime, int(m.Length), m.Measured, int(m.Src))
+	case trace.KindDeadlock:
+		e.col.OnDeadlock(e.now)
+	case trace.KindFault:
+		e.col.OnFault(e.now)
+	case trace.KindAborted:
+		e.col.OnAborted(e.now)
+	case trace.KindRetried:
+		e.col.OnRetried(e.now)
+	case trace.KindDropped:
+		e.col.OnDropped(e.now)
 	}
-	e.listener.Emit(trace.Event{
-		Cycle: e.now, Kind: kind, Msg: int64(id), Src: src, Dst: dst, Node: at, Len: length,
-	})
+	if e.listener != nil && (ev.kind != trace.KindGenerated || ev.m == nil) {
+		e.listener.Emit(trace.Event{
+			Cycle: e.now, Kind: ev.kind, Msg: int64(ev.id), Src: ev.src, Dst: ev.dst, Node: ev.at, Len: ev.length,
+		})
+	}
+	if e.met != nil && ev.kind == trace.KindThrottled {
+		e.met.denied.Inc()
+		if ev.fails&failA != 0 {
+			e.met.denyRuleA.Inc()
+		}
+		if ev.fails&failB != 0 {
+			e.met.denyRuleB.Inc()
+		}
+	}
+	if e.spans != nil {
+		e.spanRecord(&ev)
+	}
 }
 
 // StopSources turns off traffic generation for the rest of the run. The
@@ -814,15 +870,11 @@ func (e *Engine) Inject(src, dst topology.NodeID, length int) *message.Message {
 	nd := &e.nodes[src]
 	m := e.pooled()
 	m.Reuse(e.newID(nd), src, dst, length, e.now)
-	m.Measured = e.col.OnGenerated(e.now, int(src))
+	e.record(eventOf(trace.KindGenerated, m, src)) // sets m.Measured
 	if nd.sfx != 0 {
 		e.spill(nd) // a record goes behind no derived message
 	}
 	e.waiting.push(&nd.queue, e.recordOf(m))
-	e.generated++
-	if e.spans != nil {
-		e.spanGenerate(m.ID, src, dst, length)
-	}
 	return m
 }
 

@@ -59,39 +59,32 @@ func (e *Engine) applyFault(ev fault.Event) {
 			return
 		}
 		e.epoch++
-		e.col.OnFault(e.now)
-		e.emitFault(trace.KindFault, ev.Node)
+		e.recordFault(trace.KindFault, ev.Node)
 		e.killOnLink(ev.Node, ev.Port)
 	case fault.LinkUp:
 		if e.live.SetLink(ev.Node, ev.Port, true) {
 			e.epoch++
-			e.emitFault(trace.KindRepair, ev.Node)
+			e.recordFault(trace.KindRepair, ev.Node)
 		}
 	case fault.RouterDown:
 		if !e.live.SetRouter(ev.Node, false) {
 			return
 		}
 		e.epoch++
-		e.col.OnFault(e.now)
-		e.emitFault(trace.KindFault, ev.Node)
+		e.recordFault(trace.KindFault, ev.Node)
 		e.killOnRouter(ev.Node)
 	case fault.RouterUp:
 		if e.live.SetRouter(ev.Node, true) {
 			e.epoch++
-			e.emitFault(trace.KindRepair, ev.Node)
+			e.recordFault(trace.KindRepair, ev.Node)
 		}
 	}
 }
 
-// emitFault publishes a component-level fault/repair event; there is no
+// recordFault records a component-level fault or repair at node; there is no
 // associated message, so the message ID is -1.
-func (e *Engine) emitFault(kind trace.Kind, node topology.NodeID) {
-	if e.listener == nil {
-		return
-	}
-	e.listener.Emit(trace.Event{
-		Cycle: e.now, Kind: kind, Msg: -1, Src: node, Dst: node, Node: node,
-	})
+func (e *Engine) recordFault(kind trace.Kind, node topology.NodeID) {
+	e.record(event{kind: kind, id: -1, src: node, dst: node, at: node})
 }
 
 // killOnLink kills every in-flight message whose occupied path crosses the
@@ -188,9 +181,7 @@ func killOrder(genA, genB int64, srcA, srcB topology.NodeID, idA, idB message.ID
 // or the retry budget is spent.
 func (e *Engine) kill(m *message.Message, at topology.NodeID) {
 	e.teardown(m)
-	e.aborted++
-	e.col.OnAborted(e.now)
-	e.emit(trace.KindAborted, m, at)
+	e.record(eventOf(trace.KindAborted, m, at))
 	switch {
 	case !e.live.RouterAlive(m.Dst):
 		e.drop(m, at, message.DropUnreachable)
@@ -207,15 +198,10 @@ func (e *Engine) kill(m *message.Message, at topology.NodeID) {
 // policy's capped exponential backoff.
 func (e *Engine) scheduleRetry(m *message.Message) {
 	m.ResetForRetry(m.Src)
-	if e.spans != nil {
-		e.spanTeardown(m)
-	}
 	delay := e.cfg.Retry.Delay(int(m.Retries) - 1)
 	src := &e.nodes[m.Src]
 	src.retry = append(src.retry, pending{msg: m, readyAt: e.now + delay})
-	e.retried++
-	e.col.OnRetried(e.now)
-	e.emit(trace.KindRetried, m, m.Src)
+	e.record(eventOf(trace.KindRetried, m, m.Src))
 }
 
 // drop permanently removes a message from the workload with the given
@@ -223,11 +209,6 @@ func (e *Engine) scheduleRetry(m *message.Message) {
 // pool-born message can be recycled immediately.
 func (e *Engine) drop(m *message.Message, at topology.NodeID, reason message.DropReason) {
 	m.Drop(reason)
-	e.dropped++
-	e.col.OnDropped(e.now)
-	e.emit(trace.KindDropped, m, at)
-	if e.spans != nil {
-		e.spanDiscard(m)
-	}
+	e.record(eventOf(trace.KindDropped, m, at))
 	e.releaseMessage(m)
 }

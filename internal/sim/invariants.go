@@ -362,7 +362,7 @@ func (e *Engine) CheckInvariants() error {
 	}
 	if n := int64(len(held) + waiting); n != e.InFlight() {
 		return fmt.Errorf("%d messages held by the network and %d waiting, but generated-delivered-dropped = %d-%d-%d = %d in flight",
-			len(held), waiting, e.generated, e.delivered, e.dropped, e.InFlight())
+			len(held), waiting, e.Generated(), e.Delivered(), e.Dropped(), e.InFlight())
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"wormnet/internal/message"
 	"wormnet/internal/router"
 	"wormnet/internal/topology"
+	"wormnet/internal/trace"
 )
 
 // The invariant checker is itself load-bearing for the test suite, so these
@@ -108,7 +109,7 @@ func TestInvariantCatchesLostMessage(t *testing.T) {
 		t.Fatalf("a message lost from the recovery list not caught: %v", err)
 	}
 	e.nodes[0].recovery = lost
-	e.generated++
+	e.total[trace.KindGenerated]++
 	if err = e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "1 waiting") || !strings.Contains(err.Error(), "2-0-0 = 2 in flight") {
 		t.Fatalf("a generated count ahead of the state not caught: %v", err)
 	}

@@ -9,9 +9,9 @@ package sim
 // allocs/op == 0 on exactly that path.
 //
 // Cost model, per the overhead budget in DESIGN.md §10:
-//   - every cycle (metrics on): one counter add for moved flits, plus one
-//     atomic add per denied injection (deny classification re-runs the
-//     limiter's rule predicate, a handful of status-word reads);
+//   - every cycle (metrics on): one counter add for moved flits, and at the
+//     injection commit one add per admitted head and one to three per
+//     throttle record (Engine.record; the gate's own rule bits attribute it);
 //   - every SampleEvery cycles: an O(nodes) walk setting the gauges, the
 //     per-phase wall-clock timers, and the optional sample hook (JSONL
 //     snapshot). Amortised per cycle this stays O(nodes/SampleEvery).
@@ -34,7 +34,7 @@ var phaseTimingBounds = []float64{500, 1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 2.
 // from one Registry; the struct exists so hot-path sites reach their metric
 // with a field load instead of a map lookup.
 type engineMetrics struct {
-	// Mirrored monotone totals (Set from the engine's own counters at
+	// Mirrored monotone totals (Set from the engine's all-time totals at
 	// sample time — no hot-path cost).
 	generated *metrics.Counter
 	delivered *metrics.Counter
@@ -43,7 +43,8 @@ type engineMetrics struct {
 	retried   *metrics.Counter
 	dropped   *metrics.Counter
 
-	// Live event counters (incremented at the event site).
+	// Live event counters (incremented at the commit: admitted at a claim,
+	// the denials by Engine.record at a throttle record).
 	admitted  *metrics.Counter
 	denied    *metrics.Counter
 	denyRuleA *metrics.Counter
@@ -180,23 +181,6 @@ func (e *Engine) metricsSampled() bool {
 	return e.met != nil && e.now%e.metEvery == 0
 }
 
-// noteDeny records a limiter denial and, when the limiter exposes the
-// paper's rule decomposition, which rule(s) failed: a and b are what the gate
-// found (admits). Runs on the node's own goroutine under the worker pool;
-// counters are atomic.
-func (e *Engine) noteDeny(nd *node, a, b bool) {
-	e.met.denied.Inc()
-	if nd.limClass == nil {
-		return
-	}
-	if !a {
-		e.met.denyRuleA.Inc()
-	}
-	if !b {
-		e.met.denyRuleB.Inc()
-	}
-}
-
 // sampleMetrics walks the network once and refreshes every gauge, then
 // fires the sample hook. It runs between cycles on the coordinator, so all
 // reads are race-free; it writes nothing but metrics.
@@ -228,12 +212,12 @@ func (e *Engine) sampleMetrics() {
 	m.freeOutVCs.Set(float64(freeOut) / float64(totalVCs))
 	m.busyInj.SetInt(int64(busy))
 
-	m.generated.Set(e.generated)
-	m.delivered.Set(e.delivered)
-	m.recovered.Set(e.recovered)
-	m.aborted.Set(e.aborted)
-	m.retried.Set(e.retried)
-	m.dropped.Set(e.dropped)
+	m.generated.Set(e.Generated())
+	m.delivered.Set(e.Delivered())
+	m.recovered.Set(e.Recovered())
+	m.aborted.Set(e.Aborted())
+	m.retried.Set(e.Retried())
+	m.dropped.Set(e.Dropped())
 
 	if e.onSample != nil {
 		e.onSample(e.now)

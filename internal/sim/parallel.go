@@ -102,17 +102,18 @@ type genRec struct {
 // node's source queue is rec, as pop returned it (m is nil): the commit builds
 // the object. Every deferred drop is an unreachable destination's.
 type deferredEvent struct {
-	kind uint8
-	ch   int8 // evClaim: the injection channel
-	node topology.NodeID
-	rec  queued
-	m    *message.Message
+	kind  uint8
+	ch    int8  // evClaim: the injection channel
+	fails uint8 // evThrottle: the rules the head failed (event.fails)
+	node  topology.NodeID
+	rec   queued
+	m     *message.Message
 }
 
 const (
 	evDrop      uint8 = iota // unreachable-destination drop (fault/inject phases)
 	evRequeue                // fault retry rejoining the front of node's queue (fault phase)
-	evThrottle               // limiter denial of node's queue head (inject phase, listener only)
+	evThrottle               // limiter denial of node's queue head (inject phase, observed runs only)
 	evClaim                  // queue record admitted to injection channel ch (inject phase)
 	evInjected               // head flit entered the network (move phase)
 	evDelivered              // tail flit consumed at destination (move phase)
@@ -738,11 +739,7 @@ func (e *Engine) commitGenerate(p *parRuntime) {
 			}
 			nd := &e.nodes[g.node]
 			id := e.newID(nd)
-			e.generated++
-			if e.spans != nil {
-				e.spanGenerate(id, g.node, g.dst, int(g.length))
-			}
-			e.col.OnGenerated(e.now, int(g.node))
+			e.record(event{kind: trace.KindGenerated, length: g.length, id: id, src: g.node, dst: g.dst, at: g.node})
 			switch {
 			case nd.sfx != 0:
 				e.suffixOf(nd).n++
@@ -753,7 +750,6 @@ func (e *Engine) commitGenerate(p *parRuntime) {
 			default:
 				e.startSuffix(nd, start, skip, id, g.dst)
 			}
-			e.emitRecord(trace.KindGenerated, id, g.node, g.dst, g.length, g.node)
 		}
 		sh.gen = sh.gen[:0]
 		sh.starts = sh.starts[:0]
@@ -787,7 +783,7 @@ func (e *Engine) allocSuffix(p *parRuntime) {
 // trigger pre-scan for the allocation split fused into the same walk. On
 // fault runs it first sheds head-of-line messages whose destination router
 // died: they can never be delivered, and letting them enter would only
-// wedge traffic near the failure. Drops, throttle traces and the objects of
+// wedge traffic near the failure. Drops, throttle records and the objects of
 // admitted records are deferred (their accounting, the pool and the arena's
 // free list are global); the queue and recovery-list pops themselves happen
 // inline.
@@ -860,10 +856,12 @@ func (e *Engine) injectRange(p *parRuntime, sh *parShard) {
 // them relieves the congestion that deadlocked them), then source-queue
 // messages in FIFO order, each gated by the injection limiter. A denied
 // queue head blocks the messages behind it, preserving the paper's
-// "pending messages have higher priority than newer ones". Throttle traces
-// are deferred to the shard's event buffer, and so is the object of an
-// admitted record: the section fills the channel's counters (which is what
-// makes it busy) and the B2 commit attaches the message.
+// "pending messages have higher priority than newer ones". A denial is
+// deferred to the shard's event buffer as a throttle record when an observer
+// will see it, and so is the object of an admitted record: the section fills
+// the channel's counters (which is what makes it busy) and the B2 commit
+// attaches the message. The span mark of either claim is exclusive to the
+// shard: the message sits at an own node.
 func (e *Engine) injectNode(nd *node, sh *parShard) {
 	if nd.limObs != nil {
 		nd.limObs.Tick(nd.view, e.now)
@@ -874,80 +872,69 @@ func (e *Engine) injectNode(nd *node, sh *parShard) {
 		if ic.len != 0 {
 			continue
 		}
+		var id message.ID
 		if len(nd.recovery) > 0 && nd.recovery[0].readyAt <= e.now {
 			m := nd.popRecovery()
 			m.State = message.StateInjecting
 			*ic = injChannel{msg: m, left: int32(m.Length), len: int32(m.Length)}
-			nd.busyInj++
-			if e.spans != nil {
-				e.spanClaim(m, nd.id)
+			id = m.ID
+		} else {
+			if nd.queue.Empty() {
+				continue
 			}
-			continue
-		}
-		if nd.queue.Empty() {
-			continue
-		}
-		// Rogue nodes (Config.Adversary) never consult the limiter:
-		// bypassing it is the whole attack.
-		if !nd.rogue {
-			if ok, ruleA, ruleB := e.admits(nd); !ok {
-				// Deny metrics update inline: the counters are commutative
-				// atomics, so the totals are worker-order-independent.
-				if e.met != nil {
-					e.noteDeny(nd, ruleA, ruleB)
+			// Rogue nodes (Config.Adversary) never consult the limiter:
+			// bypassing it is the whole attack.
+			if !nd.rogue {
+				if ok, fails := e.admits(nd); !ok {
+					// The commit reads the record's fields off the queue: a
+					// denied head is still the front there.
+					if e.listener != nil || e.met != nil || e.spans != nil {
+						sh.events = append(sh.events, deferredEvent{kind: evThrottle, fails: fails, node: nd.id})
+					}
+					break // FIFO: do not bypass a throttled queue head
 				}
-				// Span deny counts are inline too: the span is exclusive to
-				// this shard for the whole injection section (the message sits
-				// in an own-node source queue).
-				if e.spans != nil {
-					e.spanDeny(nd, e.front(nd).id, ruleA, ruleB)
-				}
-				// The commit reads the trace's fields off the queue: a denied
-				// head is still the front there.
-				if e.listener != nil {
-					sh.events = append(sh.events, deferredEvent{kind: evThrottle, node: nd.id})
-				}
-				break // FIFO: do not bypass a throttled queue head
 			}
+			set := nd.queue.set // the pop forgets it
+			r := e.pop(nd)
+			n := e.recordLen(&r)
+			// The channel has no message until the commit: its set id is all a
+			// fault pre-scan (deadEnd) can read of the header.
+			if set == 0 {
+				set = uint16(e.cand.id(nd.id, r.dst))
+			}
+			*ic = injChannel{left: n, len: n, set: set}
+			sh.events = append(sh.events, deferredEvent{kind: evClaim, ch: int8(c), node: nd.id, rec: r})
+			id = r.id
 		}
-		if e.met != nil {
-			e.met.admitted.Inc()
-		}
-		set := nd.queue.set // the pop forgets it
-		r := e.pop(nd)
-		n := e.recordLen(&r)
-		// The channel has no message until the commit: its set id is all a
-		// fault pre-scan (deadEnd) can read of the header.
-		if set == 0 {
-			set = uint16(e.cand.id(nd.id, r.dst))
-		}
-		*ic = injChannel{left: n, len: n, set: set}
 		nd.busyInj++
-		sh.events = append(sh.events, deferredEvent{kind: evClaim, ch: int8(c), node: nd.id, rec: r})
+		if e.spans != nil {
+			e.spanHop(id, nd.id)
+		}
 	}
 }
 
 // admits is the injection gate: whether nd's limiter lets the head of its
-// (non-empty) source queue in this cycle and, for the layers that attribute a
-// denial, whether each of the paper's rules held (RuleClassifier limiters
-// only). A member of the ALO family (core.Rules) is answered from the free
-// word and the queue's cached set id — a denied head, decided again every
-// cycle, reads nothing else; any other limiter from Allow over the
-// ChannelView, with ClassifyRules only when a layer will use it.
-func (e *Engine) admits(nd *node) (ok, ruleA, ruleB bool) {
+// (non-empty) source queue in this cycle and, on a denial at a member of the
+// ALO family (core.Rules), which of the paper's rules failed (failA, failB).
+// Such a member is answered from the free word and the queue's cached set id —
+// a denied head, decided again every cycle, reads nothing else; any other
+// limiter from Allow over the ChannelView, with nothing to attribute.
+func (e *Engine) admits(nd *node) (ok bool, fails uint8) {
+	if !nd.gated {
+		return nd.limiter.Allow(nd.view, e.front(nd).dst), 0
+	}
 	q := &nd.queue
-	if nd.gated {
-		if q.set == 0 {
-			q.set = uint16(e.cand.id(nd.id, e.front(nd).dst))
-		}
-		return e.gateWords(nd, int32(q.set))
+	if q.set == 0 {
+		q.set = uint16(e.cand.id(nd.id, e.front(nd).dst))
 	}
-	dst := e.front(nd).dst
-	ok = nd.limiter.Allow(nd.view, dst)
-	if !ok && nd.limClass != nil && (e.met != nil || e.spans != nil) {
-		ruleA, ruleB = nd.limClass.ClassifyRules(nd.view, dst)
+	ok, ruleA, ruleB := e.gateWords(nd, int32(q.set))
+	if !ruleA {
+		fails |= failA
 	}
-	return ok, ruleA, ruleB
+	if !ruleB {
+		fails |= failB
+	}
+	return ok, fails
 }
 
 // gateWords evaluates nd's ALO-family gate for a message whose candidate set
@@ -1068,9 +1055,6 @@ func (e *Engine) moveSourceRange(p *parRuntime, sh *parShard, id int) {
 				sh.events = append(sh.events, deferredEvent{
 					kind: evInjected, node: nd.id, m: m,
 				})
-				if e.spans != nil {
-					e.spanInject(m)
-				}
 			}
 			if flit.Tail {
 				m.FlitsSent = ic.len
@@ -1188,7 +1172,7 @@ func (e *Engine) push(rec *outFlit) {
 		// the head arrives at most once per cycle, and a producer's
 		// same-cycle record writes happened before the ring publish the
 		// drain synchronized with.
-		e.spanHopArrive(rec.flit.Msg, rec.node)
+		e.spanHop(rec.flit.Msg.ID, rec.node)
 	}
 	dvc.buf.Push(rec.flit)
 	if dvc.buf.Len() == e.cfg.BufDepth {
@@ -1215,24 +1199,19 @@ func (e *Engine) commitEvents(p *parRuntime) {
 				e.waiting.pushFront(&nd.queue, e.recordOf(ev.m)) // fault runs derive nothing
 			case evThrottle:
 				r := e.front(nd)
-				e.emitRecord(trace.KindThrottled, r.id, ev.node, r.dst, e.recordLen(r), ev.node)
+				e.record(event{kind: trace.KindThrottled, fails: ev.fails, length: e.recordLen(r),
+					id: r.id, src: ev.node, dst: r.dst, at: ev.node})
 			case evClaim:
 				m := e.materialise(ev.node, ev.rec)
 				m.State = message.StateInjecting
 				e.injOf(ev.node)[ev.ch].msg = m
-				if e.spans != nil {
-					e.spanClaim(m, ev.node)
+				if e.met != nil {
+					e.met.admitted.Inc()
 				}
 			case evInjected:
-				e.col.OnInjected(int(ev.node), e.now)
-				e.emit(trace.KindInjected, ev.m, ev.node)
+				e.record(eventOf(trace.KindInjected, ev.m, ev.node))
 			case evDelivered:
-				e.delivered++
-				e.col.OnDelivered(e.now, ev.m.GenTime, ev.m.InjectTime, int(ev.m.Length), ev.m.Measured, int(ev.m.Src))
-				e.emit(trace.KindDelivered, ev.m, ev.node)
-				if e.spans != nil {
-					e.spanDeliver(ev.m)
-				}
+				e.record(eventOf(trace.KindDelivered, ev.m, ev.node))
 				e.releaseMessage(ev.m)
 			}
 			ev.m = nil

@@ -8,6 +8,7 @@ import (
 	"wormnet/internal/fault"
 	"wormnet/internal/message"
 	"wormnet/internal/topology"
+	"wormnet/internal/trace"
 )
 
 // pathOf walks m's path as the engine does: its Tail, then each hop the
@@ -56,7 +57,7 @@ func lay(t *testing.T, e *Engine, m *message.Message, src topology.NodeID, ports
 		}
 		e.rederive(&e.nodes[loc.Node])
 	}
-	e.generated++
+	e.total[trace.KindGenerated]++
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatalf("the hand-laid worm: %v", err)
 	}
@@ -203,7 +204,7 @@ func TestInvariantCatchesCorruptPath(t *testing.T) {
 			other.State, other.FlitsSent, other.Tail = message.StateInNetwork, 1, x
 			ivc := &e.inOf(x.Node)[e.inVCIndex(x.Port, x.VC)]
 			ivc.buf.Push(message.MakeFlit(other, 0))
-			e.generated++
+			e.total[trace.KindGenerated]++
 			e.rederive(nd)
 			e.rederive(&e.nodes[x.Node])
 		},

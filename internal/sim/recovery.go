@@ -13,21 +13,14 @@ import (
 // delay. The message keeps its generation timestamp, so the recovery cost
 // shows up in its latency.
 func (e *Engine) recover(m *message.Message, at *node) {
-	e.recovered++
-	e.col.OnDeadlock(e.now)
-	e.emit(trace.KindDeadlock, m, at.id)
-
+	e.record(eventOf(trace.KindDeadlock, m, at.id))
 	e.teardown(m)
-
 	m.ResetForReinjection(at.id)
-	if e.spans != nil {
-		e.spanTeardown(m)
-	}
 	at.recovery = append(at.recovery, pending{
 		msg:     m,
 		readyAt: e.now + e.cfg.RecoveryDelay,
 	})
-	e.emit(trace.KindRecovered, m, at.id)
+	e.record(eventOf(trace.KindRecovered, m, at.id))
 }
 
 // teardown removes every trace of message m from the network: the

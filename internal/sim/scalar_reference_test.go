@@ -253,8 +253,8 @@ func (d *scalarDriver) step() {
 // ChannelView. The section's event buffer names them all — a claim for each
 // admission, its record still in its slot, a throttle for each denial, its
 // record still the queue's front — and nothing a limiter reads changes inside
-// the section. A denied head is put to the gate once more, for the rule
-// attribution noteDeny and spanDeny were handed.
+// the section. A denial's throttle record names the rules that failed, which
+// ClassifyRules must confirm.
 func (d *scalarDriver) gateBoth(sh *parShard) {
 	e := d.e
 	for i := range sh.events {
@@ -282,8 +282,8 @@ func (d *scalarDriver) gateBoth(sh *parShard) {
 			continue
 		}
 		d.denied++
-		_, a, b := e.admits(nd)
-		if wa, wb := nd.limClass.ClassifyRules(nd.view, dst); a != wa || b != wb {
+		a, b := ev.fails&failA == 0, ev.fails&failB == 0
+		if wa, wb := nd.rules.ClassifyRules(nd.view, dst); a != wa || b != wb {
 			d.t.Fatalf("%s cycle %d node %d -> %d: the word gate attributes (a=%v b=%v) on free=%#x, ClassifyRules says (a=%v b=%v)",
 				d.label, e.now, nd.id, dst, a, b, nd.free, wa, wb)
 		}

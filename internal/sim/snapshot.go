@@ -60,6 +60,7 @@ import (
 	"wormnet/internal/router"
 	"wormnet/internal/stats"
 	"wormnet/internal/topology"
+	"wormnet/internal/trace"
 	"wormnet/internal/traffic"
 )
 
@@ -515,12 +516,12 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 	*s = Snapshot{
 		Config:         e.configDigest(),
 		Now:            e.now,
-		Generated:      e.generated,
-		Delivered:      e.delivered,
-		Recovered:      e.recovered,
-		Aborted:        e.aborted,
-		Retried:        e.retried,
-		Dropped:        e.dropped,
+		Generated:      e.Generated(),
+		Delivered:      e.Delivered(),
+		Recovered:      e.Recovered(),
+		Aborted:        e.Aborted(),
+		Retried:        e.Retried(),
+		Dropped:        e.Dropped(),
 		SourcesStopped: e.sourcesStopped,
 		FaultIdx:       e.faultIdx,
 		Epoch:          e.epoch,
@@ -708,7 +709,7 @@ func (e *Engine) Restore(snap *Snapshot) error {
 // gets back every pool-born message: none is referenced any more.
 func (e *Engine) reset() {
 	e.now, e.faultIdx, e.epoch = 0, 0, 0
-	e.generated, e.delivered, e.recovered, e.aborted, e.retried, e.dropped = 0, 0, 0, 0, 0, 0
+	e.total = [trace.NumKinds]int64{}
 	e.sourcesStopped = false
 	e.listener, e.onReconfig, e.spans = nil, nil, nil
 	e.met, e.metReg, e.onSample = nil, nil, nil
@@ -764,8 +765,9 @@ func (e *Engine) load(snap *Snapshot) error {
 	}
 
 	e.now, e.sourcesStopped = snap.Now, snap.SourcesStopped
-	e.generated, e.delivered, e.recovered = snap.Generated, snap.Delivered, snap.Recovered
-	e.aborted, e.retried, e.dropped = snap.Aborted, snap.Retried, snap.Dropped
+	t := &e.total
+	t[trace.KindGenerated], t[trace.KindDelivered], t[trace.KindDeadlock] = snap.Generated, snap.Delivered, snap.Recovered
+	t[trace.KindAborted], t[trace.KindRetried], t[trace.KindDropped] = snap.Aborted, snap.Retried, snap.Dropped
 
 	// Fault machinery position.
 	if e.live != nil {

@@ -11,18 +11,25 @@ package sim
 // spans on or off (TestSpanDeterminism pins this at workers 1 and 4), and a
 // disabled engine (e.spans == nil) pays one nil check per site.
 //
+// A span's lifecycle edges — generation, a throttle, a teardown, delivery and
+// a drop — come from Engine.record (spanRecord). Two marks stay in the
+// parallel sections, where the engine does the work, because nothing records
+// the cycle otherwise: a hop opening (an injection-channel claim, or a head
+// flit landing in a buffer: spanHop) and a channel grant closing it
+// (spanAlloc). The head entering the network needs no mark: a finishing span
+// reads it off the message's InjectTime.
+//
 // Sampling is deterministic: messages are generated in serial commit order on
 // every path, so taking every every-th of them (by the all-time generated
 // count) selects the same messages — and produces the same records in the
 // same order — for any worker count.
 //
 // Concurrency (worker pool): the live-record map is mutated only in
-// serial contexts — generation commits, delivery/drop commits, recovery and
-// retry teardowns, all of which run at barrier arrival or between cycles.
+// serial contexts — record's, which run at barrier arrival or between cycles.
 // The parallel sections only *read* the map and write fields of the looked-up
-// record, and every such write is exclusive for the cycle: deny/admit run on
-// the message's source-node shard (or at its commit), allocation on the shard
-// holding its header, and the head flit (a single flit) arrives at most once per cycle —
+// record, and every such write is exclusive for the cycle: a claim runs on
+// the message's source-node shard, allocation on the shard holding its
+// header, and the head flit (a single flit) arrives at most once per cycle —
 // its cross-shard hop-append is ordered behind the ring publish the
 // consumer's acquire-load synchronizes with.
 
@@ -100,12 +107,31 @@ func (e *Engine) EnableSpans(reg *metrics.Registry, sampleEvery int64, sink trac
 	e.spans = s
 }
 
+// spanRecord drives a span through the lifecycle edges record sees: it starts
+// at generation, counts a throttle, truncates at a teardown (a recovery or a
+// retry), and finishes at delivery or a drop.
+func (e *Engine) spanRecord(ev *event) {
+	switch ev.kind {
+	case trace.KindGenerated:
+		e.spanGenerate(ev.id, ev.src, ev.dst, int(ev.length))
+	case trace.KindThrottled:
+		e.spanDeny(ev.id, ev.fails)
+	case trace.KindRecovered, trace.KindRetried:
+		if rec, ok := e.spans.live[ev.id]; ok {
+			rec.Hops = rec.Hops[:0] // the next claim starts a fresh attempt
+		}
+	case trace.KindDelivered:
+		e.spanDeliver(ev.m)
+	case trace.KindDropped:
+		e.spanDiscard(ev.m)
+	}
+}
+
 // spanGenerate starts a span for the message id just generated if it is one
 // of every every generated messages: the generated count counts it already.
-// Serial contexts only (commitGenerate, Inject).
 func (e *Engine) spanGenerate(id message.ID, src, dst topology.NodeID, length int) {
 	s := e.spans
-	if (e.generated-1)%s.every != 0 {
+	if (e.total[trace.KindGenerated]-1)%s.every != 0 {
 		return
 	}
 	var rec *trace.SpanRecord
@@ -126,31 +152,28 @@ func (e *Engine) spanGenerate(id message.ID, src, dst topology.NodeID, length in
 	}
 }
 
-// spanDeny charges one limiter denial (with ALO rule attribution) to the span
-// of nd's queue head. Runs on the source node's shard; map read only.
-func (e *Engine) spanDeny(nd *node, id message.ID, a, b bool) {
+// spanDeny charges one limiter denial, with the rules it names as failed, to
+// the span of the throttled queue head id.
+func (e *Engine) spanDeny(id message.ID, fails uint8) {
 	rec, ok := e.spans.live[id]
 	if !ok {
 		return
 	}
 	rec.Denies++
-	if nd.limClass == nil {
-		return
-	}
-	if !a {
+	if fails&failA != 0 {
 		rec.DeniesRuleA++
 	}
-	if !b {
+	if fails&failB != 0 {
 		rec.DeniesRuleB++
 	}
 }
 
-// spanClaim records m leaving the source queue (or the recovery/retry queue)
-// into an injection channel: the admit time on the first claim, and the
-// source hop of the current attempt. Runs on the source node's shard
-// (recovery list) or at the injection commit (source queue).
-func (e *Engine) spanClaim(m *message.Message, at topology.NodeID) {
-	rec, ok := e.spans.live[m.ID]
+// spanHop opens a hop of message id's span at node at, whose block time runs
+// until spanAlloc: the source hop of an attempt when the message claims an
+// injection channel there (the first claim is its admit time too), or the
+// head flit landing in one of at's input buffers. Runs on the shard owning at.
+func (e *Engine) spanHop(id message.ID, at topology.NodeID) {
+	rec, ok := e.spans.live[id]
 	if !ok {
 		return
 	}
@@ -174,40 +197,8 @@ func (e *Engine) spanAlloc(m *message.Message) {
 	}
 }
 
-// spanInject records the head flit entering the network. Like the engine's
-// own InjectTime, the inject mark is first-attempt-only (teardown resets do
-// not clear it).
-func (e *Engine) spanInject(m *message.Message) {
-	if rec, ok := e.spans.live[m.ID]; ok && rec.Inject < 0 {
-		rec.Inject = e.now
-	}
-}
-
-// spanHopArrive records m's head flit landing in node at's input buffer,
-// opening the hop whose block time runs until spanAlloc. Runs on the shard
-// owning the receiving node (the head arrives at most once per cycle, and
-// cross-shard arrivals are ordered behind the push-ring publish).
-func (e *Engine) spanHopArrive(m *message.Message, at topology.NodeID) {
-	rec, ok := e.spans.live[m.ID]
-	if !ok {
-		return
-	}
-	rec.Hops = append(rec.Hops, trace.SpanHop{Node: at, Arrive: e.now, Alloc: -1})
-}
-
-// spanTeardown truncates the span's hops after a recovery or fault-kill
-// teardown: the next claim starts the record of a fresh attempt. Serial /
-// barrier-exclusive contexts only (teardowns never run inside a parallel
-// section).
-func (e *Engine) spanTeardown(m *message.Message) {
-	if rec, ok := e.spans.live[m.ID]; ok {
-		rec.Hops = rec.Hops[:0]
-	}
-}
-
 // spanDeliver finishes m's span at delivery: aggregate, hand to the sink,
-// recycle. Serial contexts only (commitEvents), so sinks see spans in
-// delivery order at any worker count.
+// recycle. Sinks see spans in delivery order at any worker count.
 func (e *Engine) spanDeliver(m *message.Message) {
 	s := e.spans
 	rec, ok := s.live[m.ID]
@@ -215,7 +206,7 @@ func (e *Engine) spanDeliver(m *message.Message) {
 		return
 	}
 	rec.Deliver = e.now
-	rec.Recoveries, rec.Retries = int(m.Recoveries), int(m.Retries)
+	rec.Inject, rec.Recoveries, rec.Retries = m.InjectTime, int(m.Recoveries), int(m.Retries)
 	if s.queueWait != nil {
 		s.queueWait.Observe(float64(rec.QueueWait()))
 		for _, hp := range rec.Hops {
@@ -235,14 +226,14 @@ func (e *Engine) spanDeliver(m *message.Message) {
 }
 
 // spanDiscard finishes m's span at a permanent drop: the partial record
-// (Deliver stays -1) still reaches the sink. Serial contexts only.
+// (Deliver stays -1) still reaches the sink.
 func (e *Engine) spanDiscard(m *message.Message) {
 	s := e.spans
 	rec, ok := s.live[m.ID]
 	if !ok {
 		return
 	}
-	rec.Recoveries, rec.Retries = int(m.Recoveries), int(m.Retries)
+	rec.Inject, rec.Recoveries, rec.Retries = m.InjectTime, int(m.Recoveries), int(m.Retries)
 	if s.discarded != nil {
 		s.discarded.Inc()
 	}

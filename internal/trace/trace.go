@@ -52,7 +52,7 @@ const (
 	KindRetried               // killed message scheduled for source retry
 	KindDropped               // message dropped (retries exhausted or unreachable)
 
-	numKinds // count of event kinds; keep last
+	NumKinds // count of event kinds; keep last
 )
 
 // String returns the event kind's name.
@@ -118,7 +118,7 @@ type Recorder struct {
 	events []Event
 	next   int
 	filled bool
-	counts [numKinds]int64
+	counts [NumKinds]int64
 }
 
 // NewRecorder returns a recorder keeping the latest capacity events.
