@@ -446,9 +446,10 @@ func relabeled(t *testing.T, s *Snapshot) *Snapshot {
 
 // TestRestoreQueuesWrittenByParent reads a snapshot written by the last commit
 // whose source queues held message objects (PR 14: saturatedQueuesRun at cycle
-// 1413, gob-encoded in the first layout, which DecodeV1Snapshot converts). A
-// record is written as the message it will become, so today's engine must
-// encode the same run to the bytes of the conversion; it must finish
+// 1413, gob-encoded in the first layout and re-encoded in today's by the last
+// commit that could convert it). A record is written as the message it will
+// become, so today's engine must encode the same run to the file's bytes; it
+// must finish
 // the run from the file as if it had never stopped, at any worker count; and
 // after the restore the generated messages wait as records again — only the
 // injected and retried ones, which are more than a record says, are objects.
@@ -469,10 +470,7 @@ func TestRestoreQueuesWrittenByParent(t *testing.T) {
 	// The parent built Inject's messages outside the pool; they are pool-born
 	// now. Pooled is observer-only (CanonicalBytes leaves it out), so apart
 	// from that flag on the three injected messages the bytes are the same.
-	parent, err := DecodeV1Snapshot(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parent := decodeFixture(t, "queues fixture", raw)
 	// Its nodes number their own messages now, so the ids are other ones:
 	// both sides are relabeled.
 	now, then := relabeled(t, snap), relabeled(t, parent)
@@ -488,15 +486,12 @@ func TestRestoreQueuesWrittenByParent(t *testing.T) {
 	}
 	got, _ := snapBytes(t, now)
 	if want, _ := snapBytes(t, then); !bytes.Equal(got, want) {
-		t.Error("the same run at the same cycle no longer encodes to the bytes the parent commit's file converts to, ids relabeled")
+		t.Error("the same run at the same cycle no longer encodes to the parent commit's file, ids relabeled")
 	}
 	want := golden.Run()
 
 	for _, workers := range []int{1, 2, 4} {
-		written, err := DecodeV1Snapshot(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
+		written := decodeFixture(t, "queues fixture", raw)
 		cfg := saturatedQueuesConfig()
 		cfg.Workers = workers
 		e, err := RestoreEngine(cfg, written)

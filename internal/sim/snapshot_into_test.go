@@ -143,17 +143,13 @@ func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
 
 // TestSnapshotIntoQueuesWrittenByParent is the same contract from the PR 14
 // fixture: restored from the file, the engine snapshots into dirty storage to
-// the bytes of a new Snapshot — and those are the file's, converted.
+// the bytes of a new Snapshot — and those are the file's.
 func TestSnapshotIntoQueuesWrittenByParent(t *testing.T) {
 	raw, err := os.ReadFile("testdata/queues_written_by_pr14.gob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	written, err := DecodeV1Snapshot(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	converted, _ := snapBytes(t, written)
+	written := decodeFixture(t, "queues fixture", raw)
 	e, err := RestoreEngine(saturatedQueuesConfig(), written)
 	if err != nil {
 		t.Fatal(err)
@@ -169,8 +165,8 @@ func TestSnapshotIntoQueuesWrittenByParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	wire, _ := requireSameAsSnapshot(t, "restored fixture into a later state's storage", e, &dirty)
-	if !bytes.Equal(wire, converted) {
-		t.Error("SnapshotInto of the restored fixture no longer encodes to the bytes the parent commit's file converts to")
+	if !bytes.Equal(wire, raw) {
+		t.Error("SnapshotInto of the restored fixture no longer encodes to the parent commit's file")
 	}
 }
 
