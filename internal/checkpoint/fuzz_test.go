@@ -108,9 +108,10 @@ func FuzzCheckpointDecode(f *testing.F) {
 
 // TestWriteFuzzCorpus regenerates the committed fuzz corpus under
 // testdata/fuzz/FuzzCheckpointDecode from the current seed set, as
-// v2-seed-NN: the frames of Version. The seed-NN files are version-1 frames
-// of the first snapshot layout, kept to fuzz its conversion. It only runs
-// when WORMNET_REGEN_CORPUS=1, after snapshot-format changes:
+// v3-seed-NN: the frames of Version. The seed-NN and v2-seed-NN files are the
+// same seeds as frames of the retired versions 1 and 2, real snapshots of the
+// old layouts that Decode must refuse at the version check. It only runs when
+// WORMNET_REGEN_CORPUS=1, after snapshot-format changes:
 //
 //	WORMNET_REGEN_CORPUS=1 go test ./internal/checkpoint -run TestWriteFuzzCorpus
 func TestWriteFuzzCorpus(t *testing.T) {

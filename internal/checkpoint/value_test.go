@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"testing"
 )
@@ -58,22 +59,30 @@ func TestValueCorruptionTyped(t *testing.T) {
 	}
 }
 
-// TestValueVersionOne pins that only a snapshot converts from a version-1 or
-// version-2 frame: any other payload (a model-checker journal or
-// counterexample) is read at Version alone, and an older one is refused with a
-// *VersionError that names the one version DecodeValue reads.
+// TestValueVersionOne pins that every payload, a snapshot as much as a
+// model-checker journal or counterexample, is read at Version alone: a
+// version-1 or version-2 frame is refused with a *VersionError that names the
+// one version DecodeValue reads.
 func TestValueVersionOne(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeValue(&buf, &journalPayload{Name: "x"}); err != nil {
+	var journal bytes.Buffer
+	if err := EncodeValue(&journal, &journalPayload{Name: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []uint32{1, 2} {
-		old := frameAt(v, buf.Bytes()[headerSize:])
-		var verr *VersionError
-		_, err := DecodeValue[journalPayload](bytes.NewReader(old))
-		want := fmt.Sprintf("checkpoint: unsupported format version %d (supported: 3)", v)
-		if !errors.As(err, &verr) || verr.Version != v || err.Error() != want {
-			t.Fatalf("version-%d journal: got %v, want a *VersionError naming version 3", v, err)
+	for _, in := range []struct {
+		name   string
+		frame  []byte
+		decode func(io.Reader) error
+	}{
+		{"journal", journal.Bytes(), func(r io.Reader) error { _, err := DecodeValue[journalPayload](r); return err }},
+		{"snapshot", encodeBytes(t, fuzzSeedSnapshot(t)), func(r io.Reader) error { _, err := Decode(r); return err }},
+	} {
+		for _, v := range []uint32{1, 2} {
+			var verr *VersionError
+			err := in.decode(bytes.NewReader(frameAt(v, in.frame[headerSize:])))
+			want := fmt.Sprintf("checkpoint: unsupported format version %d (supported: 3)", v)
+			if !errors.As(err, &verr) || verr.Version != v || verr.Oldest != Version || err.Error() != want {
+				t.Fatalf("version-%d %s: got %v, want a *VersionError naming version 3", v, in.name, err)
+			}
 		}
 	}
 }

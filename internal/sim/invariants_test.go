@@ -35,13 +35,12 @@ func TestInvariantCatchesUntrackedFlit(t *testing.T) {
 	}
 }
 
-// runRefused checks the two places a virtual-channel buffer that is not one
-// message's run is stopped today. The buffer cannot represent it, and a
-// snapshot stores a buffer as a run, so the corruption the invariant checker
-// used to look for is refused where it could arise: Buffer.Push panics inside
-// a running engine (push must), and DecodeV1Snapshot refuses a first-layout
-// snapshot whose flit list (flits, of messages 1 and 2) spells it out.
-func runRefused(t *testing.T, push func(buf *router.Buffer), flits []v1Flit) {
+// runRefused checks where a virtual-channel buffer that is not one message's
+// run is stopped today. The buffer cannot represent it, and a snapshot stores
+// a buffer as a run, so the corruption the invariant checker used to look for
+// is refused where it could arise: Buffer.Push panics inside a running engine
+// (push must).
+func runRefused(t *testing.T, push func(buf *router.Buffer)) {
 	t.Helper()
 	e := idle(t, nil)
 	buf := &e.inOf(3)[0].buf
@@ -53,10 +52,6 @@ func runRefused(t *testing.T, push func(buf *router.Buffer), flits []v1Flit) {
 		}()
 		push(buf)
 	}()
-
-	if _, err := DecodeV1Snapshot(encodeV1(t, flits, nil)); err == nil || !strings.Contains(err.Error(), "one message's run") {
-		t.Fatalf("DecodeV1Snapshot: got %v, want an error naming the run", err)
-	}
 }
 
 func TestInvariantCatchesMixedBuffer(t *testing.T) {
@@ -65,7 +60,7 @@ func TestInvariantCatchesMixedBuffer(t *testing.T) {
 	runRefused(t, func(buf *router.Buffer) {
 		buf.Push(message.MakeFlit(m1, 0))
 		buf.Push(message.MakeFlit(m2, 0))
-	}, []v1Flit{{Msg: 1, Seq: 0, Head: true}, {Msg: 2, Seq: 0, Head: true}})
+	})
 }
 
 func TestInvariantCatchesFlitCountMismatch(t *testing.T) {
@@ -86,7 +81,7 @@ func TestInvariantCatchesNonAscendingSeq(t *testing.T) {
 	runRefused(t, func(buf *router.Buffer) {
 		buf.Push(message.MakeFlit(m, 2))
 		buf.Push(message.MakeFlit(m, 1)) // out of order
-	}, []v1Flit{{Msg: 1, Seq: 2}, {Msg: 1, Seq: 1}})
+	})
 }
 
 // Only their sum ties the message counters to the state: a message lost from a
