@@ -367,17 +367,12 @@ func (k *keepUploads) UploadCheckpoint(campaign, lease string, data []byte) erro
 }
 
 // TestCheckpointCarriesMetrics decodes every checkpoint a worker uploads and
-// finds the engine's registry in it, as SnapshotInto took it: the mirrored
-// generated total is the engine's generated count at the registry's last
-// sample, the cycle before snap.Now rounded down to the sampling period.
+// finds the engine's registry in it, as SnapshotInto took it: the six mirrored
+// totals are the snapshot's own Generated … Dropped, at its own cycle.
 func TestCheckpointCarriesMetrics(t *testing.T) {
 	spec := farmSpec()
 	spec.Values = []string{"0.6"}
 	spec.CheckpointEvery = 300
-	points, err := spec.Points()
-	if err != nil {
-		t.Fatal(err)
-	}
 	coord, err := NewCoordinator(Options{LeaseTTL: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -399,24 +394,24 @@ func TestCheckpointCarriesMetrics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := math.NaN()
+		mirrors := map[string]int64{
+			"sim_messages_generated_total":  snap.Generated,
+			"sim_messages_delivered_total":  snap.Delivered,
+			"sim_deadlock_recoveries_total": snap.Recovered,
+			"sim_messages_aborted_total":    snap.Aborted,
+			"sim_messages_retried_total":    snap.Retried,
+			"sim_messages_dropped_total":    snap.Dropped,
+		}
 		for _, s := range snap.Metrics {
-			if s.Name == "sim_messages_generated_total" {
-				got = s.Value
+			if want, ok := mirrors[s.Name]; ok {
+				if s.Value != float64(want) {
+					t.Errorf("checkpoint at cycle %d: %s %v, the snapshot's total %d", snap.Now, s.Name, s.Value, want)
+				}
+				delete(mirrors, s.Name)
 			}
 		}
-		sampled := (snap.Now - 1) / sim.DefaultMetricsSampleEvery * sim.DefaultMetricsSampleEvery
-		e, err := sim.New(points[0].Config)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for e.Now() <= sampled {
-			e.Step()
-		}
-		e.Close()
-		if want := float64(e.Generated()); got != want {
-			t.Errorf("checkpoint at cycle %d: sim_messages_generated_total %v, the engine generated %v by its sample at cycle %d",
-				snap.Now, got, want, sampled)
+		if len(mirrors) != 0 {
+			t.Errorf("checkpoint at cycle %d: its registry lacks %v", snap.Now, mirrors)
 		}
 	}
 }

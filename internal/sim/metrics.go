@@ -35,7 +35,7 @@ var phaseTimingBounds = []float64{500, 1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 2.
 // with a field load instead of a map lookup.
 type engineMetrics struct {
 	// Mirrored monotone totals (Set from the engine's all-time totals at
-	// sample time — no hot-path cost).
+	// sample and snapshot time — no hot-path cost).
 	generated *metrics.Counter
 	delivered *metrics.Counter
 	recovered *metrics.Counter
@@ -176,6 +176,19 @@ func (e *Engine) FlushMetrics() {
 	}
 }
 
+// mirrorTotals sets the six mirrored counters to the engine's all-time totals:
+// at every sample, and before a snapshot takes the registry, so a checkpoint's
+// metrics are of its own cycle.
+func (e *Engine) mirrorTotals() {
+	m := e.met
+	m.generated.Set(e.Generated())
+	m.delivered.Set(e.Delivered())
+	m.recovered.Set(e.Recovered())
+	m.aborted.Set(e.Aborted())
+	m.retried.Set(e.Retried())
+	m.dropped.Set(e.Dropped())
+}
+
 // metricsSampled reports whether the current cycle is a sampling cycle.
 func (e *Engine) metricsSampled() bool {
 	return e.met != nil && e.now%e.metEvery == 0
@@ -211,13 +224,7 @@ func (e *Engine) sampleMetrics() {
 	m.occupancy.Set(float64(occ) / float64(totalVCs))
 	m.freeOutVCs.Set(float64(freeOut) / float64(totalVCs))
 	m.busyInj.SetInt(int64(busy))
-
-	m.generated.Set(e.Generated())
-	m.delivered.Set(e.Delivered())
-	m.recovered.Set(e.Recovered())
-	m.aborted.Set(e.Aborted())
-	m.retried.Set(e.Retried())
-	m.dropped.Set(e.Dropped())
+	e.mirrorTotals()
 
 	if e.onSample != nil {
 		e.onSample(e.now)

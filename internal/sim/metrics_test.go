@@ -165,6 +165,56 @@ func testMetricsPopulated(t *testing.T, workers, shards int) {
 	}
 }
 
+// TestSnapshotMirrorsItsCycle snapshots a metrics-enabled engine between two
+// samples: the registry the snapshot carries mirrors the six totals of the
+// snapshot's own cycle, not of the last sample, and taking it neither fires
+// the sample hook nor moves a sampled gauge.
+func TestSnapshotMirrorsItsCycle(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.Rate = 1.5
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.EnableMetrics(metrics.NewRegistry(), DefaultMetricsSampleEvery)
+	samples := 0
+	e.SetSampleHook(func(int64) { samples++ })
+	for e.Now() < DefaultMetricsSampleEvery+DefaultMetricsSampleEvery/2 {
+		e.Step()
+	}
+	before := samples
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if samples != before {
+		t.Error("the snapshot fired the sample hook")
+	}
+	mirrors := map[string]int64{
+		"sim_messages_generated_total":  snap.Generated,
+		"sim_messages_delivered_total":  snap.Delivered,
+		"sim_deadlock_recoveries_total": snap.Recovered,
+		"sim_messages_aborted_total":    snap.Aborted,
+		"sim_messages_retried_total":    snap.Retried,
+		"sim_messages_dropped_total":    snap.Dropped,
+	}
+	for _, m := range snap.Metrics {
+		if m.Name == "sim_cycle" && m.Value != DefaultMetricsSampleEvery {
+			t.Errorf("sim_cycle reads %v at cycle %d, want the last sample's %d", m.Value, snap.Now, DefaultMetricsSampleEvery)
+		}
+		if want, ok := mirrors[m.Name]; ok {
+			if m.Value != float64(want) {
+				t.Errorf("cycle %d: %s mirrors %v, the snapshot's total is %d", snap.Now, m.Name, m.Value, want)
+			}
+			delete(mirrors, m.Name)
+		}
+	}
+	if len(mirrors) != 0 {
+		t.Errorf("the snapshot's registry lacks %v", mirrors)
+	}
+}
+
 // kindCounter is a listener that counts the events of each kind.
 type kindCounter [trace.NumKinds]int64
 
