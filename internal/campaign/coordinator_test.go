@@ -315,8 +315,20 @@ func TestFailRetryAccounting(t *testing.T) {
 
 // TestCoordinatorRestart proves the journal is the durable truth: a new
 // coordinator over the same directory restores completed points as final,
-// reloads migrated checkpoints, and re-leases unfinished work.
+// reloads migrated checkpoints, and re-leases unfinished work. A journaled
+// checkpoint it cannot decode — a frame of a retired format version — is
+// dropped, and its point restarts clean.
 func TestCoordinatorRestart(t *testing.T) {
+	for _, retired := range []bool{false, true} {
+		name := "checkpoint"
+		if retired {
+			name = "retired-version-checkpoint"
+		}
+		t.Run(name, func(t *testing.T) { testCoordinatorRestart(t, retired) })
+	}
+}
+
+func testCoordinatorRestart(t *testing.T, retired bool) {
 	dir := t.TempDir()
 	c1, _ := newTestCoordinator(t, dir)
 	spec := testSpec()
@@ -334,6 +346,20 @@ func TestCoordinatorRestart(t *testing.T) {
 	if err := c1.UploadCheckpoint(id, r1.Assignment.Lease, ckpt); err != nil {
 		t.Fatal(err)
 	}
+	if retired {
+		// Header bytes 4-7 are the format version; the CRC covers the payload
+		// alone, so the frame stays intact but for its version.
+		man, err := c1.Manifest(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, id, man.Points[1].Checkpoint)
+		old := bytes.Clone(ckpt)
+		old[4], old[5], old[6], old[7] = 2, 0, 0, 0
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// "Crash" the coordinator; a new one loads the same directory.
 	c2, _ := newTestCoordinator(t, dir)
@@ -345,15 +371,21 @@ func TestCoordinatorRestart(t *testing.T) {
 		t.Fatalf("completed point lost: %+v", man.Points[0])
 	}
 	resp, err := c2.Acquire(acquireReq("w2"))
-	if err != nil || resp.Status != AcquireWork {
-		t.Fatalf("restart did not re-lease: %+v err=%v", resp, err)
+	if err != nil || resp.Status != AcquireWork || resp.Assignment.Point != 1 {
+		t.Fatalf("restart did not re-lease point 1: %+v err=%v", resp, err)
 	}
-	if resp.Assignment.Point != 1 || !resp.Assignment.HasCheckpoint {
-		t.Fatalf("restart lost the migrated checkpoint: %+v", resp.Assignment)
-	}
-	got, err := c2.DownloadCheckpoint(id, 1)
-	if err != nil || !bytes.Equal(got, ckpt) {
-		t.Fatal("reloaded checkpoint not bit-identical")
+	if retired {
+		if resp.Assignment.HasCheckpoint || man.Points[1].Checkpoint != "" {
+			t.Fatalf("restart kept a checkpoint of a retired version: %+v, manifest names %q", resp.Assignment, man.Points[1].Checkpoint)
+		}
+	} else {
+		if !resp.Assignment.HasCheckpoint {
+			t.Fatalf("restart lost the migrated checkpoint: %+v", resp.Assignment)
+		}
+		got, err := c2.DownloadCheckpoint(id, 1)
+		if err != nil || !bytes.Equal(got, ckpt) {
+			t.Fatal("reloaded checkpoint not bit-identical")
+		}
 	}
 	// Submitting the same spec after restart resumes, not forks.
 	id2, created, err := c2.Submit(spec)

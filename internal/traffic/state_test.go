@@ -189,3 +189,43 @@ func TestSaveStateIntoKeepsUnmovedStreams(t *testing.T) {
 		})
 	}
 }
+
+// TestGenStateIsZero pins IsZero: the zero GenState is zero, setting any one
+// of its fields makes it non-zero, and what a Source saves, fresh or
+// mid-stream, never is.
+func TestGenStateIsZero(t *testing.T) {
+	if !(&GenState{}).IsZero() {
+		t.Error("the zero GenState is not zero")
+	}
+	one := map[string]GenState{
+		"Bursty":    {Bursty: true},
+		"PCG":       {PCG: []byte{0}},
+		"PhasePCG":  {PhasePCG: []byte{0}},
+		"Next":      {Next: 1},
+		"On":        {On: true},
+		"PhaseEnds": {PhaseEnds: 1},
+		"Script":    {Script: true},
+		"Pos":       {Pos: 1},
+		"Rogue":     {Rogue: true},
+	}
+	if n := reflect.TypeOf(GenState{}).NumField(); n != len(one) {
+		t.Fatalf("GenState has %d fields, the table sets %d", n, len(one))
+	}
+	for name, st := range one {
+		if st.IsZero() {
+			t.Errorf("%s set: IsZero", name)
+		}
+	}
+
+	src := NewSource(3, NewUniform(topology.New(4, 2)), 0.5, 8, 11, 23)
+	for _, to := range []int64{0, 1000} {
+		pollTo(src, 0, to)
+		var st GenState
+		if err := src.SaveStateInto(&st); err != nil {
+			t.Fatal(err)
+		}
+		if st.IsZero() {
+			t.Errorf("a Source polled to cycle %d saves the zero GenState", to)
+		}
+	}
+}
