@@ -17,8 +17,12 @@ import (
 	"wormnet/internal/baseline"
 	"wormnet/internal/core"
 	"wormnet/internal/sim"
+	"wormnet/internal/trace"
 	"wormnet/internal/traffic"
 )
+
+// interval is the width, in cycles, of one bucket of the delivery timeline.
+const interval = 500
 
 func main() {
 	base := sim.DefaultConfig()
@@ -46,17 +50,24 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		series := e.Collector().EnableDeliverySeries(500, 24)
+		// Every delivery reaches the listener with its cycle and length: sum
+		// the flits into one bucket per interval.
+		delivered := make([]int64, cfg.TotalCycles()/interval)
+		e.SetListener(trace.Func(func(ev trace.Event) {
+			if i := ev.Cycle / interval; ev.Kind == trace.KindDelivered && i < int64(len(delivered)) {
+				delivered[i] += int64(ev.Len)
+			}
+		}))
 		r := e.Run()
 
 		fmt.Printf("%s: accepted=%.4f latency=%.1f deadlocks=%.3f%%\n",
 			mech.name, r.Accepted, r.AvgLatency, r.DeadlockPct)
 		fmt.Println("delivered flits/node/cycle per 500-cycle interval:")
 		nodes := float64(e.Topology().Nodes())
-		for i := 0; i < series.Len(); i++ {
-			rate := series.Rate(i) / nodes
+		for i, flits := range delivered {
+			rate := float64(flits) / interval / nodes
 			bar := strings.Repeat("#", int(rate*40))
-			fmt.Printf("  [%5d-%5d] %.3f %s\n", i*500, (i+1)*500-1, rate, bar)
+			fmt.Printf("  [%5d-%5d] %.3f %s\n", i*interval, (i+1)*interval-1, rate, bar)
 		}
 		fmt.Println()
 	}

@@ -5,8 +5,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
+	"io"
+
+	"wormnet/internal/checkpoint"
 )
 
 // shortHash fingerprints a config digest (a long key=value line) to 12 hex
@@ -16,30 +17,15 @@ func shortHash(s string) string {
 	return hex.EncodeToString(sum[:6])
 }
 
-// writeFileAtomic lands data under path via temp file + rename, so a crash
-// mid-write never leaves a torn file under the final name.
+// writeFileAtomic lands data under path with checkpoint.WriteAtomic, so a
+// crash mid-write never leaves a torn file under the final name.
 func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("campaign: %w", err)
-	}
-	defer os.Remove(tmp.Name()) //nolint:errcheck // best-effort; gone after rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("campaign: write %s: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("campaign: sync %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("campaign: close %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("campaign: %w", err)
-	}
-	return nil
+	return checkpoint.WriteAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write(data); err != nil {
+			return fmt.Errorf("campaign: write %s: %w", path, err)
+		}
+		return nil
+	})
 }
 
 // jsonMarshalIndent is the journal's JSON rendering (trailing newline, two

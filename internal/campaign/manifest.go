@@ -83,30 +83,11 @@ func NewManifest(tool, vary string, seed uint64, limiter string, config map[stri
 // Save writes the journal atomically: a torn write can never destroy the
 // previous good journal.
 func (m *Manifest) Save(dir string) error {
-	data, err := json.MarshalIndent(m, "", "  ")
+	data, err := jsonMarshalIndent(m)
 	if err != nil {
 		return fmt.Errorf("campaign: marshal manifest: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, ManifestName+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("campaign: %w", err)
-	}
-	defer os.Remove(tmp.Name()) //nolint:errcheck // best-effort; gone after rename
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		return fmt.Errorf("campaign: write manifest: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("campaign: sync manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("campaign: close manifest: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, ManifestName)); err != nil {
-		return fmt.Errorf("campaign: %w", err)
-	}
-	return nil
+	return writeFileAtomic(filepath.Join(dir, ManifestName), data)
 }
 
 // LoadManifest reads the journal from a campaign directory.

@@ -205,6 +205,32 @@ type Point struct {
 	Digest string // sim.ConfigDigest of Config
 }
 
+// varies sets a swept value, as written, on one point: on its engine config,
+// or for "faults" on the fraction of links its fault plan fails. It has one
+// entry per parameter a spec can vary.
+var varies = map[string]func(raw string, run *sim.Config, frac *float64) error{
+	"rate":      parsed(parseFloat, func(c *sim.Config, _ *float64, v float64) { c.Rate = v }),
+	"vcs":       parsed(strconv.Atoi, func(c *sim.Config, _ *float64, v int) { c.VCs = v }),
+	"buf":       parsed(strconv.Atoi, func(c *sim.Config, _ *float64, v int) { c.BufDepth = v }),
+	"threshold": parsed(strconv.Atoi, func(c *sim.Config, _ *float64, v int) { c.DetectionThreshold = int32(v) }),
+	"msglen":    parsed(strconv.Atoi, func(c *sim.Config, _ *float64, v int) { c.MsgLen = v }),
+	"faults":    parsed(parseFloat, func(_ *sim.Config, frac *float64, v float64) { *frac = v }),
+}
+
+// parsed is a varies entry: parse the value, then set it.
+func parsed[T any](parse func(string) (T, error), set func(*sim.Config, *float64, T)) func(string, *sim.Config, *float64) error {
+	return func(raw string, run *sim.Config, frac *float64) error {
+		v, err := parse(raw)
+		if err != nil {
+			return err
+		}
+		set(run, frac, v)
+		return nil
+	}
+}
+
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+
 // Points expands the spec into its sweep points, resolving one engine
 // config (including the per-point fault plan) and one config digest per
 // point. The expansion is deterministic: every caller — coordinator,
@@ -224,50 +250,16 @@ func (s *Spec) Points() ([]Point, error) {
 	if err != nil {
 		return nil, err
 	}
+	set, ok := varies[s.Vary]
+	if !ok {
+		return nil, fmt.Errorf("campaign: unknown vary %q", s.Vary)
+	}
 	points := make([]Point, 0, len(s.Values))
 	for i, raw := range s.Values {
 		raw = strings.TrimSpace(raw)
-		run := base
-		frac := s.Faults
-		switch s.Vary {
-		case "rate":
-			v, err := strconv.ParseFloat(raw, 64)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: value %q: %w", raw, err)
-			}
-			run.Rate = v
-		case "vcs":
-			v, err := strconv.Atoi(raw)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: value %q: %w", raw, err)
-			}
-			run.VCs = v
-		case "buf":
-			v, err := strconv.Atoi(raw)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: value %q: %w", raw, err)
-			}
-			run.BufDepth = v
-		case "threshold":
-			v, err := strconv.Atoi(raw)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: value %q: %w", raw, err)
-			}
-			run.DetectionThreshold = int32(v)
-		case "msglen":
-			v, err := strconv.Atoi(raw)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: value %q: %w", raw, err)
-			}
-			run.MsgLen = v
-		case "faults":
-			v, err := strconv.ParseFloat(raw, 64)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: value %q: %w", raw, err)
-			}
-			frac = v
-		default:
-			return nil, fmt.Errorf("campaign: unknown vary %q", s.Vary)
+		run, frac := base, s.Faults
+		if err := set(raw, &run, &frac); err != nil {
+			return nil, fmt.Errorf("campaign: value %q: %w", raw, err)
 		}
 		if frac < 0 || frac >= 1 {
 			return nil, fmt.Errorf("campaign: point %d fault fraction %v outside [0,1)", i, frac)

@@ -164,31 +164,32 @@ func decodeGob[T any](payload []byte) (v *T, err error) {
 	return v, nil
 }
 
-// WriteFile atomically writes snap to path: the bytes land in a temporary
-// file in the same directory, are synced, and replace path with a rename, so
-// a crash mid-write never leaves a half-written checkpoint under the final
-// name.
+// WriteFile atomically writes snap to path (WriteAtomic), so a crash
+// mid-write never leaves a half-written checkpoint under the final name.
 func WriteFile(path string, snap *sim.Snapshot) error {
 	return WriteFileValue(path, snap)
 }
 
 // WriteFileValue atomically writes any gob-encodable value to path in the
-// WNCP framing, with the same temp-file + rename discipline as WriteFile.
+// WNCP framing, with the same discipline as WriteFile.
 func WriteFileValue[T any](path string, v *T) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	return WriteAtomic(path, func(w io.Writer) error { return EncodeValue(w, v) })
+}
+
+// WriteAtomic replaces path with what write writes: the bytes land in a
+// temporary file in the same directory, are synced, and replace path with a
+// rename. A crash or a failing write never leaves a torn file under the final
+// name — whatever path held before stays whole — and the temporary file is
+// removed whatever happens. write's own error comes back as it is.
+func WriteAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	defer os.Remove(tmp.Name()) //nolint:errcheck // best-effort cleanup; gone after rename
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	if err := EncodeValue(bw, v); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: flush %s: %w", tmp.Name(), err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

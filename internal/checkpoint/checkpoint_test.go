@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -284,7 +285,8 @@ func frameAt(v uint32, payload []byte) []byte {
 }
 
 // TestWriteFileAtomic pins the no-torn-file contract: WriteFile replaces an
-// existing checkpoint in place and leaves no temporary files behind.
+// existing checkpoint in place and leaves no temporary files behind, and a
+// write that fails midway leaves the previous file as it was.
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.wncp")
@@ -309,6 +311,29 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if err := WriteFile(filepath.Join(dir, "no-such-dir", "x.wncp"), snap); err == nil {
 		t.Error("WriteFile into a missing directory succeeded")
+	}
+
+	// A write that fails after some bytes leaves the previous file whole and
+	// no temporary file behind.
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errWrite := errors.New("write failed midway")
+	err = WriteAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write(before[:len(before)/2]); err != nil {
+			return err
+		}
+		return errWrite
+	})
+	if !errors.Is(err, errWrite) {
+		t.Errorf("a failing write returned %v, want its own error", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("a failing write changed the previous file (err %v)", err)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(tmps) != 0 {
+		t.Errorf("a failing write left %v behind", tmps)
 	}
 }
 

@@ -7,20 +7,27 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"wormnet/internal/sim"
 )
 
-// fuzzSeedSnapshot builds a tiny real snapshot for the fuzz seeds; the run is
-// short so `go test` stays fast while the corpus still contains a genuine
-// in-flight engine state.
-func fuzzSeedSnapshot(tb testing.TB) *sim.Snapshot {
-	tb.Helper()
+// fuzzSeedConfig is the run the fuzz seeds snapshot: short, so `go test`
+// stays fast while the corpus still contains a genuine in-flight engine state.
+func fuzzSeedConfig() sim.Config {
 	cfg := sim.QuickConfig()
 	cfg.Rate = 1.5
 	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 300, 100
-	e, err := sim.New(cfg)
+	return cfg
+}
+
+// fuzzSeedSnapshot builds the fuzz seeds' snapshot: fuzzSeedConfig's run at
+// cycle 250.
+func fuzzSeedSnapshot(tb testing.TB) *sim.Snapshot {
+	tb.Helper()
+	e, err := sim.New(fuzzSeedConfig())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -104,6 +111,60 @@ func FuzzCheckpointDecode(f *testing.F) {
 			t.Fatalf("accepted snapshot does not re-encode: %v", err)
 		}
 	})
+}
+
+// TestCommittedSeedFrameResumes reads the valid version-3 seed of the committed
+// corpus, v3-seed-00. It was written by a layout whose gob types still carried
+// a collector delivery series and a message pool flag; gob skips the fields
+// today's types lack, so the frame decodes, encodes to the bytes today's
+// engine writes for the same run at the same cycle, and resumes to the
+// uninterrupted run's result and counters at 1, 2 and 4 workers.
+func TestCommittedSeedFrameResumes(t *testing.T) {
+	body, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzCheckpointDecode", fmt.Sprintf("v%d-seed-00", Version)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(body), "\n")
+	if len(lines) < 2 || lines[0] != "go test fuzz v1" {
+		t.Fatalf("not a fuzz corpus file: %.40q", body)
+	}
+	lit, ok := strings.CutPrefix(lines[1], "[]byte(")
+	if lit, ok = strings.CutSuffix(lit, ")"); !ok {
+		t.Fatalf("the corpus file holds no []byte literal: %.40q", lines[1])
+	}
+	raw, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Decode(strings.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeBytes(t, snap), encodeBytes(t, fuzzSeedSnapshot(t))) {
+		t.Error("the seed frame does not encode to the bytes today's engine writes for its run")
+	}
+	golden, err := sim.New(fuzzSeedConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer golden.Close()
+	want := golden.Run()
+	for _, workers := range []int{1, 2, 4} {
+		snap, err := Decode(strings.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := fuzzSeedConfig()
+		cfg.Workers = workers
+		e, err := sim.RestoreEngine(cfg, snap)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := e.Run(); got != want || counters(e) != counters(golden) {
+			t.Errorf("workers=%d: resumed run diverged:\n got  %+v %v\n want %+v %v", workers, got, counters(e), want, counters(golden))
+		}
+		e.Close()
+	}
 }
 
 // TestWriteFuzzCorpus regenerates the committed fuzz corpus under

@@ -17,22 +17,18 @@ func TestMultipleRecoveries(t *testing.T) {
 	}
 }
 
-// TestReuseKeepsPoolMarkClearsTail checks that a recycled message comes back
-// as New would build it — holding no buffer, its Tail NoLoc — with only its
-// Pooled mark kept, and that Reuse refuses a length below one flit as New
-// does.
-func TestReuseKeepsPoolMarkClearsTail(t *testing.T) {
+// TestReuseClearsTailAndChecksLength checks that a recycled message comes back
+// as New would build it — holding no buffer, its Tail NoLoc — and that Reuse
+// refuses a length below one flit as New does.
+func TestReuseClearsTailAndChecksLength(t *testing.T) {
 	m := New(1, 0, 9, 8, 5)
 	if m.Tail != NoLoc {
 		t.Fatalf("new message has Tail %+v, want NoLoc", m.Tail)
 	}
-	m.Pooled = true
 	m.Tail = PathLoc{Node: 3, Port: 1, VC: 1}
 	m.State, m.Recoveries, m.Retries, m.FlitsSent, m.DropReason = StateDelivered, 2, 1, 8, DropUnreachable
 	m.Reuse(7, 2, 4, 16, 30)
-	want := *New(7, 2, 4, 16, 30)
-	want.Pooled = true
-	if *m != want {
+	if want := *New(7, 2, 4, 16, 30); *m != want {
 		t.Fatalf("reused message %+v, want a fresh %+v", *m, want)
 	}
 	defer func() {

@@ -101,12 +101,6 @@ type Message struct {
 	// Measured marks messages generated inside the measurement window;
 	// only these contribute to latency statistics.
 	Measured bool
-
-	// Pooled marks messages owned by the engine's free list: they are
-	// recycled (reset and reused for a new message) after delivery or a
-	// permanent drop. Callers outside the engine must not retain pointers
-	// to pooled messages past those events.
-	Pooled bool
 }
 
 // PathLoc identifies one input virtual-channel buffer on a message's path:
@@ -127,9 +121,8 @@ func New(id ID, src, dst topology.NodeID, length int, now int64) *Message {
 	return m
 }
 
-// Reuse re-initialises a recycled message in place, as if freshly built by
-// New, keeping only its Pooled mark, so that steady-state simulation does not
-// allocate.
+// Reuse re-initialises a recycled message in place, exactly as New builds a
+// fresh one, so that steady-state simulation does not allocate.
 func (m *Message) Reuse(id ID, src, dst topology.NodeID, length int, now int64) {
 	if length < 1 {
 		panic(fmt.Sprintf("message: length %d < 1", length))
@@ -145,7 +138,6 @@ func (m *Message) Reuse(id ID, src, dst topology.NodeID, length int, now int64) 
 		Injector:    src,
 		State:       StateQueued,
 		Tail:        NoLoc,
-		Pooled:      m.Pooled,
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"wormnet/internal/trace"
 	"wormnet/internal/traffic"
 )
 
@@ -17,7 +18,13 @@ func TestBurstySimulationRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series := e.Collector().EnableDeliverySeries(250, 22)
+	// Flits delivered per 250-cycle interval, off the trace stream.
+	vals := make([]float64, 22)
+	e.SetListener(trace.Func(func(ev trace.Event) {
+		if i := ev.Cycle / 250; ev.Kind == trace.KindDelivered && i < int64(len(vals)) {
+			vals[i] += float64(ev.Len)
+		}
+	}))
 	for i := int64(0); i < cfg.TotalCycles(); i++ {
 		e.Step()
 		if i%211 == 0 {
@@ -37,7 +44,6 @@ func TestBurstySimulationRuns(t *testing.T) {
 	}
 	// The delivery timeline must show real variance: some interval well
 	// above the mean and some well below.
-	vals := series.Values()
 	mean := 0.0
 	for _, v := range vals {
 		mean += v

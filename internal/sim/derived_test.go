@@ -55,7 +55,7 @@ func (e *Engine) spellOut(s *Snapshot) *Snapshot {
 					ID: int64(r.id), Src: int32(nd.id), Dst: int32(r.dst), Length: int32(e.cfg.MsgLen),
 					GenTime: r.gen, InjectTime: -1, DeliverTime: -1,
 					State: int8(message.StateQueued), Injector: int32(nd.id),
-					Measured: e.col.InWindow(r.gen), Pooled: true,
+					Measured: e.col.InWindow(r.gen),
 				})
 				e.popDerived(nd, &w)
 			}

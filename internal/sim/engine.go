@@ -246,13 +246,13 @@ type Engine struct {
 	cursor   traffic.Cursor
 
 	// pool is the free list of recycled messages: a delivered or dropped
-	// pool-born message is reset and reused. A message is an object only from
+	// message is reset and reused. A message is an object only from
 	// admission to delivery, and the network bounds how many are, so the pool
 	// reaches a fixed point at any load and steady-state traffic allocates
 	// nothing. It is engine-global — the sum of per-node peaks is far above
 	// the network's — and so only serial contexts touch it. Inject and load
 	// draw from it too. An empty pool is refilled a slab at a time (newSlab);
-	// slabs are every pool-born message there is, so reset, after which none
+	// slabs are every message object there is, so reset, after which none
 	// is referenced, refills the pool with all of them.
 	pool  []*message.Message
 	slabs [][]message.Message
@@ -335,17 +335,15 @@ type Engine struct {
 	// Scratch of the state walks, nil until first used, touched only by their
 	// caller's goroutine: reach is held's, waitGraph BuildWaitGraph's,
 	// circuit, vcFree and useful VerifyInjectionProperty's, loadObjs, loadHits
-	// and loadAt are load's tables, loaded what loadedMessage recycles.
-	reach      heldScratch
-	waitGraph  *deadlock.WaitGraph
-	circuit    *core.Circuit
-	vcFree     []core.Signal
-	useful     []core.Signal
-	loadObjs   []*message.Message
-	loadHits   []int32
-	loadAt     []int32
-	loaded     []*message.Message
-	loadedUsed int
+	// and loadAt are load's tables.
+	reach     heldScratch
+	waitGraph *deadlock.WaitGraph
+	circuit   *core.Circuit
+	vcFree    []core.Signal
+	useful    []core.Signal
+	loadObjs  []*message.Message
+	loadHits  []int32
+	loadAt    []int32
 }
 
 // New builds a simulation engine from cfg. It validates the configuration
@@ -658,7 +656,7 @@ func (e *Engine) bareRecord(id message.ID, gen int64, dst topology.NodeID, lengt
 	return queued{id: id, gen: gen, dst: dst}
 }
 
-// pooled pops a free pool-born message, refilling an empty pool first. Serial
+// pooled pops a free message, refilling an empty pool first. Serial
 // contexts only.
 func (e *Engine) pooled() *message.Message {
 	if len(e.pool) == 0 {
@@ -671,8 +669,8 @@ func (e *Engine) pooled() *message.Message {
 	return m
 }
 
-// refillPool puts every pool-born message back on the free list: reset's, when
-// nothing references any of them.
+// refillPool puts every message back on the free list: reset's, when nothing
+// references any of them.
 func (e *Engine) refillPool() {
 	e.pool = e.pool[:0]
 	for _, slab := range e.slabs {
@@ -688,7 +686,6 @@ func (e *Engine) refillPool() {
 func (e *Engine) newSlab() {
 	msgs := make([]message.Message, min(64, len(e.nodes)))
 	for i := range msgs {
-		msgs[i].Pooled = true
 		e.pool = append(e.pool, &msgs[i])
 	}
 	if e.slabs == nil {
@@ -704,12 +701,10 @@ func (e *Engine) recordOf(m *message.Message) queued {
 	return queued{id: m.ID, gen: m.GenTime, dst: m.Dst}
 }
 
-// releaseMessage returns a finished (delivered or permanently dropped)
-// pool-born message to the free list.
+// releaseMessage returns a finished (delivered or permanently dropped) message
+// to the free list.
 func (e *Engine) releaseMessage(m *message.Message) {
-	if m.Pooled {
-		e.pool = append(e.pool, m)
-	}
+	e.pool = append(e.pool, m)
 }
 
 // Now returns the current simulation cycle.

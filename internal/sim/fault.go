@@ -205,8 +205,8 @@ func (e *Engine) scheduleRetry(m *message.Message) {
 }
 
 // drop permanently removes a message from the workload with the given
-// reason. The caller has already detached it from all network state, so a
-// pool-born message can be recycled immediately.
+// reason. The caller has already detached it from all network state, so the
+// message can be recycled immediately.
 func (e *Engine) drop(m *message.Message, at topology.NodeID, reason message.DropReason) {
 	m.Drop(reason)
 	e.record(eventOf(trace.KindDropped, m, at))

@@ -187,7 +187,7 @@ func TestInjectedObjectIsTheOneDelivered(t *testing.T) {
 			t.Fatalf("workers=%d: the claimed channel holds %v, want the injected object %v", workers, e.injOf(3)[0].msg, m)
 		}
 		stepN(t, e, 40)
-		if m.State != message.StateDelivered || m.DeliverTime < 0 || e.Delivered() != 1 || !m.Pooled {
+		if m.State != message.StateDelivered || m.DeliverTime < 0 || e.Delivered() != 1 {
 			t.Errorf("workers=%d: the injected object reads %v after the run", workers, m)
 		}
 		if !slices.Contains(e.pool, m) {
@@ -451,8 +451,9 @@ func relabeled(t *testing.T, s *Snapshot) *Snapshot {
 // become, so today's engine must encode the same run to the file's bytes; it
 // must finish
 // the run from the file as if it had never stopped, at any worker count; and
-// after the restore the generated messages wait as records again — only the
-// injected and retried ones, which are more than a record says, are objects.
+// after the restore every message that reads as a record waits as one: the
+// injected ones too, which the live run holds as the objects Inject returned,
+// so only the retried ones, which are more than a record says, are objects.
 func TestRestoreQueuesWrittenByParent(t *testing.T) {
 	raw, err := os.ReadFile("testdata/queues_written_by_pr14.gob")
 	if err != nil {
@@ -467,25 +468,11 @@ func TestRestoreQueuesWrittenByParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The parent built Inject's messages outside the pool; they are pool-born
-	// now. Pooled is observer-only (CanonicalBytes leaves it out), so apart
-	// from that flag on the three injected messages the bytes are the same.
-	parent := decodeFixture(t, "queues fixture", raw)
 	// Its nodes number their own messages now, so the ids are other ones:
 	// both sides are relabeled.
-	now, then := relabeled(t, snap), relabeled(t, parent)
-	flipped := 0
-	for i := range now.Messages {
-		if i < len(then.Messages) && !then.Messages[i].Pooled && now.Messages[i].Pooled {
-			now.Messages[i].Pooled = false
-			flipped++
-		}
-	}
-	if flipped != 3 {
-		t.Errorf("%d messages are pool-born now and were not in the parent's file, want the 3 injected ones", flipped)
-	}
-	got, _ := snapBytes(t, now)
-	if want, _ := snapBytes(t, then); !bytes.Equal(got, want) {
+	parent := decodeFixture(t, "queues fixture", raw)
+	got, _ := snapBytes(t, relabeled(t, snap))
+	if want, _ := snapBytes(t, relabeled(t, parent)); !bytes.Equal(got, want) {
 		t.Error("the same run at the same cycle no longer encodes to the parent commit's file, ids relabeled")
 	}
 	want := golden.Run()
@@ -498,8 +485,8 @@ func TestRestoreQueuesWrittenByParent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if e.bareRecords() != 1072 || len(e.built) != 5 {
-			t.Errorf("workers=%d: the restored queues hold %d records and %d built objects, want 1072 and 5", workers, e.bareRecords(), len(e.built))
+		if e.bareRecords() != 1075 || len(e.built) != 2 {
+			t.Errorf("workers=%d: the restored queues hold %d records and %d built objects, want 1075 and 2", workers, e.bareRecords(), len(e.built))
 		}
 		if got := e.Run(); got != want || e.Delivered() != golden.Delivered() || e.Dropped() != golden.Dropped() {
 			t.Errorf("workers=%d: resumed run diverged:\n got  %+v\n want %+v", workers, got, want)

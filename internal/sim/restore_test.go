@@ -71,7 +71,6 @@ func dirtyEngine(t *testing.T, cfg Config, workers int, until int64) *Engine {
 	e.SetListener(&eventTap{})
 	e.SetSampleHook(func(int64) {})
 	e.SetReconfigHook(func(uint64) {})
-	e.Collector().EnableDeliverySeries(100, 50)
 	for e.Now() < until {
 		if e.Now()%500 == 250 && (e.live == nil || e.live.RouterAlive(2)) {
 			e.Inject(2, 9, 5)
@@ -128,9 +127,6 @@ func TestRestoreInPlaceEquivalence(t *testing.T) {
 				if reused.listener != nil || reused.met != nil || reused.metReg != nil ||
 					reused.onSample != nil || reused.spans != nil || reused.onReconfig != nil {
 					t.Errorf("%d->%d: Restore left an observer attached", w.snap, w.restore)
-				}
-				if reused.Collector().DeliverySeries() != nil {
-					t.Errorf("%d->%d: Restore kept a delivery series the snapshot does not carry", w.snap, w.restore)
 				}
 				if err := reused.CheckReconfiguration(); err != nil {
 					t.Errorf("%d->%d: restored routing state: %v", w.snap, w.restore, err)
@@ -249,35 +245,6 @@ func TestRestoreReattach(t *testing.T) {
 	compareSamples(t, reg, golden)
 }
 
-// TestRestoreDeliverySeriesFollowsSnapshot pins the one piece of collector
-// state a snapshot may or may not carry: a reused engine ends up with the
-// snapshot's delivery series, not the one it was recording (the equivalence
-// suite covers the snapshot carrying none).
-func TestRestoreDeliverySeriesFollowsSnapshot(t *testing.T) {
-	cfg := equivalenceConfigs()["bursty-alo"]
-	a, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Collector().EnableDeliverySeries(250, 22)
-	for a.Now() < 900 {
-		a.Step()
-	}
-	snap, err := a.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := dirtyEngine(t, cfg, 1, 1300) // records a 100x50 series of its own
-	if err := e.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	got := e.Collector().DeliverySeries()
-	if got == nil || !reflect.DeepEqual(got.State(), a.Collector().DeliverySeries().State()) {
-		t.Fatalf("restored delivery series %+v, want the snapshot's", got)
-	}
-	compareSnapshots(t, e, a)
-}
-
 // TestRestoreConfigMismatchLeavesEngine pins the other failure mode: a
 // snapshot of another configuration is refused before anything is touched.
 func TestRestoreConfigMismatchLeavesEngine(t *testing.T) {
@@ -372,14 +339,12 @@ var hostileMutations = []func(s *Snapshot, a, b int) bool{
 		return false
 	},
 	func(s *Snapshot, a, b int) bool { // collector state of another shape
-		switch b % 4 {
+		switch b % 3 {
 		case 0:
 			s.Stats.Hist.Buckets = s.Stats.Hist.Buckets[:len(s.Stats.Hist.Buckets)/2]
 		case 1:
 			s.Stats.Fairness.Counts = append(s.Stats.Fairness.Counts, 1)
 		case 2:
-			s.Stats.DeliveredSeries = &stats.TimeSeriesState{Interval: int64(a%3) - 1}
-		case 3:
 			if s.Stats.Classes != nil {
 				s.Stats.Classes = nil
 			} else {
@@ -969,7 +934,7 @@ func aSuffix(s *Snapshot, a int) (*SnapSuffix, *SnapNode) {
 // generator refuses the other kind's state.
 var observerOnly = []string{
 	"Config", "Nodes.NextSeq", "Generated", "Delivered", "Recovered", "Aborted", "Retried", "Dropped",
-	"Stats", "Metrics", "Messages.Pooled", "Messages.ID", "Nodes.In.Msg",
+	"Stats", "Metrics", "Messages.ID", "Nodes.In.Msg",
 	"Nodes.Inj.Msg", "Nodes.Ej.Msg", "Nodes.Queue", "Nodes.Recovery.Msg", "Nodes.Retry.Msg", "Nodes.Gen.Rogue",
 	"Nodes.Derived.Cursor.Rogue",
 }
@@ -1038,13 +1003,13 @@ func perturbLeaf(t *testing.T, path string, v reflect.Value) {
 // guarantee, checked field by field instead: every leaf field reachable from a
 // Snapshot is perturbed, one at a time, at its first occurrence in a
 // snapshot of a saturated fault-mode run, a saturated one without a limiter,
-// ALO over bursty sources, DRIL and the adversary classes, each recording a
-// delivery series, and each perturbation must change
-// CanonicalBytes (or make it fail) unless the field is observer-only, and be
-// either refused by Restore or given back exactly by SnapshotInto — a value
-// load keeps is a value the snapshot walk writes, and a value it would drop is
-// refused. Between them the scenarios reach every field of every type below
-// Snapshot but Metrics (no scenario records them; they are observer-only).
+// ALO over bursty sources, DRIL and the adversary classes, and each
+// perturbation must change CanonicalBytes (or make it fail) unless the field
+// is observer-only, and be either refused by Restore or given back exactly by
+// SnapshotInto — a value load keeps is a value the snapshot walk writes, and a
+// value it would drop is refused. Between them the scenarios reach every field
+// of every type below Snapshot but Metrics (no scenario records them; they are
+// observer-only).
 func TestSnapshotEveryFieldWalked(t *testing.T) {
 	visited := map[string]bool{}
 	for _, name := range []string{"faults", "none", "alo-bursty", "dril", "adversarial"} {
@@ -1053,7 +1018,6 @@ func TestSnapshotEveryFieldWalked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.Collector().EnableDeliverySeries(100, 50)
 		for e.Now() < sc.snapAt {
 			e.Step()
 		}

@@ -41,9 +41,8 @@ package sim
 //     takes every message that reads as one back as a record, so a restored
 //     engine has the shape of the one that never stopped;
 //   - the message pool: a recycled message is indistinguishable from a
-//     freshly allocated one (Reuse == New up to the Pooled flag, which is not
-//     observable), so a restored run recycles other objects than the
-//     original did.
+//     freshly allocated one (Reuse == New), so a restored run recycles other
+//     objects than the original did.
 
 import (
 	"cmp"
@@ -132,7 +131,6 @@ type SnapMessage struct {
 	Retries      int32
 	DropReason   string
 	Measured     bool
-	Pooled       bool
 	// Tail is message.Message.Tail: 1 + the index of that input VC among the
 	// network's, node by node in SnapNode.In order; 0 while it holds none. The
 	// rest of the path is walked from there along the routes it claimed.
@@ -306,22 +304,10 @@ func (d *digestBuf) bool(k string, v bool) {
 }
 
 // loadedMessage builds the object sm describes, holding no buffer yet (load
-// sets its Tail once the routes its path follows are in place), instead of
-// allocating one: a pool-born message from the pool, which reset refilled with
-// every one of them; one that is not (a snapshot's from before Inject drew
-// from the pool) from loaded, which only the engine references — never handed
-// out, never in the pool — so reset frees them all for the next load.
+// sets its Tail once the routes its path follows are in place), from the pool,
+// which reset refilled with every message, instead of allocating one.
 func (e *Engine) loadedMessage(sm *SnapMessage) *message.Message {
-	var m *message.Message
-	if sm.Pooled {
-		m = e.pooled()
-	} else {
-		if e.loadedUsed == len(e.loaded) {
-			e.loaded = append(e.loaded, new(message.Message))
-		}
-		m = e.loaded[e.loadedUsed]
-		e.loadedUsed++
-	}
+	m := e.pooled()
 	*m = message.Message{
 		ID:           message.ID(sm.ID),
 		Src:          topology.NodeID(sm.Src),
@@ -338,7 +324,6 @@ func (e *Engine) loadedMessage(sm *SnapMessage) *message.Message {
 		Retries:      sm.Retries,
 		DropReason:   message.DropReason(sm.DropReason),
 		Measured:     sm.Measured,
-		Pooled:       sm.Pooled,
 		Tail:         message.NoLoc,
 	}
 	return m
@@ -348,7 +333,7 @@ func (e *Engine) loadedMessage(sm *SnapMessage) *message.Message {
 // queue serializes as (Engine.Snapshot): generated there by the traffic source
 // and never admitted, so nothing about it needs an object.
 func (sm *SnapMessage) waitingAt(n topology.NodeID) bool {
-	return sm.Pooled && sm.State == int8(message.StateQueued) &&
+	return sm.State == int8(message.StateQueued) &&
 		sm.Src == int32(n) && sm.Injector == sm.Src &&
 		sm.InjectTime == -1 && sm.DeliverTime == -1 &&
 		sm.FlitsSent == 0 && sm.FlitsEjected == 0 && sm.Recoveries == 0 && sm.Retries == 0 &&
@@ -475,7 +460,6 @@ func (e *Engine) addObject(s *Snapshot, m *message.Message) {
 		Retries:      m.Retries,
 		DropReason:   string(m.DropReason),
 		Measured:     m.Measured,
-		Pooled:       m.Pooled,
 		Tail:         tail,
 	})
 }
@@ -604,7 +588,7 @@ func (e *Engine) SnapshotInto(s *Snapshot) error {
 				ID: int64(r.id), Src: int32(nd.id), Dst: int32(r.dst), Length: e.recordLen(r),
 				GenTime: r.gen, InjectTime: -1, DeliverTime: -1,
 				State: int8(message.StateQueued), Injector: int32(nd.id),
-				Measured: e.col.InWindow(r.gen), Pooled: true,
+				Measured: e.col.InWindow(r.gen),
 			})
 		})
 		if sf := e.suffixOf(nd); sf != nil {
@@ -706,14 +690,13 @@ func (e *Engine) Restore(snap *Snapshot) error {
 // wholesale — liveness and the candidate table that follows it, generator,
 // limiter, blockage, arbiter and collector words — is left alone, as is the
 // record arena's capacity, whose contents are unobservable. The message pool
-// gets back every pool-born message: none is referenced any more.
+// gets back every message: none is referenced any more.
 func (e *Engine) reset() {
 	e.now, e.faultIdx, e.epoch = 0, 0, 0
 	e.total = [trace.NumKinds]int64{}
 	e.sourcesStopped = false
 	e.listener, e.onReconfig, e.spans = nil, nil, nil
 	e.met, e.metReg, e.onSample = nil, nil, nil
-	e.col.DropDeliverySeries() // load brings back the snapshot's, if any
 	for c := range e.in {
 		e.in[c], e.lastTx[c] = inVC{}, -1
 	}
@@ -735,7 +718,6 @@ func (e *Engine) reset() {
 	clear(e.built)
 	clear(e.lengths)
 	e.refillPool()
-	e.loadedUsed = 0
 	e.par.reset()
 }
 
@@ -1015,11 +997,10 @@ func (e *Engine) load(snap *Snapshot) error {
 
 	// Class accounting follows the adversary config: a collector must never
 	// adopt it from a snapshot, or it would outlive this load. Refuse that
-	// and the class-map and series shapes Restore would index or build by.
+	// and the class-map shape Restore would index by.
 	st := &snap.Stats
 	if (st.Classes != nil) != e.cfg.Adversary.Enabled() ||
-		(st.Classes != nil && len(st.Classes.ClassOf) != len(e.nodes)) ||
-		(st.DeliveredSeries != nil && (st.DeliveredSeries.Interval < 1 || len(st.DeliveredSeries.Buckets) < 1)) {
+		(st.Classes != nil && len(st.Classes.ClassOf) != len(e.nodes)) {
 		return fmt.Errorf("%w: collector state does not fit this engine", ErrSnapshotInvalid)
 	}
 	if err := e.col.Restore(snap.Stats); err != nil {

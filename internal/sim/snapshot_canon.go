@@ -18,7 +18,7 @@ package sim
 //   - observer-only state dropped: config digest (the explorer pins the
 //     config separately), the nodes' id counters (NextSeq) and the
 //     all-time generated/delivered/recovered/aborted/retried/dropped
-//     counters, stats, metrics, and the unobservable Pooled flag;
+//     counters, stats and metrics;
 //   - everything behavioural kept, deliberately over-inclusive — merging
 //     two states that differ in a behavioural field would be unsound
 //     (the explorer would silently skip reachable futures), while keeping

@@ -45,10 +45,6 @@ type Collector struct {
 	// by it so merged replicas report averages, not sums.
 	runs int64
 
-	// deliveredSeries, when enabled, tracks flits delivered per interval
-	// over the whole run (not just the window).
-	deliveredSeries *TimeSeries
-
 	// Per-class accounting (see class.go); all nil when disabled.
 	classNames []string
 	classOf    []uint8
@@ -77,8 +73,7 @@ func NewCollector(nodes int, winStart, winEnd int64) *Collector {
 // the samples, counters and per-node fairness counts accumulate, and
 // per-cycle rates (accepted traffic) average over the merged runs. Both
 // collectors must have identical geometry (nodes and window); Merge panics
-// otherwise. The delivery time series is merged only when both sides
-// recorded one.
+// otherwise.
 func (c *Collector) Merge(other *Collector) {
 	if c.nodes != other.nodes || c.winStart != other.winStart || c.winEnd != other.winEnd {
 		panic("stats: merging collectors of different geometry")
@@ -98,9 +93,6 @@ func (c *Collector) Merge(other *Collector) {
 	c.fairness.Merge(other.fairness)
 	c.mergeClasses(other)
 	c.runs += other.runs
-	if c.deliveredSeries != nil && other.deliveredSeries != nil {
-		c.deliveredSeries.Merge(other.deliveredSeries)
-	}
 }
 
 // Runs returns the number of measurement windows folded into this collector.
@@ -145,9 +137,6 @@ func (c *Collector) OnDelivered(t, genTime, injTime int64, flits int, measured b
 	if inWin {
 		c.deliveredMsgs++
 		c.deliveredFlits += int64(flits)
-	}
-	if c.deliveredSeries != nil {
-		c.deliveredSeries.Add(t, float64(flits))
 	}
 	var acc *classAcc
 	if c.classes != nil {
@@ -238,20 +227,6 @@ func (c *Collector) Deadlocks() int64 { return c.deadlocks }
 
 // Fairness returns the per-node injection counters.
 func (c *Collector) Fairness() *Fairness { return c.fairness }
-
-// EnableDeliverySeries starts recording flits delivered per interval across
-// buckets covering cycles [0, n*interval). Call before the run starts.
-func (c *Collector) EnableDeliverySeries(interval int64, n int) *TimeSeries {
-	c.deliveredSeries = NewTimeSeries(interval, n)
-	return c.deliveredSeries
-}
-
-// DropDeliverySeries stops recording the delivery series and forgets it.
-func (c *Collector) DropDeliverySeries() { c.deliveredSeries = nil }
-
-// DeliverySeries returns the per-interval delivered-flit series, or nil if
-// not enabled.
-func (c *Collector) DeliverySeries() *TimeSeries { return c.deliveredSeries }
 
 // Result is an immutable summary of a finished run, convenient for tables.
 type Result struct {

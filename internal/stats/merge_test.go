@@ -87,37 +87,6 @@ func TestFairnessMergeGeometryPanics(t *testing.T) {
 	NewFairness(8).Merge(NewFairness(16))
 }
 
-func TestTimeSeriesMerge(t *testing.T) {
-	whole := NewTimeSeries(100, 10)
-	a := NewTimeSeries(100, 10)
-	b := NewTimeSeries(100, 10)
-	for i := 0; i < 50; i++ {
-		tm := int64(i * 37)
-		v := float64(i%7) + 0.5
-		whole.Add(tm, v)
-		if i%3 == 0 {
-			a.Add(tm, v)
-		} else {
-			b.Add(tm, v)
-		}
-	}
-	a.Merge(b)
-	for i := 0; i < 10; i++ {
-		if !almostEqual(a.Bucket(i), whole.Bucket(i)) {
-			t.Fatalf("bucket %d: merged %v, whole %v", i, a.Bucket(i), whole.Bucket(i))
-		}
-	}
-}
-
-func TestTimeSeriesMergeGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merging time series of different geometry did not panic")
-		}
-	}()
-	NewTimeSeries(100, 10).Merge(NewTimeSeries(50, 10))
-}
-
 // feedCollector plays a deterministic synthetic run into c, with every event
 // stream offset by phase so two replicas differ.
 func feedCollector(c *Collector, phase int64) {
@@ -144,15 +113,12 @@ func feedCollector(c *Collector, phase int64) {
 func TestCollectorMerge(t *testing.T) {
 	a := NewCollector(4, 100, 400)
 	b := NewCollector(4, 100, 400)
-	a.EnableDeliverySeries(50, 10)
-	b.EnableDeliverySeries(50, 10)
 	feedCollector(a, 0)
 	feedCollector(b, 3)
 
 	// A reference collector fed both streams back to back: the merged
 	// result must pool samples and counters exactly the same way.
 	ref := NewCollector(4, 100, 400)
-	ref.EnableDeliverySeries(50, 10)
 	feedCollector(ref, 0)
 	feedCollector(ref, 3)
 
@@ -187,13 +153,6 @@ func TestCollectorMerge(t *testing.T) {
 	// over the same window do not double the per-cycle rate.
 	if wantAcc := (accA + accB) / 2; !almostEqual(got.Accepted, wantAcc) {
 		t.Fatalf("merged accepted %v, want mean of replicas %v", got.Accepted, wantAcc)
-	}
-	// The delivery series accumulated both replicas.
-	for i := 0; i < 10; i++ {
-		if !almostEqual(a.DeliverySeries().Bucket(i), ref.DeliverySeries().Bucket(i)) {
-			t.Fatalf("series bucket %d: merged %v, reference %v",
-				i, a.DeliverySeries().Bucket(i), ref.DeliverySeries().Bucket(i))
-		}
 	}
 }
 

@@ -75,27 +75,6 @@ func (f *Fairness) Restore(s FairnessState) error {
 	return nil
 }
 
-// TimeSeriesState is the serializable state of a TimeSeries.
-type TimeSeriesState struct {
-	Interval int64
-	Buckets  []float64
-}
-
-// State exports the series.
-func (ts *TimeSeries) State() TimeSeriesState {
-	return TimeSeriesState{Interval: ts.interval, Buckets: append([]float64(nil), ts.buckets...)}
-}
-
-// Restore loads a previously exported state. The geometry must match.
-func (ts *TimeSeries) Restore(s TimeSeriesState) error {
-	if ts.interval != s.Interval || len(ts.buckets) != len(s.Buckets) {
-		return fmt.Errorf("stats: time series geometry mismatch (%dx%d vs %dx%d)",
-			ts.interval, len(ts.buckets), s.Interval, len(s.Buckets))
-	}
-	copy(ts.buckets, s.Buckets)
-	return nil
-}
-
 // ClassAccState is the serializable state of one traffic class accumulator.
 type ClassAccState struct {
 	Generated      int64
@@ -138,9 +117,6 @@ type CollectorState struct {
 	Fairness FairnessState
 	Runs     int64
 
-	// DeliveredSeries is nil when the collector recorded no delivery series.
-	DeliveredSeries *TimeSeriesState
-
 	// Classes is nil when the collector has no per-class accounting.
 	Classes *ClassesState
 }
@@ -175,10 +151,6 @@ func (c *Collector) StateInto(dst *CollectorState) {
 	}
 	c.Hist.StateInto(&dst.Hist)
 	c.fairness.StateInto(&dst.Fairness)
-	if c.deliveredSeries != nil {
-		ts := c.deliveredSeries.State()
-		dst.DeliveredSeries = &ts
-	}
 	if c.classes != nil {
 		cs := ClassesState{
 			Names:   append([]string(nil), c.classNames...),
@@ -200,10 +172,7 @@ func (c *Collector) StateInto(dst *CollectorState) {
 }
 
 // Restore loads a previously exported state into c. The collector's geometry
-// (node count and measurement window) must match the snapshot's. If the
-// snapshot carries a delivery series the collector does not have yet, one is
-// created with the snapshot's geometry, so restore order does not depend on
-// the caller re-enabling the series first.
+// (node count and measurement window) must match the snapshot's.
 func (c *Collector) Restore(s CollectorState) error {
 	if c.nodes != s.Nodes || c.winStart != s.WinStart || c.winEnd != s.WinEnd {
 		return fmt.Errorf("stats: collector geometry mismatch (nodes %d win [%d,%d) vs nodes %d win [%d,%d))",
@@ -227,14 +196,6 @@ func (c *Collector) Restore(s CollectorState) error {
 	c.retriedMsgs = s.RetriedMsgs
 	c.droppedMsgs = s.DroppedMsgs
 	c.runs = s.Runs
-	if s.DeliveredSeries != nil {
-		if c.deliveredSeries == nil {
-			c.deliveredSeries = NewTimeSeries(s.DeliveredSeries.Interval, len(s.DeliveredSeries.Buckets))
-		}
-		if err := c.deliveredSeries.Restore(*s.DeliveredSeries); err != nil {
-			return err
-		}
-	}
 	if s.Classes != nil {
 		if c.classes == nil {
 			// The restore target was built without class accounting (restore

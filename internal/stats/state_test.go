@@ -6,10 +6,9 @@ import (
 )
 
 // populatedCollector builds a collector with every accumulator non-trivial:
-// in/out-of-window events, a delivery series, fairness spread across nodes.
+// in/out-of-window events, fairness spread across nodes.
 func populatedCollector() *Collector {
 	c := NewCollector(8, 100, 900)
-	c.EnableDeliverySeries(50, 20)
 	for i := int64(0); i < 40; i++ {
 		t := i * 25 // straddles the window on both sides
 		c.OnGenerated(t, int(i%8))
@@ -44,9 +43,6 @@ func TestCollectorStateRoundTrip(t *testing.T) {
 	if got, want := fresh.Result(), orig.Result(); got != want {
 		t.Fatalf("restored result diverged:\n got  %+v\n want %+v", got, want)
 	}
-	if fresh.DeliverySeries() == nil {
-		t.Fatal("restore did not recreate the delivery series")
-	}
 
 	// Both sides keep counting identically after the restore point.
 	for _, c := range []*Collector{orig, fresh} {
@@ -55,15 +51,6 @@ func TestCollectorStateRoundTrip(t *testing.T) {
 	}
 	if got, want := fresh.Result(), orig.Result(); got != want {
 		t.Fatalf("post-restore accounting diverged:\n got  %+v\n want %+v", got, want)
-	}
-	a, b := orig.DeliverySeries().State(), fresh.DeliverySeries().State()
-	if a.Interval != b.Interval || len(a.Buckets) != len(b.Buckets) {
-		t.Fatal("delivery series geometry diverged")
-	}
-	for i := range a.Buckets {
-		if a.Buckets[i] != b.Buckets[i] {
-			t.Fatalf("delivery series bucket %d diverged: %v vs %v", i, a.Buckets[i], b.Buckets[i])
-		}
 	}
 }
 
